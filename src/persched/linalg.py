@@ -29,19 +29,25 @@ __all__ = [
     "solve_dare",
 ]
 
-# Largest dimension for which the vectorized Kronecker route is the default
-# in solve_dlyap; above it the doubling iteration takes over.
-KRON_LIMIT = 64
-
 # Coefficients of the degree-6 diagonal Pade approximant of exp(x).
 _PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce ``x`` to a 2-D float array with finite entries."""
+    if np.ndim(x) != 2:
+        raise DimensionError(f"{name} must be 2-D, got shape {np.shape(x)}")
+    return _stack(x, name)[0]
+
+
+def _stack(x, name: str) -> np.ndarray:
+    """Coerce a matrix, or a (K, r, c) stack of them, to a 3-D float array
+    with finite entries."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim == 2:
+        arr = arr[np.newaxis]
+    if arr.ndim != 3:
+        raise DimensionError(f"{name} must be 2-D or a 3-D stack, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
@@ -54,19 +60,27 @@ def _square(x, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _symmetric_stack(x, name: str, tol: float = 1e-8) -> np.ndarray:
+    """Validate symmetry of a matrix, or of each slice of a (K, n, n) stack,
+    within ``tol`` relative to its norm; return the symmetrized 3-D copy."""
+    arr = _stack(x, name)
+    if arr.shape[1] != arr.shape[2]:
+        raise DimensionError(f"{name} must be square, got shape {arr.shape[1:]}")
+    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
+    if np.any(np.linalg.norm(arr - arr.transpose(0, 2, 1), axis=(1, 2)) > tol * scale):
+        raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
+    return symmetrize(arr)
+
+
 def symmetrize(x: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (X + X^T) / 2."""
-    return 0.5 * (x + x.T)
+    """Return the symmetric part (X + X^T) / 2, slice by slice for a stack."""
+    return 0.5 * (x + x.swapaxes(-1, -2))
 
 
 def require_symmetric(x, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
     """Validate symmetry within ``tol`` (relative) and return the
     symmetrized copy."""
-    arr = _square(x, name)
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    if np.linalg.norm(arr - arr.T) > tol * scale:
-        raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
-    return symmetrize(arr)
+    return _symmetric_stack(_square(x, name), name, tol)[0]
 
 
 def psd_sqrt(x, name: str = "matrix") -> np.ndarray:
@@ -122,8 +136,10 @@ def spectral_radius(x) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def solve_dlyap(f, w, method: str = "auto", kron_limit: int = KRON_LIMIT) -> np.ndarray:
+def solve_dlyap(f, w) -> np.ndarray:
     """Solve the discrete Lyapunov equation X = F X F^T + W.
+
+    Smith doubling: X <- X + G X G^T, G <- G^2 from X = W, G = F.
 
     Parameters
     ----------
@@ -131,10 +147,6 @@ def solve_dlyap(f, w, method: str = "auto", kron_limit: int = KRON_LIMIT) -> np.
         Square matrix with spectral radius < 1.
     w : array_like
         Symmetric matrix, same shape as ``f``.
-    method : {"auto", "kron", "doubling"}
-        "kron" solves the vectorized n^2 x n^2 linear system directly;
-        "doubling" runs the squared fixed-point (Smith) iteration. "auto"
-        picks "kron" for n <= ``kron_limit`` and "doubling" above it.
 
     Returns
     -------
@@ -150,32 +162,23 @@ def solve_dlyap(f, w, method: str = "auto", kron_limit: int = KRON_LIMIT) -> np.
         cannot be met.
     """
     fm = _square(f, "F")
-    wm = require_symmetric(w, "W")
-    if fm.shape != wm.shape:
-        raise DimensionError(f"F and W shapes differ: {fm.shape} vs {wm.shape}")
     rho = spectral_radius(fm)
     if rho >= 1.0:
         raise InstabilityError(f"spectral radius {rho:.6g} >= 1; no unique fixed point")
+    wm = require_symmetric(w, "W")
+    if fm.shape != wm.shape:
+        raise DimensionError(f"F and W shapes differ: {fm.shape} vs {wm.shape}")
 
-    n = fm.shape[0]
-    if method == "auto":
-        method = "kron" if n <= kron_limit else "doubling"
-    if method == "kron":
-        lhs = np.eye(n * n) - np.kron(fm, fm)
-        x = np.linalg.solve(lhs, wm.ravel()).reshape(n, n)
-    elif method == "doubling":
-        x = wm.copy()
-        g = fm.copy()
-        for _ in range(200):
-            term = g @ x @ g.T
-            x = x + term
-            if np.linalg.norm(term) <= 1e-16 * max(1.0, np.linalg.norm(x)):
-                break
-            g = g @ g
-        else:
-            raise ConvergenceError("doubling iteration failed to settle")
+    x = wm.copy()
+    g = fm.copy()
+    for _ in range(200):
+        term = g @ x @ g.T
+        x = x + term
+        if np.linalg.norm(term) <= 1e-16 * max(1.0, np.linalg.norm(x)):
+            break
+        g = g @ g
     else:
-        raise InputError(f"unknown solve_dlyap method {method!r}")
+        raise ConvergenceError("doubling iteration failed to settle")
 
     x = symmetrize(x)
     residual = np.linalg.norm(x - fm @ x @ fm.T - wm)
@@ -191,14 +194,17 @@ def solve_gain_sylvester(v, d, rho: float, rhs) -> np.ndarray:
 
     ``v`` (n x n) and ``d`` (m x m) must be symmetric positive definite and
     ``rho`` nonnegative. Both sides are diagonalized, so the equation
-    reduces to an entrywise division in the joint eigenbasis.
+    reduces to an entrywise division in the joint eigenbasis. Stacked
+    operands of shapes (K, n, n), (K, m, m) and (K, n, m) solve K
+    independent equations at once and return a (K, n, m) stack; each slice
+    meets the same checks and residual contract as a single equation.
     """
-    vm = require_symmetric(v, "V")
-    dm = require_symmetric(d, "D")
-    rm = as_matrix(rhs, "RHS")
-    if rm.shape != (vm.shape[0], dm.shape[0]):
+    vm = _symmetric_stack(v, "V")
+    dm = _symmetric_stack(d, "D")
+    rm = _stack(rhs, "RHS")
+    if vm.shape[0] != dm.shape[0] or rm.shape != (vm.shape[0], vm.shape[1], dm.shape[1]):
         raise DimensionError(
-            f"RHS shape {rm.shape} does not match V ({vm.shape[0]}) x D ({dm.shape[0]})"
+            f"RHS shape {np.shape(rhs)} does not match V {np.shape(v)} x D {np.shape(d)}"
         )
     if rho < 0:
         raise InputError(f"rho must be nonnegative, got {rho}")
@@ -210,13 +216,13 @@ def solve_gain_sylvester(v, d, rho: float, rhs) -> np.ndarray:
     if sd.min() <= 0.0:
         raise InputError("D must be positive definite")
 
-    denom = 2.0 * np.outer(sv, sd) + rho
-    sol = uv @ ((uv.T @ rm @ ud) / denom) @ ud.T
+    denom = 2.0 * sv[:, :, np.newaxis] * sd[:, np.newaxis, :] + rho
+    sol = uv @ ((uv.transpose(0, 2, 1) @ rm @ ud) / denom) @ ud.transpose(0, 2, 1)
 
-    residual = np.linalg.norm(2.0 * vm @ sol @ dm + rho * sol - rm)
-    if residual > 1e-9 * max(1.0, np.linalg.norm(rm)):
-        raise ConvergenceError(f"gain equation residual {residual:.3g} exceeds contract")
-    return sol
+    residual = np.linalg.norm(2.0 * vm @ sol @ dm + rho * sol - rm, axis=(1, 2))
+    if np.any(residual > 1e-9 * np.maximum(1.0, np.linalg.norm(rm, axis=(1, 2)))):
+        raise ConvergenceError(f"gain equation residual {residual.max():.3g} exceeds contract")
+    return sol if np.ndim(rhs) == 3 else sol[0]
 
 
 def solve_dare(a, c, q_eff, r, tol: float = 1e-10, max_iters: int = 10000) -> np.ndarray:

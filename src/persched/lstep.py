@@ -168,9 +168,9 @@ def anderson_moore_update(
     """Exact coordinate solve with the cycles frozen at the current gains.
 
     Freezes {P_k} and {V_k} and solves, independently for each step,
-    2 V_{k+1} L_k (R + C P_k C^T) + rho L_k = 2 V_{k+1} A P_k C^T + rho U_k.
-    The returned candidate is a fixed point exactly when the current gains
-    are stationary.
+    2 V_{k+1} L_k (R + C P_k C^T) + rho L_k = 2 V_{k+1} A P_k C^T + rho U_k
+    in one batched solve. The returned candidate is a fixed point exactly
+    when the current gains are stationary.
     """
     _check_compatible(prob, gains)
     sys = prob.sys
@@ -178,14 +178,11 @@ def anderson_moore_update(
         cycle = covariance_limit_cycle(sys, gains)
     if values is None:
         values = value_cycle(sys, gains)
-    K = prob.K
-    new = np.empty_like(prob.U)
-    for k in range(K):
-        v_next = values[(k + 1) % K]
-        d = symmetrize(sys.R + sys.C @ cycle[k] @ sys.C.T)
-        rhs = 2.0 * v_next @ sys.A @ cycle[k] @ sys.C.T + prob.rho * prob.U[k]
-        new[k] = solve_gain_sylvester(v_next, d, prob.rho, rhs)
-    return PeriodicGains(new)
+    v_next = np.roll(np.stack(values), -1, axis=0)
+    p = cycle.covariances
+    d = symmetrize(sys.R + sys.C @ p @ sys.C.T)
+    rhs = 2.0 * v_next @ sys.A @ p @ sys.C.T + prob.rho * prob.U
+    return PeriodicGains(solve_gain_sylvester(v_next, d, prob.rho, rhs))
 
 
 def _trial_phi(prob: LStepProblem, trial: PeriodicGains):

@@ -311,12 +311,19 @@ def _step_noise(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
     return (w + w.transpose(0, 2, 1)) / 2.0
 
 
-def _require_stable(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
-    pi = monodromy_matrix(sys, gains)
-    rho = spectral_radius(pi)
+def _require_stable(sys: SystemModel, gains: PeriodicGains) -> None:
+    rho = monodromy_spectral_radius(sys, gains)
     if rho >= 1.0:
         raise InstabilityError(f"monodromy spectral radius {rho:.6g} is not < 1")
-    return pi
+
+
+def _solve_monodromy(pi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X = Pi X Pi^T + W. solve_dlyap's radius test is the only stability
+    check of the default cycle routes; its failure is reported as the loop's."""
+    try:
+        return solve_dlyap(pi, w)
+    except InstabilityError as exc:
+        raise InstabilityError(f"monodromy {exc}") from exc
 
 
 def covariance_limit_cycle(
@@ -332,25 +339,20 @@ def covariance_limit_cycle(
     """
     factors = closed_loop_factors(sys, gains)
     noise = _step_noise(sys, gains)
-    pi = _require_stable(sys, gains)
     K, n = factors.shape[0], factors.shape[1]
 
     if method in ("auto", "monodromy"):
         # Accumulate W_acc = sum_k Psi_k W_k Psi_k^T with the suffix products
-        # Psi_k = F_{K-1} ... F_{k+1}, then solve P_0 = Pi P_0 Pi^T + W_acc.
+        # Psi_k = F_{K-1} ... F_{k+1}, then solve P_0 = Pi P_0 Pi^T + W_acc;
+        # the loop leaves psi = Pi.
         w_acc = np.zeros((n, n))
         psi = np.eye(n)
         for k in range(K - 1, -1, -1):
             w_acc += psi @ noise[k] @ psi.T
             psi = psi @ factors[k]
-        p0 = solve_dlyap(pi, symmetrize(w_acc))
-        covs = np.empty((K, n, n))
-        covs[0] = p0
-        for k in range(K - 1):
-            covs[k + 1] = symmetrize(factors[k] @ covs[k] @ factors[k].T + noise[k])
-        return CovarianceCycle(covs)
-
-    if method == "lifted":
+        p0 = _solve_monodromy(psi, symmetrize(w_acc))
+    elif method == "lifted":
+        _require_stable(sys, gains)
         f_lift = lift_cyclic(factors, cyclic=True)
         # Diagonal block r of the lifted weight pairs with step r-1: the
         # lifted recursion writes F_{r-1} P_{r-1} F_{r-1}^T + W_{r-1} into
@@ -361,16 +363,21 @@ def covariance_limit_cycle(
             [symmetrize(x[k * n : (k + 1) * n, k * n : (k + 1) * n]) for k in range(K)]
         )
         return CovarianceCycle(covs)
-
-    if method == "recursion":
-        return _covariance_by_recursion(factors, noise)
-
-    raise InputError(f"unknown method {method!r}; expected auto, monodromy, lifted, or recursion")
+    elif method == "recursion":
+        _require_stable(sys, gains)
+        p0 = _covariance_by_recursion(factors, noise)
+    else:
+        raise InputError(f"unknown method {method!r}; expected auto, monodromy, lifted, or recursion")
+    covs = np.empty((K, n, n))
+    covs[0] = p0
+    for k in range(K - 1):
+        covs[k + 1] = symmetrize(factors[k] @ covs[k] @ factors[k].T + noise[k])
+    return CovarianceCycle(covs)
 
 
 def _covariance_by_recursion(
     factors: np.ndarray, noise: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100000
-) -> CovarianceCycle:
+) -> np.ndarray:
     K, n = factors.shape[0], factors.shape[1]
     p = np.zeros((n, n))
     for _ in range(max_sweeps):
@@ -378,11 +385,7 @@ def _covariance_by_recursion(
         for k in range(K):
             p = symmetrize(factors[k] @ p @ factors[k].T + noise[k])
         if np.linalg.norm(p - start) <= tol * max(1.0, float(np.linalg.norm(p))):
-            covs = np.empty((K, n, n))
-            covs[0] = p
-            for k in range(K - 1):
-                covs[k + 1] = symmetrize(factors[k] @ covs[k] @ factors[k].T + noise[k])
-            return CovarianceCycle(covs)
+            return p
     raise ConvergenceError(f"covariance recursion did not settle within {max_sweeps} sweeps")
 
 
@@ -393,49 +396,40 @@ def value_cycle(sys: SystemModel, gains: PeriodicGains, method: str = "auto"):
     the identity in the semidefinite order.
     """
     factors = closed_loop_factors(sys, gains)
-    pi = _require_stable(sys, gains)
     K, n = factors.shape[0], factors.shape[1]
     eye = np.eye(n)
 
     if method in ("auto", "monodromy"):
         # m_acc = sum_k Phi_k^T Phi_k with prefix products Phi_k = F_{k-1}...F_0,
-        # so V_0 solves V_0 = Pi^T V_0 Pi + m_acc.
+        # so V_0 solves V_0 = Pi^T V_0 Pi + m_acc; the loop leaves phi = Pi.
         m_acc = np.zeros((n, n))
         phi = eye
         for k in range(K):
             m_acc += phi.T @ phi
             phi = factors[k] @ phi
-        v0 = solve_dlyap(pi.T, symmetrize(m_acc))
-        values = [None] * K
-        values[0] = v0
-        nxt = v0
-        for k in range(K - 1, 0, -1):
-            nxt = symmetrize(factors[k].T @ nxt @ factors[k] + eye)
-            values[k] = nxt
-        return tuple(values)
-
-    if method == "lifted":
+        v0 = _solve_monodromy(phi.T, symmetrize(m_acc))
+    elif method == "lifted":
+        _require_stable(sys, gains)
         f_lift = lift_cyclic(factors, cyclic=True)
         x = solve_dlyap(f_lift.T, np.eye(K * n))
         return tuple(symmetrize(x[k * n : (k + 1) * n, k * n : (k + 1) * n]) for k in range(K))
-
-    if method == "recursion":
-        v = np.zeros((n, n))
+    elif method == "recursion":
+        _require_stable(sys, gains)
+        v0 = np.zeros((n, n))
         for _ in range(100000):
-            start = v
+            start = v0
             for k in range(K - 1, -1, -1):
-                v = symmetrize(factors[k].T @ v @ factors[k] + eye)
-            if np.linalg.norm(v - start) <= 1e-12 * max(1.0, float(np.linalg.norm(v))):
-                values = [None] * K
-                values[0] = v
-                nxt = v
-                for k in range(K - 1, 0, -1):
-                    nxt = symmetrize(factors[k].T @ nxt @ factors[k] + eye)
-                    values[k] = nxt
-                return tuple(values)
-        raise ConvergenceError("value recursion did not settle within 100000 sweeps")
-
-    raise InputError(f"unknown method {method!r}; expected auto, monodromy, lifted, or recursion")
+                v0 = symmetrize(factors[k].T @ v0 @ factors[k] + eye)
+            if np.linalg.norm(v0 - start) <= 1e-12 * max(1.0, float(np.linalg.norm(v0))):
+                break
+        else:
+            raise ConvergenceError("value recursion did not settle within 100000 sweeps")
+    else:
+        raise InputError(f"unknown method {method!r}; expected auto, monodromy, lifted, or recursion")
+    values = [v0] * K
+    for k in range(K - 1, 0, -1):
+        values[k] = symmetrize(factors[k].T @ values[(k + 1) % K] @ factors[k] + eye)
+    return tuple(values)
 
 
 def objective_J(sys: SystemModel, gains: PeriodicGains, cycle: CovarianceCycle = None) -> float:

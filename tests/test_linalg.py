@@ -86,16 +86,39 @@ class TestSolveDlyap:
             np.testing.assert_allclose(solve_dlyap(f, w), expected, rtol=1e-8, atol=1e-10)
 
     def test_methods_agree(self, rng):
-        f = rng.normal(size=(5, 5))
-        f *= 0.8 / spectral_radius(f)
-        w = rng.normal(size=(5, 5))
-        w = w @ w.T
-        np.testing.assert_allclose(
-            solve_dlyap(f, w, method="kron"),
-            solve_dlyap(f, w, method="doubling"),
-            rtol=1e-9,
-            atol=1e-11,
-        )
+        # Doubling against the vectorized form (I - F kron F) vec(X) = vec(W),
+        # solved directly with row-major vec.
+        for n in (5, 25):
+            f = rng.normal(size=(n, n))
+            f *= 0.8 / spectral_radius(f)
+            w = rng.normal(size=(n, n))
+            w = w @ w.T
+            kron = np.linalg.solve(np.eye(n * n) - np.kron(f, f), w.ravel()).reshape(n, n)
+            np.testing.assert_allclose(solve_dlyap(f, w), kron, rtol=1e-9, atol=1e-11)
+
+    def test_near_unit_radius_matches_scipy(self, rng):
+        n = 25
+        f = rng.normal(size=(n, n))
+        f *= 0.999 / spectral_radius(f)
+        w = rng.normal(size=(n, n))
+        w = w @ w.T / n + np.eye(n)
+        expected = scipy.linalg.solve_discrete_lyapunov(f, w)
+        x = solve_dlyap(f, w)
+        np.testing.assert_allclose(x, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
+
+    def test_non_normal_transient_growth_matches_scipy(self, rng):
+        # Stable but far from normal: ||F^j|| climbs past 20 before the
+        # radius 0.95 wins, so the series is dominated by its transient.
+        n = 25
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        t = np.diag(np.linspace(0.5, 0.95, n)) + np.diag(np.full(n - 1, 0.2), 1)
+        f = q @ t @ q.T
+        peak = max(np.linalg.norm(np.linalg.matrix_power(f, j), 2) for j in range(400))
+        assert peak > 20.0
+        w = np.eye(n)
+        expected = scipy.linalg.solve_discrete_lyapunov(f, w)
+        x = solve_dlyap(f, w)
+        np.testing.assert_allclose(x, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
 
     def test_solution_is_symmetric_psd(self, rng):
         f = 0.7 * rng.normal(size=(4, 4)) / 2
@@ -111,10 +134,6 @@ class TestSolveDlyap:
     def test_asymmetric_w_rejected(self):
         with pytest.raises(InputError, match="symmetric"):
             solve_dlyap(0.5 * np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_unknown_method(self):
-        with pytest.raises(InputError, match="method"):
-            solve_dlyap(np.array([[0.5]]), np.array([[1.0]]), method="qr")
 
 
 class TestSolveGainSylvester:
@@ -153,6 +172,38 @@ class TestSolveGainSylvester:
     def test_negative_rho_rejected(self):
         with pytest.raises(InputError, match="rho"):
             solve_gain_sylvester(np.eye(2), np.eye(2), -1.0, np.ones((2, 2)))
+
+    @staticmethod
+    def _spd_stack(rng, K, n):
+        half = rng.normal(size=(K, n, n))
+        return half @ half.transpose(0, 2, 1) + 0.2 * np.eye(n)
+
+    def test_stacked_matches_per_slice(self, rng):
+        K, n, m, rho = 6, 4, 3, 2.5
+        v = self._spd_stack(rng, K, n)
+        d = self._spd_stack(rng, K, m)
+        rhs = rng.normal(size=(K, n, m))
+        stacked = solve_gain_sylvester(v, d, rho, rhs)
+        assert stacked.shape == (K, n, m)
+        for k in range(K):
+            np.testing.assert_allclose(
+                stacked[k], solve_gain_sylvester(v[k], d[k], rho, rhs[k]), rtol=1e-12, atol=1e-12
+            )
+
+    def test_stacked_non_positive_definite_slice_rejected(self, rng):
+        K, n, m = 4, 3, 2
+        for name, side in (("V", n), ("D", m)):
+            ops = {"V": self._spd_stack(rng, K, n), "D": self._spd_stack(rng, K, m)}
+            ops[name][2] = np.diag(np.r_[0.0, np.ones(side - 1)])
+            with pytest.raises(InputError, match=f"{name} must be positive definite"):
+                solve_gain_sylvester(ops["V"], ops["D"], 1.0, np.ones((K, n, m)))
+
+    def test_stacked_shapes_checked(self, rng):
+        v = self._spd_stack(rng, 3, 2)
+        with pytest.raises(DimensionError, match="RHS shape"):
+            solve_gain_sylvester(v, self._spd_stack(rng, 2, 2), 1.0, np.ones((3, 2, 2)))
+        with pytest.raises(DimensionError, match="RHS shape"):
+            solve_gain_sylvester(v, self._spd_stack(rng, 3, 2), 1.0, np.ones((3, 2, 3)))
 
 
 class TestSolveDare:

@@ -126,6 +126,27 @@ class TestAndersonMooreUpdate:
             count += 1
         assert count >= 15
 
+    def test_matches_per_step_reference(self, rng):
+        # Reference: one vectorized solve of
+        # 2 V_{k+1} L_k D_k + rho L_k = 2 V_{k+1} A P_k C^T + rho U_k per step,
+        # for a single-step period and for more sensors than states.
+        for n, m, K in ((3, 2, 1), (2, 4, 3)):
+            sys = random_stable_system(rng, n, m)
+            gains = PeriodicGains(riccati_start(sys, K).gains + 0.01 * rng.normal(size=(K, n, m)))
+            prob = LStepProblem(sys=sys, U=rng.normal(size=(K, n, m)), rho=3.0)
+            cycle = ps.covariance_limit_cycle(sys, gains)
+            values = ps.value_cycle(sys, gains)
+            expected = np.empty((K, n, m))
+            for k in range(K):
+                v_next = values[(k + 1) % K]
+                d = sys.R + sys.C @ cycle[k] @ sys.C.T
+                rhs = 2.0 * v_next @ sys.A @ cycle[k] @ sys.C.T + prob.rho * prob.U[k]
+                lhs = 2.0 * np.kron(v_next, d.T) + prob.rho * np.eye(n * m)
+                expected[k] = np.linalg.solve(lhs, rhs.ravel()).reshape(n, m)
+            np.testing.assert_allclose(
+                ps.anderson_moore_update(prob, gains).gains, expected, rtol=1e-9, atol=1e-11
+            )
+
 
 class TestArmijoStep:
     def test_accepted_step_decreases_phi(self, rng):

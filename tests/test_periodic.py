@@ -178,6 +178,26 @@ class TestMonodromy:
             monodromy_matrix(sys, gains), factors[2] @ factors[1] @ factors[0]
         )
 
+    def test_default_cycles_compute_eigenvalues_once(self, rng, monkeypatch):
+        # solve_dlyap's radius test on the monodromy is the cycle's only one.
+        sys = random_stable_system(rng, 4, 2)
+        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(3, 2))
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        for cycle_fn in (ps.covariance_limit_cycle, ps.value_cycle):
+            calls.clear()
+            cycle_fn(sys, gains)
+            assert calls == ["eigvals"]
+
     def test_stability_margin(self, rng):
         sys = random_stable_system(rng, 3, 1, radius=0.5)
         gains = PeriodicGains.zeros(2, 3, 1)
