@@ -72,6 +72,7 @@ from .periodic import (
     ScheduleEvaluation,
     covariance_limit_cycle,
     evaluate_schedule,
+    evaluate_schedules,
     init_gains_for_schedule,
     lift_cyclic,
     monodromy_stable,
@@ -121,6 +122,7 @@ __all__ = [
     "covariance_limit_cycle",
     "default_init_schedule",
     "evaluate_schedule",
+    "evaluate_schedules",
     "exhaustive_search",
     "g_objective",
     "g_step",

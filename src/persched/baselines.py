@@ -10,6 +10,7 @@ statistics, giving the reference the solver is expected to beat.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from math import comb
@@ -17,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import BudgetError, InitializationError, InputError, InstabilityError
+from .exceptions import BudgetError, InitializationError, InputError
 from .model import SystemModel
-from .periodic import Schedule, evaluate_schedule
+from .periodic import Schedule, chunk_length, evaluate_schedules
 
 __all__ = [
     "OracleResult",
@@ -115,10 +116,11 @@ def exhaustive_search(
 
     Walks all K x M masks satisfying the per-sensor bounds (and the exact
     total activation count when given) in lexicographic order of the
-    row-major bit string, scoring each with evaluate_schedule. Candidates
-    whose masked estimator is invalid (an unstable mode left unobserved)
-    are skipped. Ties keep the lexicographically smallest mask. Raises
-    BudgetError up front when the candidate count exceeds ``budget``.
+    row-major bit string, scoring them chunk by chunk with
+    evaluate_schedules. Candidates whose masked estimator is invalid (an
+    unstable mode left unobserved) are skipped. Ties keep the
+    lexicographically smallest mask. Raises BudgetError up front when the
+    candidate count exceeds ``budget``.
     """
     if K < 1:
         raise InputError("period must be at least 1")
@@ -134,13 +136,6 @@ def exhaustive_search(
     M = sys.n_sensors
     mask = np.zeros((K, M), dtype=np.int8)
     used = [0] * M
-    state = {
-        "best_j": np.inf,
-        "best_mask": None,
-        "evaluated": 0,
-        "skipped": 0,
-        "total": 0,
-    }
 
     def future_capacity(pos: int) -> int:
         """Most activations still placeable at positions >= pos."""
@@ -151,53 +146,46 @@ def exhaustive_search(
             cap += min(bounds[m] - used[m], K - j_min)
         return cap
 
-    def visit_leaf() -> None:
-        state["total"] += 1
-        sched = Schedule(mask.copy())
-        try:
-            evaluation = evaluate_schedule(sys, sched)
-        except (InitializationError, InstabilityError):
-            state["skipped"] += 1
-            return
-        state["evaluated"] += 1
-        if evaluation.J < state["best_j"]:
-            state["best_j"] = evaluation.J
-            state["best_mask"] = sched
-
-    def dfs(pos: int, total: int) -> None:
+    def leaves(pos: int, total: int):
+        """Feasible masks that extend the first ``pos`` decided entries."""
         if total_activations is not None:
             if total > total_activations:
                 return
             if total + future_capacity(pos) < total_activations:
                 return
         if pos == K * M:
-            visit_leaf()
+            yield mask.copy()
             return
         k, m = divmod(pos, M)
-        dfs(pos + 1, total)
+        yield from leaves(pos + 1, total)
         if used[m] < bounds[m]:
             mask[k, m] = 1
             used[m] += 1
-            dfs(pos + 1, total + 1)
+            yield from leaves(pos + 1, total + 1)
             used[m] -= 1
             mask[k, m] = 0
 
-    dfs(0, 0)
-    if state["best_mask"] is None:
+    best_j, best_mask, n_evaluated, n_skipped = np.inf, None, 0, 0
+    stream = leaves(0, 0)
+    while chunk := list(itertools.islice(stream, chunk_length(sys.n_states))):
+        values = evaluate_schedules(sys, np.stack(chunk))
+        invalid = np.isnan(values)
+        n_skipped += int(invalid.sum())
+        n_evaluated += len(chunk) - int(invalid.sum())
+        # argmin keeps the first of equal values, and strict < an earlier chunk's.
+        values[invalid] = np.inf
+        i = int(np.argmin(values))
+        if values[i] < best_j:
+            best_j, best_mask = float(values[i]), chunk[i]
+    if best_mask is None:
         raise InitializationError(
             "every feasible schedule left the estimator invalid; raise the bounds"
         )
     logger.info(
-        "oracle evaluated %d candidates (%d skipped): best J %.6g",
-        state["evaluated"],
-        state["skipped"],
-        state["best_j"],
+        "oracle evaluated %d candidates (%d skipped): best J %.6g", n_evaluated, n_skipped, best_j
     )
     return OracleResult(
-        schedule=state["best_mask"],
-        J=state["best_j"],
-        n_evaluated=state["evaluated"],
-        n_skipped=state["skipped"],
+        schedule=Schedule(best_mask), J=best_j, n_evaluated=n_evaluated, n_skipped=n_skipped
     )
 
 
@@ -231,15 +219,14 @@ def random_baseline(
     total_activations: int,
     trials: int,
     seed: int,
-    jobs: int = 1,
 ) -> BaselineResult:
     """Monte-Carlo reference: uniform feasible schedules, scored exactly.
 
     Draws ``trials`` schedules uniformly among the masks that satisfy the
     per-sensor bounds and have exactly ``total_activations`` activations,
-    scores each with evaluate_schedule, and returns the statistics. Fully
-    determined by ``seed``: all draws happen up front in seed order, so
-    ``jobs`` only parallelizes the scoring and never changes the result.
+    scores them with evaluate_schedules, and returns the statistics in draw
+    order. Fully determined by ``seed``. Raises InitializationError when a
+    drawn schedule leaves the estimator invalid.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
@@ -254,18 +241,8 @@ def random_baseline(
         raise InputError("no feasible schedule matches the requested activation count")
 
     rng = np.random.default_rng(seed)
-    schedules = [
-        Schedule(_draw_mask(rng, K, bounds, total_activations, table)) for _ in range(trials)
-    ]
-
-    def score(sched: Schedule) -> float:
-        return evaluate_schedule(sys, sched).J
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(score, schedules))
-    else:
-        values = [score(sched) for sched in schedules]
+    masks = [_draw_mask(rng, K, bounds, total_activations, table) for _ in range(trials)]
+    values = evaluate_schedules(sys, np.stack(masks))
+    if np.isnan(values).any():
+        raise InitializationError(f"draw {np.isnan(values).argmax()} leaves the estimator invalid")
     return BaselineResult.from_values(values)

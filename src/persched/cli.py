@@ -83,7 +83,7 @@ def _format_eta(eta) -> str:
     return str(int(eta))
 
 
-def cmd_run(config_path, out: Optional[str] = None, jobs: int = 1, seed: Optional[int] = None) -> int:
+def cmd_run(config_path, out: Optional[str] = None) -> int:
     """Single solve. Exit 0 on convergence, 2 with a result at the cap."""
     cfg = load_experiment(config_path)
     _check_kind(cfg, "run")
@@ -110,7 +110,7 @@ def cmd_run(config_path, out: Optional[str] = None, jobs: int = 1, seed: Optiona
     return 0 if report.converged else 2
 
 
-def cmd_sweep(config_path, out: Optional[str] = None, jobs: int = 1, seed: Optional[int] = None) -> int:
+def cmd_sweep(config_path, out: Optional[str] = None, jobs: int = 1) -> int:
     """Grid of solves into tradeoff.csv plus one report JSON per cell."""
     cfg = load_experiment(config_path)
     _check_kind(cfg, "sweep")
@@ -162,7 +162,7 @@ def cmd_sweep(config_path, out: Optional[str] = None, jobs: int = 1, seed: Optio
     return 2 if n_ok else 1
 
 
-def cmd_compare(config_path, out: Optional[str] = None, jobs: int = 1, seed: Optional[int] = None) -> int:
+def cmd_compare(config_path, out: Optional[str] = None, seed: Optional[int] = None) -> int:
     """Solver vs random baseline vs oracle, into compare.csv.
 
     The baseline matches the solver's total activation count (or the
@@ -202,7 +202,6 @@ def cmd_compare(config_path, out: Optional[str] = None, jobs: int = 1, seed: Opt
             total_activations=matched,
             trials=cfg.compare_trials,
             seed=use_seed,
-            jobs=jobs,
         )
         rows.append(
             ("random_baseline", baseline.mean, baseline.std, cfg.compare_trials, matched, "")
@@ -245,7 +244,7 @@ def cmd_compare(config_path, out: Optional[str] = None, jobs: int = 1, seed: Opt
     return 0
 
 
-def cmd_validate(config_path, out: Optional[str] = None, jobs: int = 1, seed: Optional[int] = None) -> int:
+def cmd_validate(config_path, out: Optional[str] = None) -> int:
     """Standing-assumption checks. Exit 0 when all pass."""
     cfg = load_experiment(config_path)
     _check_kind(cfg, "validate")
@@ -272,9 +271,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("config", help="experiment YAML file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+        if name == "compare":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    options = vars(parser.parse_args(argv))
 
     commands = {
         "run": cmd_run,
@@ -282,8 +283,9 @@ def main(argv=None) -> int:
         "compare": cmd_compare,
         "validate": cmd_validate,
     }
+    command = commands[options.pop("command")]
     try:
-        return commands[args.command](args.config, out=args.out, jobs=args.jobs, seed=args.seed)
+        return command(options.pop("config"), **options)
     except (PerschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -60,14 +60,20 @@ def _square(x, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every slice of a (T, r, c) stack."""
+    rows = x.reshape(len(x), 1, -1)
+    return (rows @ rows.transpose(0, 2, 1))[:, 0, 0]
+
+
 def _symmetric_stack(x, name: str, tol: float = 1e-8) -> np.ndarray:
     """Validate symmetry of a matrix, or of each slice of a (K, n, n) stack,
     within ``tol`` relative to its norm; return the symmetrized 3-D copy."""
     arr = _stack(x, name)
     if arr.shape[1] != arr.shape[2]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape[1:]}")
-    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
-    if np.any(np.linalg.norm(arr - arr.transpose(0, 2, 1), axis=(1, 2)) > tol * scale):
+    scale = np.maximum(1.0, _squared_norms(arr))
+    if np.any(_squared_norms(arr - arr.transpose(0, 2, 1)) > tol**2 * scale):
         raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
     return symmetrize(arr)
 
@@ -139,54 +145,64 @@ def spectral_radius(x) -> float:
 def solve_dlyap(f, w) -> np.ndarray:
     """Solve the discrete Lyapunov equation X = F X F^T + W.
 
-    Smith doubling: X <- X + G X G^T, G <- G^2 from X = W, G = F.
+    Smith doubling: X <- X + G X G^T, G <- G^2 from X = W, G = F. A (T, n, n)
+    stack solves T equations, each with its own tests and stopping point.
 
     Parameters
     ----------
     f : array_like
-        Square matrix with spectral radius < 1.
+        Square matrix with spectral radius < 1, or a stack of them.
     w : array_like
-        Symmetric matrix, same shape as ``f``.
+        Symmetric matrix, or stack, of the same shape as ``f``.
 
     Returns
     -------
     numpy.ndarray
-        The unique symmetric solution X.
+        The unique symmetric solution X, shaped like ``f``.
 
     Raises
     ------
     InstabilityError
-        If the spectral radius of ``f`` is >= 1.
+        If the spectral radius of ``f`` (of any slice) is >= 1.
     ConvergenceError
         If the residual contract ||X - FXF^T - W|| / max(1, ||W||) <= 1e-9
         cannot be met.
     """
-    fm = _square(f, "F")
-    rho = spectral_radius(fm)
-    if rho >= 1.0:
-        raise InstabilityError(f"spectral radius {rho:.6g} >= 1; no unique fixed point")
-    wm = require_symmetric(w, "W")
+    fm = _stack(f, "F")
+    if fm.shape[1] != fm.shape[2]:
+        raise DimensionError(f"F must be square, got shape {fm.shape[1:]}")
+    rho = np.abs(np.linalg.eigvals(fm)).max(axis=1)
+    if rho.max() >= 1.0:
+        raise InstabilityError(f"spectral radius {rho.max():.6g} >= 1; no unique fixed point")
+    wm = _symmetric_stack(w, "W")
     if fm.shape != wm.shape:
-        raise DimensionError(f"F and W shapes differ: {fm.shape} vs {wm.shape}")
+        raise DimensionError(f"F and W shapes differ: {np.shape(f)} vs {np.shape(w)}")
 
-    x = wm.copy()
-    g = fm.copy()
+    # live: slices still doubling; g in C order, so rounding ignores F's layout.
+    x, live, xl, g = np.empty_like(wm), np.arange(len(fm)), wm, np.ascontiguousarray(fm)
     for _ in range(200):
-        term = g @ x @ g.T
-        x = x + term
-        if np.linalg.norm(term) <= 1e-16 * max(1.0, np.linalg.norm(x)):
-            break
+        term = g @ xl @ g.transpose(0, 2, 1)
+        xl = xl + term
+        settled = _squared_norms(term) <= 1e-32 * np.maximum(1.0, _squared_norms(xl))
+        if np.count_nonzero(settled):
+            x[live[settled]] = xl[settled]
+            live, xl, g = live[~settled], xl[~settled], g[~settled]
+            if not live.size:
+                break
         g = g @ g
     else:
         raise ConvergenceError("doubling iteration failed to settle")
 
     x = symmetrize(x)
-    residual = np.linalg.norm(x - fm @ x @ fm.T - wm)
-    if residual > 1e-9 * max(1.0, np.linalg.norm(wm)):
+    residual = _squared_norms(x - fm @ x @ fm.transpose(0, 2, 1) - wm)
+    excess = residual / np.maximum(1.0, _squared_norms(wm))
+    worst = int(np.argmax(excess))
+    if excess[worst] > 1e-18:
         raise ConvergenceError(
-            f"Lyapunov residual {residual:.3g} exceeds contract for radius {rho:.6g}"
+            f"Lyapunov residual {np.sqrt(residual[worst]):.3g} exceeds contract "
+            f"for radius {rho[worst]:.6g}"
         )
-    return x
+    return x if np.ndim(f) == 3 else x[0]
 
 
 def solve_gain_sylvester(v, d, rho: float, rhs) -> np.ndarray:

@@ -43,10 +43,11 @@ __all__ = [
     "value_cycle",
     "objective_J",
     "schedule_from_gains",
-    "masked_observation",
     "check_schedule_detectability",
     "init_gains_for_schedule",
     "evaluate_schedule",
+    "evaluate_schedules",
+    "chunk_length",
     "cycle_residual",
 ]
 
@@ -55,6 +56,12 @@ __all__ = [
 _UNIT_MARGIN = 1e-9
 
 _RELATIVE_ZERO_TOL = 1e-6
+
+_RICCATI_TOL, _RICCATI_MAX_SWEEPS = 1e-10, 10000  # fixed-schedule Riccati stopping rule
+
+# A chunk's (T, N, N) covariance stack holds at most this many floats (64 KB):
+# 13 schedules at N = 25, 512 at N = 4. Larger chunks grow the peak memory.
+_CHUNK_FLOATS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,16 +312,28 @@ def monodromy_stable(sys: SystemModel, gains: PeriodicGains, margin: float = 0.0
     return monodromy_spectral_radius(sys, gains) < 1.0 - margin
 
 
-def _step_noise(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
-    """Injected covariance per step: B Q B^T + L_k R L_k^T, shape (K, N, N)."""
-    w = sys.q_eff[np.newaxis] + gains.gains @ sys.R @ gains.gains.transpose(0, 2, 1)
-    return (w + w.transpose(0, 2, 1)) / 2.0
+def _step_noise(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
+    """Injected covariance B Q B^T + L R L^T for a gain, or for each gain of
+    a stack such as the (K, N, M) gains of one period."""
+    return symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
 
 
 def _require_stable(sys: SystemModel, gains: PeriodicGains) -> None:
     rho = monodromy_spectral_radius(sys, gains)
     if rho >= 1.0:
         raise InstabilityError(f"monodromy spectral radius {rho:.6g} is not < 1")
+
+
+def _period_map(n: int, steps) -> tuple:
+    """Pi = F_{K-1} ... F_0 and W_acc = sum_k Psi_k W_k Psi_k^T, Psi_k =
+    F_{K-1} ... F_{k+1}, so that P_0 = Pi P_0 Pi^T + W_acc. ``steps`` yields
+    (F_k, W_k) for k = K-1 down to 0, as matrices or (T, N, N) stacks."""
+    w_acc = np.zeros((n, n))
+    psi = np.eye(n)
+    for f_k, w_k in steps:
+        w_acc = w_acc + psi @ w_k @ psi.swapaxes(-1, -2)
+        psi = psi @ f_k
+    return psi, symmetrize(w_acc)
 
 
 def _solve_monodromy(pi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -338,19 +357,12 @@ def covariance_limit_cycle(
     point. All agree to solver tolerance on stable instances.
     """
     factors = closed_loop_factors(sys, gains)
-    noise = _step_noise(sys, gains)
+    noise = _step_noise(sys, gains.gains)
     K, n = factors.shape[0], factors.shape[1]
 
     if method in ("auto", "monodromy"):
-        # Accumulate W_acc = sum_k Psi_k W_k Psi_k^T with the suffix products
-        # Psi_k = F_{K-1} ... F_{k+1}, then solve P_0 = Pi P_0 Pi^T + W_acc;
-        # the loop leaves psi = Pi.
-        w_acc = np.zeros((n, n))
-        psi = np.eye(n)
-        for k in range(K - 1, -1, -1):
-            w_acc += psi @ noise[k] @ psi.T
-            psi = psi @ factors[k]
-        p0 = _solve_monodromy(psi, symmetrize(w_acc))
+        pi, w_acc = _period_map(n, zip(factors[::-1], noise[::-1]))
+        p0 = _solve_monodromy(pi, w_acc)
     elif method == "lifted":
         _require_stable(sys, gains)
         f_lift = lift_cyclic(factors, cyclic=True)
@@ -458,16 +470,10 @@ def schedule_from_gains(gains: PeriodicGains, zero_tol: float = None) -> Schedul
     return Schedule((norms > zero_tol).astype(np.int8))
 
 
-def masked_observation(sys: SystemModel, active) -> tuple:
-    """Observation submatrices for one step's active sensor set.
-
-    Returns (C_S, R_SS, idx): the rows of C for the active sensors, the
-    matching principal submatrix of R, and the active indices. Restricting
-    to the active block keeps the filter exact under correlated measurement
-    noise and forces inactive gain columns to be structurally zero.
-    """
-    idx = np.flatnonzero(np.asarray(active))
-    return sys.C[idx], sys.R[np.ix_(idx, idx)], idx
+def _needs_detectability_gate(sys: SystemModel) -> bool:
+    """Whether A has an eigenvalue on or outside the unit circle, so that a
+    schedule can leave an unstable mode unobserved."""
+    return spectral_radius(sys.A) >= 1.0 - _UNIT_MARGIN
 
 
 def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
@@ -477,14 +483,14 @@ def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
     outside the unit circle; skipped entirely for a Schur-stable plant,
     where any schedule is admissible.
     """
-    if spectral_radius(sys.A) < 1.0 - _UNIT_MARGIN:
+    if not _needs_detectability_gate(sys):
         return
     K, n = sched.K, sys.n_states
     a_lift = lift_cyclic([sys.A] * K, cyclic=True)
     c_rows = []
     for k in range(K):
-        c_k, _, idx = masked_observation(sys, sched.mask[k])
-        block = np.zeros((len(idx), K * n))
+        c_k = sys.C[sched.mask[k] == 1]
+        block = np.zeros((len(c_k), K * n))
         block[:, k * n : (k + 1) * n] = c_k
         c_rows.append(block)
     c_lift = np.vstack(c_rows) if c_rows else np.zeros((0, K * n))
@@ -499,28 +505,52 @@ def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
             )
 
 
-def _riccati_step(sys: SystemModel, p: np.ndarray, active) -> tuple:
-    """One masked Riccati update. Returns (L_k, P_{k+1})."""
-    c_s, r_ss, idx = masked_observation(sys, active)
-    n = sys.n_states
-    gain = np.zeros((n, sys.n_sensors))
-    if len(idx) == 0:
-        p_next = symmetrize(sys.q_eff + sys.A @ p @ sys.A.T)
-        return gain, p_next
-    innov = c_s @ p @ c_s.T + r_ss
-    cross = sys.A @ p @ c_s.T
-    gain_s = np.linalg.solve(innov.T, cross.T).T
-    gain[:, idx] = gain_s
-    p_next = symmetrize(sys.q_eff + sys.A @ p @ sys.A.T - gain_s @ cross.T)
+def _riccati_step(sys: SystemModel, p: np.ndarray, active: np.ndarray) -> tuple:
+    """One masked Riccati update of (T, N, N) covariances under (T, M)
+    boolean sensor masks; returns (T, N, M) gains and the next covariances.
+    With D the mask's 0/1 diagonal, the innovation D (C P C^T + R) D + (I - D)
+    keeps each active block exact under correlated measurement noise, and the
+    cross term A P C^T D makes inactive gain columns exactly zero."""
+    ap = sys.A @ p
+    cross = np.where(active[:, np.newaxis, :], ap @ sys.C.T, 0.0)
+    pair = active[:, :, np.newaxis] & active[:, np.newaxis, :]
+    innov = np.where(pair, sys.C @ p @ sys.C.T + sys.R, np.eye(sys.n_sensors))
+    gain = np.linalg.solve(innov.transpose(0, 2, 1), cross.transpose(0, 2, 1)).transpose(0, 2, 1)
+    p_next = symmetrize(sys.q_eff + ap @ sys.A.T - gain @ cross.transpose(0, 2, 1))
     return gain, p_next
+
+
+def _periodic_riccati(sys: SystemModel, active: np.ndarray, tol: float, max_sweeps: int) -> tuple:
+    """Indices of the schedules of a (T, K, M) boolean stack whose Riccati
+    sweeps from P = B Q B^T settle within ``max_sweeps``, each at its own
+    first sweep with relative change <= ``tol``, and their (S, K, N, M) gains."""
+    (T, K, _), n = active.shape, sys.n_states
+    settled_p, settled, live = np.empty((T, n, n)), np.zeros(T, dtype=bool), np.arange(T)
+    p = np.broadcast_to(sys.q_eff, (T, n, n))
+    for _ in range(max_sweeps):
+        start = p
+        for k in range(K):
+            _, p = _riccati_step(sys, p, active[live, k])
+        change = np.linalg.norm(p - start, axis=(1, 2))
+        done = change <= tol * np.maximum(1.0, np.linalg.norm(p, axis=(1, 2)))
+        settled_p[live[done]], settled[live[done]] = p[done], True
+        live, p = live[~done], p[~done]
+        if not live.size:
+            break
+    idx = np.flatnonzero(settled)
+    p = settled_p[idx]
+    gains = np.empty((len(idx), K, n, sys.n_sensors))
+    for k in range(K):
+        gains[:, k], p = _riccati_step(sys, p, active[idx, k])
+    return idx, gains
 
 
 def init_gains_for_schedule(
     sys: SystemModel,
     sched: Schedule,
     method: str = "cyclic",
-    tol: float = 1e-10,
-    max_sweeps: int = 10000,
+    tol: float = _RICCATI_TOL,
+    max_sweeps: int = _RICCATI_MAX_SWEEPS,
 ) -> PeriodicGains:
     """Riccati-optimal periodic gains for a fixed activation schedule.
 
@@ -539,34 +569,16 @@ def init_gains_for_schedule(
         )
     check_schedule_detectability(sys, sched)
 
-    if method == "cyclic":
-        return _init_gains_cyclic(sys, sched, tol, max_sweeps)
     if method == "lifted":
         return _init_gains_lifted(sys, sched)
-    raise InputError(f"unknown method {method!r}; expected cyclic or lifted")
-
-
-def _init_gains_cyclic(
-    sys: SystemModel, sched: Schedule, tol: float, max_sweeps: int
-) -> PeriodicGains:
-    K = sched.K
-    p = sys.q_eff.copy()
-    converged = False
-    for _ in range(max_sweeps):
-        start = p
-        for k in range(K):
-            _, p = _riccati_step(sys, p, sched.mask[k])
-        if np.linalg.norm(p - start) <= tol * max(1.0, float(np.linalg.norm(p))):
-            converged = True
-            break
-    if not converged:
+    if method != "cyclic":
+        raise InputError(f"unknown method {method!r}; expected cyclic or lifted")
+    idx, gains = _periodic_riccati(sys, sched.mask[np.newaxis] == 1, tol, max_sweeps)
+    if not idx.size:
         raise InitializationError(
             f"periodic Riccati iteration did not settle within {max_sweeps} sweeps"
         )
-    gains = np.empty((K, sys.n_states, sys.n_sensors))
-    for k in range(K):
-        gains[k], p = _riccati_step(sys, p, sched.mask[k])
-    result = PeriodicGains(gains)
+    result = PeriodicGains(gains[0])
     if not monodromy_stable(sys, result):
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
     return result
@@ -574,7 +586,7 @@ def _init_gains_cyclic(
 
 def _init_gains_lifted(sys: SystemModel, sched: Schedule) -> PeriodicGains:
     K, n, m = sched.K, sys.n_states, sys.n_sensors
-    pieces = [masked_observation(sys, sched.mask[k]) for k in range(K)]
+    pieces = [(sys.C[i], sys.R[np.ix_(i, i)], i) for i in map(np.flatnonzero, sched.mask)]
     total_rows = sum(len(idx) for _, _, idx in pieces)
     if total_rows == 0:
         # Nothing is ever measured: valid only for a stable plant, with all
@@ -615,12 +627,63 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     """Canonical figure of merit for a schedule.
 
     Computes the Riccati-optimal gains for the fixed schedule, the
-    covariance limit cycle they induce, and the average trace J. All
-    schedule comparisons in the oracle and baselines go through this.
+    covariance limit cycle they induce, and the average trace J.
+    evaluate_schedules gives the same J for many schedules at once.
     """
     gains = init_gains_for_schedule(sys, sched)
     cycle = covariance_limit_cycle(sys, gains)
     return ScheduleEvaluation(J=cycle.mean_trace, gains=gains, cycle=cycle)
+
+
+def chunk_length(n_states: int) -> int:
+    """Schedules that evaluate_schedules scores together for an N-state plant."""
+    return max(1, _CHUNK_FLOATS // (n_states * n_states))
+
+
+def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
+    """evaluate_schedule's J for each schedule of a (T, K, M) 0/1 stack, or NaN
+    where evaluate_schedule raises InitializationError or InstabilityError (an
+    unstable mode unobserved, an unsettled Riccati iteration, an unstable closed
+    loop). Chunks of chunk_length(N) schedules share one stacked Riccati
+    recursion, monodromy accumulation and Lyapunov solve."""
+    arr = np.asarray(masks)
+    if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != sys.n_sensors:
+        raise DimensionError(f"masks must stack to (T, K, {sys.n_sensors}), got {arr.shape}")
+    if not np.isin(arr, (0, 1)).all():
+        raise InputError("schedule mask entries must be 0 or 1")
+    J, K = np.full(len(arr), np.nan), arr.shape[1]
+    todo = np.arange(len(arr))
+    if _needs_detectability_gate(sys):
+        todo = np.array([t for t in todo if _detectable(sys, Schedule(arr[t]))], dtype=int)
+    step = chunk_length(sys.n_states)
+    for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
+        idx, gains = _periodic_riccati(sys, arr[chunk] == 1, _RICCATI_TOL, _RICCATI_MAX_SWEEPS)
+        steps = (_loop_step(sys, gains, k) for k in range(K - 1, -1, -1))
+        pi, w_acc = _period_map(sys.n_states, steps)
+        stable = np.abs(np.linalg.eigvals(pi)).max(axis=1) < 1.0
+        idx, gains = idx[stable], gains[stable]
+        if idx.size:
+            p = _solve_monodromy(pi[stable], w_acc[stable])
+            traces = [np.trace(p, axis1=1, axis2=2)]
+            for k in range(K - 1):
+                f_k, w_k = _loop_step(sys, gains, k)
+                p = symmetrize(f_k @ p @ f_k.transpose(0, 2, 1) + w_k)
+                traces.append(np.trace(p, axis1=1, axis2=2))
+            J[chunk[idx]] = np.stack(traces, axis=1).mean(axis=1)
+    return J
+
+
+def _loop_step(sys: SystemModel, gains: np.ndarray, k: int) -> tuple:
+    """(F_k, W_k) of every schedule of a (T, K, N, M) gain stack."""
+    return sys.A - gains[:, k] @ sys.C, _step_noise(sys, gains[:, k])
+
+
+def _detectable(sys: SystemModel, sched: Schedule) -> bool:
+    try:
+        check_schedule_detectability(sys, sched)
+    except InitializationError:
+        return False
+    return True
 
 
 def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: CovarianceCycle) -> float:
@@ -630,7 +693,7 @@ def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: CovarianceCycl
     which is zero exactly when the cycle satisfies the recursion.
     """
     factors = closed_loop_factors(sys, gains)
-    noise = _step_noise(sys, gains)
+    noise = _step_noise(sys, gains.gains)
     k_count = len(factors)
     if cycle.K != k_count:
         raise DimensionError(f"cycle period {cycle.K} does not match gains period {k_count}")

@@ -135,6 +135,50 @@ class TestSolveDlyap:
         with pytest.raises(InputError, match="symmetric"):
             solve_dlyap(0.5 * np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @staticmethod
+    def stack_at_radii(rng, n, radii):
+        fs, ws = [], []
+        for rho in radii:
+            f = rng.normal(size=(n, n))
+            fs.append(f * rho / spectral_radius(f))
+            w = rng.normal(size=(n, n))
+            ws.append(w @ w.T / n + np.eye(n))
+        return np.stack(fs), np.stack(ws)
+
+    def test_stacked_slices_match_single_solves(self, rng):
+        # rho = 0.999 needs several more doublings than rho = 0.3, so the
+        # slices settle at different iterations.
+        for n in (3, 25):
+            f, w = self.stack_at_radii(rng, n, (0.3, 0.999, 0.8, 0.5))
+            x = solve_dlyap(f, w)
+            assert x.shape == (4, n, n)
+            for k in range(4):
+                single = solve_dlyap(f[k], w[k])
+                np.testing.assert_allclose(
+                    x[k], single, rtol=1e-12, atol=1e-12 * np.abs(single).max()
+                )
+
+    def test_result_ignores_memory_layout(self, rng):
+        # value_cycle passes the transposed monodromy as a view; its solution
+        # must round exactly as that of a C-ordered copy.
+        f, w = self.stack_at_radii(rng, 25, (0.9,))
+        view = f[0].T
+        np.testing.assert_array_equal(
+            solve_dlyap(view, w[0]), solve_dlyap(np.ascontiguousarray(view), w[0])
+        )
+
+    def test_stacked_unstable_slice_raises(self, rng):
+        f, w = self.stack_at_radii(rng, 3, (0.3, 1.01, 0.5))
+        with pytest.raises(InstabilityError, match="spectral radius"):
+            solve_dlyap(f, w)
+
+    def test_stacked_shape_mismatch_rejected(self, rng):
+        f, w = self.stack_at_radii(rng, 3, (0.3, 0.5))
+        with pytest.raises(DimensionError, match="shapes differ"):
+            solve_dlyap(f, w[:1])
+        with pytest.raises(DimensionError, match="shapes differ"):
+            solve_dlyap(f, np.eye(3))
+
 
 class TestSolveGainSylvester:
     def test_recovers_planted_solution(self, rng):

@@ -17,12 +17,14 @@ from persched import (
 )
 from persched.periodic import (
     check_schedule_detectability,
+    chunk_length,
     closed_loop_factors,
     cycle_residual,
     monodromy_matrix,
     monodromy_spectral_radius,
 )
 from tests.conftest import random_schedule, random_stable_system
+from tests.test_baselines import scalar_unstable_system
 
 
 class TestSchedule:
@@ -298,6 +300,111 @@ class TestEvaluateSchedule:
             assert ps.evaluate_schedule(sys, full).J <= ps.evaluate_schedule(
                 sys, partial
             ).J + 1e-9
+
+
+def restricted_riccati_J(sys, mask, tol=1e-10, max_sweeps=10000):
+    """Reference J: each step's Riccati update restricted to the active rows
+    of C and the active block of R, iterated to the same stopping rule as the
+    library, then scored by the default covariance limit cycle."""
+    K, n, m = mask.shape[0], sys.n_states, sys.n_sensors
+
+    def step(p, active):
+        idx = np.flatnonzero(active)
+        c_s, r_ss = sys.C[idx], sys.R[np.ix_(idx, idx)]
+        cross = sys.A @ p @ c_s.T
+        gain_s = np.linalg.solve((c_s @ p @ c_s.T + r_ss).T, cross.T).T
+        gain = np.zeros((n, m))
+        gain[:, idx] = gain_s
+        p_next = sys.q_eff + sys.A @ p @ sys.A.T - gain_s @ cross.T
+        return gain, (p_next + p_next.T) / 2
+
+    p = sys.q_eff.copy()
+    for _ in range(max_sweeps):
+        start = p
+        for k in range(K):
+            _, p = step(p, mask[k])
+        if np.linalg.norm(p - start) <= tol * max(1.0, np.linalg.norm(p)):
+            break
+    else:
+        raise AssertionError("reference Riccati iteration did not settle")
+    gains = np.empty((K, n, m))
+    for k in range(K):
+        gains[k], p = step(p, mask[k])
+    return ps.covariance_limit_cycle(sys, PeriodicGains(gains)).mean_trace
+
+
+def random_masks(rng, T, K, m):
+    return (rng.random((T, K, m)) < 0.5).astype(np.int8)
+
+
+def unstable_three_state_system():
+    """Unstable mode 1.1 seen only by sensor 0; the other modes are stable."""
+    return SystemModel(
+        A=np.array([[1.1, 0.2, 0.0], [0.0, 0.5, 0.1], [0.0, 0.0, 0.3]]),
+        B=np.eye(3),
+        C=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+        Q=np.eye(3),
+        R=np.array([[1.0, 0.3], [0.3, 2.0]]),
+    )
+
+
+class TestEvaluateSchedules:
+    @pytest.mark.parametrize(
+        "n, m, K, T",
+        [(3, 2, 3, 12), (4, 3, 1, 9), (2, 4, 3, 10), (3, 2, 4, 1), (25, 4, 2, 27)],
+        ids=["stable", "K=1", "M>N", "T=1", "partial-chunk"],
+    )
+    def test_matches_restricted_reference(self, rng, n, m, K, T):
+        sys = random_stable_system(rng, n, m)
+        masks = random_masks(rng, T, K, m)
+        if n == 25:
+            assert T % chunk_length(n) != 0
+        values = ps.evaluate_schedules(sys, masks)
+        expected = [restricted_riccati_J(sys, mask) for mask in masks]
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    def test_equals_evaluate_schedule(self, rng):
+        sys = random_stable_system(rng, 4, 3)
+        for _ in range(6):
+            sched = random_schedule(rng, 3, 3, min_total=0)
+            single = ps.evaluate_schedule(sys, sched).J
+            assert ps.evaluate_schedules(sys, sched.mask[np.newaxis])[0] == single
+
+    def test_inactive_gain_columns_are_exactly_zero(self, rng):
+        sys = random_stable_system(rng, 4, 3)
+        mask = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]])
+        gains = ps.init_gains_for_schedule(sys, Schedule(mask)).gains
+        inactive = gains.transpose(0, 2, 1)[mask == 0]
+        assert (inactive == 0.0).all()
+        assert not np.signbit(inactive).any()
+        assert (gains.transpose(0, 2, 1)[mask == 1] != 0.0).any(axis=1).all()
+
+    @pytest.mark.parametrize("unstable", ["scalar", "three-state"])
+    def test_invalid_schedules_give_nan_where_evaluate_schedule_raises(self, rng, unstable):
+        sys = scalar_unstable_system() if unstable == "scalar" else unstable_three_state_system()
+        masks = random_masks(rng, 24, 3, sys.n_sensors)
+        masks[0] = 0
+        values = ps.evaluate_schedules(sys, masks)
+        raised = []
+        for mask, value in zip(masks, values):
+            try:
+                expected = ps.evaluate_schedule(sys, Schedule(mask)).J
+            except (InitializationError, InstabilityError):
+                raised.append(True)
+                continue
+            raised.append(False)
+            assert value == expected
+        assert 0 < sum(raised) < len(masks)
+        np.testing.assert_array_equal(np.isnan(values), raised)
+
+    def test_rejects_bad_masks(self, rng):
+        sys = random_stable_system(rng, 2, 2)
+        with pytest.raises(DimensionError, match="masks"):
+            ps.evaluate_schedules(sys, np.ones((3, 2)))
+        with pytest.raises(DimensionError, match="masks"):
+            ps.evaluate_schedules(sys, np.ones((1, 2, 3)))
+        with pytest.raises(InputError, match="0 or 1"):
+            ps.evaluate_schedules(sys, np.full((1, 2, 2), 2))
 
 
 class TestCovarianceCycleType:
