@@ -41,7 +41,6 @@ from .exceptions import (
 from .gstep import ColumnStack, GStepProblem, g_objective, g_step, select_by_gamma, solve_equality_constrained
 from .linalg import (
     matrix_exponential,
-    solve_dare,
     solve_dlyap,
     solve_gain_sylvester,
     spectral_radius,
@@ -138,7 +137,6 @@ __all__ = [
     "run",
     "schedule_from_gains",
     "select_by_gamma",
-    "solve_dare",
     "solve_dlyap",
     "solve_equality_constrained",
     "solve_gain_sylvester",

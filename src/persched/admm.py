@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lstep
 from .exceptions import InputError
-from .gstep import GStepProblem, g_step
+from .gstep import GStepProblem, g_step, normalize_eta
 from .model import SystemModel
 from .periodic import (
     PeriodicGains,
@@ -51,9 +51,9 @@ class AdmmConfig:
     """Solver settings.
 
     ``eta`` is either one bound shared by every sensor or a per-sensor
-    sequence; bounds must lie in 1..period. ``zero_tol`` feeds schedule
-    extraction (None means relative to the largest gain column), and
-    ``init_schedule`` overrides the default staggered starting schedule.
+    sequence; bounds must be integers in 1..period. ``zero_tol`` feeds
+    schedule extraction (None means relative to the largest gain column),
+    and ``init_schedule`` overrides the default staggered starting schedule.
     """
 
     period: int
@@ -86,10 +86,7 @@ class AdmmConfig:
             raise InputError("inner_tol_cap must be positive")
         if self.zero_tol is not None and self.zero_tol < 0:
             raise InputError("zero_tol must be nonnegative")
-        bounds = self.eta_tuple(None)
-        for m, e in enumerate(bounds):
-            if not 1 <= e <= self.period:
-                raise InputError(f"eta[{m}] = {e} outside the valid range 1..{self.period}")
+        self.eta_tuple(None)
         if self.init_schedule is not None and self.init_schedule.K != self.period:
             raise InputError(
                 f"init schedule period {self.init_schedule.K} does not match {self.period}"
@@ -97,12 +94,7 @@ class AdmmConfig:
 
     def eta_tuple(self, n_sensors: Optional[int]) -> tuple:
         """Per-sensor bounds, broadcast to n_sensors when a scalar was given."""
-        if np.isscalar(self.eta):
-            return (int(self.eta),) * (n_sensors if n_sensors else 1)
-        bounds = tuple(int(e) for e in self.eta)
-        if n_sensors is not None and len(bounds) != n_sensors:
-            raise InputError(f"eta has {len(bounds)} entries, expected {n_sensors}")
-        return bounds
+        return normalize_eta(self.eta, n_sensors, self.period, lowest=1)
 
     def to_dict(self) -> dict:
         return {
@@ -214,15 +206,7 @@ def default_init_schedule(sys: SystemModel, K: int, eta) -> Schedule:
     """
     if K < 1:
         raise InputError("period must be at least 1")
-    if np.isscalar(eta):
-        bounds = (int(eta),) * sys.n_sensors
-    else:
-        bounds = tuple(int(e) for e in eta)
-        if len(bounds) != sys.n_sensors:
-            raise InputError(f"eta has {len(bounds)} entries, expected {sys.n_sensors}")
-    for m, e in enumerate(bounds):
-        if not 0 <= e <= K:
-            raise InputError(f"eta[{m}] = {e} outside the valid range 0..{K}")
+    bounds = normalize_eta(eta, sys.n_sensors, K)
     if sum(bounds) < 1:
         raise InputError("at least one activation is required")
     mask = np.zeros((K, sys.n_sensors), dtype=np.int8)
@@ -396,27 +380,19 @@ def _run_cell(sys: SystemModel, cfg: AdmmConfig, gamma: float, eta) -> SweepCell
         return SweepCell(gamma=gamma, eta=eta, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(sys: SystemModel, base_cfg: AdmmConfig, gamma_list, eta_list, jobs: int = 1) -> list:
+def sweep(sys: SystemModel, base_cfg: AdmmConfig, gamma_list, eta_list) -> list:
     """Run the solver over the (gamma, eta) grid.
 
     Returns one SweepCell per grid point in row-major (gamma-major) order;
-    failures are captured per cell. With jobs > 1 cells execute in a thread
-    pool. Activation counts are expected to shrink as gamma grows at fixed
-    eta; because the underlying problem is nonconvex this is checked softly
-    and violations are logged, not raised.
+    failures are captured per cell. Activation counts are expected to shrink
+    as gamma grows at fixed eta; because the underlying problem is nonconvex
+    this is checked softly and violations are logged, not raised.
     """
     gammas = list(gamma_list)
     etas = list(eta_list)
     if not gammas or not etas:
         raise InputError("gamma_list and eta_list must be non-empty")
-    cells = [(g, e) for g in gammas for e in etas]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda ge: _run_cell(sys, base_cfg, *ge), cells))
-    else:
-        results = [_run_cell(sys, base_cfg, g, e) for g, e in cells]
+    results = [_run_cell(sys, base_cfg, g, e) for g in gammas for e in etas]
 
     for eta in etas:
         last = None

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import BudgetError, InitializationError, InputError
+from .gstep import normalize_eta
 from .model import SystemModel
 from .periodic import Schedule, chunk_length, evaluate_schedules
 
@@ -67,19 +68,6 @@ class BaselineResult:
         )
 
 
-def _normalize_eta(eta, n_sensors: int, K: int) -> tuple:
-    if np.isscalar(eta):
-        bounds = (int(eta),) * n_sensors
-    else:
-        bounds = tuple(int(e) for e in eta)
-        if len(bounds) != n_sensors:
-            raise InputError(f"eta has {len(bounds)} entries, expected {n_sensors}")
-    for m, e in enumerate(bounds):
-        if not 0 <= e <= K:
-            raise InputError(f"eta[{m}] = {e} outside the valid range 0..{K}")
-    return bounds
-
-
 def _count_table(K: int, bounds: tuple) -> list:
     """Suffix DP: table[m][t] = number of ways sensors m.. can place t
     activations, each sensor m choosing c <= bounds[m] of K steps."""
@@ -124,7 +112,7 @@ def exhaustive_search(
     """
     if K < 1:
         raise InputError("period must be at least 1")
-    bounds = _normalize_eta(eta, sys.n_sensors, K)
+    bounds = normalize_eta(eta, sys.n_sensors, K)
     count = _candidate_count(K, bounds, total_activations)
     if count == 0:
         raise InputError("no feasible schedule matches the requested activation count")
@@ -230,7 +218,7 @@ def random_baseline(
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
-    bounds = _normalize_eta(eta, sys.n_sensors, K)
+    bounds = normalize_eta(eta, sys.n_sensors, K)
     if not 0 <= total_activations <= sum(bounds):
         raise InputError(
             f"total_activations = {total_activations} infeasible for bounds summing "

@@ -110,7 +110,7 @@ def cmd_run(config_path, out: Optional[str] = None) -> int:
     return 0 if report.converged else 2
 
 
-def cmd_sweep(config_path, out: Optional[str] = None, jobs: int = 1) -> int:
+def cmd_sweep(config_path, out: Optional[str] = None) -> int:
     """Grid of solves into tradeoff.csv plus one report JSON per cell."""
     cfg = load_experiment(config_path)
     _check_kind(cfg, "sweep")
@@ -120,7 +120,7 @@ def cmd_sweep(config_path, out: Optional[str] = None, jobs: int = 1) -> int:
     gammas = cfg.sweep_gammas if cfg.sweep_gammas is not None else (admm_cfg.gamma,)
     etas = cfg.sweep_etas if cfg.sweep_etas is not None else (admm_cfg.eta,)
 
-    cells = admm_sweep(cfg.system, admm_cfg, gammas, etas, jobs=jobs)
+    cells = admm_sweep(cfg.system, admm_cfg, gammas, etas)
     out_dir = _out_dir(cfg, out)
     rows = []
     for i, cell in enumerate(cells):
@@ -271,8 +271,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("config", help="experiment YAML file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
         if name == "compare":
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
     options = vars(parser.parse_args(argv))

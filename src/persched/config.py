@@ -162,9 +162,7 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
     kwargs = {
         "period": int(section["period"]),
         "gamma": float(section["gamma"]),
-        "eta": section["eta"]
-        if np.isscalar(section["eta"])
-        else tuple(int(e) for e in section["eta"]),
+        "eta": section["eta"] if np.isscalar(section["eta"]) else tuple(section["eta"]),
     }
     for key, cast in (
         ("rho", float),
@@ -181,7 +179,10 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
         kwargs["zero_tol"] = float(section["zero_tol"])
     if section.get("init_schedule") is not None:
         kwargs["init_schedule"] = _load_init_schedule(section["init_schedule"], base)
-    return AdmmConfig(**kwargs)
+    try:
+        return AdmmConfig(**kwargs)
+    except InputError as exc:
+        raise ConfigError(f"admm: {exc}") from exc
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -237,9 +238,7 @@ def load_experiment(path) -> ExperimentConfig:
         if "etas" in s:
             if not isinstance(s["etas"], list) or not s["etas"]:
                 raise ConfigError("sweep.etas must be a non-empty list")
-            sweep_etas = tuple(
-                e if np.isscalar(e) else tuple(int(x) for x in e) for e in s["etas"]
-            )
+            sweep_etas = tuple(e if np.isscalar(e) else tuple(e) for e in s["etas"])
 
     compare_trials = 500
     compare_oracle = False

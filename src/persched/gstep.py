@@ -11,6 +11,7 @@ column energies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "select_by_gamma",
     "g_step",
     "g_objective",
+    "normalize_eta",
     "ZERO_COLUMN_TOL",
 ]
 
@@ -42,17 +44,33 @@ def _as_target_array(s) -> np.ndarray:
     return arr
 
 
-def _normalize_eta(eta, n_sensors: int, K: int) -> tuple:
+def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tuple:
+    """Per-sensor activation bounds as a tuple of ints.
+
+    A scalar ``eta`` is broadcast to ``n_sensors`` entries (one when
+    ``n_sensors`` is None); a sequence must have ``n_sensors`` entries, any
+    number when it is None. Every bound must be an integer in lowest..K.
+    """
     if np.isscalar(eta):
-        bounds = (int(eta),) * n_sensors
+        raw = (eta,) * (1 if n_sensors is None else n_sensors)
     else:
-        bounds = tuple(int(e) for e in eta)
-        if len(bounds) != n_sensors:
-            raise DimensionError(f"eta has {len(bounds)} entries, expected {n_sensors}")
+        raw = tuple(eta)
+        if n_sensors is not None and len(raw) != n_sensors:
+            raise InputError(f"eta has {len(raw)} entries, expected {n_sensors}")
+    bounds = tuple(_integral_bound(e, m) for m, e in enumerate(raw))
     for m, e in enumerate(bounds):
-        if not 0 <= e <= K:
-            raise InputError(f"eta[{m}] = {e} outside the valid range 0..{K}")
+        if not lowest <= e <= K:
+            raise InputError(f"eta[{m}] = {e} outside the valid range {lowest}..{K}")
     return bounds
+
+
+def _integral_bound(e, m: int) -> int:
+    try:
+        if int(e) == e:
+            return int(e)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"eta[{m}] = {e} is not an integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +93,7 @@ class GStepProblem:
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "eta", _normalize_eta(self.eta, s.shape[2], s.shape[0]))
+        object.__setattr__(self, "eta", normalize_eta(self.eta, s.shape[2], s.shape[0]))
 
     @property
     def K(self) -> int:

@@ -26,7 +26,6 @@ __all__ = [
     "spectral_radius",
     "solve_dlyap",
     "solve_gain_sylvester",
-    "solve_dare",
 ]
 
 # Coefficients of the degree-6 diagonal Pade approximant of exp(x).
@@ -240,68 +239,3 @@ def solve_gain_sylvester(v, d, rho: float, rhs) -> np.ndarray:
         raise ConvergenceError(f"gain equation residual {residual.max():.3g} exceeds contract")
     return sol if np.ndim(rhs) == 3 else sol[0]
 
-
-def solve_dare(a, c, q_eff, r, tol: float = 1e-10, max_iters: int = 10000) -> np.ndarray:
-    """Stabilizing solution of the filter Riccati equation.
-
-    Iterates P <- Q_eff + A P A^T - A P C^T (C P C^T + R)^{-1} C P A^T from
-    P = Q_eff until the relative step change drops below ``tol``.
-
-    Parameters
-    ----------
-    a : array_like
-        n x n transition matrix.
-    c : array_like
-        m x n observation matrix.
-    q_eff : array_like
-        Effective process-noise covariance (n x n, symmetric PSD).
-    r : array_like
-        Measurement-noise covariance (m x m, symmetric positive definite).
-
-    Returns
-    -------
-    numpy.ndarray
-        The stabilizing fixed point P.
-
-    Raises
-    ------
-    ConvergenceError
-        If the iteration does not settle within ``max_iters`` steps, or the
-        fixed point fails its residual or closed-loop stability contract.
-    """
-    am = _square(a, "A")
-    cm = as_matrix(c, "C")
-    qm = require_symmetric(q_eff, "Q_eff")
-    rm = require_symmetric(r, "R")
-    n = am.shape[0]
-    if cm.shape[1] != n:
-        raise DimensionError(f"C has {cm.shape[1]} columns, expected {n}")
-    if qm.shape != (n, n):
-        raise DimensionError(f"Q_eff shape {qm.shape}, expected {(n, n)}")
-    if rm.shape != (cm.shape[0], cm.shape[0]):
-        raise DimensionError(f"R shape {rm.shape} does not match C rows {cm.shape[0]}")
-    if np.linalg.eigvalsh(rm).min() <= 0.0:
-        raise InputError("R must be positive definite")
-
-    p = qm.copy()
-    for _ in range(max_iters):
-        innov = cm @ p @ cm.T + rm
-        # gain_t = (C P C^T + R)^{-1} C P A^T, so the update term below is
-        # (A P C^T) gain_t and stays symmetric up to roundoff.
-        gain_t = np.linalg.solve(innov, cm @ p @ am.T)
-        p_next = symmetrize(qm + am @ p @ am.T - (am @ p @ cm.T) @ gain_t)
-        if np.linalg.norm(p_next - p) <= tol * max(1.0, np.linalg.norm(p)):
-            p = p_next
-            break
-        p = p_next
-    else:
-        raise ConvergenceError(f"Riccati iteration did not converge in {max_iters} steps")
-
-    innov = cm @ p @ cm.T + rm
-    gain = am @ p @ cm.T @ np.linalg.inv(innov)
-    residual = np.linalg.norm(p - qm - am @ p @ am.T + gain @ innov @ gain.T)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(p)):
-        raise ConvergenceError(f"Riccati residual {residual:.3g} exceeds contract")
-    if spectral_radius(am - gain @ cm) >= 1.0:
-        raise ConvergenceError("Riccati fixed point is not stabilizing")
-    return p

@@ -24,12 +24,13 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "validate_assumptions",
+    "pbh_rank_drop",
     "BENCHMARK_SENSOR_SITES",
     "BENCHMARK_SPACING",
 ]
 
-# Eigenvalues within this margin of the unit circle count as unstable modes
-# for the PBH rank tests below.
+# Eigenvalues within this margin of the unit circle count as unstable modes,
+# here and in the schedule detectability gate of the periodic module.
 _UNIT_MARGIN = 1e-9
 
 
@@ -260,12 +261,12 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def _pbh_ok(a: np.ndarray, other: np.ndarray, stack_rows: bool) -> tuple:
+def pbh_rank_drop(a: np.ndarray, other: np.ndarray, stack_rows: bool = True):
     """PBH rank test at every eigenvalue of A on or outside the unit circle.
 
-    Returns (ok, offending eigenvalue or None). ``stack_rows`` selects the
-    detectability form [A - lam I; other] over the stabilizability form
-    [A - lam I, other].
+    Returns the first eigenvalue at which the pencil loses rank, or None.
+    ``stack_rows`` selects the detectability form [A - lam I; other] over
+    the stabilizability form [A - lam I, other].
     """
     n = a.shape[0]
     for lam in np.linalg.eigvals(a):
@@ -274,8 +275,8 @@ def _pbh_ok(a: np.ndarray, other: np.ndarray, stack_rows: bool) -> tuple:
         shifted = a - lam * np.eye(n)
         pencil = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
         if np.linalg.matrix_rank(pencil) < n:
-            return False, lam
-    return True, None
+            return lam
+    return None
 
 
 def validate_assumptions(sys: SystemModel) -> AssumptionReport:
@@ -300,7 +301,8 @@ def validate_assumptions(sys: SystemModel) -> AssumptionReport:
         )
     )
 
-    det_ok, det_lam = _pbh_ok(sys.A, sys.C, stack_rows=True)
+    det_lam = pbh_rank_drop(sys.A, sys.C)
+    det_ok = det_lam is None
     checks.append(
         AssumptionCheck(
             "(A, C) detectable",
@@ -314,7 +316,8 @@ def validate_assumptions(sys: SystemModel) -> AssumptionReport:
     except InputError as exc:
         checks.append(AssumptionCheck("(A, noise) stabilizable", False, str(exc)))
     else:
-        stab_ok, stab_lam = _pbh_ok(sys.A, noise_sqrt, stack_rows=False)
+        stab_lam = pbh_rank_drop(sys.A, noise_sqrt, stack_rows=False)
+        stab_ok = stab_lam is None
         checks.append(
             AssumptionCheck(
                 "(A, noise) stabilizable",

@@ -5,11 +5,12 @@ block-cyclic lifting, monodromy stability tests, covariance and value limit
 cycles, the trace objective, schedule extraction from gain sparsity, and
 Riccati-optimal gains for a fixed activation schedule.
 
-Limit cycles are computed three ways. The default path solves one N x N
-discrete Lyapunov equation in the monodromy matrix and propagates around the
-period. The "lifted" path assembles the KN x KN block-cyclic operands and
-solves once, and the "recursion" path iterates the plain covariance
-recursion to a fixed point; both are retained as cross-checks.
+Each limit cycle has one route: one N x N discrete Lyapunov equation in the
+monodromy matrix, then one propagation around the period. Schedule gains
+come from the K coupled Riccati recursions of the schedule. The lifted
+(block-cyclic) reformulation, which solves the same problems on KN x KN
+operands, and the plain recursions iterated to a fixed point serve as
+cross-checks in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -19,15 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    ConvergenceError,
-    DimensionError,
-    InitializationError,
-    InputError,
-    InstabilityError,
-)
-from .linalg import solve_dare, solve_dlyap, spectral_radius, symmetrize
-from .model import SystemModel
+from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
+from .linalg import solve_dlyap, spectral_radius, symmetrize
+from .model import _UNIT_MARGIN, SystemModel, pbh_rank_drop
 
 __all__ = [
     "Schedule",
@@ -50,10 +45,6 @@ __all__ = [
     "chunk_length",
     "cycle_residual",
 ]
-
-# Eigenvalues of A within this margin of the unit circle are treated as
-# unstable when deciding whether the schedule detectability gate must run.
-_UNIT_MARGIN = 1e-9
 
 _RELATIVE_ZERO_TOL = 1e-6
 
@@ -318,12 +309,6 @@ def _step_noise(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
     return symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
 
 
-def _require_stable(sys: SystemModel, gains: PeriodicGains) -> None:
-    rho = monodromy_spectral_radius(sys, gains)
-    if rho >= 1.0:
-        raise InstabilityError(f"monodromy spectral radius {rho:.6g} is not < 1")
-
-
 def _period_map(n: int, steps) -> tuple:
     """Pi = F_{K-1} ... F_0 and W_acc = sum_k Psi_k W_k Psi_k^T, Psi_k =
     F_{K-1} ... F_{k+1}, so that P_0 = Pi P_0 Pi^T + W_acc. ``steps`` yields
@@ -338,70 +323,32 @@ def _period_map(n: int, steps) -> tuple:
 
 def _solve_monodromy(pi: np.ndarray, w: np.ndarray) -> np.ndarray:
     """X = Pi X Pi^T + W. solve_dlyap's radius test is the only stability
-    check of the default cycle routes; its failure is reported as the loop's."""
+    check of the limit cycles; its failure is reported as the loop's."""
     try:
         return solve_dlyap(pi, w)
     except InstabilityError as exc:
         raise InstabilityError(f"monodromy {exc}") from exc
 
 
-def covariance_limit_cycle(
-    sys: SystemModel, gains: PeriodicGains, method: str = "auto"
-) -> CovarianceCycle:
+def covariance_limit_cycle(sys: SystemModel, gains: PeriodicGains) -> CovarianceCycle:
     """Unique periodic steady state of the error-covariance recursion.
 
     Solves P_{k+1} = F_k P_k F_k^T + W_k with wraparound P_K = P_0, where
-    F_k = A - L_k C and W_k = B Q B^T + L_k R L_k^T. Methods: "auto"
-    reduces to one Lyapunov solve in the monodromy matrix, "lifted" solves
-    the KN x KN block-cyclic equation, "recursion" iterates to the fixed
-    point. All agree to solver tolerance on stable instances.
+    F_k = A - L_k C and W_k = B Q B^T + L_k R L_k^T: one Lyapunov solve in
+    the monodromy matrix gives P_0, and the recursion gives the rest.
     """
     factors = closed_loop_factors(sys, gains)
     noise = _step_noise(sys, gains.gains)
     K, n = factors.shape[0], factors.shape[1]
-
-    if method in ("auto", "monodromy"):
-        pi, w_acc = _period_map(n, zip(factors[::-1], noise[::-1]))
-        p0 = _solve_monodromy(pi, w_acc)
-    elif method == "lifted":
-        _require_stable(sys, gains)
-        f_lift = lift_cyclic(factors, cyclic=True)
-        # Diagonal block r of the lifted weight pairs with step r-1: the
-        # lifted recursion writes F_{r-1} P_{r-1} F_{r-1}^T + W_{r-1} into
-        # diagonal block r of the solution.
-        w_lift = lift_cyclic([noise[(r - 1) % K] for r in range(K)], cyclic=False)
-        x = solve_dlyap(f_lift, w_lift)
-        covs = np.stack(
-            [symmetrize(x[k * n : (k + 1) * n, k * n : (k + 1) * n]) for k in range(K)]
-        )
-        return CovarianceCycle(covs)
-    elif method == "recursion":
-        _require_stable(sys, gains)
-        p0 = _covariance_by_recursion(factors, noise)
-    else:
-        raise InputError(f"unknown method {method!r}; expected auto, monodromy, lifted, or recursion")
+    pi, w_acc = _period_map(n, zip(factors[::-1], noise[::-1]))
     covs = np.empty((K, n, n))
-    covs[0] = p0
+    covs[0] = _solve_monodromy(pi, w_acc)
     for k in range(K - 1):
         covs[k + 1] = symmetrize(factors[k] @ covs[k] @ factors[k].T + noise[k])
     return CovarianceCycle(covs)
 
 
-def _covariance_by_recursion(
-    factors: np.ndarray, noise: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100000
-) -> np.ndarray:
-    K, n = factors.shape[0], factors.shape[1]
-    p = np.zeros((n, n))
-    for _ in range(max_sweeps):
-        start = p
-        for k in range(K):
-            p = symmetrize(factors[k] @ p @ factors[k].T + noise[k])
-        if np.linalg.norm(p - start) <= tol * max(1.0, float(np.linalg.norm(p))):
-            return p
-    raise ConvergenceError(f"covariance recursion did not settle within {max_sweeps} sweeps")
-
-
-def value_cycle(sys: SystemModel, gains: PeriodicGains, method: str = "auto"):
+def value_cycle(sys: SystemModel, gains: PeriodicGains):
     """Unique periodic solution of V_k = F_k^T V_{k+1} F_k + I.
 
     Returns a tuple (V_0, ..., V_{K-1}); each V_k is symmetric and at least
@@ -410,35 +357,14 @@ def value_cycle(sys: SystemModel, gains: PeriodicGains, method: str = "auto"):
     factors = closed_loop_factors(sys, gains)
     K, n = factors.shape[0], factors.shape[1]
     eye = np.eye(n)
-
-    if method in ("auto", "monodromy"):
-        # m_acc = sum_k Phi_k^T Phi_k with prefix products Phi_k = F_{k-1}...F_0,
-        # so V_0 solves V_0 = Pi^T V_0 Pi + m_acc; the loop leaves phi = Pi.
-        m_acc = np.zeros((n, n))
-        phi = eye
-        for k in range(K):
-            m_acc += phi.T @ phi
-            phi = factors[k] @ phi
-        v0 = _solve_monodromy(phi.T, symmetrize(m_acc))
-    elif method == "lifted":
-        _require_stable(sys, gains)
-        f_lift = lift_cyclic(factors, cyclic=True)
-        x = solve_dlyap(f_lift.T, np.eye(K * n))
-        return tuple(symmetrize(x[k * n : (k + 1) * n, k * n : (k + 1) * n]) for k in range(K))
-    elif method == "recursion":
-        _require_stable(sys, gains)
-        v0 = np.zeros((n, n))
-        for _ in range(100000):
-            start = v0
-            for k in range(K - 1, -1, -1):
-                v0 = symmetrize(factors[k].T @ v0 @ factors[k] + eye)
-            if np.linalg.norm(v0 - start) <= 1e-12 * max(1.0, float(np.linalg.norm(v0))):
-                break
-        else:
-            raise ConvergenceError("value recursion did not settle within 100000 sweeps")
-    else:
-        raise InputError(f"unknown method {method!r}; expected auto, monodromy, lifted, or recursion")
-    values = [v0] * K
+    # m_acc = sum_k Phi_k^T Phi_k with prefix products Phi_k = F_{k-1}...F_0,
+    # so V_0 solves V_0 = Pi^T V_0 Pi + m_acc; the loop leaves phi = Pi.
+    m_acc = np.zeros((n, n))
+    phi = eye
+    for k in range(K):
+        m_acc += phi.T @ phi
+        phi = factors[k] @ phi
+    values = [_solve_monodromy(phi.T, symmetrize(m_acc))] * K
     for k in range(K - 1, 0, -1):
         values[k] = symmetrize(factors[k].T @ values[(k + 1) % K] @ factors[k] + eye)
     return tuple(values)
@@ -479,30 +405,25 @@ def _needs_detectability_gate(sys: SystemModel) -> bool:
 def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
     """Raise InitializationError when the schedule hides an unstable mode.
 
-    Runs a PBH rank test on the lifted pair at every eigenvalue on or
-    outside the unit circle; skipped entirely for a Schur-stable plant,
-    where any schedule is admissible.
+    Runs the PBH rank test of validate_assumptions on the lifted pair
+    (lift_cyclic([A] * K), C_lift); skipped entirely for a Schur-stable
+    plant, where any schedule is admissible.
     """
-    if not _needs_detectability_gate(sys):
-        return
-    K, n = sched.K, sys.n_states
-    a_lift = lift_cyclic([sys.A] * K, cyclic=True)
-    c_rows = []
-    for k in range(K):
-        c_k = sys.C[sched.mask[k] == 1]
-        block = np.zeros((len(c_k), K * n))
-        block[:, k * n : (k + 1) * n] = c_k
-        c_rows.append(block)
-    c_lift = np.vstack(c_rows) if c_rows else np.zeros((0, K * n))
-    for lam in np.linalg.eigvals(a_lift):
-        if abs(lam) < 1.0 - _UNIT_MARGIN:
-            continue
-        pencil = np.vstack([a_lift - lam * np.eye(K * n), c_lift])
-        if np.linalg.matrix_rank(pencil) < K * n:
-            raise InitializationError(
-                f"schedule leaves the lifted pair undetectable at eigenvalue {lam:.6g}; "
-                "activate more sensors or steps"
-            )
+    lam = _hidden_mode(sys, sched.mask) if _needs_detectability_gate(sys) else None
+    if lam is not None:
+        raise InitializationError(
+            f"schedule leaves the lifted pair undetectable at eigenvalue {lam:.6g}; "
+            "activate more sensors or steps"
+        )
+
+
+def _hidden_mode(sys: SystemModel, mask: np.ndarray):
+    """Eigenvalue at which the lifted pair of a K x M 0/1 mask fails the PBH
+    test, or None; C_lift keeps the rows of the block-diagonal lift of C
+    that the mask activates, in step-major order."""
+    K = mask.shape[0]
+    c_lift = lift_cyclic([sys.C] * K, cyclic=False)[np.reshape(mask, -1) == 1]
+    return pbh_rank_drop(lift_cyclic([sys.A] * K, cyclic=True), c_lift)
 
 
 def _riccati_step(sys: SystemModel, p: np.ndarray, active: np.ndarray) -> tuple:
@@ -520,19 +441,20 @@ def _riccati_step(sys: SystemModel, p: np.ndarray, active: np.ndarray) -> tuple:
     return gain, p_next
 
 
-def _periodic_riccati(sys: SystemModel, active: np.ndarray, tol: float, max_sweeps: int) -> tuple:
+def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     """Indices of the schedules of a (T, K, M) boolean stack whose Riccati
-    sweeps from P = B Q B^T settle within ``max_sweeps``, each at its own
-    first sweep with relative change <= ``tol``, and their (S, K, N, M) gains."""
+    sweeps from P = B Q B^T settle within _RICCATI_MAX_SWEEPS, each at its
+    own first sweep with relative change <= _RICCATI_TOL, and their
+    (S, K, N, M) gains."""
     (T, K, _), n = active.shape, sys.n_states
     settled_p, settled, live = np.empty((T, n, n)), np.zeros(T, dtype=bool), np.arange(T)
     p = np.broadcast_to(sys.q_eff, (T, n, n))
-    for _ in range(max_sweeps):
+    for _ in range(_RICCATI_MAX_SWEEPS):
         start = p
         for k in range(K):
             _, p = _riccati_step(sys, p, active[live, k])
         change = np.linalg.norm(p - start, axis=(1, 2))
-        done = change <= tol * np.maximum(1.0, np.linalg.norm(p, axis=(1, 2)))
+        done = change <= _RICCATI_TOL * np.maximum(1.0, np.linalg.norm(p, axis=(1, 2)))
         settled_p[live[done]], settled[live[done]] = p[done], True
         live, p = live[~done], p[~done]
         if not live.size:
@@ -545,20 +467,13 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray, tol: float, max_swee
     return idx, gains
 
 
-def init_gains_for_schedule(
-    sys: SystemModel,
-    sched: Schedule,
-    method: str = "cyclic",
-    tol: float = _RICCATI_TOL,
-    max_sweeps: int = _RICCATI_MAX_SWEEPS,
-) -> PeriodicGains:
+def init_gains_for_schedule(sys: SystemModel, sched: Schedule) -> PeriodicGains:
     """Riccati-optimal periodic gains for a fixed activation schedule.
 
     Iterates the K coupled Riccati recursions with each step's observation
     restricted to the scheduled sensors, so the returned gains carry the
     schedule's column-sparsity pattern exactly and the closed loop is
-    stable. ``method="lifted"`` instead solves the single KN x KN Riccati
-    equation on the block-cyclic operands; it is kept as a cross-check.
+    stable.
 
     Raises InitializationError when the schedule leaves an unstable mode
     unobserved or the iteration fails to settle.
@@ -568,58 +483,14 @@ def init_gains_for_schedule(
             f"schedule has {sched.n_sensors} sensor columns, system has {sys.n_sensors}"
         )
     check_schedule_detectability(sys, sched)
-
-    if method == "lifted":
-        return _init_gains_lifted(sys, sched)
-    if method != "cyclic":
-        raise InputError(f"unknown method {method!r}; expected cyclic or lifted")
-    idx, gains = _periodic_riccati(sys, sched.mask[np.newaxis] == 1, tol, max_sweeps)
+    idx, gains = _periodic_riccati(sys, sched.mask[np.newaxis] == 1)
     if not idx.size:
         raise InitializationError(
-            f"periodic Riccati iteration did not settle within {max_sweeps} sweeps"
+            f"periodic Riccati iteration did not settle within {_RICCATI_MAX_SWEEPS} sweeps"
         )
     result = PeriodicGains(gains[0])
     if not monodromy_stable(sys, result):
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
-    return result
-
-
-def _init_gains_lifted(sys: SystemModel, sched: Schedule) -> PeriodicGains:
-    K, n, m = sched.K, sys.n_states, sys.n_sensors
-    pieces = [(sys.C[i], sys.R[np.ix_(i, i)], i) for i in map(np.flatnonzero, sched.mask)]
-    total_rows = sum(len(idx) for _, _, idx in pieces)
-    if total_rows == 0:
-        # Nothing is ever measured: valid only for a stable plant, with all
-        # gains zero (the detectability gate has already vetted this).
-        zero = PeriodicGains.zeros(K, n, m)
-        _require_stable(sys, zero)
-        return zero
-
-    a_lift = lift_cyclic([sys.A] * K, cyclic=True)
-    q_lift = lift_cyclic([sys.q_eff] * K, cyclic=False)
-    c_lift = np.zeros((total_rows, K * n))
-    r_lift = np.zeros((total_rows, total_rows))
-    offsets = []
-    row = 0
-    for k, (c_k, r_k, idx) in enumerate(pieces):
-        rows = len(idx)
-        c_lift[row : row + rows, k * n : (k + 1) * n] = c_k
-        r_lift[row : row + rows, row : row + rows] = r_k
-        offsets.append((row, rows))
-        row += rows
-
-    p_lift = solve_dare(a_lift, c_lift, q_lift, r_lift)
-    innov = c_lift @ p_lift @ c_lift.T + r_lift
-    gain_lift = np.linalg.solve(innov.T, (a_lift @ p_lift @ c_lift.T).T).T
-
-    gains = np.zeros((K, n, m))
-    for k, (c_k, r_k, idx) in enumerate(pieces):
-        row, rows = offsets[k]
-        dest = ((k + 1) % K) * n
-        gains[k][:, idx] = gain_lift[dest : dest + n, row : row + rows]
-    result = PeriodicGains(gains)
-    if not monodromy_stable(sys, result):
-        raise InitializationError("lifted Riccati solve produced an unstable closed loop")
     return result
 
 
@@ -654,10 +525,10 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     J, K = np.full(len(arr), np.nan), arr.shape[1]
     todo = np.arange(len(arr))
     if _needs_detectability_gate(sys):
-        todo = np.array([t for t in todo if _detectable(sys, Schedule(arr[t]))], dtype=int)
+        todo = np.array([t for t in todo if _hidden_mode(sys, arr[t]) is None], dtype=int)
     step = chunk_length(sys.n_states)
     for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
-        idx, gains = _periodic_riccati(sys, arr[chunk] == 1, _RICCATI_TOL, _RICCATI_MAX_SWEEPS)
+        idx, gains = _periodic_riccati(sys, arr[chunk] == 1)
         steps = (_loop_step(sys, gains, k) for k in range(K - 1, -1, -1))
         pi, w_acc = _period_map(sys.n_states, steps)
         stable = np.abs(np.linalg.eigvals(pi)).max(axis=1) < 1.0
@@ -676,14 +547,6 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
 def _loop_step(sys: SystemModel, gains: np.ndarray, k: int) -> tuple:
     """(F_k, W_k) of every schedule of a (T, K, N, M) gain stack."""
     return sys.A - gains[:, k] @ sys.C, _step_noise(sys, gains[:, k])
-
-
-def _detectable(sys: SystemModel, sched: Schedule) -> bool:
-    try:
-        check_schedule_detectability(sys, sched)
-    except InitializationError:
-        return False
-    return True
 
 
 def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: CovarianceCycle) -> float:

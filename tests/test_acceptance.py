@@ -15,6 +15,7 @@ import scipy.linalg
 import persched as ps
 from persched.gstep import ZERO_COLUMN_TOL, GStepProblem
 from persched.model import FieldGeometry, build_diffusion_system
+from tests import reference
 from tests.conftest import random_schedule, random_stable_system, record_criterion
 
 BENCHMARK_PERIOD = 10
@@ -151,12 +152,9 @@ def test_criterion_04_periodic_solvers_cross_validate():
             m = min(3, n)
             sys = random_stable_system(rng, n, m)
             sched = random_schedule(rng, K, m)
-            cyclic = ps.init_gains_for_schedule(sys, sched, method="cyclic")
-            lifted = ps.init_gains_for_schedule(sys, sched, method="lifted")
-            dev = float(
-                np.abs(cyclic.gains - lifted.gains).max()
-                / (1.0 + np.abs(lifted.gains).max())
-            )
+            cyclic = ps.init_gains_for_schedule(sys, sched)
+            lifted = reference.lifted_riccati_gains(sys, sched)
+            dev = float(np.abs(cyclic.gains - lifted).max() / (1.0 + np.abs(lifted).max()))
             worst_pair = max(worst_pair, dev)
             pairs += 1
 

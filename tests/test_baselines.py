@@ -40,6 +40,13 @@ def scalar_unstable_system():
 
 
 class TestExhaustiveSearch:
+    def test_non_integral_eta_rejected(self, rng):
+        sys = random_stable_system(rng, 3, 2)
+        with pytest.raises(InputError, match="not an integer"):
+            ps.exhaustive_search(sys, K=2, eta=1.7)
+        with pytest.raises(InputError, match="not an integer"):
+            ps.random_baseline(sys, K=2, eta=(1, 1.5), total_activations=1, trials=1, seed=0)
+
     def test_matches_manual_enumeration(self, rng):
         sys = random_stable_system(rng, 3, 2)
         result = ps.exhaustive_search(sys, K=2, eta=1)

@@ -187,14 +187,6 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "non-empty" in capsys.readouterr().err
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, TINY + "sweep:\n  gammas: [0.0, 0.05]\n  etas: [2]\n")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep", cfg, "--out", str(out_a)]) == 0
-        assert main(["sweep", cfg, "--out", str(out_b), "--jobs", "2"]) == 0
-        for name in ("tradeoff.csv", "cell_000_report.json", "cell_001_report.json"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
     def test_missing_sweep_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY)
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -282,7 +274,7 @@ class TestMainEntry:
         assert excinfo.value.code == 0
         assert "persched" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
     @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "3"]])
     def test_unread_flags_rejected(self, tmp_path, capsys, command, flag):
         cfg = write_config(tmp_path, TINY)

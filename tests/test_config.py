@@ -137,6 +137,13 @@ class TestValidation:
             load_experiment(write_config(tmp_path, text))
 
 
+    @pytest.mark.parametrize("eta", ["1.5", "[1, 1.5]"])
+    def test_non_integral_eta_rejected(self, tmp_path, eta):
+        text = FIELD_SYSTEM + f"admm:\n  period: 4\n  gamma: 0.0\n  eta: {eta}\n"
+        with pytest.raises(ConfigError, match="not an integer"):
+            load_experiment(write_config(tmp_path, text))
+
+
 class TestAdmmSection:
     def test_defaults_applied(self, tmp_path):
         cfg = load_experiment(write_config(tmp_path, FIELD_SYSTEM + ADMM_BLOCK))

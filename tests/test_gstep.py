@@ -57,8 +57,13 @@ class TestGStepProblem:
         assert prob.eta == (2, 2, 2, 2)
 
     def test_eta_length_mismatch(self):
-        with pytest.raises(DimensionError, match="eta"):
+        with pytest.raises(InputError, match="entries"):
             GStepProblem(S=np.zeros((2, 2, 3)), gamma=0.0, rho=1.0, eta=(1, 2))
+
+    @pytest.mark.parametrize("eta", [1.9, (1, 1.5, 2)])
+    def test_non_integral_eta_rejected(self, eta):
+        with pytest.raises(InputError, match="not an integer"):
+            GStepProblem(S=np.zeros((2, 2, 3)), gamma=0.0, rho=1.0, eta=eta)
 
     def test_eta_above_period_rejected(self):
         with pytest.raises(InputError, match="eta"):

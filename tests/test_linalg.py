@@ -10,7 +10,6 @@ from persched import (
     InputError,
     InstabilityError,
     matrix_exponential,
-    solve_dare,
     solve_dlyap,
     solve_gain_sylvester,
     spectral_radius,
@@ -248,47 +247,6 @@ class TestSolveGainSylvester:
             solve_gain_sylvester(v, self._spd_stack(rng, 2, 2), 1.0, np.ones((3, 2, 2)))
         with pytest.raises(DimensionError, match="RHS shape"):
             solve_gain_sylvester(v, self._spd_stack(rng, 3, 2), 1.0, np.ones((3, 2, 3)))
-
-
-class TestSolveDare:
-    def test_matches_scipy(self, rng):
-        # The filter equation solved here is the dual of scipy's control
-        # form: P = A P A^T - A P C^T (C P C^T + R)^{-1} C P A^T + Q maps
-        # to solve_discrete_are(A^T, C^T, Q, R).
-        for _ in range(15):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 4))
-            a = rng.normal(size=(n, n))
-            a *= float(rng.uniform(0.3, 1.2)) / max(spectral_radius(a), 1e-12)
-            c = rng.normal(size=(m, n))
-            q = np.eye(n) * float(rng.uniform(0.1, 2.0))
-            r = np.eye(m) * float(rng.uniform(0.5, 2.0))
-            expected = scipy.linalg.solve_discrete_are(a.T, c.T, q, r)
-            np.testing.assert_allclose(
-                solve_dare(a, c, q, r), expected, rtol=1e-7, atol=1e-8
-            )
-
-    def test_no_measurement_reduces_to_lyapunov(self):
-        a = np.array([[0.8, 0.1], [0.0, 0.7]])
-        q = np.eye(2)
-        c = np.zeros((1, 2))
-        r = np.eye(1)
-        np.testing.assert_allclose(
-            solve_dare(a, c, q, r), solve_dlyap(a, q), rtol=1e-8
-        )
-
-    def test_closed_loop_is_stable(self, rng):
-        a = np.array([[1.2, 0.3], [0.0, 0.9]])
-        c = np.array([[1.0, 0.0], [0.0, 1.0]])
-        q = np.eye(2)
-        r = np.eye(2)
-        p = solve_dare(a, c, q, r)
-        gain = a @ p @ c.T @ np.linalg.inv(c @ p @ c.T + r)
-        assert spectral_radius(a - gain @ c) < 1.0
-
-    def test_semidefinite_r_rejected(self):
-        with pytest.raises(InputError, match="positive definite"):
-            solve_dare(np.eye(2) * 0.5, np.eye(2), np.eye(2), np.zeros((2, 2)))
 
 
 class TestHelpers:

@@ -1,5 +1,7 @@
 """Periodic machinery: lifting, limit cycles, schedules, fixed-schedule gains."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +25,7 @@ from persched.periodic import (
     monodromy_matrix,
     monodromy_spectral_radius,
 )
+from tests import reference
 from tests.conftest import random_schedule, random_stable_system
 from tests.test_baselines import scalar_unstable_system
 
@@ -111,11 +114,10 @@ class TestCovarianceLimitCycle:
             K = int(rng.integers(1, 6))
             sys = random_stable_system(rng, n, m)
             gains = ps.init_gains_for_schedule(sys, random_schedule(rng, K, m))
-            ref = ps.covariance_limit_cycle(sys, gains, method="auto")
-            for method in ("lifted", "recursion"):
-                other = ps.covariance_limit_cycle(sys, gains, method=method)
+            ref = ps.covariance_limit_cycle(sys, gains)
+            for method in (reference.covariance_cycle_lifted, reference.covariance_cycle_recursion):
                 np.testing.assert_allclose(
-                    other.covariances, ref.covariances, rtol=1e-8, atol=1e-9
+                    method(sys, gains), ref.covariances, rtol=1e-8, atol=1e-9
                 )
 
     def test_satisfies_recursion(self, rng):
@@ -139,11 +141,6 @@ class TestCovarianceLimitCycle:
         with pytest.raises(InstabilityError, match="monodromy"):
             ps.covariance_limit_cycle(sys, PeriodicGains.zeros(2, 1, 1))
 
-    def test_unknown_method(self, rng):
-        sys = random_stable_system(rng, 2, 1)
-        with pytest.raises(InputError, match="method"):
-            ps.covariance_limit_cycle(sys, PeriodicGains.zeros(1, 2, 1), method="magic")
-
 
 class TestValueCycle:
     def test_satisfies_recursion(self, rng):
@@ -158,9 +155,10 @@ class TestValueCycle:
     def test_methods_agree(self, rng):
         sys = random_stable_system(rng, 3, 1)
         gains = ps.init_gains_for_schedule(sys, Schedule(np.array([[1], [0], [1], [0]])))
-        ref = ps.value_cycle(sys, gains, method="auto")
-        for method in ("lifted", "recursion"):
-            other = ps.value_cycle(sys, gains, method=method)
+        ref = ps.value_cycle(sys, gains)
+        for method in (reference.value_cycle_lifted, reference.value_cycle_recursion):
+            other = method(sys, gains)
+            assert len(other) == len(ref)
             for a, b in zip(ref, other):
                 np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-9)
 
@@ -261,9 +259,9 @@ class TestInitGainsForSchedule:
             K = int(rng.integers(1, 5))
             sys = random_stable_system(rng, n, m)
             sched = random_schedule(rng, K, m)
-            a = ps.init_gains_for_schedule(sys, sched, method="cyclic")
-            b = ps.init_gains_for_schedule(sys, sched, method="lifted")
-            np.testing.assert_allclose(a.gains, b.gains, rtol=1e-6, atol=1e-8)
+            a = ps.init_gains_for_schedule(sys, sched)
+            b = reference.lifted_riccati_gains(sys, sched)
+            np.testing.assert_allclose(a.gains, b, rtol=1e-6, atol=1e-8)
 
     def test_empty_schedule_on_stable_plant(self, rng):
         sys = random_stable_system(rng, 3, 2)
@@ -282,6 +280,68 @@ class TestInitGainsForSchedule:
         sys = random_stable_system(rng, 2, 2)
         with pytest.raises(DimensionError, match="sensor"):
             ps.init_gains_for_schedule(sys, Schedule.all_on(2, 3))
+
+
+def modal_plant(rng, poles, visible):
+    """Plant with eigenvalues ``poles`` in a random basis, where sensor m sees
+    mode j exactly when visible[m][j] is set."""
+    n, m = len(poles), len(visible)
+    basis = rng.normal(size=(n, n))
+    inverse = np.linalg.inv(basis)
+    c_modal = rng.normal(size=(m, n)) * np.asarray(visible, dtype=float)
+    a = basis @ np.diag(poles) @ inverse
+    return SystemModel(A=a, B=np.eye(n), C=c_modal @ inverse, Q=np.eye(n), R=np.eye(m))
+
+
+def gate_rejects(sys, mask):
+    try:
+        check_schedule_detectability(sys, Schedule(np.asarray(mask)))
+    except InitializationError:
+        return True
+    return False
+
+
+class TestDetectabilityGate:
+    def test_k1_gate_matches_validate_assumptions(self, rng):
+        # Sensor 0 alone sees the unstable mode of the first plant; the rest
+        # have two unstable modes, each seen by a random subset of sensors,
+        # or are dense random unstable plants.
+        plants = [modal_plant(rng, [1.3, 0.5, -0.2], [[1, 1, 1], [0, 1, 1], [0, 1, 0]])]
+        for _ in range(12):
+            visible = np.ones((3, 4), dtype=int)
+            visible[:, :2] = rng.random((3, 2)) < 0.5
+            plants.append(modal_plant(rng, [1.2, -1.05, 0.6, 0.1], visible))
+        for _ in range(4):
+            a = rng.normal(size=(3, 3))
+            a *= rng.uniform(1.05, 1.5) / ps.spectral_radius(a)
+            sensors = rng.normal(size=(2, 3))
+            plants.append(SystemModel(A=a, B=np.eye(3), C=sensors, Q=np.eye(3), R=np.eye(2)))
+        verdicts = []
+        for sys in plants:
+            for row in itertools.product((0, 1), repeat=sys.n_sensors):
+                active = np.array(row, dtype=bool)
+                if not active.any():
+                    continue
+                restricted = SystemModel(
+                    A=sys.A, B=sys.B, C=sys.C[active], Q=sys.Q, R=sys.R[np.ix_(active, active)]
+                )
+                check = {c.name: c for c in ps.validate_assumptions(restricted).checks}
+                rejected = gate_rejects(sys, [row])
+                assert rejected == (not check["(A, C) detectable"].passed), (sys.A, row)
+                verdicts.append(rejected)
+        assert any(verdicts) and not all(verdicts)
+        single = plants[0]
+        for row in itertools.product((0, 1), repeat=3):
+            if any(row):
+                assert gate_rejects(single, [row]) == (row[0] == 0)
+
+    def test_one_step_observation_passes_at_k3(self, rng):
+        sys = modal_plant(rng, [1.3, 0.5, -0.2], [[1, 1, 1], [0, 1, 1], [0, 1, 0]])
+        once = [[1, 0, 0], [0, 1, 1], [0, 1, 1]]
+        assert not gate_rejects(sys, once)
+        assert np.isfinite(ps.evaluate_schedule(sys, Schedule(np.array(once))).J)
+        with pytest.raises(InitializationError, match="undetectable at eigenvalue"):
+            ps.init_gains_for_schedule(sys, Schedule(np.array([[0, 1, 1]] * 3)))
 
 
 class TestEvaluateSchedule:
