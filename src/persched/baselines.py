@@ -3,7 +3,9 @@
 The exhaustive oracle enumerates every schedule satisfying the per-sensor
 activation bounds (optionally at a fixed total activation count), scores
 each one exactly, and returns the global minimizer; a budget guard refuses
-instances whose candidate count would be unreasonable. The random baseline
+instances whose candidate count would be unreasonable. A row rotation of a
+mask is the same periodic schedule started at another step, with the same
+score, so the oracle scores one mask per rotation class. The random baseline
 draws schedules uniformly from the same feasible set and reports the score
 statistics, giving the reference the solver is expected to beat.
 """
@@ -38,7 +40,9 @@ DEFAULT_BUDGET = 1_000_000
 @dataclass(frozen=True)
 class OracleResult:
     """Exhaustive-search outcome: the best schedule, its exact score, and
-    how many candidates were scored or skipped as invalid estimators."""
+    how many feasible masks (leaves) scored finite or were skipped as
+    invalid estimators. Both counts include the rotations of a scored mask,
+    which share its score, so together they equal the leaf count."""
 
     schedule: Schedule
     J: float
@@ -104,11 +108,16 @@ def exhaustive_search(
 
     Walks all K x M masks satisfying the per-sensor bounds (and the exact
     total activation count when given) in lexicographic order of the
-    row-major bit string, scoring them chunk by chunk with
-    evaluate_schedules. Candidates whose masked estimator is invalid (an
-    unstable mode left unobserved) are skipped. Ties keep the
-    lexicographically smallest mask. Raises BudgetError up front when the
-    candidate count exceeds ``budget``.
+    row-major bit string. The row rotations of a mask are feasible masks
+    that describe the same periodic schedule started at another step, with
+    the same limit cycle rotated and the same J, so only the first mask of
+    each rotation class in that order (its lexicographically smallest
+    rotation) is scored, chunk by chunk with evaluate_schedules, and its
+    score counts for every mask of the class. Masks whose estimator is
+    invalid (an unstable mode left unobserved) are skipped. Ties keep the
+    lexicographically smallest mask, which is the first one scored.
+    Raises BudgetError up front when the candidate count, which counts
+    masks and not classes, exceeds ``budget``.
     """
     if K < 1:
         raise InputError("period must be at least 1")
@@ -154,17 +163,19 @@ def exhaustive_search(
             mask[k, m] = 0
 
     best_j, best_mask, n_evaluated, n_skipped = np.inf, None, 0, 0
-    stream = leaves(0, 0)
-    while chunk := list(itertools.islice(stream, chunk_length(sys.n_states))):
-        values = evaluate_schedules(sys, np.stack(chunk))
+    step = chunk_length(sys.n_states)
+    classes = _rotation_classes(leaves(0, 0), K * step)
+    while chunk := list(itertools.islice(classes, step)):
+        masks, sizes = map(np.array, zip(*chunk))
+        values = evaluate_schedules(sys, masks)
         invalid = np.isnan(values)
-        n_skipped += int(invalid.sum())
-        n_evaluated += len(chunk) - int(invalid.sum())
+        n_skipped += int(sizes[invalid].sum())
+        n_evaluated += int(sizes[~invalid].sum())
         # argmin keeps the first of equal values, and strict < an earlier chunk's.
         values[invalid] = np.inf
         i = int(np.argmin(values))
         if values[i] < best_j:
-            best_j, best_mask = float(values[i]), chunk[i]
+            best_j, best_mask = float(values[i]), masks[i]
     if best_mask is None:
         raise InitializationError(
             "every feasible schedule left the estimator invalid; raise the bounds"
@@ -175,6 +186,26 @@ def exhaustive_search(
     return OracleResult(
         schedule=Schedule(best_mask), J=best_j, n_evaluated=n_evaluated, n_skipped=n_skipped
     )
+
+
+def _rotation_classes(masks, batch: int):
+    """(mask, class size) for each mask of an iterable of K x M masks that is
+    the lexicographically smallest row rotation of itself, in input order.
+    Masks are taken ``batch`` at a time and compared as packed row-major bit
+    strings against each of their K - 1 nontrivial rotations."""
+    while block := list(itertools.islice(masks, batch)):
+        stack = np.stack(block)
+        T, K = stack.shape[:2]
+        bits = np.packbits(stack.reshape(T, -1), axis=1).astype(np.int16)
+        smallest, fixed = np.ones(T, dtype=bool), np.ones(T, dtype=int)
+        for r in range(1, K):
+            rotated = np.packbits(np.roll(stack, -r, axis=1).reshape(T, -1), axis=1)
+            diff = rotated - bits
+            lead = diff[np.arange(T), (diff != 0).argmax(axis=1)]
+            smallest &= lead >= 0
+            fixed += lead == 0
+        # The rotations that fix a mask form a subgroup; its class has K / |subgroup| masks.
+        yield from zip(stack[smallest], (K // fixed[smallest]).tolist())
 
 
 def _draw_mask(rng: np.random.Generator, K: int, bounds: tuple, total: int, table) -> np.ndarray:

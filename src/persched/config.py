@@ -84,6 +84,17 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
+def _integer(value, where: str) -> int:
+    """A YAML integer field as an int. Integral floats such as 4.0 pass;
+    anything else, 4.5 or a string or a boolean, is a ConfigError rather
+    than a silent truncation."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
 def _load_matrix(value, base: Path, where: str) -> np.ndarray:
     if isinstance(value, str):
         path = (base / value).resolve()
@@ -122,12 +133,13 @@ def _build_system(section: dict, base: Path) -> SystemModel:
             isinstance(s, list) and len(s) == 2 for s in sites
         ):
             raise ConfigError("system.field.sensor_sites must be a list of [i, j] pairs")
+        where = "system.field.sensor_sites"
         geom = FieldGeometry(
-            ell_h=int(f["ell_h"]),
-            ell_v=int(f["ell_v"]),
+            ell_h=_integer(f["ell_h"], "system.field.ell_h"),
+            ell_v=_integer(f["ell_v"], "system.field.ell_v"),
             spacing=float(f.get("spacing", 1.0)),
             sample_interval=float(f.get("sample_interval", 0.5)),
-            sensor_sites=tuple((int(i), int(j)) for i, j in sites),
+            sensor_sites=tuple((_integer(i, where), _integer(j, where)) for i, j in sites),
         )
         return build_diffusion_system(
             geom, q_scale=float(f.get("q_scale", 1.0)), r_scale=float(f.get("r_scale", 1.0))
@@ -160,21 +172,16 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
         if key not in section:
             raise ConfigError(f"admm.{key} is required")
     kwargs = {
-        "period": int(section["period"]),
+        "period": _integer(section["period"], "admm.period"),
         "gamma": float(section["gamma"]),
         "eta": section["eta"] if np.isscalar(section["eta"]) else tuple(section["eta"]),
     }
-    for key, cast in (
-        ("rho", float),
-        ("eps", float),
-        ("max_iters", int),
-        ("inner_max_iters", int),
-        ("inner_tol_cap", float),
-        ("armijo_alpha", float),
-        ("armijo_beta", float),
-    ):
+    for key in ("max_iters", "inner_max_iters"):
         if key in section:
-            kwargs[key] = cast(section[key])
+            kwargs[key] = _integer(section[key], f"admm.{key}")
+    for key in ("rho", "eps", "inner_tol_cap", "armijo_alpha", "armijo_beta"):
+        if key in section:
+            kwargs[key] = float(section[key])
     if section.get("zero_tol") is not None:
         kwargs["zero_tol"] = float(section["zero_tol"])
     if section.get("init_schedule") is not None:
@@ -247,13 +254,13 @@ def load_experiment(path) -> ExperimentConfig:
     if "compare" in raw:
         c = _require_mapping(raw["compare"], "compare")
         _check_keys(c, _COMPARE_KEYS, "compare")
-        compare_trials = int(c.get("trials", compare_trials))
+        compare_trials = _integer(c.get("trials", compare_trials), "compare.trials")
         if compare_trials < 0:
             raise ConfigError("compare.trials must be nonnegative")
         compare_oracle = bool(c.get("oracle", False))
         if c.get("total_activations") is not None:
-            compare_total = int(c["total_activations"])
-        compare_budget = int(c.get("budget", compare_budget))
+            compare_total = _integer(c["total_activations"], "compare.total_activations")
+        compare_budget = _integer(c.get("budget", compare_budget), "compare.budget")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):

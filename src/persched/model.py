@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 # Eigenvalues within this margin of the unit circle count as unstable modes,
-# here and in the schedule detectability gate of the periodic module.
+# in the PBH tests here and in the periodic module's detectability gate.
 _UNIT_MARGIN = 1e-9
 
 
@@ -268,10 +268,20 @@ def pbh_rank_drop(a: np.ndarray, other: np.ndarray, stack_rows: bool = True):
     ``stack_rows`` selects the detectability form [A - lam I; other] over
     the stabilizability form [A - lam I, other].
     """
+    return _rank_drop_at(a, _unit_circle_eigenvalues(a), other, stack_rows)
+
+
+def _unit_circle_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of A on or outside the unit circle, in eigvals order."""
+    lams = np.linalg.eigvals(a)
+    return lams[np.abs(lams) >= 1.0 - _UNIT_MARGIN]
+
+
+def _rank_drop_at(a: np.ndarray, lams, other: np.ndarray, stack_rows: bool = True):
+    """pbh_rank_drop's test at the given eigenvalues ``lams`` of A, so that
+    callers testing many ``other`` against one A compute them once."""
     n = a.shape[0]
-    for lam in np.linalg.eigvals(a):
-        if abs(lam) < 1.0 - _UNIT_MARGIN:
-            continue
+    for lam in lams:
         shifted = a - lam * np.eye(n)
         pencil = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
         if np.linalg.matrix_rank(pencil) < n:

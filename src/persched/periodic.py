@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
 from .linalg import solve_dlyap, spectral_radius, symmetrize
-from .model import _UNIT_MARGIN, SystemModel, pbh_rank_drop
+from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
     "Schedule",
@@ -396,12 +396,6 @@ def schedule_from_gains(gains: PeriodicGains, zero_tol: float = None) -> Schedul
     return Schedule((norms > zero_tol).astype(np.int8))
 
 
-def _needs_detectability_gate(sys: SystemModel) -> bool:
-    """Whether A has an eigenvalue on or outside the unit circle, so that a
-    schedule can leave an unstable mode unobserved."""
-    return spectral_radius(sys.A) >= 1.0 - _UNIT_MARGIN
-
-
 def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
     """Raise InitializationError when the schedule hides an unstable mode.
 
@@ -409,7 +403,8 @@ def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
     (lift_cyclic([A] * K), C_lift); skipped entirely for a Schur-stable
     plant, where any schedule is admissible.
     """
-    lam = _hidden_mode(sys, sched.mask) if _needs_detectability_gate(sys) else None
+    hidden_mode = _detectability_gate(sys, sched.K)
+    lam = None if hidden_mode is None else hidden_mode(sched.mask)
     if lam is not None:
         raise InitializationError(
             f"schedule leaves the lifted pair undetectable at eigenvalue {lam:.6g}; "
@@ -417,13 +412,19 @@ def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
         )
 
 
-def _hidden_mode(sys: SystemModel, mask: np.ndarray):
-    """Eigenvalue at which the lifted pair of a K x M 0/1 mask fails the PBH
-    test, or None; C_lift keeps the rows of the block-diagonal lift of C
-    that the mask activates, in step-major order."""
-    K = mask.shape[0]
-    c_lift = lift_cyclic([sys.C] * K, cyclic=False)[np.reshape(mask, -1) == 1]
-    return pbh_rank_drop(lift_cyclic([sys.A] * K, cyclic=True), c_lift)
+def _detectability_gate(sys: SystemModel, K: int):
+    """None when A is Schur stable, so that no schedule can leave an unstable
+    mode unobserved. Otherwise a function of a K x M 0/1 mask giving the
+    eigenvalue at which its lifted pair fails the PBH test, or None; C_lift
+    keeps the rows of the block-diagonal lift of C that the mask activates,
+    in step-major order. The lifted A and its eigenvalues on or outside the
+    unit circle do not depend on the mask and are computed once here."""
+    if not _unit_circle_eigenvalues(sys.A).size:
+        return None
+    a_lift = lift_cyclic([sys.A] * K, cyclic=True)
+    lams = _unit_circle_eigenvalues(a_lift)
+    c_full = lift_cyclic([sys.C] * K, cyclic=False)
+    return lambda mask: _rank_drop_at(a_lift, lams, c_full[np.reshape(mask, -1) == 1])
 
 
 def _riccati_step(sys: SystemModel, p: np.ndarray, active: np.ndarray) -> tuple:
@@ -524,8 +525,9 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
         raise InputError("schedule mask entries must be 0 or 1")
     J, K = np.full(len(arr), np.nan), arr.shape[1]
     todo = np.arange(len(arr))
-    if _needs_detectability_gate(sys):
-        todo = np.array([t for t in todo if _hidden_mode(sys, arr[t]) is None], dtype=int)
+    hidden_mode = _detectability_gate(sys, K)
+    if hidden_mode is not None:
+        todo = np.array([t for t in todo if hidden_mode(arr[t]) is None], dtype=int)
     step = chunk_length(sys.n_states)
     for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
         idx, gains = _periodic_riccati(sys, arr[chunk] == 1)

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 import persched as ps
-from persched import BudgetError, InitializationError, InputError, Schedule, SystemModel
+import persched.baselines as baselines
+from persched import (
+    BudgetError,
+    InitializationError,
+    InputError,
+    InstabilityError,
+    Schedule,
+    SystemModel,
+)
 from persched.baselines import BaselineResult, _count_table, _draw_mask
 from persched.periodic import chunk_length
 from tests.conftest import random_stable_system
@@ -16,21 +24,41 @@ LINE4_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "compare_lin
 
 
 def manual_best(sys, K, eta_scalar, total=None):
-    """Reference enumeration: score every feasible mask directly."""
+    """Reference enumeration: score every feasible mask directly. Returns the
+    best J and mask and the counts of scored and skipped (invalid) masks."""
     m = sys.n_sensors
     best = (np.inf, None)
-    n_feasible = 0
+    n_evaluated = n_skipped = 0
     for bits in itertools.product((0, 1), repeat=K * m):
         mask = np.array(bits).reshape(K, m)
         if (mask.sum(axis=0) > eta_scalar).any():
             continue
         if total is not None and mask.sum() != total:
             continue
-        n_feasible += 1
-        j = ps.evaluate_schedule(sys, Schedule(mask)).J
+        try:
+            j = ps.evaluate_schedule(sys, Schedule(mask)).J
+        except (InitializationError, InstabilityError):
+            n_skipped += 1
+            continue
+        n_evaluated += 1
         if j < best[0]:
             best = (j, mask)
-    return best[0], best[1], n_feasible
+    return best[0], best[1], n_evaluated, n_skipped
+
+
+def rotations(mask):
+    """The K row rotations of a mask, as row-major bit strings."""
+    return ["".join(map(str, np.roll(mask, -r, axis=0).ravel())) for r in range(len(mask))]
+
+
+def random_unstable_system(rng, n, m):
+    """Random plant with spectral radius 1.1-1.4 and half of C zeroed, so
+    some schedules leave an unstable mode unobserved."""
+    a = rng.normal(size=(n, n))
+    a *= rng.uniform(1.1, 1.4) / ps.spectral_radius(a)
+    c = rng.normal(size=(m, n))
+    c[rng.random((m, n)) < 0.5] = 0.0
+    return SystemModel(A=a, B=np.eye(n), C=c, Q=np.eye(n), R=np.eye(m))
 
 
 def scalar_unstable_system():
@@ -50,18 +78,18 @@ class TestExhaustiveSearch:
     def test_matches_manual_enumeration(self, rng):
         sys = random_stable_system(rng, 3, 2)
         result = ps.exhaustive_search(sys, K=2, eta=1)
-        j_ref, mask_ref, n_feasible = manual_best(sys, 2, 1)
+        j_ref, mask_ref, n_evaluated, n_skipped = manual_best(sys, 2, 1)
         assert result.J == pytest.approx(j_ref, rel=1e-12)
         np.testing.assert_array_equal(result.schedule.mask, mask_ref)
-        assert result.n_evaluated == n_feasible
-        assert result.n_skipped == 0
+        assert result.n_evaluated == n_evaluated
+        assert result.n_skipped == n_skipped == 0
 
     def test_total_activation_filter(self, rng):
         sys = random_stable_system(rng, 2, 2)
         result = ps.exhaustive_search(sys, K=2, eta=1, total_activations=2)
-        j_ref, _, n_feasible = manual_best(sys, 2, 1, total=2)
+        j_ref, _, n_evaluated, _ = manual_best(sys, 2, 1, total=2)
         assert result.J == pytest.approx(j_ref, rel=1e-12)
-        assert result.n_evaluated == n_feasible == 4
+        assert result.n_evaluated == n_evaluated == 4
         assert result.schedule.total_activations == 2
 
     def test_beats_every_feasible_schedule(self, rng):
@@ -85,9 +113,10 @@ class TestExhaustiveSearch:
 
     def test_tie_rule_holds_across_chunks(self):
         # Every cyclic shift of the line plant's optimum is the same periodic
-        # schedule started at another step, so all seven tie exactly; they
-        # sit in different chunks of the 4,096 leaves, and the winner must
-        # still be the one whose bit string sorts first.
+        # schedule started at another step, so all seven tie exactly. The
+        # search scores the class once, through the shift whose bit string
+        # sorts first, and that shift must be the winner; the 4,096 leaves
+        # still span several chunks, so the strict < across chunks applies.
         sys = ps.load_experiment(LINE4_CONFIG).system
         result = ps.exhaustive_search(sys, K=7, eta=3)
         assert result.n_evaluated == 4096
@@ -97,6 +126,55 @@ class TestExhaustiveSearch:
         bits = ["".join(map(str, mask.ravel())) for mask in shifts]
         assert bits[0] == min(bits) == "00100110010011"
         assert result.J == pytest.approx(1.3134386888690204, rel=1e-12)
+
+    @pytest.mark.parametrize("unstable", [False, True])
+    def test_rotation_classes_match_per_leaf_reference(self, rng, unstable):
+        # (N, M, K, eta, total activations): K = 4 includes classes of 1, 2
+        # and 4 masks, such as 0000, 0101 and 0001 for one sensor.
+        cases = [(2, 1, 4, 4, None), (3, 2, 4, 2, None), (2, 2, 3, 2, 3), (3, 3, 2, 1, None)]
+        class_sizes, skipped = set(), 0
+        for n, m, K, eta, total in cases:
+            for _ in range(2):
+                if unstable:
+                    sys = random_unstable_system(rng, n, m)
+                else:
+                    sys = random_stable_system(rng, n, m)
+                result = ps.exhaustive_search(sys, K=K, eta=eta, total_activations=total)
+                j_ref, _, n_evaluated, n_skipped = manual_best(sys, K, eta, total)
+                assert result.n_evaluated == n_evaluated
+                assert result.n_skipped == n_skipped
+                assert result.J == pytest.approx(j_ref, rel=1e-12)
+                # Rotations of one schedule tie up to roundoff, so the winner is
+                # the smallest rotation of a mask that is optimal within it.
+                winner = result.schedule.mask
+                assert rotations(winner)[0] == min(rotations(winner))
+                j_winner = ps.evaluate_schedule(sys, result.schedule).J
+                assert j_winner == pytest.approx(j_ref, rel=1e-12)
+                skipped += n_skipped
+            if K == 4:
+                for bits in itertools.product((0, 1), repeat=K * m):
+                    mask = np.array(bits).reshape(K, m)
+                    if (mask.sum(axis=0) <= eta).all():
+                        class_sizes.add(len(set(rotations(mask))))
+        assert class_sizes == {1, 2, 4}
+        assert (skipped > 0) == unstable
+
+    def test_one_score_per_rotation_class(self, monkeypatch):
+        # The 4,096 leaves of the line plant at K = 7, eta = 3 form 586
+        # rotation classes: 4,095 masks in classes of 7 plus the empty mask.
+        rows = []
+
+        def spy(sys, masks):
+            rows.append(len(masks))
+            return ps.evaluate_schedules(sys, masks)
+
+        monkeypatch.setattr(baselines, "evaluate_schedules", spy)
+        sys = ps.load_experiment(LINE4_CONFIG).system
+        result = ps.exhaustive_search(sys, K=7, eta=3)
+        assert sum(rows) == 586
+        assert max(rows) <= chunk_length(sys.n_states)
+        assert result.n_evaluated == 4096
+        assert result.n_skipped == 0
 
     def test_budget_refusal_is_upfront(self, rng):
         sys = random_stable_system(rng, 2, 2)

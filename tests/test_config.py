@@ -144,6 +144,56 @@ class TestValidation:
             load_experiment(write_config(tmp_path, text))
 
 
+# (field, config text, the field's line as a template, its integer value there)
+INTEGER_FIELDS = [
+    ("admm.period", FIELD_SYSTEM + ADMM_BLOCK, "period: {}", 4),
+    ("admm.max_iters", FIELD_SYSTEM + ADMM_BLOCK + "  max_iters: 30\n", "max_iters: {}", 30),
+    (
+        "admm.inner_max_iters",
+        FIELD_SYSTEM + ADMM_BLOCK + "  inner_max_iters: 30\n",
+        "inner_max_iters: {}",
+        30,
+    ),
+    ("compare.trials", FIELD_SYSTEM + "compare:\n  trials: 2\n", "trials: {}", 2),
+    ("compare.budget", FIELD_SYSTEM + "compare:\n  budget: 100\n", "budget: {}", 100),
+    (
+        "compare.total_activations",
+        FIELD_SYSTEM + "compare:\n  total_activations: 2\n",
+        "total_activations: {}",
+        2,
+    ),
+    ("system.field.ell_h", FIELD_SYSTEM, "ell_h: {}", 1),
+    ("system.field.ell_v", FIELD_SYSTEM, "ell_v: {}", 1),
+    ("system.field.sensor_sites", FIELD_SYSTEM, "[1, {}]]", 1),
+]
+
+
+def with_value(text, template, old, new):
+    line = template.format(old)
+    assert text.count(line) == 1
+    return text.replace(line, template.format(new))
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("field, text, template, value", INTEGER_FIELDS)
+    @pytest.mark.parametrize("bad", ["4.5", "1.0e-1", "'4'", "true"])
+    def test_non_integral_value_rejected(self, tmp_path, field, text, template, value, bad):
+        path = write_config(tmp_path, with_value(text, template, value, bad))
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("field, text, template, value", INTEGER_FIELDS)
+    def test_integral_float_accepted(self, tmp_path, field, text, template, value):
+        as_int = load_experiment(write_config(tmp_path, text))
+        floated = with_value(text, template, value, f"{value}.0")
+        as_float = load_experiment(write_config(tmp_path, floated, "float.yaml"))
+        assert as_float.admm == as_int.admm
+        for name in ("compare_trials", "compare_budget", "compare_total_activations"):
+            assert repr(getattr(as_float, name)) == repr(getattr(as_int, name))
+        np.testing.assert_array_equal(as_float.system.A, as_int.system.A)
+        np.testing.assert_array_equal(as_float.system.C, as_int.system.C)
+
+
 class TestAdmmSection:
     def test_defaults_applied(self, tmp_path):
         cfg = load_experiment(write_config(tmp_path, FIELD_SYSTEM + ADMM_BLOCK))
