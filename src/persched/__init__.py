@@ -38,7 +38,7 @@ from .exceptions import (
     LineSearchError,
     PerschedError,
 )
-from .gstep import ColumnStack, GStepProblem, g_objective, g_step, select_by_gamma, solve_equality_constrained
+from .gstep import GStepProblem, g_step
 from .linalg import (
     matrix_exponential,
     solve_dlyap,
@@ -49,7 +49,6 @@ from .lstep import (
     LStepProblem,
     LStepResult,
     anderson_moore_update,
-    armijo_step,
     gradient_phi,
     phi_value,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "AssumptionReport",
     "BaselineResult",
     "BudgetError",
-    "ColumnStack",
     "ConfigError",
     "ConvergenceError",
     "CovarianceCycle",
@@ -113,7 +111,6 @@ __all__ = [
     "SweepCell",
     "SystemModel",
     "anderson_moore_update",
-    "armijo_step",
     "benchmark_geometry",
     "benchmark_system",
     "build_diffusion_system",
@@ -123,7 +120,6 @@ __all__ = [
     "evaluate_schedule",
     "evaluate_schedules",
     "exhaustive_search",
-    "g_objective",
     "g_step",
     "gradient_phi",
     "init_gains_for_schedule",
@@ -136,9 +132,7 @@ __all__ = [
     "random_baseline",
     "run",
     "schedule_from_gains",
-    "select_by_gamma",
     "solve_dlyap",
-    "solve_equality_constrained",
     "solve_gain_sylvester",
     "solve_lstep",
     "spectral_radius",

@@ -95,6 +95,14 @@ def _integer(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
+def _number(value, where: str) -> float:
+    """A YAML real field as a float. Ints and floats pass; a string or a
+    boolean is a ConfigError rather than a parse error or a silent 1.0."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
 def _load_matrix(value, base: Path, where: str) -> np.ndarray:
     if isinstance(value, str):
         path = (base / value).resolve()
@@ -137,13 +145,12 @@ def _build_system(section: dict, base: Path) -> SystemModel:
         geom = FieldGeometry(
             ell_h=_integer(f["ell_h"], "system.field.ell_h"),
             ell_v=_integer(f["ell_v"], "system.field.ell_v"),
-            spacing=float(f.get("spacing", 1.0)),
-            sample_interval=float(f.get("sample_interval", 0.5)),
+            spacing=_number(f.get("spacing", 1.0), "system.field.spacing"),
+            sample_interval=_number(f.get("sample_interval", 0.5), "system.field.sample_interval"),
             sensor_sites=tuple((_integer(i, where), _integer(j, where)) for i, j in sites),
         )
-        return build_diffusion_system(
-            geom, q_scale=float(f.get("q_scale", 1.0)), r_scale=float(f.get("r_scale", 1.0))
-        )
+        scales = {k: _number(f.get(k, 1.0), f"system.field.{k}") for k in ("q_scale", "r_scale")}
+        return build_diffusion_system(geom, **scales)
 
     m = _require_mapping(section["matrices"], "system.matrices")
     _check_keys(m, _MATRIX_KEYS, "system.matrices")
@@ -173,7 +180,7 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
             raise ConfigError(f"admm.{key} is required")
     kwargs = {
         "period": _integer(section["period"], "admm.period"),
-        "gamma": float(section["gamma"]),
+        "gamma": _number(section["gamma"], "admm.gamma"),
         "eta": section["eta"] if np.isscalar(section["eta"]) else tuple(section["eta"]),
     }
     for key in ("max_iters", "inner_max_iters"):
@@ -181,9 +188,9 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
             kwargs[key] = _integer(section[key], f"admm.{key}")
     for key in ("rho", "eps", "inner_tol_cap", "armijo_alpha", "armijo_beta"):
         if key in section:
-            kwargs[key] = float(section[key])
+            kwargs[key] = _number(section[key], f"admm.{key}")
     if section.get("zero_tol") is not None:
-        kwargs["zero_tol"] = float(section["zero_tol"])
+        kwargs["zero_tol"] = _number(section["zero_tol"], "admm.zero_tol")
     if section.get("init_schedule") is not None:
         kwargs["init_schedule"] = _load_init_schedule(section["init_schedule"], base)
     try:
@@ -241,7 +248,7 @@ def load_experiment(path) -> ExperimentConfig:
         if "gammas" in s:
             if not isinstance(s["gammas"], list) or not s["gammas"]:
                 raise ConfigError("sweep.gammas must be a non-empty list")
-            sweep_gammas = tuple(float(g) for g in s["gammas"])
+            sweep_gammas = tuple(_number(g, "sweep.gammas") for g in s["gammas"])
         if "etas" in s:
             if not isinstance(s["etas"], list) or not s["etas"]:
                 raise ConfigError("sweep.etas must be a non-empty list")

@@ -20,7 +20,7 @@ from .exceptions import (
     InstabilityError,
     LineSearchError,
 )
-from .linalg import solve_gain_sylvester, symmetrize
+from .linalg import _stack, solve_gain_sylvester, symmetrize
 from .model import SystemModel
 from .periodic import (
     CovarianceCycle,
@@ -36,7 +36,6 @@ __all__ = [
     "phi_value",
     "gradient_phi",
     "anderson_moore_update",
-    "armijo_step",
     "solve",
 ]
 
@@ -60,18 +59,12 @@ class LStepProblem:
     rho: float
 
     def __post_init__(self):
-        u = np.asarray(self.U, dtype=float)
-        if u.ndim == 2:
-            u = u[np.newaxis]
-        if u.ndim != 3:
-            raise DimensionError(f"targets must stack to (K, N, M), got ndim={u.ndim}")
+        u = _stack(self.U, "targets")
         if u.shape[1] != self.sys.n_states or u.shape[2] != self.sys.n_sensors:
             raise DimensionError(
                 f"targets of shape {u.shape} do not match system with "
                 f"N={self.sys.n_states}, M={self.sys.n_sensors}"
             )
-        if not np.all(np.isfinite(u)):
-            raise InputError("targets must be finite")
         if self.rho < 0:
             raise InputError("rho must be nonnegative")
         u = np.ascontiguousarray(u)
@@ -202,7 +195,10 @@ def _armijo(
     phi0: float,
     slope: float,
 ):
-    """Backtracking search. Returns (s, new gains, new phi, new cycle)."""
+    """Backtracking search: the first s in {1, beta, beta^2, ...} with
+    phi(L + s D) < phi0 + alpha * s * slope, where destabilizing trial points
+    count as infinitely bad. Returns (s, new gains, new phi, new cycle) and
+    raises LineSearchError when s underflows."""
     s = 1.0
     while s >= _MIN_STEP:
         trial = PeriodicGains(gains.gains + s * direction)
@@ -211,39 +207,6 @@ def _armijo(
             return s, trial, trial_phi, trial_cycle
         s *= beta
     raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
-
-
-def armijo_step(
-    prob: LStepProblem,
-    gains: PeriodicGains,
-    direction,
-    alpha: float = 0.3,
-    beta: float = 0.5,
-) -> float:
-    """Largest backtracked step size accepted by the sufficient-decrease rule.
-
-    Tries s in {1, beta, beta^2, ...} and returns the first s with
-    phi(L + s D) < phi(L) + alpha * s * <grad, D>. Destabilizing trial
-    points count as infinitely bad and are skipped. Raises LineSearchError
-    if s underflows, and InputError when the direction is not a descent
-    direction.
-    """
-    _check_compatible(prob, gains)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != prob.U.shape:
-        raise DimensionError(
-            f"direction shape {direction.shape} does not match targets {prob.U.shape}"
-        )
-    if not (0 <= alpha < 1) or not (0 < beta < 1):
-        raise InputError("need 0 <= alpha < 1 and 0 < beta < 1")
-    cycle = covariance_limit_cycle(prob.sys, gains)
-    phi0 = _phi_from_cycle(prob, gains, cycle)
-    grad = gradient_phi(prob, gains, cycle=cycle)
-    slope = float(np.sum(grad * direction))
-    if slope >= 0:
-        raise InputError(f"direction is not a descent direction (slope {slope:.3g})")
-    s, _, _, _ = _armijo(prob, gains, direction, alpha, beta, phi0, slope)
-    return s
 
 
 def solve(
@@ -260,9 +223,11 @@ def solve(
     ``tol``, forms the coordinate-solve direction, and backtracks along it.
     The objective decreases strictly at every accepted step. On line-search
     failure the best iterate found so far is returned with the failure flag
-    set instead of raising.
+    set instead of raising. Armijo needs 0 <= alpha < 1 and 0 < beta < 1.
     """
     _check_compatible(prob, init)
+    if not (0 <= alpha < 1) or not (0 < beta < 1):
+        raise InputError("need 0 <= alpha < 1 and 0 < beta < 1")
     if monodromy_spectral_radius(prob.sys, init) >= 1.0:
         raise InstabilityError("initial gains do not stabilize the closed loop")
 

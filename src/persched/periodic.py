@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
-from .linalg import solve_dlyap, spectral_radius, symmetrize
+from .linalg import _stack, solve_dlyap, spectral_radius, symmetrize
 from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
@@ -142,15 +142,9 @@ class PeriodicGains:
     gains: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
-        if g.ndim == 2:
-            g = g[np.newaxis]
-        if g.ndim != 3:
-            raise DimensionError(f"gains must stack to 3-D (K, N, M), got ndim={g.ndim}")
+        g = _stack(self.gains, "gains")
         if g.shape[0] < 1:
             raise DimensionError("gain sequence must have at least one element")
-        if not np.all(np.isfinite(g)):
-            raise InputError("gains must be finite")
         g = np.ascontiguousarray(g)
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
@@ -192,15 +186,9 @@ class CovarianceCycle:
     covariances: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.covariances, dtype=float)
-        if p.ndim == 2:
-            p = p[np.newaxis]
-        if p.ndim != 3 or p.shape[1] != p.shape[2]:
-            raise DimensionError(
-                f"covariances must stack to (K, N, N), got shape {np.shape(self.covariances)}"
-            )
-        if not np.all(np.isfinite(p)):
-            raise InputError("covariances must be finite")
+        p = _stack(self.covariances, "covariances")
+        if p.shape[1] != p.shape[2]:
+            raise DimensionError(f"covariances must be square, got shape {p.shape[1:]}")
         scale = max(1.0, float(np.abs(p).max()))
         drift = float(np.abs(p - p.transpose(0, 2, 1)).max())
         if drift > 1e-9 * scale:
@@ -294,13 +282,9 @@ def monodromy_spectral_radius(sys: SystemModel, gains: PeriodicGains) -> float:
     return spectral_radius(monodromy_matrix(sys, gains))
 
 
-def monodromy_stable(sys: SystemModel, gains: PeriodicGains, margin: float = 0.0) -> bool:
-    """Whether the periodic closed loop is Schur stable.
-
-    A positive ``margin`` demands spectral radius < 1 - margin, which the
-    line search uses to keep iterates safely inside the stability region.
-    """
-    return monodromy_spectral_radius(sys, gains) < 1.0 - margin
+def monodromy_stable(sys: SystemModel, gains: PeriodicGains) -> bool:
+    """Whether the periodic closed loop is Schur stable."""
+    return monodromy_spectral_radius(sys, gains) < 1.0
 
 
 def _step_noise(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
@@ -370,14 +354,9 @@ def value_cycle(sys: SystemModel, gains: PeriodicGains):
     return tuple(values)
 
 
-def objective_J(sys: SystemModel, gains: PeriodicGains, cycle: CovarianceCycle = None) -> float:
-    """Average steady-state error: (1/K) sum of covariance traces.
-
-    Pass a precomputed ``cycle`` to skip the Lyapunov solve.
-    """
-    if cycle is None:
-        cycle = covariance_limit_cycle(sys, gains)
-    return cycle.mean_trace
+def objective_J(sys: SystemModel, gains: PeriodicGains) -> float:
+    """Average steady-state error: (1/K) sum of covariance traces."""
+    return covariance_limit_cycle(sys, gains).mean_trace
 
 
 def schedule_from_gains(gains: PeriodicGains, zero_tol: float = None) -> Schedule:

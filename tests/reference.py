@@ -1,4 +1,5 @@
-"""Reference computations that cross-check the periodic solvers.
+"""Reference computations that cross-check the periodic solvers and the
+sparsification step.
 
 persched computes each limit cycle by one Lyapunov solve in the monodromy
 matrix and the schedule gains by the K coupled Riccati recursions. The
@@ -6,12 +7,17 @@ references here reach the same quantities other ways: the lifted
 (block-cyclic) reformulation of Bittanti & Colaneri, *Periodic Systems*
 (Springer 2009), solved on KN x KN operands with scipy, and the plain
 recursions iterated to a fixed point. They are slow, they need scipy, and
-they stay out of the package.
+they stay out of the package. The sparsification references solve the
+G-step one sensor at a time and by enumerating every support.
 """
+
+import itertools
 
 import numpy as np
 import scipy.linalg
 
+from persched.exceptions import DimensionError
+from persched.gstep import ZERO_COLUMN_TOL
 from persched.periodic import closed_loop_factors, lift_cyclic
 
 
@@ -104,3 +110,48 @@ def lifted_riccati_gains(sys, sched):
         dest = (k + 1) % K
         gains[k, :, i] = gain_lift[dest * n : (dest + 1) * n, row]
     return gains
+
+
+def g_objective(prob, g):
+    """Sparsification objective at a candidate G: gamma times the number of
+    nonzero columns plus the proximal distance (rho/2)||G - S||_F^2."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != prob.S.shape:
+        raise DimensionError(f"candidate shape {g.shape} does not match targets {prob.S.shape}")
+    card = int(np.sum(np.linalg.norm(g, axis=1) > ZERO_COLUMN_TOL))
+    return prob.gamma * card + 0.5 * prob.rho * float(np.sum((g - prob.S) ** 2))
+
+
+def g_step_per_sensor(prob):
+    """The G-step one sensor at a time: rank the sensor's K columns of S by
+    2-norm, ties to the smaller step, and keep the longest prefix whose
+    saving (rho/2) norm^2 covers gamma, capped by eta_m and by the columns
+    above ZERO_COLUMN_TOL."""
+    out = np.zeros_like(prob.S)
+    for m in range(prob.n_sensors):
+        cols = prob.S[:, :, m]
+        norms = np.linalg.norm(cols, axis=1)
+        order = np.lexsort((np.arange(prob.K), -norms))
+        limit = min(prob.eta[m], int(np.sum(norms > ZERO_COLUMN_TOL)))
+        q = int(np.sum(0.5 * prob.rho * norms[order[:limit]] ** 2 >= prob.gamma))
+        out[order[:q], :, m] = cols[order[:q]]
+    return out
+
+
+def g_optimum_enumerated(prob):
+    """Smallest g_objective over every support that keeps at most eta_m
+    columns of sensor m. The objective separates by sensor, so the subsets
+    of steps are enumerated per sensor and the minima added up."""
+    total = 0.0
+    for m in range(prob.n_sensors):
+        norms = np.linalg.norm(prob.S[:, :, m], axis=1)
+        best = np.inf
+        for size in range(prob.eta[m] + 1):
+            for kept in itertools.combinations(range(prob.K), size):
+                mask = np.zeros(prob.K, dtype=bool)
+                mask[list(kept)] = True
+                card = int(np.sum(norms[mask] > ZERO_COLUMN_TOL))
+                dist = float(np.sum(norms[~mask] ** 2))
+                best = min(best, prob.gamma * card + 0.5 * prob.rho * dist)
+        total += best
+    return total

@@ -6,8 +6,6 @@ criterion is visible in one place. The expensive benchmark solves are
 shared through session fixtures; everything else is seeded and cheap.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -95,22 +93,6 @@ def test_criterion_02_coordinate_directions_descend():
     assert passed
 
 
-def brute_force_sparsifier(prob):
-    total = 0.0
-    for m in range(prob.n_sensors):
-        stack = prob.sensor_stack(m)
-        best = np.inf
-        for size in range(prob.eta[m] + 1):
-            for kept in itertools.combinations(range(prob.K), size):
-                mask = np.zeros(prob.K, dtype=bool)
-                mask[list(kept)] = True
-                card = int(np.sum(stack.norms[mask] > ZERO_COLUMN_TOL))
-                dist = float(np.sum(stack.norms[~mask] ** 2))
-                best = min(best, prob.gamma * card + 0.5 * prob.rho * dist)
-        total += best
-    return total
-
-
 def test_criterion_03_sparsifier_is_exact():
     rng = np.random.default_rng(303)
     worst_gap = 0.0
@@ -129,7 +111,7 @@ def test_criterion_03_sparsifier_is_exact():
             eta=tuple(int(e) for e in rng.integers(0, K + 1, size=m)),
         )
         out = ps.g_step(prob)
-        gap = abs(ps.g_objective(prob, out) - brute_force_sparsifier(prob))
+        gap = abs(reference.g_objective(prob, out) - reference.g_optimum_enumerated(prob))
         worst_gap = max(worst_gap, gap)
         counts = (np.linalg.norm(out, axis=1) > ZERO_COLUMN_TOL).sum(axis=0)
         feasible &= bool((counts <= np.array(prob.eta)).all())

@@ -194,6 +194,55 @@ class TestIntegerFields:
         np.testing.assert_array_equal(as_float.system.C, as_int.system.C)
 
 
+# Optional admm real fields, each with a valid value as written in YAML.
+ADMM_NUMBERS = {
+    "rho": "5.0",
+    "eps": "0.01",
+    "inner_tol_cap": "1.0e-6",
+    "armijo_alpha": "0.2",
+    "armijo_beta": "0.6",
+    "zero_tol": "1.0e-8",
+}
+
+# (field, config text, the field's line as a template, its value there as written)
+NUMBER_FIELDS = (
+    [("admm.gamma", FIELD_SYSTEM + ADMM_BLOCK, "gamma: {}", "0.1")]
+    + [
+        (f"admm.{key}", FIELD_SYSTEM + ADMM_BLOCK + f"  {key}: {value}\n", key + ": {}", value)
+        for key, value in ADMM_NUMBERS.items()
+    ]
+    + [
+        (f"system.field.{key}", FIELD_SYSTEM, key + ": {}", value)
+        for key, value in (
+            ("spacing", "1.0"),
+            ("sample_interval", "0.5"),
+            ("q_scale", "0.25"),
+            ("r_scale", "1.0"),
+        )
+    ]
+    + [("sweep.gammas", FIELD_SYSTEM + "sweep:\n  gammas: [0, 0.5]\n", "gammas: [0, {}]", "0.5")]
+)
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize("field, text, template, value", NUMBER_FIELDS)
+    @pytest.mark.parametrize("bad", ["fast", "'0.5'", "1e-3", "true"])
+    def test_non_numeric_value_rejected(self, tmp_path, field, text, template, value, bad):
+        # YAML 1.1 reads 1e-3, without a mantissa point, as a string.
+        path = write_config(tmp_path, with_value(text, template, value, bad))
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            load_experiment(path)
+
+    def test_integers_accepted_as_numbers(self, tmp_path):
+        text = FIELD_SYSTEM + ADMM_BLOCK + "  rho: 5\nsweep:\n  gammas: [0, 2]\n"
+        cfg = load_experiment(write_config(tmp_path, text.replace("spacing: 1.0", "spacing: 1")))
+        assert repr(cfg.admm.rho) == "5.0"
+        assert cfg.sweep_gammas == (0.0, 2.0)
+        assert all(isinstance(g, float) for g in cfg.sweep_gammas)
+        as_float = load_experiment(write_config(tmp_path, FIELD_SYSTEM, "float.yaml"))
+        np.testing.assert_array_equal(cfg.system.A, as_float.system.A)
+
+
 class TestAdmmSection:
     def test_defaults_applied(self, tmp_path):
         cfg = load_experiment(write_config(tmp_path, FIELD_SYSTEM + ADMM_BLOCK))

@@ -1,54 +1,47 @@
-"""Sparsification step: per-sensor column thresholding against brute force."""
-
-import itertools
+"""Sparsification step: column thresholding against per-sensor and brute-force references."""
 
 import numpy as np
 import pytest
 
 import persched as ps
 from persched import DimensionError, InputError
-from persched.gstep import ZERO_COLUMN_TOL, ColumnStack, GStepProblem
+from persched.gstep import ZERO_COLUMN_TOL, GStepProblem
+from tests import reference
 
 
-def brute_force_g(prob: GStepProblem) -> float:
-    """Minimum objective over every feasible support, sensor by sensor.
+def sparsify(s, gamma, rho, eta):
+    return ps.g_step(GStepProblem(S=np.asarray(s, dtype=float), gamma=gamma, rho=rho, eta=eta))
 
-    The objective separates across sensors, so enumerate kept-step subsets
-    independently per sensor and add up the per-sensor minima.
-    """
-    total = 0.0
-    for m in range(prob.n_sensors):
-        stack = prob.sensor_stack(m)
-        norms = stack.norms
-        best = np.inf
-        for size in range(prob.eta[m] + 1):
-            for kept in itertools.combinations(range(prob.K), size):
-                mask = np.zeros(prob.K, dtype=bool)
-                mask[list(kept)] = True
-                card = int(np.sum(norms[mask] > ZERO_COLUMN_TOL))
-                dist = float(np.sum(norms[~mask] ** 2))
-                best = min(best, prob.gamma * card + 0.5 * prob.rho * dist)
-        total += best
-    return total
+
+def single_sensor(cols):
+    """A (K, N) stack of one sensor's columns as (K, N, 1) targets."""
+    return np.asarray(cols, dtype=float)[:, :, np.newaxis]
 
 
 class TestColumnStack:
+    """How g_step reads each sensor's K columns out of the targets."""
+
     def test_single_column_promoted(self):
-        stack = ColumnStack(np.array([3.0, 4.0]))
-        assert stack.K == 2
-        np.testing.assert_allclose(stack.norms, [3.0, 4.0])
+        prob = GStepProblem(S=np.array([[3.0], [4.0]]), gamma=0.0, rho=1.0, eta=1)
+        assert prob.S.shape == (1, 2, 1)
+        np.testing.assert_array_equal(ps.g_step(prob), [[[3.0], [4.0]]])
+
+    def test_bad_rank_rejected(self):
+        for s in (np.ones(3), np.ones((1, 2, 2, 1))):
+            with pytest.raises(DimensionError, match="targets"):
+                GStepProblem(S=s, gamma=0.0, rho=1.0, eta=1)
 
     def test_nonzero_count_uses_tolerance(self):
-        cols = np.array([[1.0, 0.0], [0.5 * ZERO_COLUMN_TOL, 0.0], [0.0, 0.0]])
-        assert ColumnStack(cols).n_nonzero == 1
-
-    def test_inconsistent_stored_norms_rejected(self):
-        with pytest.raises(InputError, match="norms"):
-            ColumnStack(np.eye(2), norms=np.array([2.0, 1.0]))
+        # At or below ZERO_COLUMN_TOL a column is never kept, even at gamma = 0.
+        cols = [[1.0, 0.0], [0.5 * ZERO_COLUMN_TOL, 0.0], [ZERO_COLUMN_TOL, 0.0], [0.0, 0.0]]
+        out = sparsify(single_sensor(cols), gamma=0.0, rho=1.0, eta=4)
+        np.testing.assert_array_equal(out[1:], 0.0)
+        np.testing.assert_array_equal(out[0], [[1.0], [0.0]])
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InputError, match="finite"):
-            ColumnStack(np.array([[np.nan, 0.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="finite"):
+                GStepProblem(S=single_sensor([[bad, 0.0]]), gamma=0.0, rho=1.0, eta=1)
 
 
 class TestGStepProblem:
@@ -79,69 +72,108 @@ class TestGStepProblem:
 
 
 class TestSolveEqualityConstrained:
+    """gamma = 0 leaves only the cap: each sensor keeps its eta largest
+    columns verbatim and zeroes the rest."""
+
     def test_keeps_largest_columns_verbatim(self):
-        cols = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
-        out = ps.solve_equality_constrained(ColumnStack(cols), q=2)
-        np.testing.assert_array_equal(out, [[0.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
+        s = np.zeros((3, 2, 2))
+        s[:, :, 0] = [[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]
+        s[:, :, 1] = [[0.0, -5.0], [0.0, 1.0], [0.0, 4.0]]
+        out = sparsify(s, gamma=0.0, rho=1.0, eta=(2, 1))
+        np.testing.assert_array_equal(out[:, :, 0], [[0.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(out[:, :, 1], [[0.0, -5.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_tie_goes_to_smaller_step(self):
-        cols = np.array([[0.0, 2.0], [2.0, 0.0], [1.0, 1.0]])
-        out = ps.solve_equality_constrained(ColumnStack(cols), q=1)
-        np.testing.assert_array_equal(out, [[0.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+        cols = [[0.0, 2.0], [2.0, 0.0], [1.0, 1.0], [0.0, -2.0]]
+        # Steps 0, 1 and 3 tie at norm 2; each cap keeps the earliest of them.
+        for eta, kept in ((1, [0]), (2, [0, 1]), (3, [0, 1, 3])):
+            out = sparsify(single_sensor(cols), gamma=0.0, rho=1.0, eta=eta)[:, :, 0]
+            expected = np.zeros((4, 2))
+            expected[kept] = np.asarray(cols)[kept]
+            np.testing.assert_array_equal(out, expected)
 
     def test_extremes(self):
-        stack = ColumnStack(np.array([[1.0], [2.0]]))
-        np.testing.assert_array_equal(
-            ps.solve_equality_constrained(stack, 0), np.zeros((2, 1))
-        )
-        np.testing.assert_array_equal(
-            ps.solve_equality_constrained(stack, 2), stack.columns
-        )
-
-    def test_q_out_of_range(self):
-        with pytest.raises(InputError, match="q"):
-            ps.solve_equality_constrained(ColumnStack(np.ones((2, 1))), 3)
+        s = np.arange(1.0, 13.0).reshape(2, 3, 2)
+        np.testing.assert_array_equal(sparsify(s, 0.0, 1.0, eta=0), np.zeros_like(s))
+        np.testing.assert_array_equal(sparsify(s, 0.0, 1.0, eta=2), s)
 
 
 class TestSelectByGamma:
+    """A column stays when its proximal saving (rho/2) ||col||^2 covers gamma."""
+
     def test_threshold_norm(self):
         # With gamma = 0.1 and rho = 10, a column survives when its norm is
         # at least sqrt(2 * gamma / rho) = sqrt(0.02).
         edge = np.sqrt(0.02)
         cols = np.array([[edge + 1e-6, 0.0], [edge, 0.0], [edge - 1e-6, 0.0]])
-        q, out = ps.select_by_gamma(ColumnStack(cols), gamma=0.1, rho=10.0, eta=3)
-        assert q == 2
+        out = sparsify(single_sensor(cols), gamma=0.1, rho=10.0, eta=3)[:, :, 0]
         np.testing.assert_array_equal(out[2], [0.0, 0.0])
         np.testing.assert_array_equal(out[:2], cols[:2])
 
+    def test_equality_keeps_the_column(self):
+        # ||(3, 4)|| = 5 exactly, so the saving (2/2) * 25 equals gamma = 25.
+        s = single_sensor([[3.0, 4.0]])
+        np.testing.assert_array_equal(sparsify(s, gamma=25.0, rho=2.0, eta=1), s)
+        above = np.nextafter(25.0, np.inf)
+        np.testing.assert_array_equal(sparsify(s, gamma=above, rho=2.0, eta=1), np.zeros_like(s))
+
     def test_cap_binds(self):
-        cols = np.array([[3.0], [2.0], [1.0]])
-        q, out = ps.select_by_gamma(ColumnStack(cols), gamma=0.0, rho=1.0, eta=2)
-        assert q == 2
+        out = sparsify(single_sensor([[3.0], [2.0], [1.0]]), gamma=0.0, rho=1.0, eta=2)
         np.testing.assert_array_equal(out.ravel(), [3.0, 2.0, 0.0])
 
     def test_zero_columns_never_selected(self):
-        cols = np.array([[1.0], [0.0], [0.0]])
-        q, out = ps.select_by_gamma(ColumnStack(cols), gamma=0.0, rho=1.0, eta=3)
-        assert q == 1
+        out = sparsify(single_sensor([[1.0], [0.0], [0.0]]), gamma=0.0, rho=1.0, eta=3)
         np.testing.assert_array_equal(out.ravel(), [1.0, 0.0, 0.0])
 
     def test_huge_gamma_clears_everything(self):
-        q, out = ps.select_by_gamma(ColumnStack(np.ones((4, 2))), 1e6, 1.0, 4)
-        assert q == 0
-        np.testing.assert_array_equal(out, np.zeros((4, 2)))
+        out = sparsify(np.ones((4, 2, 3)), gamma=1e6, rho=1.0, eta=4)
+        np.testing.assert_array_equal(out, np.zeros((4, 2, 3)))
 
-    def test_invalid_arguments(self):
-        stack = ColumnStack(np.ones((2, 1)))
-        with pytest.raises(InputError, match="gamma"):
-            ps.select_by_gamma(stack, -1.0, 1.0, 1)
-        with pytest.raises(InputError, match="rho"):
-            ps.select_by_gamma(stack, 0.0, -1.0, 1)
-        with pytest.raises(InputError, match="eta"):
-            ps.select_by_gamma(stack, 0.0, 1.0, 5)
+
+def random_problem(rng):
+    """Random targets with exact norm ties (a column copied to another step,
+    possibly negated), zero columns, and gamma at zero, at random, exactly on
+    one column's saving, or far above every saving."""
+    K, n, m = (int(rng.integers(1, hi + 1)) for hi in (10, 25, 10))
+    s = rng.normal(scale=rng.uniform(0.05, 2.0), size=(K, n, m))
+    for _ in range(int(rng.integers(0, 3))):
+        j, k = rng.integers(m), rng.integers(K, size=2)
+        s[k[0], :, j] = rng.choice([-1.0, 1.0]) * s[k[1], :, j]
+    for _ in range(int(rng.integers(0, 3))):
+        s[rng.integers(K), :, rng.integers(m)] = 0.0
+    rho = float(rng.uniform(0.1, 20.0))
+    norms = np.linalg.norm(s[:, :, int(rng.integers(m))], axis=1)
+    gamma = [0.0, float(rng.uniform(0.0, 1.0)), 0.5 * rho * float(rng.choice(norms)) ** 2, 1e6][
+        int(rng.integers(4))
+    ]
+    eta = tuple(int(e) for e in rng.integers(0, K + 1, size=m))
+    return GStepProblem(S=s, gamma=gamma, rho=rho, eta=eta)
 
 
 class TestGStep:
+    def test_matches_per_sensor_reference_bitwise(self, rng):
+        for _ in range(2000):
+            prob = random_problem(rng)
+            out = ps.g_step(prob)
+            expected = reference.g_step_per_sensor(prob)
+            assert out.shape == expected.shape and out.dtype == expected.dtype
+            assert out.tobytes() == expected.tobytes()
+
+    def test_norm_layout_at_the_gamma_threshold(self):
+        # The column (1, s, ..., s) with s = 5 * 2^-29: summed over one
+        # sensor's contiguous (K, N) stack, its squared norm rounds up to
+        # 1 + 6 ulp; summed step by step down axis 1 of the (K, N, M)
+        # targets, it stays 1. With gamma exactly on the saving of the
+        # sensor-stack norm, the column must be kept.
+        s = np.full((1, 16, 2), 0.5)
+        s[0, :, 0] = [1.0] + [5.0 * 2.0**-29] * 15
+        norm = np.linalg.norm(s[:, :, 0], axis=1)[0]
+        assert np.linalg.norm(s, axis=1)[0, 0] < norm
+        prob = GStepProblem(S=s, gamma=0.5 * 2.0 * norm**2, rho=2.0, eta=1)
+        out = ps.g_step(prob)
+        np.testing.assert_array_equal(out, s)
+        assert out.tobytes() == reference.g_step_per_sensor(prob).tobytes()
+
     def test_matches_brute_force(self, rng):
         for _ in range(200):
             K = int(rng.integers(1, 5))
@@ -159,8 +191,8 @@ class TestGStep:
                 eta=tuple(int(e) for e in rng.integers(0, K + 1, size=m)),
             )
             out = ps.g_step(prob)
-            achieved = ps.g_objective(prob, out)
-            assert achieved == pytest.approx(brute_force_g(prob), abs=1e-12)
+            achieved = reference.g_objective(prob, out)
+            assert achieved == pytest.approx(reference.g_optimum_enumerated(prob), abs=1e-12)
 
     def test_output_feasible(self, rng):
         for _ in range(50):
@@ -188,6 +220,8 @@ class TestGStep:
 
 
 class TestGObjective:
+    """The reference objective that criterion 3 and test_matches_brute_force score with."""
+
     def test_hand_value(self):
         s = np.zeros((2, 2, 1))
         s[0, :, 0] = [3.0, 4.0]
@@ -196,9 +230,9 @@ class TestGObjective:
         # One nonzero column kept at half size: card = 1, distance
         # ||g - s||^2 = 2.5^2 + 2^2 = 10.25, objective 0.7 + 10.25.
         g[0, :, 0] = [0.5, 2.0]
-        assert ps.g_objective(prob, g) == pytest.approx(0.7 + 10.25)
+        assert reference.g_objective(prob, g) == pytest.approx(0.7 + 10.25)
 
     def test_shape_mismatch(self):
         prob = GStepProblem(S=np.zeros((2, 2, 1)), gamma=0.0, rho=1.0, eta=2)
         with pytest.raises(DimensionError, match="shape"):
-            ps.g_objective(prob, np.zeros((2, 2, 2)))
+            reference.g_objective(prob, np.zeros((2, 2, 2)))

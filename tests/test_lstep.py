@@ -149,30 +149,28 @@ class TestAndersonMooreUpdate:
 
 
 class TestArmijoStep:
+    """The backtracking line search inside solve."""
+
     def test_accepted_step_decreases_phi(self, rng):
         sys = random_stable_system(rng, 3, 1)
         gains = PeriodicGains(riccati_start(sys, 2).gains + 0.05 * rng.normal(size=(2, 3, 1)))
         prob = LStepProblem(sys=sys, U=np.zeros((2, 3, 1)), rho=2.0)
-        direction = ps.anderson_moore_update(prob, gains).gains - gains.gains
-        s = ps.armijo_step(prob, gains, direction)
+        result = ps.solve_lstep(prob, gains, tol=0.0, max_iters=1, alpha=0.3)
+        (s,), (slope,) = result.step_sizes, result.descent_history
         assert 0.0 < s <= 1.0
-        trial = PeriodicGains(gains.gains + s * direction)
-        assert ps.phi_value(prob, trial) < ps.phi_value(prob, gains)
-
-    def test_ascent_direction_rejected(self, rng):
-        sys = random_stable_system(rng, 2, 1)
-        gains = PeriodicGains(riccati_start(sys, 1).gains + 0.1)
-        prob = LStepProblem(sys=sys, U=np.zeros((1, 2, 1)), rho=1.0)
-        grad = ps.gradient_phi(prob, gains)
-        with pytest.raises(InputError, match="descent"):
-            ps.armijo_step(prob, gains, grad)
+        phi0, phi1 = result.phi_history
+        assert phi1 == ps.phi_value(prob, result.gains)
+        assert phi1 < phi0 + 0.3 * s * slope < phi0
 
     def test_parameter_validation(self, rng):
-        sys = random_stable_system(rng, 2, 1)
-        gains = riccati_start(sys, 1)
-        prob = LStepProblem(sys=sys, U=np.zeros((1, 2, 1)), rho=1.0)
-        with pytest.raises(InputError, match="alpha"):
-            ps.armijo_step(prob, gains, -ps.gradient_phi(prob, gains), alpha=1.5)
+        # Checked before the first iteration: beta = 1 would retry the unit
+        # step forever.
+        sys = random_stable_system(rng, 3, 2)
+        gains = riccati_start(sys, 2)
+        prob = LStepProblem(sys=sys, U=np.zeros((2, 3, 2)), rho=1.0)
+        for alpha, beta in ((0.9999, 1.0), (1.5, 0.5), (-0.1, 0.5), (0.3, 0.0)):
+            with pytest.raises(InputError, match="alpha"):
+                ps.solve_lstep(prob, gains, alpha=alpha, beta=beta)
 
 
 class TestSolve:
