@@ -54,6 +54,13 @@ class AdmmConfig:
     sequence; bounds must be integers in 1..period. ``zero_tol`` feeds
     schedule extraction (None means relative to the largest gain column),
     and ``init_schedule`` overrides the default staggered starting schedule.
+
+    The gain step is solved inexactly. The first inner solve runs to the
+    gradient-norm tolerance ``inner_tol_cap``; every later one stops at
+    ``max(inner_tol_cap, 0.1 * primal)``, where ``primal`` is the previous
+    outer iteration's primal residual. ``inner_tol_cap`` is thus the floor
+    of the relative rule. The first solve stays tight because at gamma = 0
+    the first sparsification step already fixes the schedule.
     """
 
     period: int
@@ -257,7 +264,14 @@ class AdmmDriver:
         )
 
     def _inner_tol(self) -> float:
-        return min(self.cfg.inner_tol_cap, 0.1 * self._last_primal)
+        """Gradient-norm tolerance of the next gain solve (rule in AdmmConfig).
+
+        ADMM needs the gain step only as accurate as the residual it is
+        shrinking (Boyd et al., FnT ML 2011, section 3.4.4).
+        """
+        if np.isinf(self._last_primal):
+            return self.cfg.inner_tol_cap
+        return max(self.cfg.inner_tol_cap, 0.1 * self._last_primal)
 
     def step(self) -> IterationRecord:
         """Advance one iteration: gain solve, sparsify, dual update."""

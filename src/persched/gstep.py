@@ -70,7 +70,7 @@ class GStepProblem:
     eta: tuple
 
     def __post_init__(self):
-        s = _stack(self.S, "targets")
+        s = np.array(_stack(self.S, "targets"))  # private copy: the caller's stays writeable
         s.setflags(write=False)
         if self.gamma < 0:
             raise InputError("gamma must be nonnegative")

@@ -164,8 +164,9 @@ def solve_dlyap(f, w) -> np.ndarray:
     InstabilityError
         If the spectral radius of ``f`` (of any slice) is >= 1.
     ConvergenceError
-        If the residual contract ||X - FXF^T - W|| / max(1, ||W||) <= 1e-9
-        cannot be met.
+        If the residual contract
+        ||X - FXF^T - W|| / max(1, ||W|| + ||F||^2 ||X||) <= 1e-9
+        (Frobenius norms, per slice) cannot be met.
     """
     fm = _stack(f, "F")
     if fm.shape[1] != fm.shape[2]:
@@ -194,7 +195,9 @@ def solve_dlyap(f, w) -> np.ndarray:
 
     x = symmetrize(x)
     residual = _squared_norms(x - fm @ x @ fm.transpose(0, 2, 1) - wm)
-    excess = residual / np.maximum(1.0, _squared_norms(wm))
+    # Scaled by the size of the terms, so a large X from a non-normal F is judged fairly.
+    scale = np.sqrt(_squared_norms(wm)) + _squared_norms(fm) * np.sqrt(_squared_norms(x))
+    excess = residual / np.maximum(1.0, scale) ** 2
     worst = int(np.argmax(excess))
     if excess[worst] > 1e-18:
         raise ConvergenceError(

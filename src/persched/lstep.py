@@ -67,7 +67,7 @@ class LStepProblem:
             )
         if self.rho < 0:
             raise InputError("rho must be nonnegative")
-        u = np.ascontiguousarray(u)
+        u = np.array(u, order="C")  # private copy: the caller's stays writeable
         u.setflags(write=False)
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "rho", float(self.rho))

@@ -145,7 +145,7 @@ class PeriodicGains:
         g = _stack(self.gains, "gains")
         if g.shape[0] < 1:
             raise DimensionError("gain sequence must have at least one element")
-        g = np.ascontiguousarray(g)
+        g = np.array(g, order="C")  # private copy: the caller's stays writeable
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import persched as ps
-from persched import AdmmConfig, AdmmDriver, InputError, Schedule
+from persched import AdmmConfig, AdmmDriver, InputError, Schedule, lstep
 from persched.gstep import ZERO_COLUMN_TOL
 from tests.conftest import random_stable_system
 
@@ -129,6 +129,26 @@ class TestDriver:
         assert len(driver.trace) == 1
 
 
+class TestInnerTolerance:
+    # At cap 1e-3 the floor binds once the primal residual falls below 1e-2.
+    @pytest.mark.parametrize("cap, floor_binds", [(1e-6, False), (1e-3, True)])
+    def test_tracks_previous_primal_residual(self, rng, monkeypatch, cap, floor_binds):
+        tols, solve = [], lstep.solve
+
+        def recording_solve(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lstep, "solve", recording_solve)
+        report = ps.run(random_stable_system(rng, 3, 2), small_config(inner_tol_cap=cap))
+        assert report.converged
+        assert len(tols) == report.iterations
+        assert tols[0] == cap
+        for i, rec in enumerate(report.trace[:-1]):
+            assert tols[i + 1] == max(cap, 0.1 * rec.primal_residual)
+        assert any(0.1 * rec.primal_residual < cap for rec in report.trace[:-1]) == floor_binds
+
+
 class TestRun:
     def test_small_instance_converges(self, rng):
         sys = random_stable_system(rng, 3, 2)
@@ -174,6 +194,10 @@ class TestRun:
     def test_huge_gamma_empties_schedule(self, rng):
         sys = random_stable_system(rng, 3, 2)
         report = ps.run(sys, small_config(gamma=1e6))
+        # This solve never meets the residual rule and stops at the cap
+        # (ROADMAP item 2: the best visited support, and a status for it).
+        assert report.converged is False
+        assert report.iterations == 150
         assert report.schedule.total_activations == 0
         assert report.j_polished == pytest.approx(
             ps.solve_dlyap(sys.A, sys.q_eff).trace(), rel=1e-9
@@ -193,7 +217,9 @@ class TestRun:
         report = ps.run(sys, small_config(eta=1, period=2))
         d = report.to_dict()
         assert "wall_time" not in d
-        assert d["converged"] is True or d["converged"] is False
+        # This solve stops at the 150-iteration cap (ROADMAP item 2).
+        assert d["converged"] is False
+        assert d["iterations"] == 150
         assert d["config"]["period"] == 2
         assert len(d["trace"]) == report.iterations
 

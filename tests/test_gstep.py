@@ -70,6 +70,14 @@ class TestGStepProblem:
         with pytest.raises(InputError, match="rho"):
             GStepProblem(S=np.zeros((1, 2, 1)), gamma=0.0, rho=0.0, eta=1)
 
+    def test_stores_a_frozen_private_copy(self):
+        s = np.ones((2, 3, 2))
+        prob = GStepProblem(S=s, gamma=0.1, rho=1.0, eta=1)
+        s[0] = 0.0
+        assert s.flags.writeable
+        assert not prob.S.flags.writeable
+        np.testing.assert_array_equal(prob.S, np.ones((2, 3, 2)))
+
 
 class TestSolveEqualityConstrained:
     """gamma = 0 leaves only the cap: each sensor keeps its eta largest

@@ -119,6 +119,22 @@ class TestSolveDlyap:
         x = solve_dlyap(f, w)
         np.testing.assert_allclose(x, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("superdiagonal, min_peak", [(0.25, 150.0), (0.3, 1000.0)])
+    def test_residual_contract_scales_with_solution(self, rng, superdiagonal, min_peak):
+        # ||F^j|| peaks in the hundreds or thousands and ||X|| reaches 1e6 to
+        # 1e8: an absolute residual bar in ||W|| alone cannot be met in
+        # floating point, though the doubling solution is accurate.
+        n = 25
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        t = np.diag(np.linspace(0.5, 0.95, n)) + np.diag(np.full(n - 1, superdiagonal), 1)
+        f = q @ t @ q.T
+        peak = max(np.linalg.norm(np.linalg.matrix_power(f, j), 2) for j in range(400))
+        assert peak > min_peak
+        w = np.eye(n)
+        expected = scipy.linalg.solve_discrete_lyapunov(f, w)
+        x = solve_dlyap(f, w)
+        assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
     def test_solution_is_symmetric_psd(self, rng):
         f = 0.7 * rng.normal(size=(4, 4)) / 2
         w = np.eye(4)

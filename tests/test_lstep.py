@@ -49,6 +49,15 @@ class TestLStepProblem:
         with pytest.raises(DimensionError, match="targets"):
             LStepProblem(sys=sys, U=np.zeros((1, 3, 1)), rho=1.0)
 
+    def test_stores_a_frozen_private_copy(self, rng):
+        sys = random_stable_system(rng, 2, 1)
+        u = np.ones((2, 2, 1))
+        prob = LStepProblem(sys=sys, U=u, rho=1.0)
+        u[0] = 0.0
+        assert u.flags.writeable
+        assert not prob.U.flags.writeable
+        np.testing.assert_array_equal(prob.U, np.ones((2, 2, 1)))
+
 
 class TestPhiValue:
     def test_equals_trace_sum_plus_penalty(self, rng):

@@ -81,6 +81,14 @@ class TestPeriodicGains:
         assert len(g) == 3
         np.testing.assert_array_equal(g[1], [[4.0, 5.0], [6.0, 7.0]])
 
+    def test_stores_a_frozen_private_copy(self):
+        s = np.ones((2, 3, 2))
+        g = PeriodicGains(s)
+        s[0] = 0.0
+        assert s.flags.writeable
+        assert not g.gains.flags.writeable
+        np.testing.assert_array_equal(g.gains, np.ones((2, 3, 2)))
+
 
 class TestLiftCyclic:
     def test_cyclic_block_positions(self):
