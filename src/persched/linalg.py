@@ -177,7 +177,14 @@ def solve_dlyap(f, w) -> np.ndarray:
     wm = _symmetric_stack(w, "W")
     if fm.shape != wm.shape:
         raise DimensionError(f"F and W shapes differ: {np.shape(f)} vs {np.shape(w)}")
+    x = _smith_doubling(fm, wm, rho)
+    return x if np.ndim(f) == 3 else x[0]
 
+
+def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """solve_dlyap's doubling and residual contract on (T, n, n) stacks F and
+    symmetric W whose spectral radii ``rho`` (named in the error message) the
+    caller has already tested to be below 1."""
     # live: slices still doubling; g in C order, so rounding ignores F's layout.
     x, live, xl, g = np.empty_like(wm), np.arange(len(fm)), wm, np.ascontiguousarray(fm)
     for _ in range(200):
@@ -199,12 +206,12 @@ def solve_dlyap(f, w) -> np.ndarray:
     scale = np.sqrt(_squared_norms(wm)) + _squared_norms(fm) * np.sqrt(_squared_norms(x))
     excess = residual / np.maximum(1.0, scale) ** 2
     worst = int(np.argmax(excess))
-    if excess[worst] > 1e-18:
+    if not excess[worst] <= 1e-18:  # an overflowed residual is NaN, and fails too
         raise ConvergenceError(
             f"Lyapunov residual {np.sqrt(residual[worst]):.3g} exceeds contract "
             f"for radius {rho[worst]:.6g}"
         )
-    return x if np.ndim(f) == 3 else x[0]
+    return x
 
 
 def solve_gain_sylvester(v, d, rho: float, rhs) -> np.ndarray:

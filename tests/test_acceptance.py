@@ -284,6 +284,14 @@ def test_criterion_09_objective_monotone_in_activation_bound(benchmark_gamma0_sw
     assert passed
 
 
+def test_gamma0_sweep_states_its_status(benchmark_gamma0_sweep):
+    # eta = 1 never settles: its support keeps changing until the cap.
+    capped = benchmark_gamma0_sweep[1]
+    assert capped.converged is False
+    assert capped.iterations == 200
+    assert all(benchmark_gamma0_sweep[eta].converged for eta in range(2, 11))
+
+
 TWO_SENSOR_ORACLE_J = 3.712625165776317
 
 

@@ -14,7 +14,7 @@ from persched import (
     solve_gain_sylvester,
     spectral_radius,
 )
-from persched.linalg import psd_sqrt, require_symmetric, symmetrize
+from persched.linalg import _smith_doubling, psd_sqrt, require_symmetric, symmetrize
 
 
 class TestMatrixExponential:
@@ -145,6 +145,26 @@ class TestSolveDlyap:
     def test_unstable_raises(self):
         with pytest.raises(InstabilityError, match="spectral radius"):
             solve_dlyap(np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_overflowing_doubling_fails_to_settle(self):
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="failed to settle"):
+            solve_dlyap(0.9 * np.eye(2), 1e308 * np.eye(2))
+
+    def test_overflowed_residual_fails_the_contract(self):
+        # The doubling sums overflow their squared norms and stop early at
+        # 1.81e300 in place of 5.26e300; the residual's norm overflows too,
+        # and a residual that cannot be measured does not meet the contract.
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
+            solve_dlyap(0.9 * np.eye(2), 1e300 * np.eye(2))
+
+    def test_residual_contract_rejects_a_settled_non_solution(self):
+        # A quarter turn F maps W = diag(1, -1) to -W, so the first doubling
+        # step cancels the sum to exactly 0 and the next one settles there.
+        # X = 0 leaves the residual -W: the kernel must refuse it.
+        f = np.array([[[0.0, -1.0], [1.0, 0.0]]])
+        w = np.diag([1.0, -1.0])[np.newaxis]
+        with pytest.raises(ConvergenceError, match="exceeds contract for radius 1"):
+            _smith_doubling(f, w, np.ones(1))
 
     def test_asymmetric_w_rejected(self):
         with pytest.raises(InputError, match="symmetric"):

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import persched as ps
 from persched import (
@@ -474,6 +476,99 @@ class TestEvaluateSchedules:
             ps.evaluate_schedules(sys, np.ones((1, 2, 3)))
         with pytest.raises(InputError, match="0 or 1"):
             ps.evaluate_schedules(sys, np.full((1, 2, 2), 2))
+
+
+def hard_plant(rng, n, m, cond_r, unstable):
+    """Plant with a dense, correlated R of condition number ``cond_r`` and,
+    when ``unstable``, one real mode at 1.2, which leaves the schedules that
+    do not see it undetectable; the other modes lie within 0.9 of the
+    origin."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    t = np.triu(rng.normal(scale=0.3, size=(n, n)), 1)
+    np.fill_diagonal(t, rng.uniform(-0.9, 0.9, size=n))
+    if unstable:
+        t[0, 0] = 1.2
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    r = (u * np.geomspace(1.0, cond_r, m)) @ u.T
+    return SystemModel(A=q @ t @ q.T, B=np.eye(n), C=rng.normal(size=(m, n)), Q=np.eye(n), R=r)
+
+
+def hard_masks(rng, K, m):
+    """A random stack led by the all-empty and the all-on schedule, then one
+    schedule with a step that measures nothing and one with a step that
+    measures everything."""
+    masks = (rng.random((int(rng.integers(4, 10)), K, m)) < rng.uniform(0.2, 0.8)).astype(np.int8)
+    masks[0], masks[1] = 0, 1
+    masks[2, rng.integers(K)] = 0
+    masks[3, rng.integers(K)] = 1
+    return masks
+
+
+def single_J(sys, mask):
+    """evaluate_schedule's J, or NaN where it raises."""
+    try:
+        return ps.evaluate_schedule(sys, Schedule(mask)).J
+    except (InitializationError, InstabilityError):
+        return np.nan
+
+
+def hard_case(test):
+    """Draw (seed, n, m, K, cond(R), unstable) for the masked-Riccati
+    properties, with the named corners always among the examples."""
+    test = example(seed=3, n=2, m=5, K=1, cond_r=1e6, unstable=True)(test)
+    test = example(seed=4, n=3, m=10, K=3, cond_r=1e4, unstable=False)(test)
+    test = given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 12),
+        K=st.integers(1, 4),
+        cond_r=st.sampled_from([1.0, 1e2, 1e4, 1e6]),
+        unstable=st.booleans(),
+    )(test)
+    return settings(max_examples=40, deadline=None, derandomize=True, database=None)(test)
+
+
+class TestMaskedRiccatiProperties:
+    """evaluate_schedules on plants beyond the stable diffusion family:
+    dense correlated R with cond(R) up to 1e6, an unstable but detectable A,
+    M > N, K = 1, and steps that measure nothing or everything."""
+
+    @hard_case
+    def test_matches_restricted_reference(self, seed, n, m, K, cond_r, unstable):
+        rng = np.random.default_rng(seed)
+        sys = hard_plant(rng, n, m, cond_r, unstable)
+        masks = hard_masks(rng, K, m)
+        values = ps.evaluate_schedules(sys, masks)
+        if not unstable:
+            assert np.isfinite(values).all()
+        # Both sides are backward stable; their J differ by the roundoff the
+        # innovation's conditioning, at most cond(R), amplifies.
+        rtol = max(1e-12, 10.0 * np.linalg.cond(sys.R) * np.finfo(float).eps)
+        for mask, value in zip(masks, values):
+            if np.isfinite(value):
+                np.testing.assert_allclose(value, restricted_riccati_J(sys, mask), rtol=rtol)
+
+    @hard_case
+    def test_J_ignores_companions_in_the_stack(self, seed, n, m, K, cond_r, unstable):
+        rng = np.random.default_rng(seed)
+        sys = hard_plant(rng, n, m, cond_r, unstable)
+        masks = hard_masks(rng, K, m)
+        order = np.concatenate([rng.permutation(len(masks)), rng.integers(len(masks), size=4)])
+        expected = [single_J(sys, masks[i]) for i in order]
+        np.testing.assert_array_equal(ps.evaluate_schedules(sys, masks[order]), expected)
+
+    @hard_case
+    def test_inactive_gain_columns_are_positive_zero(self, seed, n, m, K, cond_r, unstable):
+        rng = np.random.default_rng(seed)
+        sys = hard_plant(rng, n, m, cond_r, unstable)
+        for mask in hard_masks(rng, K, m):
+            try:
+                gains = ps.init_gains_for_schedule(sys, Schedule(mask)).gains
+            except InitializationError:
+                assert unstable
+                continue
+            inactive = gains.transpose(0, 2, 1)[mask == 0]
+            assert (inactive == 0.0).all() and not np.signbit(inactive).any()
 
 
 class TestCovarianceCycleType:
