@@ -6,7 +6,7 @@ six sit near the cold boundary. Walking the sparsity penalty upward
 prunes the cheap tier first, then everything, tracing out the
 price curve between "measure everything" and "measure nothing".
 
-Takes about a minute: each point is a full solve on the 25-state plant.
+Takes a few seconds: each point is a full solve on the 25-state plant.
 The CLI equivalent writes the same data to CSV:
 
     persched sweep configs/tradeoff_sweep.yaml --out out/tradeoff

@@ -201,15 +201,16 @@ def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarr
         raise ConvergenceError("doubling iteration failed to settle")
 
     x = symmetrize(x)
-    residual = _squared_norms(x - fm @ x @ fm.transpose(0, 2, 1) - wm)
+    residual = np.sqrt(_squared_norms(x - fm @ x @ fm.transpose(0, 2, 1) - wm))
     # Scaled by the size of the terms, so a large X from a non-normal F is judged fairly.
     scale = np.sqrt(_squared_norms(wm)) + _squared_norms(fm) * np.sqrt(_squared_norms(x))
-    excess = residual / np.maximum(1.0, scale) ** 2
+    # An overflowed norm, of the residual or of a term, leaves the excess NaN,
+    # and fails: past about 1e154 the settle test above is no test either.
+    excess = np.where(np.isfinite(scale), residual / np.maximum(1.0, scale), np.nan)
     worst = int(np.argmax(excess))
-    if not excess[worst] <= 1e-18:  # an overflowed residual is NaN, and fails too
+    if not excess[worst] <= 1e-9:
         raise ConvergenceError(
-            f"Lyapunov residual {np.sqrt(residual[worst]):.3g} exceeds contract "
-            f"for radius {rho[worst]:.6g}"
+            f"Lyapunov residual {residual[worst]:.3g} exceeds contract for radius {rho[worst]:.6g}"
         )
     return x
 

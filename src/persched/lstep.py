@@ -25,6 +25,7 @@ from .model import SystemModel
 from .periodic import (
     CovarianceCycle,
     PeriodicGains,
+    closed_loop_factors,
     covariance_limit_cycle,
     monodromy_spectral_radius,
     value_cycle,
@@ -142,17 +143,13 @@ def gradient_phi(
         cycle = covariance_limit_cycle(sys, gains)
     if values is None:
         values = value_cycle(sys, gains)
-    K = prob.K
-    grad = np.empty_like(prob.U)
-    for k in range(K):
-        v_next = values[(k + 1) % K]
-        closed = sys.A - gains[k] @ sys.C
-        grad[k] = (
-            2.0 * v_next @ gains[k] @ sys.R
-            - 2.0 * v_next @ closed @ cycle[k] @ sys.C.T
-            + prob.rho * (gains[k] - prob.U[k])
-        )
-    return grad
+    v_next = np.roll(np.stack(values), -1, axis=0)
+    closed = closed_loop_factors(sys, gains)
+    return (
+        2.0 * v_next @ gains.gains @ sys.R
+        - 2.0 * v_next @ closed @ cycle.covariances @ sys.C.T
+        + prob.rho * (gains.gains - prob.U)
+    )
 
 
 def anderson_moore_update(

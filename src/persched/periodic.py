@@ -5,9 +5,12 @@ block-cyclic lifting, monodromy stability tests, covariance and value limit
 cycles, the trace objective, schedule extraction from gain sparsity, and
 Riccati-optimal gains for a fixed activation schedule.
 
-Each limit cycle has one route: one N x N discrete Lyapunov equation in the
-monodromy matrix, then one propagation around the period. Schedule gains
-come from the K coupled Riccati recursions of the schedule. The lifted
+One kernel, _limit_cycles, computes every periodic limit cycle for a stack
+of loops: one monodromy radius test, one N x N Lyapunov solve in the
+monodromy matrix, one propagation around the period. The value cycle is the
+covariance recursion run backwards in time on the transposed factors with
+noise I (Bittanti & Colaneri, *Periodic Systems*, 2009, ch. 3). Schedule
+gains come from the K coupled Riccati recursions of the schedule. The lifted
 (block-cyclic) reformulation, which solves the same problems on KN x KN
 operands, and the plain recursions iterated to a fixed point serve as
 cross-checks in tests/reference.py.
@@ -21,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
-from .linalg import _smith_doubling, _stack, solve_dlyap, spectral_radius, symmetrize
+from .linalg import _smith_doubling, _stack, spectral_radius, symmetrize
 from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
@@ -293,25 +296,44 @@ def _step_noise(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
     return symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
 
 
-def _period_map(n: int, steps) -> tuple:
-    """Pi = F_{K-1} ... F_0 and W_acc = sum_k Psi_k W_k Psi_k^T, Psi_k =
-    F_{K-1} ... F_{k+1}, so that P_0 = Pi P_0 Pi^T + W_acc. ``steps`` yields
-    (F_k, W_k) for k = K-1 down to 0, as matrices or (T, N, N) stacks."""
-    w_acc = np.zeros((n, n))
-    psi = np.eye(n)
-    for f_k, w_k in steps:
-        w_acc = w_acc + psi @ w_k @ psi.swapaxes(-1, -2)
-        psi = psi @ f_k
-    return psi, symmetrize(w_acc)
+def _limit_cycles(n: int, K: int, step) -> tuple:
+    """The limit cycles X_{k+1} = F_k X_k F_k^T + W_k, X_K = X_0, of T loops;
+    step(k) gives (F_k, W_k) as (T, N, N) stacks. A loop is stable, and has
+    a cycle, when its monodromy Pi = F_{K-1} ... F_0 has spectral radius
+    below 1; then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k Psi_k^T, where
+    Psi_k = F_{K-1} ... F_{k+1}. Returns the (T,) radii, the indices of the
+    stable loops and their (S, K, N, N) cycles."""
+    pi, w_acc = np.eye(n), np.zeros((n, n))
+    for k in range(K - 1, -1, -1):
+        f_k, w_k = step(k)
+        w_acc = w_acc + pi @ w_k @ pi.swapaxes(-1, -2)
+        pi = pi @ f_k
+    rho = np.abs(np.linalg.eigvals(pi)).max(axis=1)
+    stable = np.flatnonzero(rho < 1.0)
+    keep = stable if stable.size < rho.size else slice(None)  # a view when all are stable
+    cycles = np.empty((stable.size, K, n, n))
+    if stable.size:
+        cycles[:, 0] = _smith_doubling(pi[keep], symmetrize(w_acc[keep]), rho[keep])
+        for k in range(K - 1):
+            f_k, w_k = (x[keep] for x in step(k))
+            cycles[:, k + 1] = symmetrize(f_k @ cycles[:, k] @ f_k.transpose(0, 2, 1) + w_k)
+    return rho, stable, cycles
 
 
-def _solve_monodromy(pi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X = Pi X Pi^T + W. solve_dlyap's radius test is the only stability
-    check of the limit cycles; its failure is reported as the loop's."""
-    try:
-        return solve_dlyap(pi, w)
-    except InstabilityError as exc:
-        raise InstabilityError(f"monodromy {exc}") from exc
+def _covariance_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
+    """_limit_cycles of the covariances of a (T, K, N, M) gain stack, step by step."""
+
+    def step(k):
+        return sys.A - gains[:, k] @ sys.C, _step_noise(sys, gains[:, k])
+
+    return _limit_cycles(sys.n_states, gains.shape[1], step)
+
+
+def _single_cycle(rho: np.ndarray, stable: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+    """The (K, N, N) cycle of a one-loop _limit_cycles result."""
+    if not stable.size:
+        raise InstabilityError(f"monodromy spectral radius {rho[0]:.6g} >= 1; no unique cycle")
+    return cycles[0]
 
 
 def covariance_limit_cycle(sys: SystemModel, gains: PeriodicGains) -> CovarianceCycle:
@@ -321,37 +343,24 @@ def covariance_limit_cycle(sys: SystemModel, gains: PeriodicGains) -> Covariance
     F_k = A - L_k C and W_k = B Q B^T + L_k R L_k^T: one Lyapunov solve in
     the monodromy matrix gives P_0, and the recursion gives the rest.
     """
-    factors = closed_loop_factors(sys, gains)
-    noise = _step_noise(sys, gains.gains)
-    K, n = factors.shape[0], factors.shape[1]
-    pi, w_acc = _period_map(n, zip(factors[::-1], noise[::-1]))
-    covs = np.empty((K, n, n))
-    covs[0] = _solve_monodromy(pi, w_acc)
-    for k in range(K - 1):
-        covs[k + 1] = symmetrize(factors[k] @ covs[k] @ factors[k].T + noise[k])
-    return CovarianceCycle(covs)
+    factors = closed_loop_factors(sys, gains)[:, np.newaxis]
+    noise = _step_noise(sys, gains.gains)[:, np.newaxis]
+    cycles = _limit_cycles(sys.n_states, gains.K, lambda k: (factors[k], noise[k]))
+    return CovarianceCycle(_single_cycle(*cycles))
 
 
 def value_cycle(sys: SystemModel, gains: PeriodicGains):
     """Unique periodic solution of V_k = F_k^T V_{k+1} F_k + I.
 
-    Returns a tuple (V_0, ..., V_{K-1}); each V_k is symmetric and at least
-    the identity in the semidefinite order.
+    This is the covariance recursion run backwards in time: with
+    G_j = F_{K-1-j}^T, the cycle of X_{j+1} = G_j X_j G_j^T + I lists
+    V_0, V_{K-1}, ..., V_1. Returns a tuple (V_0, ..., V_{K-1}); each V_k is
+    symmetric and at least the identity in the semidefinite order.
     """
-    factors = closed_loop_factors(sys, gains)
-    K, n = factors.shape[0], factors.shape[1]
-    eye = np.eye(n)
-    # m_acc = sum_k Phi_k^T Phi_k with prefix products Phi_k = F_{k-1}...F_0,
-    # so V_0 solves V_0 = Pi^T V_0 Pi + m_acc; the loop leaves phi = Pi.
-    m_acc = np.zeros((n, n))
-    phi = eye
-    for k in range(K):
-        m_acc += phi.T @ phi
-        phi = factors[k] @ phi
-    values = [_solve_monodromy(phi.T, symmetrize(m_acc))] * K
-    for k in range(K - 1, 0, -1):
-        values[k] = symmetrize(factors[k].T @ values[(k + 1) % K] @ factors[k] + eye)
-    return tuple(values)
+    reversed_factors = closed_loop_factors(sys, gains).transpose(0, 2, 1)[::-1, np.newaxis]
+    eye = np.eye(sys.n_states)[np.newaxis]
+    cycles = _limit_cycles(sys.n_states, gains.K, lambda j: (reversed_factors[j], eye))
+    return tuple(np.roll(_single_cycle(*cycles)[::-1], 1, axis=0))
 
 
 def objective_J(sys: SystemModel, gains: PeriodicGains) -> float:
@@ -436,7 +445,8 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     """Indices of the schedules of a (T, K, M) boolean stack whose Riccati
     sweeps from P = B Q B^T settle within _RICCATI_MAX_SWEEPS, each at its
     own first sweep with relative change <= _RICCATI_TOL, and their
-    (S, K, N, M) gains, whose inactive columns are +0.0.
+    (S, K, N, M) gains, whose inactive columns are +0.0. A sweep whose norm
+    is not finite has diverged beyond measure and leaves unsettled at once.
 
     The masked operands are built once for the stack, T K M (N + M) floats:
     for a chunk of evaluate_schedules, at most _CHUNK_FLOATS K M (N + M) / N^2,
@@ -453,9 +463,12 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
         for k in range(K):
             _, p = _riccati_step(sys, p, c[:, k], r[:, k])
         change = np.linalg.norm(p - start, axis=(1, 2))
-        done = change <= _RICCATI_TOL * np.maximum(1.0, np.linalg.norm(p, axis=(1, 2)))
+        norm = np.linalg.norm(p, axis=(1, 2))
+        finite = np.isfinite(norm)
+        done = finite & (change <= _RICCATI_TOL * np.maximum(1.0, norm))
         settled_p[live[done]], settled[live[done]] = p[done], True
-        live, p, c, r = live[~done], p[~done], c[~done], r[~done]
+        going = finite & ~done
+        live, p, c, r = live[going], p[going], c[going], r[going]
         if not live.size:
             break
     idx = np.flatnonzero(settled)
@@ -468,17 +481,9 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     return idx, gains
 
 
-def init_gains_for_schedule(sys: SystemModel, sched: Schedule) -> PeriodicGains:
-    """Riccati-optimal periodic gains for a fixed activation schedule.
-
-    Iterates the K coupled Riccati recursions with each step's observation
-    restricted to the scheduled sensors, so the returned gains carry the
-    schedule's column-sparsity pattern exactly and the closed loop is
-    stable.
-
-    Raises InitializationError when the schedule leaves an unstable mode
-    unobserved or the iteration fails to settle.
-    """
+def _evaluate(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
+    """The gate, the Riccati sweep and the covariance cycle of evaluate_schedule
+    and init_gains_for_schedule; the cycle's radius test is the one stability check."""
     if sched.n_sensors != sys.n_sensors:
         raise DimensionError(
             f"schedule has {sched.n_sensors} sensor columns, system has {sys.n_sensors}"
@@ -489,10 +494,25 @@ def init_gains_for_schedule(sys: SystemModel, sched: Schedule) -> PeriodicGains:
         raise InitializationError(
             f"periodic Riccati iteration did not settle within {_RICCATI_MAX_SWEEPS} sweeps"
         )
-    result = PeriodicGains(gains[0])
-    if not monodromy_stable(sys, result):
+    _, stable, cycles = _covariance_cycles(sys, gains)
+    if not stable.size:
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
-    return result
+    cycle = CovarianceCycle(cycles[0])
+    return ScheduleEvaluation(J=cycle.mean_trace, gains=PeriodicGains(gains[0]), cycle=cycle)
+
+
+def init_gains_for_schedule(sys: SystemModel, sched: Schedule) -> PeriodicGains:
+    """Riccati-optimal periodic gains for a fixed activation schedule.
+
+    Iterates the K coupled Riccati recursions with each step's observation
+    restricted to the scheduled sensors, so the returned gains carry the
+    schedule's column-sparsity pattern exactly and the closed loop is
+    stable.
+
+    Raises InitializationError when the schedule leaves an unstable mode
+    unobserved, the iteration fails to settle, or the closed loop is unstable.
+    """
+    return _evaluate(sys, sched).gains
 
 
 def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
@@ -502,9 +522,7 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     covariance limit cycle they induce, and the average trace J.
     evaluate_schedules gives the same J for many schedules at once.
     """
-    gains = init_gains_for_schedule(sys, sched)
-    cycle = covariance_limit_cycle(sys, gains)
-    return ScheduleEvaluation(J=cycle.mean_trace, gains=gains, cycle=cycle)
+    return _evaluate(sys, sched)
 
 
 def chunk_length(n_states: int) -> int:
@@ -517,9 +535,8 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     where evaluate_schedule raises InitializationError or InstabilityError (an
     unstable mode unobserved, an unsettled Riccati iteration, an unstable closed
     loop). Chunks of chunk_length(N) schedules share one stacked Riccati
-    recursion, monodromy accumulation and Lyapunov solve; the spectrum that
-    filters a chunk's unstable loops is the Lyapunov solve's radius test too.
-    A schedule's J does not depend on the other schedules of the stack."""
+    recursion and one _limit_cycles call. A schedule's J does not depend on
+    the other schedules of the stack."""
     arr = np.asarray(masks)
     if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != sys.n_sensors:
         raise DimensionError(f"masks must stack to (T, K, {sys.n_sensors}), got {arr.shape}")
@@ -533,25 +550,9 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     step = chunk_length(sys.n_states)
     for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
         idx, gains = _periodic_riccati(sys, arr[chunk] == 1)
-        steps = (_loop_step(sys, gains, k) for k in range(K - 1, -1, -1))
-        pi, w_acc = _period_map(sys.n_states, steps)
-        rho = np.abs(np.linalg.eigvals(pi)).max(axis=1)
-        stable = rho < 1.0
-        idx, gains = idx[stable], gains[stable]
-        if idx.size:
-            p = _smith_doubling(pi[stable], w_acc[stable], rho[stable])
-            traces = [np.trace(p, axis1=1, axis2=2)]
-            for k in range(K - 1):
-                f_k, w_k = _loop_step(sys, gains, k)
-                p = symmetrize(f_k @ p @ f_k.transpose(0, 2, 1) + w_k)
-                traces.append(np.trace(p, axis1=1, axis2=2))
-            J[chunk[idx]] = np.stack(traces, axis=1).mean(axis=1)
+        _, stable, cycles = _covariance_cycles(sys, gains)
+        J[chunk[idx[stable]]] = np.trace(cycles, axis1=2, axis2=3).mean(axis=1)
     return J
-
-
-def _loop_step(sys: SystemModel, gains: np.ndarray, k: int) -> tuple:
-    """(F_k, W_k) of every schedule of a (T, K, N, M) gain stack."""
-    return sys.A - gains[:, k] @ sys.C, _step_noise(sys, gains[:, k])
 
 
 def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: CovarianceCycle) -> float:

@@ -1,7 +1,7 @@
 """The demo scripts run to completion against the current API.
 
-Demo 03 solves the 25-state benchmark over a sweep of penalties and takes
-tens of seconds, so it stays out of this smoke test.
+Demo 03 solves the 25-state benchmark over a sweep of penalties, the
+high-penalty solves among them, in a few seconds.
 """
 
 import os
@@ -16,7 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "script",
-    ["01_periodic_estimation.py", "02_sensor_staggering.py", "04_baselines_and_oracle.py"],
+    [
+        "01_periodic_estimation.py",
+        "02_sensor_staggering.py",
+        "03_sparsity_tradeoff.py",
+        "04_baselines_and_oracle.py",
+    ],
 )
 def test_demo_runs(script, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}

@@ -157,6 +157,15 @@ class TestSolveDlyap:
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
             solve_dlyap(0.9 * np.eye(2), 1e300 * np.eye(2))
 
+    def test_overflowed_norm_fails_the_contract(self):
+        # From about 1e154 the squared Frobenius norms overflow: the settle
+        # test reads inf <= 1e-32 * inf and stops at 1.81e154, where the
+        # solution is 5.26e154, and the contract's scale is inf too.
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
+            solve_dlyap(0.9 * np.eye(2), 1e154 * np.eye(2))
+        x = solve_dlyap(0.9 * np.eye(2), 1e153 * np.eye(2))
+        np.testing.assert_allclose(x, np.eye(2) * 1e153 / 0.19, rtol=1e-14)
+
     def test_residual_contract_rejects_a_settled_non_solution(self):
         # A quarter turn F maps W = diag(1, -1) to -W, so the first doubling
         # step cancels the sum to exactly 0 and the next one settles there.
@@ -194,8 +203,8 @@ class TestSolveDlyap:
                 )
 
     def test_result_ignores_memory_layout(self, rng):
-        # value_cycle passes the transposed monodromy as a view; its solution
-        # must round exactly as that of a C-ordered copy.
+        # solve_dlyap takes F in any memory layout; a transposed view must
+        # round exactly as its C-ordered copy.
         f, w = self.stack_at_radii(rng, 25, (0.9,))
         view = f[0].T
         np.testing.assert_array_equal(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persched as ps
+from persched import periodic
 from persched import (
     CovarianceCycle,
     DimensionError,
@@ -468,6 +469,30 @@ class TestEvaluateSchedules:
         assert 0 < sum(raised) < len(masks)
         np.testing.assert_array_equal(np.isnan(values), raised)
 
+    def test_overflowed_riccati_sweep_leaves_unsettled(self, monkeypatch):
+        # The empty schedule leaves the mode at 1.2 unobserved, so the sweeps
+        # grow until their Frobenius norms overflow; inf <= tol * inf must
+        # not read as settled, and the sweep must stop there.
+        sys = SystemModel(
+            A=np.diag([1.2, 0.5, 0.3]),
+            B=np.eye(3),
+            C=np.array([[0.0, 1.0, 0.0]]),
+            Q=np.eye(3),
+            R=np.eye(1),
+        )
+        steps = []
+        riccati_step = periodic._riccati_step
+
+        def counted(*args):
+            steps.append(args)
+            return riccati_step(*args)
+
+        monkeypatch.setattr(periodic, "_riccati_step", counted)
+        with np.errstate(all="ignore"):
+            idx, gains = periodic._periodic_riccati(sys, np.zeros((1, 1, 1), dtype=bool))
+        assert idx.size == 0 and gains.shape == (0, 1, 3, 1)
+        assert len(steps) < 2000  # about 970 sweeps reach the overflow
+
     def test_rejects_bad_masks(self, rng):
         sys = random_stable_system(rng, 2, 2)
         with pytest.raises(DimensionError, match="masks"):
@@ -569,6 +594,110 @@ class TestMaskedRiccatiProperties:
                 continue
             inactive = gains.transpose(0, 2, 1)[mask == 0]
             assert (inactive == 0.0).all() and not np.signbit(inactive).any()
+
+
+def detectable_plant(rng, n, m, top):
+    """Non-normal plant whose spectral radius ``top`` (1 to 1.2) belongs to a
+    real mode that a dense C observes; the other modes lie within 0.9 of the
+    origin."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    t = np.triu(rng.normal(scale=0.3, size=(n, n)), 1)
+    np.fill_diagonal(t, rng.uniform(-0.9, 0.9, size=n))
+    t[0, 0] = top
+    return SystemModel(A=q @ t @ q.T, B=np.eye(n), C=rng.normal(size=(m, n)), Q=np.eye(n), R=np.eye(m))
+
+
+def detectable_gains(rng, sys, K, near_unit):
+    """Riccati gains of a random schedule, or of the all-on one where the
+    random one is rejected. With ``near_unit`` they are scaled by the t in
+    [0, 1] at which bisection brings the monodromy spectral radius to 0.999:
+    at t = 0 it is top^K >= 1."""
+    mask = (rng.random((K, sys.n_sensors)) < 0.5).astype(np.int8)
+    try:
+        gains = ps.init_gains_for_schedule(sys, Schedule(mask))
+    except InitializationError:
+        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(K, sys.n_sensors))
+    if not near_unit:
+        return gains
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if monodromy_spectral_radius(sys, PeriodicGains(mid * gains.gains)) > 0.999:
+            lo = mid
+        else:
+            hi = mid
+    return PeriodicGains(hi * gains.gains)
+
+
+def detectable_case(test):
+    """Draw (seed, n, m, K, top, near_unit) for the limit-cycle properties,
+    with K = 1 and M > N at a near-unit monodromy always among them."""
+    test = example(seed=5, n=2, m=4, K=1, top=1.2, near_unit=True)(test)
+    test = example(seed=6, n=4, m=6, K=3, top=1.0, near_unit=False)(test)
+    test = given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 7),
+        K=st.integers(1, 4),
+        top=st.floats(1.0, 1.2),
+        near_unit=st.booleans(),
+    )(test)
+    return settings(max_examples=12, deadline=None, derandomize=True, database=None)(test)
+
+
+class TestLimitCycleProperties:
+    """The limit-cycle kernel on unstable but detectable plants (spectral
+    radius 1 to 1.2), under Riccati gains and under gains whose monodromy
+    spectral radius is 0.999, with K = 1 and M > N among the draws."""
+
+    @detectable_case
+    def test_cycles_match_references(self, seed, n, m, K, top, near_unit):
+        rng = np.random.default_rng(seed)
+        sys = detectable_plant(rng, n, m, top)
+        gains = detectable_gains(rng, sys, K, near_unit)
+        cycles = {
+            "covariance": ps.covariance_limit_cycle(sys, gains).covariances,
+            "value": np.stack(ps.value_cycle(sys, gains)),
+        }
+        # The recursions stop at a 1e-12 relative change per period, which
+        # leaves 1e-12 / (1 - 0.999) of the limit. scipy's lifted solver
+        # goes through a bilinear transform that loses about as many digits
+        # as the monodromy is close to the unit circle: up to 7.2e-6 at
+        # 0.999 over 40 seeded draws.
+        rtol_recursion, rtol_lifted = (1e-7, 1e-4) if near_unit else (1e-9, 1e-9)
+        references = {
+            "covariance": (reference.covariance_cycle_recursion, reference.covariance_cycle_lifted),
+            "value": (reference.value_cycle_recursion, reference.value_cycle_lifted),
+        }
+        for name, (recursion, lifted) in references.items():
+            for method, rtol in ((recursion, rtol_recursion), (lifted, rtol_lifted)):
+                expected = method(sys, gains)
+                np.testing.assert_allclose(
+                    cycles[name], expected, rtol=0.0, atol=rtol * np.abs(expected).max()
+                )
+
+    @detectable_case
+    def test_value_cycle_satisfies_recursion(self, seed, n, m, K, top, near_unit):
+        rng = np.random.default_rng(seed)
+        sys = detectable_plant(rng, n, m, top)
+        gains = detectable_gains(rng, sys, K, near_unit)
+        values = ps.value_cycle(sys, gains)
+        factors = closed_loop_factors(sys, gains)
+        scale = max(np.abs(v).max() for v in values)
+        for k in range(K):
+            expected = factors[k].T @ values[(k + 1) % K] @ factors[k] + np.eye(n)
+            np.testing.assert_allclose(values[k], expected, rtol=0.0, atol=1e-10 * scale)
+
+    @detectable_case
+    def test_evaluate_schedule_raises_where_evaluate_schedules_gives_nan(
+        self, seed, n, m, K, top, near_unit
+    ):
+        rng = np.random.default_rng(seed)
+        sys = detectable_plant(rng, n, m, top)
+        masks = hard_masks(rng, K, m)
+        np.testing.assert_array_equal(
+            ps.evaluate_schedules(sys, masks), [single_J(sys, mask) for mask in masks]
+        )
 
 
 class TestCovarianceCycleType:
