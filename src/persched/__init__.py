@@ -35,7 +35,6 @@ from .exceptions import (
     InitializationError,
     InputError,
     InstabilityError,
-    LineSearchError,
     PerschedError,
 )
 from .gstep import GStepProblem, g_step
@@ -73,7 +72,6 @@ from .periodic import (
     evaluate_schedules,
     init_gains_for_schedule,
     lift_cyclic,
-    monodromy_stable,
     objective_J,
     schedule_from_gains,
     value_cycle,
@@ -101,7 +99,6 @@ __all__ = [
     "IterationRecord",
     "LStepProblem",
     "LStepResult",
-    "LineSearchError",
     "OracleResult",
     "PerschedError",
     "PeriodicGains",
@@ -126,7 +123,6 @@ __all__ = [
     "lift_cyclic",
     "load_experiment",
     "matrix_exponential",
-    "monodromy_stable",
     "objective_J",
     "phi_value",
     "random_baseline",

@@ -14,7 +14,6 @@ __all__ = [
     "InstabilityError",
     "ConvergenceError",
     "InitializationError",
-    "LineSearchError",
     "BudgetError",
     "ConfigError",
 ]
@@ -43,10 +42,6 @@ class ConvergenceError(PerschedError, RuntimeError):
 
 class InitializationError(PerschedError, RuntimeError):
     """A schedule does not admit a stabilizing periodic Riccati solution."""
-
-
-class LineSearchError(PerschedError, RuntimeError):
-    """Backtracking shrank the step below the underflow cutoff."""
 
 
 class BudgetError(PerschedError, RuntimeError):

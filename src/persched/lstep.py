@@ -5,7 +5,8 @@ proximal pull toward per-step targets, over the periodic gain sequence.
 The solver alternates exact coordinate solves (freeze the covariance and
 value cycles, solve a small Sylvester equation per step) with a backtracking
 line search on the resulting direction; each accepted step strictly
-decreases the objective and every iterate keeps the closed loop stable.
+decreases the objective and every iterate keeps the closed loop stable, as
+judged by the covariance limit cycle itself.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionError,
-    InputError,
-    InstabilityError,
-    LineSearchError,
-)
+from .exceptions import DimensionError, InputError, InstabilityError
 from .linalg import _stack, solve_gain_sylvester, symmetrize
 from .model import SystemModel
 from .periodic import (
@@ -27,7 +23,6 @@ from .periodic import (
     PeriodicGains,
     closed_loop_factors,
     covariance_limit_cycle,
-    monodromy_spectral_radius,
     value_cycle,
 )
 
@@ -39,10 +34,6 @@ __all__ = [
     "anderson_moore_update",
     "solve",
 ]
-
-# Trial gains whose monodromy spectral radius is within this margin of 1 are
-# rejected outright (treated as infinite objective) by the line search.
-_STABILITY_MARGIN = 1e-9
 
 _MIN_STEP = 1e-12
 
@@ -87,6 +78,8 @@ class LStepResult:
     ``line_search_failed`` is set and ``gains`` is the best iterate found).
     ``descent_history`` records the directional derivative of each
     Anderson-Moore direction, which stays negative away from stationarity.
+    ``armijo_trials`` counts the trial points the line search scored (one
+    covariance limit cycle each), accepted or rejected.
     """
 
     gains: PeriodicGains
@@ -98,6 +91,7 @@ class LStepResult:
     line_search_failed: bool
     phi_history: tuple
     descent_history: tuple
+    armijo_trials: int
 
 
 def _check_compatible(prob: LStepProblem, gains: PeriodicGains) -> None:
@@ -177,9 +171,10 @@ def anderson_moore_update(
 
 def _trial_phi(prob: LStepProblem, trial: PeriodicGains):
     """Objective and cycle at a trial point, (inf, None) when it destabilizes."""
-    if monodromy_spectral_radius(prob.sys, trial) >= 1.0 - _STABILITY_MARGIN:
+    try:
+        cycle = covariance_limit_cycle(prob.sys, trial)
+    except InstabilityError:
         return np.inf, None
-    cycle = covariance_limit_cycle(prob.sys, trial)
     return _phi_from_cycle(prob, trial, cycle), cycle
 
 
@@ -194,16 +189,17 @@ def _armijo(
 ):
     """Backtracking search: the first s in {1, beta, beta^2, ...} with
     phi(L + s D) < phi0 + alpha * s * slope, where destabilizing trial points
-    count as infinitely bad. Returns (s, new gains, new phi, new cycle) and
-    raises LineSearchError when s underflows."""
-    s = 1.0
+    count as infinitely bad. Returns the number of trial points scored and
+    (s, new gains, new cycle), or None in its place when s underflows."""
+    s, trials = 1.0, 0
     while s >= _MIN_STEP:
         trial = PeriodicGains(gains.gains + s * direction)
         trial_phi, trial_cycle = _trial_phi(prob, trial)
+        trials += 1
         if trial_phi < phi0 + alpha * s * slope:
-            return s, trial, trial_phi, trial_cycle
+            return trials, (s, trial, trial_cycle)
         s *= beta
-    raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
+    return trials, None
 
 
 def solve(
@@ -225,17 +221,19 @@ def solve(
     _check_compatible(prob, init)
     if not (0 <= alpha < 1) or not (0 < beta < 1):
         raise InputError("need 0 <= alpha < 1 and 0 < beta < 1")
-    if monodromy_spectral_radius(prob.sys, init) >= 1.0:
-        raise InstabilityError("initial gains do not stabilize the closed loop")
+    try:
+        cycle = covariance_limit_cycle(prob.sys, init)
+    except InstabilityError as exc:
+        raise InstabilityError("initial gains do not stabilize the closed loop") from exc
 
     gains = init
-    cycle = covariance_limit_cycle(prob.sys, gains)
     phi_history = []
     step_sizes = []
     descent_history = []
     converged = False
     ls_failed = False
     iterations = 0
+    armijo_trials = 0
 
     while True:
         values = value_cycle(prob.sys, gains)
@@ -257,11 +255,12 @@ def solve(
             # current point up to roundoff, so no further progress is
             # possible at this tolerance.
             break
-        try:
-            s, gains, _, cycle = _armijo(prob, gains, direction, alpha, beta, phi, slope)
-        except LineSearchError:
+        trials, accepted = _armijo(prob, gains, direction, alpha, beta, phi, slope)
+        armijo_trials += trials
+        if accepted is None:
             ls_failed = True
             break
+        s, gains, cycle = accepted
         step_sizes.append(s)
         iterations += 1
 
@@ -275,4 +274,5 @@ def solve(
         line_search_failed=ls_failed,
         phi_history=tuple(phi_history),
         descent_history=tuple(descent_history),
+        armijo_trials=armijo_trials,
     )

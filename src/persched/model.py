@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 # Eigenvalues within this margin of the unit circle count as unstable modes,
-# in the PBH tests here and in the periodic module's detectability gate.
+# in the PBH tests here and in the periodic module's detectability gate, and
+# loops as stable in the periodic limit-cycle kernel only when inside it.
 _UNIT_MARGIN = 1e-9
 
 
@@ -279,12 +280,18 @@ def _unit_circle_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 def _rank_drop_at(a: np.ndarray, lams, other: np.ndarray, stack_rows: bool = True):
     """pbh_rank_drop's test at the given eigenvalues ``lams`` of A, so that
-    callers testing many ``other`` against one A compute them once."""
+    callers testing many ``other`` against one A compute them once. A computed
+    lam is an exact eigenvalue only of some A + E, so at a true rank drop the
+    pencil's smallest singular value can reach ||E||: up to 3.8 times
+    matrix_rank's default tolerance, max(shape) eps sigma_max, on non-normal
+    A. The rank counts the singular values above 100 times that default."""
     n = a.shape[0]
     for lam in lams:
         shifted = a - lam * np.eye(n)
         pencil = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
-        if np.linalg.matrix_rank(pencil) < n:
+        sv = np.linalg.svd(pencil, compute_uv=False)
+        tol = 100.0 * max(pencil.shape) * np.finfo(float).eps * sv[0]
+        if np.count_nonzero(sv > tol) < n:
             return lam
     return None
 

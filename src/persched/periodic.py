@@ -1,15 +1,16 @@
 """Periodic estimation for fixed gains or fixed schedules.
 
 Covers the K-periodic machinery shared by the solver and the baselines:
-block-cyclic lifting, monodromy stability tests, covariance and value limit
-cycles, the trace objective, schedule extraction from gain sparsity, and
-Riccati-optimal gains for a fixed activation schedule.
+block-cyclic lifting, covariance and value limit cycles, the trace
+objective, schedule extraction from gain sparsity, and Riccati-optimal gains
+for a fixed activation schedule.
 
 One kernel, _limit_cycles, computes every periodic limit cycle for a stack
-of loops: one monodromy radius test, one N x N Lyapunov solve in the
-monodromy matrix, one propagation around the period. The value cycle is the
-covariance recursion run backwards in time on the transposed factors with
-noise I (Bittanti & Colaneri, *Periodic Systems*, 2009, ch. 3). Schedule
+of loops: one monodromy radius test, the package's only stability verdict,
+one N x N Lyapunov solve in the monodromy matrix, one propagation around the
+period. The value cycle is the covariance recursion run backwards in time
+on the transposed factors with noise I (Bittanti & Colaneri, *Periodic
+Systems*, 2009, ch. 3). Schedule
 gains come from the K coupled Riccati recursions of the schedule. The lifted
 (block-cyclic) reformulation, which solves the same problems on KN x KN
 operands, and the plain recursions iterated to a fixed point serve as
@@ -24,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
-from .linalg import _smith_doubling, _stack, spectral_radius, symmetrize
-from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
+from .linalg import _smith_doubling, _stack, symmetrize
+from .model import _UNIT_MARGIN, SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
     "Schedule",
@@ -34,9 +35,6 @@ __all__ = [
     "ScheduleEvaluation",
     "lift_cyclic",
     "closed_loop_factors",
-    "monodromy_matrix",
-    "monodromy_spectral_radius",
-    "monodromy_stable",
     "covariance_limit_cycle",
     "value_cycle",
     "objective_J",
@@ -272,24 +270,6 @@ def closed_loop_factors(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
     return sys.A[np.newaxis] - gains.gains @ sys.C
 
 
-def monodromy_matrix(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
-    """Period map: product of the closed-loop factors, last step leftmost."""
-    factors = closed_loop_factors(sys, gains)
-    out = factors[0]
-    for k in range(1, len(factors)):
-        out = factors[k] @ out
-    return out
-
-
-def monodromy_spectral_radius(sys: SystemModel, gains: PeriodicGains) -> float:
-    return spectral_radius(monodromy_matrix(sys, gains))
-
-
-def monodromy_stable(sys: SystemModel, gains: PeriodicGains) -> bool:
-    """Whether the periodic closed loop is Schur stable."""
-    return monodromy_spectral_radius(sys, gains) < 1.0
-
-
 def _step_noise(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
     """Injected covariance B Q B^T + L R L^T for a gain, or for each gain of
     a stack such as the (K, N, M) gains of one period."""
@@ -300,16 +280,16 @@ def _limit_cycles(n: int, K: int, step) -> tuple:
     """The limit cycles X_{k+1} = F_k X_k F_k^T + W_k, X_K = X_0, of T loops;
     step(k) gives (F_k, W_k) as (T, N, N) stacks. A loop is stable, and has
     a cycle, when its monodromy Pi = F_{K-1} ... F_0 has spectral radius
-    below 1; then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k Psi_k^T, where
-    Psi_k = F_{K-1} ... F_{k+1}. Returns the (T,) radii, the indices of the
-    stable loops and their (S, K, N, N) cycles."""
+    below 1 - _UNIT_MARGIN, the PBH gate's margin; then X_0 = Pi X_0 Pi^T +
+    sum_k Psi_k W_k Psi_k^T, where Psi_k = F_{K-1} ... F_{k+1}. Returns the
+    (T,) radii, the indices of the stable loops and their (S, K, N, N) cycles."""
     pi, w_acc = np.eye(n), np.zeros((n, n))
     for k in range(K - 1, -1, -1):
         f_k, w_k = step(k)
         w_acc = w_acc + pi @ w_k @ pi.swapaxes(-1, -2)
         pi = pi @ f_k
     rho = np.abs(np.linalg.eigvals(pi)).max(axis=1)
-    stable = np.flatnonzero(rho < 1.0)
+    stable = np.flatnonzero(rho < 1.0 - _UNIT_MARGIN)
     keep = stable if stable.size < rho.size else slice(None)  # a view when all are stable
     cycles = np.empty((stable.size, K, n, n))
     if stable.size:
@@ -332,7 +312,7 @@ def _covariance_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
 def _single_cycle(rho: np.ndarray, stable: np.ndarray, cycles: np.ndarray) -> np.ndarray:
     """The (K, N, N) cycle of a one-loop _limit_cycles result."""
     if not stable.size:
-        raise InstabilityError(f"monodromy spectral radius {rho[0]:.6g} >= 1; no unique cycle")
+        raise InstabilityError(f"monodromy spectral radius {rho[0]:.12g} >= 1 - {_UNIT_MARGIN:g}")
     return cycles[0]
 
 

@@ -45,6 +45,19 @@ def random_stable_system(rng, n, m, radius=0.85):
     return ps.SystemModel(A=a, B=np.eye(n), C=c, Q=q, R=r)
 
 
+def detectable_plant(rng, n, m, top):
+    """Non-normal plant whose spectral radius ``top`` (1 to 1.2) belongs to a
+    real mode that a dense C observes; the other modes lie within 0.9 of the
+    origin."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    t = np.triu(rng.normal(scale=0.3, size=(n, n)), 1)
+    np.fill_diagonal(t, rng.uniform(-0.9, 0.9, size=n))
+    t[0, 0] = top
+    return ps.SystemModel(
+        A=q @ t @ q.T, B=np.eye(n), C=rng.normal(size=(m, n)), Q=np.eye(n), R=np.eye(m)
+    )
+
+
 def random_schedule(rng, K, m, min_total=1):
     """Uniform random 0/1 mask with at least ``min_total`` activations."""
     while True:

@@ -1,7 +1,12 @@
 """Gain subproblem: objective, gradient, coordinate solve, line search."""
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import persched as ps
 from persched import (
@@ -11,8 +16,11 @@ from persched import (
     LStepProblem,
     PeriodicGains,
     Schedule,
+    lstep,
 )
-from tests.conftest import random_stable_system
+from tests.conftest import detectable_plant, random_stable_system
+
+BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.yaml"
 
 
 def finite_difference_gradient(prob, gains, step=1e-6):
@@ -237,3 +245,120 @@ class TestSolve:
             result = ps.solve_lstep(prob, init, tol=1e-9)
             dists.append(float(np.linalg.norm(result.gains.gains - u)))
         assert dists[0] > dists[1] > dists[2]
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Replace owner.name by a wrapper that counts its calls in counts[name]
+    and the calls that raised InstabilityError in counts[name + " unstable"]."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        try:
+            return fn(*args, **kwargs)
+        except InstabilityError:
+            counts[name + " unstable"] += 1
+            raise
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def unstable_problem(seed, n, m, K, top):
+    """A gain subproblem on an unstable but detectable plant, started from the
+    all-on Riccati gains, with random targets as in criterion 2."""
+    rng = np.random.default_rng(seed)
+    sys = detectable_plant(rng, n, m, top)
+    prob = LStepProblem(sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.5, 10.0)))
+    return prob, riccati_start(sys, K)
+
+
+class TestStabilityVerdict:
+    """The covariance limit cycle's radius test is the line search's and the
+    start test's only stability check."""
+
+    def test_one_eigenvalue_call_per_cycle(self, monkeypatch):
+        # The plant's solve rejects destabilizing trial points; each is judged
+        # by the spectrum the cycle computes anyway.
+        prob, init = unstable_problem(3, 5, 5, 3, 1.1)
+        counts = Counter()
+        count_calls(monkeypatch, lstep, "covariance_limit_cycle", counts)
+        count_calls(monkeypatch, lstep, "value_cycle", counts)
+        count_calls(monkeypatch, np.linalg, "eigvals", counts)
+        ps.solve_lstep(prob, init, tol=1e-8)
+        assert counts["covariance_limit_cycle unstable"] > 0
+        assert counts["eigvals"] == counts["covariance_limit_cycle"] + counts["value_cycle"]
+
+    def test_start_in_the_margin_band_rejected(self):
+        # A start whose monodromy spectral radius lies in [1 - 1e-9, 1).
+        sys = ps.SystemModel(
+            A=np.array([[1.0 - 1e-10]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
+        )
+        prob = LStepProblem(sys=sys, U=np.zeros((1, 1, 1)), rho=1.0)
+        with pytest.raises(InstabilityError, match="initial"):
+            ps.solve_lstep(prob, PeriodicGains.zeros(1, 1, 1))
+
+    def test_benchmark_solve_scores_133_trial_points(self, monkeypatch):
+        exp = ps.load_experiment(BENCHMARK_CONFIG)
+        assert exp.admm.gamma == 0.15
+        results = []
+        solve = lstep.solve
+
+        def recording(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(lstep, "solve", recording)
+        report = ps.run(exp.system, exp.admm)
+        assert (report.iterations, len(results)) == (22, 22)
+        assert sum(r.iterations for r in results) == 95
+        assert sum(r.armijo_trials for r in results) == 133
+
+
+def unstable_case(test):
+    """Draw (seed, n, m, K, top) for unstable but detectable plants, spectral
+    radius 1 to 1.2, with K = 1 and M > N always among them."""
+    test = example(seed=3, n=5, m=5, K=3, top=1.1)(test)
+    test = example(seed=5, n=2, m=4, K=1, top=1.2)(test)
+    test = given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 7),
+        K=st.integers(1, 4),
+        top=st.floats(1.0, 1.2),
+    )(test)
+    return settings(max_examples=12, deadline=None, derandomize=True, database=None)(test)
+
+
+class TestUnstablePlantProperties:
+    """Solves on plants whose open loop is unstable, where the line search
+    meets trial points that destabilize the periodic closed loop."""
+
+    def test_solve_keeps_criterion_2_invariants(self, monkeypatch):
+        counts = Counter()
+        count_calls(monkeypatch, lstep, "covariance_limit_cycle", counts)
+        destabilizing = []
+
+        @unstable_case
+        def check(seed, n, m, K, top):
+            prob, init = unstable_problem(seed, n, m, K, top)
+            counts.clear()
+            result = ps.solve_lstep(prob, init, tol=1e-8)
+            destabilizing.append(counts["covariance_limit_cycle unstable"])
+            assert all(s < 0.0 for s in result.descent_history)
+            assert (np.diff(result.phi_history) < 0.0).all()
+            ps.covariance_limit_cycle(prob.sys, result.gains)
+            assert result.armijo_trials >= result.iterations
+            # One covariance cycle for the start, one per scored trial point.
+            assert result.armijo_trials == counts["covariance_limit_cycle"] - 1
+
+        check()
+        assert sum(destabilizing) > 0
+
+    @unstable_case
+    def test_run_polishes_a_feasible_schedule(self, seed, n, m, K, top):
+        rng = np.random.default_rng(seed)
+        sys = detectable_plant(rng, n, m, top)
+        eta = int(rng.integers(1, K + 1))
+        report = ps.run(sys, ps.AdmmConfig(period=K, gamma=0.0, eta=eta, max_iters=5))
+        assert (report.schedule.activation_counts <= eta).all()
+        assert report.j_polished == ps.evaluate_schedule(sys, report.schedule).J

@@ -20,16 +20,15 @@ from persched import (
     Schedule,
     SystemModel,
 )
+from persched.model import pbh_rank_drop
 from persched.periodic import (
     check_schedule_detectability,
     chunk_length,
     closed_loop_factors,
     cycle_residual,
-    monodromy_matrix,
-    monodromy_spectral_radius,
 )
 from tests import reference
-from tests.conftest import random_schedule, random_stable_system
+from tests.conftest import detectable_plant, random_schedule, random_stable_system
 from tests.test_baselines import scalar_unstable_system
 
 
@@ -180,17 +179,17 @@ class TestValueCycle:
             assert np.linalg.eigvalsh(v - np.eye(4)).min() > -1e-10
 
 
-class TestMonodromy:
-    def test_product_order(self, rng):
-        sys = random_stable_system(rng, 2, 1)
-        gains = PeriodicGains(rng.normal(size=(3, 2, 1)) * 0.1)
-        factors = closed_loop_factors(sys, gains)
-        np.testing.assert_allclose(
-            monodromy_matrix(sys, gains), factors[2] @ factors[1] @ factors[0]
-        )
+def monodromy_radius(sys, gains):
+    """Spectral radius of F_{K-1} ... F_0, the product of the closed-loop factors."""
+    monodromy = np.eye(sys.n_states)
+    for factor in closed_loop_factors(sys, gains):
+        monodromy = factor @ monodromy
+    return ps.spectral_radius(monodromy)
 
+
+class TestMonodromy:
     def test_default_cycles_compute_eigenvalues_once(self, rng, monkeypatch):
-        # solve_dlyap's radius test on the monodromy is the cycle's only one.
+        # The kernel's radius test on the monodromy is the cycle's only one.
         sys = random_stable_system(rng, 4, 2)
         gains = ps.init_gains_for_schedule(sys, Schedule.all_on(3, 2))
         calls = []
@@ -210,13 +209,23 @@ class TestMonodromy:
             assert calls == ["eigvals"]
 
     def test_stability_margin(self, rng):
-        # Stable exactly when the monodromy spectral radius is below 1; with
-        # zero gains over K = 2 the monodromy is A^2.
+        # Stable exactly when the monodromy spectral radius is below 1 - 1e-9,
+        # the PBH gate's margin; with zero gains over K = 2 the monodromy is
+        # A^2. The third radius lies in the band [1 - 1e-9, 1).
         gains = PeriodicGains.zeros(2, 3, 1)
-        for radius, stable in ((0.5, True), (0.999, True), (1.001, False)):
+        cases = ((0.5, True), (0.999, True), (np.sqrt(1.0 - 1e-10), False), (1.001, False))
+        for radius, stable in cases:
             sys = random_stable_system(rng, 3, 1, radius=radius)
-            assert monodromy_spectral_radius(sys, gains) == pytest.approx(radius**2, rel=1e-9)
-            assert ps.monodromy_stable(sys, gains) is stable
+            rho = monodromy_radius(sys, gains)
+            assert rho == pytest.approx(radius**2, rel=1e-9)
+            assert (rho < 1.0 - 1e-9) is stable
+            for cycle_fn in (ps.covariance_limit_cycle, ps.value_cycle):
+                if stable:
+                    cycle_fn(sys, gains)
+                    continue
+                with pytest.raises(InstabilityError, match="monodromy") as info:
+                    cycle_fn(sys, gains)
+                assert ">= 1 - 1e-09" in str(info.value)
 
 
 class TestObjective:
@@ -346,6 +355,16 @@ class TestDetectabilityGate:
         for row in itertools.product((0, 1), repeat=3):
             if any(row):
                 assert gate_rejects(single, [row]) == (row[0] == 0)
+
+    def test_rank_drop_at_a_computed_eigenvalue_of_a_non_normal_plant(self):
+        # With no sensor rows the unstable mode at 1.2 is unobserved, but the
+        # pencil A - lam I at the computed lam keeps a smallest singular value
+        # of about 4.7 times matrix_rank's default tolerance on this plant.
+        sys = detectable_plant(np.random.default_rng(29), 3, 1, 1.2)
+        lam = pbh_rank_drop(sys.A, np.zeros((0, 3)))
+        assert lam == pytest.approx(1.2, rel=1e-12)
+        with pytest.raises(InitializationError, match="undetectable at eigenvalue 1.2"):
+            check_schedule_detectability(sys, Schedule.empty(1, 1))
 
     def test_one_step_observation_passes_at_k3(self, rng):
         sys = modal_plant(rng, [1.3, 0.5, -0.2], [[1, 1, 1], [0, 1, 1], [0, 1, 0]])
@@ -596,17 +615,6 @@ class TestMaskedRiccatiProperties:
             assert (inactive == 0.0).all() and not np.signbit(inactive).any()
 
 
-def detectable_plant(rng, n, m, top):
-    """Non-normal plant whose spectral radius ``top`` (1 to 1.2) belongs to a
-    real mode that a dense C observes; the other modes lie within 0.9 of the
-    origin."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    t = np.triu(rng.normal(scale=0.3, size=(n, n)), 1)
-    np.fill_diagonal(t, rng.uniform(-0.9, 0.9, size=n))
-    t[0, 0] = top
-    return SystemModel(A=q @ t @ q.T, B=np.eye(n), C=rng.normal(size=(m, n)), Q=np.eye(n), R=np.eye(m))
-
-
 def detectable_gains(rng, sys, K, near_unit):
     """Riccati gains of a random schedule, or of the all-on one where the
     random one is rejected. With ``near_unit`` they are scaled by the t in
@@ -622,7 +630,7 @@ def detectable_gains(rng, sys, K, near_unit):
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if monodromy_spectral_radius(sys, PeriodicGains(mid * gains.gains)) > 0.999:
+        if monodromy_radius(sys, PeriodicGains(mid * gains.gains)) > 0.999:
             lo = mid
         else:
             hi = mid
