@@ -4,8 +4,10 @@ Splits the design into a smooth gain subproblem and a closed-form
 sparsification step coupled through a scaled dual variable, then alternates:
 pull the gains toward the current sparse copy, re-sparsify around the new
 gains, update the dual, and stop once the two copies agree and the sparse
-copy has settled. The final schedule is read off the sparse copy, which is
-feasible by construction, and re-solved exactly (polished) for reporting.
+copy has settled. Once the sparse copy's support holds for two iterations,
+the driver tries a jump to the exact fixed point on that support. The final
+schedule is read off the sparse copy, which is feasible by construction, and
+re-solved exactly (polished) for reporting.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import lstep
-from .exceptions import InputError
+from .exceptions import InputError, PerschedError
 from .gstep import GStepProblem, g_step, normalize_eta
 from .model import SystemModel
 from .periodic import (
@@ -159,8 +161,11 @@ class SolveReport:
     ``gains_raw`` and ``j_raw`` describe the solver's own gain iterate;
     ``gains_polished`` and ``j_polished`` re-solve the extracted schedule
     exactly and are the figures used for cross-method comparison.
-    ``wall_time`` is informational and excluded from serialization so that
-    identical runs produce identical files.
+    ``jump_iteration`` is the iteration after which the driver jumped to the
+    support's fixed point, None when no jump was accepted; after a jump
+    ``gains_raw`` are the polished gains. ``wall_time`` is informational and
+    excluded from serialization so that identical runs produce identical
+    files.
     """
 
     gains_raw: PeriodicGains
@@ -174,11 +179,13 @@ class SolveReport:
     line_search_failed: bool
     wall_time: float
     config: AdmmConfig
+    jump_iteration: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
+            "jump_iteration": self.jump_iteration,
             "line_search_failed": self.line_search_failed,
             "j_raw": self.j_raw,
             "j_polished": self.j_polished,
@@ -254,6 +261,9 @@ class AdmmDriver:
         self._last_primal = np.inf
         self._best_phi = np.inf
         self._best = None
+        self._support = None
+        self._tried = set()
+        self.jump_iteration = None
         self._initialized = True
         return self.state
 
@@ -273,8 +283,38 @@ class AdmmDriver:
             return self.cfg.inner_tol_cap
         return max(self.cfg.inner_tol_cap, 0.1 * self._last_primal)
 
+    def _meets_rule(self, record: IterationRecord) -> bool:
+        return record.primal_residual <= self.cfg.eps and record.g_change <= self.cfg.eps
+
+    def _jump(self, support: Schedule) -> None:
+        """Move to the ADMM fixed point on ``support`` when there is one.
+
+        The Riccati-optimal gains L* of the support minimize the trace sum
+        over gains with that support, so with the dual set to minus the
+        trace gradient at L*, (L*, g_step(L* + dual / rho), dual) is a fixed
+        point of one iteration whenever the G-step keeps exactly that
+        support. Any other outcome leaves the iterate alone: finite support
+        identification (Liang, Fadili & Peyre, JOTA 172, 2017), accepted
+        only when it checks, as in OSQP's polishing.
+        """
+        cfg = self.cfg
+        self._tried.add(support)
+        try:
+            gains = init_gains_for_schedule(self.sys, support)
+            trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains.gains), 0.0)
+            lam = -lstep.gradient_phi(trace_only, gains)
+        except PerschedError:
+            return
+        new_g = g_step(GStepProblem(gains.gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
+        if schedule_from_gains(PeriodicGains(new_g), cfg.zero_tol) != support:
+            return
+        self.L, self.G, self.Lam = gains, new_g, lam
+        self.jump_iteration = self.iteration
+        logger.debug("iteration %d: jumped to the fixed point of the support", self.iteration)
+
     def step(self) -> IterationRecord:
-        """Advance one iteration: gain solve, sparsify, dual update."""
+        """Advance one iteration: gain solve, sparsify, dual update, and the
+        jump to the support's fixed point when the support has held."""
         if not self._initialized:
             self.initialize()
         cfg = self.cfg
@@ -308,7 +348,8 @@ class AdmmDriver:
         self.iteration += 1
         self._last_primal = primal
 
-        cardinality = int(schedule_from_gains(PeriodicGains(new_g), cfg.zero_tol).total_activations)
+        support = schedule_from_gains(PeriodicGains(new_g), cfg.zero_tol)
+        cardinality = support.total_activations
         record = IterationRecord(
             iteration=self.iteration,
             primal_residual=primal,
@@ -329,6 +370,9 @@ class AdmmDriver:
             result.phi,
             cardinality,
         )
+        if support == self._support and not self._meets_rule(record) and support not in self._tried:
+            self._jump(support)
+        self._support = support
         return record
 
     def run(self) -> SolveReport:
@@ -344,8 +388,7 @@ class AdmmDriver:
         cfg = self.cfg
         converged = False
         while self.iteration < cfg.max_iters:
-            record = self.step()
-            if record.primal_residual <= cfg.eps and record.g_change <= cfg.eps:
+            if self._meets_rule(self.step()):
                 converged = True
                 break
 
@@ -369,6 +412,7 @@ class AdmmDriver:
             line_search_failed=self.line_search_failed,
             wall_time=time.perf_counter() - start,
             config=cfg,
+            jump_iteration=self.jump_iteration,
         )
         logger.info(
             "%s after %d iterations: J_polished %.6g, %d activations",

@@ -4,7 +4,8 @@ Four subcommands over one YAML experiment file: ``run`` executes a single
 solve and writes report.json, schedule.txt, and trace.csv; ``sweep`` runs a
 (gamma, eta) grid into tradeoff.csv; ``compare`` scores the solver against
 the random baseline and, when enabled, the exhaustive oracle into
-compare.csv; ``validate`` checks the plant's standing assumptions. Outputs
+compare.csv; ``validate`` checks the plant's standing assumptions and
+writes nothing, so only the other three take ``--out``. Outputs
 are plain JSON/CSV for external plotting and are byte-for-byte reproducible
 for a fixed config and seed. The PERSCHED_LOG environment variable sets the
 log level.
@@ -93,13 +94,11 @@ def cmd_run(config_path, out: Optional[str] = None) -> int:
     out_dir = _out_dir(cfg, out)
     _write_json(out_dir / "report.json", report.to_dict())
     (out_dir / "schedule.txt").write_text(report.schedule.to_text() + "\n")
+    columns = ("iteration", "primal_residual", "g_change", "phi", "cardinality", "inner_iterations")
     _write_csv(
         out_dir / "trace.csv",
-        ("iteration", "primal_residual", "g_change", "phi", "cardinality"),
-        (
-            (rec.iteration, rec.primal_residual, rec.g_change, rec.phi, rec.cardinality)
-            for rec in report.trace
-        ),
+        columns,
+        ([getattr(rec, name) for name in columns] for rec in report.trace),
     )
     status = "converged" if report.converged else "hit the iteration cap"
     print(
@@ -244,7 +243,7 @@ def cmd_compare(config_path, out: Optional[str] = None, seed: Optional[int] = No
     return 0
 
 
-def cmd_validate(config_path, out: Optional[str] = None) -> int:
+def cmd_validate(config_path) -> int:
     """Standing-assumption checks. Exit 0 when all pass."""
     cfg = load_experiment(config_path)
     _check_kind(cfg, "validate")
@@ -270,7 +269,8 @@ def main(argv=None) -> int:
     for name, text in helps.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("config", help="experiment YAML file")
-        p.add_argument("--out", default=None, help="output directory (default from config)")
+        if name != "validate":
+            p.add_argument("--out", default=None, help="output directory (default from config)")
         if name == "compare":
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
     options = vars(parser.parse_args(argv))

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import persched as ps
-from persched import AdmmConfig, AdmmDriver, InputError, Schedule, lstep
+from persched import AdmmConfig, AdmmDriver, InputError, Schedule, admm, lstep
 from persched.gstep import ZERO_COLUMN_TOL
-from tests.conftest import random_stable_system
+from tests.conftest import detectable_plant, random_stable_system
 
 
 def small_config(**overrides):
@@ -130,9 +132,18 @@ class TestDriver:
 
 
 class TestInnerTolerance:
-    # At cap 1e-3 the floor binds once the primal residual falls below 1e-2.
-    @pytest.mark.parametrize("cap, floor_binds", [(1e-6, False), (1e-3, True)])
-    def test_tracks_previous_primal_residual(self, rng, monkeypatch, cap, floor_binds):
+    # The floor binds once 0.1 * primal falls below the cap. With the jump to
+    # the support's fixed point, the default small run ends at a primal
+    # residual of 0.2, before that happens. The binding case therefore takes
+    # gamma = 0 and eta = K: the G-step then keeps every nonzero gain column
+    # verbatim, so every primal residual is exactly 0, and every inner solve
+    # after the first runs at the floor.
+    @pytest.mark.parametrize(
+        "cap, overrides, floor_binds",
+        [(1e-6, {}, False), (1e-3, dict(gamma=0.0, eta=4), True)],
+        ids=["1e-06-False", "0.001-identity_gstep-True"],
+    )
+    def test_tracks_previous_primal_residual(self, rng, monkeypatch, cap, overrides, floor_binds):
         tols, solve = [], lstep.solve
 
         def recording_solve(*args, **kwargs):
@@ -140,7 +151,8 @@ class TestInnerTolerance:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(lstep, "solve", recording_solve)
-        report = ps.run(random_stable_system(rng, 3, 2), small_config(inner_tol_cap=cap))
+        sys = random_stable_system(rng, 3, 2)
+        report = ps.run(sys, small_config(inner_tol_cap=cap, **overrides))
         assert report.converged
         assert len(tols) == report.iterations
         assert tols[0] == cap
@@ -194,10 +206,11 @@ class TestRun:
     def test_huge_gamma_empties_schedule(self, rng):
         sys = random_stable_system(rng, 3, 2)
         report = ps.run(sys, small_config(gamma=1e6))
-        # This solve never meets the residual rule and stops at the cap
-        # (ROADMAP item 2: the best visited support, and a status for it).
-        assert report.converged is False
-        assert report.iterations == 150
+        # The support is empty from iteration 1; the jump after iteration 2
+        # lands on its fixed point, and iteration 3 meets the residual rule.
+        assert report.converged is True
+        assert report.iterations == 3
+        assert report.jump_iteration == 2
         assert report.schedule.total_activations == 0
         assert report.j_polished == pytest.approx(
             ps.solve_dlyap(sys.A, sys.q_eff).trace(), rel=1e-9
@@ -217,7 +230,9 @@ class TestRun:
         report = ps.run(sys, small_config(eta=1, period=2))
         d = report.to_dict()
         assert "wall_time" not in d
-        # This solve stops at the 150-iteration cap (ROADMAP item 2).
+        # This solve stops at the 150-iteration cap: its support alternates
+        # between the two row rotations of one schedule, so it never holds
+        # and no jump is tried (ROADMAP item 4).
         assert d["converged"] is False
         assert d["iterations"] == 150
         assert d["config"]["period"] == 2
@@ -254,3 +269,114 @@ class TestSupportStability:
         kept = report.schedule.mask == 1
         if kept.any():
             assert g_norms[kept].min() > 1e3 * ZERO_COLUMN_TOL
+
+
+def record_jumps(monkeypatch):
+    """Wrap AdmmDriver._jump; returns the list of (iteration, support,
+    accepted) it appends to on every tried jump."""
+    tries, jump = [], AdmmDriver._jump
+
+    def recording(self, support):
+        before = self.jump_iteration
+        jump(self, support)
+        tries.append((self.iteration, support, self.jump_iteration != before))
+
+    monkeypatch.setattr(AdmmDriver, "_jump", recording)
+    return tries
+
+
+def paper_objective(report):
+    """K * J + gamma * card at the polished schedule."""
+    cfg = report.config
+    return cfg.period * report.j_polished + cfg.gamma * report.schedule.total_activations
+
+
+class TestSupportJump:
+    def test_benchmark_jumps_once_its_support_holds(self, benchmark_sys, monkeypatch):
+        tries = record_jumps(monkeypatch)
+        report = ps.run(benchmark_sys, AdmmConfig(period=10, gamma=0.15, eta=5))
+        # Iterations 1-2 leave G empty; the jump there is rejected because the
+        # G-step keeps columns at the empty support's fixed point. The final
+        # 20-activation support appears at iteration 4 and holds at 5.
+        assert [(it, s.total_activations, ok) for it, s, ok in tries] == [
+            (2, 0, False),
+            (5, 20, True),
+        ]
+        assert (report.iterations, report.converged) == (6, True)
+        assert report.to_dict()["jump_iteration"] == 5
+        assert report.schedule == tries[-1][1]
+        assert report.j_raw == report.j_polished
+        assert paper_objective(report) == pytest.approx(103.5566, abs=5e-5)
+
+    def test_support_check_keeps_the_answer(self, benchmark_sys, monkeypatch):
+        # With the check disabled, the jump on the empty support of
+        # iterations 1-2 is accepted, and so are later jumps whose G-step
+        # keeps another support. The solve ends at a worse point of
+        # K * J + gamma * card than the checked solve's 103.557.
+        jump = AdmmDriver._jump
+
+        def unchecked(self, support):
+            with monkeypatch.context() as patch:
+                patch.setattr(admm, "schedule_from_gains", lambda gains, tol: support)
+                jump(self, support)
+
+        monkeypatch.setattr(AdmmDriver, "_jump", unchecked)
+        tries = record_jumps(monkeypatch)
+        report = ps.run(benchmark_sys, AdmmConfig(period=10, gamma=0.15, eta=5))
+        assert tries[0][0::2] == (2, True)
+        assert report.schedule.total_activations == 28
+        assert paper_objective(report) == pytest.approx(104.3228, abs=5e-5)
+
+    def test_wandering_support_never_jumps(self, benchmark_gamma0_sweep):
+        # eta = 1 at gamma = 0 keeps changing its support. The few supports
+        # that hold for two iterations fail the check, and the run ends at
+        # its cap with no jump.
+        report = benchmark_gamma0_sweep[1]
+        assert report.to_dict()["jump_iteration"] is None
+        assert report.converged is False
+
+
+def jump_case(test):
+    """Draw (seed, n, m, K, top, gamma): stable plants (top = 0) and unstable
+    but detectable ones (top 1 to 1.2), with K = 1 and M > N among them."""
+    test = example(seed=4, n=3, m=2, K=4, top=0.0, gamma=0.02)(test)
+    test = example(seed=5, n=2, m=4, K=1, top=1.2, gamma=0.0)(test)
+    test = example(seed=6, n=3, m=5, K=3, top=0.0, gamma=0.2)(test)
+    test = given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        m=st.integers(1, 5),
+        K=st.integers(1, 4),
+        top=st.one_of(st.just(0.0), st.floats(1.0, 1.2)),
+        gamma=st.sampled_from([0.0, 0.02, 0.2]),
+    )(test)
+    return settings(max_examples=12, deadline=None, derandomize=True, database=None)(test)
+
+
+class TestJumpProperties:
+    def test_jump_lands_on_a_fixed_point(self, monkeypatch):
+        fired = []
+
+        @jump_case
+        def check(seed, n, m, K, top, gamma):
+            rng = np.random.default_rng(seed)
+            if top == 0.0:
+                sys = random_stable_system(rng, n, m)
+            else:
+                sys = detectable_plant(rng, n, m, top)
+            cfg = AdmmConfig(period=K, gamma=gamma, eta=int(rng.integers(1, K + 1)), max_iters=100)
+            with monkeypatch.context() as patch:
+                patch.setattr(AdmmDriver, "_jump", lambda self, support: None)
+                plain = ps.run(sys, cfg)
+            report = ps.run(sys, cfg)
+            if report.jump_iteration is None:
+                return
+            fired.append(report.jump_iteration)
+            after = report.trace[report.jump_iteration]
+            assert after.primal_residual <= cfg.eps
+            assert after.g_change <= cfg.eps
+            assert report.schedule == plain.schedule
+            assert report.j_polished == plain.j_polished
+
+        check()
+        assert fired

@@ -78,7 +78,14 @@ class TestRun:
         assert all(len(r) == 2 for r in rows)
 
         trace = read_csv(out / "trace.csv")
-        assert trace[0] == ["iteration", "primal_residual", "g_change", "phi", "cardinality"]
+        assert trace[0] == [
+            "iteration",
+            "primal_residual",
+            "g_change",
+            "phi",
+            "cardinality",
+            "inner_iterations",
+        ]
         assert len(trace) == report["iterations"] + 1
 
     def test_cap_hit_exits_two_with_outputs(self, tmp_path):
@@ -282,6 +289,15 @@ class TestMainEntry:
             main([command, cfg, *flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_validate_rejects_out(self, tmp_path, capsys):
+        # validate writes no file, so an output directory would go unread.
+        cfg = write_config(tmp_path, TINY)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", cfg, "--out", str(tmp_path / "results")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

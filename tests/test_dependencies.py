@@ -31,5 +31,5 @@ def test_quick_config_solves_without_scipy():
     assert result.returncode == 0, result.stderr
     converged, iterations, j_polished = result.stdout.split()
     assert converged == "True"
-    assert int(iterations) == 25
+    assert int(iterations) == 3
     assert abs(float(j_polished) - 1.046002023337083) <= 1e-9
