@@ -50,7 +50,7 @@ def main():
     print(f"activations per sensor: {schedule.activation_counts.tolist()}")
 
     banner("Riccati gains for that schedule, and their limit cycle")
-    init = ps.init_gains_for_schedule(sys, schedule)
+    init = ps.evaluate_schedule(sys, schedule).gains
     cycle = ps.covariance_limit_cycle(sys, init)
     print(f"gain columns zeroed exactly where the schedule is 0: "
           f"{(ps.schedule_from_gains(init).mask == mask).all()}")

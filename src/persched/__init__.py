@@ -70,9 +70,7 @@ from .periodic import (
     covariance_limit_cycle,
     evaluate_schedule,
     evaluate_schedules,
-    init_gains_for_schedule,
     lift_cyclic,
-    objective_J,
     schedule_from_gains,
     value_cycle,
 )
@@ -119,11 +117,9 @@ __all__ = [
     "exhaustive_search",
     "g_step",
     "gradient_phi",
-    "init_gains_for_schedule",
     "lift_cyclic",
     "load_experiment",
     "matrix_exponential",
-    "objective_J",
     "phi_value",
     "random_baseline",
     "run",

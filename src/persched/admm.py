@@ -7,7 +7,8 @@ gains, update the dual, and stop once the two copies agree and the sparse
 copy has settled. Once the sparse copy's support holds for two iterations,
 the driver tries a jump to the exact fixed point on that support. The final
 schedule is read off the sparse copy, which is feasible by construction, and
-re-solved exactly (polished) for reporting.
+solved exactly (polished) for reporting; a support the jump already solved
+is not solved again.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .periodic import (
     PeriodicGains,
     Schedule,
     check_schedule_detectability,
+    covariance_limit_cycle,
     evaluate_schedule,
-    init_gains_for_schedule,
-    objective_J,
     schedule_from_gains,
 )
 
@@ -162,10 +162,11 @@ class SolveReport:
     ``gains_polished`` and ``j_polished`` re-solve the extracted schedule
     exactly and are the figures used for cross-method comparison.
     ``jump_iteration`` is the iteration after which the driver jumped to the
-    support's fixed point, None when no jump was accepted; after a jump
-    ``gains_raw`` are the polished gains. ``wall_time`` is informational and
-    excluded from serialization so that identical runs produce identical
-    files.
+    support's fixed point, None when no jump was accepted. The polish reuses
+    the jump's evaluation of the support, so after a kept jump ``gains_raw``
+    are the polished gains and ``j_raw == j_polished`` by construction.
+    ``wall_time`` is informational and excluded from serialization so that
+    identical runs produce identical files.
     """
 
     gains_raw: PeriodicGains
@@ -249,11 +250,7 @@ class AdmmDriver:
         sched = cfg.init_schedule
         if sched is None:
             sched = default_init_schedule(self.sys, cfg.period, self.eta)
-        elif sched.n_sensors != self.sys.n_sensors:
-            raise InputError(
-                f"init schedule has {sched.n_sensors} sensors, system has {self.sys.n_sensors}"
-            )
-        self.L = init_gains_for_schedule(self.sys, sched)
+        self.L = evaluate_schedule(self.sys, sched).gains
         shape = self.L.gains.shape
         self.G = np.zeros(shape)
         self.Lam = np.zeros(shape)
@@ -262,7 +259,7 @@ class AdmmDriver:
         self._best_phi = np.inf
         self._best = None
         self._support = None
-        self._tried = set()
+        self._fixed = {}  # support -> its ScheduleEvaluation, None if that raised
         self.jump_iteration = None
         self._initialized = True
         return self.state
@@ -295,14 +292,17 @@ class AdmmDriver:
         point of one iteration whenever the G-step keeps exactly that
         support. Any other outcome leaves the iterate alone: finite support
         identification (Liang, Fadili & Peyre, JOTA 172, 2017), accepted
-        only when it checks, as in OSQP's polishing.
+        only when it checks, as in OSQP's polishing. Whatever the outcome,
+        ``_fixed`` keeps the support's evaluation (None when it raised) for
+        the polish.
         """
         cfg = self.cfg
-        self._tried.add(support)
+        self._fixed[support] = None
         try:
-            gains = init_gains_for_schedule(self.sys, support)
+            self._fixed[support] = fixed = evaluate_schedule(self.sys, support)
+            gains = fixed.gains
             trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains.gains), 0.0)
-            lam = -lstep.gradient_phi(trace_only, gains)
+            lam = -lstep.gradient_phi(trace_only, gains, cycle=fixed.cycle)
         except PerschedError:
             return
         new_g = g_step(GStepProblem(gains.gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
@@ -370,7 +370,7 @@ class AdmmDriver:
             result.phi,
             cardinality,
         )
-        if support == self._support and not self._meets_rule(record) and support not in self._tried:
+        if support == self._support and not self._meets_rule(record) and support not in self._fixed:
             self._jump(support)
         self._support = support
         return record
@@ -398,8 +398,11 @@ class AdmmDriver:
             final_l, final_g = self._best[0], self._best[1]
 
         schedule = schedule_from_gains(PeriodicGains(final_g), cfg.zero_tol)
-        polished = evaluate_schedule(self.sys, schedule)
-        j_raw = objective_J(self.sys, final_l)
+        polished = self._fixed.get(schedule) or evaluate_schedule(self.sys, schedule)
+        if final_l is polished.gains:
+            j_raw = polished.J
+        else:
+            j_raw = covariance_limit_cycle(self.sys, final_l).mean_trace
         report = SolveReport(
             gains_raw=final_l,
             gains_polished=polished.gains,

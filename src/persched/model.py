@@ -300,23 +300,11 @@ def validate_assumptions(sys: SystemModel) -> AssumptionReport:
     """Check the standing assumptions behind the estimator design.
 
     Runs PBH rank tests for detectability of (A, C) and stabilizability of
-    (A, sqrt(B Q B^T)), plus definiteness tests on R and Q. Returns a report
-    listing each check; nothing is raised.
+    (A, sqrt(B Q B^T)). R positive definite and Q positive semidefinite need
+    no check here: SystemModel raises InputError on either before a report
+    can exist. Returns a report listing each check; nothing is raised.
     """
     checks = []
-
-    r_ok = bool(np.linalg.eigvalsh(sys.R).min() > 0.0)
-    checks.append(
-        AssumptionCheck("R positive definite", r_ok, "" if r_ok else "R has a nonpositive eigenvalue")
-    )
-
-    q_min = float(np.linalg.eigvalsh(sys.Q).min())
-    q_ok = q_min >= -1e-10 * max(1.0, float(np.linalg.norm(sys.Q)))
-    checks.append(
-        AssumptionCheck(
-            "Q positive semidefinite", q_ok, "" if q_ok else f"min eigenvalue {q_min:.3g}"
-        )
-    )
 
     det_lam = pbh_rank_drop(sys.A, sys.C)
     det_ok = det_lam is None

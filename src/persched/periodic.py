@@ -37,10 +37,8 @@ __all__ = [
     "closed_loop_factors",
     "covariance_limit_cycle",
     "value_cycle",
-    "objective_J",
     "schedule_from_gains",
     "check_schedule_detectability",
-    "init_gains_for_schedule",
     "evaluate_schedule",
     "evaluate_schedules",
     "chunk_length",
@@ -343,11 +341,6 @@ def value_cycle(sys: SystemModel, gains: PeriodicGains):
     return tuple(np.roll(_single_cycle(*cycles)[::-1], 1, axis=0))
 
 
-def objective_J(sys: SystemModel, gains: PeriodicGains) -> float:
-    """Average steady-state error: (1/K) sum of covariance traces."""
-    return covariance_limit_cycle(sys, gains).mean_trace
-
-
 def schedule_from_gains(gains: PeriodicGains, zero_tol: float = None) -> Schedule:
     """Activation mask of the nonzero gain columns.
 
@@ -461,9 +454,21 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     return idx, gains
 
 
-def _evaluate(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
-    """The gate, the Riccati sweep and the covariance cycle of evaluate_schedule
-    and init_gains_for_schedule; the cycle's radius test is the one stability check."""
+def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
+    """Canonical figure of merit for a schedule.
+
+    Iterates the K coupled Riccati recursions with each step's observation
+    restricted to the scheduled sensors, so the gains carry the schedule's
+    column-sparsity pattern exactly, then computes the covariance limit
+    cycle they induce, whose radius test is the one stability check, and
+    the average trace J. evaluate_schedules gives the same J for many
+    schedules at once.
+
+    Raises DimensionError when the schedule's width is not the system's
+    sensor count, and InitializationError when the schedule leaves an
+    unstable mode unobserved, the iteration fails to settle, or the closed
+    loop is unstable.
+    """
     if sched.n_sensors != sys.n_sensors:
         raise DimensionError(
             f"schedule has {sched.n_sensors} sensor columns, system has {sys.n_sensors}"
@@ -479,30 +484,6 @@ def _evaluate(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
     cycle = CovarianceCycle(cycles[0])
     return ScheduleEvaluation(J=cycle.mean_trace, gains=PeriodicGains(gains[0]), cycle=cycle)
-
-
-def init_gains_for_schedule(sys: SystemModel, sched: Schedule) -> PeriodicGains:
-    """Riccati-optimal periodic gains for a fixed activation schedule.
-
-    Iterates the K coupled Riccati recursions with each step's observation
-    restricted to the scheduled sensors, so the returned gains carry the
-    schedule's column-sparsity pattern exactly and the closed loop is
-    stable.
-
-    Raises InitializationError when the schedule leaves an unstable mode
-    unobserved, the iteration fails to settle, or the closed loop is unstable.
-    """
-    return _evaluate(sys, sched).gains
-
-
-def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
-    """Canonical figure of merit for a schedule.
-
-    Computes the Riccati-optimal gains for the fixed schedule, the
-    covariance limit cycle they induce, and the average trace J.
-    evaluate_schedules gives the same J for many schedules at once.
-    """
-    return _evaluate(sys, sched)
 
 
 def chunk_length(n_states: int) -> int:

@@ -24,7 +24,7 @@ BASELINE_SEED = 7
 
 def perturbed_start(rng, sys, K, scale):
     """Riccati gains for the all-on schedule, plus a small perturbation."""
-    init = ps.init_gains_for_schedule(sys, ps.Schedule.all_on(K, sys.n_sensors))
+    init = ps.evaluate_schedule(sys, ps.Schedule.all_on(K, sys.n_sensors)).gains
     return init, ps.PeriodicGains(init.gains + scale * rng.normal(size=init.gains.shape))
 
 
@@ -134,7 +134,7 @@ def test_criterion_04_periodic_solvers_cross_validate():
             m = min(3, n)
             sys = random_stable_system(rng, n, m)
             sched = random_schedule(rng, K, m)
-            cyclic = ps.init_gains_for_schedule(sys, sched)
+            cyclic = ps.evaluate_schedule(sys, sched).gains
             lifted = reference.lifted_riccati_gains(sys, sched)
             dev = float(np.abs(cyclic.gains - lifted).max() / (1.0 + np.abs(lifted).max()))
             worst_pair = max(worst_pair, dev)
@@ -143,7 +143,7 @@ def test_criterion_04_periodic_solvers_cross_validate():
     worst_classical = 0.0
     for _ in range(5):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.init_gains_for_schedule(sys, ps.Schedule.all_on(1, 2))
+        gains = ps.evaluate_schedule(sys, ps.Schedule.all_on(1, 2)).gains
         p = scipy.linalg.solve_discrete_are(sys.A.T, sys.C.T, sys.q_eff, sys.R)
         classical = sys.A @ p @ sys.C.T @ np.linalg.inv(sys.C @ p @ sys.C.T + sys.R)
         dev = float(np.abs(gains[0] - classical).max() / (1.0 + np.abs(classical).max()))

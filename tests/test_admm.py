@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persched as ps
-from persched import AdmmConfig, AdmmDriver, InputError, Schedule, admm, lstep
+from persched import AdmmConfig, AdmmDriver, DimensionError, InputError, Schedule, admm, lstep
+from persched import periodic
 from persched.gstep import ZERO_COLUMN_TOL
 from tests.conftest import detectable_plant, random_stable_system
 
@@ -120,6 +121,12 @@ class TestDriver:
         assert (norms[custom.mask == 0] == 0.0).all()
         assert (norms[custom.mask == 1] > 0.0).all()
 
+    def test_init_schedule_sensor_count_checked(self, rng):
+        sys = random_stable_system(rng, 3, 2)
+        wide = Schedule.all_on(4, 3)
+        with pytest.raises(DimensionError, match="sensor columns"):
+            ps.run(sys, small_config(init_schedule=wide))
+
     def test_step_advances_and_records(self, rng):
         sys = random_stable_system(rng, 3, 2)
         driver = AdmmDriver(sys, small_config())
@@ -189,7 +196,7 @@ class TestRun:
         again = ps.evaluate_schedule(sys, report.schedule)
         assert report.j_polished == pytest.approx(again.J, rel=1e-12)
         assert report.j_raw == pytest.approx(
-            ps.objective_J(sys, report.gains_raw), rel=1e-12
+            ps.covariance_limit_cycle(sys, report.gains_raw).mean_trace, rel=1e-12
         )
 
     def test_polished_gains_respect_schedule(self, rng):
@@ -237,6 +244,32 @@ class TestRun:
         assert d["iterations"] == 150
         assert d["config"]["period"] == 2
         assert len(d["trace"]) == report.iterations
+
+
+class TestOneEvaluationPerSupport:
+    def test_benchmark_solve_sweeps_each_support_once(self, benchmark_sys, monkeypatch):
+        # One Riccati sweep each for the starting schedule and the two tried
+        # jumps (TestSupportJump); the polish reuses the kept jump's.
+        calls, riccati = [], periodic._periodic_riccati
+
+        def counting(sys, active):
+            calls.append(active.shape)
+            return riccati(sys, active)
+
+        monkeypatch.setattr(periodic, "_periodic_riccati", counting)
+        report = ps.run(benchmark_sys, AdmmConfig(period=10, gamma=0.15, eta=5))
+        assert len(calls) == 3
+        assert report.gains_raw is report.gains_polished
+        assert report.j_raw == report.j_polished
+
+    def test_capped_run_scores_its_own_gains(self, rng):
+        # The run of test_report_to_dict_excludes_wall_time ends at its cap
+        # with no jump, so both figures are computed afresh.
+        sys = random_stable_system(rng, 2, 1)
+        report = ps.run(sys, small_config(eta=1, period=2))
+        assert report.converged is False
+        assert report.j_raw == ps.covariance_limit_cycle(sys, report.gains_raw).mean_trace
+        assert report.j_polished == ps.evaluate_schedule(sys, report.schedule).J
 
 
 class TestSweep:

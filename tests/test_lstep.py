@@ -38,7 +38,7 @@ def finite_difference_gradient(prob, gains, step=1e-6):
 
 
 def riccati_start(sys, K):
-    return ps.init_gains_for_schedule(sys, Schedule.all_on(K, sys.n_sensors))
+    return ps.evaluate_schedule(sys, Schedule.all_on(K, sys.n_sensors)).gains
 
 
 class TestLStepProblem:

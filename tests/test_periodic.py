@@ -112,7 +112,7 @@ class TestLiftCyclic:
 class TestCovarianceLimitCycle:
     def test_k1_all_sensors_matches_dare(self, rng):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(1, 2))
+        gains = ps.evaluate_schedule(sys, Schedule.all_on(1, 2)).gains
         cycle = ps.covariance_limit_cycle(sys, gains)
         expected = scipy.linalg.solve_discrete_are(sys.A.T, sys.C.T, sys.q_eff, sys.R)
         np.testing.assert_allclose(cycle[0], expected, rtol=1e-7, atol=1e-9)
@@ -123,7 +123,7 @@ class TestCovarianceLimitCycle:
             m = int(rng.integers(1, 4))
             K = int(rng.integers(1, 6))
             sys = random_stable_system(rng, n, m)
-            gains = ps.init_gains_for_schedule(sys, random_schedule(rng, K, m))
+            gains = ps.evaluate_schedule(sys, random_schedule(rng, K, m)).gains
             ref = ps.covariance_limit_cycle(sys, gains)
             for method in (reference.covariance_cycle_lifted, reference.covariance_cycle_recursion):
                 np.testing.assert_allclose(
@@ -132,7 +132,7 @@ class TestCovarianceLimitCycle:
 
     def test_satisfies_recursion(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule(np.array([[1, 0], [0, 1], [1, 1]])))
+        gains = ps.evaluate_schedule(sys, Schedule(np.array([[1, 0], [0, 1], [1, 1]]))).gains
         cycle = ps.covariance_limit_cycle(sys, gains)
         assert cycle_residual(sys, gains, cycle) < 1e-10
 
@@ -155,7 +155,7 @@ class TestCovarianceLimitCycle:
 class TestValueCycle:
     def test_satisfies_recursion(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule(np.array([[1, 1], [1, 0]])))
+        gains = ps.evaluate_schedule(sys, Schedule(np.array([[1, 1], [1, 0]]))).gains
         values = ps.value_cycle(sys, gains)
         factors = closed_loop_factors(sys, gains)
         for k in range(2):
@@ -164,7 +164,7 @@ class TestValueCycle:
 
     def test_methods_agree(self, rng):
         sys = random_stable_system(rng, 3, 1)
-        gains = ps.init_gains_for_schedule(sys, Schedule(np.array([[1], [0], [1], [0]])))
+        gains = ps.evaluate_schedule(sys, Schedule(np.array([[1], [0], [1], [0]]))).gains
         ref = ps.value_cycle(sys, gains)
         for method in (reference.value_cycle_lifted, reference.value_cycle_recursion):
             other = method(sys, gains)
@@ -174,7 +174,7 @@ class TestValueCycle:
 
     def test_dominates_identity(self, rng):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(3, 2))
+        gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
         for v in ps.value_cycle(sys, gains):
             assert np.linalg.eigvalsh(v - np.eye(4)).min() > -1e-10
 
@@ -191,7 +191,7 @@ class TestMonodromy:
     def test_default_cycles_compute_eigenvalues_once(self, rng, monkeypatch):
         # The kernel's radius test on the monodromy is the cycle's only one.
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(3, 2))
+        gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
         calls = []
 
         def counting(fn):
@@ -231,10 +231,10 @@ class TestMonodromy:
 class TestObjective:
     def test_equals_mean_trace(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(2, 2))
+        gains = ps.evaluate_schedule(sys, Schedule.all_on(2, 2)).gains
         cycle = ps.covariance_limit_cycle(sys, gains)
         expected = (np.trace(cycle[0]) + np.trace(cycle[1])) / 2.0
-        assert ps.objective_J(sys, gains) == pytest.approx(expected, rel=1e-12)
+        assert cycle.mean_trace == pytest.approx(expected, rel=1e-12)
 
 
 class TestScheduleFromGains:
@@ -260,7 +260,7 @@ class TestScheduleFromGains:
 class TestInitGainsForSchedule:
     def test_k1_matches_classical_kalman_gain(self, rng):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(1, 2))
+        gains = ps.evaluate_schedule(sys, Schedule.all_on(1, 2)).gains
         p = scipy.linalg.solve_discrete_are(sys.A.T, sys.C.T, sys.q_eff, sys.R)
         expected = sys.A @ p @ sys.C.T @ np.linalg.inv(sys.C @ p @ sys.C.T + sys.R)
         np.testing.assert_allclose(gains[0], expected, rtol=1e-7, atol=1e-9)
@@ -268,7 +268,7 @@ class TestInitGainsForSchedule:
     def test_sparsity_pattern_is_exact(self, rng):
         sys = random_stable_system(rng, 3, 3)
         mask = np.array([[1, 0, 1], [0, 1, 0]])
-        gains = ps.init_gains_for_schedule(sys, Schedule(mask))
+        gains = ps.evaluate_schedule(sys, Schedule(mask)).gains
         norms = gains.column_norms()
         assert (norms[mask == 0] == 0.0).all()
         assert (norms[mask == 1] > 0.0).all()
@@ -280,13 +280,13 @@ class TestInitGainsForSchedule:
             K = int(rng.integers(1, 5))
             sys = random_stable_system(rng, n, m)
             sched = random_schedule(rng, K, m)
-            a = ps.init_gains_for_schedule(sys, sched)
+            a = ps.evaluate_schedule(sys, sched).gains
             b = reference.lifted_riccati_gains(sys, sched)
             np.testing.assert_allclose(a.gains, b, rtol=1e-6, atol=1e-8)
 
     def test_empty_schedule_on_stable_plant(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        gains = ps.init_gains_for_schedule(sys, Schedule.empty(2, 2))
+        gains = ps.evaluate_schedule(sys, Schedule.empty(2, 2)).gains
         np.testing.assert_array_equal(gains.gains, np.zeros((2, 3, 2)))
 
     def test_undetectable_schedule_raises(self):
@@ -294,13 +294,13 @@ class TestInitGainsForSchedule:
             A=np.array([[1.2]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
         )
         with pytest.raises(InitializationError, match="undetectable"):
-            ps.init_gains_for_schedule(sys, Schedule.empty(2, 1))
+            ps.evaluate_schedule(sys, Schedule.empty(2, 1))
         check_schedule_detectability(sys, Schedule.all_on(2, 1))
 
     def test_mismatched_sensor_count(self, rng):
         sys = random_stable_system(rng, 2, 2)
         with pytest.raises(DimensionError, match="sensor"):
-            ps.init_gains_for_schedule(sys, Schedule.all_on(2, 3))
+            ps.evaluate_schedule(sys, Schedule.all_on(2, 3))
 
 
 def modal_plant(rng, poles, visible):
@@ -372,7 +372,7 @@ class TestDetectabilityGate:
         assert not gate_rejects(sys, once)
         assert np.isfinite(ps.evaluate_schedule(sys, Schedule(np.array(once))).J)
         with pytest.raises(InitializationError, match="undetectable at eigenvalue"):
-            ps.init_gains_for_schedule(sys, Schedule(np.array([[0, 1, 1]] * 3)))
+            ps.evaluate_schedule(sys, Schedule(np.array([[0, 1, 1]] * 3)))
 
 
 class TestEvaluateSchedule:
@@ -464,7 +464,7 @@ class TestEvaluateSchedules:
     def test_inactive_gain_columns_are_exactly_zero(self, rng):
         sys = random_stable_system(rng, 4, 3)
         mask = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]])
-        gains = ps.init_gains_for_schedule(sys, Schedule(mask)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(mask)).gains.gains
         inactive = gains.transpose(0, 2, 1)[mask == 0]
         assert (inactive == 0.0).all()
         assert not np.signbit(inactive).any()
@@ -607,7 +607,7 @@ class TestMaskedRiccatiProperties:
         sys = hard_plant(rng, n, m, cond_r, unstable)
         for mask in hard_masks(rng, K, m):
             try:
-                gains = ps.init_gains_for_schedule(sys, Schedule(mask)).gains
+                gains = ps.evaluate_schedule(sys, Schedule(mask)).gains.gains
             except InitializationError:
                 assert unstable
                 continue
@@ -622,9 +622,9 @@ def detectable_gains(rng, sys, K, near_unit):
     at t = 0 it is top^K >= 1."""
     mask = (rng.random((K, sys.n_sensors)) < 0.5).astype(np.int8)
     try:
-        gains = ps.init_gains_for_schedule(sys, Schedule(mask))
+        gains = ps.evaluate_schedule(sys, Schedule(mask)).gains
     except InitializationError:
-        gains = ps.init_gains_for_schedule(sys, Schedule.all_on(K, sys.n_sensors))
+        gains = ps.evaluate_schedule(sys, Schedule.all_on(K, sys.n_sensors)).gains
     if not near_unit:
         return gains
     lo, hi = 0.0, 1.0
