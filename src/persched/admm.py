@@ -53,16 +53,15 @@ class AdmmConfig:
     """Solver settings.
 
     ``eta`` is either one bound shared by every sensor or a per-sensor
-    sequence; bounds must be integers in 1..period. ``zero_tol`` feeds
-    schedule extraction (None means relative to the largest gain column),
-    and ``init_schedule`` overrides the default staggered starting schedule.
+    sequence; bounds must be integers in 1..period. ``init_schedule``
+    overrides the default staggered starting schedule. Schedules are read
+    off the gains with schedule_from_gains' default relative threshold.
 
     The gain step is solved inexactly. The first inner solve runs to the
-    gradient-norm tolerance ``inner_tol_cap``; every later one stops at
-    ``max(inner_tol_cap, 0.1 * primal)``, where ``primal`` is the previous
-    outer iteration's primal residual. ``inner_tol_cap`` is thus the floor
-    of the relative rule. The first solve stays tight because at gamma = 0
-    the first sparsification step already fixes the schedule.
+    gradient-norm tolerance ``lstep.TOL_FLOOR``; every later one stops at
+    ``max(lstep.TOL_FLOOR, 0.1 * primal)``, where ``primal`` is the previous
+    outer iteration's primal residual. The first solve stays tight because
+    at gamma = 0 the first sparsification step already fixes the schedule.
     """
 
     period: int
@@ -71,11 +70,6 @@ class AdmmConfig:
     rho: float = 10.0
     eps: float = 1e-3
     max_iters: int = 200
-    inner_max_iters: int = 100
-    inner_tol_cap: float = 1e-6
-    armijo_alpha: float = 0.3
-    armijo_beta: float = 0.5
-    zero_tol: Optional[float] = None
     init_schedule: Optional[Schedule] = None
 
     def __post_init__(self):
@@ -87,14 +81,8 @@ class AdmmConfig:
             raise InputError("rho must be positive")
         if self.eps <= 0:
             raise InputError("eps must be positive")
-        if self.max_iters < 1 or self.inner_max_iters < 1:
+        if self.max_iters < 1:
             raise InputError("iteration caps must be at least 1")
-        if not (0 <= self.armijo_alpha < 1) or not (0 < self.armijo_beta < 1):
-            raise InputError("need 0 <= armijo_alpha < 1 and 0 < armijo_beta < 1")
-        if self.inner_tol_cap <= 0:
-            raise InputError("inner_tol_cap must be positive")
-        if self.zero_tol is not None and self.zero_tol < 0:
-            raise InputError("zero_tol must be nonnegative")
         self.eta_tuple(None)
         if self.init_schedule is not None and self.init_schedule.K != self.period:
             raise InputError(
@@ -113,11 +101,6 @@ class AdmmConfig:
             "rho": self.rho,
             "eps": self.eps,
             "max_iters": self.max_iters,
-            "inner_max_iters": self.inner_max_iters,
-            "inner_tol_cap": self.inner_tol_cap,
-            "armijo_alpha": self.armijo_alpha,
-            "armijo_beta": self.armijo_beta,
-            "zero_tol": self.zero_tol,
             "init_schedule": None
             if self.init_schedule is None
             else self.init_schedule.to_text(),
@@ -165,8 +148,11 @@ class SolveReport:
     support's fixed point, None when no jump was accepted. The polish reuses
     the jump's evaluation of the support, so after a kept jump ``gains_raw``
     are the polished gains and ``j_raw == j_polished`` by construction.
-    ``wall_time`` is informational and excluded from serialization so that
-    identical runs produce identical files.
+    ``line_search_failed`` is set when the Armijo search of some inner gain
+    solve underflowed; that solve kept its best iterate and the outer loop
+    went on, so the flag does not contradict ``converged``. ``wall_time``
+    is informational and excluded from serialization so that identical runs
+    produce identical files.
     """
 
     gains_raw: PeriodicGains
@@ -277,8 +263,8 @@ class AdmmDriver:
         shrinking (Boyd et al., FnT ML 2011, section 3.4.4).
         """
         if np.isinf(self._last_primal):
-            return self.cfg.inner_tol_cap
-        return max(self.cfg.inner_tol_cap, 0.1 * self._last_primal)
+            return lstep.TOL_FLOOR
+        return max(lstep.TOL_FLOOR, 0.1 * self._last_primal)
 
     def _meets_rule(self, record: IterationRecord) -> bool:
         return record.primal_residual <= self.cfg.eps and record.g_change <= self.cfg.eps
@@ -306,7 +292,7 @@ class AdmmDriver:
         except PerschedError:
             return
         new_g = g_step(GStepProblem(gains.gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
-        if schedule_from_gains(PeriodicGains(new_g), cfg.zero_tol) != support:
+        if schedule_from_gains(PeriodicGains(new_g)) != support:
             return
         self.L, self.G, self.Lam = gains, new_g, lam
         self.jump_iteration = self.iteration
@@ -322,14 +308,7 @@ class AdmmDriver:
 
         u = self.G - self.Lam / rho
         prob = lstep.LStepProblem(self.sys, u, rho)
-        result = lstep.solve(
-            prob,
-            init=self.L,
-            tol=self._inner_tol(),
-            max_iters=cfg.inner_max_iters,
-            alpha=cfg.armijo_alpha,
-            beta=cfg.armijo_beta,
-        )
+        result = lstep.solve(prob, init=self.L, tol=self._inner_tol())
         if result.line_search_failed:
             self.line_search_failed = True
         new_l = result.gains
@@ -348,7 +327,7 @@ class AdmmDriver:
         self.iteration += 1
         self._last_primal = primal
 
-        support = schedule_from_gains(PeriodicGains(new_g), cfg.zero_tol)
+        support = schedule_from_gains(PeriodicGains(new_g))
         cardinality = support.total_activations
         record = IterationRecord(
             iteration=self.iteration,
@@ -397,7 +376,7 @@ class AdmmDriver:
         else:
             final_l, final_g = self._best[0], self._best[1]
 
-        schedule = schedule_from_gains(PeriodicGains(final_g), cfg.zero_tol)
+        schedule = schedule_from_gains(PeriodicGains(final_g))
         polished = self._fixed.get(schedule) or evaluate_schedule(self.sys, schedule)
         if final_l is polished.gains:
             j_raw = polished.J

@@ -244,11 +244,13 @@ def random_baseline(
     Draws ``trials`` schedules uniformly among the masks that satisfy the
     per-sensor bounds and have exactly ``total_activations`` activations,
     scores them with evaluate_schedules, and returns the statistics in draw
-    order. Fully determined by ``seed``. Raises InitializationError when a
-    drawn schedule leaves the estimator invalid.
+    order. Fully determined by ``seed``, a nonnegative integer. Raises
+    InitializationError when a drawn schedule leaves the estimator invalid.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     bounds = normalize_eta(eta, sys.n_sensors, K)
     if not 0 <= total_activations <= sum(bounds):
         raise InputError(

@@ -34,13 +34,6 @@ __all__ = ["cmd_run", "cmd_sweep", "cmd_compare", "cmd_validate", "main", "conso
 
 logger = logging.getLogger(__name__)
 
-_KIND_FOR_COMMAND = {
-    "run": {"run"},
-    "sweep": {"sweep"},
-    "compare": {"compare", "oracle", "baseline"},
-    "validate": {"validate"},
-}
-
 
 def _setup_logging() -> None:
     name = os.environ.get("PERSCHED_LOG", "WARNING").upper()
@@ -51,7 +44,7 @@ def _setup_logging() -> None:
 
 
 def _check_kind(cfg: ExperimentConfig, command: str) -> None:
-    if cfg.kind is not None and cfg.kind not in _KIND_FOR_COMMAND[command]:
+    if cfg.kind is not None and cfg.kind != command:
         raise ConfigError(f"config kind {cfg.kind!r} does not match command {command!r}")
 
 

@@ -23,7 +23,8 @@ from .periodic import Schedule
 
 __all__ = ["ExperimentConfig", "load_experiment"]
 
-_KINDS = ("run", "sweep", "compare", "validate", "oracle", "baseline")
+# A config's ``kind`` pins it to the command of that name.
+_KINDS = ("run", "sweep", "compare", "validate")
 
 _TOP_KEYS = {"kind", "system", "admm", "sweep", "compare", "seed", "output"}
 _SYSTEM_KEYS = {"field", "matrices"}
@@ -44,11 +45,6 @@ _ADMM_KEYS = {
     "rho",
     "eps",
     "max_iters",
-    "inner_max_iters",
-    "inner_tol_cap",
-    "armijo_alpha",
-    "armijo_beta",
-    "zero_tol",
     "init_schedule",
 }
 _SWEEP_KEYS = {"gammas", "etas"}
@@ -183,14 +179,11 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
         "gamma": _number(section["gamma"], "admm.gamma"),
         "eta": section["eta"] if np.isscalar(section["eta"]) else tuple(section["eta"]),
     }
-    for key in ("max_iters", "inner_max_iters"):
-        if key in section:
-            kwargs[key] = _integer(section[key], f"admm.{key}")
-    for key in ("rho", "eps", "inner_tol_cap", "armijo_alpha", "armijo_beta"):
+    if "max_iters" in section:
+        kwargs["max_iters"] = _integer(section["max_iters"], "admm.max_iters")
+    for key in ("rho", "eps"):
         if key in section:
             kwargs[key] = _number(section[key], f"admm.{key}")
-    if section.get("zero_tol") is not None:
-        kwargs["zero_tol"] = _number(section["zero_tol"], "admm.zero_tol")
     if section.get("init_schedule") is not None:
         kwargs["init_schedule"] = _load_init_schedule(section["init_schedule"], base)
     try:
@@ -264,14 +257,16 @@ def load_experiment(path) -> ExperimentConfig:
         compare_trials = _integer(c.get("trials", compare_trials), "compare.trials")
         if compare_trials < 0:
             raise ConfigError("compare.trials must be nonnegative")
-        compare_oracle = bool(c.get("oracle", False))
+        compare_oracle = c.get("oracle", False)
+        if not isinstance(compare_oracle, bool):
+            raise ConfigError(f"compare.oracle must be true or false, got {compare_oracle!r}")
         if c.get("total_activations") is not None:
             compare_total = _integer(c["total_activations"], "compare.total_activations")
         compare_budget = _integer(c.get("budget", compare_budget), "compare.budget")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    seed = _integer(raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output must be a directory path string")

@@ -28,6 +28,12 @@ __all__ = [
     "solve_gain_sylvester",
 ]
 
+# Eigenvalues within this margin of the unit circle count as unstable modes,
+# in the model's PBH tests and the periodic module's detectability gate, and
+# a loop counts as stable, in solve_dlyap and the periodic limit-cycle
+# kernel, only when its spectral radius is below 1 - _UNIT_MARGIN.
+_UNIT_MARGIN = 1e-9
+
 # Coefficients of the degree-6 diagonal Pade approximant of exp(x).
 _PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
 
@@ -150,7 +156,8 @@ def solve_dlyap(f, w) -> np.ndarray:
     Parameters
     ----------
     f : array_like
-        Square matrix with spectral radius < 1, or a stack of them.
+        Square matrix with spectral radius < 1 - _UNIT_MARGIN, or a stack of
+        them.
     w : array_like
         Symmetric matrix, or stack, of the same shape as ``f``.
 
@@ -162,7 +169,7 @@ def solve_dlyap(f, w) -> np.ndarray:
     Raises
     ------
     InstabilityError
-        If the spectral radius of ``f`` (of any slice) is >= 1.
+        If the spectral radius of ``f`` (of any slice) is >= 1 - _UNIT_MARGIN.
     ConvergenceError
         If the residual contract
         ||X - FXF^T - W|| / max(1, ||W|| + ||F||^2 ||X||) <= 1e-9
@@ -172,8 +179,8 @@ def solve_dlyap(f, w) -> np.ndarray:
     if fm.shape[1] != fm.shape[2]:
         raise DimensionError(f"F must be square, got shape {fm.shape[1:]}")
     rho = np.abs(np.linalg.eigvals(fm)).max(axis=1)
-    if rho.max() >= 1.0:
-        raise InstabilityError(f"spectral radius {rho.max():.6g} >= 1; no unique fixed point")
+    if rho.max() >= 1.0 - _UNIT_MARGIN:
+        raise InstabilityError(f"spectral radius {rho.max():.12g} >= 1 - {_UNIT_MARGIN:g}")
     wm = _symmetric_stack(w, "W")
     if fm.shape != wm.shape:
         raise DimensionError(f"F and W shapes differ: {np.shape(f)} vs {np.shape(w)}")
@@ -184,7 +191,7 @@ def solve_dlyap(f, w) -> np.ndarray:
 def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """solve_dlyap's doubling and residual contract on (T, n, n) stacks F and
     symmetric W whose spectral radii ``rho`` (named in the error message) the
-    caller has already tested to be below 1."""
+    caller has already tested to be below 1 - _UNIT_MARGIN."""
     # live: slices still doubling; g in C order, so rounding ignores F's layout.
     x, live, xl, g = np.empty_like(wm), np.arange(len(fm)), wm, np.ascontiguousarray(fm)
     for _ in range(200):

@@ -33,9 +33,16 @@ __all__ = [
     "gradient_phi",
     "anderson_moore_update",
     "solve",
+    "TOL_FLOOR",
 ]
 
 _MIN_STEP = 1e-12
+# Armijo sufficient-decrease fraction and backtracking factor.
+_ARMIJO_ALPHA = 0.3
+_ARMIJO_BETA = 0.5
+# Default gradient-norm tolerance of solve; the ADMM driver's inexact inner
+# rule never asks for less.
+TOL_FLOOR = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,33 +189,30 @@ def _armijo(
     prob: LStepProblem,
     gains: PeriodicGains,
     direction: np.ndarray,
-    alpha: float,
-    beta: float,
     phi0: float,
     slope: float,
 ):
     """Backtracking search: the first s in {1, beta, beta^2, ...} with
-    phi(L + s D) < phi0 + alpha * s * slope, where destabilizing trial points
-    count as infinitely bad. Returns the number of trial points scored and
+    phi(L + s D) < phi0 + alpha * s * slope, for alpha = _ARMIJO_ALPHA and
+    beta = _ARMIJO_BETA, where destabilizing trial points count as
+    infinitely bad. Returns the number of trial points scored and
     (s, new gains, new cycle), or None in its place when s underflows."""
     s, trials = 1.0, 0
     while s >= _MIN_STEP:
         trial = PeriodicGains(gains.gains + s * direction)
         trial_phi, trial_cycle = _trial_phi(prob, trial)
         trials += 1
-        if trial_phi < phi0 + alpha * s * slope:
+        if trial_phi < phi0 + _ARMIJO_ALPHA * s * slope:
             return trials, (s, trial, trial_cycle)
-        s *= beta
+        s *= _ARMIJO_BETA
     return trials, None
 
 
 def solve(
     prob: LStepProblem,
     init: PeriodicGains,
-    tol: float = 1e-6,
+    tol: float = TOL_FLOOR,
     max_iters: int = 100,
-    alpha: float = 0.3,
-    beta: float = 0.5,
 ) -> LStepResult:
     """Run the gain solver from a stabilizing start.
 
@@ -216,11 +220,10 @@ def solve(
     ``tol``, forms the coordinate-solve direction, and backtracks along it.
     The objective decreases strictly at every accepted step. On line-search
     failure the best iterate found so far is returned with the failure flag
-    set instead of raising. Armijo needs 0 <= alpha < 1 and 0 < beta < 1.
+    set instead of raising. The line search's constants are fixed
+    (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``).
     """
     _check_compatible(prob, init)
-    if not (0 <= alpha < 1) or not (0 < beta < 1):
-        raise InputError("need 0 <= alpha < 1 and 0 < beta < 1")
     try:
         cycle = covariance_limit_cycle(prob.sys, init)
     except InstabilityError as exc:
@@ -255,7 +258,7 @@ def solve(
             # current point up to roundoff, so no further progress is
             # possible at this tolerance.
             break
-        trials, accepted = _armijo(prob, gains, direction, alpha, beta, phi, slope)
+        trials, accepted = _armijo(prob, gains, direction, phi, slope)
         armijo_trials += trials
         if accepted is None:
             ls_failed = True

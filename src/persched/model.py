@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, InputError
-from .linalg import as_matrix, matrix_exponential, psd_sqrt, require_symmetric
+from .linalg import _UNIT_MARGIN, as_matrix, matrix_exponential, psd_sqrt, require_symmetric
 
 __all__ = [
     "SystemModel",
@@ -28,11 +28,6 @@ __all__ = [
     "BENCHMARK_SENSOR_SITES",
     "BENCHMARK_SPACING",
 ]
-
-# Eigenvalues within this margin of the unit circle count as unstable modes,
-# in the PBH tests here and in the periodic module's detectability gate, and
-# loops as stable in the periodic limit-cycle kernel only when inside it.
-_UNIT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

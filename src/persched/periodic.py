@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
-from .linalg import _smith_doubling, _stack, symmetrize
-from .model import _UNIT_MARGIN, SystemModel, _rank_drop_at, _unit_circle_eigenvalues
+from .linalg import _UNIT_MARGIN, _smith_doubling, _stack, symmetrize
+from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
     "Schedule",

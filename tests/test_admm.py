@@ -80,8 +80,6 @@ class TestAdmmConfig:
             (dict(max_iters=0), "caps"),
             (dict(eta=0), "eta"),
             (dict(eta=5), "eta"),
-            (dict(armijo_alpha=1.0), "armijo"),
-            (dict(zero_tol=-1e-3), "zero_tol"),
         ],
     )
     def test_rejects_bad_values(self, overrides, message):
@@ -139,18 +137,20 @@ class TestDriver:
 
 
 class TestInnerTolerance:
-    # The floor binds once 0.1 * primal falls below the cap. With the jump to
-    # the support's fixed point, the default small run ends at a primal
-    # residual of 0.2, before that happens. The binding case therefore takes
-    # gamma = 0 and eta = K: the G-step then keeps every nonzero gain column
-    # verbatim, so every primal residual is exactly 0, and every inner solve
-    # after the first runs at the floor.
+    # The floor, lstep.TOL_FLOOR, binds once 0.1 * primal falls below it.
+    # With the jump to the support's fixed point, the default small run ends
+    # at a primal residual of 0.2, before that happens. The binding case
+    # therefore takes gamma = 0 and eta = K: the G-step then keeps every
+    # nonzero gain column verbatim, so every primal residual is exactly 0,
+    # and every inner solve after the first runs at the floor. That case
+    # raises the floor to 1e-3, so it also shows the driver reads lstep's.
     @pytest.mark.parametrize(
-        "cap, overrides, floor_binds",
-        [(1e-6, {}, False), (1e-3, dict(gamma=0.0, eta=4), True)],
+        "floor, overrides, floor_binds",
+        [(lstep.TOL_FLOOR, {}, False), (1e-3, dict(gamma=0.0, eta=4), True)],
         ids=["1e-06-False", "0.001-identity_gstep-True"],
     )
-    def test_tracks_previous_primal_residual(self, rng, monkeypatch, cap, overrides, floor_binds):
+    def test_tracks_previous_primal_residual(self, rng, monkeypatch, floor, overrides, floor_binds):
+        monkeypatch.setattr(lstep, "TOL_FLOOR", floor)
         tols, solve = [], lstep.solve
 
         def recording_solve(*args, **kwargs):
@@ -159,13 +159,14 @@ class TestInnerTolerance:
 
         monkeypatch.setattr(lstep, "solve", recording_solve)
         sys = random_stable_system(rng, 3, 2)
-        report = ps.run(sys, small_config(inner_tol_cap=cap, **overrides))
+        report = ps.run(sys, small_config(**overrides))
         assert report.converged
         assert len(tols) == report.iterations
-        assert tols[0] == cap
+        assert tols[0] == lstep.TOL_FLOOR
         for i, rec in enumerate(report.trace[:-1]):
-            assert tols[i + 1] == max(cap, 0.1 * rec.primal_residual)
-        assert any(0.1 * rec.primal_residual < cap for rec in report.trace[:-1]) == floor_binds
+            assert tols[i + 1] == max(lstep.TOL_FLOOR, 0.1 * rec.primal_residual)
+        binds = any(0.1 * rec.primal_residual < lstep.TOL_FLOOR for rec in report.trace[:-1])
+        assert binds == floor_binds
 
 
 class TestRun:
@@ -350,7 +351,7 @@ class TestSupportJump:
 
         def unchecked(self, support):
             with monkeypatch.context() as patch:
-                patch.setattr(admm, "schedule_from_gains", lambda gains, tol: support)
+                patch.setattr(admm, "schedule_from_gains", lambda gains: support)
                 jump(self, support)
 
         monkeypatch.setattr(AdmmDriver, "_jump", unchecked)

@@ -234,6 +234,11 @@ class TestRandomBaseline:
         with pytest.raises(InputError, match="trials"):
             ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=0, seed=0)
 
+    def test_negative_seed_rejected(self, rng):
+        sys = random_stable_system(rng, 2, 1)
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=5, seed=-1)
+
     def test_statistics_consistent(self, rng):
         sys = random_stable_system(rng, 3, 2)
         result = ps.random_baseline(sys, K=3, eta=2, total_activations=2, trials=30, seed=9)

@@ -1,5 +1,7 @@
 """Experiment file loading and validation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             load_experiment(write_config(tmp_path, FIELD_SYSTEM + "seed: '7'\n"))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # Rejected before any solve, not by the random generator after one.
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            load_experiment(write_config(tmp_path, FIELD_SYSTEM + "seed: -1\n"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("inner_tol_cap", "1.0e-6"),
+            ("inner_max_iters", "100"),
+            ("armijo_alpha", "0.3"),
+            ("armijo_beta", "0.5"),
+            ("zero_tol", "1.0e-8"),
+        ],
+    )
+    def test_inner_solver_settings_rejected(self, tmp_path, key, value):
+        # Fixed in the solver (lstep's constants, schedule_from_gains' default
+        # threshold), not settings.
+        text = FIELD_SYSTEM + ADMM_BLOCK + f"  {key}: {value}\n"
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in admm"):
+            load_experiment(write_config(tmp_path, text))
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_experiment(tmp_path / "nope.yaml")
@@ -148,12 +172,6 @@ class TestValidation:
 INTEGER_FIELDS = [
     ("admm.period", FIELD_SYSTEM + ADMM_BLOCK, "period: {}", 4),
     ("admm.max_iters", FIELD_SYSTEM + ADMM_BLOCK + "  max_iters: 30\n", "max_iters: {}", 30),
-    (
-        "admm.inner_max_iters",
-        FIELD_SYSTEM + ADMM_BLOCK + "  inner_max_iters: 30\n",
-        "inner_max_iters: {}",
-        30,
-    ),
     ("compare.trials", FIELD_SYSTEM + "compare:\n  trials: 2\n", "trials: {}", 2),
     ("compare.budget", FIELD_SYSTEM + "compare:\n  budget: 100\n", "budget: {}", 100),
     (
@@ -165,6 +183,7 @@ INTEGER_FIELDS = [
     ("system.field.ell_h", FIELD_SYSTEM, "ell_h: {}", 1),
     ("system.field.ell_v", FIELD_SYSTEM, "ell_v: {}", 1),
     ("system.field.sensor_sites", FIELD_SYSTEM, "[1, {}]]", 1),
+    ("seed", FIELD_SYSTEM + "seed: 3\n", "seed: {}", 3),
 ]
 
 
@@ -188,7 +207,7 @@ class TestIntegerFields:
         floated = with_value(text, template, value, f"{value}.0")
         as_float = load_experiment(write_config(tmp_path, floated, "float.yaml"))
         assert as_float.admm == as_int.admm
-        for name in ("compare_trials", "compare_budget", "compare_total_activations"):
+        for name in ("compare_trials", "compare_budget", "compare_total_activations", "seed"):
             assert repr(getattr(as_float, name)) == repr(getattr(as_int, name))
         np.testing.assert_array_equal(as_float.system.A, as_int.system.A)
         np.testing.assert_array_equal(as_float.system.C, as_int.system.C)
@@ -198,10 +217,6 @@ class TestIntegerFields:
 ADMM_NUMBERS = {
     "rho": "5.0",
     "eps": "0.01",
-    "inner_tol_cap": "1.0e-6",
-    "armijo_alpha": "0.2",
-    "armijo_beta": "0.6",
-    "zero_tol": "1.0e-8",
 }
 
 # (field, config text, the field's line as a template, its value there as written)
@@ -315,6 +330,12 @@ class TestSweepAndCompare:
         assert cfg.compare_total_activations == 6
         assert cfg.compare_budget == 1000
 
+    def test_string_oracle_rejected(self, tmp_path):
+        # YAML reads the quoted "no" as a string, which bool() would take as true.
+        text = FIELD_SYSTEM + 'compare:\n  oracle: "no"\n'
+        with pytest.raises(ConfigError, match="compare.oracle must be true or false"):
+            load_experiment(write_config(tmp_path, text))
+
     def test_negative_trials_rejected(self, tmp_path):
         text = FIELD_SYSTEM + "compare:\n  trials: -1\n"
         with pytest.raises(ConfigError, match="trials"):
@@ -326,3 +347,17 @@ class TestSweepAndCompare:
         assert cfg.kind == "sweep"
         assert cfg.output == "results"
         assert cfg.seed == 9
+
+
+def test_readme_config_example_loads(tmp_path):
+    # The first YAML block of README's "Config files" section is a complete
+    # experiment file; keep it loadable as the schema changes.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = load_experiment(write_config(tmp_path, example))
+    assert cfg.kind == "run"
+    assert cfg.admm.period == 10
+    assert cfg.system.n_sensors == 2
+    assert cfg.sweep_gammas == (0.05, 0.15, 2.0)
+    assert cfg.compare_oracle is True

@@ -146,6 +146,11 @@ class TestSolveDlyap:
         with pytest.raises(InstabilityError, match="spectral radius"):
             solve_dlyap(np.array([[1.0]]), np.array([[1.0]]))
 
+    def test_margin_matches_the_limit_cycle_kernel(self):
+        # Inside the unit circle but not inside the kernel's margin.
+        with pytest.raises(InstabilityError, match=r">= 1 - 1e-09"):
+            solve_dlyap(np.array([[1.0 - 1e-10]]), np.array([[1.0]]))
+
     def test_overflowing_doubling_fails_to_settle(self):
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="failed to settle"):
             solve_dlyap(0.9 * np.eye(2), 1e308 * np.eye(2))
