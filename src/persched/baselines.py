@@ -4,10 +4,10 @@ The exhaustive oracle enumerates every schedule satisfying the per-sensor
 activation bounds (optionally at a fixed total activation count), scores
 each one exactly, and returns the global minimizer; a budget guard refuses
 instances whose candidate count would be unreasonable. A row rotation of a
-mask is the same periodic schedule started at another step, with the same
-score, so the oracle scores one mask per rotation class. The random baseline
-draws schedules uniformly from the same feasible set and reports the score
-statistics, giving the reference the solver is expected to beat.
+mask is the same periodic schedule started at another step, so the oracle
+generates and scores only the necklaces, one mask per rotation class. The
+random baseline draws schedules uniformly from the same feasible set and
+reports the score statistics, the reference the solver is expected to beat.
 """
 
 from __future__ import annotations
@@ -106,18 +106,16 @@ def exhaustive_search(
 ) -> OracleResult:
     """Globally optimal schedule by full enumeration.
 
-    Walks all K x M masks satisfying the per-sensor bounds (and the exact
-    total activation count when given) in lexicographic order of the
-    row-major bit string. The row rotations of a mask are feasible masks
-    that describe the same periodic schedule started at another step, with
-    the same limit cycle rotated and the same J, so only the first mask of
-    each rotation class in that order (its lexicographically smallest
-    rotation) is scored, chunk by chunk with evaluate_schedules, and its
-    score counts for every mask of the class. Masks whose estimator is
-    invalid (an unstable mode left unobserved) are skipped. Ties keep the
-    lexicographically smallest mask, which is the first one scored.
-    Raises BudgetError up front when the candidate count, which counts
-    masks and not classes, exceeds ``budget``.
+    Covers all K x M masks within the per-sensor bounds (and with exactly
+    ``total_activations`` activations when given). A mask's row rotations
+    are the same periodic schedule started at another step, with the same J,
+    so only the necklaces (masks that are their own smallest rotation) are
+    generated, in lexicographic order of the row-major bit string, and scored
+    chunk by chunk with evaluate_schedules; a score counts for each mask of
+    the class, whose size is its number of distinct rotations. Masks whose
+    estimator is invalid (an unstable mode left unobserved) are skipped, ties
+    keep the lexicographically smallest mask, and BudgetError is raised up
+    front when the candidate count (masks, not classes) exceeds ``budget``.
     """
     if K < 1:
         raise InputError("period must be at least 1")
@@ -130,41 +128,9 @@ def exhaustive_search(
             f"{count} candidate schedules exceed the enumeration budget of {budget}"
         )
 
-    M = sys.n_sensors
-    mask = np.zeros((K, M), dtype=np.int8)
-    used = [0] * M
-
-    def future_capacity(pos: int) -> int:
-        """Most activations still placeable at positions >= pos."""
-        cap = 0
-        for m in range(M):
-            # Undecided positions for sensor m sit at j*M + m >= pos.
-            j_min = max(0, (pos - m + M - 1) // M)
-            cap += min(bounds[m] - used[m], K - j_min)
-        return cap
-
-    def leaves(pos: int, total: int):
-        """Feasible masks that extend the first ``pos`` decided entries."""
-        if total_activations is not None:
-            if total > total_activations:
-                return
-            if total + future_capacity(pos) < total_activations:
-                return
-        if pos == K * M:
-            yield mask.copy()
-            return
-        k, m = divmod(pos, M)
-        yield from leaves(pos + 1, total)
-        if used[m] < bounds[m]:
-            mask[k, m] = 1
-            used[m] += 1
-            yield from leaves(pos + 1, total + 1)
-            used[m] -= 1
-            mask[k, m] = 0
-
     best_j, best_mask, n_evaluated, n_skipped = np.inf, None, 0, 0
     step = chunk_length(sys.n_states)
-    classes = _rotation_classes(leaves(0, 0), K * step)
+    classes = _necklaces(K, bounds, total_activations)
     while chunk := list(itertools.islice(classes, step)):
         masks, sizes = map(np.array, zip(*chunk))
         values = evaluate_schedules(sys, masks)
@@ -188,43 +154,74 @@ def exhaustive_search(
     )
 
 
-def _rotation_classes(masks, batch: int):
-    """(mask, class size) for each mask of an iterable of K x M masks that is
-    the lexicographically smallest row rotation of itself, in input order.
-    Masks are taken ``batch`` at a time and compared as packed row-major bit
-    strings against each of their K - 1 nontrivial rotations."""
-    while block := list(itertools.islice(masks, batch)):
-        stack = np.stack(block)
-        T, K = stack.shape[:2]
-        bits = np.packbits(stack.reshape(T, -1), axis=1).astype(np.int16)
-        smallest, fixed = np.ones(T, dtype=bool), np.ones(T, dtype=int)
-        for r in range(1, K):
-            rotated = np.packbits(np.roll(stack, -r, axis=1).reshape(T, -1), axis=1)
-            diff = rotated - bits
-            lead = diff[np.arange(T), (diff != 0).argmax(axis=1)]
-            smallest &= lead >= 0
-            fixed += lead == 0
-        # The rotations that fix a mask form a subgroup; its class has K / |subgroup| masks.
-        yield from zip(stack[smallest], (K // fixed[smallest]).tolist())
+def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
+    """(mask, class size) for each feasible K x M mask that is its own smallest
+    row rotation (a necklace with rows as symbols), in lexicographic order of
+    the row-major bit string. The prenecklace recursion of Fredricksen,
+    Kessler and Maiorana (Ruskey, Savage & Wang, J. Algorithms 13, 1992), run
+    bit by bit on an explicit stack: p is the row length of the longest Lyndon
+    prefix and ``tight`` says row k equals row k - p so far. A mask is a
+    necklace exactly when p divides K, and its class then has p masks.
+    Branches that break a bound or cannot meet ``total_activations`` are cut.
+    """
+    M, n = len(bounds), K * len(bounds)
+    bits, used = [0] * n, [0] * M
+    depth = 0  # bits[:depth] hold the last visited path
+    # Nodes (pos, total, p, tight, bit): bits[:pos] decided, the last as ``bit``.
+    stack = [(0, 0, 1, True, 0)]
+    while stack:
+        pos, total, p, tight, bit = stack.pop()
+        # Clear the abandoned branch (at the root, q = -1 reads a bit still 0).
+        for q in range(pos - 1, depth):
+            if bits[q]:
+                bits[q] = 0
+                used[q % M] -= 1
+        if bit:
+            bits[pos - 1] = 1
+            used[(pos - 1) % M] += 1
+        depth = pos
+        if total_activations is not None:
+            # Undecided positions for sensor m sit at j*M + m >= pos.
+            room = sum(min(bounds[m] - used[m], K - (pos - m + M - 1) // M) for m in range(M))
+            if total > total_activations or total + room < total_activations:
+                continue
+        if pos == n:
+            if K % p == 0:
+                yield np.array(bits, dtype=np.int8).reshape(K, M), p
+            continue
+        k, m = divmod(pos, M)
+        forced = tight and k >= p and bits[pos - p * M] == 1
+        # While tight, a 1 in row k - p forces a 1, which alone keeps the row
+        # tight. At a row's end p becomes k + 1 unless the row is still tight,
+        # and the next row starts tight. The 1 is pushed first to walk the 0 first.
+        end = m == M - 1
+        if used[m] < bounds[m]:
+            stack.append((pos + 1, total + 1, k + 1 if end and not forced else p, forced or end, 1))
+        if not forced:
+            stack.append((pos + 1, total, k + 1 if end and not tight else p, tight or end, 0))
 
 
-def _draw_mask(rng: np.random.Generator, K: int, bounds: tuple, total: int, table) -> np.ndarray:
+def _draw_mask(
+    rng: np.random.Generator, K: int, bounds: tuple, total: int, table, laws: dict
+) -> np.ndarray:
     """One exactly uniform draw from the feasible masks with ``total``
     activations, by sampling per-sensor counts from the suffix table and
-    then a uniform subset of steps per sensor."""
+    then a uniform subset of steps per sensor. ``laws`` caches the count
+    choices and CDF per (sensor, remaining), built and inverted with one
+    ``rng.random()`` as ``rng.choice(choices, p=...)`` does, so the masks
+    and the generator's state match that call's."""
     M = len(bounds)
     mask = np.zeros((K, M), dtype=np.int8)
     remaining = total
     for m in range(M):
-        choices = []
-        weights = []
-        for c in range(min(bounds[m], remaining) + 1):
-            ways = comb(K, c) * table[m + 1][remaining - c]
-            if ways > 0:
-                choices.append(c)
-                weights.append(ways)
-        weights = np.asarray(weights, dtype=float)
-        c = int(rng.choice(choices, p=weights / weights.sum()))
+        if (m, remaining) not in laws:
+            counts = range(min(bounds[m], remaining) + 1)
+            ways = [comb(K, c) * table[m + 1][remaining - c] for c in counts]
+            weights = np.array([w for w in ways if w > 0], dtype=float)
+            cdf = (weights / weights.sum()).cumsum()
+            laws[m, remaining] = ([c for c, w in enumerate(ways) if w > 0], cdf / cdf[-1])
+        choices, cdf = laws[m, remaining]
+        c = choices[cdf.searchsorted(rng.random(), side="right")]
         steps = rng.choice(K, size=c, replace=False)
         mask[steps, m] = 1
         remaining -= c
@@ -262,7 +259,8 @@ def random_baseline(
         raise InputError("no feasible schedule matches the requested activation count")
 
     rng = np.random.default_rng(seed)
-    masks = [_draw_mask(rng, K, bounds, total_activations, table) for _ in range(trials)]
+    laws = {}
+    masks = [_draw_mask(rng, K, bounds, total_activations, table, laws) for _ in range(trials)]
     values = evaluate_schedules(sys, np.stack(masks))
     if np.isnan(values).any():
         raise InitializationError(f"draw {np.isnan(values).argmax()} leaves the estimator invalid")

@@ -8,10 +8,13 @@ references here reach the same quantities other ways: the lifted
 (Springer 2009), solved on KN x KN operands with scipy, and the plain
 recursions iterated to a fixed point. They are slow, they need scipy, and
 they stay out of the package. The sparsification references solve the
-G-step one sensor at a time and by enumerating every support.
+G-step one sensor at a time and by enumerating every support. The schedule
+references list the rotation classes by brute force and draw random masks
+with one ``Generator.choice`` call per count.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -155,3 +158,43 @@ def g_optimum_enumerated(prob):
                 best = min(best, prob.gamma * card + 0.5 * prob.rho * dist)
         total += best
     return total
+
+
+def necklaces_brute_force(K, bounds, total=None):
+    """(row-major bits, class size) for each K x M mask within the
+    per-sensor bounds (and with ``total`` activations when given) that is
+    its own smallest row rotation, sorted; the class size is the number of
+    distinct rotations."""
+    M = len(bounds)
+    out = []
+    for bits in itertools.product((0, 1), repeat=K * M):
+        if any(sum(bits[m::M]) > bounds[m] for m in range(M)):
+            continue
+        if total is not None and sum(bits) != total:
+            continue
+        rotations = {bits[r * M :] + bits[: r * M] for r in range(K)}
+        if bits == min(rotations):
+            out.append((bits, len(rotations)))
+    return sorted(out)
+
+
+def draw_mask_per_call(rng, K, bounds, total, table):
+    """A uniform feasible mask with ``total`` activations, drawing each
+    sensor's count with its own ``rng.choice`` over freshly built weights
+    from the suffix table, then its steps."""
+    mask = np.zeros((K, len(bounds)), dtype=np.int8)
+    remaining = total
+    for m in range(len(bounds)):
+        choices = []
+        weights = []
+        for c in range(min(bounds[m], remaining) + 1):
+            ways = comb(K, c) * table[m + 1][remaining - c]
+            if ways > 0:
+                choices.append(c)
+                weights.append(ways)
+        weights = np.asarray(weights, dtype=float)
+        c = int(rng.choice(choices, p=weights / weights.sum()))
+        steps = rng.choice(K, size=c, replace=False)
+        mask[steps, m] = 1
+        remaining -= c
+    return mask

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import persched as ps
 import persched.baselines as baselines
@@ -16,9 +18,10 @@ from persched import (
     Schedule,
     SystemModel,
 )
-from persched.baselines import BaselineResult, _count_table, _draw_mask
+from persched.baselines import BaselineResult, _count_table, _draw_mask, _necklaces
 from persched.periodic import chunk_length
 from tests.conftest import random_stable_system
+from tests.reference import draw_mask_per_call, necklaces_brute_force
 
 LINE4_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "compare_line4.yaml"
 
@@ -199,6 +202,42 @@ class TestExhaustiveSearch:
         with pytest.raises(InitializationError, match="every feasible"):
             ps.exhaustive_search(sys, K=2, eta=1, total_activations=0)
 
+    def test_long_period_keeps_its_own_stack(self):
+        # 1,201 leaves, far inside the budget, but K * M = 1200 bits deep: a
+        # walk nesting one Python frame per bit raises RecursionError here.
+        sys = SystemModel(A=0.5 * np.eye(1), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1))
+        result = ps.exhaustive_search(sys, K=1200, eta=1)
+        assert result.n_evaluated == 1201
+        assert result.n_skipped == 0
+
+
+@st.composite
+def walk_cases(draw):
+    """(K, per-sensor bounds, total activations or None) for the walk."""
+    K = draw(st.integers(1, 6))
+    bounds = tuple(draw(st.lists(st.integers(0, K), min_size=1, max_size=3)))
+    total = draw(st.none() | st.integers(0, sum(bounds)))
+    return K, bounds, total
+
+
+class TestNecklaceWalk:
+    """_necklaces against the brute-force listing of rotation classes."""
+
+    # Fixed corners: K = 1, the periodic class 0101, an empty feasible set.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(walk_cases())
+    @example((1, (1, 1), None))
+    @example((4, (2,), None))
+    @example((3, (1, 0), 2))
+    def test_matches_brute_force(self, case):
+        K, bounds, total = case
+        walked = [(tuple(mask.ravel().tolist()), size) for mask, size in _necklaces(*case)]
+        assert walked == necklaces_brute_force(K, bounds, total)
+
+    def test_periodic_class_counts_its_period(self):
+        walked = {tuple(mask.ravel()): size for mask, size in _necklaces(4, (2,), None)}
+        assert walked == {(0, 0, 0, 0): 1, (0, 0, 0, 1): 4, (0, 0, 1, 1): 4, (0, 1, 0, 1): 2}
+
 
 class TestRandomBaseline:
     def test_deterministic_in_seed(self, rng):
@@ -254,8 +293,9 @@ class TestDrawUniformity:
         bounds = (2, 1)
         table = _count_table(3, bounds)
         gen = np.random.default_rng(77)
+        laws = {}
         for _ in range(200):
-            mask = _draw_mask(gen, 3, bounds, total=2, table=table)
+            mask = _draw_mask(gen, 3, bounds, total=2, table=table, laws=laws)
             assert mask.sum() == 2
             assert (mask.sum(axis=0) <= np.array(bounds)).all()
 
@@ -267,9 +307,9 @@ class TestDrawUniformity:
         bounds = (2, 1)
         table = _count_table(3, bounds)
         gen = np.random.default_rng(123)
-        draws = 4000
+        draws, laws = 4000, {}
         heavy = sum(
-            _draw_mask(gen, 3, bounds, total=2, table=table)[:, 0].sum() == 2
+            _draw_mask(gen, 3, bounds, total=2, table=table, laws=laws)[:, 0].sum() == 2
             for _ in range(draws)
         )
         assert abs(heavy / draws - 0.25) < 0.035
@@ -278,11 +318,34 @@ class TestDrawUniformity:
         bounds = (1, 1)
         table = _count_table(2, bounds)
         gen = np.random.default_rng(5)
-        seen = set()
+        seen, laws = set(), {}
         for _ in range(300):
-            mask = _draw_mask(gen, 2, bounds, total=1, table=table)
+            mask = _draw_mask(gen, 2, bounds, total=1, table=table, laws=laws)
             seen.add(tuple(mask.ravel()))
         assert len(seen) == 4
+
+    @pytest.mark.parametrize(
+        "K, bounds, total",
+        [
+            (3, (0, 0), 0),
+            (4, (2, 0, 3), 0),
+            (4, (2, 0, 3), 2),
+            (4, (2, 0, 3), 5),
+            (10, (5,) * 10, 20),
+        ],
+    )
+    def test_matches_per_call_reference(self, K, bounds, total):
+        # The cached count laws give the per-call draw's masks bit for bit and
+        # leave the generator where one rng.choice per count would.
+        table = _count_table(K, bounds)
+        for seed in range(1, 6):
+            gen, ref, laws = np.random.default_rng(seed), np.random.default_rng(seed), {}
+            for _ in range(20):
+                mask = _draw_mask(gen, K, bounds, total, table, laws)
+                expected = draw_mask_per_call(ref, K, bounds, total, table)
+                assert mask.dtype == expected.dtype
+                np.testing.assert_array_equal(mask, expected)
+            assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestCountTable:

@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 
+import persched.cli as cli
 from persched.cli import main
 from persched.model import BENCHMARK_SENSOR_SITES, BENCHMARK_SPACING
 
@@ -248,10 +249,14 @@ class TestCompare:
         assert (out_a / "compare.csv").read_bytes() == (out_b / "compare.csv").read_bytes()
         assert (out_a / "compare.csv").read_bytes() != (out_c / "compare.csv").read_bytes()
 
-    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, monkeypatch):
+        # The flag is checked before the solve, which a bad seed would waste.
+        solves = []
+        monkeypatch.setattr(cli, "admm_run", lambda *args: solves.append(args))
         cfg = write_config(tmp_path, COMPARE_TINY + "compare:\n  trials: 5\n")
         assert main(["compare", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
-        assert "error: seed must be nonnegative" in capsys.readouterr().err
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert solves == []
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["oracle", "baseline"])
