@@ -63,7 +63,6 @@ from .model import (
     validate_assumptions,
 )
 from .periodic import (
-    CovarianceCycle,
     PeriodicGains,
     Schedule,
     ScheduleEvaluation,
@@ -86,7 +85,6 @@ __all__ = [
     "BudgetError",
     "ConfigError",
     "ConvergenceError",
-    "CovarianceCycle",
     "DimensionError",
     "ExperimentConfig",
     "FieldGeometry",

@@ -27,6 +27,7 @@ from .model import SystemModel
 from .periodic import (
     PeriodicGains,
     Schedule,
+    _trace_sum,
     check_schedule_detectability,
     covariance_limit_cycle,
     evaluate_schedule,
@@ -381,7 +382,7 @@ class AdmmDriver:
         if final_l is polished.gains:
             j_raw = polished.J
         else:
-            j_raw = covariance_limit_cycle(self.sys, final_l).mean_trace
+            j_raw = float(_trace_sum(covariance_limit_cycle(self.sys, final_l)) / cfg.period)
         report = SolveReport(
             gains_raw=final_l,
             gains_polished=polished.gains,

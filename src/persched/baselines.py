@@ -163,9 +163,13 @@ def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
     prefix and ``tight`` says row k equals row k - p so far. A mask is a
     necklace exactly when p divides K, and its class then has p masks.
     Branches that break a bound or cannot meet ``total_activations`` are cut.
+    A tight branch that can take no further 1 has one completion, all zeros,
+    which stays tight while no 1 lies p rows back: it is yielded or cut at
+    once rather than walked bit by bit, so the walk stays linear in K when
+    the bounds are used up early.
     """
     M, n = len(bounds), K * len(bounds)
-    bits, used = [0] * n, [0] * M
+    bits, used, full = [0] * n, [0] * M, list(bounds)
     depth = 0  # bits[:depth] hold the last visited path
     # Nodes (pos, total, p, tight, bit): bits[:pos] decided, the last as ``bit``.
     stack = [(0, 0, 1, True, 0)]
@@ -187,6 +191,11 @@ def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
                 continue
         if pos == n:
             if K % p == 0:
+                yield np.array(bits, dtype=np.int8).reshape(K, M), p
+            continue
+        if tight and (used == full or total == total_activations):
+            # bits[pos:] are 0, so this reads the zeros ahead as well.
+            if K % p == 0 and not any(bits[max(pos - p * M, 0) : n - p * M]):
                 yield np.array(bits, dtype=np.int8).reshape(K, M), p
             continue
         k, m = divmod(pos, M)

@@ -9,7 +9,7 @@ before any computation starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -162,10 +162,15 @@ def _load_init_schedule(value, base: Path) -> Schedule:
         path = (base / value).resolve()
         if not path.is_file():
             raise ConfigError(f"admm.init_schedule: referenced file {path} does not exist")
-        return Schedule.from_text(path.read_text())
-    if isinstance(value, list):
+        value = path.read_text()
+    elif not isinstance(value, list):
+        raise ConfigError("admm.init_schedule must be a 0/1 grid or a file path string")
+    try:
+        if isinstance(value, str):
+            return Schedule.from_text(value)
         return Schedule(np.asarray(value))
-    raise ConfigError("admm.init_schedule must be a 0/1 grid or a file path string")
+    except ValueError as exc:  # DimensionError and InputError among them
+        raise ConfigError(f"admm.init_schedule: {exc}") from exc
 
 
 def _build_admm(section: dict, base: Path) -> AdmmConfig:
@@ -190,6 +195,18 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
         return AdmmConfig(**kwargs)
     except InputError as exc:
         raise ConfigError(f"admm: {exc}") from exc
+
+
+def _check_sweep_grid(admm: AdmmConfig, n_sensors: int, gammas: tuple, etas: tuple) -> None:
+    """Hold every sweep entry to the rules of admm.gamma and admm.eta, so a
+    bad cell fails at load rather than after the cells before it ran."""
+    cells = [("sweep.gammas", {"gamma": g}) for g in gammas]
+    cells += [("sweep.etas", {"eta": e}) for e in etas]
+    for where, change in cells:
+        try:
+            replace(admm, **change).eta_tuple(n_sensors)
+        except InputError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -246,6 +263,8 @@ def load_experiment(path) -> ExperimentConfig:
             if not isinstance(s["etas"], list) or not s["etas"]:
                 raise ConfigError("sweep.etas must be a non-empty list")
             sweep_etas = tuple(e if np.isscalar(e) else tuple(e) for e in s["etas"])
+        if admm is not None:
+            _check_sweep_grid(admm, system.n_sensors, sweep_gammas or (), sweep_etas or ())
 
     compare_trials = 500
     compare_oracle = False

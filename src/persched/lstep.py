@@ -19,8 +19,8 @@ from .exceptions import DimensionError, InputError, InstabilityError
 from .linalg import _stack, solve_gain_sylvester, symmetrize
 from .model import SystemModel
 from .periodic import (
-    CovarianceCycle,
     PeriodicGains,
+    _trace_sum,
     closed_loop_factors,
     covariance_limit_cycle,
     value_cycle,
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-12
+# Iteration cap of solve.
+_MAX_ITERS = 100
 # Armijo sufficient-decrease fraction and backtracking factor.
 _ARMIJO_ALPHA = 0.3
 _ARMIJO_BETA = 0.5
@@ -80,9 +82,12 @@ class LStepProblem:
 class LStepResult:
     """Outcome of one gain-subproblem solve.
 
-    ``converged`` reports whether the gradient norm reached the tolerance;
-    otherwise the iteration cap was hit or the line search failed (then
-    ``line_search_failed`` is set and ``gains`` is the best iterate found).
+    ``converged`` reports whether the gradient norm reached the tolerance.
+    A solve that did not converge stopped at one of three exits: the
+    iteration cap; a non-negative directional derivative, which means the
+    point is numerically stationary; or an Armijo step that underflowed,
+    which sets ``line_search_failed``. Each exit returns the last accepted
+    iterate, the best found.
     ``descent_history`` records the directional derivative of each
     Anderson-Moore direction, which stays negative away from stationarity.
     ``armijo_trials`` counts the trial points the line search scored (one
@@ -112,8 +117,8 @@ def _penalty(prob: LStepProblem, gains: PeriodicGains) -> float:
     return 0.5 * prob.rho * float(np.sum((gains.gains - prob.U) ** 2))
 
 
-def _phi_from_cycle(prob: LStepProblem, gains: PeriodicGains, cycle: CovarianceCycle) -> float:
-    return cycle.trace_sum + _penalty(prob, gains)
+def _phi_from_cycle(prob: LStepProblem, gains: PeriodicGains, cycle: np.ndarray) -> float:
+    return float(_trace_sum(cycle)) + _penalty(prob, gains)
 
 
 def phi_value(prob: LStepProblem, gains: PeriodicGains) -> float:
@@ -128,7 +133,7 @@ def phi_value(prob: LStepProblem, gains: PeriodicGains) -> float:
 
 
 def gradient_phi(
-    prob: LStepProblem, gains: PeriodicGains, cycle: CovarianceCycle = None, values=None
+    prob: LStepProblem, gains: PeriodicGains, cycle: np.ndarray = None, values: np.ndarray = None
 ) -> np.ndarray:
     """Objective gradient with respect to each gain, as a (K, N, M) stack.
 
@@ -144,17 +149,17 @@ def gradient_phi(
         cycle = covariance_limit_cycle(sys, gains)
     if values is None:
         values = value_cycle(sys, gains)
-    v_next = np.roll(np.stack(values), -1, axis=0)
+    v_next = np.roll(values, -1, axis=0)
     closed = closed_loop_factors(sys, gains)
     return (
         2.0 * v_next @ gains.gains @ sys.R
-        - 2.0 * v_next @ closed @ cycle.covariances @ sys.C.T
+        - 2.0 * v_next @ closed @ cycle @ sys.C.T
         + prob.rho * (gains.gains - prob.U)
     )
 
 
 def anderson_moore_update(
-    prob: LStepProblem, gains: PeriodicGains, cycle: CovarianceCycle = None, values=None
+    prob: LStepProblem, gains: PeriodicGains, cycle: np.ndarray = None, values: np.ndarray = None
 ) -> PeriodicGains:
     """Exact coordinate solve with the cycles frozen at the current gains.
 
@@ -169,10 +174,9 @@ def anderson_moore_update(
         cycle = covariance_limit_cycle(sys, gains)
     if values is None:
         values = value_cycle(sys, gains)
-    v_next = np.roll(np.stack(values), -1, axis=0)
-    p = cycle.covariances
-    d = symmetrize(sys.R + sys.C @ p @ sys.C.T)
-    rhs = 2.0 * v_next @ sys.A @ p @ sys.C.T + prob.rho * prob.U
+    v_next = np.roll(values, -1, axis=0)
+    d = symmetrize(sys.R + sys.C @ cycle @ sys.C.T)
+    rhs = 2.0 * v_next @ sys.A @ cycle @ sys.C.T + prob.rho * prob.U
     return PeriodicGains(solve_gain_sylvester(v_next, d, prob.rho, rhs))
 
 
@@ -208,20 +212,15 @@ def _armijo(
     return trials, None
 
 
-def solve(
-    prob: LStepProblem,
-    init: PeriodicGains,
-    tol: float = TOL_FLOOR,
-    max_iters: int = 100,
-) -> LStepResult:
+def solve(prob: LStepProblem, init: PeriodicGains, tol: float = TOL_FLOOR) -> LStepResult:
     """Run the gain solver from a stabilizing start.
 
     Each iteration computes both cycles, checks the gradient norm against
     ``tol``, forms the coordinate-solve direction, and backtracks along it.
     The objective decreases strictly at every accepted step. On line-search
     failure the best iterate found so far is returned with the failure flag
-    set instead of raising. The line search's constants are fixed
-    (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``).
+    set instead of raising. The iteration cap (``_MAX_ITERS``) and the line
+    search's constants (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``) are fixed.
     """
     _check_compatible(prob, init)
     try:
@@ -247,7 +246,7 @@ def solve(
         if grad_norm <= tol:
             converged = True
             break
-        if iterations >= max_iters:
+        if iterations >= _MAX_ITERS:
             break
         candidate = anderson_moore_update(prob, gains, cycle=cycle, values=values)
         direction = candidate.gains - gains.gains

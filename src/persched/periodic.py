@@ -31,7 +31,6 @@ from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 __all__ = [
     "Schedule",
     "PeriodicGains",
-    "CovarianceCycle",
     "ScheduleEvaluation",
     "lift_cyclic",
     "closed_loop_factors",
@@ -88,18 +87,16 @@ class Schedule:
     @classmethod
     def from_text(cls, text: str) -> "Schedule":
         """Parse a K-row grid of space-separated 0/1 entries."""
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([int(tok) for tok in line.split()])
+        rows = [line.split() for line in text.splitlines() if line.strip()]
+        bad = [tok for row in rows for tok in row if tok not in ("0", "1")]
+        if bad:
+            raise InputError(f"schedule entry {bad[0]!r} is not 0 or 1")
         if not rows:
             raise InputError("schedule text contains no rows")
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise InputError(f"schedule rows have unequal lengths {sorted(widths)}")
-        return cls(np.array(rows))
+        return cls(np.array([[int(tok) for tok in row] for row in rows]))
 
     def to_text(self) -> str:
         return "\n".join(" ".join(str(int(v)) for v in row) for row in self.mask)
@@ -178,57 +175,12 @@ class PeriodicGains:
         return np.linalg.norm(self.gains, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceCycle:
-    """Length-K periodic sequence of N x N error covariances."""
-
-    covariances: np.ndarray
-
-    def __post_init__(self):
-        p = _stack(self.covariances, "covariances")
-        if p.shape[1] != p.shape[2]:
-            raise DimensionError(f"covariances must be square, got shape {p.shape[1:]}")
-        scale = max(1.0, float(np.abs(p).max()))
-        drift = float(np.abs(p - p.transpose(0, 2, 1)).max())
-        if drift > 1e-9 * scale:
-            raise InputError(f"covariances asymmetric beyond tolerance (drift {drift:.3g})")
-        p = (p + p.transpose(0, 2, 1)) / 2.0
-        p.setflags(write=False)
-        object.__setattr__(self, "covariances", p)
-
-    @property
-    def K(self) -> int:
-        return self.covariances.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.covariances.shape[1]
-
-    def __len__(self) -> int:
-        return self.K
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.covariances[k]
-
-    def __iter__(self):
-        return iter(self.covariances)
-
-    @property
-    def mean_trace(self) -> float:
-        """(1/K) sum of traces, the per-step average estimation error."""
-        return float(np.trace(self.covariances, axis1=1, axis2=2).mean())
-
-    @property
-    def trace_sum(self) -> float:
-        return float(np.trace(self.covariances, axis1=1, axis2=2).sum())
-
-
 class ScheduleEvaluation(NamedTuple):
     """Riccati-optimal figure of merit for a fixed schedule."""
 
     J: float
     gains: PeriodicGains
-    cycle: CovarianceCycle
+    cycle: np.ndarray
 
 
 def lift_cyclic(blocks, cyclic: bool = True) -> np.ndarray:
@@ -280,7 +232,9 @@ def _limit_cycles(n: int, K: int, step) -> tuple:
     a cycle, when its monodromy Pi = F_{K-1} ... F_0 has spectral radius
     below 1 - _UNIT_MARGIN, the PBH gate's margin; then X_0 = Pi X_0 Pi^T +
     sum_k Psi_k W_k Psi_k^T, where Psi_k = F_{K-1} ... F_{k+1}. Returns the
-    (T,) radii, the indices of the stable loops and their (S, K, N, N) cycles."""
+    (T,) radii, the indices of the stable loops and their read-only
+    (S, K, N, N) cycles. Every slice leaves through symmetrize, so each
+    X_k equals its transpose bit for bit."""
     pi, w_acc = np.eye(n), np.zeros((n, n))
     for k in range(K - 1, -1, -1):
         f_k, w_k = step(k)
@@ -295,6 +249,7 @@ def _limit_cycles(n: int, K: int, step) -> tuple:
         for k in range(K - 1):
             f_k, w_k = (x[keep] for x in step(k))
             cycles[:, k + 1] = symmetrize(f_k @ cycles[:, k] @ f_k.transpose(0, 2, 1) + w_k)
+    cycles.setflags(write=False)
     return rho, stable, cycles
 
 
@@ -307,6 +262,13 @@ def _covariance_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
     return _limit_cycles(sys.n_states, gains.shape[1], step)
 
 
+def _trace_sum(cycles: np.ndarray):
+    """Sum over the period of the traces of a (..., K, N, N) cycle stack.
+    J, the mean trace, is this over K; the gain subproblem's objective adds
+    its proximal term to it."""
+    return np.trace(cycles, axis1=-2, axis2=-1).sum(axis=-1)
+
+
 def _single_cycle(rho: np.ndarray, stable: np.ndarray, cycles: np.ndarray) -> np.ndarray:
     """The (K, N, N) cycle of a one-loop _limit_cycles result."""
     if not stable.size:
@@ -314,47 +276,47 @@ def _single_cycle(rho: np.ndarray, stable: np.ndarray, cycles: np.ndarray) -> np
     return cycles[0]
 
 
-def covariance_limit_cycle(sys: SystemModel, gains: PeriodicGains) -> CovarianceCycle:
+def covariance_limit_cycle(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
     """Unique periodic steady state of the error-covariance recursion.
 
     Solves P_{k+1} = F_k P_k F_k^T + W_k with wraparound P_K = P_0, where
     F_k = A - L_k C and W_k = B Q B^T + L_k R L_k^T: one Lyapunov solve in
     the monodromy matrix gives P_0, and the recursion gives the rest.
+    Returns (P_0, ..., P_{K-1}) as a read-only (K, N, N) array of symmetric
+    matrices.
     """
     factors = closed_loop_factors(sys, gains)[:, np.newaxis]
     noise = _step_noise(sys, gains.gains)[:, np.newaxis]
     cycles = _limit_cycles(sys.n_states, gains.K, lambda k: (factors[k], noise[k]))
-    return CovarianceCycle(_single_cycle(*cycles))
+    return _single_cycle(*cycles)
 
 
-def value_cycle(sys: SystemModel, gains: PeriodicGains):
+def value_cycle(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
     """Unique periodic solution of V_k = F_k^T V_{k+1} F_k + I.
 
     This is the covariance recursion run backwards in time: with
     G_j = F_{K-1-j}^T, the cycle of X_{j+1} = G_j X_j G_j^T + I lists
-    V_0, V_{K-1}, ..., V_1. Returns a tuple (V_0, ..., V_{K-1}); each V_k is
-    symmetric and at least the identity in the semidefinite order.
+    V_0, V_{K-1}, ..., V_1. Returns (V_0, ..., V_{K-1}) as a read-only
+    (K, N, N) array; each V_k is symmetric and at least the identity in the
+    semidefinite order.
     """
     reversed_factors = closed_loop_factors(sys, gains).transpose(0, 2, 1)[::-1, np.newaxis]
     eye = np.eye(sys.n_states)[np.newaxis]
     cycles = _limit_cycles(sys.n_states, gains.K, lambda j: (reversed_factors[j], eye))
-    return tuple(np.roll(_single_cycle(*cycles)[::-1], 1, axis=0))
+    values = np.roll(_single_cycle(*cycles)[::-1], 1, axis=0)
+    values.setflags(write=False)
+    return values
 
 
-def schedule_from_gains(gains: PeriodicGains, zero_tol: float = None) -> Schedule:
+def schedule_from_gains(gains: PeriodicGains) -> Schedule:
     """Activation mask of the nonzero gain columns.
 
     A sensor counts as active at step k when its gain column 2-norm exceeds
-    ``zero_tol``. When ``zero_tol`` is omitted it defaults to 1e-6 relative
-    to the largest column norm in the sequence, so uniformly tiny gains
-    yield an empty schedule.
+    _RELATIVE_ZERO_TOL (1e-6) times the largest column norm in the sequence,
+    so uniformly tiny gains yield an empty schedule.
     """
     norms = gains.column_norms()
-    if zero_tol is None:
-        zero_tol = _RELATIVE_ZERO_TOL * float(norms.max())
-    elif zero_tol < 0:
-        raise InputError("zero_tol must be nonnegative")
-    return Schedule((norms > zero_tol).astype(np.int8))
+    return Schedule((norms > _RELATIVE_ZERO_TOL * float(norms.max())).astype(np.int8))
 
 
 def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
@@ -482,8 +444,8 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     _, stable, cycles = _covariance_cycles(sys, gains)
     if not stable.size:
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
-    cycle = CovarianceCycle(cycles[0])
-    return ScheduleEvaluation(J=cycle.mean_trace, gains=PeriodicGains(gains[0]), cycle=cycle)
+    J = float(_trace_sum(cycles[0]) / sched.K)
+    return ScheduleEvaluation(J=J, gains=PeriodicGains(gains[0]), cycle=cycles[0])
 
 
 def chunk_length(n_states: int) -> int:
@@ -512,21 +474,24 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
         idx, gains = _periodic_riccati(sys, arr[chunk] == 1)
         _, stable, cycles = _covariance_cycles(sys, gains)
-        J[chunk[idx[stable]]] = np.trace(cycles, axis1=2, axis2=3).mean(axis=1)
+        J[chunk[idx[stable]]] = _trace_sum(cycles) / K
     return J
 
 
-def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: CovarianceCycle) -> float:
+def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: np.ndarray) -> float:
     """Largest one-step recursion defect of a claimed limit cycle.
 
     Measures max_k of ||P_{k+1} - (F_k P_k F_k^T + W_k)||_F with wraparound,
-    which is zero exactly when the cycle satisfies the recursion.
+    which is zero exactly when the cycle satisfies the recursion. Raises
+    DimensionError unless the cycle is a (K, N, N) stack matching the gains,
+    and InputError when it has non-finite entries.
     """
     factors = closed_loop_factors(sys, gains)
     noise = _step_noise(sys, gains.gains)
     k_count = len(factors)
-    if cycle.K != k_count:
-        raise DimensionError(f"cycle period {cycle.K} does not match gains period {k_count}")
+    cycle = _stack(cycle, "cycle")
+    if cycle.shape != factors.shape:
+        raise DimensionError(f"cycle shape {cycle.shape} does not match the gains' {factors.shape}")
     worst = 0.0
     for k in range(k_count):
         predicted = factors[k] @ cycle[k] @ factors[k].T + noise[k]

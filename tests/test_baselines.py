@@ -1,6 +1,7 @@
 """Exhaustive oracle and matched-cardinality random baseline."""
 
 import itertools
+import time
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,15 @@ class TestNecklaceWalk:
         K, bounds, total = case
         walked = [(tuple(mask.ravel().tolist()), size) for mask, size in _necklaces(*case)]
         assert walked == necklaces_brute_force(K, bounds, total)
+
+    def test_used_up_bound_keeps_the_walk_linear(self):
+        # With one sensor and one activation, every branch 0^j 1 has used its
+        # bound. Walking each such branch bit by bit is quadratic in K, about
+        # 4 s at K = 4,800 on a 2-core machine; the linear walk takes 0.01 s.
+        start = time.perf_counter()
+        walked = [size for _, size in _necklaces(4800, (1,), None)]
+        assert walked == [1, 4800]
+        assert time.perf_counter() - start < 0.5
 
     def test_periodic_class_counts_its_period(self):
         walked = {tuple(mask.ravel()): size for mask, size in _necklaces(4, (2,), None)}

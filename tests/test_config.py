@@ -286,6 +286,17 @@ class TestAdmmSection:
         cfg = load_experiment(write_config(tmp_path, text))
         assert cfg.admm.init_schedule.total_activations == 4
 
+    def test_non_binary_token_in_init_schedule_file(self, tmp_path):
+        (tmp_path / "sched.txt").write_text("1 0\n0 x\n1 0\n0 1\n")
+        text = FIELD_SYSTEM + ADMM_BLOCK + "  init_schedule: sched.txt\n"
+        with pytest.raises(ConfigError, match="admm.init_schedule: schedule entry 'x'"):
+            load_experiment(write_config(tmp_path, text))
+
+    def test_ragged_inline_init_schedule(self, tmp_path):
+        text = FIELD_SYSTEM + ADMM_BLOCK + "  init_schedule: [[0, 1], [1]]\n"
+        with pytest.raises(ConfigError, match="admm.init_schedule: "):
+            load_experiment(write_config(tmp_path, text))
+
     def test_init_schedule_sensor_mismatch(self, tmp_path):
         text = (
             FIELD_SYSTEM
@@ -303,14 +314,33 @@ class TestAdmmSection:
 
 class TestSweepAndCompare:
     def test_sweep_lists(self, tmp_path):
-        text = FIELD_SYSTEM + ADMM_BLOCK + "sweep:\n  gammas: [0.0, 0.1]\n  etas: [1, 2]\n"
+        sweep = "sweep:\n  gammas: [0.0, 0.1]\n  etas: [1, 2.0, [1, 3]]\n"
+        text = FIELD_SYSTEM + ADMM_BLOCK + sweep
         cfg = load_experiment(write_config(tmp_path, text))
         assert cfg.sweep_gammas == (0.0, 0.1)
-        assert cfg.sweep_etas == (1, 2)
+        # Checked at load, but stored as written.
+        assert cfg.sweep_etas == (1, 2.0, (1, 3))
+        assert isinstance(cfg.sweep_etas[1], float)
 
     def test_empty_sweep_list_rejected(self, tmp_path):
         text = FIELD_SYSTEM + ADMM_BLOCK + "sweep:\n  gammas: []\n"
         with pytest.raises(ConfigError, match="non-empty"):
+            load_experiment(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("gammas: [0.1, -1.0]", "sweep.gammas: gamma must be nonnegative"),
+            ("etas: [2, 9]", r"sweep.etas: eta\[0\] = 9 outside the valid range 1..4"),
+            ("etas: [2, x]", r"sweep.etas: eta\[0\] = x is not an integer"),
+            ("etas: [[2, 5]]", r"sweep.etas: eta\[1\] = 5 outside the valid range 1..4"),
+        ],
+    )
+    def test_sweep_entries_checked_at_load(self, tmp_path, grid, message):
+        # Each entry meets the rules of admm.gamma and admm.eta for the
+        # section's period (4) and the plant's two sensors.
+        text = FIELD_SYSTEM + ADMM_BLOCK + f"sweep:\n  {grid}\n"
+        with pytest.raises(ConfigError, match=message):
             load_experiment(write_config(tmp_path, text))
 
     def test_compare_defaults(self, tmp_path):

@@ -74,7 +74,7 @@ class TestPhiValue:
         u = rng.normal(size=gains.gains.shape)
         prob = LStepProblem(sys=sys, U=u, rho=4.0)
         cycle = ps.covariance_limit_cycle(sys, gains)
-        expected = cycle.trace_sum + 2.0 * np.sum((gains.gains - u) ** 2)
+        expected = np.trace(cycle, axis1=1, axis2=2).sum() + 2.0 * np.sum((gains.gains - u) ** 2)
         assert ps.phi_value(prob, gains) == pytest.approx(expected, rel=1e-12)
 
     def test_unstable_gains_raise(self):
@@ -168,11 +168,12 @@ class TestAndersonMooreUpdate:
 class TestArmijoStep:
     """The backtracking line search inside solve."""
 
-    def test_accepted_step_decreases_phi(self, rng):
+    def test_accepted_step_decreases_phi(self, rng, monkeypatch):
         sys = random_stable_system(rng, 3, 1)
         gains = PeriodicGains(riccati_start(sys, 2).gains + 0.05 * rng.normal(size=(2, 3, 1)))
         prob = LStepProblem(sys=sys, U=np.zeros((2, 3, 1)), rho=2.0)
-        result = ps.solve_lstep(prob, gains, tol=0.0, max_iters=1)
+        monkeypatch.setattr(lstep, "_MAX_ITERS", 1)
+        result = ps.solve_lstep(prob, gains, tol=0.0)
         (s,), (slope,) = result.step_sizes, result.descent_history
         assert 0.0 < s <= 1.0
         phi0, phi1 = result.phi_history

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import persched as ps
 from persched import periodic
 from persched import (
-    CovarianceCycle,
     DimensionError,
     InitializationError,
     InputError,
@@ -57,6 +56,10 @@ class TestSchedule:
     def test_rejects_ragged_text(self):
         with pytest.raises(InputError, match="unequal"):
             Schedule.from_text("1 0\n1\n")
+
+    def test_rejects_non_binary_text(self):
+        with pytest.raises(InputError, match="entry 'x' is not 0 or 1"):
+            Schedule.from_text("1 0\n0 x\n")
 
     def test_mask_is_read_only(self):
         sched = Schedule(np.array([[1, 0]]))
@@ -126,15 +129,25 @@ class TestCovarianceLimitCycle:
             gains = ps.evaluate_schedule(sys, random_schedule(rng, K, m)).gains
             ref = ps.covariance_limit_cycle(sys, gains)
             for method in (reference.covariance_cycle_lifted, reference.covariance_cycle_recursion):
-                np.testing.assert_allclose(
-                    method(sys, gains), ref.covariances, rtol=1e-8, atol=1e-9
-                )
+                np.testing.assert_allclose(method(sys, gains), ref, rtol=1e-8, atol=1e-9)
 
     def test_satisfies_recursion(self, rng):
         sys = random_stable_system(rng, 3, 2)
         gains = ps.evaluate_schedule(sys, Schedule(np.array([[1, 0], [0, 1], [1, 1]]))).gains
         cycle = ps.covariance_limit_cycle(sys, gains)
         assert cycle_residual(sys, gains, cycle) < 1e-10
+
+    def test_residual_rejects_a_cycle_that_does_not_match(self, rng):
+        sys = random_stable_system(rng, 3, 2)
+        gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
+        cycle = ps.covariance_limit_cycle(sys, gains)
+        for bad in (cycle[:2], cycle[:, :2, :2], cycle[0, 0]):
+            with pytest.raises(DimensionError, match="cycle"):
+                cycle_residual(sys, gains, bad)
+        not_finite = cycle.copy()
+        not_finite[1, 0, 0] = np.nan
+        with pytest.raises(InputError, match="cycle"):
+            cycle_residual(sys, gains, not_finite)
 
     def test_zero_gains_reduce_to_lyapunov(self, rng):
         sys = random_stable_system(rng, 3, 1)
@@ -231,10 +244,18 @@ class TestMonodromy:
 class TestObjective:
     def test_equals_mean_trace(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        gains = ps.evaluate_schedule(sys, Schedule.all_on(2, 2)).gains
-        cycle = ps.covariance_limit_cycle(sys, gains)
+        result = ps.evaluate_schedule(sys, Schedule.all_on(2, 2))
+        cycle = ps.covariance_limit_cycle(sys, result.gains)
         expected = (np.trace(cycle[0]) + np.trace(cycle[1])) / 2.0
-        assert cycle.mean_trace == pytest.approx(expected, rel=1e-12)
+        assert result.J == pytest.approx(expected, rel=1e-12)
+        assert periodic._trace_sum(cycle) / 2 == pytest.approx(expected, rel=1e-12)
+
+    def test_mean_and_sum(self):
+        # The trace sum runs over the last two axes and the period axis
+        # before them, one figure per leading index.
+        stack = np.stack([np.eye(2), 3.0 * np.eye(2)])
+        assert periodic._trace_sum(stack) == 8.0
+        np.testing.assert_array_equal(periodic._trace_sum(np.stack([stack, 2 * stack])), [8, 16])
 
 
 class TestScheduleFromGains:
@@ -244,17 +265,6 @@ class TestScheduleFromGains:
         gains[1, :, 1] = [1e-9, 0.0]
         sched = ps.schedule_from_gains(PeriodicGains(gains))
         np.testing.assert_array_equal(sched.mask, [[1, 0], [0, 0]])
-
-    def test_explicit_tolerance(self):
-        gains = np.zeros((1, 2, 2))
-        gains[0, :, 0] = [0.5, 0.0]
-        gains[0, :, 1] = [0.05, 0.0]
-        sched = ps.schedule_from_gains(PeriodicGains(gains), zero_tol=0.1)
-        np.testing.assert_array_equal(sched.mask, [[1, 0]])
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(InputError, match="zero_tol"):
-            ps.schedule_from_gains(PeriodicGains(np.ones((1, 2, 2))), zero_tol=-1.0)
 
 
 class TestInitGainsForSchedule:
@@ -381,7 +391,7 @@ class TestEvaluateSchedule:
         sched = Schedule(np.array([[1, 0], [1, 1]]))
         result = ps.evaluate_schedule(sys, sched)
         cycle = ps.covariance_limit_cycle(sys, result.gains)
-        assert result.J == pytest.approx(cycle.mean_trace, rel=1e-12)
+        assert result.J == pytest.approx(np.trace(cycle, axis1=1, axis2=2).mean(), rel=1e-12)
 
     def test_more_measurements_never_hurt(self, rng):
         for _ in range(5):
@@ -421,7 +431,8 @@ def restricted_riccati_J(sys, mask, tol=1e-10, max_sweeps=10000):
     gains = np.empty((K, n, m))
     for k in range(K):
         gains[k], p = step(p, mask[k])
-    return ps.covariance_limit_cycle(sys, PeriodicGains(gains)).mean_trace
+    cycle = ps.covariance_limit_cycle(sys, PeriodicGains(gains))
+    return float(np.trace(cycle, axis1=1, axis2=2).mean())
 
 
 def random_masks(rng, T, K, m):
@@ -664,9 +675,13 @@ class TestLimitCycleProperties:
         sys = detectable_plant(rng, n, m, top)
         gains = detectable_gains(rng, sys, K, near_unit)
         cycles = {
-            "covariance": ps.covariance_limit_cycle(sys, gains).covariances,
-            "value": np.stack(ps.value_cycle(sys, gains)),
+            "covariance": ps.covariance_limit_cycle(sys, gains),
+            "value": ps.value_cycle(sys, gains),
         }
+        # Both come back read-only, (K, N, N) and symmetric bit for bit.
+        for cycle in cycles.values():
+            assert cycle.shape == (K, n, n) and not cycle.flags.writeable
+            np.testing.assert_array_equal(cycle, cycle.transpose(0, 2, 1))
         # The recursions stop at a 1e-12 relative change per period, which
         # leaves 1e-12 / (1 - 0.999) of the limit. scipy's lifted solver
         # goes through a bilinear transform that loses about as many digits
@@ -707,16 +722,3 @@ class TestLimitCycleProperties:
             ps.evaluate_schedules(sys, masks), [single_J(sys, mask) for mask in masks]
         )
 
-
-class TestCovarianceCycleType:
-    def test_rejects_asymmetric_stack(self):
-        bad = np.zeros((1, 2, 2))
-        bad[0] = [[1.0, 1.0], [0.0, 1.0]]
-        with pytest.raises(InputError, match="asymmetric"):
-            CovarianceCycle(bad)
-
-    def test_mean_and_sum(self):
-        stack = np.stack([np.eye(2), 3.0 * np.eye(2)])
-        cycle = CovarianceCycle(stack)
-        assert cycle.mean_trace == pytest.approx(4.0)
-        assert cycle.trace_sum == pytest.approx(8.0)
