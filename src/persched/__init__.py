@@ -12,7 +12,6 @@ plus a diffusion-field benchmark are included for validation.
 from .admm import (
     AdmmConfig,
     AdmmDriver,
-    AdmmState,
     IterationRecord,
     SolveReport,
     SweepCell,
@@ -38,20 +37,13 @@ from .exceptions import (
     PerschedError,
 )
 from .gstep import GStepProblem, g_step
-from .linalg import (
-    matrix_exponential,
-    solve_dlyap,
-    solve_gain_sylvester,
-    spectral_radius,
-)
+from .linalg import matrix_exponential, solve_gain_sylvester
 from .lstep import (
     LStepProblem,
     LStepResult,
     anderson_moore_update,
     gradient_phi,
-    phi_value,
 )
-from .lstep import solve as solve_lstep
 from .model import (
     AssumptionReport,
     FieldGeometry,
@@ -79,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmmConfig",
     "AdmmDriver",
-    "AdmmState",
     "AssumptionReport",
     "BaselineResult",
     "BudgetError",
@@ -118,14 +109,10 @@ __all__ = [
     "lift_cyclic",
     "load_experiment",
     "matrix_exponential",
-    "phi_value",
     "random_baseline",
     "run",
     "schedule_from_gains",
-    "solve_dlyap",
     "solve_gain_sylvester",
-    "solve_lstep",
-    "spectral_radius",
     "sweep",
     "validate_assumptions",
 ]

@@ -36,7 +36,6 @@ from .periodic import (
 
 __all__ = [
     "AdmmConfig",
-    "AdmmState",
     "IterationRecord",
     "SolveReport",
     "SweepCell",
@@ -74,6 +73,11 @@ class AdmmConfig:
     init_schedule: Optional[Schedule] = None
 
     def __post_init__(self):
+        for name in ("period", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a NumPy integer does not serialize
         if self.period < 1:
             raise InputError("period must be at least 1")
         if self.gamma < 0:
@@ -106,16 +110,6 @@ class AdmmConfig:
             if self.init_schedule is None
             else self.init_schedule.to_text(),
         }
-
-
-@dataclass(frozen=True)
-class AdmmState:
-    """Snapshot of the three split variables after ``iteration`` updates."""
-
-    L: np.ndarray
-    G: np.ndarray
-    Lam: np.ndarray
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -221,7 +215,14 @@ def default_init_schedule(sys: SystemModel, K: int, eta) -> Schedule:
 
 
 class AdmmDriver:
-    """Stateful solver: construct, then ``run()``, or ``step()`` manually."""
+    """Stateful solver: construct, then ``run()``, or ``step()`` manually.
+
+    After ``initialize()``, which the first ``step()`` or ``run()`` calls,
+    the split variables are the attributes ``L`` (PeriodicGains), ``G`` and
+    ``Lam`` ((K, N, M) arrays), and ``iteration`` counts the steps taken.
+    Each step binds new objects to them, so references read earlier keep
+    their values.
+    """
 
     def __init__(self, sys: SystemModel, cfg: AdmmConfig):
         self.sys = sys
@@ -231,8 +232,9 @@ class AdmmDriver:
         self.trace = []
         self.line_search_failed = False
 
-    def initialize(self) -> AdmmState:
-        """Set L from the starting schedule's exact gains, G and the dual to zero."""
+    def initialize(self) -> None:
+        """Set L from the starting schedule's exact gains, G and the dual Lam
+        to zero, and the iteration count to 0."""
         cfg = self.cfg
         sched = cfg.init_schedule
         if sched is None:
@@ -249,13 +251,6 @@ class AdmmDriver:
         self._fixed = {}  # support -> its ScheduleEvaluation, None if that raised
         self.jump_iteration = None
         self._initialized = True
-        return self.state
-
-    @property
-    def state(self) -> AdmmState:
-        return AdmmState(
-            L=self.L.gains.copy(), G=self.G.copy(), Lam=self.Lam.copy(), iteration=self.iteration
-        )
 
     def _inner_tol(self) -> float:
         """Gradient-norm tolerance of the next gain solve (rule in AdmmConfig).

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import (
-    ConvergenceError,
-    DimensionError,
-    InputError,
-    InstabilityError,
-)
+from .exceptions import ConvergenceError, DimensionError, InputError
 
 __all__ = [
     "as_matrix",
@@ -23,15 +18,13 @@ __all__ = [
     "require_symmetric",
     "psd_sqrt",
     "matrix_exponential",
-    "spectral_radius",
-    "solve_dlyap",
     "solve_gain_sylvester",
 ]
 
 # Eigenvalues within this margin of the unit circle count as unstable modes,
 # in the model's PBH tests and the periodic module's detectability gate, and
-# a loop counts as stable, in solve_dlyap and the periodic limit-cycle
-# kernel, only when its spectral radius is below 1 - _UNIT_MARGIN.
+# a loop counts as stable, in the periodic limit-cycle kernel, only when its
+# spectral radius is below 1 - _UNIT_MARGIN.
 _UNIT_MARGIN = 1e-9
 
 # Coefficients of the degree-6 diagonal Pade approximant of exp(x).
@@ -141,57 +134,16 @@ def matrix_exponential(x) -> np.ndarray:
     return result
 
 
-def spectral_radius(x) -> float:
-    """Largest eigenvalue magnitude of a square matrix."""
-    a = _square(x, "spectral_radius argument")
-    return float(np.abs(np.linalg.eigvals(a)).max())
-
-
-def solve_dlyap(f, w) -> np.ndarray:
-    """Solve the discrete Lyapunov equation X = F X F^T + W.
-
-    Smith doubling: X <- X + G X G^T, G <- G^2 from X = W, G = F. A (T, n, n)
-    stack solves T equations, each with its own tests and stopping point.
-
-    Parameters
-    ----------
-    f : array_like
-        Square matrix with spectral radius < 1 - _UNIT_MARGIN, or a stack of
-        them.
-    w : array_like
-        Symmetric matrix, or stack, of the same shape as ``f``.
-
-    Returns
-    -------
-    numpy.ndarray
-        The unique symmetric solution X, shaped like ``f``.
-
-    Raises
-    ------
-    InstabilityError
-        If the spectral radius of ``f`` (of any slice) is >= 1 - _UNIT_MARGIN.
-    ConvergenceError
-        If the residual contract
-        ||X - FXF^T - W|| / max(1, ||W|| + ||F||^2 ||X||) <= 1e-9
-        (Frobenius norms, per slice) cannot be met.
-    """
-    fm = _stack(f, "F")
-    if fm.shape[1] != fm.shape[2]:
-        raise DimensionError(f"F must be square, got shape {fm.shape[1:]}")
-    rho = np.abs(np.linalg.eigvals(fm)).max(axis=1)
-    if rho.max() >= 1.0 - _UNIT_MARGIN:
-        raise InstabilityError(f"spectral radius {rho.max():.12g} >= 1 - {_UNIT_MARGIN:g}")
-    wm = _symmetric_stack(w, "W")
-    if fm.shape != wm.shape:
-        raise DimensionError(f"F and W shapes differ: {np.shape(f)} vs {np.shape(w)}")
-    x = _smith_doubling(fm, wm, rho)
-    return x if np.ndim(f) == 3 else x[0]
-
-
 def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """solve_dlyap's doubling and residual contract on (T, n, n) stacks F and
-    symmetric W whose spectral radii ``rho`` (named in the error message) the
-    caller has already tested to be below 1 - _UNIT_MARGIN."""
+    """Solve the discrete Lyapunov equations X = F X F^T + W of (T, n, n)
+    stacks F and symmetric W, whose spectral radii ``rho`` (named in the
+    error message) the caller has already tested to be below 1 - _UNIT_MARGIN.
+
+    Smith doubling: X <- X + G X G^T, G <- G^2 from X = W, G = F, each slice
+    with its own stopping point. Raises ConvergenceError unless every slice
+    meets the residual contract
+    ||X - FXF^T - W|| / max(1, ||W|| + ||F||^2 ||X||) <= 1e-9
+    (Frobenius norms)."""
     # live: slices still doubling; g in C order, so rounding ignores F's layout.
     x, live, xl, g = np.empty_like(wm), np.arange(len(fm)), wm, np.ascontiguousarray(fm)
     for _ in range(200):

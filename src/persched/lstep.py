@@ -29,7 +29,6 @@ from .periodic import (
 __all__ = [
     "LStepProblem",
     "LStepResult",
-    "phi_value",
     "gradient_phi",
     "anderson_moore_update",
     "solve",
@@ -118,18 +117,9 @@ def _penalty(prob: LStepProblem, gains: PeriodicGains) -> float:
 
 
 def _phi_from_cycle(prob: LStepProblem, gains: PeriodicGains, cycle: np.ndarray) -> float:
+    """Subproblem objective: un-normalized trace sum over the gains'
+    covariance cycle plus (rho/2) times the squared distance to the targets."""
     return float(_trace_sum(cycle)) + _penalty(prob, gains)
-
-
-def phi_value(prob: LStepProblem, gains: PeriodicGains) -> float:
-    """Subproblem objective: un-normalized trace sum over the limit cycle
-    plus (rho/2) times the squared distance to the targets.
-
-    Raises InstabilityError when the gains do not stabilize the closed loop.
-    """
-    _check_compatible(prob, gains)
-    cycle = covariance_limit_cycle(prob.sys, gains)
-    return _phi_from_cycle(prob, gains, cycle)
 
 
 def gradient_phi(

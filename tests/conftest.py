@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import persched as ps
+from persched import lstep
 
 _CRITERION_LINES = {}
 
@@ -28,6 +29,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(_CRITERION_LINES[number])
 
 
+def spectral_radius(a):
+    """Largest eigenvalue magnitude of a square matrix."""
+    return float(np.abs(np.linalg.eigvals(a)).max())
+
+
+def phi(prob, gains):
+    """The gain subproblem's objective at ``gains``: lstep's own expression on
+    the covariance cycle."""
+    return lstep._phi_from_cycle(prob, gains, ps.covariance_limit_cycle(prob.sys, gains))
+
+
 def random_stable_system(rng, n, m, radius=0.85):
     """Random plant with a Schur-stable A and well-conditioned noise.
 
@@ -36,7 +48,7 @@ def random_stable_system(rng, n, m, radius=0.85):
     matrices bounded away from singular.
     """
     a = rng.normal(size=(n, n))
-    a *= radius / max(ps.spectral_radius(a), 1e-12)
+    a *= radius / max(spectral_radius(a), 1e-12)
     c = rng.normal(size=(m, n))
     q_half = rng.normal(size=(n, n))
     q = q_half @ q_half.T / n + 0.1 * np.eye(n)

@@ -6,11 +6,14 @@ matrix and the schedule gains by the K coupled Riccati recursions. The
 references here reach the same quantities other ways: the lifted
 (block-cyclic) reformulation of Bittanti & Colaneri, *Periodic Systems*
 (Springer 2009), solved on KN x KN operands with scipy, and the plain
-recursions iterated to a fixed point. They are slow, they need scipy, and
-they stay out of the package. The sparsification references solve the
-G-step one sensor at a time and by enumerating every support. The schedule
-references list the rotation classes by brute force and draw random masks
-with one ``Generator.choice`` call per count.
+recursions iterated to a fixed point. The lifted Lyapunov solves take
+scipy's direct (Kronecker) route: its default bilinear transform loses
+about as many digits as the monodromy is close to the unit circle. The
+references are slow, they need scipy, and they stay out of the package.
+The sparsification references solve the G-step one sensor at a time and by
+enumerating every support. The schedule references list the rotation
+classes by brute force and draw random masks with one ``Generator.choice``
+call per count.
 """
 
 import itertools
@@ -48,7 +51,7 @@ def covariance_cycle_lifted(sys, gains):
     # Diagonal block r of the lifted weight pairs with step r - 1: the lifted
     # recursion writes F_{r-1} P_{r-1} F_{r-1}^T + W_{r-1} into block r.
     w_lift = lift_cyclic(np.roll(noise, 1, axis=0), cyclic=False)
-    x = scipy.linalg.solve_discrete_lyapunov(lift_cyclic(factors), w_lift)
+    x = scipy.linalg.solve_discrete_lyapunov(lift_cyclic(factors), w_lift, method="direct")
     return _diagonal_blocks(x, *factors.shape[:2])
 
 
@@ -71,7 +74,7 @@ def value_cycle_lifted(sys, gains):
     """(K, N, N) value cycle V_k = F_k^T V_{k+1} F_k + I from one lifted solve."""
     factors = closed_loop_factors(sys, gains)
     K, n = factors.shape[:2]
-    x = scipy.linalg.solve_discrete_lyapunov(lift_cyclic(factors).T, np.eye(K * n))
+    x = scipy.linalg.solve_discrete_lyapunov(lift_cyclic(factors).T, np.eye(K * n), method="direct")
     return _diagonal_blocks(x, K, n)
 
 

@@ -11,10 +11,11 @@ import pytest
 import scipy.linalg
 
 import persched as ps
+from persched import lstep
 from persched.gstep import ZERO_COLUMN_TOL, GStepProblem
 from persched.model import FieldGeometry, build_diffusion_system
 from tests import reference
-from tests.conftest import random_schedule, random_stable_system, record_criterion
+from tests.conftest import phi, random_schedule, random_stable_system, record_criterion
 
 BENCHMARK_PERIOD = 10
 BENCHMARK_ETA = 5
@@ -36,8 +37,8 @@ def central_difference(prob, gains, step):
         high_point[idx] += step
         low_point = base.copy()
         low_point[idx] -= step
-        high = ps.phi_value(prob, ps.PeriodicGains(high_point))
-        low = ps.phi_value(prob, ps.PeriodicGains(low_point))
+        high = phi(prob, ps.PeriodicGains(high_point))
+        low = phi(prob, ps.PeriodicGains(low_point))
         grad[idx] = (high - low) / (2.0 * step)
     return grad
 
@@ -79,7 +80,7 @@ def test_criterion_02_coordinate_directions_descend():
         prob = ps.LStepProblem(
             sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.5, 10.0))
         )
-        result = ps.solve_lstep(prob, start, tol=1e-8)
+        result = lstep.solve(prob, start, tol=1e-8)
         slopes_negative &= all(s < 0.0 for s in result.descent_history)
         strictly_decreasing &= bool((np.diff(result.phi_history) < 0.0).all())
         accepted += len(result.step_sizes)

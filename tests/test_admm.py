@@ -1,7 +1,10 @@
 """Splitting driver: configuration, initialization, iteration, sweeps."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +89,21 @@ class TestAdmmConfig:
         with pytest.raises(InputError, match=message):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("period", 10.0), ("period", True), ("max_iters", 2.5), ("max_iters", False)],
+    )
+    def test_non_integer_counts_rejected(self, name, value):
+        # A float period used to fail later with a bare TypeError, and a
+        # fractional cap ran to its ceiling.
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            small_config(**{name: value})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        cfg = small_config(period=np.int64(4), max_iters=np.int32(3))
+        assert (cfg.period, cfg.max_iters) == (4, 3)
+        json.dumps(cfg.to_dict())
+
     def test_init_schedule_period_checked(self):
         with pytest.raises(InputError, match="period"):
             small_config(init_schedule=Schedule.all_on(3, 2))
@@ -102,20 +120,20 @@ class TestDriver:
     def test_initialize_state(self, rng):
         sys = random_stable_system(rng, 3, 2)
         driver = AdmmDriver(sys, small_config())
-        state = driver.initialize()
-        assert state.iteration == 0
-        np.testing.assert_array_equal(state.G, np.zeros((4, 3, 2)))
-        np.testing.assert_array_equal(state.Lam, np.zeros((4, 3, 2)))
+        driver.initialize()
+        assert driver.iteration == 0
+        np.testing.assert_array_equal(driver.G, np.zeros((4, 3, 2)))
+        np.testing.assert_array_equal(driver.Lam, np.zeros((4, 3, 2)))
         start = ps.default_init_schedule(sys, 4, (2, 2))
-        norms = np.linalg.norm(state.L, axis=1)
+        norms = np.linalg.norm(driver.L.gains, axis=1)
         assert (norms[start.mask == 0] == 0.0).all()
 
     def test_custom_init_schedule_respected(self, rng):
         sys = random_stable_system(rng, 3, 2)
         custom = Schedule(np.array([[1, 1], [0, 0], [1, 1], [0, 0]]))
         driver = AdmmDriver(sys, small_config(init_schedule=custom))
-        state = driver.initialize()
-        norms = np.linalg.norm(state.L, axis=1)
+        driver.initialize()
+        norms = np.linalg.norm(driver.L.gains, axis=1)
         assert (norms[custom.mask == 0] == 0.0).all()
         assert (norms[custom.mask == 1] > 0.0).all()
 
@@ -130,7 +148,7 @@ class TestDriver:
         driver = AdmmDriver(sys, small_config())
         record = driver.step()
         assert record.iteration == 1
-        assert driver.state.iteration == 1
+        assert driver.iteration == 1
         assert record.primal_residual >= 0.0
         assert record.inner_iterations >= 0
         assert len(driver.trace) == 1
@@ -220,7 +238,7 @@ class TestRun:
         assert report.jump_iteration == 2
         assert report.schedule.total_activations == 0
         assert report.j_polished == pytest.approx(
-            ps.solve_dlyap(sys.A, sys.q_eff).trace(), rel=1e-9
+            scipy.linalg.solve_discrete_lyapunov(sys.A, sys.q_eff).trace(), rel=1e-9
         )
 
     def test_deterministic_given_config(self, rng):

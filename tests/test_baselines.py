@@ -21,7 +21,7 @@ from persched import (
 )
 from persched.baselines import BaselineResult, _count_table, _draw_mask, _necklaces
 from persched.periodic import chunk_length
-from tests.conftest import random_stable_system
+from tests.conftest import random_stable_system, spectral_radius
 from tests.reference import draw_mask_per_call, necklaces_brute_force
 
 LINE4_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "compare_line4.yaml"
@@ -59,7 +59,7 @@ def random_unstable_system(rng, n, m):
     """Random plant with spectral radius 1.1-1.4 and half of C zeroed, so
     some schedules leave an unstable mode unobserved."""
     a = rng.normal(size=(n, n))
-    a *= rng.uniform(1.1, 1.4) / ps.spectral_radius(a)
+    a *= rng.uniform(1.1, 1.4) / spectral_radius(a)
     c = rng.normal(size=(m, n))
     c[rng.random((m, n)) < 0.5] = 0.0
     return SystemModel(A=a, B=np.eye(n), C=c, Q=np.eye(n), R=np.eye(m))

@@ -1,12 +1,16 @@
 """Every name that persched or one of its modules lists in ``__all__`` exists,
-and every ``ps.<name>`` that README.md mentions is public.
+every ``ps.<name>`` that README.md mentions is public, and every public
+function has a caller outside the tests.
 
 Tools that walk ``__all__`` with ``getattr``, such as per-layer tracers,
 crash on a name that was deleted from a module but left in its list.
 Documentation that still names a deleted function fails no other test.
+A public function that only tests call is a second path to maintain.
 """
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -15,7 +19,34 @@ import pytest
 
 import persched
 
+ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = [f"persched.{info.name}" for info in pkgutil.iter_modules(persched.__path__)]
+
+
+def readme_names():
+    """The names README.md mentions as ``ps.<name>``."""
+    return set(re.findall(r"\bps\.([A-Za-z_]\w*)", (ROOT / "README.md").read_text()))
+
+
+def loaded_names(path):
+    """The names a Python file loads, bare or as an attribute. A name
+    imported under an alias counts under its own name; comments and strings
+    do not count."""
+    tree = ast.parse(path.read_text())
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(aliases.get(node.id, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
 
 
 @pytest.mark.parametrize("name", ["persched"] + SUBMODULES)
@@ -28,8 +59,17 @@ def test_all_entries_resolve(name):
 
 
 def test_readme_names_only_public_api():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    named = set(re.findall(r"\bps\.([A-Za-z_]\w*)", readme))
+    named = readme_names()
     assert named, "README.md names no ps.<name>"
     stale = sorted(named - set(persched.__all__))
     assert stale == [], f"README.md names {stale}, which persched does not export"
+
+
+def test_public_functions_have_a_caller():
+    # Callers: the package's own modules, the demos and the benchmark.
+    sources = [p for p in (ROOT / "src" / "persched").glob("*.py") if p.name != "__init__.py"]
+    sources += list((ROOT / "demos").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
+    used = readme_names().union(*map(loaded_names, sources))
+    functions = {name for name in persched.__all__ if inspect.isfunction(getattr(persched, name))}
+    uncalled = sorted(functions - used)
+    assert uncalled == [], f"persched exports {uncalled}, which nothing outside tests/ calls"

@@ -9,12 +9,15 @@ from persched import (
     DimensionError,
     InputError,
     InstabilityError,
+    PeriodicGains,
+    SystemModel,
+    covariance_limit_cycle,
     matrix_exponential,
-    solve_dlyap,
     solve_gain_sylvester,
-    spectral_radius,
 )
 from persched.linalg import _smith_doubling, psd_sqrt, require_symmetric, symmetrize
+from persched.periodic import _limit_cycles, _single_cycle
+from tests.conftest import spectral_radius
 
 
 class TestMatrixExponential:
@@ -57,22 +60,21 @@ class TestMatrixExponential:
             matrix_exponential(np.ones((2, 3)))
 
 
-class TestSpectralRadius:
-    def test_known_values(self):
-        assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
-        assert spectral_radius(np.zeros((2, 2))) == 0.0
-
-    def test_complex_pair(self):
-        # Eigenvalues 0.6 +- 0.8i have magnitude 1.
-        a = np.array([[0.6, -0.8], [0.8, 0.6]])
-        assert spectral_radius(a) == pytest.approx(1.0)
+def dlyap(f, w):
+    """X = F X F^T + W for one stable F through the Lyapunov kernel, with the
+    symmetrized W and the radius the limit-cycle kernel hands it."""
+    f = np.asarray(f, dtype=float)
+    w = symmetrize(np.asarray(w, dtype=float))
+    return _smith_doubling(f[None], w[None], np.array([spectral_radius(f)]))[0]
 
 
 class TestSolveDlyap:
+    """The Lyapunov kernel, _smith_doubling, and the radius test of the
+    limit-cycle kernel that guards it."""
+
     def test_scalar(self):
         # x = 0.5^2 x + 3 gives x = 4.
-        x = solve_dlyap(np.array([[0.5]]), np.array([[3.0]]))
-        np.testing.assert_allclose(x, [[4.0]])
+        np.testing.assert_allclose(dlyap([[0.5]], [[3.0]]), [[4.0]])
 
     def test_matches_scipy(self, rng):
         for _ in range(20):
@@ -82,7 +84,7 @@ class TestSolveDlyap:
             w = rng.normal(size=(n, n))
             w = w @ w.T + 0.01 * np.eye(n)
             expected = scipy.linalg.solve_discrete_lyapunov(f, w)
-            np.testing.assert_allclose(solve_dlyap(f, w), expected, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(dlyap(f, w), expected, rtol=1e-8, atol=1e-10)
 
     def test_methods_agree(self, rng):
         # Doubling against the vectorized form (I - F kron F) vec(X) = vec(W),
@@ -93,7 +95,7 @@ class TestSolveDlyap:
             w = rng.normal(size=(n, n))
             w = w @ w.T
             kron = np.linalg.solve(np.eye(n * n) - np.kron(f, f), w.ravel()).reshape(n, n)
-            np.testing.assert_allclose(solve_dlyap(f, w), kron, rtol=1e-9, atol=1e-11)
+            np.testing.assert_allclose(dlyap(f, w), kron, rtol=1e-9, atol=1e-11)
 
     def test_near_unit_radius_matches_scipy(self, rng):
         n = 25
@@ -102,7 +104,7 @@ class TestSolveDlyap:
         w = rng.normal(size=(n, n))
         w = w @ w.T / n + np.eye(n)
         expected = scipy.linalg.solve_discrete_lyapunov(f, w)
-        x = solve_dlyap(f, w)
+        x = dlyap(f, w)
         np.testing.assert_allclose(x, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
 
     def test_non_normal_transient_growth_matches_scipy(self, rng):
@@ -116,7 +118,7 @@ class TestSolveDlyap:
         assert peak > 20.0
         w = np.eye(n)
         expected = scipy.linalg.solve_discrete_lyapunov(f, w)
-        x = solve_dlyap(f, w)
+        x = dlyap(f, w)
         np.testing.assert_allclose(x, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
 
     @pytest.mark.parametrize("superdiagonal, min_peak", [(0.25, 150.0), (0.3, 1000.0)])
@@ -132,43 +134,47 @@ class TestSolveDlyap:
         assert peak > min_peak
         w = np.eye(n)
         expected = scipy.linalg.solve_discrete_lyapunov(f, w)
-        x = solve_dlyap(f, w)
+        x = dlyap(f, w)
         assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
 
     def test_solution_is_symmetric_psd(self, rng):
         f = 0.7 * rng.normal(size=(4, 4)) / 2
-        w = np.eye(4)
-        x = solve_dlyap(f, w)
+        x = dlyap(f, np.eye(4))
         np.testing.assert_allclose(x, x.T)
         assert np.linalg.eigvalsh(x).min() > 0
 
+    @staticmethod
+    def scalar_plant(a):
+        return SystemModel(A=[[a]], B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1))
+
     def test_unstable_raises(self):
+        # With zero gains the covariance cycle's monodromy is A itself.
         with pytest.raises(InstabilityError, match="spectral radius"):
-            solve_dlyap(np.array([[1.0]]), np.array([[1.0]]))
+            covariance_limit_cycle(self.scalar_plant(1.0), PeriodicGains.zeros(1, 1, 1))
 
     def test_margin_matches_the_limit_cycle_kernel(self):
         # Inside the unit circle but not inside the kernel's margin.
         with pytest.raises(InstabilityError, match=r">= 1 - 1e-09"):
-            solve_dlyap(np.array([[1.0 - 1e-10]]), np.array([[1.0]]))
+            covariance_limit_cycle(self.scalar_plant(1.0 - 1e-10), PeriodicGains.zeros(1, 1, 1))
 
     def test_overflowing_doubling_fails_to_settle(self):
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="failed to settle"):
-            solve_dlyap(0.9 * np.eye(2), 1e308 * np.eye(2))
+            dlyap(0.9 * np.eye(2), 1e308 * np.eye(2))
 
     def test_overflowed_residual_fails_the_contract(self):
         # The doubling sums overflow their squared norms and stop early at
         # 1.81e300 in place of 5.26e300; the residual's norm overflows too,
         # and a residual that cannot be measured does not meet the contract.
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
-            solve_dlyap(0.9 * np.eye(2), 1e300 * np.eye(2))
+            dlyap(0.9 * np.eye(2), 1e300 * np.eye(2))
 
     def test_overflowed_norm_fails_the_contract(self):
         # From about 1e154 the squared Frobenius norms overflow: the settle
         # test reads inf <= 1e-32 * inf and stops at 1.81e154, where the
         # solution is 5.26e154, and the contract's scale is inf too.
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
-            solve_dlyap(0.9 * np.eye(2), 1e154 * np.eye(2))
-        x = solve_dlyap(0.9 * np.eye(2), 1e153 * np.eye(2))
+            dlyap(0.9 * np.eye(2), 1e154 * np.eye(2))
+        x = dlyap(0.9 * np.eye(2), 1e153 * np.eye(2))
         np.testing.assert_allclose(x, np.eye(2) * 1e153 / 0.19, rtol=1e-14)
 
     def test_residual_contract_rejects_a_settled_non_solution(self):
@@ -180,10 +186,6 @@ class TestSolveDlyap:
         with pytest.raises(ConvergenceError, match="exceeds contract for radius 1"):
             _smith_doubling(f, w, np.ones(1))
 
-    def test_asymmetric_w_rejected(self):
-        with pytest.raises(InputError, match="symmetric"):
-            solve_dlyap(0.5 * np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
-
     @staticmethod
     def stack_at_radii(rng, n, radii):
         fs, ws = [], []
@@ -191,42 +193,44 @@ class TestSolveDlyap:
             f = rng.normal(size=(n, n))
             fs.append(f * rho / spectral_radius(f))
             w = rng.normal(size=(n, n))
-            ws.append(w @ w.T / n + np.eye(n))
+            ws.append(symmetrize(w @ w.T / n + np.eye(n)))
         return np.stack(fs), np.stack(ws)
 
     def test_stacked_slices_match_single_solves(self, rng):
         # rho = 0.999 needs several more doublings than rho = 0.3, so the
         # slices settle at different iterations.
+        radii = (0.3, 0.999, 0.8, 0.5)
         for n in (3, 25):
-            f, w = self.stack_at_radii(rng, n, (0.3, 0.999, 0.8, 0.5))
-            x = solve_dlyap(f, w)
+            f, w = self.stack_at_radii(rng, n, radii)
+            x = _smith_doubling(f, w, np.array(radii))
             assert x.shape == (4, n, n)
             for k in range(4):
-                single = solve_dlyap(f[k], w[k])
+                single = dlyap(f[k], w[k])
                 np.testing.assert_allclose(
                     x[k], single, rtol=1e-12, atol=1e-12 * np.abs(single).max()
                 )
 
     def test_result_ignores_memory_layout(self, rng):
-        # solve_dlyap takes F in any memory layout; a transposed view must
+        # The kernel takes F in any memory layout; a transposed view must
         # round exactly as its C-ordered copy.
         f, w = self.stack_at_radii(rng, 25, (0.9,))
         view = f[0].T
-        np.testing.assert_array_equal(
-            solve_dlyap(view, w[0]), solve_dlyap(np.ascontiguousarray(view), w[0])
-        )
+        np.testing.assert_array_equal(dlyap(view, w[0]), dlyap(np.ascontiguousarray(view), w[0]))
 
     def test_stacked_unstable_slice_raises(self, rng):
+        # The limit-cycle kernel solves the stable loops of a stack and
+        # leaves out the one at radius 1.01, which raises on its own.
         f, w = self.stack_at_radii(rng, 3, (0.3, 1.01, 0.5))
-        with pytest.raises(InstabilityError, match="spectral radius"):
-            solve_dlyap(f, w)
-
-    def test_stacked_shape_mismatch_rejected(self, rng):
-        f, w = self.stack_at_radii(rng, 3, (0.3, 0.5))
-        with pytest.raises(DimensionError, match="shapes differ"):
-            solve_dlyap(f, w[:1])
-        with pytest.raises(DimensionError, match="shapes differ"):
-            solve_dlyap(f, np.eye(3))
+        rho, stable, cycles = _limit_cycles(3, 1, lambda k: (f, w))
+        np.testing.assert_allclose(rho, (0.3, 1.01, 0.5), rtol=1e-12)
+        np.testing.assert_array_equal(stable, [0, 2])
+        for cycle, k in zip(cycles, stable):
+            single = dlyap(f[k], w[k])
+            np.testing.assert_allclose(
+                cycle[0], single, rtol=1e-12, atol=1e-12 * np.abs(single).max()
+            )
+        with pytest.raises(InstabilityError, match="spectral radius 1.01"):
+            _single_cycle(*_limit_cycles(3, 1, lambda k: (f[1:2], w[1:2])))
 
 
 class TestSolveGainSylvester:

@@ -18,7 +18,7 @@ from persched import (
     Schedule,
     lstep,
 )
-from tests.conftest import detectable_plant, random_stable_system
+from tests.conftest import detectable_plant, phi, random_stable_system
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.yaml"
 
@@ -31,8 +31,8 @@ def finite_difference_gradient(prob, gains, step=1e-6):
         high_point[idx] += step
         low_point = base.copy()
         low_point[idx] -= step
-        high = ps.phi_value(prob, PeriodicGains(high_point))
-        low = ps.phi_value(prob, PeriodicGains(low_point))
+        high = phi(prob, PeriodicGains(high_point))
+        low = phi(prob, PeriodicGains(low_point))
         grad[idx] = (high - low) / (2.0 * step)
     return grad
 
@@ -75,15 +75,19 @@ class TestPhiValue:
         prob = LStepProblem(sys=sys, U=u, rho=4.0)
         cycle = ps.covariance_limit_cycle(sys, gains)
         expected = np.trace(cycle, axis1=1, axis2=2).sum() + 2.0 * np.sum((gains.gains - u) ** 2)
-        assert ps.phi_value(prob, gains) == pytest.approx(expected, rel=1e-12)
+        assert lstep._phi_from_cycle(prob, gains, cycle) == pytest.approx(expected, rel=1e-12)
 
     def test_unstable_gains_raise(self):
+        # A - L C = 2.5: the cycle raises, and the line search scores the
+        # trial point as infinitely bad.
         sys = ps.SystemModel(
             A=np.array([[0.5]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
         )
         prob = LStepProblem(sys=sys, U=np.zeros((1, 1, 1)), rho=1.0)
+        gains = PeriodicGains(np.array([[[-2.0]]]))
         with pytest.raises(InstabilityError):
-            ps.phi_value(prob, PeriodicGains(np.array([[[-2.0]]])))
+            ps.covariance_limit_cycle(sys, gains)
+        assert lstep._trial_phi(prob, gains) == (np.inf, None)
 
 
 class TestGradientPhi:
@@ -173,11 +177,11 @@ class TestArmijoStep:
         gains = PeriodicGains(riccati_start(sys, 2).gains + 0.05 * rng.normal(size=(2, 3, 1)))
         prob = LStepProblem(sys=sys, U=np.zeros((2, 3, 1)), rho=2.0)
         monkeypatch.setattr(lstep, "_MAX_ITERS", 1)
-        result = ps.solve_lstep(prob, gains, tol=0.0)
+        result = lstep.solve(prob, gains, tol=0.0)
         (s,), (slope,) = result.step_sizes, result.descent_history
         assert 0.0 < s <= 1.0
         phi0, phi1 = result.phi_history
-        assert phi1 == ps.phi_value(prob, result.gains)
+        assert phi1 == phi(prob, result.gains)
         assert phi1 < phi0 + lstep._ARMIJO_ALPHA * s * slope < phi0
 
 
@@ -194,7 +198,7 @@ class TestSolve:
                 U=init.gains + rng.normal(scale=0.2, size=(K, n, m)),
                 rho=float(rng.uniform(1.0, 10.0)),
             )
-            result = ps.solve_lstep(prob, init, tol=1e-6)
+            result = lstep.solve(prob, init, tol=1e-6)
             assert result.converged
             assert result.grad_norm <= 1e-6
             diffs = np.diff(result.phi_history)
@@ -205,7 +209,7 @@ class TestSolve:
         sys = random_stable_system(rng, 3, 2)
         init = riccati_start(sys, 2)
         prob = LStepProblem(sys=sys, U=init.gains.copy(), rho=5.0)
-        result = ps.solve_lstep(prob, init, tol=1e-5)
+        result = lstep.solve(prob, init, tol=1e-5)
         assert result.converged
         assert result.iterations <= 1
 
@@ -213,7 +217,7 @@ class TestSolve:
         sys = random_stable_system(rng, 3, 1)
         init = riccati_start(sys, 2)
         prob = LStepProblem(sys=sys, U=rng.normal(size=(2, 3, 1)), rho=4.0)
-        result = ps.solve_lstep(prob, init, tol=1e-9)
+        result = lstep.solve(prob, init, tol=1e-9)
         fixed = ps.anderson_moore_update(prob, result.gains)
         np.testing.assert_allclose(fixed.gains, result.gains.gains, atol=1e-6)
 
@@ -223,7 +227,7 @@ class TestSolve:
         )
         prob = LStepProblem(sys=sys, U=np.zeros((1, 1, 1)), rho=1.0)
         with pytest.raises(InstabilityError, match="initial"):
-            ps.solve_lstep(prob, PeriodicGains(np.array([[[3.0]]])))
+            lstep.solve(prob, PeriodicGains(np.array([[[3.0]]])))
 
     def test_proximal_pull_moves_toward_targets(self, rng):
         # Growing rho drags the solution toward the targets.
@@ -233,7 +237,7 @@ class TestSolve:
         dists = []
         for rho in (0.1, 10.0, 1000.0):
             prob = LStepProblem(sys=sys, U=u, rho=rho)
-            result = ps.solve_lstep(prob, init, tol=1e-9)
+            result = lstep.solve(prob, init, tol=1e-9)
             dists.append(float(np.linalg.norm(result.gains.gains - u)))
         assert dists[0] > dists[1] > dists[2]
 
@@ -275,7 +279,7 @@ class TestStabilityVerdict:
         count_calls(monkeypatch, lstep, "covariance_limit_cycle", counts)
         count_calls(monkeypatch, lstep, "value_cycle", counts)
         count_calls(monkeypatch, np.linalg, "eigvals", counts)
-        ps.solve_lstep(prob, init, tol=1e-8)
+        lstep.solve(prob, init, tol=1e-8)
         assert counts["covariance_limit_cycle unstable"] > 0
         assert counts["eigvals"] == counts["covariance_limit_cycle"] + counts["value_cycle"]
 
@@ -286,7 +290,7 @@ class TestStabilityVerdict:
         )
         prob = LStepProblem(sys=sys, U=np.zeros((1, 1, 1)), rho=1.0)
         with pytest.raises(InstabilityError, match="initial"):
-            ps.solve_lstep(prob, PeriodicGains.zeros(1, 1, 1))
+            lstep.solve(prob, PeriodicGains.zeros(1, 1, 1))
 
     def test_benchmark_solve_scores_40_trial_points(self, monkeypatch):
         exp = ps.load_experiment(BENCHMARK_CONFIG)
@@ -333,7 +337,7 @@ class TestUnstablePlantProperties:
         def check(seed, n, m, K, top):
             prob, init = unstable_problem(seed, n, m, K, top)
             counts.clear()
-            result = ps.solve_lstep(prob, init, tol=1e-8)
+            result = lstep.solve(prob, init, tol=1e-8)
             destabilizing.append(counts["covariance_limit_cycle unstable"])
             assert all(s < 0.0 for s in result.descent_history)
             assert (np.diff(result.phi_history) < 0.0).all()

@@ -13,10 +13,10 @@ from persched import (
     benchmark_system,
     build_diffusion_system,
     build_laplacian,
-    spectral_radius,
     validate_assumptions,
 )
 from persched.model import BENCHMARK_SENSOR_SITES
+from tests.conftest import spectral_radius
 
 
 class TestSystemModel:
