@@ -55,7 +55,6 @@ from .model import (
     validate_assumptions,
 )
 from .periodic import (
-    PeriodicGains,
     Schedule,
     ScheduleEvaluation,
     covariance_limit_cycle,
@@ -88,7 +87,6 @@ __all__ = [
     "LStepResult",
     "OracleResult",
     "PerschedError",
-    "PeriodicGains",
     "Schedule",
     "ScheduleEvaluation",
     "SolveReport",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .exceptions import InputError, PerschedError
 from .gstep import GStepProblem, g_step, normalize_eta
 from .model import SystemModel
 from .periodic import (
-    PeriodicGains,
     Schedule,
     _trace_sum,
     check_schedule_detectability,
@@ -80,6 +79,9 @@ class AdmmConfig:
             object.__setattr__(self, name, int(value))  # a NumPy integer does not serialize
         if self.period < 1:
             raise InputError("period must be at least 1")
+        for name in ("gamma", "rho", "eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gamma < 0:
             raise InputError("gamma must be nonnegative")
         if self.rho <= 0:
@@ -122,20 +124,14 @@ class IterationRecord:
     inner_iterations: int
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "primal_residual": self.primal_residual,
-            "g_change": self.g_change,
-            "phi": self.phi,
-            "cardinality": self.cardinality,
-            "inner_iterations": self.inner_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Full outcome of one solver run.
 
+    ``gains_raw`` and ``gains_polished`` are read-only (K, N, M) arrays.
     ``gains_raw`` and ``j_raw`` describe the solver's own gain iterate;
     ``gains_polished`` and ``j_polished`` re-solve the extracted schedule
     exactly and are the figures used for cross-method comparison.
@@ -150,8 +146,8 @@ class SolveReport:
     produce identical files.
     """
 
-    gains_raw: PeriodicGains
-    gains_polished: PeriodicGains
+    gains_raw: np.ndarray
+    gains_polished: np.ndarray
     schedule: Schedule
     j_raw: float
     j_polished: float
@@ -174,8 +170,8 @@ class SolveReport:
             "schedule": self.schedule.to_text(),
             "total_activations": self.schedule.total_activations,
             "activation_counts": [int(c) for c in self.schedule.activation_counts],
-            "gains_raw": self.gains_raw.gains.tolist(),
-            "gains_polished": self.gains_polished.gains.tolist(),
+            "gains_raw": self.gains_raw.tolist(),
+            "gains_polished": self.gains_polished.tolist(),
             "trace": [rec.to_dict() for rec in self.trace],
             "config": self.config.to_dict(),
         }
@@ -218,8 +214,8 @@ class AdmmDriver:
     """Stateful solver: construct, then ``run()``, or ``step()`` manually.
 
     After ``initialize()``, which the first ``step()`` or ``run()`` calls,
-    the split variables are the attributes ``L`` (PeriodicGains), ``G`` and
-    ``Lam`` ((K, N, M) arrays), and ``iteration`` counts the steps taken.
+    the split variables are the (K, N, M) arrays ``L`` (read-only), ``G``
+    and ``Lam``, and ``iteration`` counts the steps taken.
     Each step binds new objects to them, so references read earlier keep
     their values.
     """
@@ -240,7 +236,7 @@ class AdmmDriver:
         if sched is None:
             sched = default_init_schedule(self.sys, cfg.period, self.eta)
         self.L = evaluate_schedule(self.sys, sched).gains
-        shape = self.L.gains.shape
+        shape = self.L.shape
         self.G = np.zeros(shape)
         self.Lam = np.zeros(shape)
         self.iteration = 0
@@ -283,12 +279,12 @@ class AdmmDriver:
         try:
             self._fixed[support] = fixed = evaluate_schedule(self.sys, support)
             gains = fixed.gains
-            trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains.gains), 0.0)
+            trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains), 0.0)
             lam = -lstep.gradient_phi(trace_only, gains, cycle=fixed.cycle)
         except PerschedError:
             return
-        new_g = g_step(GStepProblem(gains.gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
-        if schedule_from_gains(PeriodicGains(new_g)) != support:
+        new_g = g_step(GStepProblem(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
+        if schedule_from_gains(new_g) != support:
             return
         self.L, self.G, self.Lam = gains, new_g, lam
         self.jump_iteration = self.iteration
@@ -309,21 +305,19 @@ class AdmmDriver:
             self.line_search_failed = True
         new_l = result.gains
 
-        s = new_l.gains + self.Lam / rho
+        s = new_l + self.Lam / rho
         new_g = g_step(GStepProblem(s, cfg.gamma, rho, self.eta))
 
         g_change = float(sum(np.linalg.norm(new_g[k] - self.G[k]) for k in range(cfg.period)))
-        self.Lam = self.Lam + rho * (new_l.gains - new_g)
-        primal = float(
-            sum(np.linalg.norm(new_l.gains[k] - new_g[k]) for k in range(cfg.period))
-        )
+        self.Lam = self.Lam + rho * (new_l - new_g)
+        primal = float(sum(np.linalg.norm(new_l[k] - new_g[k]) for k in range(cfg.period)))
 
         self.L = new_l
         self.G = new_g
         self.iteration += 1
         self._last_primal = primal
 
-        support = schedule_from_gains(PeriodicGains(new_g))
+        support = schedule_from_gains(new_g)
         cardinality = support.total_activations
         record = IterationRecord(
             iteration=self.iteration,
@@ -372,7 +366,7 @@ class AdmmDriver:
         else:
             final_l, final_g = self._best[0], self._best[1]
 
-        schedule = schedule_from_gains(PeriodicGains(final_g))
+        schedule = schedule_from_gains(final_g)
         polished = self._fixed.get(schedule) or evaluate_schedule(self.sys, schedule)
         if final_l is polished.gains:
             j_raw = polished.J

@@ -19,10 +19,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from .admm import IterationRecord
 from .admm import run as admm_run
 from .admm import sweep as admm_sweep
 from .baselines import exhaustive_search, random_baseline
@@ -87,7 +89,7 @@ def cmd_run(config_path, out: Optional[str] = None) -> int:
     out_dir = _out_dir(cfg, out)
     _write_json(out_dir / "report.json", report.to_dict())
     (out_dir / "schedule.txt").write_text(report.schedule.to_text() + "\n")
-    columns = ("iteration", "primal_residual", "g_change", "phi", "cardinality", "inner_iterations")
+    columns = [f.name for f in fields(IterationRecord)]
     _write_csv(
         out_dir / "trace.csv",
         columns,

@@ -9,7 +9,7 @@ before any computation starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -17,6 +17,7 @@ import numpy as np
 import yaml
 
 from .admm import AdmmConfig
+from .baselines import DEFAULT_BUDGET
 from .exceptions import ConfigError, InputError
 from .model import FieldGeometry, SystemModel, build_diffusion_system
 from .periodic import Schedule
@@ -38,15 +39,7 @@ _FIELD_KEYS = {
     "r_scale",
 }
 _MATRIX_KEYS = {"A", "B", "C", "Q", "R"}
-_ADMM_KEYS = {
-    "period",
-    "gamma",
-    "eta",
-    "rho",
-    "eps",
-    "max_iters",
-    "init_schedule",
-}
+_ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
 _SWEEP_KEYS = {"gammas", "etas"}
 _COMPARE_KEYS = {"trials", "oracle", "total_activations", "budget"}
 
@@ -269,7 +262,7 @@ def load_experiment(path) -> ExperimentConfig:
     compare_trials = 500
     compare_oracle = False
     compare_total = None
-    compare_budget = 1_000_000
+    compare_budget = DEFAULT_BUDGET
     if "compare" in raw:
         c = _require_mapping(raw["compare"], "compare")
         _check_keys(c, _COMPARE_KEYS, "compare")

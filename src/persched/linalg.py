@@ -143,7 +143,26 @@ def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarr
     with its own stopping point. Raises ConvergenceError unless every slice
     meets the residual contract
     ||X - FXF^T - W|| / max(1, ||W|| + ||F||^2 ||X||) <= 1e-9
-    (Frobenius norms)."""
+    (Frobenius norms).
+
+    A failed solve, as any is once a squared norm overflows (entries past
+    about 1e154) though X is representable, runs once more with each slice's
+    W scaled by a power of two to max |W| near 2^100 and X scaled back: both
+    exact, and with the max(1, .) floors not binding it computes what the
+    unscaled solve would in unbounded range. An X past the float range
+    raises the first solve's error."""
+    try:
+        return _doubling(fm, wm, rho)
+    except ConvergenceError:
+        shift = 100 - np.frexp(np.abs(wm).max(axis=(1, 2), keepdims=True))[1]
+        x = np.ldexp(_doubling(fm, np.ldexp(wm, shift), rho), -shift)
+        if not np.isfinite(x).all():
+            raise
+        return x
+
+
+def _doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """One Smith doubling solve of _smith_doubling, in W's own scale."""
     # live: slices still doubling; g in C order, so rounding ignores F's layout.
     x, live, xl, g = np.empty_like(wm), np.arange(len(fm)), wm, np.ascontiguousarray(fm)
     for _ in range(200):

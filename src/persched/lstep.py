@@ -19,7 +19,7 @@ from .exceptions import DimensionError, InputError, InstabilityError
 from .linalg import _stack, solve_gain_sylvester, symmetrize
 from .model import SystemModel
 from .periodic import (
-    PeriodicGains,
+    _gain_stack,
     _trace_sum,
     closed_loop_factors,
     covariance_limit_cycle,
@@ -90,10 +90,11 @@ class LStepResult:
     ``descent_history`` records the directional derivative of each
     Anderson-Moore direction, which stays negative away from stationarity.
     ``armijo_trials`` counts the trial points the line search scored (one
-    covariance limit cycle each), accepted or rejected.
+    covariance limit cycle each), accepted or rejected. ``gains`` is a
+    read-only (K, N, M) array.
     """
 
-    gains: PeriodicGains
+    gains: np.ndarray
     phi: float
     grad_norm: float
     iterations: int
@@ -105,25 +106,26 @@ class LStepResult:
     armijo_trials: int
 
 
-def _check_compatible(prob: LStepProblem, gains: PeriodicGains) -> None:
-    if gains.gains.shape != prob.U.shape:
-        raise DimensionError(
-            f"gains shape {gains.gains.shape} does not match targets {prob.U.shape}"
-        )
+def _check_compatible(prob: LStepProblem, gains) -> np.ndarray:
+    """periodic._gain_stack of gains that must have the targets' shape."""
+    g = _gain_stack(gains)
+    if g.shape != prob.U.shape:
+        raise DimensionError(f"gains shape {g.shape} does not match targets {prob.U.shape}")
+    return g
 
 
-def _penalty(prob: LStepProblem, gains: PeriodicGains) -> float:
-    return 0.5 * prob.rho * float(np.sum((gains.gains - prob.U) ** 2))
+def _penalty(prob: LStepProblem, gains: np.ndarray) -> float:
+    return 0.5 * prob.rho * float(np.sum((gains - prob.U) ** 2))
 
 
-def _phi_from_cycle(prob: LStepProblem, gains: PeriodicGains, cycle: np.ndarray) -> float:
+def _phi_from_cycle(prob: LStepProblem, gains: np.ndarray, cycle: np.ndarray) -> float:
     """Subproblem objective: un-normalized trace sum over the gains'
     covariance cycle plus (rho/2) times the squared distance to the targets."""
     return float(_trace_sum(cycle)) + _penalty(prob, gains)
 
 
 def gradient_phi(
-    prob: LStepProblem, gains: PeriodicGains, cycle: np.ndarray = None, values: np.ndarray = None
+    prob: LStepProblem, gains, cycle: np.ndarray = None, values: np.ndarray = None
 ) -> np.ndarray:
     """Objective gradient with respect to each gain, as a (K, N, M) stack.
 
@@ -133,7 +135,7 @@ def gradient_phi(
     evaluated at the current gains. Precomputed cycles may be passed in to
     avoid the two Lyapunov solves.
     """
-    _check_compatible(prob, gains)
+    gains = _check_compatible(prob, gains)
     sys = prob.sys
     if cycle is None:
         cycle = covariance_limit_cycle(sys, gains)
@@ -142,23 +144,23 @@ def gradient_phi(
     v_next = np.roll(values, -1, axis=0)
     closed = closed_loop_factors(sys, gains)
     return (
-        2.0 * v_next @ gains.gains @ sys.R
+        2.0 * v_next @ gains @ sys.R
         - 2.0 * v_next @ closed @ cycle @ sys.C.T
-        + prob.rho * (gains.gains - prob.U)
+        + prob.rho * (gains - prob.U)
     )
 
 
 def anderson_moore_update(
-    prob: LStepProblem, gains: PeriodicGains, cycle: np.ndarray = None, values: np.ndarray = None
-) -> PeriodicGains:
+    prob: LStepProblem, gains, cycle: np.ndarray = None, values: np.ndarray = None
+) -> np.ndarray:
     """Exact coordinate solve with the cycles frozen at the current gains.
 
     Freezes {P_k} and {V_k} and solves, independently for each step,
     2 V_{k+1} L_k (R + C P_k C^T) + rho L_k = 2 V_{k+1} A P_k C^T + rho U_k
-    in one batched solve. The returned candidate is a fixed point exactly
-    when the current gains are stationary.
+    in one batched solve. The returned candidate, a read-only (K, N, M)
+    array, is a fixed point exactly when the current gains are stationary.
     """
-    _check_compatible(prob, gains)
+    gains = _check_compatible(prob, gains)
     sys = prob.sys
     if cycle is None:
         cycle = covariance_limit_cycle(sys, gains)
@@ -167,10 +169,12 @@ def anderson_moore_update(
     v_next = np.roll(values, -1, axis=0)
     d = symmetrize(sys.R + sys.C @ cycle @ sys.C.T)
     rhs = 2.0 * v_next @ sys.A @ cycle @ sys.C.T + prob.rho * prob.U
-    return PeriodicGains(solve_gain_sylvester(v_next, d, prob.rho, rhs))
+    candidate = solve_gain_sylvester(v_next, d, prob.rho, rhs)
+    candidate.setflags(write=False)
+    return candidate
 
 
-def _trial_phi(prob: LStepProblem, trial: PeriodicGains):
+def _trial_phi(prob: LStepProblem, trial: np.ndarray):
     """Objective and cycle at a trial point, (inf, None) when it destabilizes."""
     try:
         cycle = covariance_limit_cycle(prob.sys, trial)
@@ -181,7 +185,7 @@ def _trial_phi(prob: LStepProblem, trial: PeriodicGains):
 
 def _armijo(
     prob: LStepProblem,
-    gains: PeriodicGains,
+    gains: np.ndarray,
     direction: np.ndarray,
     phi0: float,
     slope: float,
@@ -193,7 +197,8 @@ def _armijo(
     (s, new gains, new cycle), or None in its place when s underflows."""
     s, trials = 1.0, 0
     while s >= _MIN_STEP:
-        trial = PeriodicGains(gains.gains + s * direction)
+        trial = gains + s * direction
+        trial.setflags(write=False)
         trial_phi, trial_cycle = _trial_phi(prob, trial)
         trials += 1
         if trial_phi < phi0 + _ARMIJO_ALPHA * s * slope:
@@ -202,7 +207,7 @@ def _armijo(
     return trials, None
 
 
-def solve(prob: LStepProblem, init: PeriodicGains, tol: float = TOL_FLOOR) -> LStepResult:
+def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
     """Run the gain solver from a stabilizing start.
 
     Each iteration computes both cycles, checks the gradient norm against
@@ -211,14 +216,18 @@ def solve(prob: LStepProblem, init: PeriodicGains, tol: float = TOL_FLOOR) -> LS
     failure the best iterate found so far is returned with the failure flag
     set instead of raising. The iteration cap (``_MAX_ITERS``) and the line
     search's constants (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``) are fixed.
+    A writeable ``init`` is copied, so the result never shares the caller's
+    array.
     """
-    _check_compatible(prob, init)
+    gains = _check_compatible(prob, init)
+    if gains.flags.writeable:
+        gains = gains.copy()
+        gains.setflags(write=False)
     try:
-        cycle = covariance_limit_cycle(prob.sys, init)
+        cycle = covariance_limit_cycle(prob.sys, gains)
     except InstabilityError as exc:
         raise InstabilityError("initial gains do not stabilize the closed loop") from exc
 
-    gains = init
     phi_history = []
     step_sizes = []
     descent_history = []
@@ -239,7 +248,7 @@ def solve(prob: LStepProblem, init: PeriodicGains, tol: float = TOL_FLOOR) -> LS
         if iterations >= _MAX_ITERS:
             break
         candidate = anderson_moore_update(prob, gains, cycle=cycle, values=values)
-        direction = candidate.gains - gains.gains
+        direction = candidate - gains
         slope = float(np.sum(grad * direction))
         descent_history.append(slope)
         if slope >= 0.0:

@@ -30,7 +30,6 @@ from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
     "Schedule",
-    "PeriodicGains",
     "ScheduleEvaluation",
     "lift_cyclic",
     "closed_loop_factors",
@@ -127,59 +126,12 @@ class Schedule:
         return hash((self.mask.shape, self.mask.tobytes()))
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicGains:
-    """Length-K sequence of N x M estimator gains, stored as a (K, N, M) array.
-
-    The sequence extends periodically: the gain applied at absolute time t
-    is ``gains[t % K]``.
-    """
-
-    gains: np.ndarray
-
-    def __post_init__(self):
-        g = _stack(self.gains, "gains")
-        if g.shape[0] < 1:
-            raise DimensionError("gain sequence must have at least one element")
-        g = np.array(g, order="C")  # private copy: the caller's stays writeable
-        g.setflags(write=False)
-        object.__setattr__(self, "gains", g)
-
-    @classmethod
-    def zeros(cls, K: int, N: int, M: int) -> "PeriodicGains":
-        return cls(np.zeros((K, N, M)))
-
-    @property
-    def K(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.gains.shape[1]
-
-    @property
-    def n_sensors(self) -> int:
-        return self.gains.shape[2]
-
-    def __len__(self) -> int:
-        return self.K
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.gains[k]
-
-    def __iter__(self):
-        return iter(self.gains)
-
-    def column_norms(self) -> np.ndarray:
-        """2-norm of every gain column, as a (K, M) array."""
-        return np.linalg.norm(self.gains, axis=1)
-
-
 class ScheduleEvaluation(NamedTuple):
-    """Riccati-optimal figure of merit for a fixed schedule."""
+    """Riccati-optimal figure of merit for a fixed schedule: J, the read-only
+    (K, N, M) gains and their read-only (K, N, N) covariance cycle."""
 
     J: float
-    gains: PeriodicGains
+    gains: np.ndarray
     cycle: np.ndarray
 
 
@@ -206,24 +158,36 @@ def lift_cyclic(blocks, cyclic: bool = True) -> np.ndarray:
     return out
 
 
-def _check_gains(sys: SystemModel, gains: PeriodicGains) -> None:
-    if gains.n_states != sys.n_states or gains.n_sensors != sys.n_sensors:
+def _gain_stack(gains) -> np.ndarray:
+    """Gains L_0..L_{K-1} as a finite (K, N, M) float array, K >= 1; a single
+    N x M gain is the K = 1 stack. The gain applied at absolute time t is
+    L_{t mod K}. A float array is not copied."""
+    g = _stack(gains, "gains")
+    if g.shape[0] < 1:
+        raise DimensionError("gain sequence must have at least one element")
+    return g
+
+
+def _check_gains(sys: SystemModel, gains) -> np.ndarray:
+    """_gain_stack of gains that must fit the system's N states and M sensors."""
+    g = _gain_stack(gains)
+    if g.shape[1:] != (sys.n_states, sys.n_sensors):
         raise DimensionError(
-            f"gains of shape (K, {gains.n_states}, {gains.n_sensors}) do not match "
+            f"gains of shape (K, {g.shape[1]}, {g.shape[2]}) do not match "
             f"system with N={sys.n_states}, M={sys.n_sensors}"
         )
+    return g
 
 
-def closed_loop_factors(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
-    """Per-step closed-loop matrices A - L_k C, stacked as (K, N, N)."""
-    _check_gains(sys, gains)
-    return sys.A[np.newaxis] - gains.gains @ sys.C
+def closed_loop_factors(sys: SystemModel, gains) -> np.ndarray:
+    """Per-step closed-loop matrices A - L_k C of (K, N, M) gains, stacked as (K, N, N)."""
+    return sys.A[np.newaxis] - _check_gains(sys, gains) @ sys.C
 
 
-def _step_noise(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
-    """Injected covariance B Q B^T + L R L^T for a gain, or for each gain of
-    a stack such as the (K, N, M) gains of one period."""
-    return symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
+def _loop(sys: SystemModel, gains: np.ndarray) -> tuple:
+    """Closed-loop factor A - L C and injected covariance B Q B^T + L R L^T
+    for each gain of a stack such as the (K, N, M) gains of one period."""
+    return sys.A - gains @ sys.C, symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
 
 
 def _limit_cycles(n: int, K: int, step) -> tuple:
@@ -256,10 +220,7 @@ def _limit_cycles(n: int, K: int, step) -> tuple:
 def _covariance_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
     """_limit_cycles of the covariances of a (T, K, N, M) gain stack, step by step."""
 
-    def step(k):
-        return sys.A - gains[:, k] @ sys.C, _step_noise(sys, gains[:, k])
-
-    return _limit_cycles(sys.n_states, gains.shape[1], step)
+    return _limit_cycles(sys.n_states, gains.shape[1], lambda k: _loop(sys, gains[:, k]))
 
 
 def _trace_sum(cycles: np.ndarray):
@@ -276,7 +237,7 @@ def _single_cycle(rho: np.ndarray, stable: np.ndarray, cycles: np.ndarray) -> np
     return cycles[0]
 
 
-def covariance_limit_cycle(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
+def covariance_limit_cycle(sys: SystemModel, gains) -> np.ndarray:
     """Unique periodic steady state of the error-covariance recursion.
 
     Solves P_{k+1} = F_k P_k F_k^T + W_k with wraparound P_K = P_0, where
@@ -285,13 +246,12 @@ def covariance_limit_cycle(sys: SystemModel, gains: PeriodicGains) -> np.ndarray
     Returns (P_0, ..., P_{K-1}) as a read-only (K, N, N) array of symmetric
     matrices.
     """
-    factors = closed_loop_factors(sys, gains)[:, np.newaxis]
-    noise = _step_noise(sys, gains.gains)[:, np.newaxis]
-    cycles = _limit_cycles(sys.n_states, gains.K, lambda k: (factors[k], noise[k]))
+    factors, noise = (x[:, np.newaxis] for x in _loop(sys, _check_gains(sys, gains)))
+    cycles = _limit_cycles(sys.n_states, len(factors), lambda k: (factors[k], noise[k]))
     return _single_cycle(*cycles)
 
 
-def value_cycle(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
+def value_cycle(sys: SystemModel, gains) -> np.ndarray:
     """Unique periodic solution of V_k = F_k^T V_{k+1} F_k + I.
 
     This is the covariance recursion run backwards in time: with
@@ -302,20 +262,21 @@ def value_cycle(sys: SystemModel, gains: PeriodicGains) -> np.ndarray:
     """
     reversed_factors = closed_loop_factors(sys, gains).transpose(0, 2, 1)[::-1, np.newaxis]
     eye = np.eye(sys.n_states)[np.newaxis]
-    cycles = _limit_cycles(sys.n_states, gains.K, lambda j: (reversed_factors[j], eye))
+    K = len(reversed_factors)
+    cycles = _limit_cycles(sys.n_states, K, lambda j: (reversed_factors[j], eye))
     values = np.roll(_single_cycle(*cycles)[::-1], 1, axis=0)
     values.setflags(write=False)
     return values
 
 
-def schedule_from_gains(gains: PeriodicGains) -> Schedule:
-    """Activation mask of the nonzero gain columns.
+def schedule_from_gains(gains) -> Schedule:
+    """Activation mask of the nonzero columns of (K, N, M) gains.
 
     A sensor counts as active at step k when its gain column 2-norm exceeds
     _RELATIVE_ZERO_TOL (1e-6) times the largest column norm in the sequence,
     so uniformly tiny gains yield an empty schedule.
     """
-    norms = gains.column_norms()
+    norms = np.linalg.norm(_gain_stack(gains), axis=1)
     return Schedule((norms > _RELATIVE_ZERO_TOL * float(norms.max())).astype(np.int8))
 
 
@@ -445,7 +406,8 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     if not stable.size:
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
     J = float(_trace_sum(cycles[0]) / sched.K)
-    return ScheduleEvaluation(J=J, gains=PeriodicGains(gains[0]), cycle=cycles[0])
+    gains.setflags(write=False)
+    return ScheduleEvaluation(J=J, gains=gains[0], cycle=cycles[0])
 
 
 def chunk_length(n_states: int) -> int:
@@ -478,7 +440,7 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     return J
 
 
-def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: np.ndarray) -> float:
+def cycle_residual(sys: SystemModel, gains, cycle: np.ndarray) -> float:
     """Largest one-step recursion defect of a claimed limit cycle.
 
     Measures max_k of ||P_{k+1} - (F_k P_k F_k^T + W_k)||_F with wraparound,
@@ -486,8 +448,7 @@ def cycle_residual(sys: SystemModel, gains: PeriodicGains, cycle: np.ndarray) ->
     DimensionError unless the cycle is a (K, N, N) stack matching the gains,
     and InputError when it has non-finite entries.
     """
-    factors = closed_loop_factors(sys, gains)
-    noise = _step_noise(sys, gains.gains)
+    factors, noise = _loop(sys, _check_gains(sys, gains))
     k_count = len(factors)
     cycle = _stack(cycle, "cycle")
     if cycle.shape != factors.shape:

@@ -29,8 +29,7 @@ from persched.periodic import closed_loop_factors, lift_cyclic
 
 def _loop(sys, gains):
     """Closed-loop factors F_k and injected noises W_k, each (K, N, N)."""
-    g = gains.gains
-    return closed_loop_factors(sys, gains), sys.q_eff + g @ sys.R @ g.transpose(0, 2, 1)
+    return closed_loop_factors(sys, gains), sys.q_eff + gains @ sys.R @ gains.transpose(0, 2, 1)
 
 
 def _diagonal_blocks(x, K, n):

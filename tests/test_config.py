@@ -312,6 +312,18 @@ class TestAdmmSection:
             load_experiment(write_config(tmp_path, text))
 
 
+    @pytest.mark.parametrize("key", ["gamma", "rho", "eps"])
+    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")])
+    def test_non_finite_settings_rejected(self, tmp_path, key, value, shown):
+        # YAML reads these as floats; a NaN gamma used to report an empty
+        # schedule as converged and write "gamma": NaN into report.json.
+        settings = {"gamma": "0.1", "rho": "10.0", "eps": "0.001", key: value}
+        text = FIELD_SYSTEM + "admm:\n  period: 4\n  eta: 2\n"
+        text += "".join(f"  {name}: {v}\n" for name, v in settings.items())
+        with pytest.raises(ConfigError, match=f"admm: {key} must be finite, got {shown}"):
+            load_experiment(write_config(tmp_path, text))
+
+
 class TestSweepAndCompare:
     def test_sweep_lists(self, tmp_path):
         sweep = "sweep:\n  gammas: [0.0, 0.1]\n  etas: [1, 2.0, [1, 3]]\n"
@@ -331,6 +343,8 @@ class TestSweepAndCompare:
         "grid, message",
         [
             ("gammas: [0.1, -1.0]", "sweep.gammas: gamma must be nonnegative"),
+            ("gammas: [0.1, .nan]", "sweep.gammas: gamma must be finite, got nan"),
+            ("gammas: [.inf]", "sweep.gammas: gamma must be finite, got inf"),
             ("etas: [2, 9]", r"sweep.etas: eta\[0\] = 9 outside the valid range 1..4"),
             ("etas: [2, x]", r"sweep.etas: eta\[0\] = x is not an integer"),
             ("etas: [[2, 5]]", r"sweep.etas: eta\[1\] = 5 outside the valid range 1..4"),

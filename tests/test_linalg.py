@@ -9,13 +9,12 @@ from persched import (
     DimensionError,
     InputError,
     InstabilityError,
-    PeriodicGains,
     SystemModel,
     covariance_limit_cycle,
     matrix_exponential,
     solve_gain_sylvester,
 )
-from persched.linalg import _smith_doubling, psd_sqrt, require_symmetric, symmetrize
+from persched.linalg import _doubling, _smith_doubling, psd_sqrt, require_symmetric, symmetrize
 from persched.periodic import _limit_cycles, _single_cycle
 from tests.conftest import spectral_radius
 
@@ -150,12 +149,12 @@ class TestSolveDlyap:
     def test_unstable_raises(self):
         # With zero gains the covariance cycle's monodromy is A itself.
         with pytest.raises(InstabilityError, match="spectral radius"):
-            covariance_limit_cycle(self.scalar_plant(1.0), PeriodicGains.zeros(1, 1, 1))
+            covariance_limit_cycle(self.scalar_plant(1.0), np.zeros((1, 1, 1)))
 
     def test_margin_matches_the_limit_cycle_kernel(self):
         # Inside the unit circle but not inside the kernel's margin.
         with pytest.raises(InstabilityError, match=r">= 1 - 1e-09"):
-            covariance_limit_cycle(self.scalar_plant(1.0 - 1e-10), PeriodicGains.zeros(1, 1, 1))
+            covariance_limit_cycle(self.scalar_plant(1.0 - 1e-10), np.zeros((1, 1, 1)))
 
     def test_overflowing_doubling_fails_to_settle(self):
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="failed to settle"):
@@ -165,17 +164,40 @@ class TestSolveDlyap:
         # The doubling sums overflow their squared norms and stop early at
         # 1.81e300 in place of 5.26e300; the residual's norm overflows too,
         # and a residual that cannot be measured does not meet the contract.
+        # That failure is what sends _smith_doubling to its scaled retry.
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
-            dlyap(0.9 * np.eye(2), 1e300 * np.eye(2))
+            _doubling(0.9 * np.eye(2)[None], 1e300 * np.eye(2)[None], np.array([0.9]))
 
     def test_overflowed_norm_fails_the_contract(self):
         # From about 1e154 the squared Frobenius norms overflow: the settle
         # test reads inf <= 1e-32 * inf and stops at 1.81e154, where the
         # solution is 5.26e154, and the contract's scale is inf too.
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
-            dlyap(0.9 * np.eye(2), 1e154 * np.eye(2))
+            _doubling(0.9 * np.eye(2)[None], 1e154 * np.eye(2)[None], np.array([0.9]))
         x = dlyap(0.9 * np.eye(2), 1e153 * np.eye(2))
         np.testing.assert_allclose(x, np.eye(2) * 1e153 / 0.19, rtol=1e-14)
+
+    @pytest.mark.parametrize("w", [1e154, 1e200, 1e300])
+    def test_overflowing_norms_solve_in_full_range(self, w):
+        # X = 0.81 X + w I is w / 0.19 I, representable though its squared
+        # norm is not: the retry scales W by a power of two and X back.
+        with np.errstate(all="ignore"):
+            x = dlyap(0.9 * np.eye(2), w * np.eye(2))
+        np.testing.assert_allclose(x, np.eye(2) * w / 0.19, rtol=1e-12, atol=0.0)
+
+    def test_retry_scales_each_slice_by_its_own_power_of_two(self):
+        # One slice needs the retry; the small one beside it keeps its digits.
+        w = np.stack([1e200 * np.eye(2), 1e-3 * np.eye(2)])
+        with np.errstate(all="ignore"):
+            x = _smith_doubling(0.9 * np.stack([np.eye(2)] * 2), w, np.array([0.9, 0.9]))
+        np.testing.assert_allclose(x, w / 0.19, rtol=1e-12, atol=0.0)
+
+    def test_covariance_cycle_of_a_huge_noise(self):
+        # Scalar plant A = 0.9, Q = 1e154, zero gains: P = Q / 0.19.
+        sys = SystemModel(A=[[0.9]], B=np.eye(1), C=np.eye(1), Q=[[1e154]], R=np.eye(1))
+        with np.errstate(all="ignore"):
+            cycle = covariance_limit_cycle(sys, np.zeros((1, 1, 1)))
+        np.testing.assert_allclose(cycle, [[[1e154 / 0.19]]], rtol=1e-12, atol=0.0)
 
     def test_residual_contract_rejects_a_settled_non_solution(self):
         # A quarter turn F maps W = diag(1, -1) to -W, so the first doubling

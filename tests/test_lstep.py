@@ -14,7 +14,6 @@ from persched import (
     InputError,
     InstabilityError,
     LStepProblem,
-    PeriodicGains,
     Schedule,
     lstep,
 )
@@ -23,16 +22,15 @@ from tests.conftest import detectable_plant, phi, random_stable_system
 BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.yaml"
 
 
-def finite_difference_gradient(prob, gains, step=1e-6):
-    base = gains.gains
+def finite_difference_gradient(prob, base, step=1e-6):
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         high_point = base.copy()
         high_point[idx] += step
         low_point = base.copy()
         low_point[idx] -= step
-        high = phi(prob, PeriodicGains(high_point))
-        low = phi(prob, PeriodicGains(low_point))
+        high = phi(prob, high_point)
+        low = phi(prob, low_point)
         grad[idx] = (high - low) / (2.0 * step)
     return grad
 
@@ -71,10 +69,10 @@ class TestPhiValue:
     def test_equals_trace_sum_plus_penalty(self, rng):
         sys = random_stable_system(rng, 3, 2)
         gains = riccati_start(sys, 2)
-        u = rng.normal(size=gains.gains.shape)
+        u = rng.normal(size=gains.shape)
         prob = LStepProblem(sys=sys, U=u, rho=4.0)
         cycle = ps.covariance_limit_cycle(sys, gains)
-        expected = np.trace(cycle, axis1=1, axis2=2).sum() + 2.0 * np.sum((gains.gains - u) ** 2)
+        expected = np.trace(cycle, axis1=1, axis2=2).sum() + 2.0 * np.sum((gains - u) ** 2)
         assert lstep._phi_from_cycle(prob, gains, cycle) == pytest.approx(expected, rel=1e-12)
 
     def test_unstable_gains_raise(self):
@@ -84,7 +82,7 @@ class TestPhiValue:
             A=np.array([[0.5]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
         )
         prob = LStepProblem(sys=sys, U=np.zeros((1, 1, 1)), rho=1.0)
-        gains = PeriodicGains(np.array([[[-2.0]]]))
+        gains = np.array([[[-2.0]]])
         with pytest.raises(InstabilityError):
             ps.covariance_limit_cycle(sys, gains)
         assert lstep._trial_phi(prob, gains) == (np.inf, None)
@@ -97,9 +95,7 @@ class TestGradientPhi:
             m = int(rng.integers(1, 3))
             K = int(rng.integers(1, 4))
             sys = random_stable_system(rng, n, m)
-            gains = PeriodicGains(
-                riccati_start(sys, K).gains + 0.01 * rng.normal(size=(K, n, m))
-            )
+            gains = riccati_start(sys, K) + 0.01 * rng.normal(size=(K, n, m))
             prob = LStepProblem(
                 sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.0, 10.0))
             )
@@ -120,9 +116,9 @@ class TestAndersonMooreUpdate:
     def test_fixed_point_at_stationarity(self, rng):
         sys = random_stable_system(rng, 3, 2)
         gains = riccati_start(sys, 2)
-        prob = LStepProblem(sys=sys, U=gains.gains.copy(), rho=3.0)
+        prob = LStepProblem(sys=sys, U=gains.copy(), rho=3.0)
         candidate = ps.anderson_moore_update(prob, gains)
-        np.testing.assert_allclose(candidate.gains, gains.gains, atol=1e-8)
+        np.testing.assert_allclose(candidate, gains, atol=1e-8)
 
     def test_direction_is_descent(self, rng):
         # Directional derivative of the coordinate-solve direction stays
@@ -133,16 +129,14 @@ class TestAndersonMooreUpdate:
             m = int(rng.integers(1, 3))
             K = int(rng.integers(1, 4))
             sys = random_stable_system(rng, n, m)
-            gains = PeriodicGains(
-                riccati_start(sys, K).gains + 0.05 * rng.normal(size=(K, n, m))
-            )
+            gains = riccati_start(sys, K) + 0.05 * rng.normal(size=(K, n, m))
             prob = LStepProblem(
                 sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.1, 10.0))
             )
             grad = ps.gradient_phi(prob, gains)
             if np.linalg.norm(grad) < 1e-8:
                 continue
-            direction = ps.anderson_moore_update(prob, gains).gains - gains.gains
+            direction = ps.anderson_moore_update(prob, gains) - gains
             assert float(np.sum(grad * direction)) < 0.0
             count += 1
         assert count >= 15
@@ -153,7 +147,7 @@ class TestAndersonMooreUpdate:
         # for a single-step period and for more sensors than states.
         for n, m, K in ((3, 2, 1), (2, 4, 3)):
             sys = random_stable_system(rng, n, m)
-            gains = PeriodicGains(riccati_start(sys, K).gains + 0.01 * rng.normal(size=(K, n, m)))
+            gains = riccati_start(sys, K) + 0.01 * rng.normal(size=(K, n, m))
             prob = LStepProblem(sys=sys, U=rng.normal(size=(K, n, m)), rho=3.0)
             cycle = ps.covariance_limit_cycle(sys, gains)
             values = ps.value_cycle(sys, gains)
@@ -165,7 +159,7 @@ class TestAndersonMooreUpdate:
                 lhs = 2.0 * np.kron(v_next, d.T) + prob.rho * np.eye(n * m)
                 expected[k] = np.linalg.solve(lhs, rhs.ravel()).reshape(n, m)
             np.testing.assert_allclose(
-                ps.anderson_moore_update(prob, gains).gains, expected, rtol=1e-9, atol=1e-11
+                ps.anderson_moore_update(prob, gains), expected, rtol=1e-9, atol=1e-11
             )
 
 
@@ -174,7 +168,7 @@ class TestArmijoStep:
 
     def test_accepted_step_decreases_phi(self, rng, monkeypatch):
         sys = random_stable_system(rng, 3, 1)
-        gains = PeriodicGains(riccati_start(sys, 2).gains + 0.05 * rng.normal(size=(2, 3, 1)))
+        gains = riccati_start(sys, 2) + 0.05 * rng.normal(size=(2, 3, 1))
         prob = LStepProblem(sys=sys, U=np.zeros((2, 3, 1)), rho=2.0)
         monkeypatch.setattr(lstep, "_MAX_ITERS", 1)
         result = lstep.solve(prob, gains, tol=0.0)
@@ -195,7 +189,7 @@ class TestSolve:
             init = riccati_start(sys, K)
             prob = LStepProblem(
                 sys=sys,
-                U=init.gains + rng.normal(scale=0.2, size=(K, n, m)),
+                U=init + rng.normal(scale=0.2, size=(K, n, m)),
                 rho=float(rng.uniform(1.0, 10.0)),
             )
             result = lstep.solve(prob, init, tol=1e-6)
@@ -208,7 +202,7 @@ class TestSolve:
     def test_stationary_start_returns_immediately(self, rng):
         sys = random_stable_system(rng, 3, 2)
         init = riccati_start(sys, 2)
-        prob = LStepProblem(sys=sys, U=init.gains.copy(), rho=5.0)
+        prob = LStepProblem(sys=sys, U=init.copy(), rho=5.0)
         result = lstep.solve(prob, init, tol=1e-5)
         assert result.converged
         assert result.iterations <= 1
@@ -219,7 +213,7 @@ class TestSolve:
         prob = LStepProblem(sys=sys, U=rng.normal(size=(2, 3, 1)), rho=4.0)
         result = lstep.solve(prob, init, tol=1e-9)
         fixed = ps.anderson_moore_update(prob, result.gains)
-        np.testing.assert_allclose(fixed.gains, result.gains.gains, atol=1e-6)
+        np.testing.assert_allclose(fixed, result.gains, atol=1e-6)
 
     def test_unstable_init_rejected(self):
         sys = ps.SystemModel(
@@ -227,18 +221,18 @@ class TestSolve:
         )
         prob = LStepProblem(sys=sys, U=np.zeros((1, 1, 1)), rho=1.0)
         with pytest.raises(InstabilityError, match="initial"):
-            lstep.solve(prob, PeriodicGains(np.array([[[3.0]]])))
+            lstep.solve(prob, np.array([[[3.0]]]))
 
     def test_proximal_pull_moves_toward_targets(self, rng):
         # Growing rho drags the solution toward the targets.
         sys = random_stable_system(rng, 2, 1)
         init = riccati_start(sys, 1)
-        u = init.gains + 0.3
+        u = init + 0.3
         dists = []
         for rho in (0.1, 10.0, 1000.0):
             prob = LStepProblem(sys=sys, U=u, rho=rho)
             result = lstep.solve(prob, init, tol=1e-9)
-            dists.append(float(np.linalg.norm(result.gains.gains - u)))
+            dists.append(float(np.linalg.norm(result.gains - u)))
         assert dists[0] > dists[1] > dists[2]
 
 
@@ -290,7 +284,7 @@ class TestStabilityVerdict:
         )
         prob = LStepProblem(sys=sys, U=np.zeros((1, 1, 1)), rho=1.0)
         with pytest.raises(InstabilityError, match="initial"):
-            lstep.solve(prob, PeriodicGains.zeros(1, 1, 1))
+            lstep.solve(prob, np.zeros((1, 1, 1)))
 
     def test_benchmark_solve_scores_40_trial_points(self, monkeypatch):
         exp = ps.load_experiment(BENCHMARK_CONFIG)

@@ -9,13 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persched as ps
-from persched import periodic
+from persched import lstep, periodic
 from persched import (
     DimensionError,
     InitializationError,
     InputError,
     InstabilityError,
-    PeriodicGains,
     Schedule,
     SystemModel,
 )
@@ -72,32 +71,104 @@ class TestSchedule:
             sched.mask[0, 0] = 0
 
 
-class TestPeriodicGains:
-    def test_single_matrix_promoted(self):
-        g = PeriodicGains(np.ones((3, 2)))
-        assert g.K == 1
-        assert g.n_states == 3
-        assert g.n_sensors == 2
+def gain_plant():
+    return random_stable_system(np.random.default_rng(11), 3, 2)
 
-    def test_column_norms(self):
-        gains = np.zeros((2, 2, 2))
-        gains[0, :, 0] = [3.0, 4.0]
-        gains[1, :, 1] = [1.0, 0.0]
-        norms = PeriodicGains(gains).column_norms()
-        np.testing.assert_allclose(norms, [[5.0, 0.0], [0.0, 1.0]])
 
-    def test_iteration(self):
-        g = PeriodicGains(np.arange(12, dtype=float).reshape(3, 2, 2))
-        assert len(g) == 3
-        np.testing.assert_array_equal(g[1], [[4.0, 5.0], [6.0, 7.0]])
+def gain_problem(sys):
+    return ps.LStepProblem(sys, np.zeros((2, 3, 2)), 1.0)
 
-    def test_stores_a_frozen_private_copy(self):
-        s = np.ones((2, 3, 2))
-        g = PeriodicGains(s)
-        s[0] = 0.0
-        assert s.flags.writeable
-        assert not g.gains.flags.writeable
-        np.testing.assert_array_equal(g.gains, np.ones((2, 3, 2)))
+
+# Every public function that takes gains, as f(sys, gains).
+GAIN_ENTRY_POINTS = {
+    "closed_loop_factors": closed_loop_factors,
+    "covariance_limit_cycle": ps.covariance_limit_cycle,
+    "value_cycle": ps.value_cycle,
+    "schedule_from_gains": lambda sys, g: ps.schedule_from_gains(g),
+    "cycle_residual": lambda sys, g: cycle_residual(sys, g, np.ones((2, 3, 3))),
+    "gradient_phi": lambda sys, g: ps.gradient_phi(gain_problem(sys), g),
+    "anderson_moore_update": lambda sys, g: ps.anderson_moore_update(gain_problem(sys), g),
+    "lstep.solve": lambda sys, g: lstep.solve(gain_problem(sys), g),
+}
+
+
+class TestGainContract:
+    """Gains are plain (K, N, M) float arrays; the public functions that take
+    them check them once, and gains the package builds are read-only."""
+
+    @pytest.mark.parametrize("name", sorted(GAIN_ENTRY_POINTS))
+    def test_accepts_a_plain_array_and_leaves_it_alone(self, name):
+        sys = gain_plant()
+        gains = np.full((2, 3, 2), 1e-3)
+        GAIN_ENTRY_POINTS[name](sys, gains)
+        assert gains.flags.writeable
+        np.testing.assert_array_equal(gains, np.full((2, 3, 2), 1e-3))
+
+    @pytest.mark.parametrize("name", sorted(GAIN_ENTRY_POINTS))
+    def test_rejects_non_finite_gains(self, name):
+        gains = np.full((2, 3, 2), 1e-3)
+        gains[1, 2, 0] = np.nan
+        with pytest.raises(InputError, match="gains contains non-finite entries"):
+            GAIN_ENTRY_POINTS[name](gain_plant(), gains)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            (name, shape)
+            for name in sorted(GAIN_ENTRY_POINTS)
+            for shape in [(2, 3, 2, 1), (0, 3, 2), (2, 2, 2), (2, 3, 1)]
+            # schedule_from_gains has no plant to match N and M against.
+            if name != "schedule_from_gains" or shape[0] != 2 or len(shape) == 4
+        ],
+    )
+    def test_rejects_a_mismatched_shape(self, name, shape):
+        with pytest.raises(DimensionError):
+            GAIN_ENTRY_POINTS[name](gain_plant(), np.zeros(shape))
+
+    def test_single_matrix_is_a_one_step_period(self):
+        sys = gain_plant()
+        gain = np.full((3, 2), 1e-3)
+        cycle = ps.covariance_limit_cycle(sys, gain)
+        assert cycle.shape == (1, 3, 3)
+        np.testing.assert_array_equal(cycle, ps.covariance_limit_cycle(sys, gain[np.newaxis]))
+
+    def test_schedule_reads_column_norms(self):
+        # Column norms 5 and 1 lead; the threshold is 1e-6 of the largest.
+        gains = np.zeros((2, 3, 2))
+        gains[0, :, 0] = [3.0, 4.0, 0.0]
+        gains[0, :, 1] = [0.0, 0.0, 6e-6]
+        gains[1, :, 0] = [2e-6, 0.0, 0.0]
+        gains[1, :, 1] = [1.0, 0.0, 0.0]
+        np.testing.assert_array_equal(ps.schedule_from_gains(gains).mask, [[1, 1], [0, 1]])
+
+    def test_solve_keeps_no_reference_to_a_writeable_start(self):
+        sys = gain_plant()
+        init = ps.evaluate_schedule(sys, Schedule.all_on(2, 2)).gains.copy()
+        result = lstep.solve(ps.LStepProblem(sys, init.copy(), 1.0), init)
+        assert result.gains is not init
+        before = result.gains.copy()
+        init[:] = 0.0
+        np.testing.assert_array_equal(result.gains, before)
+
+    def test_package_gains_are_read_only_arrays(self):
+        sys = gain_plant()
+        evaluation = ps.evaluate_schedule(sys, Schedule.all_on(2, 2))
+        prob = ps.LStepProblem(sys, evaluation.gains + 0.1, 1.0)
+        driver = ps.AdmmDriver(sys, ps.AdmmConfig(period=2, gamma=0.01, eta=2, max_iters=3))
+        driver.step()
+        report = ps.run(sys, ps.AdmmConfig(period=2, gamma=0.01, eta=2, max_iters=3))
+        built = {
+            "ScheduleEvaluation.gains": evaluation.gains,
+            "anderson_moore_update": ps.anderson_moore_update(prob, evaluation.gains),
+            "LStepResult.gains": lstep.solve(prob, evaluation.gains).gains,
+            "AdmmDriver.L": driver.L,
+            "SolveReport.gains_raw": report.gains_raw,
+            "SolveReport.gains_polished": report.gains_polished,
+        }
+        for name, gains in built.items():
+            assert type(gains) is np.ndarray, name
+            assert gains.shape == (2, 3, 2), name
+            assert not gains.flags.writeable, name
 
 
 class TestLiftCyclic:
@@ -156,7 +227,7 @@ class TestCovarianceLimitCycle:
 
     def test_zero_gains_reduce_to_lyapunov(self, rng):
         sys = random_stable_system(rng, 3, 1)
-        gains = PeriodicGains.zeros(2, 3, 1)
+        gains = np.zeros((2, 3, 1))
         cycle = ps.covariance_limit_cycle(sys, gains)
         expected = scipy.linalg.solve_discrete_lyapunov(sys.A, sys.q_eff)
         np.testing.assert_allclose(cycle[0], expected, rtol=1e-9)
@@ -167,7 +238,7 @@ class TestCovarianceLimitCycle:
             A=np.array([[1.5]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
         )
         with pytest.raises(InstabilityError, match="monodromy"):
-            ps.covariance_limit_cycle(sys, PeriodicGains.zeros(2, 1, 1))
+            ps.covariance_limit_cycle(sys, np.zeros((2, 1, 1)))
 
 
 class TestValueCycle:
@@ -230,7 +301,7 @@ class TestMonodromy:
         # Stable exactly when the monodromy spectral radius is below 1 - 1e-9,
         # the PBH gate's margin; with zero gains over K = 2 the monodromy is
         # A^2. The third radius lies in the band [1 - 1e-9, 1).
-        gains = PeriodicGains.zeros(2, 3, 1)
+        gains = np.zeros((2, 3, 1))
         cases = ((0.5, True), (0.999, True), (np.sqrt(1.0 - 1e-10), False), (1.001, False))
         for radius, stable in cases:
             sys = random_stable_system(rng, 3, 1, radius=radius)
@@ -268,7 +339,7 @@ class TestScheduleFromGains:
         gains = np.zeros((2, 2, 2))
         gains[0, :, 0] = [1.0, 0.0]
         gains[1, :, 1] = [1e-9, 0.0]
-        sched = ps.schedule_from_gains(PeriodicGains(gains))
+        sched = ps.schedule_from_gains(gains)
         np.testing.assert_array_equal(sched.mask, [[1, 0], [0, 0]])
 
 
@@ -284,7 +355,7 @@ class TestInitGainsForSchedule:
         sys = random_stable_system(rng, 3, 3)
         mask = np.array([[1, 0, 1], [0, 1, 0]])
         gains = ps.evaluate_schedule(sys, Schedule(mask)).gains
-        norms = gains.column_norms()
+        norms = np.linalg.norm(gains, axis=1)
         assert (norms[mask == 0] == 0.0).all()
         assert (norms[mask == 1] > 0.0).all()
 
@@ -297,12 +368,12 @@ class TestInitGainsForSchedule:
             sched = random_schedule(rng, K, m)
             a = ps.evaluate_schedule(sys, sched).gains
             b = reference.lifted_riccati_gains(sys, sched)
-            np.testing.assert_allclose(a.gains, b, rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-8)
 
     def test_empty_schedule_on_stable_plant(self, rng):
         sys = random_stable_system(rng, 3, 2)
         gains = ps.evaluate_schedule(sys, Schedule.empty(2, 2)).gains
-        np.testing.assert_array_equal(gains.gains, np.zeros((2, 3, 2)))
+        np.testing.assert_array_equal(gains, np.zeros((2, 3, 2)))
 
     def test_undetectable_schedule_raises(self):
         sys = SystemModel(
@@ -436,7 +507,7 @@ def restricted_riccati_J(sys, mask, tol=1e-10, max_sweeps=10000):
     gains = np.empty((K, n, m))
     for k in range(K):
         gains[k], p = step(p, mask[k])
-    cycle = ps.covariance_limit_cycle(sys, PeriodicGains(gains))
+    cycle = ps.covariance_limit_cycle(sys, gains)
     return float(np.trace(cycle, axis1=1, axis2=2).mean())
 
 
@@ -480,7 +551,7 @@ class TestEvaluateSchedules:
     def test_inactive_gain_columns_are_exactly_zero(self, rng):
         sys = random_stable_system(rng, 4, 3)
         mask = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]])
-        gains = ps.evaluate_schedule(sys, Schedule(mask)).gains.gains
+        gains = ps.evaluate_schedule(sys, Schedule(mask)).gains
         inactive = gains.transpose(0, 2, 1)[mask == 0]
         assert (inactive == 0.0).all()
         assert not np.signbit(inactive).any()
@@ -623,7 +694,7 @@ class TestMaskedRiccatiProperties:
         sys = hard_plant(rng, n, m, cond_r, unstable)
         for mask in hard_masks(rng, K, m):
             try:
-                gains = ps.evaluate_schedule(sys, Schedule(mask)).gains.gains
+                gains = ps.evaluate_schedule(sys, Schedule(mask)).gains
             except InitializationError:
                 assert unstable
                 continue
@@ -646,11 +717,11 @@ def detectable_gains(rng, sys, K, near_unit):
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if monodromy_radius(sys, PeriodicGains(mid * gains.gains)) > 0.999:
+        if monodromy_radius(sys, mid * gains) > 0.999:
             lo = mid
         else:
             hi = mid
-    return PeriodicGains(hi * gains.gains)
+    return hi * gains
 
 
 def detectable_case(test):
