@@ -37,13 +37,8 @@ from .exceptions import (
     PerschedError,
 )
 from .gstep import GStepProblem, g_step
-from .linalg import matrix_exponential, solve_gain_sylvester
-from .lstep import (
-    LStepProblem,
-    LStepResult,
-    anderson_moore_update,
-    gradient_phi,
-)
+from .linalg import matrix_exponential
+from .lstep import LStepProblem, LStepResult
 from .model import (
     AssumptionReport,
     FieldGeometry,
@@ -62,7 +57,6 @@ from .periodic import (
     evaluate_schedules,
     lift_cyclic,
     schedule_from_gains,
-    value_cycle,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +86,6 @@ __all__ = [
     "SolveReport",
     "SweepCell",
     "SystemModel",
-    "anderson_moore_update",
     "benchmark_geometry",
     "benchmark_system",
     "build_diffusion_system",
@@ -103,14 +96,12 @@ __all__ = [
     "evaluate_schedules",
     "exhaustive_search",
     "g_step",
-    "gradient_phi",
     "lift_cyclic",
     "load_experiment",
     "matrix_exponential",
     "random_baseline",
     "run",
     "schedule_from_gains",
-    "solve_gain_sylvester",
     "sweep",
     "validate_assumptions",
 ]

@@ -27,6 +27,7 @@ from .model import SystemModel
 from .periodic import (
     Schedule,
     _trace_sum,
+    _value_next,
     check_schedule_detectability,
     covariance_limit_cycle,
     evaluate_schedule,
@@ -280,7 +281,7 @@ class AdmmDriver:
             self._fixed[support] = fixed = evaluate_schedule(self.sys, support)
             gains = fixed.gains
             trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains), 0.0)
-            lam = -lstep.gradient_phi(trace_only, gains, cycle=fixed.cycle)
+            lam = -lstep._gradient(trace_only, gains, fixed.cycle, _value_next(self.sys, gains))
         except PerschedError:
             return
         new_g = g_step(GStepProblem(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))

@@ -18,7 +18,6 @@ __all__ = [
     "require_symmetric",
     "psd_sqrt",
     "matrix_exponential",
-    "solve_gain_sylvester",
 ]
 
 # Eigenvalues within this margin of the unit circle count as unstable modes,
@@ -64,27 +63,19 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     return (rows @ rows.transpose(0, 2, 1))[:, 0, 0]
 
 
-def _symmetric_stack(x, name: str, tol: float = 1e-8) -> np.ndarray:
-    """Validate symmetry of a matrix, or of each slice of a (K, n, n) stack,
-    within ``tol`` relative to its norm; return the symmetrized 3-D copy."""
-    arr = _stack(x, name)
-    if arr.shape[1] != arr.shape[2]:
-        raise DimensionError(f"{name} must be square, got shape {arr.shape[1:]}")
-    scale = np.maximum(1.0, _squared_norms(arr))
-    if np.any(_squared_norms(arr - arr.transpose(0, 2, 1)) > tol**2 * scale):
-        raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
-    return symmetrize(arr)
-
-
 def symmetrize(x: np.ndarray) -> np.ndarray:
     """Return the symmetric part (X + X^T) / 2, slice by slice for a stack."""
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
 def require_symmetric(x, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
-    """Validate symmetry within ``tol`` (relative) and return the
+    """Validate symmetry within ``tol`` relative to the norm and return the
     symmetrized copy."""
-    return _symmetric_stack(_square(x, name), name, tol)[0]
+    arr = _square(x, name)[np.newaxis]
+    scale = max(1.0, _squared_norms(arr)[0])
+    if _squared_norms(arr - arr.transpose(0, 2, 1))[0] > tol**2 * scale:
+        raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
+    return symmetrize(arr[0])
 
 
 def psd_sqrt(x, name: str = "matrix") -> np.ndarray:
@@ -145,16 +136,21 @@ def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarr
     ||X - FXF^T - W|| / max(1, ||W|| + ||F||^2 ||X||) <= 1e-9
     (Frobenius norms).
 
-    A failed solve, as any is once a squared norm overflows (entries past
-    about 1e154) though X is representable, runs once more with each slice's
-    W scaled by a power of two to max |W| near 2^100 and X scaled back: both
-    exact, and with the max(1, .) floors not binding it computes what the
-    unscaled solve would in unbounded range. An X past the float range
-    raises the first solve's error."""
+    Every scaling here is by a power of two, so exact. A slice whose max |W|
+    is below 1 is solved with W scaled into [1, 2) and X scaled back: for a
+    semidefinite W, ||X|| >= ||W|| >= 1 then, so neither max(1, .) floor
+    binds, and the settle test and the contract stay relative however small
+    W is. A failed solve, as any is once a squared norm overflows (entries
+    past about 1e154) though X is representable, runs once more with each
+    slice's W scaled to max |W| near 2^100 and X scaled back: with the floors
+    not binding it computes what the unscaled solve would in unbounded range.
+    An X past the float range raises the first solve's error."""
+    exponent = np.frexp(np.abs(wm).max(axis=(1, 2), keepdims=True))[1]
+    lift = np.maximum(0, 1 - exponent)
     try:
-        return _doubling(fm, wm, rho)
+        return np.ldexp(_doubling(fm, np.ldexp(wm, lift), rho), -lift)
     except ConvergenceError:
-        shift = 100 - np.frexp(np.abs(wm).max(axis=(1, 2), keepdims=True))[1]
+        shift = 100 - exponent
         x = np.ldexp(_doubling(fm, np.ldexp(wm, shift), rho), -shift)
         if not np.isfinite(x).all():
             raise
@@ -193,38 +189,27 @@ def _doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_gain_sylvester(v, d, rho: float, rhs) -> np.ndarray:
-    """Solve 2 V L D + rho L = RHS for L.
+def _solve_gain_sylvester(v: np.ndarray, d: np.ndarray, rho: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve 2 V_k L_k D_k + rho L_k = RHS_k for each slice of (K, n, n),
+    (K, m, m) and (K, n, m) stacks, V and D symmetric and rho >= 0 as the
+    caller built them; returns the (K, n, m) stack of the L_k.
 
-    ``v`` (n x n) and ``d`` (m x m) must be symmetric positive definite and
-    ``rho`` nonnegative. Both sides are diagonalized, so the equation
-    reduces to an entrywise division in the joint eigenbasis. Stacked
-    operands of shapes (K, n, n), (K, m, m) and (K, n, m) solve K
-    independent equations at once and return a (K, n, m) stack; each slice
-    meets the same checks and residual contract as a single equation.
+    Both sides are diagonalized, so each equation reduces to an entrywise
+    division in the joint eigenbasis. Raises InputError unless every V_k and
+    D_k is positive definite, and ConvergenceError unless every slice meets
+    ||2 V L D + rho L - RHS|| <= 1e-9 max(1, ||RHS||) (Frobenius norms).
     """
-    vm = _symmetric_stack(v, "V")
-    dm = _symmetric_stack(d, "D")
-    rm = _stack(rhs, "RHS")
-    if vm.shape[0] != dm.shape[0] or rm.shape != (vm.shape[0], vm.shape[1], dm.shape[1]):
-        raise DimensionError(
-            f"RHS shape {np.shape(rhs)} does not match V {np.shape(v)} x D {np.shape(d)}"
-        )
-    if rho < 0:
-        raise InputError(f"rho must be nonnegative, got {rho}")
-
-    sv, uv = np.linalg.eigh(vm)
-    sd, ud = np.linalg.eigh(dm)
+    sv, uv = np.linalg.eigh(v)
+    sd, ud = np.linalg.eigh(d)
     if sv.min() <= 0.0:
         raise InputError("V must be positive definite")
     if sd.min() <= 0.0:
         raise InputError("D must be positive definite")
 
     denom = 2.0 * sv[:, :, np.newaxis] * sd[:, np.newaxis, :] + rho
-    sol = uv @ ((uv.transpose(0, 2, 1) @ rm @ ud) / denom) @ ud.transpose(0, 2, 1)
+    sol = uv @ ((uv.transpose(0, 2, 1) @ rhs @ ud) / denom) @ ud.transpose(0, 2, 1)
 
-    residual = np.linalg.norm(2.0 * vm @ sol @ dm + rho * sol - rm, axis=(1, 2))
-    if np.any(residual > 1e-9 * np.maximum(1.0, np.linalg.norm(rm, axis=(1, 2)))):
+    residual = np.linalg.norm(2.0 * v @ sol @ d + rho * sol - rhs, axis=(1, 2))
+    if np.any(residual > 1e-9 * np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2)))):
         raise ConvergenceError(f"gain equation residual {residual.max():.3g} exceeds contract")
-    return sol if np.ndim(rhs) == 3 else sol[0]
-
+    return sol

@@ -7,6 +7,10 @@ value cycles, solve a small Sylvester equation per step) with a backtracking
 line search on the resulting direction; each accepted step strictly
 decreases the objective and every iterate keeps the closed loop stable, as
 judged by the covariance limit cycle itself.
+
+solve is the one public entry. It checks the start once; the covariance
+and value cycles, the gradient, the coordinate solve and its stacked
+Sylvester kernel then run privately on the read-only arrays it built.
 """
 
 from __future__ import annotations
@@ -16,21 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, InputError, InstabilityError
-from .linalg import _stack, solve_gain_sylvester, symmetrize
+from .linalg import _solve_gain_sylvester, _stack, symmetrize
 from .model import SystemModel
-from .periodic import (
-    _gain_stack,
-    _trace_sum,
-    closed_loop_factors,
-    covariance_limit_cycle,
-    value_cycle,
-)
+from .periodic import _closed_loop, _covariance_cycle, _gain_stack, _trace_sum, _value_next
 
 __all__ = [
     "LStepProblem",
     "LStepResult",
-    "gradient_phi",
-    "anderson_moore_update",
     "solve",
     "TOL_FLOOR",
 ]
@@ -124,52 +120,36 @@ def _phi_from_cycle(prob: LStepProblem, gains: np.ndarray, cycle: np.ndarray) ->
     return float(_trace_sum(cycle)) + _penalty(prob, gains)
 
 
-def gradient_phi(
-    prob: LStepProblem, gains, cycle: np.ndarray = None, values: np.ndarray = None
+def _gradient(
+    prob: LStepProblem, gains: np.ndarray, cycle: np.ndarray, v_next: np.ndarray
 ) -> np.ndarray:
     """Objective gradient with respect to each gain, as a (K, N, M) stack.
 
     For step k the gradient is
     2 V_{k+1} L_k R - 2 V_{k+1} (A - L_k C) P_k C^T + rho (L_k - U_k),
-    with the covariance cycle {P_k} and value cycle {V_k} (V_K = V_0)
-    evaluated at the current gains. Precomputed cycles may be passed in to
-    avoid the two Lyapunov solves.
+    with the gains' covariance cycle {P_k} and their V_{k+1} from
+    periodic._value_next.
     """
-    gains = _check_compatible(prob, gains)
     sys = prob.sys
-    if cycle is None:
-        cycle = covariance_limit_cycle(sys, gains)
-    if values is None:
-        values = value_cycle(sys, gains)
-    v_next = np.roll(values, -1, axis=0)
-    closed = closed_loop_factors(sys, gains)
     return (
         2.0 * v_next @ gains @ sys.R
-        - 2.0 * v_next @ closed @ cycle @ sys.C.T
+        - 2.0 * v_next @ _closed_loop(sys, gains) @ cycle @ sys.C.T
         + prob.rho * (gains - prob.U)
     )
 
 
-def anderson_moore_update(
-    prob: LStepProblem, gains, cycle: np.ndarray = None, values: np.ndarray = None
-) -> np.ndarray:
+def _anderson_moore(prob: LStepProblem, cycle: np.ndarray, v_next: np.ndarray) -> np.ndarray:
     """Exact coordinate solve with the cycles frozen at the current gains.
 
-    Freezes {P_k} and {V_k} and solves, independently for each step,
+    Freezes {P_k} and {V_{k+1}} and solves, independently for each step,
     2 V_{k+1} L_k (R + C P_k C^T) + rho L_k = 2 V_{k+1} A P_k C^T + rho U_k
     in one batched solve. The returned candidate, a read-only (K, N, M)
     array, is a fixed point exactly when the current gains are stationary.
     """
-    gains = _check_compatible(prob, gains)
     sys = prob.sys
-    if cycle is None:
-        cycle = covariance_limit_cycle(sys, gains)
-    if values is None:
-        values = value_cycle(sys, gains)
-    v_next = np.roll(values, -1, axis=0)
     d = symmetrize(sys.R + sys.C @ cycle @ sys.C.T)
     rhs = 2.0 * v_next @ sys.A @ cycle @ sys.C.T + prob.rho * prob.U
-    candidate = solve_gain_sylvester(v_next, d, prob.rho, rhs)
+    candidate = _solve_gain_sylvester(v_next, d, prob.rho, rhs)
     candidate.setflags(write=False)
     return candidate
 
@@ -177,7 +157,7 @@ def anderson_moore_update(
 def _trial_phi(prob: LStepProblem, trial: np.ndarray):
     """Objective and cycle at a trial point, (inf, None) when it destabilizes."""
     try:
-        cycle = covariance_limit_cycle(prob.sys, trial)
+        cycle = _covariance_cycle(prob.sys, trial)
     except InstabilityError:
         return np.inf, None
     return _phi_from_cycle(prob, trial, cycle), cycle
@@ -224,7 +204,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
         gains = gains.copy()
         gains.setflags(write=False)
     try:
-        cycle = covariance_limit_cycle(prob.sys, gains)
+        cycle = _covariance_cycle(prob.sys, gains)
     except InstabilityError as exc:
         raise InstabilityError("initial gains do not stabilize the closed loop") from exc
 
@@ -237,9 +217,9 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
     armijo_trials = 0
 
     while True:
-        values = value_cycle(prob.sys, gains)
+        v_next = _value_next(prob.sys, gains)
         phi = _phi_from_cycle(prob, gains, cycle)
-        grad = gradient_phi(prob, gains, cycle=cycle, values=values)
+        grad = _gradient(prob, gains, cycle, v_next)
         grad_norm = float(np.linalg.norm(grad))
         phi_history.append(phi)
         if grad_norm <= tol:
@@ -247,7 +227,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
             break
         if iterations >= _MAX_ITERS:
             break
-        candidate = anderson_moore_update(prob, gains, cycle=cycle, values=values)
+        candidate = _anderson_moore(prob, cycle, v_next)
         direction = candidate - gains
         slope = float(np.sum(grad * direction))
         descent_history.append(slope)

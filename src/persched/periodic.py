@@ -32,9 +32,7 @@ __all__ = [
     "Schedule",
     "ScheduleEvaluation",
     "lift_cyclic",
-    "closed_loop_factors",
     "covariance_limit_cycle",
-    "value_cycle",
     "schedule_from_gains",
     "check_schedule_detectability",
     "evaluate_schedule",
@@ -179,15 +177,16 @@ def _check_gains(sys: SystemModel, gains) -> np.ndarray:
     return g
 
 
-def closed_loop_factors(sys: SystemModel, gains) -> np.ndarray:
-    """Per-step closed-loop matrices A - L_k C of (K, N, M) gains, stacked as (K, N, N)."""
-    return sys.A[np.newaxis] - _check_gains(sys, gains) @ sys.C
+def _closed_loop(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
+    """Closed-loop factor A - L C for each gain of a stack."""
+    return sys.A - gains @ sys.C
 
 
 def _loop(sys: SystemModel, gains: np.ndarray) -> tuple:
     """Closed-loop factor A - L C and injected covariance B Q B^T + L R L^T
     for each gain of a stack such as the (K, N, M) gains of one period."""
-    return sys.A - gains @ sys.C, symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
+    noise = symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
+    return _closed_loop(sys, gains), noise
 
 
 def _limit_cycles(n: int, K: int, step) -> tuple:
@@ -246,27 +245,32 @@ def covariance_limit_cycle(sys: SystemModel, gains) -> np.ndarray:
     Returns (P_0, ..., P_{K-1}) as a read-only (K, N, N) array of symmetric
     matrices.
     """
-    factors, noise = (x[:, np.newaxis] for x in _loop(sys, _check_gains(sys, gains)))
+    return _covariance_cycle(sys, _check_gains(sys, gains))
+
+
+def _covariance_cycle(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
+    """covariance_limit_cycle of (K, N, M) gains the caller has checked."""
+    factors, noise = (x[:, np.newaxis] for x in _loop(sys, gains))
     cycles = _limit_cycles(sys.n_states, len(factors), lambda k: (factors[k], noise[k]))
     return _single_cycle(*cycles)
 
 
-def value_cycle(sys: SystemModel, gains) -> np.ndarray:
-    """Unique periodic solution of V_k = F_k^T V_{k+1} F_k + I.
+def _value_next(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
+    """V_1, ..., V_{K-1}, V_K = V_0 of the unique periodic solution of
+    V_k = F_k^T V_{k+1} F_k + I, F_k = A - L_k C, for (K, N, M) gains the
+    caller has checked: entry k is the V_{k+1} that step k's gradient and
+    coordinate solve read. Each V_k is symmetric and at least the identity
+    in the semidefinite order.
 
     This is the covariance recursion run backwards in time: with
     G_j = F_{K-1-j}^T, the cycle of X_{j+1} = G_j X_j G_j^T + I lists
-    V_0, V_{K-1}, ..., V_1. Returns (V_0, ..., V_{K-1}) as a read-only
-    (K, N, N) array; each V_k is symmetric and at least the identity in the
-    semidefinite order.
+    V_0, V_{K-1}, ..., V_1, so its reversed read-only view is the result.
     """
-    reversed_factors = closed_loop_factors(sys, gains).transpose(0, 2, 1)[::-1, np.newaxis]
+    reversed_factors = _closed_loop(sys, gains).transpose(0, 2, 1)[::-1, np.newaxis]
     eye = np.eye(sys.n_states)[np.newaxis]
     K = len(reversed_factors)
     cycles = _limit_cycles(sys.n_states, K, lambda j: (reversed_factors[j], eye))
-    values = np.roll(_single_cycle(*cycles)[::-1], 1, axis=0)
-    values.setflags(write=False)
-    return values
+    return _single_cycle(*cycles)[::-1]
 
 
 def schedule_from_gains(gains) -> Schedule:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import persched as ps
-from persched import lstep
+from persched import lstep, periodic
 
 _CRITERION_LINES = {}
 
@@ -40,6 +40,22 @@ def phi(prob, gains):
     return lstep._phi_from_cycle(prob, gains, ps.covariance_limit_cycle(prob.sys, gains))
 
 
+def kernel_cycles(sys, gains):
+    """The covariance cycle of ``gains`` and their V_1..V_K, the two cycles
+    lstep.solve feeds its gradient and coordinate-solve kernels."""
+    return ps.covariance_limit_cycle(sys, gains), periodic._value_next(sys, gains)
+
+
+def gradient(prob, gains):
+    """The subproblem's gradient at ``gains``, by lstep's own kernel."""
+    return lstep._gradient(prob, gains, *kernel_cycles(prob.sys, gains))
+
+
+def anderson_moore(prob, gains):
+    """The coordinate-solve candidate at ``gains``, by lstep's own kernel."""
+    return lstep._anderson_moore(prob, *kernel_cycles(prob.sys, gains))
+
+
 def random_stable_system(rng, n, m, radius=0.85):
     """Random plant with a Schur-stable A and well-conditioned noise.
 
@@ -58,9 +74,9 @@ def random_stable_system(rng, n, m, radius=0.85):
 
 
 def detectable_plant(rng, n, m, top):
-    """Non-normal plant whose spectral radius ``top`` (1 to 1.2) belongs to a
-    real mode that a dense C observes; the other modes lie within 0.9 of the
-    origin."""
+    """Non-normal plant whose spectral radius ``top`` (1 to 1.2, or just
+    below 1) belongs to a real mode that a dense C observes; the other modes
+    lie within 0.9 of the origin."""
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     t = np.triu(rng.normal(scale=0.3, size=(n, n)), 1)
     np.fill_diagonal(t, rng.uniform(-0.9, 0.9, size=n))

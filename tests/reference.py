@@ -24,12 +24,17 @@ import scipy.linalg
 
 from persched.exceptions import DimensionError
 from persched.gstep import ZERO_COLUMN_TOL
-from persched.periodic import closed_loop_factors, lift_cyclic
+from persched.periodic import lift_cyclic
+
+
+def closed_loop(sys, gains):
+    """Closed-loop factors F_k = A - L_k C of (K, N, M) gains, as (K, N, N)."""
+    return sys.A - gains @ sys.C
 
 
 def _loop(sys, gains):
     """Closed-loop factors F_k and injected noises W_k, each (K, N, N)."""
-    return closed_loop_factors(sys, gains), sys.q_eff + gains @ sys.R @ gains.transpose(0, 2, 1)
+    return closed_loop(sys, gains), sys.q_eff + gains @ sys.R @ gains.transpose(0, 2, 1)
 
 
 def _diagonal_blocks(x, K, n):
@@ -71,7 +76,7 @@ def covariance_cycle_recursion(sys, gains):
 
 def value_cycle_lifted(sys, gains):
     """(K, N, N) value cycle V_k = F_k^T V_{k+1} F_k + I from one lifted solve."""
-    factors = closed_loop_factors(sys, gains)
+    factors = closed_loop(sys, gains)
     K, n = factors.shape[:2]
     x = scipy.linalg.solve_discrete_lyapunov(lift_cyclic(factors).T, np.eye(K * n), method="direct")
     return _diagonal_blocks(x, K, n)
@@ -79,7 +84,7 @@ def value_cycle_lifted(sys, gains):
 
 def value_cycle_recursion(sys, gains):
     """(K, N, N) value cycle by iterating V <- F_k^T V F_k + I backwards."""
-    factors = closed_loop_factors(sys, gains)
+    factors = closed_loop(sys, gains)
     eye = np.eye(factors.shape[1])
 
     def sweep(v):

@@ -15,7 +15,13 @@ from persched import lstep
 from persched.gstep import ZERO_COLUMN_TOL, GStepProblem
 from persched.model import FieldGeometry, build_diffusion_system
 from tests import reference
-from tests.conftest import phi, random_schedule, random_stable_system, record_criterion
+from tests.conftest import (
+    gradient,
+    phi,
+    random_schedule,
+    random_stable_system,
+    record_criterion,
+)
 
 BENCHMARK_PERIOD = 10
 BENCHMARK_ETA = 5
@@ -54,7 +60,7 @@ def test_criterion_01_gradient_matches_finite_differences():
         prob = ps.LStepProblem(
             sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.0, 10.0))
         )
-        analytic = ps.gradient_phi(prob, gains)
+        analytic = gradient(prob, gains)
         numeric = central_difference(prob, gains, step=1e-5)
         rel = float(np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(numeric)))
         worst = max(worst, rel)

@@ -10,11 +10,19 @@ from persched import (
     InputError,
     InstabilityError,
     SystemModel,
+    Schedule,
     covariance_limit_cycle,
+    evaluate_schedule,
     matrix_exponential,
-    solve_gain_sylvester,
 )
-from persched.linalg import _doubling, _smith_doubling, psd_sqrt, require_symmetric, symmetrize
+from persched.linalg import (
+    _doubling,
+    _smith_doubling,
+    _solve_gain_sylvester,
+    psd_sqrt,
+    require_symmetric,
+    symmetrize,
+)
 from persched.periodic import _limit_cycles, _single_cycle
 from tests.conftest import spectral_radius
 
@@ -199,6 +207,23 @@ class TestSolveDlyap:
             cycle = covariance_limit_cycle(sys, np.zeros((1, 1, 1)))
         np.testing.assert_allclose(cycle, [[[1e154 / 0.19]]], rtol=1e-12, atol=0.0)
 
+    def test_tiny_noises_solve_to_full_relative_accuracy(self):
+        # Each slice below max |W| = 1 is lifted by its own power of two; an
+        # absolute settle test would stop at X = W + F W F^T = 1.81 W.
+        scales = np.array([1e-20, 1e-300, 0.0, 1.0])
+        w = scales[:, None, None] * np.eye(2)
+        x = _smith_doubling(0.9 * np.stack([np.eye(2)] * 4), w, np.full(4, 0.9))
+        np.testing.assert_allclose(x, w / 0.19, rtol=1e-12, atol=0.0)
+
+    def test_covariance_cycle_of_a_tiny_noise(self):
+        # Scalar plant A = 0.9, Q = 1e-20: P = Q / 0.19, and so is J, the
+        # gains of the all-on schedule being about 1e-20.
+        sys = SystemModel(A=[[0.9]], B=np.eye(1), C=np.eye(1), Q=[[1e-20]], R=np.eye(1))
+        cycle = covariance_limit_cycle(sys, np.zeros((1, 1, 1)))
+        np.testing.assert_allclose(cycle, [[[1e-20 / 0.19]]], rtol=1e-12, atol=0.0)
+        J = evaluate_schedule(sys, Schedule.all_on(1, 1)).J
+        assert J == pytest.approx(1e-20 / 0.19, rel=1e-12, abs=0.0)
+
     def test_residual_contract_rejects_a_settled_non_solution(self):
         # A quarter turn F maps W = diag(1, -1) to -W, so the first doubling
         # step cancels the sum to exactly 0 and the next one settles there.
@@ -256,6 +281,9 @@ class TestSolveDlyap:
 
 
 class TestSolveGainSylvester:
+    """The stacked kernel of the coordinate solve, on symmetric V and D and
+    rho >= 0 as lstep builds them."""
+
     def test_recovers_planted_solution(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 6))
@@ -267,9 +295,8 @@ class TestSolveGainSylvester:
             rho = float(rng.uniform(0.0, 20.0))
             planted = rng.normal(size=(n, m))
             rhs = 2.0 * v @ planted @ d + rho * planted
-            np.testing.assert_allclose(
-                solve_gain_sylvester(v, d, rho, rhs), planted, rtol=1e-8, atol=1e-9
-            )
+            sol = _solve_gain_sylvester(v[None], d[None], rho, rhs[None])
+            np.testing.assert_allclose(sol[0], planted, rtol=1e-8, atol=1e-9)
 
     def test_matches_kron_solve(self, rng):
         n, m = 3, 2
@@ -282,32 +309,30 @@ class TestSolveGainSylvester:
         # row-major vec, matching numpy's ravel.
         lhs = 2.0 * np.kron(v, d.T) + rho * np.eye(n * m)
         expected = np.linalg.solve(lhs, rhs.ravel()).reshape(n, m)
-        np.testing.assert_allclose(solve_gain_sylvester(v, d, rho, rhs), expected, rtol=1e-9)
+        sol = _solve_gain_sylvester(v[None], d[None], rho, rhs[None])
+        np.testing.assert_allclose(sol[0], expected, rtol=1e-9)
 
     def test_requires_positive_definite(self):
         with pytest.raises(InputError, match="positive definite"):
-            solve_gain_sylvester(np.diag([1.0, 0.0]), np.eye(2), 1.0, np.ones((2, 2)))
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(InputError, match="rho"):
-            solve_gain_sylvester(np.eye(2), np.eye(2), -1.0, np.ones((2, 2)))
+            _solve_gain_sylvester(
+                np.diag([1.0, 0.0])[None], np.eye(2)[None], 1.0, np.ones((1, 2, 2))
+            )
 
     @staticmethod
     def _spd_stack(rng, K, n):
         half = rng.normal(size=(K, n, n))
-        return half @ half.transpose(0, 2, 1) + 0.2 * np.eye(n)
+        return symmetrize(half @ half.transpose(0, 2, 1) + 0.2 * np.eye(n))
 
     def test_stacked_matches_per_slice(self, rng):
         K, n, m, rho = 6, 4, 3, 2.5
         v = self._spd_stack(rng, K, n)
         d = self._spd_stack(rng, K, m)
         rhs = rng.normal(size=(K, n, m))
-        stacked = solve_gain_sylvester(v, d, rho, rhs)
+        stacked = _solve_gain_sylvester(v, d, rho, rhs)
         assert stacked.shape == (K, n, m)
         for k in range(K):
-            np.testing.assert_allclose(
-                stacked[k], solve_gain_sylvester(v[k], d[k], rho, rhs[k]), rtol=1e-12, atol=1e-12
-            )
+            single = _solve_gain_sylvester(v[k : k + 1], d[k : k + 1], rho, rhs[k : k + 1])
+            np.testing.assert_allclose(stacked[k], single[0], rtol=1e-12, atol=1e-12)
 
     def test_stacked_non_positive_definite_slice_rejected(self, rng):
         K, n, m = 4, 3, 2
@@ -315,14 +340,7 @@ class TestSolveGainSylvester:
             ops = {"V": self._spd_stack(rng, K, n), "D": self._spd_stack(rng, K, m)}
             ops[name][2] = np.diag(np.r_[0.0, np.ones(side - 1)])
             with pytest.raises(InputError, match=f"{name} must be positive definite"):
-                solve_gain_sylvester(ops["V"], ops["D"], 1.0, np.ones((K, n, m)))
-
-    def test_stacked_shapes_checked(self, rng):
-        v = self._spd_stack(rng, 3, 2)
-        with pytest.raises(DimensionError, match="RHS shape"):
-            solve_gain_sylvester(v, self._spd_stack(rng, 2, 2), 1.0, np.ones((3, 2, 2)))
-        with pytest.raises(DimensionError, match="RHS shape"):
-            solve_gain_sylvester(v, self._spd_stack(rng, 3, 2), 1.0, np.ones((3, 2, 3)))
+                _solve_gain_sylvester(ops["V"], ops["D"], 1.0, np.ones((K, n, m)))
 
 
 class TestHelpers:

@@ -1,5 +1,7 @@
 """Gain subproblem: objective, gradient, coordinate solve, line search."""
 
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -15,9 +17,17 @@ from persched import (
     InstabilityError,
     LStepProblem,
     Schedule,
+    linalg,
     lstep,
+    periodic,
 )
-from tests.conftest import detectable_plant, phi, random_stable_system
+from tests.conftest import (
+    anderson_moore,
+    detectable_plant,
+    gradient,
+    phi,
+    random_stable_system,
+)
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.yaml"
 
@@ -99,7 +109,7 @@ class TestGradientPhi:
             prob = LStepProblem(
                 sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.0, 10.0))
             )
-            analytic = ps.gradient_phi(prob, gains)
+            analytic = gradient(prob, gains)
             numeric = finite_difference_gradient(prob, gains)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
@@ -108,7 +118,7 @@ class TestGradientPhi:
         sys = random_stable_system(rng, 3, 2)
         gains = riccati_start(sys, 3)
         prob = LStepProblem(sys=sys, U=np.zeros((3, 3, 2)), rho=0.0)
-        grad = ps.gradient_phi(prob, gains)
+        grad = gradient(prob, gains)
         assert np.abs(grad).max() < 1e-7
 
 
@@ -117,7 +127,7 @@ class TestAndersonMooreUpdate:
         sys = random_stable_system(rng, 3, 2)
         gains = riccati_start(sys, 2)
         prob = LStepProblem(sys=sys, U=gains.copy(), rho=3.0)
-        candidate = ps.anderson_moore_update(prob, gains)
+        candidate = anderson_moore(prob, gains)
         np.testing.assert_allclose(candidate, gains, atol=1e-8)
 
     def test_direction_is_descent(self, rng):
@@ -133,10 +143,10 @@ class TestAndersonMooreUpdate:
             prob = LStepProblem(
                 sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.1, 10.0))
             )
-            grad = ps.gradient_phi(prob, gains)
+            grad = gradient(prob, gains)
             if np.linalg.norm(grad) < 1e-8:
                 continue
-            direction = ps.anderson_moore_update(prob, gains) - gains
+            direction = anderson_moore(prob, gains) - gains
             assert float(np.sum(grad * direction)) < 0.0
             count += 1
         assert count >= 15
@@ -150,16 +160,16 @@ class TestAndersonMooreUpdate:
             gains = riccati_start(sys, K) + 0.01 * rng.normal(size=(K, n, m))
             prob = LStepProblem(sys=sys, U=rng.normal(size=(K, n, m)), rho=3.0)
             cycle = ps.covariance_limit_cycle(sys, gains)
-            values = ps.value_cycle(sys, gains)
+            values = periodic._value_next(sys, gains)
             expected = np.empty((K, n, m))
             for k in range(K):
-                v_next = values[(k + 1) % K]
+                v_next = values[k]
                 d = sys.R + sys.C @ cycle[k] @ sys.C.T
                 rhs = 2.0 * v_next @ sys.A @ cycle[k] @ sys.C.T + prob.rho * prob.U[k]
                 lhs = 2.0 * np.kron(v_next, d.T) + prob.rho * np.eye(n * m)
                 expected[k] = np.linalg.solve(lhs, rhs.ravel()).reshape(n, m)
             np.testing.assert_allclose(
-                ps.anderson_moore_update(prob, gains), expected, rtol=1e-9, atol=1e-11
+                anderson_moore(prob, gains), expected, rtol=1e-9, atol=1e-11
             )
 
 
@@ -212,7 +222,7 @@ class TestSolve:
         init = riccati_start(sys, 2)
         prob = LStepProblem(sys=sys, U=rng.normal(size=(2, 3, 1)), rho=4.0)
         result = lstep.solve(prob, init, tol=1e-9)
-        fixed = ps.anderson_moore_update(prob, result.gains)
+        fixed = anderson_moore(prob, result.gains)
         np.testing.assert_allclose(fixed, result.gains, atol=1e-6)
 
     def test_unstable_init_rejected(self):
@@ -270,12 +280,12 @@ class TestStabilityVerdict:
         # by the spectrum the cycle computes anyway.
         prob, init = unstable_problem(3, 5, 5, 3, 1.1)
         counts = Counter()
-        count_calls(monkeypatch, lstep, "covariance_limit_cycle", counts)
-        count_calls(monkeypatch, lstep, "value_cycle", counts)
+        count_calls(monkeypatch, lstep, "_covariance_cycle", counts)
+        count_calls(monkeypatch, lstep, "_value_next", counts)
         count_calls(monkeypatch, np.linalg, "eigvals", counts)
         lstep.solve(prob, init, tol=1e-8)
-        assert counts["covariance_limit_cycle unstable"] > 0
-        assert counts["eigvals"] == counts["covariance_limit_cycle"] + counts["value_cycle"]
+        assert counts["_covariance_cycle unstable"] > 0
+        assert counts["eigvals"] == counts["_covariance_cycle"] + counts["_value_next"]
 
     def test_start_in_the_margin_band_rejected(self):
         # A start whose monodromy spectral radius lies in [1 - 1e-9, 1).
@@ -303,6 +313,30 @@ class TestStabilityVerdict:
         assert sum(r.armijo_trials for r in results) == 40
 
 
+class TestOneEntry:
+    """lstep.solve checks its start once, then runs on private kernels that
+    trust the arrays it built."""
+
+    def test_solve_checks_the_gains_once(self, monkeypatch):
+        prob, init = unstable_problem(3, 5, 5, 3, 1.1)
+        modules = [ps] + [
+            importlib.import_module(f"persched.{info.name}")
+            for info in pkgutil.iter_modules(ps.__path__)
+        ]
+        counts = Counter()
+        # The gain check, and the one symmetry check left in the package,
+        # wherever a module binds them.
+        for owner, name in ((periodic, "_gain_stack"), (linalg, "require_symmetric")):
+            fn = getattr(owner, name)
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    count_calls(monkeypatch, module, name, counts)
+        result = lstep.solve(prob, init, tol=1e-8)
+        assert result.iterations > 1 and result.armijo_trials > result.iterations
+        assert counts["_gain_stack"] == 1
+        assert counts["require_symmetric"] == 0
+
+
 def unstable_case(test):
     """Draw (seed, n, m, K, top) for unstable but detectable plants, spectral
     radius 1 to 1.2, with K = 1 and M > N always among them."""
@@ -324,7 +358,7 @@ class TestUnstablePlantProperties:
 
     def test_solve_keeps_criterion_2_invariants(self, monkeypatch):
         counts = Counter()
-        count_calls(monkeypatch, lstep, "covariance_limit_cycle", counts)
+        count_calls(monkeypatch, lstep, "_covariance_cycle", counts)
         destabilizing = []
 
         @unstable_case
@@ -332,13 +366,13 @@ class TestUnstablePlantProperties:
             prob, init = unstable_problem(seed, n, m, K, top)
             counts.clear()
             result = lstep.solve(prob, init, tol=1e-8)
-            destabilizing.append(counts["covariance_limit_cycle unstable"])
+            destabilizing.append(counts["_covariance_cycle unstable"])
             assert all(s < 0.0 for s in result.descent_history)
             assert (np.diff(result.phi_history) < 0.0).all()
             ps.covariance_limit_cycle(prob.sys, result.gains)
             assert result.armijo_trials >= result.iterations
             # One covariance cycle for the start, one per scored trial point.
-            assert result.armijo_trials == counts["covariance_limit_cycle"] - 1
+            assert result.armijo_trials == counts["_covariance_cycle"] - 1
 
         check()
         assert sum(destabilizing) > 0

@@ -20,13 +20,14 @@ from persched import (
 )
 from persched.model import pbh_rank_drop
 from persched.periodic import (
+    _value_next,
     check_schedule_detectability,
     chunk_length,
-    closed_loop_factors,
     cycle_residual,
 )
 from tests import reference
 from tests.conftest import (
+    anderson_moore,
     detectable_plant,
     random_schedule,
     random_stable_system,
@@ -81,49 +82,86 @@ def gain_problem(sys):
 
 # Every public function that takes gains, as f(sys, gains).
 GAIN_ENTRY_POINTS = {
-    "closed_loop_factors": closed_loop_factors,
     "covariance_limit_cycle": ps.covariance_limit_cycle,
-    "value_cycle": ps.value_cycle,
     "schedule_from_gains": lambda sys, g: ps.schedule_from_gains(g),
     "cycle_residual": lambda sys, g: cycle_residual(sys, g, np.ones((2, 3, 3))),
-    "gradient_phi": lambda sys, g: ps.gradient_phi(gain_problem(sys), g),
-    "anderson_moore_update": lambda sys, g: ps.anderson_moore_update(gain_problem(sys), g),
     "lstep.solve": lambda sys, g: lstep.solve(gain_problem(sys), g),
 }
 
+# The private kernels lstep.solve runs after its one check, keyed by the
+# computation each makes: the attribute and the modules that bind it.
+SOLVE_KERNELS = {
+    "closed_loop_factors": ("_closed_loop", (periodic, lstep)),
+    "value_cycle": ("_value_next", (lstep,)),
+    "gradient_phi": ("_gradient", (lstep,)),
+    "anderson_moore_update": ("_anderson_moore", (lstep,)),
+}
+
+GAIN_PATHS = sorted({**GAIN_ENTRY_POINTS, **SOLVE_KERNELS})
+
+
+def through(monkeypatch, name):
+    """The public function by which gains reach ``name``, and a list to which
+    each call of the kernel ``name`` appends its array arguments (None for a
+    public function)."""
+    if name in GAIN_ENTRY_POINTS:
+        return GAIN_ENTRY_POINTS[name], None
+    attr, owners = SOLVE_KERNELS[name]
+    kernel, calls = getattr(owners[0], attr), []
+
+    def spy(*args):
+        calls.append([a for a in args if isinstance(a, np.ndarray)])
+        return kernel(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, attr, spy)
+    return GAIN_ENTRY_POINTS["lstep.solve"], calls
+
 
 class TestGainContract:
-    """Gains are plain (K, N, M) float arrays; the public functions that take
-    them check them once, and gains the package builds are read-only."""
+    """Gains are plain (K, N, M) float arrays. The public functions that take
+    them check them once; lstep.solve's private kernels see only the
+    read-only arrays it built from checked gains, never a caller's array or
+    gains it rejected; and gains the package builds are read-only."""
 
-    @pytest.mark.parametrize("name", sorted(GAIN_ENTRY_POINTS))
-    def test_accepts_a_plain_array_and_leaves_it_alone(self, name):
-        sys = gain_plant()
+    @pytest.mark.parametrize("name", GAIN_PATHS)
+    def test_accepts_a_plain_array_and_leaves_it_alone(self, name, monkeypatch):
+        entry, calls = through(monkeypatch, name)
         gains = np.full((2, 3, 2), 1e-3)
-        GAIN_ENTRY_POINTS[name](sys, gains)
+        entry(gain_plant(), gains)
         assert gains.flags.writeable
         np.testing.assert_array_equal(gains, np.full((2, 3, 2), 1e-3))
+        if calls is not None:
+            assert calls, f"lstep.solve never ran {name}"
+            for arrays in calls:
+                for arr in arrays:
+                    assert not arr.flags.writeable
+                    assert not np.shares_memory(arr, gains)
 
-    @pytest.mark.parametrize("name", sorted(GAIN_ENTRY_POINTS))
-    def test_rejects_non_finite_gains(self, name):
+    @pytest.mark.parametrize("name", GAIN_PATHS)
+    def test_rejects_non_finite_gains(self, name, monkeypatch):
+        entry, calls = through(monkeypatch, name)
         gains = np.full((2, 3, 2), 1e-3)
         gains[1, 2, 0] = np.nan
         with pytest.raises(InputError, match="gains contains non-finite entries"):
-            GAIN_ENTRY_POINTS[name](gain_plant(), gains)
+            entry(gain_plant(), gains)
+        assert not calls
 
     @pytest.mark.parametrize(
         "name, shape",
         [
             (name, shape)
-            for name in sorted(GAIN_ENTRY_POINTS)
+            for name in GAIN_PATHS
             for shape in [(2, 3, 2, 1), (0, 3, 2), (2, 2, 2), (2, 3, 1)]
             # schedule_from_gains has no plant to match N and M against.
             if name != "schedule_from_gains" or shape[0] != 2 or len(shape) == 4
         ],
     )
-    def test_rejects_a_mismatched_shape(self, name, shape):
+    def test_rejects_a_mismatched_shape(self, name, shape, monkeypatch):
+        entry, calls = through(monkeypatch, name)
         with pytest.raises(DimensionError):
-            GAIN_ENTRY_POINTS[name](gain_plant(), np.zeros(shape))
+            entry(gain_plant(), np.zeros(shape))
+        assert not calls
 
     def test_single_matrix_is_a_one_step_period(self):
         sys = gain_plant()
@@ -159,7 +197,7 @@ class TestGainContract:
         report = ps.run(sys, ps.AdmmConfig(period=2, gamma=0.01, eta=2, max_iters=3))
         built = {
             "ScheduleEvaluation.gains": evaluation.gains,
-            "anderson_moore_update": ps.anderson_moore_update(prob, evaluation.gains),
+            "anderson_moore_update": anderson_moore(prob, evaluation.gains),
             "LStepResult.gains": lstep.solve(prob, evaluation.gains).gains,
             "AdmmDriver.L": driver.L,
             "SolveReport.gains_raw": report.gains_raw,
@@ -241,12 +279,19 @@ class TestCovarianceLimitCycle:
             ps.covariance_limit_cycle(sys, np.zeros((2, 1, 1)))
 
 
+def value_cycle(sys, gains):
+    """V_0, ..., V_{K-1} from the kernel's V_1, ..., V_K."""
+    return np.roll(_value_next(sys, gains), 1, axis=0)
+
+
 class TestValueCycle:
+    """periodic._value_next, the value cycle the gain step reads."""
+
     def test_satisfies_recursion(self, rng):
         sys = random_stable_system(rng, 3, 2)
         gains = ps.evaluate_schedule(sys, Schedule(np.array([[1, 1], [1, 0]]))).gains
-        values = ps.value_cycle(sys, gains)
-        factors = closed_loop_factors(sys, gains)
+        values = value_cycle(sys, gains)
+        factors = reference.closed_loop(sys, gains)
         for k in range(2):
             expected = factors[k].T @ values[(k + 1) % 2] @ factors[k] + np.eye(3)
             np.testing.assert_allclose(values[k], expected, rtol=1e-9, atol=1e-10)
@@ -254,7 +299,7 @@ class TestValueCycle:
     def test_methods_agree(self, rng):
         sys = random_stable_system(rng, 3, 1)
         gains = ps.evaluate_schedule(sys, Schedule(np.array([[1], [0], [1], [0]]))).gains
-        ref = ps.value_cycle(sys, gains)
+        ref = value_cycle(sys, gains)
         for method in (reference.value_cycle_lifted, reference.value_cycle_recursion):
             other = method(sys, gains)
             assert len(other) == len(ref)
@@ -264,14 +309,14 @@ class TestValueCycle:
     def test_dominates_identity(self, rng):
         sys = random_stable_system(rng, 4, 2)
         gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
-        for v in ps.value_cycle(sys, gains):
+        for v in _value_next(sys, gains):
             assert np.linalg.eigvalsh(v - np.eye(4)).min() > -1e-10
 
 
 def monodromy_radius(sys, gains):
     """Spectral radius of F_{K-1} ... F_0, the product of the closed-loop factors."""
     monodromy = np.eye(sys.n_states)
-    for factor in closed_loop_factors(sys, gains):
+    for factor in reference.closed_loop(sys, gains):
         monodromy = factor @ monodromy
     return spectral_radius(monodromy)
 
@@ -292,7 +337,7 @@ class TestMonodromy:
 
         for name in ("eig", "eigvals", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-        for cycle_fn in (ps.covariance_limit_cycle, ps.value_cycle):
+        for cycle_fn in (ps.covariance_limit_cycle, _value_next):
             calls.clear()
             cycle_fn(sys, gains)
             assert calls == ["eigvals"]
@@ -308,7 +353,7 @@ class TestMonodromy:
             rho = monodromy_radius(sys, gains)
             assert rho == pytest.approx(radius**2, rel=1e-9)
             assert (rho < 1.0 - 1e-9) is stable
-            for cycle_fn in (ps.covariance_limit_cycle, ps.value_cycle):
+            for cycle_fn in (ps.covariance_limit_cycle, _value_next):
                 if stable:
                     cycle_fn(sys, gains)
                     continue
@@ -752,7 +797,7 @@ class TestLimitCycleProperties:
         gains = detectable_gains(rng, sys, K, near_unit)
         cycles = {
             "covariance": ps.covariance_limit_cycle(sys, gains),
-            "value": ps.value_cycle(sys, gains),
+            "value": _value_next(sys, gains),
         }
         # Both come back read-only, (K, N, N) and symmetric bit for bit.
         for cycle in cycles.values():
@@ -771,6 +816,8 @@ class TestLimitCycleProperties:
         for name, (recursion, lifted) in references.items():
             for method, rtol in ((recursion, rtol_recursion), (lifted, rtol_lifted)):
                 expected = method(sys, gains)
+                if name == "value":  # the kernel lists V_1, ..., V_K
+                    expected = np.roll(expected, -1, axis=0)
                 np.testing.assert_allclose(
                     cycles[name], expected, rtol=0.0, atol=rtol * np.abs(expected).max()
                 )
@@ -780,8 +827,8 @@ class TestLimitCycleProperties:
         rng = np.random.default_rng(seed)
         sys = detectable_plant(rng, n, m, top)
         gains = detectable_gains(rng, sys, K, near_unit)
-        values = ps.value_cycle(sys, gains)
-        factors = closed_loop_factors(sys, gains)
+        values = value_cycle(sys, gains)
+        factors = reference.closed_loop(sys, gains)
         scale = max(np.abs(v).max() for v in values)
         for k in range(K):
             expected = factors[k].T @ values[(k + 1) % K] @ factors[k] + np.eye(n)
