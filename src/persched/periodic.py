@@ -5,13 +5,20 @@ block-cyclic lifting, covariance and value limit cycles, the trace
 objective, schedule extraction from gain sparsity, and Riccati-optimal gains
 for a fixed activation schedule.
 
-One kernel, _limit_cycles, computes every periodic limit cycle for a stack
-of loops: one monodromy radius test, the package's only stability verdict,
-one N x N Lyapunov solve in the monodromy matrix, one propagation around the
-period. The value cycle is the covariance recursion run backwards in time
-on the transposed factors with noise I (Bittanti & Colaneri, *Periodic
-Systems*, 2009, ch. 3). Schedule
-gains come from the K coupled Riccati recursions of the schedule. The lifted
+One kernel, _limit_cycles, computes the periodic limit cycles of a stack of
+loops with given gains: one monodromy radius test, one N x N Lyapunov solve
+in the monodromy matrix, one propagation around the period. The value cycle
+is the covariance recursion run backwards in time on the transposed factors
+with noise I (Bittanti & Colaneri, *Periodic Systems*, 2009, ch. 3).
+
+A schedule's gains come from the K coupled Riccati recursions it masks. The
+map of one period is a single (E, G, H) triple, whose fixed point the
+structure-preserving doubling algorithm reaches in a few squarings (Chu,
+Fan, Lin & Wang, *Int. J. Control* 77(8), 2004; Hench & Laub, *IEEE TAC*
+39(6), 1994). One pass around the period from it gives the gains and their
+covariance cycle, the Riccati cycle, so scoring a schedule takes no
+Lyapunov solve. Both paths judge stability by one radius test,
+_stable_loops, the package's only stability verdict. The lifted
 (block-cyclic) reformulation, which solves the same problems on KN x KN
 operands, and the plain recursions iterated to a fixed point serve as
 cross-checks in tests/reference.py.
@@ -43,7 +50,9 @@ __all__ = [
 
 _RELATIVE_ZERO_TOL = 1e-6
 
-_RICCATI_TOL, _RICCATI_MAX_SWEEPS = 1e-10, 10000  # fixed-schedule Riccati stopping rule
+# Fixed-schedule Riccati stopping rule. After 64 doublings H has taken 2^64
+# periods; a loop whose monodromy radius is 1 - 1e-7 settles in about 30.
+_RICCATI_TOL, _RICCATI_MAX_DOUBLINGS = 1e-10, 64
 
 # A chunk's (T, N, N) covariance stack holds at most this many floats (64 KB):
 # 13 schedules at N = 25, 512 at N = 4. Larger chunks grow the peak memory.
@@ -126,7 +135,8 @@ class Schedule:
 
 class ScheduleEvaluation(NamedTuple):
     """Riccati-optimal figure of merit for a fixed schedule: J, the read-only
-    (K, N, M) gains and their read-only (K, N, N) covariance cycle."""
+    (K, N, M) gains and the read-only (K, N, N) Riccati cycle P_0..P_{K-1},
+    which is the covariance cycle of those gains."""
 
     J: float
     gains: np.ndarray
@@ -189,6 +199,14 @@ def _loop(sys: SystemModel, gains: np.ndarray) -> tuple:
     return _closed_loop(sys, gains), noise
 
 
+def _stable_loops(pi: np.ndarray) -> tuple:
+    """The (T,) spectral radii of a (T, N, N) monodromy stack and the indices
+    of the loops whose radius is below 1 - _UNIT_MARGIN, the PBH gate's
+    margin: the package's one stability verdict."""
+    rho = np.abs(np.linalg.eigvals(pi)).max(axis=1)
+    return rho, np.flatnonzero(rho < 1.0 - _UNIT_MARGIN)
+
+
 def _limit_cycles(n: int, K: int, step) -> tuple:
     """The limit cycles X_{k+1} = F_k X_k F_k^T + W_k, X_K = X_0, of T loops;
     step(k) gives (F_k, W_k) as (T, N, N) stacks. A loop is stable, and has
@@ -203,8 +221,7 @@ def _limit_cycles(n: int, K: int, step) -> tuple:
         f_k, w_k = step(k)
         w_acc = w_acc + pi @ w_k @ pi.swapaxes(-1, -2)
         pi = pi @ f_k
-    rho = np.abs(np.linalg.eigvals(pi)).max(axis=1)
-    stable = np.flatnonzero(rho < 1.0 - _UNIT_MARGIN)
+    rho, stable = _stable_loops(pi)
     keep = stable if stable.size < rho.size else slice(None)  # a view when all are stable
     cycles = np.empty((stable.size, K, n, n))
     if stable.size:
@@ -214,12 +231,6 @@ def _limit_cycles(n: int, K: int, step) -> tuple:
             cycles[:, k + 1] = symmetrize(f_k @ cycles[:, k] @ f_k.transpose(0, 2, 1) + w_k)
     cycles.setflags(write=False)
     return rho, stable, cycles
-
-
-def _covariance_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
-    """_limit_cycles of the covariances of a (T, K, N, M) gain stack, step by step."""
-
-    return _limit_cycles(sys.n_states, gains.shape[1], lambda k: _loop(sys, gains[:, k]))
 
 
 def _trace_sum(cycles: np.ndarray):
@@ -341,12 +352,83 @@ def _masked_operands(sys: SystemModel, active: np.ndarray) -> tuple:
     return c, np.where(pair, sys.R, np.eye(sys.n_sensors))
 
 
+def _period_map(sys: SystemModel, c: np.ndarray, r: np.ndarray) -> tuple:
+    """The map P_0 -> P_K of the masked Riccati steps of a (T, K, M, N) and
+    (T, K, M, M) stack of _masked_operands, as one (E, G, H) triple of
+    (T, N, N) stacks acting as X -> H + E^T X (I + G X)^-1 E.
+
+    In information form step k is the triple (A^T, G_k, B Q B^T), with
+    G_k = c_k^T r_k^-1 c_k, since the step maps P to B Q B^T + A P (I + G_k
+    P)^-1 A^T. Step k composed after (E, G, H) is, with W = (I + G_k H)^-1,
+    (E W A^T, G + E W G_k E^T, B Q B^T + A H W A^T): one batched inverse per
+    step, which G_k, H >= 0 keep invertible."""
+    eye, a = np.eye(sys.n_states), sys.A
+    g = _information(c[:, 0], r[:, 0])
+    e, h = (np.broadcast_to(x, g.shape) for x in (a.T, sys.q_eff))
+    for k in range(1, c.shape[1]):
+        g_k = _information(c[:, k], r[:, k])
+        w = np.linalg.inv(eye + g_k @ h)
+        ew = e @ w
+        g = symmetrize(g + ew @ g_k @ e.transpose(0, 2, 1))
+        h = symmetrize(sys.q_eff + a @ h @ w @ a.T)
+        e = ew @ a.T
+    return e, g, h
+
+
+def _information(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """c^T r^-1 c for (T, M, N) and (T, M, M) stacks of one step's operands."""
+    return c.transpose(0, 2, 1) @ np.linalg.solve(r, c)
+
+
+def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
+    """Indices of the (E, G, H) triples of (T, N, N) stacks whose doubling
+    settles within _RICCATI_MAX_DOUBLINGS, and their fixed points
+    X = H + E^T X (I + G X)^-1 E.
+
+    The structure-preserving doubling algorithm (Chu, Fan, Lin & Wang,
+    Int. J. Control 77(8), 2004) squares the triple: with W = (I + G H)^-1,
+    E <- E W E, G <- G + E W G E^T, H <- H + E^T H W E. After j doublings
+    H is the map applied 2^j times to 0, so the error falls quadratically.
+    Each slice stops at its first doubling with ||dH|| <= _RICCATI_TOL ||H||
+    (Frobenius norms, no absolute floor, so the test is the same at every
+    scale of H), and a slice whose H is not finite has diverged and leaves
+    unsettled at once."""
+    eye = np.eye(h.shape[-1])
+    settled_h, settled, live = np.empty(h.shape), np.zeros(len(h), dtype=bool), np.arange(len(h))
+    for _ in range(_RICCATI_MAX_DOUBLINGS):
+        w = np.linalg.inv(eye + g @ h)
+        ew, e_t = e @ w, e.transpose(0, 2, 1)
+        g = symmetrize(g + ew @ g @ e_t)
+        h_next = symmetrize(h + e_t @ h @ w @ e)
+        e = ew @ e
+        # Both norms are taken at the scale of max |H|, an exact power of two,
+        # so neither overflows nor underflows while H is finite.
+        shift = -np.frexp(np.abs(h_next).max(axis=(1, 2)))[1][:, np.newaxis, np.newaxis]
+        change = np.linalg.norm(np.ldexp(h_next - h, shift), axis=(1, 2))
+        norm = np.linalg.norm(np.ldexp(h_next, shift), axis=(1, 2))
+        finite = np.isfinite(norm)
+        done = finite & (change <= _RICCATI_TOL * norm)
+        settled_h[live[done]], settled[live[done]] = h_next[done], True
+        going = finite & ~done
+        live, e, g, h = live[going], e[going], g[going], h_next[going]
+        if not live.size:
+            break
+    idx = np.flatnonzero(settled)
+    return idx, settled_h[idx]
+
+
 def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
-    """Indices of the schedules of a (T, K, M) boolean stack whose Riccati
-    sweeps from P = B Q B^T settle within _RICCATI_MAX_SWEEPS, each at its
-    own first sweep with relative change <= _RICCATI_TOL, and their
-    (S, K, N, M) gains, whose inactive columns are +0.0. A sweep whose norm
-    is not finite has diverged beyond measure and leaves unsettled at once.
+    """Riccati-optimal gains and covariance cycles of the schedules of a
+    (T, K, M) boolean stack. Returns the indices of the schedules whose
+    doubled fixed point settles (_doubled_fixed_point of _period_map), the
+    indices of those among them whose closed loop passes _stable_loops'
+    radius test, and for the latter the (S, K, N, M) gains, whose inactive
+    columns are +0.0, and the read-only (S, K, N, N) Riccati cycles.
+
+    One pass of K _riccati_steps from the fixed point P_0 gives the gains,
+    the cycle P_0, ..., P_{K-1} and the closed-loop monodromy. At the gains
+    of the Riccati recursion the covariance recursion of _limit_cycles is
+    the same recursion, so the Riccati cycle is the gains' covariance cycle.
 
     The masked operands are built once for the stack, T K M (N + M) floats:
     for a chunk of evaluate_schedules, at most _CHUNK_FLOATS K M (N + M) / N^2,
@@ -354,46 +436,38 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     the four-state line plant at K = 7. Every step keeps the full width M,
     so a schedule's gains, and its J, do not depend on the other schedules
     of the stack."""
-    (T, K, _), n = active.shape, sys.n_states
+    (_, K, m), n = active.shape, sys.n_states
     c, r = _masked_operands(sys, active)
-    settled_p, settled, live = np.empty((T, n, n)), np.zeros(T, dtype=bool), np.arange(T)
-    p = np.broadcast_to(sys.q_eff, (T, n, n))
-    for _ in range(_RICCATI_MAX_SWEEPS):
-        start = p
-        for k in range(K):
-            _, p = _riccati_step(sys, p, c[:, k], r[:, k])
-        change = np.linalg.norm(p - start, axis=(1, 2))
-        norm = np.linalg.norm(p, axis=(1, 2))
-        finite = np.isfinite(norm)
-        done = finite & (change <= _RICCATI_TOL * np.maximum(1.0, norm))
-        settled_p[live[done]], settled[live[done]] = p[done], True
-        going = finite & ~done
-        live, p, c, r = live[going], p[going], c[going], r[going]
-        if not live.size:
-            break
-    idx = np.flatnonzero(settled)
-    c, r = _masked_operands(sys, active[idx])
-    p = settled_p[idx]
-    gains = np.empty((len(idx), K, n, sys.n_sensors))
+    settled, p = _doubled_fixed_point(*_period_map(sys, c, r))
+    gains, cycles = np.empty((len(settled), K, n, m)), np.empty((len(settled), K, n, n))
+    pi = np.eye(n)
     for k in range(K):
-        gains[:, k], p = _riccati_step(sys, p, c[:, k], r[:, k])
-    gains.swapaxes(-1, -2)[~active[idx]] = 0.0
-    return idx, gains
+        cycles[:, k] = p
+        gains[:, k], p = _riccati_step(sys, p, c[settled, k], r[settled, k])
+        pi = _closed_loop(sys, gains[:, k]) @ pi
+    gains.swapaxes(-1, -2)[~active[settled]] = 0.0
+    stable = _stable_loops(pi)[1]
+    keep = stable if stable.size < settled.size else slice(None)  # views when all are stable
+    cycles = cycles[keep]
+    cycles.setflags(write=False)
+    return settled, settled[stable], gains[keep], cycles
 
 
 def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     """Canonical figure of merit for a schedule.
 
-    Iterates the K coupled Riccati recursions with each step's observation
+    Solves the K coupled Riccati recursions with each step's observation
     restricted to the scheduled sensors, so the gains carry the schedule's
-    column-sparsity pattern exactly, then computes the covariance limit
-    cycle they induce, whose radius test is the one stability check, and
-    the average trace J. evaluate_schedules gives the same J for many
-    schedules at once.
+    column-sparsity pattern exactly: the period map's fixed point by
+    doubling, then one pass around the period for the gains and the
+    Riccati cycle, which is the covariance limit cycle the gains induce.
+    The closed-loop monodromy's radius test is the one stability check, and
+    J is the average trace of the cycle. evaluate_schedules gives the same J
+    for many schedules at once.
 
     Raises DimensionError when the schedule's width is not the system's
     sensor count, and InitializationError when the schedule leaves an
-    unstable mode unobserved, the iteration fails to settle, or the closed
+    unstable mode unobserved, the doubling fails to settle, or the closed
     loop is unstable.
     """
     if sched.n_sensors != sys.n_sensors:
@@ -401,16 +475,15 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
             f"schedule has {sched.n_sensors} sensor columns, system has {sys.n_sensors}"
         )
     check_schedule_detectability(sys, sched)
-    idx, gains = _periodic_riccati(sys, sched.mask[np.newaxis] == 1)
-    if not idx.size:
+    settled, stable, gains, cycles = _periodic_riccati(sys, sched.mask[np.newaxis] == 1)
+    if not settled.size:
         raise InitializationError(
-            f"periodic Riccati iteration did not settle within {_RICCATI_MAX_SWEEPS} sweeps"
+            f"periodic Riccati doubling did not settle within {_RICCATI_MAX_DOUBLINGS} doublings"
         )
-    _, stable, cycles = _covariance_cycles(sys, gains)
     if not stable.size:
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
-    J = float(_trace_sum(cycles[0]) / sched.K)
     gains.setflags(write=False)
+    J = float(_trace_sum(cycles[0]) / sched.K)
     return ScheduleEvaluation(J=J, gains=gains[0], cycle=cycles[0])
 
 
@@ -422,9 +495,9 @@ def chunk_length(n_states: int) -> int:
 def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     """evaluate_schedule's J for each schedule of a (T, K, M) 0/1 stack, or NaN
     where evaluate_schedule raises InitializationError or InstabilityError (an
-    unstable mode unobserved, an unsettled Riccati iteration, an unstable closed
-    loop). Chunks of chunk_length(N) schedules share one stacked Riccati
-    recursion and one _limit_cycles call. A schedule's J does not depend on
+    unstable mode unobserved, an unsettled Riccati doubling, an unstable closed
+    loop). Chunks of chunk_length(N) schedules share one stacked period map,
+    doubling and pass around the period. A schedule's J does not depend on
     the other schedules of the stack."""
     arr = np.asarray(masks)
     if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != sys.n_sensors:
@@ -438,9 +511,8 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
         todo = np.array([t for t in todo if hidden_mode(arr[t]) is None], dtype=int)
     step = chunk_length(sys.n_states)
     for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
-        idx, gains = _periodic_riccati(sys, arr[chunk] == 1)
-        _, stable, cycles = _covariance_cycles(sys, gains)
-        J[chunk[idx[stable]]] = _trace_sum(cycles) / K
+        _, stable, _, cycles = _periodic_riccati(sys, arr[chunk] == 1)
+        J[chunk[stable]] = _trace_sum(cycles) / K
     return J
 
 

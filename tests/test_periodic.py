@@ -514,6 +514,16 @@ class TestEvaluateSchedule:
         cycle = ps.covariance_limit_cycle(sys, result.gains)
         assert result.J == pytest.approx(np.trace(cycle, axis1=1, axis2=2).mean(), rel=1e-12)
 
+    def test_small_covariances_keep_their_gains(self):
+        # The scalar plant A = 0.9, C = 1, Q = R = s: J / s and the gain do
+        # not depend on s, so the settle test must not either.
+        def scaled(s):
+            sys = SystemModel(A=[[0.9]], B=[[1.0]], C=[[1.0]], Q=[[s]], R=[[s]])
+            result = ps.evaluate_schedule(sys, Schedule.all_on(1, 1))
+            return result.J / s, result.gains[0, 0, 0]
+
+        np.testing.assert_allclose(scaled(1e-20), scaled(1.0), rtol=1e-12, atol=0.0)
+
     def test_more_measurements_never_hurt(self, rng):
         for _ in range(5):
             sys = random_stable_system(rng, 3, 2)
@@ -620,30 +630,6 @@ class TestEvaluateSchedules:
         assert 0 < sum(raised) < len(masks)
         np.testing.assert_array_equal(np.isnan(values), raised)
 
-    def test_overflowed_riccati_sweep_leaves_unsettled(self, monkeypatch):
-        # The empty schedule leaves the mode at 1.2 unobserved, so the sweeps
-        # grow until their Frobenius norms overflow; inf <= tol * inf must
-        # not read as settled, and the sweep must stop there.
-        sys = SystemModel(
-            A=np.diag([1.2, 0.5, 0.3]),
-            B=np.eye(3),
-            C=np.array([[0.0, 1.0, 0.0]]),
-            Q=np.eye(3),
-            R=np.eye(1),
-        )
-        steps = []
-        riccati_step = periodic._riccati_step
-
-        def counted(*args):
-            steps.append(args)
-            return riccati_step(*args)
-
-        monkeypatch.setattr(periodic, "_riccati_step", counted)
-        with np.errstate(all="ignore"):
-            idx, gains = periodic._periodic_riccati(sys, np.zeros((1, 1, 1), dtype=bool))
-        assert idx.size == 0 and gains.shape == (0, 1, 3, 1)
-        assert len(steps) < 2000  # about 970 sweeps reach the overflow
-
     def test_rejects_bad_masks(self, rng):
         sys = random_stable_system(rng, 2, 2)
         with pytest.raises(DimensionError, match="masks"):
@@ -745,6 +731,91 @@ class TestMaskedRiccatiProperties:
                 continue
             inactive = gains.transpose(0, 2, 1)[mask == 0]
             assert (inactive == 0.0).all() and not np.signbit(inactive).any()
+
+
+def period_triple(sys, masks):
+    """periodic._period_map's (E, G, H) of a (T, K, M) 0/1 stack, with the
+    masked operands it was built from."""
+    c, r = periodic._masked_operands(sys, masks == 1)
+    return periodic._period_map(sys, c, r), c, r
+
+
+def riccati_steps(sys, p, c, r):
+    """P_0, ..., P_K of K periodic._riccati_step calls from the (T, N, N) P."""
+    out = [p]
+    for k in range(c.shape[1]):
+        out.append(periodic._riccati_step(sys, out[-1], c[:, k], r[:, k])[1])
+    return out
+
+
+def random_psd(rng, T, n):
+    half = rng.normal(size=(T, n, n))
+    return half @ half.transpose(0, 2, 1)
+
+
+class TestPeriodicDoubling:
+    """The fixed-schedule kernel: the period map as one (E, G, H) triple and
+    its doubling, on the plants of TestMaskedRiccatiProperties."""
+
+    @hard_case
+    def test_triple_is_the_period_of_riccati_steps(self, seed, n, m, K, cond_r, unstable):
+        rng = np.random.default_rng(seed)
+        sys = hard_plant(rng, n, m, cond_r, unstable)
+        masks = hard_masks(rng, K, m)
+        (e, g, h), c, r = period_triple(sys, masks)
+        x = random_psd(rng, len(masks), n)
+        mapped = h + e.transpose(0, 2, 1) @ x @ np.linalg.solve(np.eye(n) + g @ x, e)
+        stepped = riccati_steps(sys, x, c, r)[-1]
+        # G = c^T r^-1 c carries the roundoff of r's inverse, at most cond(R).
+        rtol = 1e3 * np.linalg.cond(sys.R) * np.finfo(float).eps
+        scale = np.linalg.norm(stepped, axis=(1, 2))
+        assert (np.linalg.norm(mapped - stepped, axis=(1, 2)) <= rtol * scale).all()
+
+    @hard_case
+    def test_doubled_fixed_point_solves_the_period_equation(self, seed, n, m, K, cond_r, unstable):
+        # Every detectable schedule settles; its P_0 comes back to itself
+        # after one period of Riccati steps.
+        rng = np.random.default_rng(seed)
+        sys = hard_plant(rng, n, m, cond_r, unstable)
+        masks = hard_masks(rng, K, m)
+        (e, g, h), c, r = period_triple(sys, masks)
+        with np.errstate(all="ignore"):
+            settled, p = periodic._doubled_fixed_point(e, g, h)
+        hidden_mode = periodic._detectability_gate(sys, K)
+        if hidden_mode is None:
+            assert settled.size == len(masks)
+        else:
+            assert {t for t, mask in enumerate(masks) if hidden_mode(mask) is None} <= set(settled)
+        back = riccati_steps(sys, p, c[settled], r[settled])[-1]
+        rtol = 1e3 * np.linalg.cond(sys.R) * np.finfo(float).eps
+        scale = np.linalg.norm(p, axis=(1, 2))
+        assert (np.linalg.norm(back - p, axis=(1, 2)) <= rtol * scale).all()
+
+    def test_diverging_doubling_stops_at_its_first_nonfinite_h(self, monkeypatch):
+        # The empty schedule leaves the mode at 1.2 unobserved. After d
+        # doublings H holds sum_{i < 2^d} 1.44^i, which first overflows at
+        # d = 11 (1.44^2048 > 1.8e308); inf <= tol * inf must not read as
+        # settled, and the doubling must stop there, not at its cap.
+        sys = SystemModel(
+            A=np.diag([1.2, 0.5, 0.3]),
+            B=np.eye(3),
+            C=np.array([[0.0, 1.0, 0.0]]),
+            Q=np.eye(3),
+            R=np.eye(1),
+        )
+        (e, g, h), _, _ = period_triple(sys, np.zeros((1, 1, 1), dtype=np.int8))
+        inverses, inv = [], np.linalg.inv
+
+        def counted(x):
+            inverses.append(x)
+            return inv(x)
+
+        monkeypatch.setattr(periodic.np.linalg, "inv", counted)
+        with np.errstate(all="ignore"):
+            settled, p = periodic._doubled_fixed_point(e, g, h)
+        assert settled.size == 0 and p.shape == (0, 3, 3)
+        assert len(inverses) == 11 < periodic._RICCATI_MAX_DOUBLINGS
+        assert np.isfinite(inverses[-1]).all()
 
 
 def detectable_gains(rng, sys, K, near_unit):
