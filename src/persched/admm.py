@@ -26,8 +26,8 @@ from .gstep import GStepProblem, g_step, normalize_eta
 from .model import SystemModel
 from .periodic import (
     Schedule,
+    _gradient_cycles,
     _trace_sum,
-    _value_next,
     check_schedule_detectability,
     covariance_limit_cycle,
     evaluate_schedule,
@@ -281,7 +281,8 @@ class AdmmDriver:
             self._fixed[support] = fixed = evaluate_schedule(self.sys, support)
             gains = fixed.gains
             trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains), 0.0)
-            lam = -lstep._gradient(trace_only, gains, fixed.cycle, _value_next(self.sys, gains))
+            v_next = _gradient_cycles(self.sys, gains)[1]
+            lam = -lstep._gradient(trace_only, gains, fixed.cycle, v_next)
         except PerschedError:
             return
         new_g = g_step(GStepProblem(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))

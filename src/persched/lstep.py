@@ -5,12 +5,13 @@ proximal pull toward per-step targets, over the periodic gain sequence.
 The solver alternates exact coordinate solves (freeze the covariance and
 value cycles, solve a small Sylvester equation per step) with a backtracking
 line search on the resulting direction; each accepted step strictly
-decreases the objective and every iterate keeps the closed loop stable, as
-judged by the covariance limit cycle itself.
+decreases the objective and every iterate keeps the closed loop stable.
 
-solve is the one public entry. It checks the start once; the covariance
-and value cycles, the gradient, the coordinate solve and its stacked
-Sylvester kernel then run privately on the read-only arrays it built.
+solve is the one public entry. It checks the start once, then runs on
+private kernels and the read-only arrays it built. Each point it scores,
+the start and every Armijo trial, gets its covariance and value cycles and
+their one stability verdict from periodic._gradient_cycles; the accepted
+trial's cycles serve the next iteration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .exceptions import DimensionError, InputError, InstabilityError
 from .linalg import _solve_gain_sylvester, _stack, symmetrize
 from .model import SystemModel
-from .periodic import _closed_loop, _covariance_cycle, _gain_stack, _trace_sum, _value_next
+from .periodic import _closed_loop, _gain_stack, _gradient_cycles, _trace_sum
 
 __all__ = [
     "LStepProblem",
@@ -86,7 +87,7 @@ class LStepResult:
     ``descent_history`` records the directional derivative of each
     Anderson-Moore direction, which stays negative away from stationarity.
     ``armijo_trials`` counts the trial points the line search scored (one
-    covariance limit cycle each), accepted or rejected. ``gains`` is a
+    _gradient_cycles call each), accepted or rejected. ``gains`` is a
     read-only (K, N, M) array.
     """
 
@@ -127,8 +128,8 @@ def _gradient(
 
     For step k the gradient is
     2 V_{k+1} L_k R - 2 V_{k+1} (A - L_k C) P_k C^T + rho (L_k - U_k),
-    with the gains' covariance cycle {P_k} and their V_{k+1} from
-    periodic._value_next.
+    with the gains' covariance cycle {P_k} and their V_{k+1}, both from
+    periodic._gradient_cycles.
     """
     sys = prob.sys
     return (
@@ -155,12 +156,13 @@ def _anderson_moore(prob: LStepProblem, cycle: np.ndarray, v_next: np.ndarray) -
 
 
 def _trial_phi(prob: LStepProblem, trial: np.ndarray):
-    """Objective and cycle at a trial point, (inf, None) when it destabilizes."""
+    """Objective and (covariance, value) cycles at a trial point, (inf, None)
+    when it destabilizes."""
     try:
-        cycle = _covariance_cycle(prob.sys, trial)
+        cycles = _gradient_cycles(prob.sys, trial)
     except InstabilityError:
         return np.inf, None
-    return _phi_from_cycle(prob, trial, cycle), cycle
+    return _phi_from_cycle(prob, trial, cycles[0]), cycles
 
 
 def _armijo(
@@ -174,15 +176,15 @@ def _armijo(
     phi(L + s D) < phi0 + alpha * s * slope, for alpha = _ARMIJO_ALPHA and
     beta = _ARMIJO_BETA, where destabilizing trial points count as
     infinitely bad. Returns the number of trial points scored and
-    (s, new gains, new cycle), or None in its place when s underflows."""
+    (s, new gains, their cycles), or None in its place when s underflows."""
     s, trials = 1.0, 0
     while s >= _MIN_STEP:
         trial = gains + s * direction
         trial.setflags(write=False)
-        trial_phi, trial_cycle = _trial_phi(prob, trial)
+        trial_phi, trial_cycles = _trial_phi(prob, trial)
         trials += 1
         if trial_phi < phi0 + _ARMIJO_ALPHA * s * slope:
-            return trials, (s, trial, trial_cycle)
+            return trials, (s, trial, trial_cycles)
         s *= _ARMIJO_BETA
     return trials, None
 
@@ -190,9 +192,10 @@ def _armijo(
 def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
     """Run the gain solver from a stabilizing start.
 
-    Each iteration computes both cycles, checks the gradient norm against
-    ``tol``, forms the coordinate-solve direction, and backtracks along it.
-    The objective decreases strictly at every accepted step. On line-search
+    Each iteration takes both cycles of the current gains from the start or
+    the accepted trial point, checks the gradient norm against ``tol``,
+    forms the coordinate-solve direction, and backtracks along it. The
+    objective decreases strictly at every accepted step. On line-search
     failure the best iterate found so far is returned with the failure flag
     set instead of raising. The iteration cap (``_MAX_ITERS``) and the line
     search's constants (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``) are fixed.
@@ -204,7 +207,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
         gains = gains.copy()
         gains.setflags(write=False)
     try:
-        cycle = _covariance_cycle(prob.sys, gains)
+        cycle, v_next = _gradient_cycles(prob.sys, gains)
     except InstabilityError as exc:
         raise InstabilityError("initial gains do not stabilize the closed loop") from exc
 
@@ -217,7 +220,6 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
     armijo_trials = 0
 
     while True:
-        v_next = _value_next(prob.sys, gains)
         phi = _phi_from_cycle(prob, gains, cycle)
         grad = _gradient(prob, gains, cycle, v_next)
         grad_norm = float(np.linalg.norm(grad))
@@ -241,7 +243,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
         if accepted is None:
             ls_failed = True
             break
-        s, gains, cycle = accepted
+        s, gains, (cycle, v_next) = accepted
         step_sizes.append(s)
         iterations += 1
 

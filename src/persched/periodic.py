@@ -6,10 +6,12 @@ objective, schedule extraction from gain sparsity, and Riccati-optimal gains
 for a fixed activation schedule.
 
 One kernel, _limit_cycles, computes the periodic limit cycles of a stack of
-loops with given gains: one monodromy radius test, one N x N Lyapunov solve
-in the monodromy matrix, one propagation around the period. The value cycle
-is the covariance recursion run backwards in time on the transposed factors
-with noise I (Bittanti & Colaneri, *Periodic Systems*, 2009, ch. 3).
+loops with given gains whose monodromies share one spectrum: one pass around
+the period, one radius test, one stacked N x N Lyapunov solve in the
+monodromy matrices, one propagation. The value cycle is the covariance
+recursion run backwards in time on the transposed factors with noise I
+(Bittanti & Colaneri, *Periodic Systems*, 2009, ch. 3), whose monodromy is
+the covariance loop's transposed, so _gradient_cycles stacks the two loops.
 
 A schedule's gains come from the K coupled Riccati recursions it masks. The
 map of one period is a single (E, G, H) triple, whose fixed point the
@@ -207,30 +209,32 @@ def _stable_loops(pi: np.ndarray) -> tuple:
     return rho, np.flatnonzero(rho < 1.0 - _UNIT_MARGIN)
 
 
-def _limit_cycles(n: int, K: int, step) -> tuple:
-    """The limit cycles X_{k+1} = F_k X_k F_k^T + W_k, X_K = X_0, of T loops;
-    step(k) gives (F_k, W_k) as (T, N, N) stacks. A loop is stable, and has
-    a cycle, when its monodromy Pi = F_{K-1} ... F_0 has spectral radius
-    below 1 - _UNIT_MARGIN, the PBH gate's margin; then X_0 = Pi X_0 Pi^T +
-    sum_k Psi_k W_k Psi_k^T, where Psi_k = F_{K-1} ... F_{k+1}. Returns the
-    (T,) radii, the indices of the stable loops and their read-only
-    (S, K, N, N) cycles. Every slice leaves through symmetrize, so each
-    X_k equals its transpose bit for bit."""
+def _limit_cycles(n: int, K: int, step) -> np.ndarray:
+    """The limit cycles X_{k+1} = F_k X_k F_k^T + W_k, X_K = X_0, of T loops
+    whose monodromies Pi = F_{K-1} ... F_0 share one spectrum; step(k) gives
+    (F_k, W_k) as (T, N, N) stacks. One radius test, on the first loop's
+    monodromy, judges them all: unless its spectral radius is below
+    1 - _UNIT_MARGIN, the PBH gate's margin, InstabilityError names it.
+    Then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k Psi_k^T, Psi_k =
+    F_{K-1} ... F_{k+1}, for every loop in one stacked Smith doubling, and
+    one stacked propagation gives the rest. Returns the read-only
+    (T, K, N, N) cycles. Every slice leaves through symmetrize, so each X_k
+    equals its transpose bit for bit."""
     pi, w_acc = np.eye(n), np.zeros((n, n))
     for k in range(K - 1, -1, -1):
         f_k, w_k = step(k)
         w_acc = w_acc + pi @ w_k @ pi.swapaxes(-1, -2)
         pi = pi @ f_k
-    rho, stable = _stable_loops(pi)
-    keep = stable if stable.size < rho.size else slice(None)  # a view when all are stable
-    cycles = np.empty((stable.size, K, n, n))
-    if stable.size:
-        cycles[:, 0] = _smith_doubling(pi[keep], symmetrize(w_acc[keep]), rho[keep])
-        for k in range(K - 1):
-            f_k, w_k = (x[keep] for x in step(k))
-            cycles[:, k + 1] = symmetrize(f_k @ cycles[:, k] @ f_k.transpose(0, 2, 1) + w_k)
+    rho, stable = _stable_loops(pi[:1])
+    if not stable.size:
+        raise InstabilityError(f"monodromy spectral radius {rho[0]:.12g} >= 1 - {_UNIT_MARGIN:g}")
+    cycles = np.empty((len(pi), K, n, n))
+    cycles[:, 0] = _smith_doubling(pi, symmetrize(w_acc), rho.repeat(len(pi)))
+    for k in range(K - 1):
+        f_k, w_k = step(k)
+        cycles[:, k + 1] = symmetrize(f_k @ cycles[:, k] @ f_k.transpose(0, 2, 1) + w_k)
     cycles.setflags(write=False)
-    return rho, stable, cycles
+    return cycles
 
 
 def _trace_sum(cycles: np.ndarray):
@@ -238,13 +242,6 @@ def _trace_sum(cycles: np.ndarray):
     J, the mean trace, is this over K; the gain subproblem's objective adds
     its proximal term to it."""
     return np.trace(cycles, axis1=-2, axis2=-1).sum(axis=-1)
-
-
-def _single_cycle(rho: np.ndarray, stable: np.ndarray, cycles: np.ndarray) -> np.ndarray:
-    """The (K, N, N) cycle of a one-loop _limit_cycles result."""
-    if not stable.size:
-        raise InstabilityError(f"monodromy spectral radius {rho[0]:.12g} >= 1 - {_UNIT_MARGIN:g}")
-    return cycles[0]
 
 
 def covariance_limit_cycle(sys: SystemModel, gains) -> np.ndarray:
@@ -262,26 +259,22 @@ def covariance_limit_cycle(sys: SystemModel, gains) -> np.ndarray:
 def _covariance_cycle(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
     """covariance_limit_cycle of (K, N, M) gains the caller has checked."""
     factors, noise = (x[:, np.newaxis] for x in _loop(sys, gains))
-    cycles = _limit_cycles(sys.n_states, len(factors), lambda k: (factors[k], noise[k]))
-    return _single_cycle(*cycles)
+    return _limit_cycles(sys.n_states, len(factors), lambda k: (factors[k], noise[k]))[0]
 
 
-def _value_next(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
-    """V_1, ..., V_{K-1}, V_K = V_0 of the unique periodic solution of
-    V_k = F_k^T V_{k+1} F_k + I, F_k = A - L_k C, for (K, N, M) gains the
-    caller has checked: entry k is the V_{k+1} that step k's gradient and
-    coordinate solve read. Each V_k is symmetric and at least the identity
-    in the semidefinite order.
-
-    This is the covariance recursion run backwards in time: with
-    G_j = F_{K-1-j}^T, the cycle of X_{j+1} = G_j X_j G_j^T + I lists
-    V_0, V_{K-1}, ..., V_1, so its reversed read-only view is the result.
-    """
-    reversed_factors = _closed_loop(sys, gains).transpose(0, 2, 1)[::-1, np.newaxis]
-    eye = np.eye(sys.n_states)[np.newaxis]
-    K = len(reversed_factors)
-    cycles = _limit_cycles(sys.n_states, K, lambda j: (reversed_factors[j], eye))
-    return _single_cycle(*cycles)[::-1]
+def _gradient_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
+    """The covariance cycle P_0..P_{K-1} of (K, N, M) gains the caller has
+    checked, bit for bit covariance_limit_cycle's, and V_1, ..., V_K = V_0
+    of V_k = F_k^T V_{k+1} F_k + I, entry k the V_{k+1} that step k's
+    gradient and coordinate solve read: read-only (K, N, N) symmetric
+    stacks, each V_k >= I. With G_j = F_{K-1-j}^T, the cycle of
+    X_{j+1} = G_j X_j G_j^T + I lists V_0, V_{K-1}, ..., V_1; its monodromy
+    is Pi^T, so the two loops make one _limit_cycles stack judged by Pi."""
+    factors, noise = _loop(sys, gains)
+    f = np.stack([factors, factors.transpose(0, 2, 1)[::-1]], axis=1)
+    w = np.stack([noise, np.broadcast_to(np.eye(sys.n_states), noise.shape)], axis=1)
+    cycles = _limit_cycles(sys.n_states, len(f), lambda k: (f[k], w[k]))
+    return cycles[0], cycles[1][::-1]
 
 
 def schedule_from_gains(gains) -> Schedule:

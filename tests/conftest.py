@@ -43,7 +43,7 @@ def phi(prob, gains):
 def kernel_cycles(sys, gains):
     """The covariance cycle of ``gains`` and their V_1..V_K, the two cycles
     lstep.solve feeds its gradient and coordinate-solve kernels."""
-    return ps.covariance_limit_cycle(sys, gains), periodic._value_next(sys, gains)
+    return periodic._gradient_cycles(sys, gains)
 
 
 def gradient(prob, gains):

@@ -3,6 +3,10 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ import pytest
 import persched.cli as cli
 from persched.cli import main
 from persched.model import BENCHMARK_SENSOR_SITES, BENCHMARK_SPACING
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = """
 system:
@@ -357,3 +363,20 @@ class TestMainEntry:
         with pytest.raises(SystemExit):
             main(["--version"])
         assert captured["level"] == logging.WARNING
+
+
+def test_module_entry_runs_the_command(tmp_path):
+    # python -m persched.cli runs the same main as the console script: it
+    # solves and writes the report, not merely imports the module.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "persched.cli", "run", str(ROOT / "configs" / "benchmark.yaml")]
+        + ["--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "schedule" in json.loads((out / "report.json").read_text())

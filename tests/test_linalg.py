@@ -23,7 +23,7 @@ from persched.linalg import (
     require_symmetric,
     symmetrize,
 )
-from persched.periodic import _limit_cycles, _single_cycle
+from persched.periodic import _limit_cycles
 from tests.conftest import spectral_radius
 
 
@@ -265,19 +265,23 @@ class TestSolveDlyap:
         np.testing.assert_array_equal(dlyap(view, w[0]), dlyap(np.ascontiguousarray(view), w[0]))
 
     def test_stacked_unstable_slice_raises(self, rng):
-        # The limit-cycle kernel solves the stable loops of a stack and
-        # leaves out the one at radius 1.01, which raises on its own.
-        f, w = self.stack_at_radii(rng, 3, (0.3, 1.01, 0.5))
-        rho, stable, cycles = _limit_cycles(3, 1, lambda k: (f, w))
-        np.testing.assert_allclose(rho, (0.3, 1.01, 0.5), rtol=1e-12)
-        np.testing.assert_array_equal(stable, [0, 2])
-        for cycle, k in zip(cycles, stable):
-            single = dlyap(f[k], w[k])
-            np.testing.assert_allclose(
-                cycle[0], single, rtol=1e-12, atol=1e-12 * np.abs(single).max()
-            )
-        with pytest.raises(InstabilityError, match="spectral radius 1.01"):
-            _single_cycle(*_limit_cycles(3, 1, lambda k: (f[1:2], w[1:2])))
+        # The limit-cycle kernel solves loops whose monodromies share one
+        # spectrum, here F and F^T, in one stacked doubling, and the first
+        # loop's radius judges the stack: at 1.01 it raises, naming it.
+        for radius in (0.3, 0.999, 1.01):
+            f, w = self.stack_at_radii(rng, 3, (radius,))
+            pair, noise = np.concatenate([f, f.transpose(0, 2, 1)]), np.concatenate([w, w])
+            if radius > 1.0:
+                with pytest.raises(InstabilityError, match="spectral radius 1.01"):
+                    _limit_cycles(3, 1, lambda k: (pair, noise))
+                continue
+            cycles = _limit_cycles(3, 1, lambda k: (pair, noise))
+            assert cycles.shape == (2, 1, 3, 3) and not cycles.flags.writeable
+            for cycle, factor in zip(cycles, pair):
+                single = dlyap(factor, w[0])
+                np.testing.assert_allclose(
+                    cycle[0], single, rtol=1e-12, atol=1e-12 * np.abs(single).max()
+                )
 
 
 class TestSolveGainSylvester:

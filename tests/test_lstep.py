@@ -17,6 +17,7 @@ from persched import (
     InstabilityError,
     LStepProblem,
     Schedule,
+    admm,
     linalg,
     lstep,
     periodic,
@@ -160,7 +161,7 @@ class TestAndersonMooreUpdate:
             gains = riccati_start(sys, K) + 0.01 * rng.normal(size=(K, n, m))
             prob = LStepProblem(sys=sys, U=rng.normal(size=(K, n, m)), rho=3.0)
             cycle = ps.covariance_limit_cycle(sys, gains)
-            values = periodic._value_next(sys, gains)
+            values = periodic._gradient_cycles(sys, gains)[1]
             expected = np.empty((K, n, m))
             for k in range(K):
                 v_next = values[k]
@@ -272,20 +273,20 @@ def unstable_problem(seed, n, m, K, top):
 
 
 class TestStabilityVerdict:
-    """The covariance limit cycle's radius test is the line search's and the
-    start test's only stability check."""
+    """The covariance loop's radius test in the gradient cycles is the line
+    search's and the start test's only stability check."""
 
     def test_one_eigenvalue_call_per_cycle(self, monkeypatch):
         # The plant's solve rejects destabilizing trial points; each is judged
-        # by the spectrum the cycle computes anyway.
+        # by the spectrum the cycles compute anyway, and the value loop, whose
+        # monodromy is the covariance loop's transposed, takes no spectrum.
         prob, init = unstable_problem(3, 5, 5, 3, 1.1)
         counts = Counter()
-        count_calls(monkeypatch, lstep, "_covariance_cycle", counts)
-        count_calls(monkeypatch, lstep, "_value_next", counts)
+        count_calls(monkeypatch, lstep, "_gradient_cycles", counts)
         count_calls(monkeypatch, np.linalg, "eigvals", counts)
         lstep.solve(prob, init, tol=1e-8)
-        assert counts["_covariance_cycle unstable"] > 0
-        assert counts["eigvals"] == counts["_covariance_cycle"] + counts["_value_next"]
+        assert counts["_gradient_cycles unstable"] > 0
+        assert counts["eigvals"] == counts["_gradient_cycles"]
 
     def test_start_in_the_margin_band_rejected(self):
         # A start whose monodromy spectral radius lies in [1 - 1e-9, 1).
@@ -311,6 +312,19 @@ class TestStabilityVerdict:
         assert (report.iterations, len(results)) == (6, 6)
         assert sum(r.iterations for r in results) == 27
         assert sum(r.armijo_trials for r in results) == 40
+
+    def test_benchmark_solve_takes_one_spectrum_per_gradient_cycles_call(self, monkeypatch):
+        # One call per solve start (6), per Armijo trial (40) and per jump
+        # (2); the 7 others are evaluate_schedule's. With separate covariance
+        # and value cycles the same run made 81 cycle calls (46 + 35) and 88
+        # eigvals calls.
+        exp = ps.load_experiment(BENCHMARK_CONFIG)
+        counts = Counter()
+        for owner in (lstep, admm):
+            count_calls(monkeypatch, owner, "_gradient_cycles", counts)
+        count_calls(monkeypatch, np.linalg, "eigvals", counts)
+        ps.run(exp.system, exp.admm)
+        assert (counts["_gradient_cycles"], counts["eigvals"]) == (48, 55)
 
 
 class TestOneEntry:
@@ -358,7 +372,7 @@ class TestUnstablePlantProperties:
 
     def test_solve_keeps_criterion_2_invariants(self, monkeypatch):
         counts = Counter()
-        count_calls(monkeypatch, lstep, "_covariance_cycle", counts)
+        count_calls(monkeypatch, lstep, "_gradient_cycles", counts)
         destabilizing = []
 
         @unstable_case
@@ -366,13 +380,13 @@ class TestUnstablePlantProperties:
             prob, init = unstable_problem(seed, n, m, K, top)
             counts.clear()
             result = lstep.solve(prob, init, tol=1e-8)
-            destabilizing.append(counts["_covariance_cycle unstable"])
+            destabilizing.append(counts["_gradient_cycles unstable"])
             assert all(s < 0.0 for s in result.descent_history)
             assert (np.diff(result.phi_history) < 0.0).all()
             ps.covariance_limit_cycle(prob.sys, result.gains)
             assert result.armijo_trials >= result.iterations
-            # One covariance cycle for the start, one per scored trial point.
-            assert result.armijo_trials == counts["_covariance_cycle"] - 1
+            # One pair of cycles for the start, one per scored trial point.
+            assert result.armijo_trials == counts["_gradient_cycles"] - 1
 
         check()
         assert sum(destabilizing) > 0

@@ -20,7 +20,7 @@ from persched import (
 )
 from persched.model import pbh_rank_drop
 from persched.periodic import (
-    _value_next,
+    _gradient_cycles,
     check_schedule_detectability,
     chunk_length,
     cycle_residual,
@@ -33,6 +33,7 @@ from tests.conftest import (
     random_stable_system,
     spectral_radius,
 )
+from tests.test_admm import hidden_mode_plant
 from tests.test_baselines import scalar_unstable_system
 
 
@@ -92,7 +93,7 @@ GAIN_ENTRY_POINTS = {
 # computation each makes: the attribute and the modules that bind it.
 SOLVE_KERNELS = {
     "closed_loop_factors": ("_closed_loop", (periodic, lstep)),
-    "value_cycle": ("_value_next", (lstep,)),
+    "value_cycle": ("_gradient_cycles", (lstep,)),
     "gradient_phi": ("_gradient", (lstep,)),
     "anderson_moore_update": ("_anderson_moore", (lstep,)),
 }
@@ -279,13 +280,18 @@ class TestCovarianceLimitCycle:
             ps.covariance_limit_cycle(sys, np.zeros((2, 1, 1)))
 
 
+def value_next(sys, gains):
+    """V_1, ..., V_K, the value cycle half of periodic._gradient_cycles."""
+    return _gradient_cycles(sys, gains)[1]
+
+
 def value_cycle(sys, gains):
     """V_0, ..., V_{K-1} from the kernel's V_1, ..., V_K."""
-    return np.roll(_value_next(sys, gains), 1, axis=0)
+    return np.roll(value_next(sys, gains), 1, axis=0)
 
 
 class TestValueCycle:
-    """periodic._value_next, the value cycle the gain step reads."""
+    """The value cycle the gain step reads, from periodic._gradient_cycles."""
 
     def test_satisfies_recursion(self, rng):
         sys = random_stable_system(rng, 3, 2)
@@ -309,7 +315,7 @@ class TestValueCycle:
     def test_dominates_identity(self, rng):
         sys = random_stable_system(rng, 4, 2)
         gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
-        for v in _value_next(sys, gains):
+        for v in value_next(sys, gains):
             assert np.linalg.eigvalsh(v - np.eye(4)).min() > -1e-10
 
 
@@ -337,7 +343,7 @@ class TestMonodromy:
 
         for name in ("eig", "eigvals", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-        for cycle_fn in (ps.covariance_limit_cycle, _value_next):
+        for cycle_fn in (ps.covariance_limit_cycle, value_next):
             calls.clear()
             cycle_fn(sys, gains)
             assert calls == ["eigvals"]
@@ -353,7 +359,7 @@ class TestMonodromy:
             rho = monodromy_radius(sys, gains)
             assert rho == pytest.approx(radius**2, rel=1e-9)
             assert (rho < 1.0 - 1e-9) is stable
-            for cycle_fn in (ps.covariance_limit_cycle, _value_next):
+            for cycle_fn in (ps.covariance_limit_cycle, value_next):
                 if stable:
                     cycle_fn(sys, gains)
                     continue
@@ -868,7 +874,7 @@ class TestLimitCycleProperties:
         gains = detectable_gains(rng, sys, K, near_unit)
         cycles = {
             "covariance": ps.covariance_limit_cycle(sys, gains),
-            "value": _value_next(sys, gains),
+            "value": value_next(sys, gains),
         }
         # Both come back read-only, (K, N, N) and symmetric bit for bit.
         for cycle in cycles.values():
@@ -916,3 +922,61 @@ class TestLimitCycleProperties:
             ps.evaluate_schedules(sys, masks), [single_J(sys, mask) for mask in masks]
         )
 
+
+class TestGradientCycles:
+    """periodic._gradient_cycles, the gain step's one kernel for both of its
+    cycles: P is covariance_limit_cycle's bit for bit and V the lifted
+    reference's, from one radius test, on stable plants, unstable but
+    detectable ones (K = 1 and M > N among the draws) and a plant whose
+    hidden mode holds the monodromy radius at 1 - 1e-7."""
+
+    @staticmethod
+    def assert_matches_references(sys, gains):
+        cycle, v_next = _gradient_cycles(sys, gains)
+        np.testing.assert_array_equal(cycle, ps.covariance_limit_cycle(sys, gains))
+        for stack in (cycle, v_next):
+            assert stack.shape == cycle.shape and not stack.flags.writeable
+            np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
+        # The lifted reference lists V_0, ..., V_{K-1}; the kernel V_1, ..., V_K.
+        expected = np.roll(reference.value_cycle_lifted(sys, gains), -1, axis=0)
+        np.testing.assert_allclose(
+            v_next, expected, rtol=0.0, atol=1e-9 * np.abs(expected).max()
+        )
+
+    def test_stable_plants(self, rng):
+        for n, m, K in ((3, 2, 2), (4, 1, 3), (2, 4, 1)):
+            sys = random_stable_system(rng, n, m)
+            gains = ps.evaluate_schedule(sys, Schedule.all_on(K, m)).gains
+            self.assert_matches_references(sys, gains + 0.01 * rng.normal(size=gains.shape))
+
+    @detectable_case
+    def test_unstable_but_detectable_plants(self, seed, n, m, K, top, near_unit):
+        rng = np.random.default_rng(seed)
+        sys = detectable_plant(rng, n, m, top)
+        self.assert_matches_references(sys, detectable_gains(rng, sys, K, near_unit))
+
+    def test_hidden_mode_just_inside_the_unit_circle(self):
+        sys = hidden_mode_plant(np.random.default_rng(9), 3, 1, 1.0 - 1e-7)
+        for K in (1, 2):
+            gains = ps.evaluate_schedule(sys, Schedule.all_on(K, 1)).gains
+            assert monodromy_radius(sys, gains) == pytest.approx((1.0 - 1e-7) ** K, rel=1e-9)
+            self.assert_matches_references(sys, gains)
+
+    def test_destabilizing_gains_name_the_covariance_radius(self, rng, monkeypatch):
+        # Zero gains leave the monodromy A^3 at radius 1.1^3; the one
+        # eigenvalue call is the covariance loop's, and the error names it.
+        sys = detectable_plant(rng, 3, 2, 1.1)
+        gains = np.zeros((3, 3, 2))
+        calls, eigvals = [], np.linalg.eigvals
+
+        def counted(x):
+            calls.append(x)
+            return eigvals(x)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        with pytest.raises(InstabilityError, match="monodromy spectral radius") as info:
+            _gradient_cycles(sys, gains)
+        assert len(calls) == 1 and calls[0].shape == (1, 3, 3)
+        np.testing.assert_array_equal(calls[0][0], sys.A @ sys.A @ sys.A)
+        radius = float(str(info.value).split()[3])
+        assert radius == pytest.approx(1.1**3, rel=1e-12)
