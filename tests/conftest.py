@@ -40,20 +40,14 @@ def phi(prob, gains):
     return lstep._phi_from_cycle(prob, gains, ps.covariance_limit_cycle(prob.sys, gains))
 
 
-def kernel_cycles(sys, gains):
-    """The covariance cycle of ``gains`` and their V_1..V_K, the two cycles
-    lstep.solve feeds its gradient and coordinate-solve kernels."""
-    return periodic._gradient_cycles(sys, gains)
-
-
 def gradient(prob, gains):
     """The subproblem's gradient at ``gains``, by lstep's own kernel."""
-    return lstep._gradient(prob, gains, *kernel_cycles(prob.sys, gains))
+    return lstep._gradient(prob, gains, *periodic._gradient_cycles(prob.sys, gains))
 
 
 def anderson_moore(prob, gains):
     """The coordinate-solve candidate at ``gains``, by lstep's own kernel."""
-    return lstep._anderson_moore(prob, *kernel_cycles(prob.sys, gains))
+    return lstep._anderson_moore(prob, *periodic._gradient_cycles(prob.sys, gains))
 
 
 def random_stable_system(rng, n, m, radius=0.85):
