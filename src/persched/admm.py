@@ -53,9 +53,9 @@ class AdmmConfig:
     """Solver settings.
 
     ``eta`` is either one bound shared by every sensor or a per-sensor
-    sequence; bounds must be integers in 1..period. ``init_schedule``
-    overrides the default staggered starting schedule. Schedules are read
-    off the gains with schedule_from_gains' default relative threshold.
+    sequence; bounds must be integers in 1..period. The solve starts from
+    default_init_schedule's staggered schedule. Schedules are read off the
+    gains with schedule_from_gains' default relative threshold.
 
     The gain step is solved inexactly. The first inner solve runs to the
     gradient-norm tolerance ``lstep.TOL_FLOOR``; every later one stops at
@@ -70,7 +70,6 @@ class AdmmConfig:
     rho: float = 10.0
     eps: float = 1e-3
     max_iters: int = 200
-    init_schedule: Optional[Schedule] = None
 
     def __post_init__(self):
         for name in ("period", "max_iters"):
@@ -92,10 +91,6 @@ class AdmmConfig:
         if self.max_iters < 1:
             raise InputError("iteration caps must be at least 1")
         self.eta_tuple(None)
-        if self.init_schedule is not None and self.init_schedule.K != self.period:
-            raise InputError(
-                f"init schedule period {self.init_schedule.K} does not match {self.period}"
-            )
 
     def eta_tuple(self, n_sensors: Optional[int]) -> tuple:
         """Per-sensor bounds, broadcast to n_sensors when a scalar was given."""
@@ -109,9 +104,6 @@ class AdmmConfig:
             "rho": self.rho,
             "eps": self.eps,
             "max_iters": self.max_iters,
-            "init_schedule": None
-            if self.init_schedule is None
-            else self.init_schedule.to_text(),
         }
 
 
@@ -232,10 +224,7 @@ class AdmmDriver:
     def initialize(self) -> None:
         """Set L from the starting schedule's exact gains, G and the dual Lam
         to zero, and the iteration count to 0."""
-        cfg = self.cfg
-        sched = cfg.init_schedule
-        if sched is None:
-            sched = default_init_schedule(self.sys, cfg.period, self.eta)
+        sched = default_init_schedule(self.sys, self.cfg.period, self.eta)
         self.L = evaluate_schedule(self.sys, sched).gains
         shape = self.L.shape
         self.G = np.zeros(shape)

@@ -20,7 +20,6 @@ from .admm import AdmmConfig
 from .baselines import DEFAULT_BUDGET
 from .exceptions import ConfigError, InputError
 from .model import FieldGeometry, SystemModel, build_diffusion_system
-from .periodic import Schedule
 
 __all__ = ["ExperimentConfig", "load_experiment"]
 
@@ -150,23 +149,7 @@ def _build_system(section: dict, base: Path) -> SystemModel:
     return SystemModel(A=mats["A"], B=mats["B"], C=mats["C"], Q=mats["Q"], R=mats["R"])
 
 
-def _load_init_schedule(value, base: Path) -> Schedule:
-    if isinstance(value, str):
-        path = (base / value).resolve()
-        if not path.is_file():
-            raise ConfigError(f"admm.init_schedule: referenced file {path} does not exist")
-        value = path.read_text()
-    elif not isinstance(value, list):
-        raise ConfigError("admm.init_schedule must be a 0/1 grid or a file path string")
-    try:
-        if isinstance(value, str):
-            return Schedule.from_text(value)
-        return Schedule(np.asarray(value))
-    except ValueError as exc:  # DimensionError and InputError among them
-        raise ConfigError(f"admm.init_schedule: {exc}") from exc
-
-
-def _build_admm(section: dict, base: Path) -> AdmmConfig:
+def _build_admm(section: dict) -> AdmmConfig:
     section = _require_mapping(section, "admm")
     _check_keys(section, _ADMM_KEYS, "admm")
     for key in ("period", "gamma", "eta"):
@@ -182,8 +165,6 @@ def _build_admm(section: dict, base: Path) -> AdmmConfig:
     for key in ("rho", "eps"):
         if key in section:
             kwargs[key] = _number(section[key], f"admm.{key}")
-    if section.get("init_schedule") is not None:
-        kwargs["init_schedule"] = _load_init_schedule(section["init_schedule"], base)
     try:
         return AdmmConfig(**kwargs)
     except InputError as exc:
@@ -229,19 +210,11 @@ def load_experiment(path) -> ExperimentConfig:
 
     admm = None
     if "admm" in raw:
-        admm = _build_admm(raw["admm"], base)
+        admm = _build_admm(raw["admm"])
         try:
             admm.eta_tuple(system.n_sensors)
         except InputError as exc:
             raise ConfigError(f"admm.eta: {exc}") from exc
-        if (
-            admm.init_schedule is not None
-            and admm.init_schedule.n_sensors != system.n_sensors
-        ):
-            raise ConfigError(
-                f"admm.init_schedule has {admm.init_schedule.n_sensors} sensor columns, "
-                f"system has {system.n_sensors}"
-            )
 
     sweep_gammas = None
     sweep_etas = None

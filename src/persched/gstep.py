@@ -52,7 +52,7 @@ def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tup
 
 def _integral_bound(e, m: int) -> int:
     try:
-        if int(e) == e:
+        if not isinstance(e, (bool, np.bool_)) and int(e) == e:
             return int(e)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -92,20 +92,6 @@ class Schedule:
     def empty(cls, K: int, M: int) -> "Schedule":
         return cls(np.zeros((K, M), dtype=np.int8))
 
-    @classmethod
-    def from_text(cls, text: str) -> "Schedule":
-        """Parse a K-row grid of space-separated 0/1 entries."""
-        rows = [line.split() for line in text.splitlines() if line.strip()]
-        bad = [tok for row in rows for tok in row if tok not in ("0", "1")]
-        if bad:
-            raise InputError(f"schedule entry {bad[0]!r} is not 0 or 1")
-        if not rows:
-            raise InputError("schedule text contains no rows")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise InputError(f"schedule rows have unequal lengths {sorted(widths)}")
-        return cls(np.array([[int(tok) for tok in row] for row in rows]))
-
     def to_text(self) -> str:
         return "\n".join(" ".join(str(int(v)) for v in row) for row in self.mask)
 
@@ -209,30 +195,29 @@ def _stable_loops(pi: np.ndarray) -> tuple:
     return rho, np.flatnonzero(rho < 1.0 - _UNIT_MARGIN)
 
 
-def _limit_cycles(n: int, K: int, step) -> np.ndarray:
+def _limit_cycles(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The limit cycles X_{k+1} = F_k X_k F_k^T + W_k, X_K = X_0, of T loops
-    whose monodromies Pi = F_{K-1} ... F_0 share one spectrum; step(k) gives
-    (F_k, W_k) as (T, N, N) stacks. One radius test, on the first loop's
-    monodromy, judges them all: unless its spectral radius is below
-    1 - _UNIT_MARGIN, the PBH gate's margin, InstabilityError names it.
-    Then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k Psi_k^T, Psi_k =
-    F_{K-1} ... F_{k+1}, for every loop in one stacked Smith doubling, and
-    one stacked propagation gives the rest. Returns the read-only
-    (T, K, N, N) cycles. Every slice leaves through symmetrize, so each X_k
-    equals its transpose bit for bit."""
+    whose monodromies Pi = F_{K-1} ... F_0 share one spectrum, from the
+    (K, T, N, N) stacks f of factors F_k and w of noises W_k. One radius
+    test, on the first loop's monodromy, judges them all: unless its
+    spectral radius is below 1 - _UNIT_MARGIN, the PBH gate's margin,
+    InstabilityError names it. Then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k
+    Psi_k^T, Psi_k = F_{K-1} ... F_{k+1}, for every loop in one stacked
+    Smith doubling, and one stacked propagation gives the rest. Returns the
+    read-only (T, K, N, N) cycles. Every slice leaves through symmetrize, so
+    each X_k equals its transpose bit for bit."""
+    K, n = len(f), f.shape[-1]
     pi, w_acc = np.eye(n), np.zeros((n, n))
     for k in range(K - 1, -1, -1):
-        f_k, w_k = step(k)
-        w_acc = w_acc + pi @ w_k @ pi.swapaxes(-1, -2)
-        pi = pi @ f_k
+        w_acc = w_acc + pi @ w[k] @ pi.swapaxes(-1, -2)
+        pi = pi @ f[k]
     rho, stable = _stable_loops(pi[:1])
     if not stable.size:
         raise InstabilityError(f"monodromy spectral radius {rho[0]:.12g} >= 1 - {_UNIT_MARGIN:g}")
     cycles = np.empty((len(pi), K, n, n))
     cycles[:, 0] = _smith_doubling(pi, symmetrize(w_acc), rho.repeat(len(pi)))
     for k in range(K - 1):
-        f_k, w_k = step(k)
-        cycles[:, k + 1] = symmetrize(f_k @ cycles[:, k] @ f_k.transpose(0, 2, 1) + w_k)
+        cycles[:, k + 1] = symmetrize(f[k] @ cycles[:, k] @ f[k].transpose(0, 2, 1) + w[k])
     cycles.setflags(write=False)
     return cycles
 
@@ -253,13 +238,8 @@ def covariance_limit_cycle(sys: SystemModel, gains) -> np.ndarray:
     Returns (P_0, ..., P_{K-1}) as a read-only (K, N, N) array of symmetric
     matrices.
     """
-    return _covariance_cycle(sys, _check_gains(sys, gains))
-
-
-def _covariance_cycle(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
-    """covariance_limit_cycle of (K, N, M) gains the caller has checked."""
-    factors, noise = (x[:, np.newaxis] for x in _loop(sys, gains))
-    return _limit_cycles(sys.n_states, len(factors), lambda k: (factors[k], noise[k]))[0]
+    factors, noise = (x[:, np.newaxis] for x in _loop(sys, _check_gains(sys, gains)))
+    return _limit_cycles(factors, noise)[0]
 
 
 def _gradient_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
@@ -273,7 +253,7 @@ def _gradient_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
     factors, noise = _loop(sys, gains)
     f = np.stack([factors, factors.transpose(0, 2, 1)[::-1]], axis=1)
     w = np.stack([noise, np.broadcast_to(np.eye(sys.n_states), noise.shape)], axis=1)
-    cycles = _limit_cycles(sys.n_states, len(f), lambda k: (f[k], w[k]))
+    cycles = _limit_cycles(f, w)
     return cycles[0], cycles[1][::-1]
 
 

@@ -126,18 +126,6 @@ admm: {period: 2, gamma: 0.0, eta: 1}
         assert "does not exist" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("value", ["sched.txt", "[[0, 1], [1]]"])
-    def test_malformed_init_schedule_exits_one(self, tmp_path, capsys, command, value):
-        (tmp_path / "sched.txt").write_text("1 0\n0 x\n1 0\n0 1\n")
-        text = TINY.replace("rho: 20.0", f"rho: 20.0\n  init_schedule: {value}")
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "results"
-        argv = [command, cfg] + (["--out", str(out)] if command == "run" else [])
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: admm.init_schedule: ")
-        assert not out.exists()
-
     def test_missing_admm_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY.split("admm:")[0])
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1

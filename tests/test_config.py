@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import persched.cli as cli
 from persched import ConfigError, load_experiment
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 FIELD_SYSTEM = """
 system:
@@ -134,11 +137,12 @@ class TestValidation:
             ("armijo_alpha", "0.3"),
             ("armijo_beta", "0.5"),
             ("zero_tol", "1.0e-8"),
+            ("init_schedule", "[[1, 0], [0, 1], [1, 0], [0, 1]]"),
         ],
     )
     def test_inner_solver_settings_rejected(self, tmp_path, key, value):
         # Fixed in the solver (lstep's constants, schedule_from_gains' default
-        # threshold), not settings.
+        # threshold, default_init_schedule's staggered start), not settings.
         text = FIELD_SYSTEM + ADMM_BLOCK + f"  {key}: {value}\n"
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in admm"):
             load_experiment(write_config(tmp_path, text))
@@ -160,8 +164,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match="entries"):
             load_experiment(write_config(tmp_path, text))
 
-
-    @pytest.mark.parametrize("eta", ["1.5", "[1, 1.5]"])
+    @pytest.mark.parametrize("eta", ["1.5", "[1, 1.5]", "true", "[1, true]"])
     def test_non_integral_eta_rejected(self, tmp_path, eta):
         text = FIELD_SYSTEM + f"admm:\n  period: 4\n  gamma: 0.0\n  eta: {eta}\n"
         with pytest.raises(ConfigError, match="not an integer"):
@@ -273,44 +276,10 @@ class TestAdmmSection:
         assert cfg.admm.eps == 0.01
         assert cfg.admm.max_iters == 50
 
-    def test_inline_init_schedule(self, tmp_path):
-        text = FIELD_SYSTEM + ADMM_BLOCK + "  init_schedule: [[1, 0], [0, 1], [1, 0], [0, 1]]\n"
-        cfg = load_experiment(write_config(tmp_path, text))
-        np.testing.assert_array_equal(
-            cfg.admm.init_schedule.mask, [[1, 0], [0, 1], [1, 0], [0, 1]]
-        )
-
-    def test_init_schedule_from_file(self, tmp_path):
-        (tmp_path / "sched.txt").write_text("1 0\n0 1\n1 0\n0 1\n")
-        text = FIELD_SYSTEM + ADMM_BLOCK + "  init_schedule: sched.txt\n"
-        cfg = load_experiment(write_config(tmp_path, text))
-        assert cfg.admm.init_schedule.total_activations == 4
-
-    def test_non_binary_token_in_init_schedule_file(self, tmp_path):
-        (tmp_path / "sched.txt").write_text("1 0\n0 x\n1 0\n0 1\n")
-        text = FIELD_SYSTEM + ADMM_BLOCK + "  init_schedule: sched.txt\n"
-        with pytest.raises(ConfigError, match="admm.init_schedule: schedule entry 'x'"):
-            load_experiment(write_config(tmp_path, text))
-
-    def test_ragged_inline_init_schedule(self, tmp_path):
-        text = FIELD_SYSTEM + ADMM_BLOCK + "  init_schedule: [[0, 1], [1]]\n"
-        with pytest.raises(ConfigError, match="admm.init_schedule: "):
-            load_experiment(write_config(tmp_path, text))
-
-    def test_init_schedule_sensor_mismatch(self, tmp_path):
-        text = (
-            FIELD_SYSTEM
-            + ADMM_BLOCK
-            + "  init_schedule: [[1, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 1]]\n"
-        )
-        with pytest.raises(ConfigError, match="sensor columns"):
-            load_experiment(write_config(tmp_path, text))
-
     def test_invalid_admm_values_surface(self, tmp_path):
         text = FIELD_SYSTEM + ADMM_BLOCK.replace("gamma: 0.1", "gamma: -0.1")
         with pytest.raises(ValueError, match="gamma"):
             load_experiment(write_config(tmp_path, text))
-
 
     @pytest.mark.parametrize("key", ["gamma", "rho", "eps"])
     @pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")])
@@ -405,3 +374,10 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg.system.n_sensors == 2
     assert cfg.sweep_gammas == (0.05, 0.15, 2.0)
     assert cfg.compare_oracle is True
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    # Every config the repo ships loads, and a pinned kind names a command.
+    cfg = load_experiment(path)
+    assert cfg.kind is None or callable(getattr(cli, f"cmd_{cfg.kind}", None))

@@ -273,9 +273,9 @@ class TestSolveDlyap:
             pair, noise = np.concatenate([f, f.transpose(0, 2, 1)]), np.concatenate([w, w])
             if radius > 1.0:
                 with pytest.raises(InstabilityError, match="spectral radius 1.01"):
-                    _limit_cycles(3, 1, lambda k: (pair, noise))
+                    _limit_cycles(pair[np.newaxis], noise[np.newaxis])
                 continue
-            cycles = _limit_cycles(3, 1, lambda k: (pair, noise))
+            cycles = _limit_cycles(pair[np.newaxis], noise[np.newaxis])
             assert cycles.shape == (2, 1, 3, 3) and not cycles.flags.writeable
             for cycle, factor in zip(cycles, pair):
                 single = dlyap(factor, w[0])
