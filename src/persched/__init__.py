@@ -55,7 +55,6 @@ from .periodic import (
     covariance_limit_cycle,
     evaluate_schedule,
     evaluate_schedules,
-    lift_cyclic,
     schedule_from_gains,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "evaluate_schedules",
     "exhaustive_search",
     "g_step",
-    "lift_cyclic",
     "load_experiment",
     "matrix_exponential",
     "random_baseline",

@@ -53,9 +53,10 @@ class AdmmConfig:
     """Solver settings.
 
     ``eta`` is either one bound shared by every sensor or a per-sensor
-    sequence; bounds must be integers in 1..period. The solve starts from
-    default_init_schedule's staggered schedule. Schedules are read off the
-    gains with schedule_from_gains' default relative threshold.
+    sequence; bounds must be integers in 1..period, kept as an int or a
+    tuple of ints. The solve starts from default_init_schedule's staggered
+    schedule. Schedules are read off the gains with schedule_from_gains'
+    default relative threshold.
 
     The gain step is solved inexactly. The first inner solve runs to the
     gradient-norm tolerance ``lstep.TOL_FLOOR``; every later one stops at
@@ -90,7 +91,8 @@ class AdmmConfig:
             raise InputError("eps must be positive")
         if self.max_iters < 1:
             raise InputError("iteration caps must be at least 1")
-        self.eta_tuple(None)
+        bounds = self.eta_tuple(None)  # plain ints, as for period and max_iters
+        object.__setattr__(self, "eta", bounds[0] if np.ndim(self.eta) == 0 else bounds)
 
     def eta_tuple(self, n_sensors: Optional[int]) -> tuple:
         """Per-sensor bounds, broadcast to n_sensors when a scalar was given."""
@@ -100,7 +102,7 @@ class AdmmConfig:
         return {
             "period": self.period,
             "gamma": self.gamma,
-            "eta": self.eta if np.isscalar(self.eta) else list(self.eta),
+            "eta": self.eta if isinstance(self.eta, int) else list(self.eta),
             "rho": self.rho,
             "eps": self.eps,
             "max_iters": self.max_iters,

@@ -158,7 +158,7 @@ def _build_admm(section: dict) -> AdmmConfig:
     kwargs = {
         "period": _integer(section["period"], "admm.period"),
         "gamma": _number(section["gamma"], "admm.gamma"),
-        "eta": section["eta"] if np.isscalar(section["eta"]) else tuple(section["eta"]),
+        "eta": tuple(section["eta"]) if isinstance(section["eta"], list) else section["eta"],
     }
     if "max_iters" in section:
         kwargs["max_iters"] = _integer(section["max_iters"], "admm.max_iters")
@@ -228,7 +228,7 @@ def load_experiment(path) -> ExperimentConfig:
         if "etas" in s:
             if not isinstance(s["etas"], list) or not s["etas"]:
                 raise ConfigError("sweep.etas must be a non-empty list")
-            sweep_etas = tuple(e if np.isscalar(e) else tuple(e) for e in s["etas"])
+            sweep_etas = tuple(tuple(e) if isinstance(e, list) else e for e in s["etas"])
         if admm is not None:
             _check_sweep_grid(admm, system.n_sensors, sweep_gammas or (), sweep_etas or ())
 

@@ -33,11 +33,12 @@ ZERO_COLUMN_TOL = 1e-14
 def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tuple:
     """Per-sensor activation bounds as a tuple of ints.
 
-    A scalar ``eta`` is broadcast to ``n_sensors`` entries (one when
-    ``n_sensors`` is None); a sequence must have ``n_sensors`` entries, any
-    number when it is None. Every bound must be an integer in lowest..K.
+    A scalar ``eta``, anything of zero dimensions, is broadcast to
+    ``n_sensors`` entries (one when ``n_sensors`` is None); a sequence must
+    have ``n_sensors`` entries, any number when it is None. Every bound must
+    be an integer in lowest..K.
     """
-    if np.isscalar(eta):
+    if np.ndim(eta) == 0:
         raw = (eta,) * (1 if n_sensors is None else n_sensors)
     else:
         raw = tuple(eta)

@@ -4,6 +4,13 @@ All functions take and return plain ``numpy.ndarray`` objects and never
 mutate their inputs. Solvers re-symmetrize symmetric outputs, so downstream
 covariance recursions do not accumulate asymmetry, and they verify their own
 residual contracts before returning.
+
+One scaling rule, _unit_shift, serves every kernel whose tests must not
+depend on the size of its operands: the symmetry and semidefinite checks,
+the Smith doubling, and the periodic module's Riccati doubling judge a
+matrix at the power of two that brings its largest entry into [1, 2). Such
+a scaling is exact, so a result scaled back is what the unscaled problem
+gives in unbounded range.
 """
 
 from __future__ import annotations
@@ -57,6 +64,13 @@ def _square(x, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _unit_shift(x: np.ndarray) -> np.ndarray:
+    """The exponent s of each (r, c) slice of x, shaped to broadcast against
+    it, for which max |2^s x| lies in [1, 2); 1 for a zero slice. np.ldexp
+    by it is exact while no entry leaves the float range."""
+    return 1 - np.frexp(np.abs(x).max(axis=(-2, -1), keepdims=True))[1]
+
+
 def _squared_norms(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of every slice of a (T, r, c) stack."""
     rows = x.reshape(len(x), 1, -1)
@@ -69,23 +83,26 @@ def symmetrize(x: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(x, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
-    """Validate symmetry within ``tol`` relative to the norm and return the
+    """Validate symmetry within ``tol`` relative to the norm, judged at the
+    matrix's _unit_shift so that no squared norm overflows, and return the
     symmetrized copy."""
-    arr = _square(x, name)[np.newaxis]
-    scale = max(1.0, _squared_norms(arr)[0])
-    if _squared_norms(arr - arr.transpose(0, 2, 1))[0] > tol**2 * scale:
+    arr = _square(x, name)
+    unit = np.ldexp(arr, _unit_shift(arr))[np.newaxis]
+    if _squared_norms(unit - unit.transpose(0, 2, 1))[0] > tol**2 * _squared_norms(unit)[0]:
         raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
-    return symmetrize(arr[0])
+    return symmetrize(arr)
 
 
 def psd_sqrt(x, name: str = "matrix") -> np.ndarray:
-    """Symmetric square root of a PSD matrix via eigendecomposition."""
+    """Symmetric square root of a PSD matrix via eigendecomposition, taken at
+    the matrix's _unit_shift so that the semidefinite test, every eigenvalue
+    at least -1e-10 times the largest magnitude, is the same at every scale."""
     arr = require_symmetric(x, name)
-    w, u = np.linalg.eigh(arr)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -1e-10 * scale:
+    shift = _unit_shift(arr).item()
+    w, u = np.linalg.eigh(np.ldexp(arr, shift))
+    if w.min() < -1e-10 * np.abs(w).max():
         raise InputError(f"{name} is not positive semidefinite")
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+    return (u * np.sqrt(np.clip(np.ldexp(w, -shift), 0.0, None))) @ u.T
 
 
 def matrix_exponential(x) -> np.ndarray:
@@ -131,34 +148,16 @@ def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarr
     error message) the caller has already tested to be below 1 - _UNIT_MARGIN.
 
     Smith doubling: X <- X + G X G^T, G <- G^2 from X = W, G = F, each slice
-    with its own stopping point. Raises ConvergenceError unless every slice
-    meets the residual contract
+    with its own stopping point. Each W slice is solved at its _unit_shift,
+    max |W| in [1, 2), and X is scaled back: the scalings are exact, and for
+    a semidefinite W then ||X|| >= ||W|| >= 1, so neither max(1, .) floor
+    binds and the settle test and the residual contract
     ||X - FXF^T - W|| / max(1, ||W|| + ||F||^2 ||X||) <= 1e-9
-    (Frobenius norms).
-
-    Every scaling here is by a power of two, so exact. A slice whose max |W|
-    is below 1 is solved with W scaled into [1, 2) and X scaled back: for a
-    semidefinite W, ||X|| >= ||W|| >= 1 then, so neither max(1, .) floor
-    binds, and the settle test and the contract stay relative however small
-    W is. A failed solve, as any is once a squared norm overflows (entries
-    past about 1e154) though X is representable, runs once more with each
-    slice's W scaled to max |W| near 2^100 and X scaled back: with the floors
-    not binding it computes what the unscaled solve would in unbounded range.
-    An X past the float range raises the first solve's error."""
-    exponent = np.frexp(np.abs(wm).max(axis=(1, 2), keepdims=True))[1]
-    lift = np.maximum(0, 1 - exponent)
-    try:
-        return np.ldexp(_doubling(fm, np.ldexp(wm, lift), rho), -lift)
-    except ConvergenceError:
-        shift = 100 - exponent
-        x = np.ldexp(_doubling(fm, np.ldexp(wm, shift), rho), -shift)
-        if not np.isfinite(x).all():
-            raise
-        return x
-
-
-def _doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """One Smith doubling solve of _smith_doubling, in W's own scale."""
+    (Frobenius norms) are relative at every scale of W, no squared norm
+    overflowing. Raises ConvergenceError unless every slice meets the
+    contract, or when an X scaled back lies past the float range."""
+    shift = _unit_shift(wm)
+    wm = np.ldexp(wm, shift)
     # live: slices still doubling; g in C order, so rounding ignores F's layout.
     x, live, xl, g = np.empty_like(wm), np.arange(len(fm)), wm, np.ascontiguousarray(fm)
     for _ in range(200):
@@ -178,14 +177,17 @@ def _doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
     residual = np.sqrt(_squared_norms(x - fm @ x @ fm.transpose(0, 2, 1) - wm))
     # Scaled by the size of the terms, so a large X from a non-normal F is judged fairly.
     scale = np.sqrt(_squared_norms(wm)) + _squared_norms(fm) * np.sqrt(_squared_norms(x))
-    # An overflowed norm, of the residual or of a term, leaves the excess NaN,
-    # and fails: past about 1e154 the settle test above is no test either.
+    # An overflowed norm, of the residual or of a term, leaves the excess NaN, and fails.
     excess = np.where(np.isfinite(scale), residual / np.maximum(1.0, scale), np.nan)
     worst = int(np.argmax(excess))
     if not excess[worst] <= 1e-9:
         raise ConvergenceError(
             f"Lyapunov residual {residual[worst]:.3g} exceeds contract for radius {rho[worst]:.6g}"
         )
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, -shift)
+    if not np.isfinite(x).all():
+        raise ConvergenceError("doubling iteration failed to settle within the float range")
     return x
 
 

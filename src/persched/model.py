@@ -62,8 +62,7 @@ class SystemModel:
             raise DimensionError(f"Q shape {q.shape} does not match B columns {b.shape[1]}")
         if r.shape != (c.shape[0], c.shape[0]):
             raise DimensionError(f"R shape {r.shape} does not match C rows {c.shape[0]}")
-        if np.linalg.eigvalsh(q).min() < -1e-10 * max(1.0, float(np.linalg.norm(q))):
-            raise InputError("Q must be positive semidefinite")
+        psd_sqrt(q, "Q")  # for its semidefinite test, the same at every scale
         if np.linalg.eigvalsh(r).min() <= 0.0:
             raise InputError("R must be positive definite")
         object.__setattr__(self, "A", a)
@@ -257,14 +256,15 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def pbh_rank_drop(a: np.ndarray, other: np.ndarray, stack_rows: bool = True):
-    """PBH rank test at every eigenvalue of A on or outside the unit circle.
+def pbh_rank_drop(a: np.ndarray, other: np.ndarray):
+    """PBH detectability test of (A, other) at every eigenvalue of A on or
+    outside the unit circle.
 
-    Returns the first eigenvalue at which the pencil loses rank, or None.
-    ``stack_rows`` selects the detectability form [A - lam I; other] over
-    the stabilizability form [A - lam I, other].
+    Returns the first eigenvalue at which the pencil [A - lam I; other]
+    loses rank, or None. (A, S) is stabilizable exactly when (A^T, S^T) is
+    detectable.
     """
-    return _rank_drop_at(a, _unit_circle_eigenvalues(a), other, stack_rows)
+    return _rank_drop_at(a, _unit_circle_eigenvalues(a), other)
 
 
 def _unit_circle_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -273,7 +273,7 @@ def _unit_circle_eigenvalues(a: np.ndarray) -> np.ndarray:
     return lams[np.abs(lams) >= 1.0 - _UNIT_MARGIN]
 
 
-def _rank_drop_at(a: np.ndarray, lams, other: np.ndarray, stack_rows: bool = True):
+def _rank_drop_at(a: np.ndarray, lams, other: np.ndarray):
     """pbh_rank_drop's test at the given eigenvalues ``lams`` of A, so that
     callers testing many ``other`` against one A compute them once. A computed
     lam is an exact eigenvalue only of some A + E, so at a true rank drop the
@@ -282,8 +282,7 @@ def _rank_drop_at(a: np.ndarray, lams, other: np.ndarray, stack_rows: bool = Tru
     A. The rank counts the singular values above 100 times that default."""
     n = a.shape[0]
     for lam in lams:
-        shifted = a - lam * np.eye(n)
-        pencil = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
+        pencil = np.vstack([a - lam * np.eye(n), other])
         sv = np.linalg.svd(pencil, compute_uv=False)
         tol = 100.0 * max(pencil.shape) * np.finfo(float).eps * sv[0]
         if np.count_nonzero(sv > tol) < n:
@@ -295,9 +294,10 @@ def validate_assumptions(sys: SystemModel) -> AssumptionReport:
     """Check the standing assumptions behind the estimator design.
 
     Runs PBH rank tests for detectability of (A, C) and stabilizability of
-    (A, sqrt(B Q B^T)). R positive definite and Q positive semidefinite need
-    no check here: SystemModel raises InputError on either before a report
-    can exist. Returns a report listing each check; nothing is raised.
+    (A, sqrt(B Q B^T)), the latter as detectability of the transposed pair.
+    R positive definite and Q positive semidefinite need no check here:
+    SystemModel raises InputError on either before a report can exist.
+    Returns a report listing each check; nothing is raised.
     """
     checks = []
 
@@ -316,7 +316,7 @@ def validate_assumptions(sys: SystemModel) -> AssumptionReport:
     except InputError as exc:
         checks.append(AssumptionCheck("(A, noise) stabilizable", False, str(exc)))
     else:
-        stab_lam = pbh_rank_drop(sys.A, noise_sqrt, stack_rows=False)
+        stab_lam = pbh_rank_drop(sys.A.T, noise_sqrt.T)
         stab_ok = stab_lam is None
         checks.append(
             AssumptionCheck(

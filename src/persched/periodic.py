@@ -1,9 +1,9 @@
 """Periodic estimation for fixed gains or fixed schedules.
 
 Covers the K-periodic machinery shared by the solver and the baselines:
-block-cyclic lifting, covariance and value limit cycles, the trace
-objective, schedule extraction from gain sparsity, and Riccati-optimal gains
-for a fixed activation schedule.
+covariance and value limit cycles, the trace objective, schedule extraction
+from gain sparsity, and Riccati-optimal gains for a fixed activation
+schedule.
 
 One kernel, _limit_cycles, computes the periodic limit cycles of a stack of
 loops with given gains whose monodromies share one spectrum: one pass around
@@ -17,30 +17,32 @@ A schedule's gains come from the K coupled Riccati recursions it masks. The
 map of one period is a single (E, G, H) triple, whose fixed point the
 structure-preserving doubling algorithm reaches in a few squarings (Chu,
 Fan, Lin & Wang, *Int. J. Control* 77(8), 2004; Hench & Laub, *IEEE TAC*
-39(6), 1994). One pass around the period from it gives the gains and their
-covariance cycle, the Riccati cycle, so scoring a schedule takes no
-Lyapunov solve. Both paths judge stability by one radius test,
-_stable_loops, the package's only stability verdict. The lifted
-(block-cyclic) reformulation, which solves the same problems on KN x KN
-operands, and the plain recursions iterated to a fixed point serve as
-cross-checks in tests/reference.py.
+39(6), 1994). One rule, _compose, builds that triple from the K step
+triples and squares it in the doubling. One pass around the period from the
+fixed point gives the gains and their covariance cycle, the Riccati cycle,
+so scoring a schedule takes no Lyapunov solve. Both paths judge stability
+by one radius test, _stable_loops, the package's only stability verdict.
+The lifted (block-cyclic) reformulation, which solves the same problems on
+KN x KN operands, and the plain recursions iterated to a fixed point serve
+as cross-checks in tests/reference.py; the detectability gate builds the
+two lifts it needs in place.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
-from .linalg import _UNIT_MARGIN, _smith_doubling, _stack, symmetrize
+from .linalg import _UNIT_MARGIN, _smith_doubling, _stack, _unit_shift, symmetrize
 from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
     "Schedule",
     "ScheduleEvaluation",
-    "lift_cyclic",
     "covariance_limit_cycle",
     "schedule_from_gains",
     "check_schedule_detectability",
@@ -129,29 +131,6 @@ class ScheduleEvaluation(NamedTuple):
     J: float
     gains: np.ndarray
     cycle: np.ndarray
-
-
-def lift_cyclic(blocks, cyclic: bool = True) -> np.ndarray:
-    """Assemble K same-shaped blocks into the lifted block matrix.
-
-    With ``cyclic`` set, block k lands at block position (k+1 mod K, k): the
-    subdiagonal plus a wraparound block in the top-right, the shape taken by
-    the lifted transition and gain operators. Without it the blocks form a
-    plain block diagonal, as for lifted covariances and weights.
-    """
-    mats = [np.asarray(b, dtype=float) for b in blocks]
-    if not mats:
-        raise DimensionError("lift_cyclic needs at least one block")
-    shape = mats[0].shape
-    if any(m.ndim != 2 for m in mats) or any(m.shape != shape for m in mats):
-        raise DimensionError(f"all blocks must share one 2-D shape, got {[m.shape for m in mats]}")
-    K = len(mats)
-    r, c = shape
-    out = np.zeros((K * r, K * c))
-    for k, block in enumerate(mats):
-        i = ((k + 1) % K) if cyclic else k
-        out[i * r : (i + 1) * r, k * c : (k + 1) * c] = block
-    return out
 
 
 def _gain_stack(gains) -> np.ndarray:
@@ -272,8 +251,8 @@ def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
     """Raise InitializationError when the schedule hides an unstable mode.
 
     Runs the PBH rank test of validate_assumptions on the lifted pair
-    (lift_cyclic([A] * K), C_lift); skipped entirely for a Schur-stable
-    plant, where any schedule is admissible.
+    (A_lift, C_lift) of _detectability_gate; skipped entirely for a
+    Schur-stable plant, where any schedule is admissible.
     """
     hidden_mode = _detectability_gate(sys, sched.K)
     lam = None if hidden_mode is None else hidden_mode(sched.mask)
@@ -287,16 +266,20 @@ def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
 def _detectability_gate(sys: SystemModel, K: int):
     """None when A is Schur stable, so that no schedule can leave an unstable
     mode unobserved. Otherwise a function of a K x M 0/1 mask giving the
-    eigenvalue at which its lifted pair fails the PBH test, or None; C_lift
-    keeps the rows of the block-diagonal lift of C that the mask activates,
-    in step-major order. The lifted A and its eigenvalues on or outside the
-    unit circle do not depend on the mask and are computed once here."""
+    eigenvalue at which its lifted pair fails the PBH test, or None. A_lift
+    is block-cyclic, A at block (k+1 mod K, k); C_lift keeps the rows of the
+    block-diagonal lift of C that the mask activates, in step-major order.
+    Both are +0.0 off their blocks. A_lift and its eigenvalues on or outside
+    the unit circle do not depend on the mask and are computed once here."""
     if not _unit_circle_eigenvalues(sys.A).size:
         return None
-    a_lift = lift_cyclic([sys.A] * K, cyclic=True)
+    (m, n), steps = sys.C.shape, np.arange(K)
+    a_lift, c_lift = np.zeros((K, n, K, n)), np.zeros((K, m, K, n))
+    a_lift[(steps + 1) % K, :, steps] = sys.A
+    c_lift[steps, :, steps] = sys.C
+    a_lift, c_lift = a_lift.reshape(K * n, K * n), c_lift.reshape(K * m, K * n)
     lams = _unit_circle_eigenvalues(a_lift)
-    c_full = lift_cyclic([sys.C] * K, cyclic=False)
-    return lambda mask: _rank_drop_at(a_lift, lams, c_full[np.reshape(mask, -1) == 1])
+    return lambda mask: _rank_drop_at(a_lift, lams, c_lift[np.reshape(mask, -1) == 1])
 
 
 def _riccati_step(sys: SystemModel, p: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple:
@@ -325,6 +308,20 @@ def _masked_operands(sys: SystemModel, active: np.ndarray) -> tuple:
     return c, np.where(pair, sys.R, np.eye(sys.n_sensors))
 
 
+def _compose(first: tuple, then: tuple) -> tuple:
+    """The (E, G, H) triple of the map ``then`` applied after ``first``, each
+    a triple of (T, N, N) stacks, or of N x N matrices that broadcast against
+    them, acting as X -> H + E^T X (I + G X)^-1 E. With
+    W = (I + G_2 H_1)^-1, one batched inverse, which G_2, H_1 >= 0 keep
+    invertible, it is (E_1 W E_2, G_1 + E_1 W G_2 E_1^T, H_2 + E_2^T H_1 W E_2)."""
+    (e1, g1, h1), (e2, g2, h2) = first, then
+    w = np.linalg.inv(np.eye(h1.shape[-1]) + g2 @ h1)
+    e1w = e1 @ w
+    g = symmetrize(g1 + e1w @ g2 @ e1.swapaxes(-1, -2))
+    h = symmetrize(h2 + e2.swapaxes(-1, -2) @ h1 @ w @ e2)
+    return e1w @ e2, g, h
+
+
 def _period_map(sys: SystemModel, c: np.ndarray, r: np.ndarray) -> tuple:
     """The map P_0 -> P_K of the masked Riccati steps of a (T, K, M, N) and
     (T, K, M, M) stack of _masked_operands, as one (E, G, H) triple of
@@ -332,25 +329,14 @@ def _period_map(sys: SystemModel, c: np.ndarray, r: np.ndarray) -> tuple:
 
     In information form step k is the triple (A^T, G_k, B Q B^T), with
     G_k = c_k^T r_k^-1 c_k, since the step maps P to B Q B^T + A P (I + G_k
-    P)^-1 A^T. Step k composed after (E, G, H) is, with W = (I + G_k H)^-1,
-    (E W A^T, G + E W G_k E^T, B Q B^T + A H W A^T): one batched inverse per
-    step, which G_k, H >= 0 keep invertible."""
-    eye, a = np.eye(sys.n_states), sys.A
-    g = _information(c[:, 0], r[:, 0])
-    e, h = (np.broadcast_to(x, g.shape) for x in (a.T, sys.q_eff))
-    for k in range(1, c.shape[1]):
-        g_k = _information(c[:, k], r[:, k])
-        w = np.linalg.inv(eye + g_k @ h)
-        ew = e @ w
-        g = symmetrize(g + ew @ g_k @ e.transpose(0, 2, 1))
-        h = symmetrize(sys.q_eff + a @ h @ w @ a.T)
-        e = ew @ a.T
-    return e, g, h
-
-
-def _information(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """c^T r^-1 c for (T, M, N) and (T, M, M) stacks of one step's operands."""
-    return c.transpose(0, 2, 1) @ np.linalg.solve(r, c)
+    P)^-1 A^T. The K step triples fold by _compose, each G_k made as its
+    step comes."""
+    info = (
+        c[:, k].transpose(0, 2, 1) @ np.linalg.solve(r[:, k], c[:, k]) for k in range(c.shape[1])
+    )
+    g = next(info)
+    first = (np.broadcast_to(sys.A.T, g.shape), g, np.broadcast_to(sys.q_eff, g.shape))
+    return functools.reduce(_compose, ((sys.A.T, g_k, sys.q_eff) for g_k in info), first)
 
 
 def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
@@ -359,24 +345,19 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
     X = H + E^T X (I + G X)^-1 E.
 
     The structure-preserving doubling algorithm (Chu, Fan, Lin & Wang,
-    Int. J. Control 77(8), 2004) squares the triple: with W = (I + G H)^-1,
-    E <- E W E, G <- G + E W G E^T, H <- H + E^T H W E. After j doublings
-    H is the map applied 2^j times to 0, so the error falls quadratically.
+    Int. J. Control 77(8), 2004) squares the triple, _compose of it after
+    itself. After j doublings H is the map applied 2^j times to 0, so the
+    error falls quadratically.
     Each slice stops at its first doubling with ||dH|| <= _RICCATI_TOL ||H||
     (Frobenius norms, no absolute floor, so the test is the same at every
     scale of H), and a slice whose H is not finite has diverged and leaves
     unsettled at once."""
-    eye = np.eye(h.shape[-1])
     settled_h, settled, live = np.empty(h.shape), np.zeros(len(h), dtype=bool), np.arange(len(h))
     for _ in range(_RICCATI_MAX_DOUBLINGS):
-        w = np.linalg.inv(eye + g @ h)
-        ew, e_t = e @ w, e.transpose(0, 2, 1)
-        g = symmetrize(g + ew @ g @ e_t)
-        h_next = symmetrize(h + e_t @ h @ w @ e)
-        e = ew @ e
-        # Both norms are taken at the scale of max |H|, an exact power of two,
-        # so neither overflows nor underflows while H is finite.
-        shift = -np.frexp(np.abs(h_next).max(axis=(1, 2)))[1][:, np.newaxis, np.newaxis]
+        e, g, h_next = _compose((e, g, h), (e, g, h))
+        # Both norms are taken at H's _unit_shift, an exact power of two, so
+        # neither overflows nor underflows while H is finite.
+        shift = _unit_shift(h_next)
         change = np.linalg.norm(np.ldexp(h_next - h, shift), axis=(1, 2))
         norm = np.linalg.norm(np.ldexp(h_next, shift), axis=(1, 2))
         finite = np.isfinite(norm)

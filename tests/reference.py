@@ -24,7 +24,6 @@ import scipy.linalg
 
 from persched.exceptions import DimensionError
 from persched.gstep import ZERO_COLUMN_TOL
-from persched.periodic import lift_cyclic
 
 
 def closed_loop(sys, gains):
@@ -35,6 +34,15 @@ def closed_loop(sys, gains):
 def _loop(sys, gains):
     """Closed-loop factors F_k and injected noises W_k, each (K, N, N)."""
     return closed_loop(sys, gains), sys.q_eff + gains @ sys.R @ gains.transpose(0, 2, 1)
+
+
+def lift(blocks, cyclic=True):
+    """The lifted block matrix of K same-shaped blocks: with ``cyclic`` set,
+    block k at block position (k+1 mod K, k), the subdiagonal plus a
+    wraparound block in the top-right, as for lifted transitions; without
+    it the block diagonal, as for lifted covariances and weights."""
+    diagonal = scipy.linalg.block_diag(*blocks)
+    return np.roll(diagonal, len(blocks[0]), axis=0) if cyclic else diagonal
 
 
 def _diagonal_blocks(x, K, n):
@@ -54,8 +62,8 @@ def covariance_cycle_lifted(sys, gains):
     factors, noise = _loop(sys, gains)
     # Diagonal block r of the lifted weight pairs with step r - 1: the lifted
     # recursion writes F_{r-1} P_{r-1} F_{r-1}^T + W_{r-1} into block r.
-    w_lift = lift_cyclic(np.roll(noise, 1, axis=0), cyclic=False)
-    x = scipy.linalg.solve_discrete_lyapunov(lift_cyclic(factors), w_lift, method="direct")
+    w_lift = lift(np.roll(noise, 1, axis=0), cyclic=False)
+    x = scipy.linalg.solve_discrete_lyapunov(lift(factors), w_lift, method="direct")
     return _diagonal_blocks(x, *factors.shape[:2])
 
 
@@ -78,7 +86,7 @@ def value_cycle_lifted(sys, gains):
     """(K, N, N) value cycle V_k = F_k^T V_{k+1} F_k + I from one lifted solve."""
     factors = closed_loop(sys, gains)
     K, n = factors.shape[:2]
-    x = scipy.linalg.solve_discrete_lyapunov(lift_cyclic(factors).T, np.eye(K * n), method="direct")
+    x = scipy.linalg.solve_discrete_lyapunov(lift(factors).T, np.eye(K * n), method="direct")
     return _diagonal_blocks(x, K, n)
 
 
@@ -110,8 +118,8 @@ def lifted_riccati_gains(sys, sched):
         c_lift[row, k * n : (k + 1) * n] = sys.C[i]
     same_step = steps[:, np.newaxis] == steps[np.newaxis, :]
     r_lift = np.where(same_step, sys.R[np.ix_(sensors, sensors)], 0.0)
-    a_lift = lift_cyclic([sys.A] * K)
-    q_lift = lift_cyclic([sys.q_eff] * K, cyclic=False)
+    a_lift = lift([sys.A] * K)
+    q_lift = lift([sys.q_eff] * K, cyclic=False)
     # The filter equation is the dual of scipy's control form.
     p = scipy.linalg.solve_discrete_are(a_lift.T, c_lift.T, q_lift, r_lift)
     gain_lift = a_lift @ p @ c_lift.T @ np.linalg.inv(c_lift @ p @ c_lift.T + r_lift)

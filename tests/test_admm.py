@@ -74,7 +74,7 @@ class TestAdmmConfig:
             cfg.eta_tuple(3)
 
     @pytest.mark.parametrize(
-        "eta", [2.5, (1, 1.5), np.float64(1.5), True, (1, True), np.True_]
+        "eta", [2.5, (1, 1.5), np.float64(1.5), True, (1, True), np.True_, None, (1, None)]
     )
     def test_non_integral_eta_rejected(self, eta):
         # int(True) == True, so a boolean is caught by type, not by value.
@@ -83,6 +83,22 @@ class TestAdmmConfig:
 
     def test_integral_float_eta_accepted(self):
         assert small_config(eta=2.0).eta_tuple(2) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "eta, kept",
+        [
+            (np.int64(2), 2),
+            (np.array(2), 2),
+            (2.0, 2),
+            ((np.int64(1), 2.0), (1, 2)),
+            ([1, 2], (1, 2)),
+        ],
+    )
+    def test_eta_kept_as_plain_ints(self, eta, kept):
+        # A zero-dimensional array is one bound; a NumPy integer does not serialize.
+        cfg = small_config(eta=eta)
+        assert repr(cfg.eta) == repr(kept)
+        assert json.loads(json.dumps(cfg.to_dict()))["eta"] == json.loads(json.dumps(kept))
 
     @pytest.mark.parametrize(
         "overrides, message",

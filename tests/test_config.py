@@ -164,7 +164,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match="entries"):
             load_experiment(write_config(tmp_path, text))
 
-    @pytest.mark.parametrize("eta", ["1.5", "[1, 1.5]", "true", "[1, true]"])
+    @pytest.mark.parametrize("eta", ["1.5", "[1, 1.5]", "true", "[1, true]", "", "[1, null]"])
     def test_non_integral_eta_rejected(self, tmp_path, eta):
         text = FIELD_SYSTEM + f"admm:\n  period: 4\n  gamma: 0.0\n  eta: {eta}\n"
         with pytest.raises(ConfigError, match="not an integer"):
@@ -316,6 +316,7 @@ class TestSweepAndCompare:
             ("gammas: [.inf]", "sweep.gammas: gamma must be finite, got inf"),
             ("etas: [2, 9]", r"sweep.etas: eta\[0\] = 9 outside the valid range 1..4"),
             ("etas: [2, x]", r"sweep.etas: eta\[0\] = x is not an integer"),
+            ("etas: [null]", r"sweep.etas: eta\[0\] = None is not an integer"),
             ("etas: [[2, 5]]", r"sweep.etas: eta\[1\] = 5 outside the valid range 1..4"),
         ],
     )

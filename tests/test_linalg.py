@@ -16,7 +16,6 @@ from persched import (
     matrix_exponential,
 )
 from persched.linalg import (
-    _doubling,
     _smith_doubling,
     _solve_gain_sylvester,
     psd_sqrt,
@@ -165,51 +164,34 @@ class TestSolveDlyap:
             covariance_limit_cycle(self.scalar_plant(1.0 - 1e-10), np.zeros((1, 1, 1)))
 
     def test_overflowing_doubling_fails_to_settle(self):
+        # X = 1e308 / 0.19 I is solved at W's unit shift, then overflows when
+        # scaled back.
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="failed to settle"):
             dlyap(0.9 * np.eye(2), 1e308 * np.eye(2))
 
-    def test_overflowed_residual_fails_the_contract(self):
-        # The doubling sums overflow their squared norms and stop early at
-        # 1.81e300 in place of 5.26e300; the residual's norm overflows too,
-        # and a residual that cannot be measured does not meet the contract.
-        # That failure is what sends _smith_doubling to its scaled retry.
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
-            _doubling(0.9 * np.eye(2)[None], 1e300 * np.eye(2)[None], np.array([0.9]))
-
-    def test_overflowed_norm_fails_the_contract(self):
-        # From about 1e154 the squared Frobenius norms overflow: the settle
-        # test reads inf <= 1e-32 * inf and stops at 1.81e154, where the
-        # solution is 5.26e154, and the contract's scale is inf too.
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="exceeds contract"):
-            _doubling(0.9 * np.eye(2)[None], 1e154 * np.eye(2)[None], np.array([0.9]))
-        x = dlyap(0.9 * np.eye(2), 1e153 * np.eye(2))
-        np.testing.assert_allclose(x, np.eye(2) * 1e153 / 0.19, rtol=1e-14)
-
-    @pytest.mark.parametrize("w", [1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("w", [1e153, 1e154, 1e200, 1e300])
     def test_overflowing_norms_solve_in_full_range(self, w):
-        # X = 0.81 X + w I is w / 0.19 I, representable though its squared
-        # norm is not: the retry scales W by a power of two and X back.
-        with np.errstate(all="ignore"):
-            x = dlyap(0.9 * np.eye(2), w * np.eye(2))
-        np.testing.assert_allclose(x, np.eye(2) * w / 0.19, rtol=1e-12, atol=0.0)
+        # X = 0.81 X + w I is w / 0.19 I, representable though from about
+        # 1e154 its squared norm is not: W is solved at its unit shift, an
+        # exact power of two, and X scaled back.
+        x = dlyap(0.9 * np.eye(2), w * np.eye(2))
+        np.testing.assert_allclose(x, np.eye(2) * w / 0.19, rtol=1e-14, atol=0.0)
 
-    def test_retry_scales_each_slice_by_its_own_power_of_two(self):
-        # One slice needs the retry; the small one beside it keeps its digits.
+    def test_each_slice_scales_by_its_own_power_of_two(self):
+        # A huge slice beside a small one: each keeps its digits.
         w = np.stack([1e200 * np.eye(2), 1e-3 * np.eye(2)])
-        with np.errstate(all="ignore"):
-            x = _smith_doubling(0.9 * np.stack([np.eye(2)] * 2), w, np.array([0.9, 0.9]))
+        x = _smith_doubling(0.9 * np.stack([np.eye(2)] * 2), w, np.array([0.9, 0.9]))
         np.testing.assert_allclose(x, w / 0.19, rtol=1e-12, atol=0.0)
 
     def test_covariance_cycle_of_a_huge_noise(self):
         # Scalar plant A = 0.9, Q = 1e154, zero gains: P = Q / 0.19.
         sys = SystemModel(A=[[0.9]], B=np.eye(1), C=np.eye(1), Q=[[1e154]], R=np.eye(1))
-        with np.errstate(all="ignore"):
-            cycle = covariance_limit_cycle(sys, np.zeros((1, 1, 1)))
+        cycle = covariance_limit_cycle(sys, np.zeros((1, 1, 1)))
         np.testing.assert_allclose(cycle, [[[1e154 / 0.19]]], rtol=1e-12, atol=0.0)
 
     def test_tiny_noises_solve_to_full_relative_accuracy(self):
-        # Each slice below max |W| = 1 is lifted by its own power of two; an
-        # absolute settle test would stop at X = W + F W F^T = 1.81 W.
+        # Each slice is scaled by its own power of two; an absolute settle
+        # test would stop at X = W + F W F^T = 1.81 W.
         scales = np.array([1e-20, 1e-300, 0.0, 1.0])
         w = scales[:, None, None] * np.eye(2)
         x = _smith_doubling(0.9 * np.stack([np.eye(2)] * 4), w, np.full(4, 0.9))
@@ -367,3 +349,14 @@ class TestHelpers:
         np.testing.assert_allclose(root @ root, mat, rtol=1e-9, atol=1e-10)
         with pytest.raises(InputError, match="positive semidefinite"):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("s", [-900, -67, 67, 900])
+    def test_psd_sqrt_tests_at_every_scale(self, rng, s):
+        # The semidefinite test is relative to the largest eigenvalue, with
+        # no absolute floor, and no squared norm overflows.
+        half = rng.normal(size=(4, 4))
+        mat = np.ldexp(half @ half.T, s)
+        root = psd_sqrt(mat)
+        np.testing.assert_allclose(root @ root, mat, rtol=1e-9, atol=1e-10 * np.abs(mat).max())
+        with pytest.raises(InputError, match="positive semidefinite"):
+            psd_sqrt(np.ldexp(np.diag([1.0, -0.5]), s))

@@ -68,6 +68,20 @@ class TestSystemModel:
                 R=np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            # Past about 1e154 the squared norms overflow, and below 1 an
+            # absolute floor passes any small asymmetry or negative eigenvalue.
+            ([[1e200, 3e200], [0.0, 1e200]], "not symmetric"),
+            ([[1e200, 0.0], [0.0, -1e200]], "semidefinite"),
+            ([[1e-20, 3e-20], [0.0, 1e-20]], "not symmetric"),
+        ],
+    )
+    def test_q_checks_hold_at_every_scale(self, q, message):
+        with pytest.raises(InputError, match=message):
+            SystemModel(A=np.eye(2) * 0.5, B=np.eye(2), C=np.eye(2), Q=q, R=np.eye(2))
+
 
 class TestFieldGeometry:
     def test_counts(self):

@@ -1,4 +1,4 @@
-"""Periodic machinery: lifting, limit cycles, schedules, fixed-schedule gains."""
+"""Periodic machinery: limit cycles, schedules, fixed-schedule gains."""
 
 import itertools
 
@@ -201,23 +201,6 @@ class TestGainContract:
             assert type(gains) is np.ndarray, name
             assert gains.shape == (2, 3, 2), name
             assert not gains.flags.writeable, name
-
-
-class TestLiftCyclic:
-    def test_cyclic_block_positions(self):
-        blocks = [np.full((1, 1), float(k + 1)) for k in range(3)]
-        lifted = ps.lift_cyclic(blocks, cyclic=True)
-        expected = np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        np.testing.assert_array_equal(lifted, expected)
-
-    def test_diagonal_form(self):
-        blocks = [np.eye(2) * (k + 1) for k in range(2)]
-        lifted = ps.lift_cyclic(blocks, cyclic=False)
-        np.testing.assert_array_equal(lifted, np.diag([1.0, 1.0, 2.0, 2.0]))
-
-    def test_requires_uniform_shape(self):
-        with pytest.raises(DimensionError, match="shape"):
-            ps.lift_cyclic([np.eye(2), np.eye(3)])
 
 
 class TestCovarianceLimitCycle:
@@ -495,6 +478,22 @@ class TestDetectabilityGate:
         assert lam == pytest.approx(1.2, rel=1e-12)
         with pytest.raises(InitializationError, match="undetectable at eigenvalue 1.2"):
             check_schedule_detectability(sys, Schedule.empty(1, 1))
+
+    def test_gate_matches_pbh_on_the_reference_lift(self, rng):
+        # The gate builds the block-cyclic lifted A and the block-diagonal
+        # lifted C in place; the PBH test on the lifted pair built by the
+        # references gives the same verdict for every mask at K = 2 and 3.
+        sys = modal_plant(rng, [1.3, -1.1, 0.4], [[1, 0, 1], [0, 1, 1]])
+        for K in (2, 3):
+            a_lift = reference.lift([sys.A] * K)
+            c_lift = reference.lift([sys.C] * K, cyclic=False)
+            verdicts = set()
+            for bits in itertools.product((0, 1), repeat=K * sys.n_sensors):
+                mask = np.reshape(bits, (K, sys.n_sensors))
+                hidden = pbh_rank_drop(a_lift, c_lift[np.reshape(mask, -1) == 1]) is not None
+                assert gate_rejects(sys, mask) == hidden, mask
+                verdicts.add(hidden)
+            assert verdicts == {True, False}
 
     def test_one_step_observation_passes_at_k3(self, rng):
         sys = modal_plant(rng, [1.3, 0.5, -0.2], [[1, 1, 1], [0, 1, 1], [0, 1, 0]])
@@ -967,3 +966,29 @@ class TestGradientCycles:
         np.testing.assert_array_equal(calls[0][0], sys.A @ sys.A @ sys.A)
         radius = float(str(info.value).split()[3])
         assert radius == pytest.approx(1.1**3, rel=1e-12)
+
+
+class TestScaleEquivariance:
+    """Q and R scaled by 2^s scale the covariance cycles, the Riccati cycle
+    and J by 2^s and keep the gains, bit for bit: every scaling the kernels
+    make is by a power of two and every test they make is relative."""
+
+    @pytest.mark.parametrize("s", [-900, -600, -67, -1, 1, 67, 600, 900])
+    def test_benchmark_plant_scales_exactly(self, s):
+        sys = ps.benchmark_system()
+        scaled = SystemModel(A=sys.A, B=sys.B, C=sys.C, Q=np.ldexp(sys.Q, s), R=np.ldexp(sys.R, s))
+        sched = ps.default_init_schedule(sys, 10, 5)
+        base = ps.evaluate_schedule(sys, sched)
+        np.testing.assert_array_equal(
+            ps.covariance_limit_cycle(scaled, base.gains),
+            np.ldexp(ps.covariance_limit_cycle(sys, base.gains), s),
+        )
+        evaluation = ps.evaluate_schedule(scaled, sched)
+        np.testing.assert_array_equal(evaluation.gains, base.gains)
+        np.testing.assert_array_equal(evaluation.cycle, np.ldexp(base.cycle, s))
+        assert evaluation.J == np.ldexp(base.J, s)
+        masks = random_masks(np.random.default_rng(5), 16, 10, 10)
+        masks[0] = sched.mask
+        J = ps.evaluate_schedules(sys, masks)
+        assert np.isfinite(J).sum() >= 2
+        np.testing.assert_array_equal(ps.evaluate_schedules(scaled, masks), np.ldexp(J, s))
