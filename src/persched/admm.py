@@ -191,8 +191,6 @@ def default_init_schedule(sys: SystemModel, K: int, eta) -> Schedule:
     are covered as uniformly as possible. Raises when the request is all
     zero or the resulting schedule would leave an unstable mode unobserved.
     """
-    if K < 1:
-        raise InputError("period must be at least 1")
     bounds = normalize_eta(eta, sys.n_sensors, K)
     if sum(bounds) < 1:
         raise InputError("at least one activation is required")

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import BudgetError, InitializationError, InputError
-from .gstep import normalize_eta
+from .gstep import _integral, normalize_eta
 from .model import SystemModel
 from .periodic import Schedule, chunk_length, evaluate_schedules
 
@@ -116,9 +116,11 @@ def exhaustive_search(
     estimator is invalid (an unstable mode left unobserved) are skipped, ties
     keep the lexicographically smallest mask, and BudgetError is raised up
     front when the candidate count (masks, not classes) exceeds ``budget``.
+    K and ``total_activations`` must be integers, not booleans.
     """
-    if K < 1:
-        raise InputError("period must be at least 1")
+    K = _integral(K, "K")
+    if total_activations is not None:
+        total_activations = _integral(total_activations, "total_activations")
     bounds = normalize_eta(eta, sys.n_sensors, K)
     count = _candidate_count(K, bounds, total_activations)
     if count == 0:
@@ -250,9 +252,12 @@ def random_baseline(
     Draws ``trials`` schedules uniformly among the masks that satisfy the
     per-sensor bounds and have exactly ``total_activations`` activations,
     scores them with evaluate_schedules, and returns the statistics in draw
-    order. Fully determined by ``seed``, a nonnegative integer. Raises
+    order. Fully determined by ``seed``, a nonnegative integer. K, ``trials``
+    and ``total_activations`` must be integers, not booleans. Raises
     InitializationError when a drawn schedule leaves the estimator invalid.
     """
+    K, trials = _integral(K, "K"), _integral(trials, "trials")
+    total_activations = _integral(total_activations, "total_activations")
     if trials < 1:
         raise InputError("trials must be at least 1")
     if seed < 0:

@@ -36,28 +36,30 @@ def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tup
     A scalar ``eta``, anything of zero dimensions, is broadcast to
     ``n_sensors`` entries (one when ``n_sensors`` is None); a sequence must
     have ``n_sensors`` entries, any number when it is None. Every bound must
-    be an integer in lowest..K.
+    be an integer in lowest..K, and the period K at least 1.
     """
+    if K < 1:
+        raise InputError("period must be at least 1")
     if np.ndim(eta) == 0:
         raw = (eta,) * (1 if n_sensors is None else n_sensors)
     else:
         raw = tuple(eta)
         if n_sensors is not None and len(raw) != n_sensors:
             raise InputError(f"eta has {len(raw)} entries, expected {n_sensors}")
-    bounds = tuple(_integral_bound(e, m) for m, e in enumerate(raw))
+    bounds = tuple(_integral(e, f"eta[{m}]") for m, e in enumerate(raw))
     for m, e in enumerate(bounds):
         if not lowest <= e <= K:
             raise InputError(f"eta[{m}] = {e} outside the valid range {lowest}..{K}")
     return bounds
 
 
-def _integral_bound(e, m: int) -> int:
+def _integral(value, name: str) -> int:
     try:
-        if not isinstance(e, (bool, np.bool_)) and int(e) == e:
-            return int(e)
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InputError(f"eta[{m}] = {e} is not an integer")
+    raise InputError(f"{name} = {value} is not an integer")
 
 
 @dataclass(frozen=True, eq=False)

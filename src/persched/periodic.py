@@ -13,15 +13,15 @@ recursion run backwards in time on the transposed factors with noise I
 (Bittanti & Colaneri, *Periodic Systems*, 2009, ch. 3), whose monodromy is
 the covariance loop's transposed, so _gradient_cycles stacks the two loops.
 
-A schedule's gains come from the K coupled Riccati recursions it masks. The
-map of one period is a single (E, G, H) triple, whose fixed point the
-structure-preserving doubling algorithm reaches in a few squarings (Chu,
-Fan, Lin & Wang, *Int. J. Control* 77(8), 2004; Hench & Laub, *IEEE TAC*
-39(6), 1994). One rule, _compose, builds that triple from the K step
-triples and squares it in the doubling. One pass around the period from the
-fixed point gives the gains and their covariance cycle, the Riccati cycle,
-so scoring a schedule takes no Lyapunov solve. Both paths judge stability
-by one radius test, _stable_loops, the package's only stability verdict.
+A schedule's gains come from the K coupled Riccati recursions it masks. One
+masked step, _riccati_step, serves two passes around the period. The first
+folds the K steps by rank-M updates into one (E, G, H) triple, the period
+map, whose fixed point the structure-preserving doubling algorithm reaches
+by squaring it (Chu, Fan, Lin & Wang, *Int. J. Control* 77(8), 2004; Hench &
+Laub, *IEEE TAC* 39(6), 1994). The second, from the fixed point, gives the
+gains and their covariance cycle, the Riccati cycle, so scoring a schedule
+takes no Lyapunov solve. Both paths judge stability by one radius test,
+_stable_loops, the package's only stability verdict.
 The lifted (block-cyclic) reformulation, which solves the same problems on
 KN x KN operands, and the plain recursions iterated to a fixed point serve
 as cross-checks in tests/reference.py; the detectability gate builds the
@@ -30,7 +30,6 @@ two lifts it needs in place.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -284,20 +283,20 @@ def _detectability_gate(sys: SystemModel, K: int):
 
 def _riccati_step(sys: SystemModel, p: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple:
     """One masked Riccati update of (T, N, N) covariances; returns (T, N, M)
-    gains and the next covariances. ``c`` and ``r`` are the step's pre-masked
-    operands from _masked_operands: with D the mask's 0/1 diagonal, c = D C
-    and r = D R D + (I - D). So the innovation c P c^T + r = D (C P C^T + R) D
-    + (I - D) keeps each active block exact under correlated measurement
-    noise, and the cross term A P c^T = A P C^T D has zero inactive columns,
-    as have the gains up to the sign of zero. One batched inverse of the
-    innovation gives the gains."""
+    gains, the next covariances and the (T, M, M) inverse innovations. ``c``
+    and ``r`` are the step's pre-masked operands from _masked_operands: with D
+    the mask's 0/1 diagonal, c = D C and r = D R D + (I - D). So the innovation
+    c P c^T + r = D (C P C^T + R) D + (I - D) keeps each active block exact
+    under correlated measurement noise, and the cross term A P c^T = A P C^T D
+    has zero inactive columns, as have the gains up to the sign of zero."""
     ap = sys.A @ p
     cross = ap @ c.transpose(0, 2, 1)
-    gain = cross @ np.linalg.inv(c @ p @ c.transpose(0, 2, 1) + r)
+    s_inv = np.linalg.inv(c @ p @ c.transpose(0, 2, 1) + r)
+    gain = cross @ s_inv
     p_next = ap @ sys.A.T
     p_next += sys.q_eff
     p_next -= gain @ cross.transpose(0, 2, 1)
-    return gain, symmetrize(p_next)
+    return gain, symmetrize(p_next), s_inv
 
 
 def _masked_operands(sys: SystemModel, active: np.ndarray) -> tuple:
@@ -308,35 +307,24 @@ def _masked_operands(sys: SystemModel, active: np.ndarray) -> tuple:
     return c, np.where(pair, sys.R, np.eye(sys.n_sensors))
 
 
-def _compose(first: tuple, then: tuple) -> tuple:
-    """The (E, G, H) triple of the map ``then`` applied after ``first``, each
-    a triple of (T, N, N) stacks, or of N x N matrices that broadcast against
-    them, acting as X -> H + E^T X (I + G X)^-1 E. With
-    W = (I + G_2 H_1)^-1, one batched inverse, which G_2, H_1 >= 0 keep
-    invertible, it is (E_1 W E_2, G_1 + E_1 W G_2 E_1^T, H_2 + E_2^T H_1 W E_2)."""
-    (e1, g1, h1), (e2, g2, h2) = first, then
-    w = np.linalg.inv(np.eye(h1.shape[-1]) + g2 @ h1)
-    e1w = e1 @ w
-    g = symmetrize(g1 + e1w @ g2 @ e1.swapaxes(-1, -2))
-    h = symmetrize(h2 + e2.swapaxes(-1, -2) @ h1 @ w @ e2)
-    return e1w @ e2, g, h
-
-
 def _period_map(sys: SystemModel, c: np.ndarray, r: np.ndarray) -> tuple:
     """The map P_0 -> P_K of the masked Riccati steps of a (T, K, M, N) and
     (T, K, M, M) stack of _masked_operands, as one (E, G, H) triple of
     (T, N, N) stacks acting as X -> H + E^T X (I + G X)^-1 E.
 
-    In information form step k is the triple (A^T, G_k, B Q B^T), with
-    G_k = c_k^T r_k^-1 c_k, since the step maps P to B Q B^T + A P (I + G_k
-    P)^-1 A^T. The K step triples fold by _compose, each G_k made as its
-    step comes."""
-    info = (
-        c[:, k].transpose(0, 2, 1) @ np.linalg.solve(r[:, k], c[:, k]) for k in range(c.shape[1])
-    )
-    g = next(info)
-    first = (np.broadcast_to(sys.A.T, g.shape), g, np.broadcast_to(sys.q_eff, g.shape))
-    return functools.reduce(_compose, ((sys.A.T, g_k, sys.q_eff) for g_k in info), first)
+    From the identity (I, 0, 0), step k appends the information-form triple
+    (A^T, c_k^T r_k^-1 c_k, B Q B^T). With U = E c_k^T and _riccati_step's
+    gain and inverse innovation S_k^-1 on H, that makes (E A^T - U gain^T,
+    G + U S_k^-1 U^T, the Riccati step of H), exact by Woodbury, which gives
+    W c_k^T = c_k^T S_k^-1 r_k for W = (I + c_k^T r_k^-1 c_k H)^-1: rank-M
+    updates that invert M x M matrices only."""
+    e, g, h = np.eye(sys.n_states), 0.0, np.zeros((len(c), *sys.A.shape))
+    for k in range(c.shape[1]):
+        u = e @ c[:, k].transpose(0, 2, 1)
+        gain, h, s_inv = _riccati_step(sys, h, c[:, k], r[:, k])
+        e = e @ sys.A.T - u @ gain.transpose(0, 2, 1)
+        g = symmetrize(g + u @ s_inv @ u.transpose(0, 2, 1))
+    return e, g, h
 
 
 def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
@@ -345,16 +333,20 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
     X = H + E^T X (I + G X)^-1 E.
 
     The structure-preserving doubling algorithm (Chu, Fan, Lin & Wang,
-    Int. J. Control 77(8), 2004) squares the triple, _compose of it after
-    itself. After j doublings H is the map applied 2^j times to 0, so the
-    error falls quadratically.
+    Int. J. Control 77(8), 2004) squares the triple: with W = (I + G H)^-1,
+    one batched inverse, which G, H >= 0 keep invertible, the map applied
+    twice is (E W E, G + E W G E^T, H + E^T H W E). After j doublings H is
+    the map applied 2^j times to 0, so the error falls quadratically.
     Each slice stops at its first doubling with ||dH|| <= _RICCATI_TOL ||H||
     (Frobenius norms, no absolute floor, so the test is the same at every
     scale of H), and a slice whose H is not finite has diverged and leaves
     unsettled at once."""
     settled_h, settled, live = np.empty(h.shape), np.zeros(len(h), dtype=bool), np.arange(len(h))
     for _ in range(_RICCATI_MAX_DOUBLINGS):
-        e, g, h_next = _compose((e, g, h), (e, g, h))
+        w = np.linalg.inv(np.eye(h.shape[-1]) + g @ h)
+        ew, e_t = e @ w, e.swapaxes(-1, -2)
+        h_next = symmetrize(h + e_t @ h @ w @ e)
+        e, g = ew @ e, symmetrize(g + ew @ g @ e_t)
         # Both norms are taken at H's _unit_shift, an exact power of two, so
         # neither overflows nor underflows while H is finite.
         shift = _unit_shift(h_next)
@@ -379,10 +371,11 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     radius test, and for the latter the (S, K, N, M) gains, whose inactive
     columns are +0.0, and the read-only (S, K, N, N) Riccati cycles.
 
-    One pass of K _riccati_steps from the fixed point P_0 gives the gains,
-    the cycle P_0, ..., P_{K-1} and the closed-loop monodromy. At the gains
-    of the Riccati recursion the covariance recursion of _limit_cycles is
-    the same recursion, so the Riccati cycle is the gains' covariance cycle.
+    After the period map's K _riccati_steps, K more from the fixed point P_0
+    give the gains, the cycle P_0, ..., P_{K-1} and the closed-loop
+    monodromy. At the gains of the Riccati recursion the covariance recursion
+    of _limit_cycles is the same recursion, so the Riccati cycle is the
+    gains' covariance cycle.
 
     The masked operands are built once for the stack, T K M (N + M) floats:
     for a chunk of evaluate_schedules, at most _CHUNK_FLOATS K M (N + M) / N^2,
@@ -397,7 +390,7 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     pi = np.eye(n)
     for k in range(K):
         cycles[:, k] = p
-        gains[:, k], p = _riccati_step(sys, p, c[settled, k], r[settled, k])
+        gains[:, k], p, _ = _riccati_step(sys, p, c[settled, k], r[settled, k])
         pi = _closed_loop(sys, gains[:, k]) @ pi
     gains.swapaxes(-1, -2)[~active[settled]] = 0.0
     stable = _stable_loops(pi)[1]

@@ -79,6 +79,26 @@ class TestExhaustiveSearch:
         with pytest.raises(InputError, match="not an integer"):
             ps.random_baseline(sys, K=2, eta=(1, 1.5), total_activations=1, trials=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ({"total_activations": 1.5}, "total_activations = 1.5 is not an integer"),
+            ({"total_activations": True}, "total_activations = True is not an integer"),
+            ({"K": 2.5}, "K = 2.5 is not an integer"),
+            ({"K": True}, "K = True is not an integer"),
+        ],
+    )
+    def test_invalid_counts_rejected(self, rng, args, match):
+        sys = random_stable_system(rng, 3, 2)
+        with pytest.raises(InputError, match=match):
+            ps.exhaustive_search(sys, **{"K": 2, "eta": 1, **args})
+
+    def test_integral_float_counts_accepted(self, rng):
+        sys = random_stable_system(rng, 3, 2)
+        a = ps.exhaustive_search(sys, K=2.0, eta=1, total_activations=np.int64(2))
+        b = ps.exhaustive_search(sys, K=2, eta=1, total_activations=2)
+        assert a == b
+
     def test_matches_manual_enumeration(self, rng):
         sys = random_stable_system(rng, 3, 2)
         result = ps.exhaustive_search(sys, K=2, eta=1)
@@ -286,6 +306,30 @@ class TestRandomBaseline:
         sys = random_stable_system(rng, 2, 1)
         with pytest.raises(InputError, match="trials"):
             ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ({"total_activations": 1.5}, "total_activations = 1.5 is not an integer"),
+            ({"total_activations": True}, "total_activations = True is not an integer"),
+            ({"trials": 2.5}, "trials = 2.5 is not an integer"),
+            ({"trials": True}, "trials = True is not an integer"),
+            ({"K": 1.5}, "K = 1.5 is not an integer"),
+            ({"K": True}, "K = True is not an integer"),
+            ({"K": 0, "eta": 0, "total_activations": 0}, "period must be at least 1"),
+        ],
+    )
+    def test_invalid_counts_rejected(self, rng, args, match):
+        sys = random_stable_system(rng, 2, 1)
+        kwargs = {"K": 2, "eta": 1, "total_activations": 1, "trials": 5, "seed": 0}
+        with pytest.raises(InputError, match=match):
+            ps.random_baseline(sys, **{**kwargs, **args})
+
+    def test_integral_float_counts_accepted(self, rng):
+        sys = random_stable_system(rng, 2, 1)
+        a = ps.random_baseline(sys, K=2.0, eta=1, total_activations=1.0, trials=np.int64(4), seed=0)
+        b = ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=4, seed=0)
+        assert a == b
 
     def test_negative_seed_rejected(self, rng):
         sys = random_stable_system(rng, 2, 1)

@@ -764,7 +764,8 @@ class TestPeriodicDoubling:
         x = random_psd(rng, len(masks), n)
         mapped = h + e.transpose(0, 2, 1) @ x @ np.linalg.solve(np.eye(n) + g @ x, e)
         stepped = riccati_steps(sys, x, c, r)[-1]
-        # G = c^T r^-1 c carries the roundoff of r's inverse, at most cond(R).
+        # Each step's G and E updates carry the roundoff of the innovation
+        # S_k = c_k H c_k^T + r_k's inverse, whose conditioning cond(R) bounds.
         rtol = 1e3 * np.linalg.cond(sys.R) * np.finfo(float).eps
         scale = np.linalg.norm(stepped, axis=(1, 2))
         assert (np.linalg.norm(mapped - stepped, axis=(1, 2)) <= rtol * scale).all()
@@ -788,6 +789,27 @@ class TestPeriodicDoubling:
         rtol = 1e3 * np.linalg.cond(sys.R) * np.finfo(float).eps
         scale = np.linalg.norm(p, axis=(1, 2))
         assert (np.linalg.norm(back - p, axis=(1, 2)) <= rtol * scale).all()
+
+    def test_period_map_inverts_only_m_by_m_innovations(self, monkeypatch):
+        # The K steps fold by rank-M updates from each step's M x M inverse
+        # innovation: on the benchmark plant (N = 25, M = 10) no inverse or
+        # solve the period map makes has an N-wide operand.
+        sys = ps.benchmark_system()
+        masks = random_masks(np.random.default_rng(4), chunk_length(sys.n_states), 10, 10)
+        c, r = periodic._masked_operands(sys, masks == 1)
+        widths = []
+
+        def recorded(fn):
+            def call(*operands):
+                widths.extend(np.shape(x)[-1] for x in operands)
+                return fn(*operands)
+
+            return call
+
+        for name in ("inv", "solve"):
+            monkeypatch.setattr(periodic.np.linalg, name, recorded(getattr(np.linalg, name)))
+        periodic._period_map(sys, c, r)
+        assert widths and set(widths) == {sys.n_sensors}
 
     def test_diverging_doubling_stops_at_its_first_nonfinite_h(self, monkeypatch):
         # The empty schedule leaves the mode at 1.2 unobserved. After d
