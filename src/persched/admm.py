@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lstep
 from .exceptions import InputError, PerschedError
-from .gstep import GStepProblem, g_step, normalize_eta
+from .gstep import GStepProblem, _integral, g_step, normalize_eta
 from .model import SystemModel
 from .periodic import (
     Schedule,
@@ -188,9 +188,11 @@ def default_init_schedule(sys: SystemModel, K: int, eta) -> Schedule:
     Sensor m is activated at times (m + floor(j K / eta_m)) mod K for
     j = 0..eta_m-1: each sensor gets exactly eta_m evenly spread
     activations, with starting offsets staggered across sensors so steps
-    are covered as uniformly as possible. Raises when the request is all
-    zero or the resulting schedule would leave an unstable mode unobserved.
+    are covered as uniformly as possible. K must be an integer, not a
+    boolean. Raises when the request is all zero or the resulting schedule
+    would leave an unstable mode unobserved.
     """
+    K = _integral(K, "K")
     bounds = normalize_eta(eta, sys.n_sensors, K)
     if sum(bounds) < 1:
         raise InputError("at least one activation is required")

@@ -252,11 +252,11 @@ def random_baseline(
     Draws ``trials`` schedules uniformly among the masks that satisfy the
     per-sensor bounds and have exactly ``total_activations`` activations,
     scores them with evaluate_schedules, and returns the statistics in draw
-    order. Fully determined by ``seed``, a nonnegative integer. K, ``trials``
-    and ``total_activations`` must be integers, not booleans. Raises
+    order. Fully determined by ``seed``, a nonnegative integer. K, ``trials``,
+    ``total_activations`` and ``seed`` must be integers, not booleans. Raises
     InitializationError when a drawn schedule leaves the estimator invalid.
     """
-    K, trials = _integral(K, "K"), _integral(trials, "trials")
+    K, trials, seed = _integral(K, "K"), _integral(trials, "trials"), _integral(seed, "seed")
     total_activations = _integral(total_activations, "total_activations")
     if trials < 1:
         raise InputError("trials must be at least 1")

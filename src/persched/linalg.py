@@ -142,10 +142,10 @@ def matrix_exponential(x) -> np.ndarray:
     return result
 
 
-def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _smith_doubling(fm: np.ndarray, wm: np.ndarray) -> np.ndarray:
     """Solve the discrete Lyapunov equations X = F X F^T + W of (T, n, n)
-    stacks F and symmetric W, whose spectral radii ``rho`` (named in the
-    error message) the caller has already tested to be below 1 - _UNIT_MARGIN.
+    stacks F and symmetric W, each F judged stable by the caller,
+    periodic._stable_loops, which may clear it by a norm bound on its radius.
 
     Smith doubling: X <- X + G X G^T, G <- G^2 from X = W, G = F, each slice
     with its own stopping point. Each W slice is solved at its _unit_shift,
@@ -181,9 +181,7 @@ def _smith_doubling(fm: np.ndarray, wm: np.ndarray, rho: np.ndarray) -> np.ndarr
     excess = np.where(np.isfinite(scale), residual / np.maximum(1.0, scale), np.nan)
     worst = int(np.argmax(excess))
     if not excess[worst] <= 1e-9:
-        raise ConvergenceError(
-            f"Lyapunov residual {residual[worst]:.3g} exceeds contract for radius {rho[worst]:.6g}"
-        )
+        raise ConvergenceError(f"Lyapunov residual {residual[worst]:.3g} exceeds contract")
     with np.errstate(over="ignore"):
         x = np.ldexp(x, -shift)
     if not np.isfinite(x).all():

@@ -21,7 +21,8 @@ by squaring it (Chu, Fan, Lin & Wang, *Int. J. Control* 77(8), 2004; Hench &
 Laub, *IEEE TAC* 39(6), 1994). The second, from the fixed point, gives the
 gains and their covariance cycle, the Riccati cycle, so scoring a schedule
 takes no Lyapunov solve. Both paths judge stability by one radius test,
-_stable_loops, the package's only stability verdict.
+_stable_loops, the package's only stability verdict, which takes an
+eigensolve only for a monodromy its Frobenius norm does not clear.
 The lifted (block-cyclic) reformulation, which solves the same problems on
 KN x KN operands, and the plain recursions iterated to a fixed point serve
 as cross-checks in tests/reference.py; the detectability gate builds the
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
-from .linalg import _UNIT_MARGIN, _smith_doubling, _stack, _unit_shift, symmetrize
+from .linalg import _UNIT_MARGIN, _smith_doubling, _squared_norms, _stack, _unit_shift, symmetrize
 from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
@@ -166,10 +167,20 @@ def _loop(sys: SystemModel, gains: np.ndarray) -> tuple:
 
 
 def _stable_loops(pi: np.ndarray) -> tuple:
-    """The (T,) spectral radii of a (T, N, N) monodromy stack and the indices
-    of the loops whose radius is below 1 - _UNIT_MARGIN, the PBH gate's
-    margin: the package's one stability verdict."""
-    rho = np.abs(np.linalg.eigvals(pi)).max(axis=1)
+    """The (T,) spectral radii of a (T, N, N) monodromy stack, or bounds on
+    them, and the indices of the loops whose radius is below 1 - _UNIT_MARGIN,
+    the PBH gate's margin: the package's one stability verdict. A loop whose
+    Frobenius norm is below that bar is stable, rho <= ||Pi||_2 <= ||Pi||_F
+    (Horn & Johnson, Matrix Analysis, 2nd ed., Thm 5.6.9), and its norm
+    stands for its radius; only the others take the batched eigensolve, so an
+    unstable loop's radius is exact. The norm is taken at Pi's _unit_shift s
+    and scaled back only for s > 0, so it cannot overflow: no loop with an
+    entry of magnitude 1 or more clears."""
+    shift = _unit_shift(pi)
+    rho = np.ldexp(np.sqrt(_squared_norms(np.ldexp(pi, shift))), -np.maximum(shift[:, 0, 0], 0))
+    todo = np.flatnonzero(~(rho < 1.0 - _UNIT_MARGIN))  # a NaN norm goes on to eigvals too
+    if todo.size:
+        rho[todo] = np.abs(np.linalg.eigvals(pi[todo])).max(axis=1)
     return rho, np.flatnonzero(rho < 1.0 - _UNIT_MARGIN)
 
 
@@ -177,9 +188,10 @@ def _limit_cycles(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The limit cycles X_{k+1} = F_k X_k F_k^T + W_k, X_K = X_0, of T loops
     whose monodromies Pi = F_{K-1} ... F_0 share one spectrum, from the
     (K, T, N, N) stacks f of factors F_k and w of noises W_k. One radius
-    test, on the first loop's monodromy, judges them all: unless its
-    spectral radius is below 1 - _UNIT_MARGIN, the PBH gate's margin,
-    InstabilityError names it. Then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k
+    test, _stable_loops on the first loop's monodromy, its Frobenius norm
+    first, judges them all: unless its spectral radius is below
+    1 - _UNIT_MARGIN, the PBH gate's margin, InstabilityError names the
+    radius, exact as no unstable loop clears the norm. Then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k
     Psi_k^T, Psi_k = F_{K-1} ... F_{k+1}, for every loop in one stacked
     Smith doubling, and one stacked propagation gives the rest. Returns the
     read-only (T, K, N, N) cycles. Every slice leaves through symmetrize, so
@@ -193,7 +205,7 @@ def _limit_cycles(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     if not stable.size:
         raise InstabilityError(f"monodromy spectral radius {rho[0]:.12g} >= 1 - {_UNIT_MARGIN:g}")
     cycles = np.empty((len(pi), K, n, n))
-    cycles[:, 0] = _smith_doubling(pi, symmetrize(w_acc), rho.repeat(len(pi)))
+    cycles[:, 0] = _smith_doubling(pi, symmetrize(w_acc))
     for k in range(K - 1):
         cycles[:, k + 1] = symmetrize(f[k] @ cycles[:, k] @ f[k].transpose(0, 2, 1) + w[k])
     cycles.setflags(write=False)
@@ -368,8 +380,9 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     (T, K, M) boolean stack. Returns the indices of the schedules whose
     doubled fixed point settles (_doubled_fixed_point of _period_map), the
     indices of those among them whose closed loop passes _stable_loops'
-    radius test, and for the latter the (S, K, N, M) gains, whose inactive
-    columns are +0.0, and the read-only (S, K, N, N) Riccati cycles.
+    radius test (by its Frobenius norm alone, for a well-damped loop), and
+    for the latter the (S, K, N, M) gains, whose inactive columns are +0.0,
+    and the read-only (S, K, N, N) Riccati cycles.
 
     After the period map's K _riccati_steps, K more from the fixed point P_0
     give the gains, the cycle P_0, ..., P_{K-1} and the closed-loop

@@ -61,6 +61,17 @@ class TestDefaultInitSchedule:
         with pytest.raises(InputError, match="eta"):
             ps.default_init_schedule(sys, K=3, eta=(1, 1, 1))
 
+    @pytest.mark.parametrize("K", [2.5, True, "3"])
+    def test_non_integer_period_rejected(self, K):
+        with pytest.raises(InputError, match=f"K = {K} is not an integer"):
+            ps.default_init_schedule(ps.benchmark_system(), K, 1)
+
+    def test_integral_period_accepted(self, rng):
+        sys = random_stable_system(rng, 3, 2)
+        expected = ps.default_init_schedule(sys, K=4, eta=2)
+        for K in (4.0, np.int64(4)):
+            assert ps.default_init_schedule(sys, K=K, eta=2) == expected
+
 
 class TestAdmmConfig:
     def test_eta_broadcast(self):

@@ -336,6 +336,19 @@ class TestRandomBaseline:
         with pytest.raises(InputError, match="seed must be nonnegative"):
             ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=5, seed=-1)
 
+    @pytest.mark.parametrize("seed", [True, False, 2.5, "7"])
+    def test_non_integer_seed_rejected(self, rng, seed):
+        sys = random_stable_system(rng, 2, 1)
+        with pytest.raises(InputError, match=f"seed = {seed} is not an integer"):
+            ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=5, seed=seed)
+
+    def test_integral_seed_accepted(self, rng):
+        sys = random_stable_system(rng, 3, 2)
+        kwargs = {"K": 3, "eta": 2, "total_activations": 3, "trials": 20}
+        expected = ps.random_baseline(sys, **kwargs, seed=7)
+        for seed in (np.int64(7), 7.0):
+            assert ps.random_baseline(sys, **kwargs, seed=seed) == expected
+
     def test_statistics_consistent(self, rng):
         sys = random_stable_system(rng, 3, 2)
         result = ps.random_baseline(sys, K=3, eta=2, total_activations=2, trials=30, seed=9)

@@ -278,15 +278,27 @@ class TestStabilityVerdict:
 
     def test_one_eigenvalue_call_per_cycle(self, monkeypatch):
         # The plant's solve rejects destabilizing trial points; each is judged
-        # by the spectrum the cycles compute anyway, and the value loop, whose
-        # monodromy is the covariance loop's transposed, takes no spectrum.
+        # by the monodromy Pi the cycles compute anyway. A loop with
+        # ||Pi||_F < 1 - 1e-9 is cleared by the norm; each other cycle call,
+        # and so every destabilizing one, takes one spectrum. The value loop,
+        # whose monodromy is the covariance loop's transposed, takes none.
         prob, init = unstable_problem(3, 5, 5, 3, 1.1)
-        counts = Counter()
+        counts, norms = Counter(), []
+        stable_loops = periodic._stable_loops
+
+        def recording(pi):
+            norms.append(np.linalg.norm(pi, axis=(1, 2)))
+            return stable_loops(pi)
+
         count_calls(monkeypatch, lstep, "_gradient_cycles", counts)
+        monkeypatch.setattr(periodic, "_stable_loops", recording)
         count_calls(monkeypatch, np.linalg, "eigvals", counts)
         lstep.solve(prob, init, tol=1e-8)
+        assert [len(n) for n in norms] == [1] * counts["_gradient_cycles"]
+        uncleared = sum(int(n[0] >= 1.0 - 1e-9) for n in norms)
         assert counts["_gradient_cycles unstable"] > 0
-        assert counts["eigvals"] == counts["_gradient_cycles"]
+        assert counts["eigvals"] == uncleared >= counts["_gradient_cycles unstable"]
+        assert counts["eigvals"] < counts["_gradient_cycles"]
 
     def test_start_in_the_margin_band_rejected(self):
         # A start whose monodromy spectral radius lies in [1 - 1e-9, 1).
@@ -315,16 +327,16 @@ class TestStabilityVerdict:
 
     def test_benchmark_solve_takes_one_spectrum_per_gradient_cycles_call(self, monkeypatch):
         # One call per solve start (6), per Armijo trial (40) and per jump
-        # (2); the 7 others are evaluate_schedule's. With separate covariance
-        # and value cycles the same run made 81 cycle calls (46 + 35) and 88
-        # eigvals calls.
+        # (2). The norm certificate clears every closed loop of the run, the
+        # cycles' and evaluate_schedule's, so the 4 eigvals calls left are the
+        # detectability gate's spectra of A (model._unit_circle_eigenvalues).
         exp = ps.load_experiment(BENCHMARK_CONFIG)
         counts = Counter()
         for owner in (lstep, admm):
             count_calls(monkeypatch, owner, "_gradient_cycles", counts)
         count_calls(monkeypatch, np.linalg, "eigvals", counts)
         ps.run(exp.system, exp.admm)
-        assert (counts["_gradient_cycles"], counts["eigvals"]) == (48, 55)
+        assert (counts["_gradient_cycles"], counts["eigvals"]) == (48, 4)
 
 
 class TestOneEntry:

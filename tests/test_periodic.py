@@ -1,6 +1,7 @@
 """Periodic machinery: limit cycles, schedules, fixed-schedule gains."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -295,19 +296,32 @@ class TestValueCycle:
             assert np.linalg.eigvalsh(v - np.eye(4)).min() > -1e-10
 
 
-def monodromy_radius(sys, gains):
-    """Spectral radius of F_{K-1} ... F_0, the product of the closed-loop factors."""
-    monodromy = np.eye(sys.n_states)
+def monodromy(sys, gains):
+    """F_{K-1} ... F_0, the product of the closed-loop factors."""
+    pi = np.eye(sys.n_states)
     for factor in reference.closed_loop(sys, gains):
-        monodromy = factor @ monodromy
-    return spectral_radius(monodromy)
+        pi = factor @ pi
+    return pi
+
+
+def monodromy_radius(sys, gains):
+    """Spectral radius of the closed-loop monodromy."""
+    return spectral_radius(monodromy(sys, gains))
 
 
 class TestMonodromy:
     def test_default_cycles_compute_eigenvalues_once(self, rng, monkeypatch):
-        # The kernel's radius test on the monodromy is the cycle's only one.
+        # The kernel's radius test on the monodromy is the cycle's only one,
+        # and it takes a spectrum only for a loop its norm certificate,
+        # ||Pi||_F < 1 - 1e-9, cannot clear: the first gains are cleared,
+        # the second, with the same spectrum and a large ||Pi||_F, are not.
         sys = random_stable_system(rng, 4, 2)
         gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
+        skew, unskew = np.diag([1e3, 1.0, 1.0, 1.0]), np.diag([1e-3, 1.0, 1.0, 1.0])
+        skewed = SystemModel(
+            A=skew @ sys.A @ unskew, B=skew @ sys.B, C=sys.C @ unskew, Q=sys.Q, R=sys.R
+        )
+        cases = ((sys, gains, []), (skewed, skew @ gains, ["eigvals"]))
         calls = []
 
         def counting(fn):
@@ -317,12 +331,16 @@ class TestMonodromy:
 
             return wrapper
 
+        for plant, loop_gains, expected in cases:
+            norm = np.linalg.norm(monodromy(plant, loop_gains))
+            assert (norm >= 1.0 - 1e-9) == bool(expected)
         for name in ("eig", "eigvals", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-        for cycle_fn in (ps.covariance_limit_cycle, value_next):
-            calls.clear()
-            cycle_fn(sys, gains)
-            assert calls == ["eigvals"]
+        for plant, loop_gains, expected in cases:
+            for cycle_fn in (ps.covariance_limit_cycle, value_next):
+                calls.clear()
+                cycle_fn(plant, loop_gains)
+                assert calls == expected
 
     def test_stability_margin(self, rng):
         # Stable exactly when the monodromy spectral radius is below 1 - 1e-9,
@@ -729,6 +747,76 @@ class TestMaskedRiccatiProperties:
                 continue
             inactive = gains.transpose(0, 2, 1)[mask == 0]
             assert (inactive == 0.0).all() and not np.signbit(inactive).any()
+
+
+class TestStableLoops:
+    """_stable_loops' norm certificate, rho(Pi) <= ||Pi||_F, lets a loop skip
+    the eigensolve only when it proves the loop stable: its verdicts are the
+    radius rule's, and the eigensolve sees exactly the loops it cannot clear."""
+
+    @staticmethod
+    def assert_radius_rule(monkeypatch, pi):
+        seen, eigvals = [], np.linalg.eigvals
+        expected = np.flatnonzero(np.abs(eigvals(pi)).max(1) < 1 - 1e-9)
+        with np.errstate(over="ignore"):  # an infinite norm does not clear
+            uncleared = np.array([x for x in pi if not np.linalg.norm(x) < 1 - 1e-9])
+
+        def recording(x):
+            seen.extend(x)
+            return eigvals(x)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, stable = periodic._stable_loops(pi)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        np.testing.assert_array_equal(stable, expected)
+        shape = (-1, *pi.shape[1:])
+        np.testing.assert_array_equal(np.reshape(seen, shape), np.reshape(uncleared, shape))
+        return rho
+
+    @hard_case
+    def test_hard_case_monodromies(self, seed, n, m, K, cond_r, unstable):
+        # The Riccati loops of a hard_case draw, each also scaled to
+        # ||Pi||_F = 0.5 (cleared) and to radius 1.1 (unstable, not cleared),
+        # and the open loop A^K.
+        rng = np.random.default_rng(seed)
+        sys = hard_plant(rng, n, m, cond_r, unstable)
+        loops = [np.linalg.matrix_power(sys.A, K)]
+        for mask in hard_masks(rng, K, m):
+            try:
+                pi = monodromy(sys, ps.evaluate_schedule(sys, Schedule(mask)).gains)
+            except InitializationError:
+                continue
+            loops += [pi, 0.5 * pi / np.linalg.norm(pi)]
+            if spectral_radius(pi) > 0.0:
+                loops.append(1.1 * pi / spectral_radius(pi))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_radius_rule(monkeypatch, np.stack(loops))
+
+    def test_corner_loops(self, monkeypatch):
+        # Cleared: 0, tiny, 0.3 I. Not cleared: a non-normal stable loop with
+        # rho = 0.5 and ||Pi||_F about 10.02, a radius in the margin band
+        # [1 - 1e-9, 1), a radius of 1.1, entries near 1e200 whose squared
+        # norm would overflow, one loop stable and one not, and a loop whose
+        # Frobenius norm itself lies past the float range.
+        pi = np.stack(
+            [
+                np.zeros((2, 2)),
+                1e-320 * np.eye(2),
+                0.3 * np.eye(2),
+                [[0.5, 10.0], [0.0, 0.5]],
+                np.diag([1.0 - 5e-10, 0.0]),
+                np.diag([1.1, 0.2]),
+                [[0.5, 1e200], [0.0, 0.5]],
+                [[1e200, 0.0], [0.0, 0.5]],
+                [[1.5e308, 1.5e308], [0.0, 0.5]],
+            ]
+        )
+        assert np.linalg.norm(pi[3]) == pytest.approx(10.02, abs=0.005)
+        rho = self.assert_radius_rule(monkeypatch, pi)
+        np.testing.assert_allclose(rho[3:], [0.5, 1 - 5e-10, 1.1, 0.5, 1e200, 1.5e308], rtol=1e-12)
+        assert 0.0 <= rho[1] < 1e-300 and rho[2] == pytest.approx(0.3 * np.sqrt(2.0))
 
 
 def period_triple(sys, masks):
