@@ -212,7 +212,8 @@ class AdmmDriver:
     the split variables are the (K, N, M) arrays ``L`` (read-only), ``G``
     and ``Lam``, and ``iteration`` counts the steps taken.
     Each step binds new objects to them, so references read earlier keep
-    their values.
+    their values. The next gain solve starts from L with the cycles the
+    last solve or kept jump computed for it, unless L was rebound since.
     """
 
     def __init__(self, sys: SystemModel, cfg: AdmmConfig):
@@ -228,6 +229,7 @@ class AdmmDriver:
         to zero, and the iteration count to 0."""
         sched = default_init_schedule(self.sys, self.cfg.period, self.eta)
         self.L = evaluate_schedule(self.sys, sched).gains
+        self._carried = (None, None)  # gains and their _gradient_cycles
         shape = self.L.shape
         self.G = np.zeros(shape)
         self.Lam = np.zeros(shape)
@@ -264,7 +266,8 @@ class AdmmDriver:
         identification (Liang, Fadili & Peyre, JOTA 172, 2017), accepted
         only when it checks, as in OSQP's polishing. Whatever the outcome,
         ``_fixed`` keeps the support's evaluation (None when it raised) for
-        the polish.
+        the polish, and a kept jump passes the gains' cycles to the next
+        gain solve.
         """
         cfg = self.cfg
         self._fixed[support] = None
@@ -272,14 +275,14 @@ class AdmmDriver:
             self._fixed[support] = fixed = evaluate_schedule(self.sys, support)
             gains = fixed.gains
             trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains), 0.0)
-            v_next = _gradient_cycles(self.sys, gains)[1]
-            lam = -lstep._gradient(trace_only, gains, fixed.cycle, v_next)
+            cycles = _gradient_cycles(self.sys, gains)
+            lam = -lstep._gradient(trace_only, gains, fixed.cycle, cycles[1])
         except PerschedError:
             return
         new_g = g_step(GStepProblem(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
         if schedule_from_gains(new_g) != support:
             return
-        self.L, self.G, self.Lam = gains, new_g, lam
+        self.L, self.G, self.Lam, self._carried = gains, new_g, lam, (gains, cycles)
         self.jump_iteration = self.iteration
         logger.debug("iteration %d: jumped to the fixed point of the support", self.iteration)
 
@@ -293,7 +296,8 @@ class AdmmDriver:
 
         u = self.G - self.Lam / rho
         prob = lstep.LStepProblem(self.sys, u, rho)
-        result = lstep.solve(prob, init=self.L, tol=self._inner_tol())
+        carried = self._carried[1] if self._carried[0] is self.L else None
+        result = lstep.solve(prob, init=self.L, tol=self._inner_tol(), cycles=carried)
         if result.line_search_failed:
             self.line_search_failed = True
         new_l = result.gains
@@ -305,7 +309,7 @@ class AdmmDriver:
         self.Lam = self.Lam + rho * (new_l - new_g)
         primal = float(sum(np.linalg.norm(new_l[k] - new_g[k]) for k in range(cfg.period)))
 
-        self.L = new_l
+        self.L, self._carried = new_l, (new_l, result.cycles)
         self.G = new_g
         self.iteration += 1
         self._last_primal = primal

@@ -111,11 +111,14 @@ def exhaustive_search(
     are the same periodic schedule started at another step, with the same J,
     so only the necklaces (masks that are their own smallest rotation) are
     generated, in lexicographic order of the row-major bit string, and scored
-    chunk by chunk with evaluate_schedules; a score counts for each mask of
-    the class, whose size is its number of distinct rotations. Masks whose
-    estimator is invalid (an unstable mode left unobserved) are skipped, ties
-    keep the lexicographically smallest mask, and BudgetError is raised up
-    front when the candidate count (masks, not classes) exceeds ``budget``.
+    chunk by chunk with evaluate_schedules. That order puts masks with equal
+    leading rows next to each other, so a chunk's period map steps each
+    distinct prefix once (periodic._period_map). A score counts for each
+    mask of the class, whose size is its number of distinct rotations.
+    Masks whose estimator is invalid (an unstable mode left unobserved) are
+    skipped, ties keep the lexicographically smallest mask, and BudgetError
+    is raised up front when the candidate count (masks, not classes) exceeds
+    ``budget``.
     K and ``total_activations`` must be integers, not booleans.
     """
     K = _integral(K, "K")

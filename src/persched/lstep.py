@@ -88,7 +88,9 @@ class LStepResult:
     Anderson-Moore direction, which stays negative away from stationarity.
     ``armijo_trials`` counts the trial points the line search scored (one
     _gradient_cycles call each), accepted or rejected. ``gains`` is a
-    read-only (K, N, M) array.
+    read-only (K, N, M) array and ``cycles`` its read-only covariance and
+    value cycles from periodic._gradient_cycles, which a solve that starts
+    from ``gains`` can take as its start's.
     """
 
     gains: np.ndarray
@@ -101,6 +103,7 @@ class LStepResult:
     phi_history: tuple
     descent_history: tuple
     armijo_trials: int
+    cycles: tuple
 
 
 def _check_compatible(prob: LStepProblem, gains) -> np.ndarray:
@@ -189,7 +192,7 @@ def _armijo(
     return trials, None
 
 
-def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
+def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LStepResult:
     """Run the gain solver from a stabilizing start.
 
     Each iteration takes both cycles of the current gains from the start or
@@ -200,16 +203,20 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
     set instead of raising. The iteration cap (``_MAX_ITERS``) and the line
     search's constants (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``) are fixed.
     A writeable ``init`` is copied, so the result never shares the caller's
-    array.
+    array. ``cycles``, when given, are periodic._gradient_cycles of ``init``,
+    such as the ``cycles`` of the result that returned it; they stand for
+    the start's own and its stability check.
     """
     gains = _check_compatible(prob, init)
     if gains.flags.writeable:
         gains = gains.copy()
         gains.setflags(write=False)
-    try:
-        cycle, v_next = _gradient_cycles(prob.sys, gains)
-    except InstabilityError as exc:
-        raise InstabilityError("initial gains do not stabilize the closed loop") from exc
+    if cycles is None:
+        try:
+            cycles = _gradient_cycles(prob.sys, gains)
+        except InstabilityError as exc:
+            raise InstabilityError("initial gains do not stabilize the closed loop") from exc
+    cycle, v_next = cycles
 
     phi_history = []
     step_sizes = []
@@ -258,4 +265,5 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR) -> LStepResult:
         phi_history=tuple(phi_history),
         descent_history=tuple(descent_history),
         armijo_trials=armijo_trials,
+        cycles=(cycle, v_next),
     )

@@ -18,9 +18,11 @@ masked step, _riccati_step, serves two passes around the period. The first
 folds the K steps by rank-M updates into one (E, G, H) triple, the period
 map, whose fixed point the structure-preserving doubling algorithm reaches
 by squaring it (Chu, Fan, Lin & Wang, *Int. J. Control* 77(8), 2004; Hench &
-Laub, *IEEE TAC* 39(6), 1994). The second, from the fixed point, gives the
-gains and their covariance cycle, the Riccati cycle, so scoring a schedule
-takes no Lyapunov solve. Both paths judge stability by one radius test,
+Laub, *IEEE TAC* 39(6), 1994). Schedules of a stack that agree on their
+leading rows with the schedule before them share those steps, and a J still
+does not depend on its stack-mates. The second, from the fixed point, gives
+the gains and their covariance cycle, the Riccati cycle, so scoring a
+schedule takes no Lyapunov solve. Both paths judge stability by one radius test,
 _stable_loops, the package's only stability verdict, which takes an
 eigensolve only for a monodromy its Frobenius norm does not clear.
 The lifted (block-cyclic) reformulation, which solves the same problems on
@@ -319,24 +321,48 @@ def _masked_operands(sys: SystemModel, active: np.ndarray) -> tuple:
     return c, np.where(pair, sys.R, np.eye(sys.n_sensors))
 
 
-def _period_map(sys: SystemModel, c: np.ndarray, r: np.ndarray) -> tuple:
-    """The map P_0 -> P_K of the masked Riccati steps of a (T, K, M, N) and
-    (T, K, M, M) stack of _masked_operands, as one (E, G, H) triple of
-    (T, N, N) stacks acting as X -> H + E^T X (I + G X)^-1 E.
+def _period_map(sys: SystemModel, active: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple:
+    """The map P_0 -> P_K of the masked Riccati steps of a (T, K, M) boolean
+    stack and its (T, K, M, N) and (T, K, M, M) _masked_operands, as one
+    (E, G, H) triple of (T, N, N) stacks acting as X -> H + E^T X (I + G X)^-1 E.
 
     From the identity (I, 0, 0), step k appends the information-form triple
     (A^T, c_k^T r_k^-1 c_k, B Q B^T). With U = E c_k^T and _riccati_step's
     gain and inverse innovation S_k^-1 on H, that makes (E A^T - U gain^T,
     G + U S_k^-1 U^T, the Riccati step of H), exact by Woodbury, which gives
     W c_k^T = c_k^T S_k^-1 r_k for W = (I + c_k^T r_k^-1 c_k H)^-1: rank-M
-    updates that invert M x M matrices only."""
-    e, g, h = np.eye(sys.n_states), 0.0, np.zeros((len(c), *sys.A.shape))
-    for k in range(c.shape[1]):
-        u = e @ c[:, k].transpose(0, 2, 1)
-        gain, h, s_inv = _riccati_step(sys, h, c[:, k], r[:, k])
+    updates that invert M x M matrices only.
+
+    A schedule whose rows 0..k equal the previous schedule's shares that
+    schedule's triple through step k: each step runs on the heads of the
+    runs of equal prefixes only, a head taking its parent run's triple where
+    a run splits, and plain views once every schedule heads its own run. A
+    shared triple is built by the operations the schedule gets when scored
+    alone, so the result does not depend on the other schedules of the
+    stack; a stack in lexicographic order of its rows shares the most."""
+    t_count, K = active.shape[:2]
+    # lead[t]: the first row in which schedule t differs from schedule t - 1,
+    # K for a repeat and -1 for t = 0, so t heads a run of equal rows 0..j-1
+    # exactly when lead[t] < j.
+    neq = (active[1:] != active[:-1]).any(axis=2)
+    lead = np.concatenate(([-1], np.where(neq.any(axis=1), neq.argmax(axis=1), K)))
+    last_shared = int(lead.max())
+    e, g, h, rows = np.eye(sys.n_states), 0.0, np.zeros((1, *sys.A.shape)), slice(None)
+    for k in range(K):
+        if k <= last_shared:
+            rows = np.flatnonzero(lead <= k)
+            parent = np.cumsum(lead < k)[rows] - 1
+            # Step 0 starts every run from (I, 0, 0); E and G broadcast there.
+            e, g, h = (e[parent], g[parent], h[parent]) if k else (e, g, h[parent])
+            if rows.size == t_count:
+                rows = slice(None)
+        u = e @ c[rows, k].transpose(0, 2, 1)
+        gain, h, s_inv = _riccati_step(sys, h, c[rows, k], r[rows, k])
         e = e @ sys.A.T - u @ gain.transpose(0, 2, 1)
         g = symmetrize(g + u @ s_inv @ u.transpose(0, 2, 1))
-    return e, g, h
+    if last_shared < K:
+        return e, g, h
+    return tuple(x[np.cumsum(lead < K) - 1] for x in (e, g, h))
 
 
 def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
@@ -393,12 +419,14 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     The masked operands are built once for the stack, T K M (N + M) floats:
     for a chunk of evaluate_schedules, at most _CHUNK_FLOATS K M (N + M) / N^2,
     about 0.36 MB on the 25-state benchmark plant at K = 10 and 0.34 MB on
-    the four-state line plant at K = 7. Every step keeps the full width M,
-    so a schedule's gains, and its J, do not depend on the other schedules
-    of the stack."""
+    the four-state line plant at K = 7. The period map steps a run of
+    neighbours with equal leading rows once; the doubling and the gain pass
+    take each schedule from its own triple. Every step keeps the full width
+    M, so a schedule's gains, and its J, do not depend on the other
+    schedules of the stack."""
     (_, K, m), n = active.shape, sys.n_states
     c, r = _masked_operands(sys, active)
-    settled, p = _doubled_fixed_point(*_period_map(sys, c, r))
+    settled, p = _doubled_fixed_point(*_period_map(sys, active, c, r))
     gains, cycles = np.empty((len(settled), K, n, m)), np.empty((len(settled), K, n, n))
     pi = np.eye(n)
     for k in range(K):
@@ -457,8 +485,9 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     where evaluate_schedule raises InitializationError or InstabilityError (an
     unstable mode unobserved, an unsettled Riccati doubling, an unstable closed
     loop). Chunks of chunk_length(N) schedules share one stacked period map,
-    doubling and pass around the period. A schedule's J does not depend on
-    the other schedules of the stack."""
+    doubling and pass around the period; neighbours that agree on their
+    leading rows share those steps of the period map. A schedule's J does not
+    depend on the other schedules of the stack."""
     arr = np.asarray(masks)
     if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != sys.n_sensors:
         raise DimensionError(f"masks must stack to (T, K, {sys.n_sensors}), got {arr.shape}")

@@ -183,6 +183,25 @@ class TestDriver:
         assert record.inner_iterations >= 0
         assert len(driver.trace) == 1
 
+    def test_gain_solve_takes_carried_cycles_of_its_start_only(self, rng, monkeypatch):
+        # Each solve after the first starts from L with the cycles the last
+        # solve computed for it; gains bound to L from outside get their own.
+        carried, solve = [], lstep.solve
+
+        def recording(prob, init, tol, cycles):
+            carried.append(cycles)
+            return solve(prob, init, tol, cycles)
+
+        monkeypatch.setattr(lstep, "solve", recording)
+        sys = random_stable_system(rng, 3, 2)
+        driver = AdmmDriver(sys, small_config())
+        driver.step()
+        result_cycles = driver._carried[1]
+        driver.step()
+        driver.L = driver.L.copy()
+        driver.step()
+        assert carried[0] is None and carried[1] is result_cycles and carried[2] is None
+
 
 class TestInnerTolerance:
     # The floor, lstep.TOL_FLOOR, binds once 0.1 * primal falls below it.

@@ -226,6 +226,19 @@ class TestSolve:
         fixed = anderson_moore(prob, result.gains)
         np.testing.assert_allclose(fixed, result.gains, atol=1e-6)
 
+    def test_carried_start_cycles_change_nothing(self, rng):
+        # A solve handed its start's cycles runs as one that computes them,
+        # and returns its own gains' cycles for the next solve to take.
+        sys = random_stable_system(rng, 3, 2)
+        init = riccati_start(sys, 2)
+        prob = LStepProblem(sys=sys, U=init + rng.normal(scale=0.2, size=init.shape), rho=4.0)
+        plain = lstep.solve(prob, init, tol=1e-9)
+        carried = lstep.solve(prob, init, tol=1e-9, cycles=periodic._gradient_cycles(sys, init))
+        assert plain.iterations > 0 and plain.phi_history == carried.phi_history
+        np.testing.assert_array_equal(plain.gains, carried.gains)
+        for got, own in zip(plain.cycles, periodic._gradient_cycles(sys, plain.gains)):
+            np.testing.assert_array_equal(got, own)
+
     def test_unstable_init_rejected(self):
         sys = ps.SystemModel(
             A=np.array([[0.5]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
@@ -326,9 +339,11 @@ class TestStabilityVerdict:
         assert sum(r.armijo_trials for r in results) == 40
 
     def test_benchmark_solve_takes_one_spectrum_per_gradient_cycles_call(self, monkeypatch):
-        # One call per solve start (6), per Armijo trial (40) and per jump
-        # (2). The norm certificate clears every closed loop of the run, the
-        # cycles' and evaluate_schedule's, so the 4 eigvals calls left are the
+        # One call for the first solve's start (1), per Armijo trial (40) and
+        # per jump (2): each later solve starts from the gains of the last
+        # solve or of a kept jump, with the cycles computed there. The norm
+        # certificate clears every closed loop of the run, the cycles' and
+        # evaluate_schedule's, so the 4 eigvals calls left are the
         # detectability gate's spectra of A (model._unit_circle_eigenvalues).
         exp = ps.load_experiment(BENCHMARK_CONFIG)
         counts = Counter()
@@ -336,7 +351,7 @@ class TestStabilityVerdict:
             count_calls(monkeypatch, owner, "_gradient_cycles", counts)
         count_calls(monkeypatch, np.linalg, "eigvals", counts)
         ps.run(exp.system, exp.admm)
-        assert (counts["_gradient_cycles"], counts["eigvals"]) == (48, 4)
+        assert (counts["_gradient_cycles"], counts["eigvals"]) == (43, 4)
 
 
 class TestOneEntry:

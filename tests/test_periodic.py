@@ -35,7 +35,7 @@ from tests.conftest import (
     spectral_radius,
 )
 from tests.test_admm import hidden_mode_plant
-from tests.test_baselines import scalar_unstable_system
+from tests.test_baselines import LINE4_CONFIG, scalar_unstable_system
 
 
 class TestSchedule:
@@ -728,12 +728,30 @@ class TestMaskedRiccatiProperties:
 
     @hard_case
     def test_J_ignores_companions_in_the_stack(self, seed, n, m, K, cond_r, unstable):
+        # Neighbours whose leading rows agree share those steps of the period
+        # map, so the stacks include runs of equal prefixes: sorted with
+        # duplicates, one mask repeated, and pairs that differ in the last
+        # row only. On an unstable plant the detectability gate drops
+        # schedules first, so the neighbours of a chunk are not the stack's.
         rng = np.random.default_rng(seed)
         sys = hard_plant(rng, n, m, cond_r, unstable)
         masks = hard_masks(rng, K, m)
+        flipped = masks.copy()
+        flipped[:, -1, rng.integers(m)] ^= 1
         order = np.concatenate([rng.permutation(len(masks)), rng.integers(len(masks), size=4)])
-        expected = [single_J(sys, masks[i]) for i in order]
-        np.testing.assert_array_equal(ps.evaluate_schedules(sys, masks[order]), expected)
+        duplicated = masks[order]
+        stacks = {
+            "unsorted, with duplicates": duplicated,
+            "sorted, with duplicates": duplicated[
+                np.lexsort(duplicated.reshape(len(duplicated), -1).T[::-1])
+            ],
+            "one mask repeated": np.repeat(masks[rng.integers(len(masks))][np.newaxis], 5, axis=0),
+            "pairs that differ in the last row": np.stack([masks, flipped], axis=1).reshape(-1, K, m),
+        }
+        single = {x.tobytes(): single_J(sys, x) for x in np.concatenate([masks, flipped])}
+        for name, stack in stacks.items():
+            expected = [single[x.tobytes()] for x in stack]
+            np.testing.assert_array_equal(ps.evaluate_schedules(sys, stack), expected, err_msg=name)
 
     @hard_case
     def test_inactive_gain_columns_are_positive_zero(self, seed, n, m, K, cond_r, unstable):
@@ -823,7 +841,7 @@ def period_triple(sys, masks):
     """periodic._period_map's (E, G, H) of a (T, K, M) 0/1 stack, with the
     masked operands it was built from."""
     c, r = periodic._masked_operands(sys, masks == 1)
-    return periodic._period_map(sys, c, r), c, r
+    return periodic._period_map(sys, masks == 1, c, r), c, r
 
 
 def riccati_steps(sys, p, c, r):
@@ -896,8 +914,27 @@ class TestPeriodicDoubling:
 
         for name in ("inv", "solve"):
             monkeypatch.setattr(periodic.np.linalg, name, recorded(getattr(np.linalg, name)))
-        periodic._period_map(sys, c, r)
+        periodic._period_map(sys, masks == 1, c, r)
         assert widths and set(widths) == {sys.n_sensors}
+
+    def test_oracle_shares_the_steps_of_equal_leading_rows(self, monkeypatch):
+        # The oracle's necklaces come in lexicographic order, so on the line
+        # plant at K = 7 its two chunks of 512 and 74 schedules hold these
+        # many distinct leading rows at depths 1 to 7, and the period map
+        # steps only those: 1,095 slices where one per schedule and step
+        # would be 4,102. The gain pass after it steps every schedule.
+        sys = ps.load_experiment(LINE4_CONFIG).system
+        sizes, step = [], periodic._riccati_step
+
+        def recorded(sys, p, c, r):
+            sizes.append(len(c))
+            return step(sys, p, c, r)
+
+        monkeypatch.setattr(periodic, "_riccati_step", recorded)
+        ps.exhaustive_search(sys, 7, 3)
+        heads = [[1, 2, 7, 24, 89, 263, 512], [1, 2, 5, 15, 36, 64, 74]]
+        assert sizes == heads[0] + [512] * 7 + heads[1] + [74] * 7
+        assert sum(sizes) == 5197
 
     def test_diverging_doubling_stops_at_its_first_nonfinite_h(self, monkeypatch):
         # The empty schedule leaves the mode at 1.2 unobserved. After d
@@ -924,6 +961,28 @@ class TestPeriodicDoubling:
         assert settled.size == 0 and p.shape == (0, 3, 3)
         assert len(inverses) == 11 < periodic._RICCATI_MAX_DOUBLINGS
         assert np.isfinite(inverses[-1]).all()
+
+    @pytest.mark.parametrize(
+        "gap",
+        [
+            1e-3,
+            *(
+                pytest.param(gap, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3"))
+                for gap in (1e-5, 1e-7, 1e-8)
+            ),
+        ],
+    )
+    def test_J_near_the_unit_circle_is_the_trace_of_its_gains_cycle(self, gap):
+        # A mode no sensor sees at 1 - gap: the Lyapunov cycle of fixed gains
+        # holds to about eps / gap, while the doubled Riccati cycle drifts by
+        # about eps / gap^2 (ROADMAP item 3). At gaps 1e-5, 1e-7 and 1e-8
+        # the drift reads about 1.7e-7, 6e-3 and 0.5 of J.
+        sys = hidden_mode_plant(np.random.default_rng(9), 3, 1, 1.0 - gap)
+        evaluation = ps.evaluate_schedule(sys, Schedule.all_on(1, 1))
+        cycle = ps.covariance_limit_cycle(sys, evaluation.gains)
+        lyapunov_J = np.trace(cycle, axis1=1, axis2=2).mean()
+        bound = 1e3 * np.finfo(float).eps / gap * evaluation.J
+        assert abs(evaluation.J - lyapunov_J) <= bound
 
 
 def detectable_gains(rng, sys, K, near_unit):
