@@ -78,7 +78,7 @@ def main():
     print(f"spreading the measurements out is {gap:.1%} better here")
 
     banner("Measuring more never hurts")
-    all_on = ps.Schedule.all_on(4, sys.n_sensors)
+    all_on = ps.Schedule(np.ones((4, sys.n_sensors)))
     print(f"every sensor at every step: J = {ps.evaluate_schedule(sys, all_on).J:.6f}")
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import lstep
 from .exceptions import InputError, PerschedError
-from .gstep import GStepProblem, _integral, g_step, normalize_eta
+from .gstep import GStepProblem, g_step, normalize_eta
+from .linalg import _integral, _real
 from .model import SystemModel
 from .periodic import (
     Schedule,
@@ -73,16 +74,13 @@ class AdmmConfig:
     max_iters: int = 200
 
     def __post_init__(self):
+        # Plain ints and floats: a NumPy scalar does not serialize.
         for name in ("period", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a NumPy integer does not serialize
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name in ("gamma", "rho", "eps"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.period < 1:
             raise InputError("period must be at least 1")
-        for name in ("gamma", "rho", "eps"):
-            if not np.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gamma < 0:
             raise InputError("gamma must be nonnegative")
         if self.rho <= 0:
@@ -90,8 +88,8 @@ class AdmmConfig:
         if self.eps <= 0:
             raise InputError("eps must be positive")
         if self.max_iters < 1:
-            raise InputError("iteration caps must be at least 1")
-        bounds = self.eta_tuple(None)  # plain ints, as for period and max_iters
+            raise InputError("max_iters must be at least 1")
+        bounds = self.eta_tuple(None)
         object.__setattr__(self, "eta", bounds[0] if np.ndim(self.eta) == 0 else bounds)
 
     def eta_tuple(self, n_sensors: Optional[int]) -> tuple:

@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import BudgetError, InitializationError, InputError
-from .gstep import _integral, normalize_eta
+from .gstep import normalize_eta
+from .linalg import _integral
 from .model import SystemModel
 from .periodic import Schedule, chunk_length, evaluate_schedules
 
@@ -119,9 +120,9 @@ def exhaustive_search(
     skipped, ties keep the lexicographically smallest mask, and BudgetError
     is raised up front when the candidate count (masks, not classes) exceeds
     ``budget``.
-    K and ``total_activations`` must be integers, not booleans.
+    K, ``total_activations`` and ``budget`` must be integers, not booleans.
     """
-    K = _integral(K, "K")
+    K, budget = _integral(K, "K"), _integral(budget, "budget")
     if total_activations is not None:
         total_activations = _integral(total_activations, "total_activations")
     bounds = normalize_eta(eta, sys.n_sensors, K)

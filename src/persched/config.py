@@ -4,7 +4,8 @@ One YAML file describes an experiment: the plant (either a lattice
 geometry or explicit matrices, inline or in referenced whitespace text
 files), the solver settings, and optional sweep and comparison sections.
 Everything is resolved and validated up front, so a bad reference fails
-before any computation starts.
+before any computation starts. The loader checks each section's keys and
+shape and maps it onto the constructor that checks its values.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import yaml
 from .admm import AdmmConfig
 from .baselines import DEFAULT_BUDGET
 from .exceptions import ConfigError, InputError
+from .linalg import _integral, _real
 from .model import FieldGeometry, SystemModel, build_diffusion_system
 
 __all__ = ["ExperimentConfig", "load_experiment"]
@@ -28,15 +30,7 @@ _KINDS = ("run", "sweep", "compare", "validate")
 
 _TOP_KEYS = {"kind", "system", "admm", "sweep", "compare", "seed", "output"}
 _SYSTEM_KEYS = {"field", "matrices"}
-_FIELD_KEYS = {
-    "ell_h",
-    "ell_v",
-    "spacing",
-    "sample_interval",
-    "sensor_sites",
-    "q_scale",
-    "r_scale",
-}
+_FIELD_KEYS = {f.name for f in fields(FieldGeometry)} | {"q_scale", "r_scale"}
 _MATRIX_KEYS = {"A", "B", "C", "Q", "R"}
 _ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
 _SWEEP_KEYS = {"gammas", "etas"}
@@ -72,23 +66,16 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
-def _integer(value, where: str) -> int:
-    """A YAML integer field as an int. Integral floats such as 4.0 pass;
-    anything else, 4.5 or a string or a boolean, is a ConfigError rather
-    than a silent truncation."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{where} must be an integer, got {value!r}")
-
-
-def _number(value, where: str) -> float:
-    """A YAML real field as a float. Ints and floats pass; a string or a
-    boolean is a ConfigError rather than a parse error or a silent 1.0."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+def _checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its InputError re-raised as a ConfigError
+    behind the YAML path ``where``. Each constructor and each of the two
+    scalar rules, linalg._integral and _real, names the argument at the start
+    of its message, so "admm." and "period must be an integer, got 4.5" give
+    the field's own path."""
+    try:
+        return build(*args, **kwargs)
+    except InputError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
 
 
 def _load_matrix(value, base: Path, where: str) -> np.ndarray:
@@ -129,16 +116,11 @@ def _build_system(section: dict, base: Path) -> SystemModel:
             isinstance(s, list) and len(s) == 2 for s in sites
         ):
             raise ConfigError("system.field.sensor_sites must be a list of [i, j] pairs")
-        where = "system.field.sensor_sites"
-        geom = FieldGeometry(
-            ell_h=_integer(f["ell_h"], "system.field.ell_h"),
-            ell_v=_integer(f["ell_v"], "system.field.ell_v"),
-            spacing=_number(f.get("spacing", 1.0), "system.field.spacing"),
-            sample_interval=_number(f.get("sample_interval", 0.5), "system.field.sample_interval"),
-            sensor_sites=tuple((_integer(i, where), _integer(j, where)) for i, j in sites),
-        )
-        scales = {k: _number(f.get(k, 1.0), f"system.field.{k}") for k in ("q_scale", "r_scale")}
-        return build_diffusion_system(geom, **scales)
+        lattice = {k: f[k] for k in f if k not in ("q_scale", "r_scale")}
+        geom = _checked("system.field.", FieldGeometry, **lattice)
+        # The YAML default of q_scale is 1.0, not the function's 0.25.
+        scales = {"q_scale": 1.0, **{k: f[k] for k in ("q_scale", "r_scale") if k in f}}
+        return _checked("system.field.", build_diffusion_system, geom, **scales)
 
     m = _require_mapping(section["matrices"], "system.matrices")
     _check_keys(m, _MATRIX_KEYS, "system.matrices")
@@ -155,20 +137,7 @@ def _build_admm(section: dict) -> AdmmConfig:
     for key in ("period", "gamma", "eta"):
         if key not in section:
             raise ConfigError(f"admm.{key} is required")
-    kwargs = {
-        "period": _integer(section["period"], "admm.period"),
-        "gamma": _number(section["gamma"], "admm.gamma"),
-        "eta": tuple(section["eta"]) if isinstance(section["eta"], list) else section["eta"],
-    }
-    if "max_iters" in section:
-        kwargs["max_iters"] = _integer(section["max_iters"], "admm.max_iters")
-    for key in ("rho", "eps"):
-        if key in section:
-            kwargs[key] = _number(section[key], f"admm.{key}")
-    try:
-        return AdmmConfig(**kwargs)
-    except InputError as exc:
-        raise ConfigError(f"admm: {exc}") from exc
+    return _checked("admm.", AdmmConfig, **section)
 
 
 def _check_sweep_grid(admm: AdmmConfig, n_sensors: int, gammas: tuple, etas: tuple) -> None:
@@ -177,10 +146,8 @@ def _check_sweep_grid(admm: AdmmConfig, n_sensors: int, gammas: tuple, etas: tup
     cells = [("sweep.gammas", {"gamma": g}) for g in gammas]
     cells += [("sweep.etas", {"eta": e}) for e in etas]
     for where, change in cells:
-        try:
-            replace(admm, **change).eta_tuple(n_sensors)
-        except InputError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        cell = _checked(f"{where}: ", replace, admm, **change)
+        _checked(f"{where}: ", cell.eta_tuple, n_sensors)
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -211,10 +178,7 @@ def load_experiment(path) -> ExperimentConfig:
     admm = None
     if "admm" in raw:
         admm = _build_admm(raw["admm"])
-        try:
-            admm.eta_tuple(system.n_sensors)
-        except InputError as exc:
-            raise ConfigError(f"admm.eta: {exc}") from exc
+        _checked("admm.", admm.eta_tuple, system.n_sensors)
 
     sweep_gammas = None
     sweep_etas = None
@@ -224,7 +188,7 @@ def load_experiment(path) -> ExperimentConfig:
         if "gammas" in s:
             if not isinstance(s["gammas"], list) or not s["gammas"]:
                 raise ConfigError("sweep.gammas must be a non-empty list")
-            sweep_gammas = tuple(_number(g, "sweep.gammas") for g in s["gammas"])
+            sweep_gammas = tuple(_checked("sweep.", _real, g, "gammas") for g in s["gammas"])
         if "etas" in s:
             if not isinstance(s["etas"], list) or not s["etas"]:
                 raise ConfigError("sweep.etas must be a non-empty list")
@@ -239,17 +203,18 @@ def load_experiment(path) -> ExperimentConfig:
     if "compare" in raw:
         c = _require_mapping(raw["compare"], "compare")
         _check_keys(c, _COMPARE_KEYS, "compare")
-        compare_trials = _integer(c.get("trials", compare_trials), "compare.trials")
+        compare_trials = _checked("compare.", _integral, c.get("trials", compare_trials), "trials")
         if compare_trials < 0:
             raise ConfigError("compare.trials must be nonnegative")
         compare_oracle = c.get("oracle", False)
         if not isinstance(compare_oracle, bool):
             raise ConfigError(f"compare.oracle must be true or false, got {compare_oracle!r}")
         if c.get("total_activations") is not None:
-            compare_total = _integer(c["total_activations"], "compare.total_activations")
-        compare_budget = _integer(c.get("budget", compare_budget), "compare.budget")
+            total = c["total_activations"]
+            compare_total = _checked("compare.", _integral, total, "total_activations")
+        compare_budget = _checked("compare.", _integral, c.get("budget", compare_budget), "budget")
 
-    seed = _integer(raw.get("seed", 0), "seed")
+    seed = _checked("", _integral, raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     output = raw.get("output")

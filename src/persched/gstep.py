@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InputError
-from .linalg import _stack
+from .linalg import _integral, _real, _stack
 
 __all__ = [
     "GStepProblem",
@@ -40,7 +40,7 @@ def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tup
     """
     if K < 1:
         raise InputError("period must be at least 1")
-    if np.ndim(eta) == 0:
+    if not isinstance(eta, (list, tuple)) and np.ndim(eta) == 0:
         raw = (eta,) * (1 if n_sensors is None else n_sensors)
     else:
         raw = tuple(eta)
@@ -51,15 +51,6 @@ def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tup
         if not lowest <= e <= K:
             raise InputError(f"eta[{m}] = {e} outside the valid range {lowest}..{K}")
     return bounds
-
-
-def _integral(value, name: str) -> int:
-    try:
-        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InputError(f"{name} = {value} is not an integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +66,14 @@ class GStepProblem:
     def __post_init__(self):
         s = np.array(_stack(self.S, "targets"))  # private copy: the caller's stays writeable
         s.setflags(write=False)
-        if self.gamma < 0:
+        gamma, rho = _real(self.gamma, "gamma"), _real(self.rho, "rho")
+        if gamma < 0:
             raise InputError("gamma must be nonnegative")
-        if self.rho <= 0:
+        if rho <= 0:
             raise InputError("rho must be positive")
         object.__setattr__(self, "S", s)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "eta", normalize_eta(self.eta, s.shape[2], s.shape[0]))
 
     @property

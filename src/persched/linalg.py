@@ -11,9 +11,14 @@ the Smith doubling, and the periodic module's Riccati doubling judge a
 matrix at the power of two that brings its largest entry into [1, 2). Such
 a scaling is exact, so a result scaled back is what the unscaled problem
 gives in unbounded range.
+
+Two value rules, _integral and _real, check every scalar argument of the
+package's public types and entries, and name the argument when they refuse.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -55,6 +60,39 @@ def _stack(x, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
+
+
+def _scalar(value, name: str, what: str):
+    """A real scalar that is not a boolean, as given; a zero-dimensional
+    array counts as its one entry."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _integral(value, name: str) -> int:
+    """The one integer rule for a scalar argument: a Python or NumPy
+    integer, or an integral float such as 4.0, as an int. A boolean, a
+    string or 4.5 is an InputError rather than a silent truncation."""
+    scalar = _scalar(value, name, "an integer")
+    if not isinstance(scalar, numbers.Integral) and not float(scalar).is_integer():
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(scalar)
+
+
+def _real(value, name: str) -> float:
+    """The one real-number rule for a scalar argument: a finite Python or
+    NumPy int or float, as a float. A boolean or a string is an InputError
+    rather than a silent 1.0 or a later TypeError."""
+    try:
+        real = float(_scalar(value, name, "a number"))
+    except OverflowError:  # an int past the float range
+        real = np.inf
+    if not np.isfinite(real):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    return real
 
 
 def _square(x, name: str = "matrix") -> np.ndarray:

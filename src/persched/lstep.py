@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, InputError, InstabilityError
-from .linalg import _solve_gain_sylvester, _stack, symmetrize
+from .linalg import _real, _solve_gain_sylvester, _stack, symmetrize
 from .model import SystemModel
 from .periodic import _closed_loop, _gain_stack, _gradient_cycles, _trace_sum
 
@@ -62,12 +62,13 @@ class LStepProblem:
                 f"targets of shape {u.shape} do not match system with "
                 f"N={self.sys.n_states}, M={self.sys.n_sensors}"
             )
-        if self.rho < 0:
+        rho = _real(self.rho, "rho")
+        if rho < 0:
             raise InputError("rho must be nonnegative")
         u = np.array(u, order="C")  # private copy: the caller's stays writeable
         u.setflags(write=False)
         object.__setattr__(self, "U", u)
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", rho)
 
     @property
     def K(self) -> int:
@@ -207,6 +208,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
     such as the ``cycles`` of the result that returned it; they stand for
     the start's own and its stability check.
     """
+    tol = _real(tol, "tol")
     gains = _check_compatible(prob, init)
     if gains.flags.writeable:
         gains = gains.copy()

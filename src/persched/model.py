@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, InputError
-from .linalg import _UNIT_MARGIN, as_matrix, matrix_exponential, psd_sqrt, require_symmetric
+from .linalg import (
+    _UNIT_MARGIN,
+    _integral,
+    _real,
+    as_matrix,
+    matrix_exponential,
+    psd_sqrt,
+    require_symmetric,
+)
 
 __all__ = [
     "SystemModel",
@@ -77,10 +85,6 @@ class SystemModel:
         return self.A.shape[0]
 
     @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
     def n_sensors(self) -> int:
         return self.C.shape[0]
 
@@ -108,18 +112,25 @@ class FieldGeometry:
     sensor_sites: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.ell_h < 0 or self.ell_v < 0:
-            raise InputError("lattice extents must be nonnegative")
+        for name in ("ell_h", "ell_v"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative")
+        for name in ("spacing", "sample_interval"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.spacing <= 0:
-            raise InputError("lattice spacing must be positive")
+            raise InputError("spacing must be positive")
         if self.sample_interval < 0:
-            raise InputError("sampling interval must be nonnegative")
-        sites = tuple((int(i), int(j)) for i, j in self.sensor_sites)
+            raise InputError("sample_interval must be nonnegative")
+        sites = tuple(
+            (_integral(i, "sensor_sites"), _integral(j, "sensor_sites"))
+            for i, j in self.sensor_sites
+        )
         for i, j in sites:
             if not (0 <= i <= self.ell_h and 0 <= j <= self.ell_v):
-                raise InputError(f"sensor site {(i, j)} is outside the lattice")
+                raise InputError(f"sensor_sites entry {(i, j)} is outside the lattice")
         if len(set(sites)) != len(sites):
-            raise InputError("sensor sites must be distinct")
+            raise InputError("sensor_sites must be distinct")
         object.__setattr__(self, "sensor_sites", sites)
 
     @property
@@ -168,9 +179,11 @@ def build_diffusion_system(
     R = r_scale * I, and row m of C selects the state at sensor site m.
     """
     if geom.n_sensors == 0:
-        raise InputError("geometry defines no sensor sites")
-    if q_scale <= 0 or r_scale <= 0:
-        raise InputError("noise scales must be positive")
+        raise InputError("sensor_sites is empty: the plant needs at least one sensor")
+    q_scale, r_scale = _real(q_scale, "q_scale"), _real(r_scale, "r_scale")
+    for name, scale in (("q_scale", q_scale), ("r_scale", r_scale)):
+        if scale <= 0:
+            raise InputError(f"{name} must be positive")
     n = geom.n_states
     a = matrix_exponential(build_laplacian(geom) * geom.sample_interval)
     c = np.zeros((geom.n_sensors, n))
@@ -242,10 +255,6 @@ class AssumptionReport:
     @property
     def all_ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple:
-        return tuple(c for c in self.checks if not c.passed)
 
     def summary(self) -> str:
         lines = []

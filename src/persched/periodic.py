@@ -88,14 +88,6 @@ class Schedule:
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def all_on(cls, K: int, M: int) -> "Schedule":
-        return cls(np.ones((K, M), dtype=np.int8))
-
-    @classmethod
-    def empty(cls, K: int, M: int) -> "Schedule":
-        return cls(np.zeros((K, M), dtype=np.int8))
-
     def to_text(self) -> str:
         return "\n".join(" ".join(str(int(v)) for v in row) for row in self.mask)
 

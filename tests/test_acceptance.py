@@ -31,7 +31,7 @@ BASELINE_SEED = 7
 
 def perturbed_start(rng, sys, K, scale):
     """Riccati gains for the all-on schedule, plus a small perturbation."""
-    init = ps.evaluate_schedule(sys, ps.Schedule.all_on(K, sys.n_sensors)).gains
+    init = ps.evaluate_schedule(sys, ps.Schedule(np.ones((K, sys.n_sensors)))).gains
     return init, init + scale * rng.normal(size=init.shape)
 
 
@@ -149,7 +149,7 @@ def test_criterion_04_periodic_solvers_cross_validate():
     worst_classical = 0.0
     for _ in range(5):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.evaluate_schedule(sys, ps.Schedule.all_on(1, 2)).gains
+        gains = ps.evaluate_schedule(sys, ps.Schedule(np.ones((1, 2)))).gains
         p = scipy.linalg.solve_discrete_are(sys.A.T, sys.C.T, sys.q_eff, sys.R)
         classical = sys.A @ p @ sys.C.T @ np.linalg.inv(sys.C @ p @ sys.C.T + sys.R)
         dev = float(np.abs(gains[0] - classical).max() / (1.0 + np.abs(classical).max()))

@@ -63,7 +63,7 @@ class TestDefaultInitSchedule:
 
     @pytest.mark.parametrize("K", [2.5, True, "3"])
     def test_non_integer_period_rejected(self, K):
-        with pytest.raises(InputError, match=f"K = {K} is not an integer"):
+        with pytest.raises(InputError, match=f"K must be an integer, got {K!r}"):
             ps.default_init_schedule(ps.benchmark_system(), K, 1)
 
     def test_integral_period_accepted(self, rng):
@@ -85,11 +85,12 @@ class TestAdmmConfig:
             cfg.eta_tuple(3)
 
     @pytest.mark.parametrize(
-        "eta", [2.5, (1, 1.5), np.float64(1.5), True, (1, True), np.True_, None, (1, None)]
+        "eta",
+        [2.5, (1, 1.5), np.float64(1.5), True, (1, True), np.True_, None, (1, None), (1, [2])],
     )
     def test_non_integral_eta_rejected(self, eta):
         # int(True) == True, so a boolean is caught by type, not by value.
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=r"eta\[\d\] must be an integer"):
             small_config(eta=eta)
 
     def test_integral_float_eta_accepted(self):
@@ -118,7 +119,7 @@ class TestAdmmConfig:
             (dict(gamma=-0.1), "gamma"),
             (dict(rho=0.0), "rho"),
             (dict(eps=0.0), "eps"),
-            (dict(max_iters=0), "caps"),
+            (dict(max_iters=0), "max_iters must be at least 1"),
             (dict(eta=0), "eta"),
             (dict(eta=5), "eta"),
             # nan < 0 is false, so the sign checks alone let NaN through.
@@ -135,19 +136,23 @@ class TestAdmmConfig:
             small_config(**overrides)
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("period", 10.0), ("period", True), ("max_iters", 2.5), ("max_iters", False)],
+        "name, value", [("period", True), ("max_iters", 2.5), ("max_iters", False)]
     )
     def test_non_integer_counts_rejected(self, name, value):
-        # A float period used to fail later with a bare TypeError, and a
-        # fractional cap ran to its ceiling.
-        with pytest.raises(InputError, match=f"{name} must be an integer"):
+        # A fractional cap used to run to its ceiling.
+        with pytest.raises(InputError, match=f"{name} must be an integer, got {value!r}"):
             small_config(**{name: value})
 
     def test_numpy_integer_counts_stored_as_int(self):
         cfg = small_config(period=np.int64(4), max_iters=np.int32(3))
         assert (cfg.period, cfg.max_iters) == (4, 3)
         json.dumps(cfg.to_dict())
+
+    def test_integral_float_counts_stored_as_int(self):
+        # As in default_init_schedule and the YAML loader, 10.0 is the integer 10.
+        cfg = small_config(period=10.0, max_iters=np.float64(3.0))
+        assert (repr(cfg.period), repr(cfg.max_iters)) == ("10", "3")
+        assert cfg == small_config(period=10, max_iters=3)
 
     def test_to_dict_round_trip_values(self):
         d = small_config(eta=(1, 2, 2)).to_dict()
@@ -171,7 +176,7 @@ class TestDriver:
         # Scoring a schedule checks its width against the plant's sensors.
         sys = random_stable_system(rng, 3, 2)
         with pytest.raises(DimensionError, match="sensor columns"):
-            ps.evaluate_schedule(sys, Schedule.all_on(4, 3))
+            ps.evaluate_schedule(sys, Schedule(np.ones((4, 3))))
 
     def test_step_advances_and_records(self, rng):
         sys = random_stable_system(rng, 3, 2)

@@ -1,6 +1,7 @@
 """Exhaustive oracle and matched-cardinality random baseline."""
 
 import itertools
+import re
 import time
 from pathlib import Path
 
@@ -25,6 +26,12 @@ from tests.conftest import random_stable_system, spectral_radius
 from tests.reference import draw_mask_per_call, necklaces_brute_force
 
 LINE4_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "compare_line4.yaml"
+
+
+def integer_message(args):
+    """The integer rule's error for the one bad argument in ``args``."""
+    ((name, value),) = args.items()
+    return re.escape(f"{name} must be an integer, got {value!r}")
 
 
 def manual_best(sys, K, eta_scalar, total=None):
@@ -74,13 +81,13 @@ def scalar_unstable_system():
 class TestExhaustiveSearch:
     def test_non_integral_eta_rejected(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=r"eta\[0\] must be an integer, got 1.7"):
             ps.exhaustive_search(sys, K=2, eta=1.7)
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=r"eta\[1\] must be an integer, got 1.5"):
             ps.random_baseline(sys, K=2, eta=(1, 1.5), total_activations=1, trials=1, seed=0)
 
     @pytest.mark.parametrize(
-        "args, match",
+        "args, case",
         [
             ({"total_activations": 1.5}, "total_activations = 1.5 is not an integer"),
             ({"total_activations": True}, "total_activations = True is not an integer"),
@@ -88,9 +95,10 @@ class TestExhaustiveSearch:
             ({"K": True}, "K = True is not an integer"),
         ],
     )
-    def test_invalid_counts_rejected(self, rng, args, match):
+    def test_invalid_counts_rejected(self, rng, args, case):
+        # ``case`` says what is wrong; the error names the argument and its value.
         sys = random_stable_system(rng, 3, 2)
-        with pytest.raises(InputError, match=match):
+        with pytest.raises(InputError, match=integer_message(args)):
             ps.exhaustive_search(sys, **{"K": 2, "eta": 1, **args})
 
     def test_integral_float_counts_accepted(self, rng):
@@ -285,7 +293,7 @@ class TestRandomBaseline:
     def test_unique_feasible_mask_collapses_statistics(self, rng):
         sys = random_stable_system(rng, 2, 2)
         result = ps.random_baseline(sys, K=2, eta=2, total_activations=4, trials=8, seed=3)
-        expected = ps.evaluate_schedule(sys, Schedule.all_on(2, 2)).J
+        expected = ps.evaluate_schedule(sys, Schedule(np.ones((2, 2)))).J
         assert result.std == 0.0
         assert result.mean == pytest.approx(expected, rel=1e-12)
         assert result.min == result.max == result.values[0]
@@ -308,7 +316,7 @@ class TestRandomBaseline:
             ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=0, seed=0)
 
     @pytest.mark.parametrize(
-        "args, match",
+        "args, case",
         [
             ({"total_activations": 1.5}, "total_activations = 1.5 is not an integer"),
             ({"total_activations": True}, "total_activations = True is not an integer"),
@@ -319,9 +327,12 @@ class TestRandomBaseline:
             ({"K": 0, "eta": 0, "total_activations": 0}, "period must be at least 1"),
         ],
     )
-    def test_invalid_counts_rejected(self, rng, args, match):
+    def test_invalid_counts_rejected(self, rng, args, case):
+        # ``case`` says what is wrong; a non-integer's error names the
+        # argument and its value.
         sys = random_stable_system(rng, 2, 1)
         kwargs = {"K": 2, "eta": 1, "total_activations": 1, "trials": 5, "seed": 0}
+        match = integer_message(args) if case.endswith("is not an integer") else case
         with pytest.raises(InputError, match=match):
             ps.random_baseline(sys, **{**kwargs, **args})
 
@@ -339,7 +350,7 @@ class TestRandomBaseline:
     @pytest.mark.parametrize("seed", [True, False, 2.5, "7"])
     def test_non_integer_seed_rejected(self, rng, seed):
         sys = random_stable_system(rng, 2, 1)
-        with pytest.raises(InputError, match=f"seed = {seed} is not an integer"):
+        with pytest.raises(InputError, match=f"seed must be an integer, got {seed!r}"):
             ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=5, seed=seed)
 
     def test_integral_seed_accepted(self, rng):

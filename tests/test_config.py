@@ -167,7 +167,7 @@ class TestValidation:
     @pytest.mark.parametrize("eta", ["1.5", "[1, 1.5]", "true", "[1, true]", "", "[1, null]"])
     def test_non_integral_eta_rejected(self, tmp_path, eta):
         text = FIELD_SYSTEM + f"admm:\n  period: 4\n  gamma: 0.0\n  eta: {eta}\n"
-        with pytest.raises(ConfigError, match="not an integer"):
+        with pytest.raises(ConfigError, match=r"admm\.eta\[\d\] must be an integer, got "):
             load_experiment(write_config(tmp_path, text))
 
 
@@ -289,7 +289,7 @@ class TestAdmmSection:
         settings = {"gamma": "0.1", "rho": "10.0", "eps": "0.001", key: value}
         text = FIELD_SYSTEM + "admm:\n  period: 4\n  eta: 2\n"
         text += "".join(f"  {name}: {v}\n" for name, v in settings.items())
-        with pytest.raises(ConfigError, match=f"admm: {key} must be finite, got {shown}"):
+        with pytest.raises(ConfigError, match=f"admm.{key} must be finite, got {shown}"):
             load_experiment(write_config(tmp_path, text))
 
 
@@ -312,11 +312,11 @@ class TestSweepAndCompare:
         "grid, message",
         [
             ("gammas: [0.1, -1.0]", "sweep.gammas: gamma must be nonnegative"),
-            ("gammas: [0.1, .nan]", "sweep.gammas: gamma must be finite, got nan"),
-            ("gammas: [.inf]", "sweep.gammas: gamma must be finite, got inf"),
+            ("gammas: [0.1, .nan]", "sweep.gammas must be finite, got nan"),
+            ("gammas: [.inf]", "sweep.gammas must be finite, got inf"),
             ("etas: [2, 9]", r"sweep.etas: eta\[0\] = 9 outside the valid range 1..4"),
-            ("etas: [2, x]", r"sweep.etas: eta\[0\] = x is not an integer"),
-            ("etas: [null]", r"sweep.etas: eta\[0\] = None is not an integer"),
+            ("etas: [2, x]", r"sweep.etas: eta\[0\] must be an integer, got 'x'"),
+            ("etas: [null]", r"sweep.etas: eta\[0\] must be an integer, got None"),
             ("etas: [[2, 5]]", r"sweep.etas: eta\[1\] = 5 outside the valid range 1..4"),
         ],
     )

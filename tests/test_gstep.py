@@ -55,7 +55,7 @@ class TestGStepProblem:
 
     @pytest.mark.parametrize("eta", [1.9, (1, 1.5, 2)])
     def test_non_integral_eta_rejected(self, eta):
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=r"eta\[\d\] must be an integer"):
             GStepProblem(S=np.zeros((2, 2, 3)), gamma=0.0, rho=1.0, eta=eta)
 
     def test_eta_above_period_rejected(self):

@@ -203,7 +203,7 @@ class TestSolveDlyap:
         sys = SystemModel(A=[[0.9]], B=np.eye(1), C=np.eye(1), Q=[[1e-20]], R=np.eye(1))
         cycle = covariance_limit_cycle(sys, np.zeros((1, 1, 1)))
         np.testing.assert_allclose(cycle, [[[1e-20 / 0.19]]], rtol=1e-12, atol=0.0)
-        J = evaluate_schedule(sys, Schedule.all_on(1, 1)).J
+        J = evaluate_schedule(sys, Schedule(np.ones((1, 1)))).J
         assert J == pytest.approx(1e-20 / 0.19, rel=1e-12, abs=0.0)
 
     def test_residual_contract_rejects_a_settled_non_solution(self):

@@ -47,7 +47,7 @@ def finite_difference_gradient(prob, base, step=1e-6):
 
 
 def riccati_start(sys, K):
-    return ps.evaluate_schedule(sys, Schedule.all_on(K, sys.n_sensors)).gains
+    return ps.evaluate_schedule(sys, Schedule(np.ones((K, sys.n_sensors)))).gains
 
 
 class TestLStepProblem:

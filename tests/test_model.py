@@ -29,7 +29,7 @@ class TestSystemModel:
             R=np.array([[2.0]]),
         )
         assert sys.n_states == 2
-        assert sys.n_inputs == 2
+        assert sys.B.shape[1] == 2
         assert sys.n_sensors == 1
         np.testing.assert_allclose(sys.q_eff, sys.Q)
 
@@ -222,7 +222,7 @@ class TestValidateAssumptions:
         )
         report = validate_assumptions(sys)
         assert not report.all_ok
-        names = [c.name for c in report.failures]
+        names = [c.name for c in report.checks if not c.passed]
         assert "(A, C) detectable" in names
 
     def test_unstabilizable_flagged(self):
@@ -236,7 +236,7 @@ class TestValidateAssumptions:
         )
         report = validate_assumptions(sys)
         assert not report.all_ok
-        names = [c.name for c in report.failures]
+        names = [c.name for c in report.checks if not c.passed]
         assert "(A, noise) stabilizable" in names
 
     def test_stable_plant_passes_trivially(self, rng):

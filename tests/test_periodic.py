@@ -54,8 +54,10 @@ class TestSchedule:
         assert sched.n_sensors == 3
 
     def test_constructors(self):
-        assert Schedule.all_on(2, 3).total_activations == 6
-        assert Schedule.empty(2, 3).total_activations == 0
+        # Any 0/1 array is a mask, kept as int8.
+        assert Schedule(np.ones((2, 3))).total_activations == 6
+        empty = Schedule(np.zeros((2, 3)))
+        assert (empty.total_activations, empty.mask.dtype) == (0, np.int8)
 
     def test_rejects_non_binary(self):
         with pytest.raises(InputError, match="0 or 1"):
@@ -176,7 +178,7 @@ class TestGainContract:
 
     def test_solve_keeps_no_reference_to_a_writeable_start(self):
         sys = gain_plant()
-        init = ps.evaluate_schedule(sys, Schedule.all_on(2, 2)).gains.copy()
+        init = ps.evaluate_schedule(sys, Schedule(np.ones((2, 2)))).gains.copy()
         result = lstep.solve(ps.LStepProblem(sys, init.copy(), 1.0), init)
         assert result.gains is not init
         before = result.gains.copy()
@@ -185,7 +187,7 @@ class TestGainContract:
 
     def test_package_gains_are_read_only_arrays(self):
         sys = gain_plant()
-        evaluation = ps.evaluate_schedule(sys, Schedule.all_on(2, 2))
+        evaluation = ps.evaluate_schedule(sys, Schedule(np.ones((2, 2))))
         prob = ps.LStepProblem(sys, evaluation.gains + 0.1, 1.0)
         driver = ps.AdmmDriver(sys, ps.AdmmConfig(period=2, gamma=0.01, eta=2, max_iters=3))
         driver.step()
@@ -207,7 +209,7 @@ class TestGainContract:
 class TestCovarianceLimitCycle:
     def test_k1_all_sensors_matches_dare(self, rng):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.evaluate_schedule(sys, Schedule.all_on(1, 2)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(np.ones((1, 2)))).gains
         cycle = ps.covariance_limit_cycle(sys, gains)
         expected = scipy.linalg.solve_discrete_are(sys.A.T, sys.C.T, sys.q_eff, sys.R)
         np.testing.assert_allclose(cycle[0], expected, rtol=1e-7, atol=1e-9)
@@ -231,7 +233,7 @@ class TestCovarianceLimitCycle:
 
     def test_residual_rejects_a_cycle_that_does_not_match(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(np.ones((3, 2)))).gains
         cycle = ps.covariance_limit_cycle(sys, gains)
         for bad in (cycle[:2], cycle[:, :2, :2], cycle[0, 0]):
             with pytest.raises(DimensionError, match="cycle"):
@@ -291,7 +293,7 @@ class TestValueCycle:
 
     def test_dominates_identity(self, rng):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(np.ones((3, 2)))).gains
         for v in value_next(sys, gains):
             assert np.linalg.eigvalsh(v - np.eye(4)).min() > -1e-10
 
@@ -316,7 +318,7 @@ class TestMonodromy:
         # ||Pi||_F < 1 - 1e-9, cannot clear: the first gains are cleared,
         # the second, with the same spectrum and a large ||Pi||_F, are not.
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.evaluate_schedule(sys, Schedule.all_on(3, 2)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(np.ones((3, 2)))).gains
         skew, unskew = np.diag([1e3, 1.0, 1.0, 1.0]), np.diag([1e-3, 1.0, 1.0, 1.0])
         skewed = SystemModel(
             A=skew @ sys.A @ unskew, B=skew @ sys.B, C=sys.C @ unskew, Q=sys.Q, R=sys.R
@@ -365,7 +367,7 @@ class TestMonodromy:
 class TestObjective:
     def test_equals_mean_trace(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        result = ps.evaluate_schedule(sys, Schedule.all_on(2, 2))
+        result = ps.evaluate_schedule(sys, Schedule(np.ones((2, 2))))
         cycle = ps.covariance_limit_cycle(sys, result.gains)
         expected = (np.trace(cycle[0]) + np.trace(cycle[1])) / 2.0
         assert result.J == pytest.approx(expected, rel=1e-12)
@@ -391,7 +393,7 @@ class TestScheduleFromGains:
 class TestInitGainsForSchedule:
     def test_k1_matches_classical_kalman_gain(self, rng):
         sys = random_stable_system(rng, 4, 2)
-        gains = ps.evaluate_schedule(sys, Schedule.all_on(1, 2)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(np.ones((1, 2)))).gains
         p = scipy.linalg.solve_discrete_are(sys.A.T, sys.C.T, sys.q_eff, sys.R)
         expected = sys.A @ p @ sys.C.T @ np.linalg.inv(sys.C @ p @ sys.C.T + sys.R)
         np.testing.assert_allclose(gains[0], expected, rtol=1e-7, atol=1e-9)
@@ -417,7 +419,7 @@ class TestInitGainsForSchedule:
 
     def test_empty_schedule_on_stable_plant(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        gains = ps.evaluate_schedule(sys, Schedule.empty(2, 2)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(np.zeros((2, 2)))).gains
         np.testing.assert_array_equal(gains, np.zeros((2, 3, 2)))
 
     def test_undetectable_schedule_raises(self):
@@ -425,13 +427,13 @@ class TestInitGainsForSchedule:
             A=np.array([[1.2]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
         )
         with pytest.raises(InitializationError, match="undetectable"):
-            ps.evaluate_schedule(sys, Schedule.empty(2, 1))
-        check_schedule_detectability(sys, Schedule.all_on(2, 1))
+            ps.evaluate_schedule(sys, Schedule(np.zeros((2, 1))))
+        check_schedule_detectability(sys, Schedule(np.ones((2, 1))))
 
     def test_mismatched_sensor_count(self, rng):
         sys = random_stable_system(rng, 2, 2)
         with pytest.raises(DimensionError, match="sensor"):
-            ps.evaluate_schedule(sys, Schedule.all_on(2, 3))
+            ps.evaluate_schedule(sys, Schedule(np.ones((2, 3))))
 
 
 def modal_plant(rng, poles, visible):
@@ -495,7 +497,7 @@ class TestDetectabilityGate:
         lam = pbh_rank_drop(sys.A, np.zeros((0, 3)))
         assert lam == pytest.approx(1.2, rel=1e-12)
         with pytest.raises(InitializationError, match="undetectable at eigenvalue 1.2"):
-            check_schedule_detectability(sys, Schedule.empty(1, 1))
+            check_schedule_detectability(sys, Schedule(np.zeros((1, 1))))
 
     def test_gate_matches_pbh_on_the_reference_lift(self, rng):
         # The gate builds the block-cyclic lifted A and the block-diagonal
@@ -535,7 +537,7 @@ class TestEvaluateSchedule:
         # not depend on s, so the settle test must not either.
         def scaled(s):
             sys = SystemModel(A=[[0.9]], B=[[1.0]], C=[[1.0]], Q=[[s]], R=[[s]])
-            result = ps.evaluate_schedule(sys, Schedule.all_on(1, 1))
+            result = ps.evaluate_schedule(sys, Schedule(np.ones((1, 1))))
             return result.J / s, result.gains[0, 0, 0]
 
         np.testing.assert_allclose(scaled(1e-20), scaled(1.0), rtol=1e-12, atol=0.0)
@@ -544,7 +546,7 @@ class TestEvaluateSchedule:
         for _ in range(5):
             sys = random_stable_system(rng, 3, 2)
             partial = random_schedule(rng, 3, 2)
-            full = Schedule.all_on(3, 2)
+            full = Schedule(np.ones((3, 2)))
             assert ps.evaluate_schedule(sys, full).J <= ps.evaluate_schedule(
                 sys, partial
             ).J + 1e-9
@@ -978,7 +980,7 @@ class TestPeriodicDoubling:
         # about eps / gap^2 (ROADMAP item 3). At gaps 1e-5, 1e-7 and 1e-8
         # the drift reads about 1.7e-7, 6e-3 and 0.5 of J.
         sys = hidden_mode_plant(np.random.default_rng(9), 3, 1, 1.0 - gap)
-        evaluation = ps.evaluate_schedule(sys, Schedule.all_on(1, 1))
+        evaluation = ps.evaluate_schedule(sys, Schedule(np.ones((1, 1))))
         cycle = ps.covariance_limit_cycle(sys, evaluation.gains)
         lyapunov_J = np.trace(cycle, axis1=1, axis2=2).mean()
         bound = 1e3 * np.finfo(float).eps / gap * evaluation.J
@@ -994,7 +996,7 @@ def detectable_gains(rng, sys, K, near_unit):
     try:
         gains = ps.evaluate_schedule(sys, Schedule(mask)).gains
     except InitializationError:
-        gains = ps.evaluate_schedule(sys, Schedule.all_on(K, sys.n_sensors)).gains
+        gains = ps.evaluate_schedule(sys, Schedule(np.ones((K, sys.n_sensors)))).gains
     if not near_unit:
         return gains
     lo, hi = 0.0, 1.0
@@ -1107,13 +1109,13 @@ class TestGradientCycles:
     def test_stable_plants(self, rng):
         for n, m, K in ((3, 2, 2), (4, 1, 3), (2, 4, 1)):
             sys = random_stable_system(rng, n, m)
-            gains = ps.evaluate_schedule(sys, Schedule.all_on(K, m)).gains
+            gains = ps.evaluate_schedule(sys, Schedule(np.ones((K, m)))).gains
             self.assert_matches_references(sys, gains + 0.01 * rng.normal(size=gains.shape))
 
     def test_hidden_mode_just_inside_the_unit_circle(self):
         sys = hidden_mode_plant(np.random.default_rng(9), 3, 1, 1.0 - 1e-7)
         for K in (1, 2):
-            gains = ps.evaluate_schedule(sys, Schedule.all_on(K, 1)).gains
+            gains = ps.evaluate_schedule(sys, Schedule(np.ones((K, 1)))).gains
             assert monodromy_radius(sys, gains) == pytest.approx((1.0 - 1e-7) ** K, rel=1e-9)
             self.assert_matches_references(sys, gains)
 
