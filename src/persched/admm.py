@@ -30,7 +30,6 @@ from .periodic import (
     _gradient_cycles,
     _trace_sum,
     check_schedule_detectability,
-    covariance_limit_cycle,
     evaluate_schedule,
     schedule_from_gains,
 )
@@ -76,19 +75,10 @@ class AdmmConfig:
     def __post_init__(self):
         # Plain ints and floats: a NumPy scalar does not serialize.
         for name in ("period", "max_iters"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
-        for name in ("gamma", "rho", "eps"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.period < 1:
-            raise InputError("period must be at least 1")
-        if self.gamma < 0:
-            raise InputError("gamma must be nonnegative")
-        if self.rho <= 0:
-            raise InputError("rho must be positive")
-        if self.eps <= 0:
-            raise InputError("eps must be positive")
-        if self.max_iters < 1:
-            raise InputError("max_iters must be at least 1")
+            object.__setattr__(self, name, _integral(getattr(self, name), name, least=1))
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma", least=0))
+        for name in ("rho", "eps"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, above=0))
         bounds = self.eta_tuple(None)
         object.__setattr__(self, "eta", bounds[0] if np.ndim(self.eta) == 0 else bounds)
 
@@ -186,11 +176,11 @@ def default_init_schedule(sys: SystemModel, K: int, eta) -> Schedule:
     Sensor m is activated at times (m + floor(j K / eta_m)) mod K for
     j = 0..eta_m-1: each sensor gets exactly eta_m evenly spread
     activations, with starting offsets staggered across sensors so steps
-    are covered as uniformly as possible. K must be an integer, not a
-    boolean. Raises when the request is all zero or the resulting schedule
+    are covered as uniformly as possible. K must be a positive integer, not
+    a boolean. Raises when the request is all zero or the resulting schedule
     would leave an unstable mode unobserved.
     """
-    K = _integral(K, "K")
+    K = _integral(K, "K", least=1)
     bounds = normalize_eta(eta, sys.n_sensors, K)
     if sum(bounds) < 1:
         raise InputError("at least one activation is required")
@@ -325,7 +315,7 @@ class AdmmDriver:
         self.trace.append(record)
         if result.phi < self._best_phi:
             self._best_phi = result.phi
-            self._best = (new_l, new_g.copy())
+            self._best = (new_l, new_g.copy(), result.cycles)
         logger.debug(
             "iteration %d: primal %.3e, g_change %.3e, phi %.6g, cardinality %d",
             record.iteration,
@@ -345,6 +335,8 @@ class AdmmDriver:
         Convergence requires both the gain/copy gap and the change in the
         sparse copy to fall below eps. If the cap is hit instead, the
         iterate with the best subproblem objective seen so far is reported.
+        Its j_raw comes from the covariance cycle of the gain solve or jump
+        that gave those gains, unless the polish solved the same gains.
         """
         start = time.perf_counter()
         if not self._initialized:
@@ -357,16 +349,16 @@ class AdmmDriver:
                 break
 
         if converged or self._best is None:
-            final_l, final_g = self.L, self.G
+            (final_l, cycles), final_g = self._carried, self.G
         else:
-            final_l, final_g = self._best[0], self._best[1]
+            final_l, final_g, cycles = self._best
 
         schedule = schedule_from_gains(final_g)
         polished = self._fixed.get(schedule) or evaluate_schedule(self.sys, schedule)
         if final_l is polished.gains:
             j_raw = polished.J
         else:
-            j_raw = float(_trace_sum(covariance_limit_cycle(self.sys, final_l)) / cfg.period)
+            j_raw = float(_trace_sum(cycles[0]) / cfg.period)
         report = SolveReport(
             gains_raw=final_l,
             gains_polished=polished.gains,

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import BudgetError, InitializationError, InputError
+from .exceptions import BudgetError, InitializationError
 from .gstep import normalize_eta
 from .linalg import _integral
 from .model import SystemModel
@@ -89,15 +89,6 @@ def _count_table(K: int, bounds: tuple) -> list:
     return table
 
 
-def _candidate_count(K: int, bounds: tuple, total_activations: Optional[int]) -> int:
-    table = _count_table(K, bounds)
-    if total_activations is None:
-        return sum(table[0])
-    if not 0 <= total_activations <= sum(bounds):
-        return 0
-    return table[0][total_activations]
-
-
 def exhaustive_search(
     sys: SystemModel,
     K: int,
@@ -120,15 +111,17 @@ def exhaustive_search(
     skipped, ties keep the lexicographically smallest mask, and BudgetError
     is raised up front when the candidate count (masks, not classes) exceeds
     ``budget``.
-    K, ``total_activations`` and ``budget`` must be integers, not booleans.
+    K (at least 1), ``total_activations`` (in 0 up to the sum of the bounds)
+    and ``budget`` must be integers, not booleans.
     """
-    K, budget = _integral(K, "K"), _integral(budget, "budget")
-    if total_activations is not None:
-        total_activations = _integral(total_activations, "total_activations")
+    K, budget = _integral(K, "K", least=1), _integral(budget, "budget")
     bounds = normalize_eta(eta, sys.n_sensors, K)
-    count = _candidate_count(K, bounds, total_activations)
-    if count == 0:
-        raise InputError("no feasible schedule matches the requested activation count")
+    counts = _count_table(K, bounds)[0]
+    if total_activations is None:
+        count = sum(counts)
+    else:
+        total_activations = _integral(total_activations, "total_activations", 0, sum(bounds))
+        count = counts[total_activations]
     if count > budget:
         raise BudgetError(
             f"{count} candidate schedules exceed the enumeration budget of {budget}"
@@ -256,25 +249,16 @@ def random_baseline(
     Draws ``trials`` schedules uniformly among the masks that satisfy the
     per-sensor bounds and have exactly ``total_activations`` activations,
     scores them with evaluate_schedules, and returns the statistics in draw
-    order. Fully determined by ``seed``, a nonnegative integer. K, ``trials``,
-    ``total_activations`` and ``seed`` must be integers, not booleans. Raises
+    order. Fully determined by ``seed``. K and ``trials`` (at least 1),
+    ``total_activations`` (in 0 up to the sum of the bounds) and ``seed``
+    (nonnegative) must be integers, not booleans. Raises
     InitializationError when a drawn schedule leaves the estimator invalid.
     """
-    K, trials, seed = _integral(K, "K"), _integral(trials, "trials"), _integral(seed, "seed")
-    total_activations = _integral(total_activations, "total_activations")
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
+    K, trials = _integral(K, "K", least=1), _integral(trials, "trials", least=1)
+    seed = _integral(seed, "seed", least=0)
     bounds = normalize_eta(eta, sys.n_sensors, K)
-    if not 0 <= total_activations <= sum(bounds):
-        raise InputError(
-            f"total_activations = {total_activations} infeasible for bounds summing "
-            f"to {sum(bounds)}"
-        )
+    total_activations = _integral(total_activations, "total_activations", 0, sum(bounds))
     table = _count_table(K, bounds)
-    if table[0][total_activations] == 0:
-        raise InputError("no feasible schedule matches the requested activation count")
 
     rng = np.random.default_rng(seed)
     laws = {}

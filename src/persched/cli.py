@@ -29,7 +29,8 @@ from .admm import run as admm_run
 from .admm import sweep as admm_sweep
 from .baselines import exhaustive_search, random_baseline
 from .config import ExperimentConfig, load_experiment
-from .exceptions import BudgetError, ConfigError, InputError, PerschedError
+from .exceptions import BudgetError, ConfigError, PerschedError
+from .linalg import _integral
 from .model import validate_assumptions
 
 __all__ = ["cmd_run", "cmd_sweep", "cmd_compare", "cmd_validate", "main", "console_main"]
@@ -167,9 +168,8 @@ def cmd_compare(config_path, out: Optional[str] = None, seed: Optional[int] = No
     cfg = load_experiment(config_path)
     _check_kind(cfg, "compare")
     admm_cfg = _require_admm(cfg, "compare")
-    use_seed = seed if seed is not None else cfg.seed
-    if use_seed < 0:
-        raise InputError(f"seed must be nonnegative, got {use_seed}")
+    # Checked before the solve, which a bad seed would waste.
+    use_seed = cfg.seed if seed is None else _integral(seed, "seed", least=0)
 
     report = admm_run(cfg.system, admm_cfg)
     matched = (

@@ -19,7 +19,7 @@ import yaml
 
 from .admm import AdmmConfig
 from .baselines import DEFAULT_BUDGET
-from .exceptions import ConfigError, InputError
+from .exceptions import ConfigError, DimensionError, InputError
 from .linalg import _integral, _real
 from .model import FieldGeometry, SystemModel, build_diffusion_system
 
@@ -67,14 +67,15 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _checked(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), its InputError re-raised as a ConfigError
-    behind the YAML path ``where``. Each constructor and each of the two
-    scalar rules, linalg._integral and _real, names the argument at the start
-    of its message, so "admm." and "period must be an integer, got 4.5" give
-    the field's own path."""
+    """build(*args, **kwargs), its InputError or DimensionError re-raised as
+    a ConfigError behind the YAML path ``where``. Each constructor and each
+    of the two scalar rules, linalg._integral and _real, names the argument
+    at the start of its message, so "admm." and "period must be an integer,
+    got 4.5" give the field's own path, and "system.matrices." and "Q is not
+    positive semidefinite" give the matrix's."""
     try:
         return build(*args, **kwargs)
-    except InputError as exc:
+    except (InputError, DimensionError) as exc:
         raise ConfigError(f"{where}{exc}") from exc
 
 
@@ -128,7 +129,7 @@ def _build_system(section: dict, base: Path) -> SystemModel:
     if missing:
         raise ConfigError(f"system.matrices.{missing[0]} is required")
     mats = {k: _load_matrix(m[k], base, f"system.matrices.{k}") for k in _MATRIX_KEYS}
-    return SystemModel(A=mats["A"], B=mats["B"], C=mats["C"], Q=mats["Q"], R=mats["R"])
+    return _checked("system.matrices.", SystemModel, **mats)
 
 
 def _build_admm(section: dict) -> AdmmConfig:
@@ -203,9 +204,8 @@ def load_experiment(path) -> ExperimentConfig:
     if "compare" in raw:
         c = _require_mapping(raw["compare"], "compare")
         _check_keys(c, _COMPARE_KEYS, "compare")
-        compare_trials = _checked("compare.", _integral, c.get("trials", compare_trials), "trials")
-        if compare_trials < 0:
-            raise ConfigError("compare.trials must be nonnegative")
+        trials = c.get("trials", compare_trials)
+        compare_trials = _checked("compare.", _integral, trials, "trials", least=0)
         compare_oracle = c.get("oracle", False)
         if not isinstance(compare_oracle, bool):
             raise ConfigError(f"compare.oracle must be true or false, got {compare_oracle!r}")
@@ -214,9 +214,7 @@ def load_experiment(path) -> ExperimentConfig:
             compare_total = _checked("compare.", _integral, total, "total_activations")
         compare_budget = _checked("compare.", _integral, c.get("budget", compare_budget), "budget")
 
-    seed = _checked("", _integral, raw.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    seed = _checked("", _integral, raw.get("seed", 0), "seed", least=0)
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output must be a directory path string")

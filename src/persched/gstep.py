@@ -36,21 +36,15 @@ def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tup
     A scalar ``eta``, anything of zero dimensions, is broadcast to
     ``n_sensors`` entries (one when ``n_sensors`` is None); a sequence must
     have ``n_sensors`` entries, any number when it is None. Every bound must
-    be an integer in lowest..K, and the period K at least 1.
+    be an integer in lowest..K; the period K is the caller's checked int.
     """
-    if K < 1:
-        raise InputError("period must be at least 1")
     if not isinstance(eta, (list, tuple)) and np.ndim(eta) == 0:
         raw = (eta,) * (1 if n_sensors is None else n_sensors)
     else:
         raw = tuple(eta)
         if n_sensors is not None and len(raw) != n_sensors:
             raise InputError(f"eta has {len(raw)} entries, expected {n_sensors}")
-    bounds = tuple(_integral(e, f"eta[{m}]") for m, e in enumerate(raw))
-    for m, e in enumerate(bounds):
-        if not lowest <= e <= K:
-            raise InputError(f"eta[{m}] = {e} outside the valid range {lowest}..{K}")
-    return bounds
+    return tuple(_integral(e, f"eta[{m}]", least=lowest, most=K) for m, e in enumerate(raw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,15 +60,11 @@ class GStepProblem:
     def __post_init__(self):
         s = np.array(_stack(self.S, "targets"))  # private copy: the caller's stays writeable
         s.setflags(write=False)
-        gamma, rho = _real(self.gamma, "gamma"), _real(self.rho, "rho")
-        if gamma < 0:
-            raise InputError("gamma must be nonnegative")
-        if rho <= 0:
-            raise InputError("rho must be positive")
+        K = _integral(len(s), "K", least=1)  # the targets' period
         object.__setattr__(self, "S", s)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "eta", normalize_eta(self.eta, s.shape[2], s.shape[0]))
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma", least=0))
+        object.__setattr__(self, "rho", _real(self.rho, "rho", above=0))
+        object.__setattr__(self, "eta", normalize_eta(self.eta, s.shape[2], K))
 
     @property
     def K(self) -> int:

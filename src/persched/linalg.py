@@ -12,8 +12,9 @@ matrix at the power of two that brings its largest entry into [1, 2). Such
 a scaling is exact, so a result scaled back is what the unscaled problem
 gives in unbounded range.
 
-Two value rules, _integral and _real, check every scalar argument of the
-package's public types and entries, and name the argument when they refuse.
+Two value rules, _integral and _real, check the type and the range of every
+scalar argument of the package's public types and entries, and name the
+argument when they refuse.
 """
 
 from __future__ import annotations
@@ -72,27 +73,46 @@ def _scalar(value, name: str, what: str):
     return value
 
 
-def _integral(value, name: str) -> int:
+def _integral(value, name: str, least=None, most=None) -> int:
     """The one integer rule for a scalar argument: a Python or NumPy
-    integer, or an integral float such as 4.0, as an int. A boolean, a
-    string or 4.5 is an InputError rather than a silent truncation."""
+    integer, or an integral float such as 4.0, as an int, in least..most
+    where given. A boolean, a string or 4.5 is an InputError rather than a
+    silent truncation."""
     scalar = _scalar(value, name, "an integer")
     if not isinstance(scalar, numbers.Integral) and not float(scalar).is_integer():
         raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(scalar)
+    return _bounded(int(scalar), value, name, least, most)
 
 
-def _real(value, name: str) -> float:
+def _real(value, name: str, least=None, above=None) -> float:
     """The one real-number rule for a scalar argument: a finite Python or
-    NumPy int or float, as a float. A boolean or a string is an InputError
-    rather than a silent 1.0 or a later TypeError."""
+    NumPy int or float, as a float, at least ``least`` or above ``above``
+    where given. A boolean or a string is an InputError rather than a silent
+    1.0 or a later TypeError."""
     try:
         real = float(_scalar(value, name, "a number"))
     except OverflowError:  # an int past the float range
         real = np.inf
     if not np.isfinite(real):
         raise InputError(f"{name} must be finite, got {value!r}")
-    return real
+    return _bounded(real, value, name, least, above=above)
+
+
+def _bounded(number, value, name: str, least=None, most=None, above=None):
+    """number, when it lies in the range; else the InputError
+    "{name} must be {range}, got {value!r}", the range read as "nonnegative",
+    "positive", "at least N" or "in L..U"."""
+    if above is not None:
+        inside, wording = number > above, "positive" if above == 0 else f"above {above}"
+    elif most is not None:
+        inside, wording = least <= number <= most, f"in {least}..{most}"
+    elif least is not None:
+        inside, wording = least <= number, "nonnegative" if least == 0 else f"at least {least}"
+    else:
+        return number
+    if not inside:
+        raise InputError(f"{name} must be {wording}, got {value!r}")
+    return number
 
 
 def _square(x, name: str = "matrix") -> np.ndarray:

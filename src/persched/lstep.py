@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InputError, InstabilityError
+from .exceptions import DimensionError, InstabilityError
 from .linalg import _real, _solve_gain_sylvester, _stack, symmetrize
 from .model import SystemModel
 from .periodic import _closed_loop, _gain_stack, _gradient_cycles, _trace_sum
@@ -62,13 +62,10 @@ class LStepProblem:
                 f"targets of shape {u.shape} do not match system with "
                 f"N={self.sys.n_states}, M={self.sys.n_sensors}"
             )
-        rho = _real(self.rho, "rho")
-        if rho < 0:
-            raise InputError("rho must be nonnegative")
         u = np.array(u, order="C")  # private copy: the caller's stays writeable
         u.setflags(write=False)
         object.__setattr__(self, "U", u)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", _real(self.rho, "rho", least=0))
 
     @property
     def K(self) -> int:

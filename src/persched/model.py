@@ -113,15 +113,10 @@ class FieldGeometry:
 
     def __post_init__(self):
         for name in ("ell_h", "ell_v"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be nonnegative")
-        for name in ("spacing", "sample_interval"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.spacing <= 0:
-            raise InputError("spacing must be positive")
-        if self.sample_interval < 0:
-            raise InputError("sample_interval must be nonnegative")
+            object.__setattr__(self, name, _integral(getattr(self, name), name, least=0))
+        object.__setattr__(self, "spacing", _real(self.spacing, "spacing", above=0))
+        interval = _real(self.sample_interval, "sample_interval", least=0)
+        object.__setattr__(self, "sample_interval", interval)
         sites = tuple(
             (_integral(i, "sensor_sites"), _integral(j, "sensor_sites"))
             for i, j in self.sensor_sites
@@ -180,10 +175,7 @@ def build_diffusion_system(
     """
     if geom.n_sensors == 0:
         raise InputError("sensor_sites is empty: the plant needs at least one sensor")
-    q_scale, r_scale = _real(q_scale, "q_scale"), _real(r_scale, "r_scale")
-    for name, scale in (("q_scale", q_scale), ("r_scale", r_scale)):
-        if scale <= 0:
-            raise InputError(f"{name} must be positive")
+    q_scale, r_scale = _real(q_scale, "q_scale", above=0), _real(r_scale, "r_scale", above=0)
     n = geom.n_states
     a = matrix_exponential(build_laplacian(geom) * geom.sample_interval)
     c = np.zeros((geom.n_sensors, n))

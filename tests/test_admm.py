@@ -344,6 +344,27 @@ class TestOneEvaluationPerSupport:
         assert report.j_raw == np.trace(cycle, axis1=1, axis2=2).mean()
         assert report.j_polished == ps.evaluate_schedule(sys, report.schedule).J
 
+    def test_capped_run_takes_j_raw_from_its_gain_solve(self, rng, monkeypatch):
+        # The gain solve that returned the best iterate returned its
+        # covariance cycle too, so no limit cycle is computed after the steps.
+        calls, after_steps = [], []
+        limit_cycles, step = periodic._limit_cycles, AdmmDriver.step
+
+        def counting(f, w):
+            calls.append(f.shape)
+            return limit_cycles(f, w)
+
+        def stepping(driver):
+            record = step(driver)
+            after_steps.append(len(calls))
+            return record
+
+        monkeypatch.setattr(periodic, "_limit_cycles", counting)
+        monkeypatch.setattr(AdmmDriver, "step", stepping)
+        report = ps.run(random_stable_system(rng, 2, 1), small_config(eta=1, period=2))
+        assert report.converged is False
+        assert len(calls) == after_steps[-1] > 0
+
 
 class TestSweep:
     def test_grid_order_and_shape(self, rng):

@@ -1,7 +1,8 @@
 """Every public scalar argument obeys one of two rules, linalg._integral and
 linalg._real: a bad value is an InputError that names the argument, never a
 TypeError or a silent conversion, and a good one is kept as a plain int or
-float."""
+float. A value outside the argument's range is refused by the same rule, as
+"{name} must be {range}, got {value!r}", and the range's ends are kept."""
 
 import re
 
@@ -15,6 +16,9 @@ ADMM = dict(period=4, gamma=0.1, eta=1, rho=10.0, eps=1e-3, max_iters=50)
 LINE = ps.SystemModel(
     A=[[0.5, 0.1], [0.0, 0.4]], B=np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]]
 )
+# The floats next to zero: the first outside a nonnegative range, and the
+# first inside a positive one.
+BELOW_ZERO, ABOVE_ZERO = -5e-324, 5e-324
 
 
 def admm(name):
@@ -52,48 +56,105 @@ def budget(v):
     return ps.exhaustive_search(LINE, K=1, eta=1, budget=v).J
 
 
+def init_period(v):
+    return ps.default_init_schedule(LINE, v, 1).K
+
+
+def oracle(name):
+    base = dict(K=2, eta=1)
+    return lambda v: ps.exhaustive_search(LINE, **{**base, name: v}).J
+
+
+def baseline(name):
+    base = dict(K=2, eta=1, total_activations=1, trials=2, seed=0)
+    return lambda v: ps.random_baseline(LINE, **{**base, name: v}).values
+
+
 # (entry, argument as the error names it, a valid plain value, the value as
-# the entry keeps or uses it)
+# the entry keeps or uses it, and the range: None, or its wording, the
+# values just outside it and the values at its ends)
 INTEGERS = [
-    ("AdmmConfig", "period", 4, admm("period")),
-    ("AdmmConfig", "max_iters", 50, admm("max_iters")),
-    ("FieldGeometry", "ell_h", 1, geometry("ell_h")),
-    ("FieldGeometry", "ell_v", 1, geometry("ell_v")),
-    ("FieldGeometry", "sensor_sites", 1, site),
-    ("exhaustive_search", "budget", 10, budget),
+    ("AdmmConfig", "period", 4, admm("period"), ("at least 1", [0], [1])),
+    ("AdmmConfig", "max_iters", 50, admm("max_iters"), ("at least 1", [0], [1])),
+    ("AdmmConfig", "eta[0]", 1, admm("eta"), ("in 1..4", [0, 5], [1, 4])),
+    ("FieldGeometry", "ell_h", 1, geometry("ell_h"), ("nonnegative", [-1], [0])),
+    ("FieldGeometry", "ell_v", 1, geometry("ell_v"), ("nonnegative", [-1], [0])),
+    ("FieldGeometry", "sensor_sites", 1, site, None),
+    ("GStepProblem", "eta[0]", 1, gstep("eta"), ("in 0..2", [-1, 3], [0, 2])),
+    ("default_init_schedule", "K", 2, init_period, ("at least 1", [0], [1])),
+    ("exhaustive_search", "K", 2, oracle("K"), ("at least 1", [0], [1])),
+    ("exhaustive_search", "budget", 10, budget, None),
+    ("random_baseline", "K", 2, baseline("K"), ("at least 1", [0], [1])),
+    (
+        "random_baseline",
+        "total_activations",
+        1,
+        baseline("total_activations"),
+        ("in 0..1", [-1, 2], [0, 1]),
+    ),
+    ("random_baseline", "trials", 2, baseline("trials"), ("at least 1", [0], [1])),
+    ("random_baseline", "seed", 0, baseline("seed"), ("nonnegative", [-1], [0])),
 ]
 REALS = [
-    ("AdmmConfig", "gamma", 0.1, admm("gamma")),
-    ("AdmmConfig", "rho", 10.0, admm("rho")),
-    ("AdmmConfig", "eps", 1e-3, admm("eps")),
-    ("FieldGeometry", "spacing", 1.5, geometry("spacing")),
-    ("FieldGeometry", "sample_interval", 0.5, geometry("sample_interval")),
-    ("build_diffusion_system", "q_scale", 0.25, noise("q_scale")),
-    ("build_diffusion_system", "r_scale", 2.0, noise("r_scale")),
-    ("GStepProblem", "gamma", 0.1, gstep("gamma")),
-    ("GStepProblem", "rho", 1.0, gstep("rho")),
-    ("LStepProblem", "rho", 1.0, lstep_rho),
-    ("lstep.solve", "tol", 1e-6, lstep_tol),
+    ("AdmmConfig", "gamma", 0.1, admm("gamma"), ("nonnegative", [BELOW_ZERO], [0.0])),
+    ("AdmmConfig", "rho", 10.0, admm("rho"), ("positive", [0.0], [ABOVE_ZERO])),
+    ("AdmmConfig", "eps", 1e-3, admm("eps"), ("positive", [0.0], [ABOVE_ZERO])),
+    ("FieldGeometry", "spacing", 1.5, geometry("spacing"), ("positive", [0.0], [ABOVE_ZERO])),
+    (
+        "FieldGeometry",
+        "sample_interval",
+        0.5,
+        geometry("sample_interval"),
+        ("nonnegative", [BELOW_ZERO], [0.0]),
+    ),
+    ("build_diffusion_system", "q_scale", 0.25, noise("q_scale"), ("positive", [0], [ABOVE_ZERO])),
+    ("build_diffusion_system", "r_scale", 2.0, noise("r_scale"), ("positive", [0], [ABOVE_ZERO])),
+    ("GStepProblem", "gamma", 0.1, gstep("gamma"), ("nonnegative", [BELOW_ZERO], [0.0])),
+    ("GStepProblem", "rho", 1.0, gstep("rho"), ("positive", [0.0], [ABOVE_ZERO])),
+    ("LStepProblem", "rho", 1.0, lstep_rho, ("nonnegative", [BELOW_ZERO], [0.0])),
+    ("lstep.solve", "tol", 1e-6, lstep_tol, None),
 ]
+# None is a setting of its own here, any total, so only the range is tested.
+ORACLE_TOTAL = (
+    "exhaustive_search",
+    "total_activations",
+    1,
+    oracle("total_activations"),
+    ("in 0..1", [-1, 2], [0, 1]),
+)
+BOUNDED = INTEGERS + REALS + [ORACLE_TOTAL]
 
 
 def cases(table, values):
     return [
         pytest.param(name, use, value, id=f"{entry}.{name}-{value!r}")
-        for entry, name, _, use in table
+        for entry, name, _, use, _ in table
         for value in values
     ]
 
 
 def rows(table):
-    return [pytest.param(plain, use, id=f"{entry}.{name}") for entry, name, plain, use in table]
+    return [
+        pytest.param(plain, use, id=f"{entry}.{name}")
+        for entry, name, plain, use, _ in table
+    ]
+
+
+def ranges(table, ends=False):
+    """One case per value just outside each range, or at its ends."""
+    return [
+        pytest.param(name, use, bound[0], value, id=f"{entry}.{name}-{value!r}")
+        for entry, name, _, use, bound in table
+        if bound is not None
+        for value in bound[2 if ends else 1]
+    ]
 
 
 BAD = [True, "1", None, np.nan, np.inf]
 
 
 def message(name, rule, value):
-    return f"^{name} must be {rule}, got {re.escape(repr(value))}$"
+    return f"^{re.escape(name)} must be {rule}, got {re.escape(repr(value))}$"
 
 
 @pytest.mark.parametrize("name, use, value", cases(INTEGERS, BAD + [2.5]))
@@ -131,3 +192,14 @@ def test_real_kept_plain(plain, use):
 def test_fractional_site_is_not_truncated():
     with pytest.raises(InputError, match=message("sensor_sites", "an integer", 0.5)):
         FieldGeometry(ell_h=1, ell_v=1, sensor_sites=((0.5, 0),))
+
+
+@pytest.mark.parametrize("name, use, wording, value", ranges(BOUNDED))
+def test_value_outside_range_names_its_argument(name, use, wording, value):
+    with pytest.raises(InputError, match=message(name, wording, value)):
+        use(value)
+
+
+@pytest.mark.parametrize("name, use, wording, value", ranges(BOUNDED, ends=True))
+def test_range_end_accepted(name, use, wording, value):
+    assert use(value) is not None

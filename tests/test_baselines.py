@@ -219,7 +219,7 @@ class TestExhaustiveSearch:
 
     def test_infeasible_total_rejected(self, rng):
         sys = random_stable_system(rng, 2, 1)
-        with pytest.raises(InputError, match="feasible"):
+        with pytest.raises(InputError, match="^total_activations must be in 0..1, got 5$"):
             ps.exhaustive_search(sys, K=2, eta=1, total_activations=5)
 
     def test_undetectable_candidates_skipped(self):
@@ -307,12 +307,12 @@ class TestRandomBaseline:
 
     def test_infeasible_total_rejected(self, rng):
         sys = random_stable_system(rng, 2, 1)
-        with pytest.raises(InputError, match="infeasible"):
+        with pytest.raises(InputError, match="^total_activations must be in 0..1, got 3$"):
             ps.random_baseline(sys, K=2, eta=1, total_activations=3, trials=5, seed=0)
 
     def test_zero_trials_rejected(self, rng):
         sys = random_stable_system(rng, 2, 1)
-        with pytest.raises(InputError, match="trials"):
+        with pytest.raises(InputError, match="^trials must be at least 1, got 0$"):
             ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=0, seed=0)
 
     @pytest.mark.parametrize(
@@ -324,7 +324,7 @@ class TestRandomBaseline:
             ({"trials": True}, "trials = True is not an integer"),
             ({"K": 1.5}, "K = 1.5 is not an integer"),
             ({"K": True}, "K = True is not an integer"),
-            ({"K": 0, "eta": 0, "total_activations": 0}, "period must be at least 1"),
+            ({"K": 0, "eta": 0, "total_activations": 0}, "K must be at least 1"),
         ],
     )
     def test_invalid_counts_rejected(self, rng, args, case):
@@ -344,7 +344,7 @@ class TestRandomBaseline:
 
     def test_negative_seed_rejected(self, rng):
         sys = random_stable_system(rng, 2, 1)
-        with pytest.raises(InputError, match="seed must be nonnegative"):
+        with pytest.raises(InputError, match="^seed must be nonnegative, got -1$"):
             ps.random_baseline(sys, K=2, eta=1, total_activations=1, trials=5, seed=-1)
 
     @pytest.mark.parametrize("seed", [True, False, 2.5, "7"])

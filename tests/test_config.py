@@ -105,6 +105,16 @@ system:
         with pytest.raises(ConfigError, match="matrices.R"):
             load_experiment(write_config(tmp_path, text))
 
+    def test_bad_matrix_value_names_its_path(self, tmp_path):
+        text = MATRIX_SYSTEM.replace("Q: [[1.0, 0.0]", "Q: [[-1.0, 0.0]")
+        with pytest.raises(ConfigError, match="^system.matrices.Q is not positive semidefinite$"):
+            load_experiment(write_config(tmp_path, text))
+
+    def test_bad_matrix_shape_names_its_path(self, tmp_path):
+        text = MATRIX_SYSTEM.replace("B: [[1.0, 0.0], [0.0, 1.0]]", "B: [[1.0], [0.0], [0.0]]")
+        with pytest.raises(ConfigError, match=r"^system.matrices.B has 3 rows, expected 2$"):
+            load_experiment(write_config(tmp_path, text))
+
 
 class TestValidation:
     def test_unknown_top_key(self, tmp_path):
@@ -126,7 +136,7 @@ class TestValidation:
 
     def test_negative_seed_rejected(self, tmp_path):
         # Rejected before any solve, not by the random generator after one.
-        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
             load_experiment(write_config(tmp_path, FIELD_SYSTEM + "seed: -1\n"))
 
     @pytest.mark.parametrize(
@@ -311,13 +321,13 @@ class TestSweepAndCompare:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            ("gammas: [0.1, -1.0]", "sweep.gammas: gamma must be nonnegative"),
+            ("gammas: [0.1, -1.0]", "sweep.gammas: gamma must be nonnegative, got -1.0"),
             ("gammas: [0.1, .nan]", "sweep.gammas must be finite, got nan"),
             ("gammas: [.inf]", "sweep.gammas must be finite, got inf"),
-            ("etas: [2, 9]", r"sweep.etas: eta\[0\] = 9 outside the valid range 1..4"),
+            ("etas: [2, 9]", r"sweep.etas: eta\[0\] must be in 1..4, got 9"),
             ("etas: [2, x]", r"sweep.etas: eta\[0\] must be an integer, got 'x'"),
             ("etas: [null]", r"sweep.etas: eta\[0\] must be an integer, got None"),
-            ("etas: [[2, 5]]", r"sweep.etas: eta\[1\] = 5 outside the valid range 1..4"),
+            ("etas: [[2, 5]]", r"sweep.etas: eta\[1\] must be in 1..4, got 5"),
         ],
     )
     def test_sweep_entries_checked_at_load(self, tmp_path, grid, message):
@@ -352,7 +362,7 @@ class TestSweepAndCompare:
 
     def test_negative_trials_rejected(self, tmp_path):
         text = FIELD_SYSTEM + "compare:\n  trials: -1\n"
-        with pytest.raises(ConfigError, match="trials"):
+        with pytest.raises(ConfigError, match="^compare.trials must be nonnegative, got -1$"):
             load_experiment(write_config(tmp_path, text))
 
     def test_kind_and_output_carried(self, tmp_path):

@@ -62,6 +62,10 @@ class TestGStepProblem:
         with pytest.raises(InputError, match="eta"):
             GStepProblem(S=np.zeros((2, 2, 1)), gamma=0.0, rho=1.0, eta=3)
 
+    def test_empty_target_stack_rejected(self):
+        with pytest.raises(InputError, match="^K must be at least 1, got 0$"):
+            GStepProblem(S=np.zeros((0, 2, 1)), gamma=0.0, rho=1.0, eta=0)
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(InputError, match="gamma"):
             GStepProblem(S=np.zeros((1, 2, 1)), gamma=-0.1, rho=1.0, eta=1)
