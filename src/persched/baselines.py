@@ -103,8 +103,9 @@ def exhaustive_search(
     are the same periodic schedule started at another step, with the same J,
     so only the necklaces (masks that are their own smallest rotation) are
     generated, in lexicographic order of the row-major bit string, and scored
-    chunk by chunk with evaluate_schedules. That order puts masks with equal
-    leading rows next to each other, so a chunk's period map steps each
+    with evaluate_schedules in chunks of chunk_length(N, K) classes, each
+    stacked once from the bit tuples of the walk. That order puts masks with
+    equal leading rows next to each other, so a chunk's period map steps each
     distinct prefix once (periodic._period_map). A score counts for each
     mask of the class, whose size is its number of distinct rotations.
     Masks whose estimator is invalid (an unstable mode left unobserved) are
@@ -128,10 +129,11 @@ def exhaustive_search(
         )
 
     best_j, best_mask, n_evaluated, n_skipped = np.inf, None, 0, 0
-    step = chunk_length(sys.n_states)
+    step = chunk_length(sys.n_states, K)
     classes = _necklaces(K, bounds, total_activations)
     while chunk := list(itertools.islice(classes, step)):
-        masks, sizes = map(np.array, zip(*chunk))
+        bits, sizes = zip(*chunk)
+        masks, sizes = np.array(bits, dtype=np.int8).reshape(-1, K, len(bounds)), np.array(sizes)
         values = evaluate_schedules(sys, masks)
         invalid = np.isnan(values)
         n_skipped += int(sizes[invalid].sum())
@@ -154,9 +156,9 @@ def exhaustive_search(
 
 
 def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
-    """(mask, class size) for each feasible K x M mask that is its own smallest
-    row rotation (a necklace with rows as symbols), in lexicographic order of
-    the row-major bit string. The prenecklace recursion of Fredricksen,
+    """(row-major bit tuple, class size) for each feasible K x M mask that is
+    its own smallest row rotation (a necklace with rows as symbols), in
+    lexicographic order of the bits. The prenecklace recursion of Fredricksen,
     Kessler and Maiorana (Ruskey, Savage & Wang, J. Algorithms 13, 1992), run
     bit by bit on an explicit stack: p is the row length of the longest Lyndon
     prefix and ``tight`` says row k equals row k - p so far. A mask is a
@@ -190,12 +192,12 @@ def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
                 continue
         if pos == n:
             if K % p == 0:
-                yield np.array(bits, dtype=np.int8).reshape(K, M), p
+                yield tuple(bits), p
             continue
         if tight and (used == full or total == total_activations):
             # bits[pos:] are 0, so this reads the zeros ahead as well.
             if K % p == 0 and not any(bits[max(pos - p * M, 0) : n - p * M]):
-                yield np.array(bits, dtype=np.int8).reshape(K, M), p
+                yield tuple(bits), p
             continue
         k, m = divmod(pos, M)
         forced = tight and k >= p and bits[pos - p * M] == 1
@@ -230,9 +232,9 @@ def _draw_mask(
             laws[m, remaining] = ([c for c, w in enumerate(ways) if w > 0], cdf / cdf[-1])
         choices, cdf = laws[m, remaining]
         c = choices[cdf.searchsorted(rng.random(), side="right")]
-        steps = rng.choice(K, size=c, replace=False)
-        mask[steps, m] = 1
-        remaining -= c
+        if c:  # a size-0 choice draws nothing from the generator
+            mask[rng.choice(K, size=c, replace=False), m] = 1
+            remaining -= c
     return mask
 
 

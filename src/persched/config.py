@@ -31,7 +31,7 @@ _KINDS = ("run", "sweep", "compare", "validate")
 _TOP_KEYS = {"kind", "system", "admm", "sweep", "compare", "seed", "output"}
 _SYSTEM_KEYS = {"field", "matrices"}
 _FIELD_KEYS = {f.name for f in fields(FieldGeometry)} | {"q_scale", "r_scale"}
-_MATRIX_KEYS = {"A", "B", "C", "Q", "R"}
+_MATRIX_KEYS = ("A", "B", "C", "Q", "R")  # loaded in this order
 _ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
 _SWEEP_KEYS = {"gammas", "etas"}
 _COMPARE_KEYS = {"trials", "oracle", "total_activations", "budget"}
@@ -124,8 +124,8 @@ def _build_system(section: dict, base: Path) -> SystemModel:
         return _checked("system.field.", build_diffusion_system, geom, **scales)
 
     m = _require_mapping(section["matrices"], "system.matrices")
-    _check_keys(m, _MATRIX_KEYS, "system.matrices")
-    missing = sorted(_MATRIX_KEYS - set(m))
+    _check_keys(m, set(_MATRIX_KEYS), "system.matrices")
+    missing = [k for k in _MATRIX_KEYS if k not in m]
     if missing:
         raise ConfigError(f"system.matrices.{missing[0]} is required")
     mats = {k: _load_matrix(m[k], base, f"system.matrices.{k}") for k in _MATRIX_KEYS}
@@ -210,8 +210,10 @@ def load_experiment(path) -> ExperimentConfig:
         if not isinstance(compare_oracle, bool):
             raise ConfigError(f"compare.oracle must be true or false, got {compare_oracle!r}")
         if c.get("total_activations") is not None:
+            # Held to the admm bounds here, not after the solve it would waste.
+            most = None if admm is None else sum(admm.eta_tuple(system.n_sensors))
             total = c["total_activations"]
-            compare_total = _checked("compare.", _integral, total, "total_activations")
+            compare_total = _checked("compare.", _integral, total, "total_activations", 0, most)
         compare_budget = _checked("compare.", _integral, c.get("budget", compare_budget), "budget")
 
     seed = _checked("", _integral, raw.get("seed", 0), "seed", least=0)

@@ -79,6 +79,7 @@ class SystemModel:
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "_q_eff", (b @ q @ b.T + (b @ q @ b.T).T) / 2.0)
+        object.__setattr__(self, "_a_t", np.ascontiguousarray(a.T))
 
     @property
     def n_states(self) -> int:
@@ -92,6 +93,12 @@ class SystemModel:
     def q_eff(self) -> np.ndarray:
         """Effective process-noise covariance B Q B^T."""
         return self._q_eff
+
+    @property
+    def a_t(self) -> np.ndarray:
+        """A^T as a C-contiguous array: a right operand that stacked products
+        hand to BLAS without a transposed view."""
+        return self._a_t
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,11 @@ _RELATIVE_ZERO_TOL = 1e-6
 # periods; a loop whose monodromy radius is 1 - 1e-7 settles in about 30.
 _RICCATI_TOL, _RICCATI_MAX_DOUBLINGS = 1e-10, 64
 
-# A chunk's (T, N, N) covariance stack holds at most this many floats (64 KB):
-# 13 schedules at N = 25, 512 at N = 4. Larger chunks grow the peak memory.
-_CHUNK_FLOATS = 8192
+# A chunk's (T, K, N, N) Riccati cycle stack holds at most this many floats
+# (640 KB): 13 schedules at N = 25, K = 10, and 731 at N = 4, K = 7, so the
+# line plant's 586 necklace classes at K = 7 form one chunk. Larger chunks
+# grow the peak memory.
+_CHUNK_FLOATS = 81_920
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,36 +289,50 @@ def _detectability_gate(sys: SystemModel, K: int):
     return lambda mask: _rank_drop_at(a_lift, lams, c_lift[np.reshape(mask, -1) == 1])
 
 
-def _riccati_step(sys: SystemModel, p: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple:
+def _riccati_step(
+    sys: SystemModel, p: np.ndarray, c: np.ndarray, c_t: np.ndarray, r: np.ndarray
+) -> tuple:
     """One masked Riccati update of (T, N, N) covariances; returns (T, N, M)
-    gains, the next covariances and the (T, M, M) inverse innovations. ``c``
-    and ``r`` are the step's pre-masked operands from _masked_operands: with D
-    the mask's 0/1 diagonal, c = D C and r = D R D + (I - D). So the innovation
-    c P c^T + r = D (C P C^T + R) D + (I - D) keeps each active block exact
-    under correlated measurement noise, and the cross term A P c^T = A P C^T D
-    has zero inactive columns, as have the gains up to the sign of zero."""
+    gains, the next covariances and the (T, M, M) inverse innovations. ``c``,
+    ``c_t`` and ``r`` are the step's pre-masked operands from _masked_operands:
+    with D the mask's 0/1 diagonal, c = D C, c_t its contiguous transpose and
+    r = D R D + (I - D). So the innovation c P c^T + r = D (C P C^T + R) D +
+    (I - D) keeps each active block exact under correlated measurement noise,
+    and the cross term A P c^T = A P C^T D has zero inactive columns, as have
+    the gains up to the sign of zero. Every right operand is C-contiguous, so
+    each slice's product takes BLAS's no-transpose kernel."""
     ap = sys.A @ p
-    cross = ap @ c.transpose(0, 2, 1)
-    s_inv = np.linalg.inv(c @ p @ c.transpose(0, 2, 1) + r)
+    cross = ap @ c_t
+    s_inv = np.linalg.inv(c @ p @ c_t + r)
     gain = cross @ s_inv
-    p_next = ap @ sys.A.T
+    p_next = ap @ sys.a_t
     p_next += sys.q_eff
-    p_next -= gain @ cross.transpose(0, 2, 1)
+    p_next -= gain @ _transposed(cross)
     return gain, symmetrize(p_next), s_inv
 
 
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """The slice-wise transpose of a stack of matrices as a C-contiguous copy.
+    A transposed view as a stacked product's right operand costs NumPy up to
+    three times the product on the copy."""
+    return np.ascontiguousarray(x.swapaxes(-1, -2))
+
+
 def _masked_operands(sys: SystemModel, active: np.ndarray) -> tuple:
-    """D C as (T, K, M, N) and D R D + (I - D) as (T, K, M, M) for each step
-    of a (T, K, M) boolean stack, D the step's 0/1 mask diagonal."""
+    """D C as (T, K, M, N), its transpose as a C-contiguous (T, K, N, M) and
+    D R D + (I - D) as (T, K, M, M) for each step of a (T, K, M) boolean
+    stack, D the step's 0/1 mask diagonal."""
     c = np.where(active[..., np.newaxis], sys.C, 0.0)
     pair = active[..., np.newaxis] & active[..., np.newaxis, :]
-    return c, np.where(pair, sys.R, np.eye(sys.n_sensors))
+    return c, _transposed(c), np.where(pair, sys.R, np.eye(sys.n_sensors))
 
 
-def _period_map(sys: SystemModel, active: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple:
+def _period_map(
+    sys: SystemModel, active: np.ndarray, c: np.ndarray, c_t: np.ndarray, r: np.ndarray
+) -> tuple:
     """The map P_0 -> P_K of the masked Riccati steps of a (T, K, M) boolean
-    stack and its (T, K, M, N) and (T, K, M, M) _masked_operands, as one
-    (E, G, H) triple of (T, N, N) stacks acting as X -> H + E^T X (I + G X)^-1 E.
+    stack and its _masked_operands, as one (E, G, H) triple of (T, N, N)
+    stacks acting as X -> H + E^T X (I + G X)^-1 E.
 
     From the identity (I, 0, 0), step k appends the information-form triple
     (A^T, c_k^T r_k^-1 c_k, B Q B^T). With U = E c_k^T and _riccati_step's
@@ -348,10 +364,11 @@ def _period_map(sys: SystemModel, active: np.ndarray, c: np.ndarray, r: np.ndarr
             e, g, h = (e[parent], g[parent], h[parent]) if k else (e, g, h[parent])
             if rows.size == t_count:
                 rows = slice(None)
-        u = e @ c[rows, k].transpose(0, 2, 1)
-        gain, h, s_inv = _riccati_step(sys, h, c[rows, k], r[rows, k])
-        e = e @ sys.A.T - u @ gain.transpose(0, 2, 1)
-        g = symmetrize(g + u @ s_inv @ u.transpose(0, 2, 1))
+        ck, ck_t, rk = c[rows, k], c_t[rows, k], r[rows, k]
+        u = e @ ck_t
+        gain, h, s_inv = _riccati_step(sys, h, ck, ck_t, rk)
+        e = e @ sys.a_t - u @ _transposed(gain)
+        g = symmetrize(g + u @ s_inv @ _transposed(u))
     if last_shared < K:
         return e, g, h
     return tuple(x[np.cumsum(lead < K) - 1] for x in (e, g, h))
@@ -374,7 +391,7 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
     settled_h, settled, live = np.empty(h.shape), np.zeros(len(h), dtype=bool), np.arange(len(h))
     for _ in range(_RICCATI_MAX_DOUBLINGS):
         w = np.linalg.inv(np.eye(h.shape[-1]) + g @ h)
-        ew, e_t = e @ w, e.swapaxes(-1, -2)
+        ew, e_t = e @ w, _transposed(e)
         h_next = symmetrize(h + e_t @ h @ w @ e)
         e, g = ew @ e, symmetrize(g + ew @ g @ e_t)
         # Both norms are taken at H's _unit_shift, an exact power of two, so
@@ -408,22 +425,28 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     of _limit_cycles is the same recursion, so the Riccati cycle is the
     gains' covariance cycle.
 
-    The masked operands are built once for the stack, T K M (N + M) floats:
-    for a chunk of evaluate_schedules, at most _CHUNK_FLOATS K M (N + M) / N^2,
-    about 0.36 MB on the 25-state benchmark plant at K = 10 and 0.34 MB on
-    the four-state line plant at K = 7. The period map steps a run of
-    neighbours with equal leading rows once; the doubling and the gain pass
-    take each schedule from its own triple. Every step keeps the full width
-    M, so a schedule's gains, and its J, do not depend on the other
+    The masked operands, with c^T held contiguous beside c, are built once
+    for the stack, T K M (2N + M) floats, and gathered once more for the gain
+    pass when some schedule does not settle: for a chunk of evaluate_schedules,
+    whose Riccati cycles hold at most _CHUNK_FLOATS floats (640 KB), that is at
+    most _CHUNK_FLOATS M (2N + M) / N^2, about 0.63 MB on the 25-state
+    benchmark plant (M = 10) and 0.82 MB on the four-state line plant (M = 2).
+    The period map steps a run of neighbours with equal leading rows once;
+    the doubling and the gain pass take each schedule from its own triple.
+    Every step keeps the full width M and every product stays stacked slice
+    by slice, so a schedule's gains, and its J, do not depend on the other
     schedules of the stack."""
-    (_, K, m), n = active.shape, sys.n_states
-    c, r = _masked_operands(sys, active)
-    settled, p = _doubled_fixed_point(*_period_map(sys, active, c, r))
+    (t_count, K, m), n = active.shape, sys.n_states
+    ops = _masked_operands(sys, active)
+    settled, p = _doubled_fixed_point(*_period_map(sys, active, *ops))
+    if settled.size < t_count:  # views when all settle
+        ops = tuple(x[settled] for x in ops)
+    c, c_t, r = ops
     gains, cycles = np.empty((len(settled), K, n, m)), np.empty((len(settled), K, n, n))
     pi = np.eye(n)
     for k in range(K):
         cycles[:, k] = p
-        gains[:, k], p, _ = _riccati_step(sys, p, c[settled, k], r[settled, k])
+        gains[:, k], p, _ = _riccati_step(sys, p, c[:, k], c_t[:, k], r[:, k])
         pi = _closed_loop(sys, gains[:, k]) @ pi
     gains.swapaxes(-1, -2)[~active[settled]] = 0.0
     stable = _stable_loops(pi)[1]
@@ -467,16 +490,18 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     return ScheduleEvaluation(J=J, gains=gains[0], cycle=cycles[0])
 
 
-def chunk_length(n_states: int) -> int:
-    """Schedules that evaluate_schedules scores together for an N-state plant."""
-    return max(1, _CHUNK_FLOATS // (n_states * n_states))
+def chunk_length(n_states: int, K: int) -> int:
+    """Schedules that evaluate_schedules scores together for an N-state plant
+    at period K: as many as keep their (T, K, N, N) Riccati cycles within
+    _CHUNK_FLOATS floats (640 KB), and at least one."""
+    return max(1, _CHUNK_FLOATS // (K * n_states * n_states))
 
 
 def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     """evaluate_schedule's J for each schedule of a (T, K, M) 0/1 stack, or NaN
     where evaluate_schedule raises InitializationError or InstabilityError (an
     unstable mode unobserved, an unsettled Riccati doubling, an unstable closed
-    loop). Chunks of chunk_length(N) schedules share one stacked period map,
+    loop). Chunks of chunk_length(N, K) schedules share one stacked period map,
     doubling and pass around the period; neighbours that agree on their
     leading rows share those steps of the period map. A schedule's J does not
     depend on the other schedules of the stack."""
@@ -490,7 +515,7 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     hidden_mode = _detectability_gate(sys, K)
     if hidden_mode is not None:
         todo = np.array([t for t in todo if hidden_mode(arr[t]) is None], dtype=int)
-    step = chunk_length(sys.n_states)
+    step = chunk_length(sys.n_states, K)
     for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
         _, stable, _, cycles = _periodic_riccati(sys, arr[chunk] == 1)
         J[chunk[stable]] = _trace_sum(cycles) / K

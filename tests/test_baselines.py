@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import persched as ps
 import persched.baselines as baselines
+import persched.periodic as periodic
 from persched import (
     BudgetError,
     InitializationError,
@@ -143,18 +144,20 @@ class TestExhaustiveSearch:
         result = ps.exhaustive_search(sys, K=1, eta=1, total_activations=1)
         np.testing.assert_array_equal(result.schedule.mask, [[0, 1]])
 
-    def test_tie_rule_holds_across_chunks(self):
+    def test_tie_rule_holds_across_chunks(self, monkeypatch):
         # Every cyclic shift of the line plant's optimum is the same periodic
         # schedule started at another step, so all seven tie up to roundoff:
         # each shift's fixed point is doubled from its own first step, and
         # one of the seven lands 1 ulp away. The search scores the class
         # once, through the shift whose bit string sorts first, and that
-        # shift must be the winner; the 4,096 leaves still span several
-        # chunks, so the strict < across chunks applies.
+        # shift must be the winner. The 586 classes fit one chunk at the
+        # default size, so chunks of 200 make them span three, and the
+        # strict < across chunks applies.
+        monkeypatch.setattr(periodic, "_CHUNK_FLOATS", 200 * 7 * 4 * 4)
         sys = ps.load_experiment(LINE4_CONFIG).system
         result = ps.exhaustive_search(sys, K=7, eta=3)
         assert result.n_evaluated == 4096
-        assert result.n_evaluated > 2 * chunk_length(sys.n_states)
+        assert 586 > 2 * chunk_length(sys.n_states, 7)
         shifts = np.stack([np.roll(result.schedule.mask, s, axis=0) for s in range(7)])
         scores = ps.evaluate_schedules(sys, shifts)
         assert scores[0] == result.J
@@ -208,7 +211,7 @@ class TestExhaustiveSearch:
         sys = ps.load_experiment(LINE4_CONFIG).system
         result = ps.exhaustive_search(sys, K=7, eta=3)
         assert sum(rows) == 586
-        assert max(rows) <= chunk_length(sys.n_states)
+        assert max(rows) <= chunk_length(sys.n_states, 7)
         assert result.n_evaluated == 4096
         assert result.n_skipped == 0
 
@@ -264,7 +267,7 @@ class TestNecklaceWalk:
     @example((3, (1, 0), 2))
     def test_matches_brute_force(self, case):
         K, bounds, total = case
-        walked = [(tuple(mask.ravel().tolist()), size) for mask, size in _necklaces(*case)]
+        walked = list(_necklaces(*case))
         assert walked == necklaces_brute_force(K, bounds, total)
 
     def test_used_up_bound_keeps_the_walk_linear(self):
@@ -277,7 +280,7 @@ class TestNecklaceWalk:
         assert time.perf_counter() - start < 0.5
 
     def test_periodic_class_counts_its_period(self):
-        walked = {tuple(mask.ravel()): size for mask, size in _necklaces(4, (2,), None)}
+        walked = dict(_necklaces(4, (2,), None))
         assert walked == {(0, 0, 0, 0): 1, (0, 0, 0, 1): 4, (0, 0, 1, 1): 4, (0, 1, 0, 1): 2}
 
 

@@ -1,5 +1,8 @@
 """Experiment file loading and validation."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 import persched.cli as cli
 from persched import ConfigError, load_experiment
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+SRC = ROOT / "src"
 
 FIELD_SYSTEM = """
 system:
@@ -104,6 +109,25 @@ system:
         text = MATRIX_SYSTEM.replace("    R: [[1.0]]\n", "")
         with pytest.raises(ConfigError, match="matrices.R"):
             load_experiment(write_config(tmp_path, text))
+
+    def test_missing_files_reported_in_matrix_order(self, tmp_path):
+        # A and B both name missing files. The matrices load in the order A,
+        # B, C, Q, R, so the error names A under any string hash seed, also in
+        # a child run at seed 1, where a set of the five keys lists B first.
+        text = MATRIX_SYSTEM.replace("A: [[0.9, 0.0], [0.0, 0.8]]", "A: a.txt")
+        path = write_config(tmp_path, text.replace("B: [[1.0, 0.0], [0.0, 1.0]]", "B: b.txt"))
+        missing = (tmp_path / "a.txt").resolve()
+        message = f"system.matrices.A: referenced file {missing} does not exist"
+        with pytest.raises(ConfigError) as caught:
+            load_experiment(path)
+        assert str(caught.value) == message
+        code = "import sys, persched\ntry:\n    persched.load_experiment(sys.argv[1])\n"
+        code += "except persched.ConfigError as exc:\n    print(exc)\n"
+        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": str(SRC)}
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True
+        )
+        assert child.stdout.strip() == message
 
     def test_bad_matrix_value_names_its_path(self, tmp_path):
         text = MATRIX_SYSTEM.replace("Q: [[1.0, 0.0]", "Q: [[-1.0, 0.0]")
@@ -353,6 +377,15 @@ class TestSweepAndCompare:
         assert cfg.compare_oracle is True
         assert cfg.compare_total_activations == 6
         assert cfg.compare_budget == 1000
+
+    @pytest.mark.parametrize("total", [99, 5, -1])
+    def test_total_activations_held_to_the_eta_bounds(self, tmp_path, total):
+        # Two sensors at eta = 2 allow 0..4 activations. The value is checked
+        # at load, with its path, rather than after the ADMM solve.
+        text = FIELD_SYSTEM + ADMM_BLOCK + f"compare:\n  total_activations: {total}\n"
+        message = f"^compare.total_activations must be in 0..4, got {total}$"
+        with pytest.raises(ConfigError, match=message):
+            load_experiment(write_config(tmp_path, text))
 
     def test_string_oracle_rejected(self, tmp_path):
         # YAML reads the quoted "no" as a string, which bool() would take as true.

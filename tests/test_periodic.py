@@ -602,14 +602,14 @@ def unstable_three_state_system():
 class TestEvaluateSchedules:
     @pytest.mark.parametrize(
         "n, m, K, T",
-        [(3, 2, 3, 12), (4, 3, 1, 9), (2, 4, 3, 10), (3, 2, 4, 1), (25, 4, 2, 27)],
+        [(3, 2, 3, 12), (4, 3, 1, 9), (2, 4, 3, 10), (3, 2, 4, 1), (25, 4, 4, 40)],
         ids=["stable", "K=1", "M>N", "T=1", "partial-chunk"],
     )
     def test_matches_restricted_reference(self, rng, n, m, K, T):
         sys = random_stable_system(rng, n, m)
         masks = random_masks(rng, T, K, m)
-        if n == 25:
-            assert T % chunk_length(n) != 0
+        if n == 25:  # one full chunk and a partial one
+            assert chunk_length(n, K) < T < 2 * chunk_length(n, K)
         values = ps.evaluate_schedules(sys, masks)
         expected = [restricted_riccati_J(sys, mask) for mask in masks]
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
@@ -620,6 +620,18 @@ class TestEvaluateSchedules:
             sched = random_schedule(rng, 3, 3, min_total=0)
             single = ps.evaluate_schedule(sys, sched).J
             assert ps.evaluate_schedules(sys, sched.mask[np.newaxis])[0] == single
+
+    def test_J_ignores_companions_at_benchmark_size(self, benchmark_sys):
+        # The hypothesis plants are too small to reach the sizes where BLAS
+        # switches kernels. On the 25-state benchmark plant at K = 10, 30
+        # draws span two full chunks and a partial one, and each J must equal
+        # the J of its schedule scored alone, bit for bit.
+        masks = random_masks(np.random.default_rng(7), 30, 10, benchmark_sys.n_sensors)
+        step = chunk_length(benchmark_sys.n_states, 10)
+        assert 2 * step < len(masks) < 3 * step
+        values = ps.evaluate_schedules(benchmark_sys, masks)
+        expected = [ps.evaluate_schedule(benchmark_sys, Schedule(mask)).J for mask in masks]
+        np.testing.assert_array_equal(values, expected)
 
     def test_inactive_gain_columns_are_exactly_zero(self, rng):
         sys = random_stable_system(rng, 4, 3)
@@ -842,15 +854,16 @@ class TestStableLoops:
 def period_triple(sys, masks):
     """periodic._period_map's (E, G, H) of a (T, K, M) 0/1 stack, with the
     masked operands it was built from."""
-    c, r = periodic._masked_operands(sys, masks == 1)
-    return periodic._period_map(sys, masks == 1, c, r), c, r
+    ops = periodic._masked_operands(sys, masks == 1)
+    return periodic._period_map(sys, masks == 1, *ops), ops
 
 
-def riccati_steps(sys, p, c, r):
-    """P_0, ..., P_K of K periodic._riccati_step calls from the (T, N, N) P."""
+def riccati_steps(sys, p, ops):
+    """P_0, ..., P_K of K periodic._riccati_step calls from the (T, N, N) P
+    on the _masked_operands ops."""
     out = [p]
-    for k in range(c.shape[1]):
-        out.append(periodic._riccati_step(sys, out[-1], c[:, k], r[:, k])[1])
+    for k in range(ops[0].shape[1]):
+        out.append(periodic._riccati_step(sys, out[-1], *(x[:, k] for x in ops))[1])
     return out
 
 
@@ -868,10 +881,10 @@ class TestPeriodicDoubling:
         rng = np.random.default_rng(seed)
         sys = hard_plant(rng, n, m, cond_r, unstable)
         masks = hard_masks(rng, K, m)
-        (e, g, h), c, r = period_triple(sys, masks)
+        (e, g, h), ops = period_triple(sys, masks)
         x = random_psd(rng, len(masks), n)
         mapped = h + e.transpose(0, 2, 1) @ x @ np.linalg.solve(np.eye(n) + g @ x, e)
-        stepped = riccati_steps(sys, x, c, r)[-1]
+        stepped = riccati_steps(sys, x, ops)[-1]
         # Each step's G and E updates carry the roundoff of the innovation
         # S_k = c_k H c_k^T + r_k's inverse, whose conditioning cond(R) bounds.
         rtol = 1e3 * np.linalg.cond(sys.R) * np.finfo(float).eps
@@ -885,7 +898,7 @@ class TestPeriodicDoubling:
         rng = np.random.default_rng(seed)
         sys = hard_plant(rng, n, m, cond_r, unstable)
         masks = hard_masks(rng, K, m)
-        (e, g, h), c, r = period_triple(sys, masks)
+        (e, g, h), ops = period_triple(sys, masks)
         with np.errstate(all="ignore"):
             settled, p = periodic._doubled_fixed_point(e, g, h)
         hidden_mode = periodic._detectability_gate(sys, K)
@@ -893,7 +906,7 @@ class TestPeriodicDoubling:
             assert settled.size == len(masks)
         else:
             assert {t for t, mask in enumerate(masks) if hidden_mode(mask) is None} <= set(settled)
-        back = riccati_steps(sys, p, c[settled], r[settled])[-1]
+        back = riccati_steps(sys, p, [x[settled] for x in ops])[-1]
         rtol = 1e3 * np.linalg.cond(sys.R) * np.finfo(float).eps
         scale = np.linalg.norm(p, axis=(1, 2))
         assert (np.linalg.norm(back - p, axis=(1, 2)) <= rtol * scale).all()
@@ -903,8 +916,8 @@ class TestPeriodicDoubling:
         # innovation: on the benchmark plant (N = 25, M = 10) no inverse or
         # solve the period map makes has an N-wide operand.
         sys = ps.benchmark_system()
-        masks = random_masks(np.random.default_rng(4), chunk_length(sys.n_states), 10, 10)
-        c, r = periodic._masked_operands(sys, masks == 1)
+        masks = random_masks(np.random.default_rng(4), chunk_length(sys.n_states, 10), 10, 10)
+        ops = periodic._masked_operands(sys, masks == 1)
         widths = []
 
         def recorded(fn):
@@ -916,27 +929,27 @@ class TestPeriodicDoubling:
 
         for name in ("inv", "solve"):
             monkeypatch.setattr(periodic.np.linalg, name, recorded(getattr(np.linalg, name)))
-        periodic._period_map(sys, masks == 1, c, r)
+        periodic._period_map(sys, masks == 1, *ops)
         assert widths and set(widths) == {sys.n_sensors}
 
     def test_oracle_shares_the_steps_of_equal_leading_rows(self, monkeypatch):
         # The oracle's necklaces come in lexicographic order, so on the line
-        # plant at K = 7 its two chunks of 512 and 74 schedules hold these
-        # many distinct leading rows at depths 1 to 7, and the period map
-        # steps only those: 1,095 slices where one per schedule and step
-        # would be 4,102. The gain pass after it steps every schedule.
+        # plant at K = 7 its one chunk of 586 schedules holds these many
+        # distinct leading rows at depths 1 to 7, and the period map steps
+        # only those: 1,090 slices where one per schedule and step would be
+        # 4,102. The gain pass after it steps every schedule.
         sys = ps.load_experiment(LINE4_CONFIG).system
         sizes, step = [], periodic._riccati_step
 
-        def recorded(sys, p, c, r):
+        def recorded(sys, p, c, c_t, r):
             sizes.append(len(c))
-            return step(sys, p, c, r)
+            return step(sys, p, c, c_t, r)
 
         monkeypatch.setattr(periodic, "_riccati_step", recorded)
         ps.exhaustive_search(sys, 7, 3)
-        heads = [[1, 2, 7, 24, 89, 263, 512], [1, 2, 5, 15, 36, 64, 74]]
-        assert sizes == heads[0] + [512] * 7 + heads[1] + [74] * 7
-        assert sum(sizes) == 5197
+        assert chunk_length(sys.n_states, 7) >= 586
+        assert sizes == [1, 3, 11, 38, 124, 327, 586] + [586] * 7
+        assert sum(sizes) == 5192
 
     def test_diverging_doubling_stops_at_its_first_nonfinite_h(self, monkeypatch):
         # The empty schedule leaves the mode at 1.2 unobserved. After d
@@ -950,7 +963,7 @@ class TestPeriodicDoubling:
             Q=np.eye(3),
             R=np.eye(1),
         )
-        (e, g, h), _, _ = period_triple(sys, np.zeros((1, 1, 1), dtype=np.int8))
+        (e, g, h), _ = period_triple(sys, np.zeros((1, 1, 1), dtype=np.int8))
         inverses, inv = [], np.linalg.inv
 
         def counted(x):
