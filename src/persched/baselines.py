@@ -12,6 +12,7 @@ reports the score statistics, the reference the solver is expected to beat.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 from dataclasses import dataclass
@@ -133,7 +134,8 @@ def exhaustive_search(
     classes = _necklaces(K, bounds, total_activations)
     while chunk := list(itertools.islice(classes, step)):
         bits, sizes = zip(*chunk)
-        masks, sizes = np.array(bits, dtype=np.int8).reshape(-1, K, len(bounds)), np.array(sizes)
+        masks = np.fromiter(itertools.chain(*bits), np.int8).reshape(-1, K, len(bounds))
+        sizes = np.array(sizes)
         values = evaluate_schedules(sys, masks)
         invalid = np.isnan(values)
         n_skipped += int(sizes[invalid].sum())
@@ -216,12 +218,18 @@ def _draw_mask(
 ) -> np.ndarray:
     """One exactly uniform draw from the feasible masks with ``total``
     activations, by sampling per-sensor counts from the suffix table and
-    then a uniform subset of steps per sensor. ``laws`` caches the count
-    choices and CDF per (sensor, remaining), built and inverted with one
-    ``rng.random()`` as ``rng.choice(choices, p=...)`` does, so the masks
-    and the generator's state match that call's."""
+    then a uniform subset of steps per sensor, with the draws that
+    ``rng.choice`` would make, so the masks and the generator's state match
+    those calls'. ``laws`` caches the count choices and CDF per (sensor,
+    remaining), as lists, inverted by bisection at one ``rng.random()`` as
+    ``rng.choice(choices, p=...)`` inverts its CDF. A sensor's c steps come
+    from Floyd's algorithm on ``rng.integers(j + 1)`` for j = K - c .. K - 1,
+    and the c - 1 draws ``rng.integers(i)``, i = c .. 2, of the shuffle that
+    ends ``rng.choice(K, size=c, replace=False)`` are made and dropped: that is
+    the branch choice takes for K up to 10,000, and a size-0 choice draws
+    nothing. NumPy's tail shuffle for K > 10,000 is not reproduced."""
     M = len(bounds)
-    mask = np.zeros((K, M), dtype=np.int8)
+    bits = bytearray(K * M)
     remaining = total
     for m in range(M):
         if (m, remaining) not in laws:
@@ -229,13 +237,19 @@ def _draw_mask(
             ways = [comb(K, c) * table[m + 1][remaining - c] for c in counts]
             weights = np.array([w for w in ways if w > 0], dtype=float)
             cdf = (weights / weights.sum()).cumsum()
-            laws[m, remaining] = ([c for c, w in enumerate(ways) if w > 0], cdf / cdf[-1])
+            choices = [c for c, w in enumerate(ways) if w > 0]
+            laws[m, remaining] = (choices, (cdf / cdf[-1]).tolist())
         choices, cdf = laws[m, remaining]
-        c = choices[cdf.searchsorted(rng.random(), side="right")]
-        if c:  # a size-0 choice draws nothing from the generator
-            mask[rng.choice(K, size=c, replace=False), m] = 1
-            remaining -= c
-    return mask
+        c = choices[bisect.bisect_right(cdf, rng.random())]
+        for j in range(K - c, K):
+            step = int(rng.integers(j + 1))
+            if bits[step * M + m]:  # drawn before: Floyd's algorithm takes j
+                step = j
+            bits[step * M + m] = 1
+        for i in range(c, 1, -1):
+            rng.integers(i)
+        remaining -= c
+    return np.frombuffer(bits, dtype=np.int8).reshape(K, M)
 
 
 def random_baseline(

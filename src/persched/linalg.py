@@ -136,8 +136,15 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (X + X^T) / 2, slice by slice for a stack."""
-    return 0.5 * (x + x.swapaxes(-1, -2))
+    """Return the symmetric part (X + X^T) / 2, slice by slice for a stack,
+    as a new array. X^T is first copied to C order and the sum made in
+    place: adding a strided transposed view costs NumPy almost twice as
+    much, and X + X^T keeps its operand order, so every bit (NaN payloads
+    included) is what the plain expression gives."""
+    out = np.array(x.swapaxes(-1, -2), dtype=np.result_type(x, 0.5), order="C")
+    np.add(x, out, out=out)
+    out *= 0.5
+    return out
 
 
 def require_symmetric(x, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:

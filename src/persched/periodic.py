@@ -387,13 +387,14 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
     Each slice stops at its first doubling with ||dH|| <= _RICCATI_TOL ||H||
     (Frobenius norms, no absolute floor, so the test is the same at every
     scale of H), and a slice whose H is not finite has diverged and leaves
-    unsettled at once."""
+    unsettled at once. The test runs on the new H before E and G are
+    squared, and only the slices that go on square them, so the last
+    doubling of a slice makes no E, G update that nothing reads."""
     settled_h, settled, live = np.empty(h.shape), np.zeros(len(h), dtype=bool), np.arange(len(h))
-    for _ in range(_RICCATI_MAX_DOUBLINGS):
+    for doubling in range(1, _RICCATI_MAX_DOUBLINGS + 1):
         w = np.linalg.inv(np.eye(h.shape[-1]) + g @ h)
-        ew, e_t = e @ w, _transposed(e)
+        e_t = _transposed(e)
         h_next = symmetrize(h + e_t @ h @ w @ e)
-        e, g = ew @ e, symmetrize(g + ew @ g @ e_t)
         # Both norms are taken at H's _unit_shift, an exact power of two, so
         # neither overflows nor underflows while H is finite.
         shift = _unit_shift(h_next)
@@ -402,10 +403,14 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
         finite = np.isfinite(norm)
         done = finite & (change <= _RICCATI_TOL * norm)
         settled_h[live[done]], settled[live[done]] = h_next[done], True
-        going = finite & ~done
-        live, e, g, h = live[going], e[going], g[going], h_next[going]
-        if not live.size:
+        going = np.flatnonzero(finite & ~done)
+        if not going.size or doubling == _RICCATI_MAX_DOUBLINGS:
             break
+        # Only the slices that double again update E and G.
+        if going.size < live.size:
+            live, e, e_t, g, w, h_next = (x[going] for x in (live, e, e_t, g, w, h_next))
+        ew = e @ w
+        e, g, h = ew @ e, symmetrize(g + ew @ g @ e_t), h_next
     idx = np.flatnonzero(settled)
     return idx, settled_h[idx]
 
@@ -416,8 +421,10 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
     doubled fixed point settles (_doubled_fixed_point of _period_map), the
     indices of those among them whose closed loop passes _stable_loops'
     radius test (by its Frobenius norm alone, for a well-damped loop), and
-    for the latter the (S, K, N, M) gains, whose inactive columns are +0.0,
-    and the read-only (S, K, N, N) Riccati cycles.
+    for the latter the (S, K, N, M) gains, whose inactive columns are zero up
+    to the sign of zero (evaluate_schedule, the one caller that returns
+    gains, sets them to +0.0; evaluate_schedules reads only the cycles), and
+    the read-only (S, K, N, N) Riccati cycles.
 
     After the period map's K _riccati_steps, K more from the fixed point P_0
     give the gains, the cycle P_0, ..., P_{K-1} and the closed-loop
@@ -448,7 +455,6 @@ def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
         cycles[:, k] = p
         gains[:, k], p, _ = _riccati_step(sys, p, c[:, k], c_t[:, k], r[:, k])
         pi = _closed_loop(sys, gains[:, k]) @ pi
-    gains.swapaxes(-1, -2)[~active[settled]] = 0.0
     stable = _stable_loops(pi)[1]
     keep = stable if stable.size < settled.size else slice(None)  # views when all are stable
     cycles = cycles[keep]
@@ -464,8 +470,10 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     column-sparsity pattern exactly: the period map's fixed point by
     doubling, then one pass around the period for the gains and the
     Riccati cycle, which is the covariance limit cycle the gains induce.
-    The closed-loop monodromy's radius test is the one stability check, and
-    J is the average trace of the cycle. evaluate_schedules gives the same J
+    The gains' inactive columns are set to +0.0 here, for this one schedule;
+    the stacked solve leaves them zero up to the sign of zero. The
+    closed-loop monodromy's radius test is the one stability check, and J is
+    the average trace of the cycle. evaluate_schedules gives the same J
     for many schedules at once.
 
     Raises DimensionError when the schedule's width is not the system's
@@ -485,9 +493,11 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
         )
     if not stable.size:
         raise InitializationError("periodic Riccati iteration produced an unstable closed loop")
+    gains = gains[0]
+    gains.swapaxes(-1, -2)[sched.mask == 0] = 0.0
     gains.setflags(write=False)
     J = float(_trace_sum(cycles[0]) / sched.K)
-    return ScheduleEvaluation(J=J, gains=gains[0], cycle=cycles[0])
+    return ScheduleEvaluation(J=J, gains=gains, cycle=cycles[0])
 
 
 def chunk_length(n_states: int, K: int) -> int:
@@ -508,7 +518,7 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     arr = np.asarray(masks)
     if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != sys.n_sensors:
         raise DimensionError(f"masks must stack to (T, K, {sys.n_sensors}), got {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise InputError("schedule mask entries must be 0 or 1")
     J, K = np.full(len(arr), np.nan), arr.shape[1]
     todo = np.arange(len(arr))

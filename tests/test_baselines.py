@@ -432,6 +432,23 @@ class TestDrawUniformity:
                 np.testing.assert_array_equal(mask, expected)
             assert gen.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_steps_match_choice_at_every_count(self, K):
+        # One sensor bounded by K with a total of c draws exactly c steps:
+        # Floyd's draws and the c - 1 dropped draws of choice's shuffle must
+        # give the steps of rng.choice(K, size=c, replace=False) and leave
+        # the generator where it does, as the next rng.random() shows (and
+        # the state, whose buffered 32-bit half a single dropped draw may use).
+        table = _count_table(K, (K,))
+        for c in range(K + 1):
+            for seed in range(6):
+                gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                mask = _draw_mask(gen, K, (K,), c, table, {})
+                np.testing.assert_array_equal(mask, draw_mask_per_call(ref, K, (K,), c, table))
+                assert mask.sum() == c
+                assert gen.bit_generator.state == ref.bit_generator.state
+                assert gen.random() == ref.random()
+
 
 class TestCountTable:
     def test_counts_match_enumeration(self):

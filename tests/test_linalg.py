@@ -334,6 +334,28 @@ class TestHelpers:
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         np.testing.assert_allclose(symmetrize(a), [[1.0, 1.0], [1.0, 1.0]])
 
+    def test_symmetrize_is_the_plain_expression_bit_for_bit(self, rng):
+        # The sum runs on a C-ordered copy of the transpose in place; every
+        # bit, signed zeros, infinities and NaN payloads included, must be
+        # 0.5 * (x + x^T)'s, and the input must stay untouched.
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-310, -3.5])
+        stack = rng.normal(size=(3, 5, 5))
+        stack.reshape(-1)[rng.choice(stack.size, 40, replace=False)] = rng.choice(special, 40)
+        # Mirrored pairs whose sum depends on the operand order: NaNs of
+        # either sign, inf against -inf, and +0.0 against -0.0.
+        stack[0, 0, 1], stack[0, 1, 0] = np.nan, -np.nan
+        stack[0, 2, 3], stack[0, 3, 2] = np.inf, -np.inf
+        stack[0, 0, 4], stack[0, 4, 0] = 0.0, -0.0
+        for x in (stack, stack[0], stack[0].T, stack.transpose(0, 2, 1), stack[:, ::2, ::2]):
+            before = x.copy()
+            with np.errstate(invalid="ignore"):
+                out = symmetrize(x)
+                expected = 0.5 * (x + x.swapaxes(-1, -2))
+            assert out.shape == x.shape and out.dtype == expected.dtype
+            np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+            assert not np.shares_memory(out, x)
+            np.testing.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+
     def test_require_symmetric_tolerance(self):
         a = np.eye(3)
         a[0, 1] = 1e-12

@@ -911,6 +911,40 @@ class TestPeriodicDoubling:
         scale = np.linalg.norm(p, axis=(1, 2))
         assert (np.linalg.norm(back - p, axis=(1, 2)) <= rtol * scale).all()
 
+    def test_doubled_fixed_point_ignores_when_its_stack_mates_settle(self, monkeypatch):
+        # Twelve sparse benchmark schedules (a fifth of the entries on, as in
+        # random_baseline's draws) settle at the 4th or the 5th doubling, and
+        # a first triple (2^600 I, 0, 0) settles at its first: H = 0 is its
+        # fixed point, and squaring its E would overflow. Each slice must come
+        # back bit for bit as it does alone, and a settled slice's E and G
+        # must not be squared again, in the stack as alone.
+        sys = ps.benchmark_system()
+        masks = (np.random.default_rng(11).random((12, 10, sys.n_sensors)) < 0.2).astype(np.int8)
+        triple, _ = period_triple(sys, masks)
+        zero = np.zeros((1, sys.n_states, sys.n_states))
+        first = (np.ldexp(np.eye(sys.n_states), 600)[np.newaxis], zero, zero)
+        e, g, h = (np.concatenate(pair) for pair in zip(first, triple))
+        inv, doublings = np.linalg.inv, []
+
+        def counted(x):
+            doublings[-1] += 1
+            return inv(x)
+
+        monkeypatch.setattr(periodic.np.linalg, "inv", counted)
+        alone = []
+        with np.errstate(over="raise"):
+            for t in range(len(h)):
+                doublings.append(0)
+                alone.append(periodic._doubled_fixed_point(*(x[t : t + 1] for x in (e, g, h))))
+            doublings.append(0)
+            settled, p = periodic._doubled_fixed_point(e, g, h)
+        solo = doublings[:-1]
+        assert solo[0] == 1 and len(set(solo[1:])) > 1 and doublings[-1] == max(solo)
+        assert all(idx.tolist() == [0] for idx, _ in alone)
+        np.testing.assert_array_equal(settled, np.arange(len(h)))
+        expected = np.concatenate([x for _, x in alone])
+        np.testing.assert_array_equal(p.view(np.uint64), expected.view(np.uint64))
+
     def test_period_map_inverts_only_m_by_m_innovations(self, monkeypatch):
         # The K steps fold by rank-M updates from each step's M x M inverse
         # innovation: on the benchmark plant (N = 25, M = 10) no inverse or
