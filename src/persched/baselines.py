@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import BudgetError, InitializationError
 from .gstep import normalize_eta
-from .linalg import _integral
+from .linalg import _array, _integral
 from .model import SystemModel
 from .periodic import Schedule, chunk_length, evaluate_schedules
 
@@ -64,7 +64,7 @@ class BaselineResult:
 
     @classmethod
     def from_values(cls, values) -> "BaselineResult":
-        arr = np.asarray(values, dtype=float)
+        arr = _array(values, "values", ("T",))
         return cls(
             values=tuple(float(v) for v in arr),
             mean=float(arr.mean()),

@@ -68,35 +68,30 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 def _checked(where: str, build, *args, **kwargs):
     """build(*args, **kwargs), its InputError or DimensionError re-raised as
-    a ConfigError behind the YAML path ``where``. Each constructor and each
-    of the two scalar rules, linalg._integral and _real, names the argument
-    at the start of its message, so "admm." and "period must be an integer,
-    got 4.5" give the field's own path, and "system.matrices." and "Q is not
-    positive semidefinite" give the matrix's."""
+    a ConfigError behind the YAML path ``where``. Each constructor, the two
+    scalar rules, linalg._integral and _real, and the shape rule, _array,
+    name the argument at the start of their messages, so "admm." and "period
+    must be an integer, got 4.5" give the field's own path, and
+    "system.matrices." and "Q is not positive semidefinite" give the
+    matrix's."""
     try:
         return build(*args, **kwargs)
     except (InputError, DimensionError) as exc:
         raise ConfigError(f"{where}{exc}") from exc
 
 
-def _load_matrix(value, base: Path, where: str) -> np.ndarray:
-    if isinstance(value, str):
-        path = (base / value).resolve()
-        if not path.is_file():
-            raise ConfigError(f"{where}: referenced file {path} does not exist")
-        try:
-            return np.loadtxt(path, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: could not parse {path}: {exc}") from exc
-    if isinstance(value, list):
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: not a numeric array: {exc}") from exc
-        if arr.ndim != 2:
-            raise ConfigError(f"{where}: expected a 2-D array, got ndim={arr.ndim}")
-        return arr
-    raise ConfigError(f"{where} must be a nested array or a file path string")
+def _load_matrix(value, base: Path, where: str):
+    """The matrix a file path string names, or the YAML value itself, which
+    SystemModel reads by the shape rule."""
+    if not isinstance(value, str):
+        return value
+    path = (base / value).resolve()
+    if not path.is_file():
+        raise ConfigError(f"{where}: referenced file {path} does not exist")
+    try:
+        return np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: could not parse {path}: {exc}") from exc
 
 
 def _build_system(section: dict, base: Path) -> SystemModel:
@@ -112,11 +107,6 @@ def _build_system(section: dict, base: Path) -> SystemModel:
         for key in ("ell_h", "ell_v", "sensor_sites"):
             if key not in f:
                 raise ConfigError(f"system.field.{key} is required")
-        sites = f["sensor_sites"]
-        if not isinstance(sites, list) or not all(
-            isinstance(s, list) and len(s) == 2 for s in sites
-        ):
-            raise ConfigError("system.field.sensor_sites must be a list of [i, j] pairs")
         lattice = {k: f[k] for k in f if k not in ("q_scale", "r_scale")}
         geom = _checked("system.field.", FieldGeometry, **lattice)
         # The YAML default of q_scale is 1.0, not the function's 0.25.

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InputError
-from .linalg import _integral, _real, _stack
+from .linalg import _array, _integral, _real
 
 __all__ = [
     "GStepProblem",
@@ -58,13 +58,13 @@ class GStepProblem:
     eta: tuple
 
     def __post_init__(self):
-        s = np.array(_stack(self.S, "targets"))  # private copy: the caller's stays writeable
+        s = _array(self.S, "targets", ("K", "N", "M"), stack=True)
+        s = np.array(s)  # private copy: the caller's stays writeable
         s.setflags(write=False)
-        K = _integral(len(s), "K", least=1)  # the targets' period
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "gamma", _real(self.gamma, "gamma", least=0))
         object.__setattr__(self, "rho", _real(self.rho, "rho", above=0))
-        object.__setattr__(self, "eta", normalize_eta(self.eta, s.shape[2], K))
+        object.__setattr__(self, "eta", normalize_eta(self.eta, s.shape[2], len(s)))
 
     @property
     def K(self) -> int:

@@ -13,8 +13,9 @@ a scaling is exact, so a result scaled back is what the unscaled problem
 gives in unbounded range.
 
 Two value rules, _integral and _real, check the type and the range of every
-scalar argument of the package's public types and entries, and name the
-argument when they refuse.
+scalar argument of the package's public types and entries, and one shape
+rule, _array, reads and checks every array argument; each names the
+argument at the start of its message when it refuses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .exceptions import ConvergenceError, DimensionError, InputError
 
 __all__ = [
-    "as_matrix",
     "symmetrize",
     "require_symmetric",
     "psd_sqrt",
@@ -43,24 +43,40 @@ _UNIT_MARGIN = 1e-9
 _PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce ``x`` to a 2-D float array with finite entries."""
-    if np.ndim(x) != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {np.shape(x)}")
-    return _stack(x, name)[0]
+def _array(value, name: str, shape: tuple, stack: bool = False, dtype=float) -> np.ndarray:
+    """The one shape rule for an array argument: ``value`` read as an array
+    with one axis per entry of ``shape``. An int entry is an exact length; a
+    letter is a free one, any positive length, which each other entry of the
+    same letter must repeat, so ("N", "N") asks for a square matrix. With
+    ``stack``, a 2-D value where three axes are asked for is a stack of one.
 
-
-def _stack(x, name: str) -> np.ndarray:
-    """Coerce a matrix, or a (K, r, c) stack of them, to a 3-D float array
-    with finite entries."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 2:
+    A wrong shape is the DimensionError "{name} must have shape (...), got
+    (...)". A value NumPy cannot read as a finite real array (ragged, text,
+    complex, object or non-finite) is an InputError naming the argument.
+    dtype float gives a float array, not copied when it is one; None keeps
+    the array as read, so a 0/1 int8 stack is not copied; int reads each
+    entry by _integral and gives an int array."""
+    try:
+        arr = np.asarray(value, dtype=object if dtype is int else None)
+    except ValueError:
+        raise InputError(f"{name} must be a finite real array, got a ragged sequence") from None
+    if dtype is not int and arr.dtype.kind not in "biuf":
+        raise InputError(f"{name} must be a finite real array, got dtype {arr.dtype}")
+    if stack and arr.ndim == 2 and len(shape) == 3:
         arr = arr[np.newaxis]
-    if arr.ndim != 3:
-        raise DimensionError(f"{name} must be 2-D or a 3-D stack, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name} contains non-finite entries")
-    return arr
+    free = {}  # letter -> the length it first met
+    fits = arr.ndim == len(shape) and all(
+        n > 0 and n == free.setdefault(d, n) if isinstance(d, str) else n == d
+        for n, d in zip(arr.shape, shape)
+    )
+    if not fits:
+        dims = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise DimensionError(f"{name} must have shape ({dims}), got {arr.shape}")
+    if dtype is int:
+        return np.array([_integral(x, name) for x in arr.flat], dtype=int).reshape(arr.shape)
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise InputError(f"{name} must be a finite real array, got non-finite entries")
+    return arr if dtype is None else arr.astype(dtype, copy=False)
 
 
 def _scalar(value, name: str, what: str):
@@ -115,13 +131,6 @@ def _bounded(number, value, name: str, least=None, most=None, above=None):
     return number
 
 
-def _square(x, name: str = "matrix") -> np.ndarray:
-    arr = as_matrix(x, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
 def _unit_shift(x: np.ndarray) -> np.ndarray:
     """The exponent s of each (r, c) slice of x, shaped to broadcast against
     it, for which max |2^s x| lies in [1, 2); 1 for a zero slice. np.ldexp
@@ -151,7 +160,7 @@ def require_symmetric(x, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
     """Validate symmetry within ``tol`` relative to the norm, judged at the
     matrix's _unit_shift so that no squared norm overflows, and return the
     symmetrized copy."""
-    arr = _square(x, name)
+    arr = _array(x, name, ("N", "N"))
     unit = np.ldexp(arr, _unit_shift(arr))[np.newaxis]
     if _squared_norms(unit - unit.transpose(0, 2, 1))[0] > tol**2 * _squared_norms(unit)[0]:
         raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
@@ -187,7 +196,7 @@ def matrix_exponential(x) -> np.ndarray:
     numpy.ndarray
         e^X, same shape as ``x``.
     """
-    a = _square(x, "matrix_exponential argument")
+    a = _array(x, "matrix_exponential argument", ("N", "N"))
     n = a.shape[0]
     norm1 = float(np.linalg.norm(a, 1))
     squarings = 0

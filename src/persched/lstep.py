@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InstabilityError
-from .linalg import _real, _solve_gain_sylvester, _stack, symmetrize
+from .exceptions import InstabilityError
+from .linalg import _array, _real, _solve_gain_sylvester, symmetrize
 from .model import SystemModel
-from .periodic import _closed_loop, _gain_stack, _gradient_cycles, _trace_sum
+from .periodic import _closed_loop, _gradient_cycles, _trace_sum
 
 __all__ = [
     "LStepProblem",
@@ -56,12 +56,7 @@ class LStepProblem:
     rho: float
 
     def __post_init__(self):
-        u = _stack(self.U, "targets")
-        if u.shape[1] != self.sys.n_states or u.shape[2] != self.sys.n_sensors:
-            raise DimensionError(
-                f"targets of shape {u.shape} do not match system with "
-                f"N={self.sys.n_states}, M={self.sys.n_sensors}"
-            )
+        u = _array(self.U, "targets", ("K", self.sys.n_states, self.sys.n_sensors), stack=True)
         u = np.array(u, order="C")  # private copy: the caller's stays writeable
         u.setflags(write=False)
         object.__setattr__(self, "U", u)
@@ -102,14 +97,6 @@ class LStepResult:
     descent_history: tuple
     armijo_trials: int
     cycles: tuple
-
-
-def _check_compatible(prob: LStepProblem, gains) -> np.ndarray:
-    """periodic._gain_stack of gains that must have the targets' shape."""
-    g = _gain_stack(gains)
-    if g.shape != prob.U.shape:
-        raise DimensionError(f"gains shape {g.shape} does not match targets {prob.U.shape}")
-    return g
 
 
 def _penalty(prob: LStepProblem, gains: np.ndarray) -> float:
@@ -206,7 +193,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
     the start's own and its stability check.
     """
     tol = _real(tol, "tol")
-    gains = _check_compatible(prob, init)
+    gains = _array(init, "gains", prob.U.shape, stack=True)
     if gains.flags.writeable:
         gains = gains.copy()
         gains.setflags(write=False)

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, InputError
+from .exceptions import InputError
 from .linalg import (
     _UNIT_MARGIN,
+    _array,
     _integral,
     _real,
-    as_matrix,
     matrix_exponential,
     psd_sqrt,
     require_symmetric,
@@ -54,22 +54,12 @@ class SystemModel:
     R: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A")
-        b = as_matrix(self.B, "B")
-        c = as_matrix(self.C, "C")
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise DimensionError(f"A must be square, got {a.shape}")
-        if b.shape[0] != n:
-            raise DimensionError(f"B has {b.shape[0]} rows, expected {n}")
-        if c.shape[1] != n:
-            raise DimensionError(f"C has {c.shape[1]} columns, expected {n}")
-        q = require_symmetric(self.Q, "Q")
-        r = require_symmetric(self.R, "R")
-        if q.shape != (b.shape[1], b.shape[1]):
-            raise DimensionError(f"Q shape {q.shape} does not match B columns {b.shape[1]}")
-        if r.shape != (c.shape[0], c.shape[0]):
-            raise DimensionError(f"R shape {r.shape} does not match C rows {c.shape[0]}")
+        a = _array(self.A, "A", ("N", "N"))
+        n = len(a)
+        b = _array(self.B, "B", (n, "p"))
+        c = _array(self.C, "C", ("M", n))
+        q = require_symmetric(_array(self.Q, "Q", (b.shape[1],) * 2), "Q")
+        r = require_symmetric(_array(self.R, "R", (len(c),) * 2), "R")
         psd_sqrt(q, "Q")  # for its semidefinite test, the same at every scale
         if np.linalg.eigvalsh(r).min() <= 0.0:
             raise InputError("R must be positive definite")
@@ -124,10 +114,11 @@ class FieldGeometry:
         object.__setattr__(self, "spacing", _real(self.spacing, "spacing", above=0))
         interval = _real(self.sample_interval, "sample_interval", least=0)
         object.__setattr__(self, "sample_interval", interval)
-        sites = tuple(
-            (_integral(i, "sensor_sites"), _integral(j, "sensor_sites"))
-            for i, j in self.sensor_sites
-        )
+        sites = self.sensor_sites
+        if isinstance(sites, (tuple, list)) and not sites:  # S = 0, the default
+            sites = ()
+        else:
+            sites = tuple(map(tuple, _array(sites, "sensor_sites", ("S", 2), dtype=int).tolist()))
         for i, j in sites:
             if not (0 <= i <= self.ell_h and 0 <= j <= self.ell_v):
                 raise InputError(f"sensor_sites entry {(i, j)} is outside the lattice")
@@ -145,7 +136,7 @@ class FieldGeometry:
 
     def site_index(self, site) -> int:
         """Row-major state index of lattice node (i, j)."""
-        i, j = site
+        i, j = _array(site, "site", (2,), dtype=int).tolist()
         if not (0 <= i <= self.ell_h and 0 <= j <= self.ell_v):
             raise InputError(f"site {(i, j)} is outside the lattice")
         return i * (self.ell_v + 1) + j
@@ -161,14 +152,14 @@ def build_laplacian(geom: FieldGeometry) -> np.ndarray:
     n = geom.n_states
     h2 = geom.spacing**2
     lap = np.zeros((n, n))
-    for i in range(geom.ell_h + 1):
-        for j in range(geom.ell_v + 1):
-            row = geom.site_index((i, j))
-            lap[row, row] = -4.0 / h2
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ni, nj = i + di, j + dj
-                if 0 <= ni <= geom.ell_h and 0 <= nj <= geom.ell_v:
-                    lap[row, geom.site_index((ni, nj))] = 1.0 / h2
+    # site_index of every node, without its per-call argument check.
+    index = np.arange(n).reshape(geom.ell_h + 1, geom.ell_v + 1)
+    for (i, j), row in np.ndenumerate(index):
+        lap[row, row] = -4.0 / h2
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ni, nj = i + di, j + dj
+            if 0 <= ni <= geom.ell_h and 0 <= nj <= geom.ell_v:
+                lap[row, index[ni, nj]] = 1.0 / h2
     return lap
 
 

@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionError, InitializationError, InputError, InstabilityError
-from .linalg import _UNIT_MARGIN, _smith_doubling, _squared_norms, _stack, _unit_shift, symmetrize
+from .exceptions import InitializationError, InputError, InstabilityError
+from .linalg import _UNIT_MARGIN, _array, _smith_doubling, _squared_norms, _unit_shift, symmetrize
 from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
@@ -67,6 +67,15 @@ _RICCATI_TOL, _RICCATI_MAX_DOUBLINGS = 1e-10, 64
 _CHUNK_FLOATS = 81_920
 
 
+def _binary(value, name: str, shape: tuple) -> np.ndarray:
+    """The one 0/1 mask check: linalg._array of value, as read, whose entries
+    must all be 0 or 1; an int8 stack is not copied."""
+    arr = _array(value, name, shape, dtype=None)
+    if not ((arr == 0) | (arr == 1)).all():
+        raise InputError(f"{name} entries must be 0 or 1")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """K x M binary sensor activation mask.
@@ -78,15 +87,7 @@ class Schedule:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask)
-        if mask.ndim != 2:
-            raise DimensionError(f"schedule mask must be 2-D, got ndim={mask.ndim}")
-        if mask.shape[0] < 1 or mask.shape[1] < 1:
-            raise DimensionError(f"schedule mask must be nonempty, got {mask.shape}")
-        values = np.unique(mask)
-        if not np.all(np.isin(values, (0, 1))):
-            raise InputError("schedule mask entries must be 0 or 1")
-        mask = mask.astype(np.int8)
+        mask = _binary(self.mask, "mask", ("K", "M")).astype(np.int8)
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
@@ -127,27 +128,6 @@ class ScheduleEvaluation(NamedTuple):
     J: float
     gains: np.ndarray
     cycle: np.ndarray
-
-
-def _gain_stack(gains) -> np.ndarray:
-    """Gains L_0..L_{K-1} as a finite (K, N, M) float array, K >= 1; a single
-    N x M gain is the K = 1 stack. The gain applied at absolute time t is
-    L_{t mod K}. A float array is not copied."""
-    g = _stack(gains, "gains")
-    if g.shape[0] < 1:
-        raise DimensionError("gain sequence must have at least one element")
-    return g
-
-
-def _check_gains(sys: SystemModel, gains) -> np.ndarray:
-    """_gain_stack of gains that must fit the system's N states and M sensors."""
-    g = _gain_stack(gains)
-    if g.shape[1:] != (sys.n_states, sys.n_sensors):
-        raise DimensionError(
-            f"gains of shape (K, {g.shape[1]}, {g.shape[2]}) do not match "
-            f"system with N={sys.n_states}, M={sys.n_sensors}"
-        )
-    return g
 
 
 def _closed_loop(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
@@ -219,12 +199,14 @@ def covariance_limit_cycle(sys: SystemModel, gains) -> np.ndarray:
     """Unique periodic steady state of the error-covariance recursion.
 
     Solves P_{k+1} = F_k P_k F_k^T + W_k with wraparound P_K = P_0, where
-    F_k = A - L_k C and W_k = B Q B^T + L_k R L_k^T: one Lyapunov solve in
-    the monodromy matrix gives P_0, and the recursion gives the rest.
-    Returns (P_0, ..., P_{K-1}) as a read-only (K, N, N) array of symmetric
-    matrices.
+    F_k = A - L_k C and W_k = B Q B^T + L_k R L_k^T for the (K, N, M) gains
+    L_0..L_{K-1}, L_k applied at every time t = k mod K (a single N x M gain
+    is the K = 1 stack): one Lyapunov solve in the monodromy matrix gives
+    P_0, and the recursion gives the rest. Returns (P_0, ..., P_{K-1}) as a
+    read-only (K, N, N) array of symmetric matrices.
     """
-    factors, noise = (x[:, np.newaxis] for x in _loop(sys, _check_gains(sys, gains)))
+    gains = _array(gains, "gains", ("K", sys.n_states, sys.n_sensors), stack=True)
+    factors, noise = (x[:, np.newaxis] for x in _loop(sys, gains))
     return _limit_cycles(factors, noise)[0]
 
 
@@ -250,7 +232,7 @@ def schedule_from_gains(gains) -> Schedule:
     _RELATIVE_ZERO_TOL (1e-6) times the largest column norm in the sequence,
     so uniformly tiny gains yield an empty schedule.
     """
-    norms = np.linalg.norm(_gain_stack(gains), axis=1)
+    norms = np.linalg.norm(_array(gains, "gains", ("K", "N", "M"), stack=True), axis=1)
     return Schedule((norms > _RELATIVE_ZERO_TOL * float(norms.max())).astype(np.int8))
 
 
@@ -259,8 +241,10 @@ def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:
 
     Runs the PBH rank test of validate_assumptions on the lifted pair
     (A_lift, C_lift) of _detectability_gate; skipped entirely for a
-    Schur-stable plant, where any schedule is admissible.
+    Schur-stable plant, where any schedule is admissible. Raises
+    DimensionError first unless the schedule has one column per sensor.
     """
+    _array(sched.mask, "sched.mask", ("K", sys.n_sensors), dtype=None)
     hidden_mode = _detectability_gate(sys, sched.K)
     lam = None if hidden_mode is None else hidden_mode(sched.mask)
     if lam is not None:
@@ -481,10 +465,6 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     unstable mode unobserved, the doubling fails to settle, or the closed
     loop is unstable.
     """
-    if sched.n_sensors != sys.n_sensors:
-        raise DimensionError(
-            f"schedule has {sched.n_sensors} sensor columns, system has {sys.n_sensors}"
-        )
     check_schedule_detectability(sys, sched)
     settled, stable, gains, cycles = _periodic_riccati(sys, sched.mask[np.newaxis] == 1)
     if not settled.size:
@@ -508,18 +488,15 @@ def chunk_length(n_states: int, K: int) -> int:
 
 
 def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
-    """evaluate_schedule's J for each schedule of a (T, K, M) 0/1 stack, or NaN
-    where evaluate_schedule raises InitializationError or InstabilityError (an
-    unstable mode unobserved, an unsettled Riccati doubling, an unstable closed
-    loop). Chunks of chunk_length(N, K) schedules share one stacked period map,
-    doubling and pass around the period; neighbours that agree on their
-    leading rows share those steps of the period map. A schedule's J does not
-    depend on the other schedules of the stack."""
-    arr = np.asarray(masks)
-    if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] != sys.n_sensors:
-        raise DimensionError(f"masks must stack to (T, K, {sys.n_sensors}), got {arr.shape}")
-    if not ((arr == 0) | (arr == 1)).all():
-        raise InputError("schedule mask entries must be 0 or 1")
+    """evaluate_schedule's J for each schedule of a (T, K, M) 0/1 stack, T and K
+    at least 1, or NaN where evaluate_schedule raises InitializationError or
+    InstabilityError (an unstable mode unobserved, an unsettled Riccati
+    doubling, an unstable closed loop). Chunks of chunk_length(N, K)
+    schedules share one stacked period map, doubling and pass around the
+    period; neighbours that agree on their leading rows share those steps of
+    the period map. A schedule's J does not depend on the other schedules of
+    the stack."""
+    arr = _binary(masks, "masks", ("T", "K", sys.n_sensors))
     J, K = np.full(len(arr), np.nan), arr.shape[1]
     todo = np.arange(len(arr))
     hidden_mode = _detectability_gate(sys, K)
@@ -540,11 +517,10 @@ def cycle_residual(sys: SystemModel, gains, cycle: np.ndarray) -> float:
     DimensionError unless the cycle is a (K, N, N) stack matching the gains,
     and InputError when it has non-finite entries.
     """
-    factors, noise = _loop(sys, _check_gains(sys, gains))
+    gains = _array(gains, "gains", ("K", sys.n_states, sys.n_sensors), stack=True)
+    factors, noise = _loop(sys, gains)
     k_count = len(factors)
-    cycle = _stack(cycle, "cycle")
-    if cycle.shape != factors.shape:
-        raise DimensionError(f"cycle shape {cycle.shape} does not match the gains' {factors.shape}")
+    cycle = _array(cycle, "cycle", factors.shape, stack=True)
     worst = 0.0
     for k in range(k_count):
         predicted = factors[k] @ cycle[k] @ factors[k].T + noise[k]

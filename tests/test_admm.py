@@ -175,7 +175,8 @@ class TestDriver:
     def test_init_schedule_sensor_count_checked(self, rng):
         # Scoring a schedule checks its width against the plant's sensors.
         sys = random_stable_system(rng, 3, 2)
-        with pytest.raises(DimensionError, match="sensor columns"):
+        message = r"^sched\.mask must have shape \(K, 2\), got \(4, 3\)$"
+        with pytest.raises(DimensionError, match=message):
             ps.evaluate_schedule(sys, Schedule(np.ones((4, 3))))
 
     def test_step_advances_and_records(self, rng):

@@ -2,7 +2,11 @@
 linalg._real: a bad value is an InputError that names the argument, never a
 TypeError or a silent conversion, and a good one is kept as a plain int or
 float. A value outside the argument's range is refused by the same rule, as
-"{name} must be {range}, got {value!r}", and the range's ends are kept."""
+"{name} must be {range}, got {value!r}", and the range's ends are kept.
+Every array argument obeys one shape rule, linalg._array: a wrong shape is a
+DimensionError and an array NumPy cannot read as finite and real an
+InputError, each naming the argument, never a bare NumPy error or a silent
+cast."""
 
 import re
 
@@ -10,7 +14,19 @@ import numpy as np
 import pytest
 
 import persched as ps
-from persched import AdmmConfig, FieldGeometry, GStepProblem, InputError, LStepProblem, lstep
+from persched import (
+    AdmmConfig,
+    BaselineResult,
+    DimensionError,
+    FieldGeometry,
+    GStepProblem,
+    InputError,
+    LStepProblem,
+    Schedule,
+    SystemModel,
+    lstep,
+)
+from persched.periodic import check_schedule_detectability
 
 ADMM = dict(period=4, gamma=0.1, eta=1, rho=10.0, eps=1e-3, max_iters=50)
 LINE = ps.SystemModel(
@@ -203,3 +219,60 @@ def test_value_outside_range_names_its_argument(name, use, wording, value):
 @pytest.mark.parametrize("name, use, wording, value", ranges(BOUNDED, ends=True))
 def test_range_end_accepted(name, use, wording, value):
     assert use(value) is not None
+
+
+def plant(**change):
+    """A SystemModel of LINE's matrices with ``change`` applied."""
+    return SystemModel(**{**{k: getattr(LINE, k) for k in "ABCQR"}, **change})
+
+
+def sites(value):
+    return FieldGeometry(ell_h=1, ell_v=1, sensor_sites=value)
+
+
+def wide_schedule(top):
+    # On the unstable plant (top 1.2) the mask would index the lift's rows;
+    # on the stable one the lift is skipped. The width is checked first.
+    wide = Schedule(np.ones((2, 3)))
+    return lambda: check_schedule_detectability(plant(A=[[top, 0.1], [0.0, 0.4]]), wide)
+
+
+RAGGED_GAINS, RAGGED_MASKS = [[[0.0], [0.0]], [[0.0]]], [[[1]], [[1], [0]]]
+NO_SENSOR, NO_STEP = np.zeros((2, 3, 0)), np.zeros((0, 2, 1))
+
+# (entry, argument as the error names it, the error, and a call that raises it)
+ARRAYS = [
+    ("SystemModel", "A", InputError, lambda: plant(A=[[0.5, 0.1], [0.4]])),
+    ("SystemModel", "A", InputError, lambda: plant(A=[[0.5, 0.1j], [0.0, 0.4]])),
+    ("SystemModel", "C", DimensionError, lambda: plant(C=np.zeros((0, 2)), R=np.zeros((0, 0)))),
+    ("SystemModel", "R", DimensionError, lambda: plant(R=np.zeros((0, 0)))),
+    ("SystemModel", "B", DimensionError, lambda: plant(B=np.zeros((2, 0)), Q=np.zeros((0, 0)))),
+    ("SystemModel", "Q", DimensionError, lambda: plant(Q=np.zeros((0, 0)))),
+    ("FieldGeometry", "sensor_sites", DimensionError, lambda: sites(((0, 0, 0),))),
+    ("FieldGeometry", "sensor_sites", DimensionError, lambda: sites((0,))),
+    ("FieldGeometry", "sensor_sites", DimensionError, lambda: sites(None)),
+    ("FieldGeometry", "sensor_sites", DimensionError, lambda: sites([(0, 0), (1,)])),
+    ("FieldGeometry.site_index", "site", DimensionError, lambda: sites(()).site_index((0, 0, 0))),
+    ("FieldGeometry.site_index", "site", InputError, lambda: sites(()).site_index((0.5, 0))),
+    ("Schedule", "mask", InputError, lambda: Schedule([[1, 0], [1]])),
+    ("evaluate_schedules", "masks", InputError, lambda: ps.evaluate_schedules(LINE, RAGGED_MASKS)),
+    ("check_schedule_detectability", "sched.mask", DimensionError, wide_schedule(1.2)),
+    ("check_schedule_detectability", "sched.mask", DimensionError, wide_schedule(0.5)),
+    ("schedule_from_gains", "gains", DimensionError, lambda: ps.schedule_from_gains(NO_SENSOR)),
+    ("LStepProblem", "targets", InputError, lambda: LStepProblem(LINE, RAGGED_GAINS, 1.0)),
+    ("LStepProblem", "targets", DimensionError, lambda: LStepProblem(LINE, NO_STEP, 1.0)),
+    ("GStepProblem", "targets", InputError, lambda: GStepProblem("abc", 0.1, 1.0, 1)),
+    ("BaselineResult", "values", DimensionError, lambda: BaselineResult.from_values([])),
+]
+
+
+@pytest.mark.parametrize(
+    "name, error, call",
+    [
+        pytest.param(name, error, call, id=f"{entry}.{name}-{case}")
+        for case, (entry, name, error, call) in enumerate(ARRAYS)
+    ],
+)
+def test_bad_array_names_its_argument(name, error, call):
+    with pytest.raises(error, match=f"^{re.escape(name)} "):
+        call()

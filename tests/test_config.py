@@ -134,9 +134,31 @@ system:
         with pytest.raises(ConfigError, match="^system.matrices.Q is not positive semidefinite$"):
             load_experiment(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("A: [[0.9, 0.0], [0.0, 0.8]]", "A: 5", r"A must have shape \(N, N\), got \(\)"),
+            ("A: [[0.9, 0.0], [0.0, 0.8]]", "A: [[0.9], [0.8]]", r"A must have shape \(N, N\)"),
+            ("C: [[1.0, 0.0]]", "C: [[1.0, x]]", "C must be a finite real array, got dtype <U"),
+            ("R: [[1.0]]", "R: {r: 1.0}", "R must be a finite real array, got dtype object"),
+        ],
+    )
+    def test_unreadable_matrix_names_its_path(self, tmp_path, old, new, message):
+        text = MATRIX_SYSTEM.replace(old, new)
+        with pytest.raises(ConfigError, match=f"^system\\.matrices\\.{message}"):
+            load_experiment(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("sites, got", [("[[0, 0, 0]]", r"\(1, 3\)"), ("5", r"\(\)")])
+    def test_sites_not_pairs_names_its_path(self, tmp_path, sites, got):
+        text = FIELD_SYSTEM.replace("sensor_sites: [[0, 0], [1, 1]]", f"sensor_sites: {sites}")
+        message = rf"^system\.field\.sensor_sites must have shape \(S, 2\), got {got}$"
+        with pytest.raises(ConfigError, match=message):
+            load_experiment(write_config(tmp_path, text))
+
     def test_bad_matrix_shape_names_its_path(self, tmp_path):
         text = MATRIX_SYSTEM.replace("B: [[1.0, 0.0], [0.0, 1.0]]", "B: [[1.0], [0.0], [0.0]]")
-        with pytest.raises(ConfigError, match=r"^system.matrices.B has 3 rows, expected 2$"):
+        message = r"^system\.matrices\.B must have shape \(2, p\), got \(3, 1\)$"
+        with pytest.raises(ConfigError, match=message):
             load_experiment(write_config(tmp_path, text))
 
 

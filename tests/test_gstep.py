@@ -1,5 +1,7 @@
 """Sparsification step: column thresholding against per-sensor and brute-force references."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ class TestColumnStack:
 
     def test_bad_rank_rejected(self):
         for s in (np.ones(3), np.ones((1, 2, 2, 1))):
-            with pytest.raises(DimensionError, match="targets"):
+            message = rf"^targets must have shape \(K, N, M\), got {re.escape(str(s.shape))}$"
+            with pytest.raises(DimensionError, match=message):
                 GStepProblem(S=s, gamma=0.0, rho=1.0, eta=1)
 
     def test_nonzero_count_uses_tolerance(self):
@@ -63,7 +66,8 @@ class TestGStepProblem:
             GStepProblem(S=np.zeros((2, 2, 1)), gamma=0.0, rho=1.0, eta=3)
 
     def test_empty_target_stack_rejected(self):
-        with pytest.raises(InputError, match="^K must be at least 1, got 0$"):
+        message = r"^targets must have shape \(K, N, M\), got \(0, 2, 1\)$"
+        with pytest.raises(DimensionError, match=message):
             GStepProblem(S=np.zeros((0, 2, 1)), gamma=0.0, rho=1.0, eta=0)
 
     def test_negative_gamma_rejected(self):

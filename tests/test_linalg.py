@@ -1,5 +1,7 @@
 """Kernel tests against scipy references and hand-computed cases."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +18,7 @@ from persched import (
     matrix_exponential,
 )
 from persched.linalg import (
+    _array,
     _smith_doubling,
     _solve_gain_sylvester,
     psd_sqrt,
@@ -62,7 +65,8 @@ class TestMatrixExponential:
             )
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionError, match="square"):
+        message = r"^matrix_exponential argument must have shape \(N, N\), got \(2, 3\)$"
+        with pytest.raises(DimensionError, match=message):
             matrix_exponential(np.ones((2, 3)))
 
 
@@ -382,3 +386,58 @@ class TestHelpers:
         np.testing.assert_allclose(root @ root, mat, rtol=1e-9, atol=1e-10 * np.abs(mat).max())
         with pytest.raises(InputError, match="positive semidefinite"):
             psd_sqrt(np.ldexp(np.diag([1.0, -0.5]), s))
+
+
+class TestArrayRule:
+    """linalg._array, the one shape rule for array arguments."""
+
+    def test_exact_and_free_lengths(self):
+        np.testing.assert_array_equal(_array([[1, 2], [3, 4]], "x", ("N", "N")), [[1, 2], [3, 4]])
+        assert _array(np.ones((2, 3)), "x", (2, "M")).shape == (2, 3)
+        for shape in [(2, 3), (3,), (0, 0), (1, 2, 2)]:
+            message = rf"^x must have shape \(N, N\), got {re.escape(str(shape))}$"
+            with pytest.raises(DimensionError, match=message):
+                _array(np.ones(shape), "x", ("N", "N"))
+        with pytest.raises(DimensionError, match=r"^x must have shape \(2, M\), got \(3, 1\)$"):
+            _array(np.ones((3, 1)), "x", (2, "M"))
+        with pytest.raises(DimensionError, match=r"^x must have shape \(2,\), got \(3,\)$"):
+            _array([1, 2, 3], "x", (2,))
+
+    def test_stack_of_one(self):
+        assert _array(np.ones((2, 3)), "x", ("K", 2, 3), stack=True).shape == (1, 2, 3)
+        with pytest.raises(DimensionError, match=r"^x must have shape \(K, 2, 3\), got \(2, 3\)$"):
+            _array(np.ones((2, 3)), "x", ("K", 2, 3))
+
+    def test_float_array_read_without_a_copy(self):
+        x = np.ones((2, 2))
+        assert _array(x, "x", ("N", "N")) is x
+        as_float = _array(np.eye(2, dtype=np.int8), "x", ("N", "N"))
+        assert as_float.dtype == float
+        np.testing.assert_array_equal(as_float, np.eye(2))
+
+    def test_dtype_none_keeps_an_integer_stack(self):
+        masks = np.ones((3, 2, 2), dtype=np.int8)
+        assert _array(masks, "masks", ("T", "K", 2), dtype=None) is masks
+
+    def test_dtype_int_reads_each_entry(self):
+        read = _array([[np.int64(1), 2.0]], "x", ("S", 2), dtype=int)
+        assert read.dtype == int and read.tolist() == [[1, 2]]
+        for bad in (0.5, True, "1", None):
+            message = rf"^x must be an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(InputError, match=message):
+                _array([[0, bad]], "x", ("S", 2), dtype=int)
+
+    @pytest.mark.parametrize(
+        "value, got",
+        [
+            ([[1.0, 2.0], [3.0]], "a ragged sequence"),
+            ([["1", "2"], ["3", "4"]], "dtype <U1"),
+            ([[1j, 0], [0, 1]], "dtype complex128"),
+            ([[None, 0], [0, 1]], "dtype object"),
+            ([[np.nan, 0], [0, 1]], "non-finite entries"),
+            ([[np.inf, 0], [0, 1]], "non-finite entries"),
+        ],
+    )
+    def test_unreadable_value_is_an_input_error(self, value, got):
+        with pytest.raises(InputError, match=rf"^x must be a finite real array, got {got}$"):
+            _array(value, "x", ("N", "N"))

@@ -41,11 +41,11 @@ class TestSystemModel:
         np.testing.assert_allclose(sys.q_eff, 3.0 * b @ b.T)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionError, match="square"):
+        with pytest.raises(DimensionError, match=r"^A must have shape \(N, N\), got \(2, 3\)$"):
             SystemModel(
                 A=np.ones((2, 3)), B=np.eye(2), C=np.eye(2), Q=np.eye(2), R=np.eye(2)
             )
-        with pytest.raises(DimensionError, match="columns"):
+        with pytest.raises(DimensionError, match=r"^C must have shape \(M, 2\), got \(1, 3\)$"):
             SystemModel(
                 A=np.eye(2), B=np.eye(2), C=np.ones((1, 3)), Q=np.eye(2), R=np.eye(1)
             )
@@ -107,6 +107,12 @@ class TestFieldGeometry:
     def test_rejects_bad_scalars(self):
         with pytest.raises(InputError, match="spacing"):
             FieldGeometry(ell_h=1, ell_v=1, spacing=0.0)
+
+    @pytest.mark.parametrize("sites", [(), [], [[0, 1], [1, 0]], np.array([[0, 1], [1, 0]])])
+    def test_sites_kept_as_int_pairs(self, sites):
+        kept = FieldGeometry(ell_h=1, ell_v=1, sensor_sites=sites).sensor_sites
+        assert kept == tuple((int(i), int(j)) for i, j in sites)
+        assert all(type(x) is int for site in kept for x in site)
 
 
 class TestBuildLaplacian:

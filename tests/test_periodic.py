@@ -1,6 +1,7 @@
 """Periodic machinery: limit cycles, schedules, fixed-schedule gains."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestSchedule:
         assert (empty.total_activations, empty.mask.dtype) == (0, np.int8)
 
     def test_rejects_non_binary(self):
-        with pytest.raises(InputError, match="0 or 1"):
+        with pytest.raises(InputError, match="^mask entries must be 0 or 1$"):
             Schedule(np.array([[0, 2]]))
 
     def test_mask_is_read_only(self):
@@ -140,7 +141,8 @@ class TestGainContract:
         entry, calls = through(monkeypatch, name)
         gains = np.full((2, 3, 2), 1e-3)
         gains[1, 2, 0] = np.nan
-        with pytest.raises(InputError, match="gains contains non-finite entries"):
+        message = "^gains must be a finite real array, got non-finite entries$"
+        with pytest.raises(InputError, match=message):
             entry(gain_plant(), gains)
         assert not calls
 
@@ -156,7 +158,8 @@ class TestGainContract:
     )
     def test_rejects_a_mismatched_shape(self, name, shape, monkeypatch):
         entry, calls = through(monkeypatch, name)
-        with pytest.raises(DimensionError):
+        message = rf"^gains must have shape .*, got {re.escape(str(shape))}$"
+        with pytest.raises(DimensionError, match=message):
             entry(gain_plant(), np.zeros(shape))
         assert not calls
 
@@ -236,11 +239,12 @@ class TestCovarianceLimitCycle:
         gains = ps.evaluate_schedule(sys, Schedule(np.ones((3, 2)))).gains
         cycle = ps.covariance_limit_cycle(sys, gains)
         for bad in (cycle[:2], cycle[:, :2, :2], cycle[0, 0]):
-            with pytest.raises(DimensionError, match="cycle"):
+            message = rf"^cycle must have shape \(3, 3, 3\), got {re.escape(str(bad.shape))}$"
+            with pytest.raises(DimensionError, match=message):
                 cycle_residual(sys, gains, bad)
         not_finite = cycle.copy()
         not_finite[1, 0, 0] = np.nan
-        with pytest.raises(InputError, match="cycle"):
+        with pytest.raises(InputError, match="^cycle must be a finite real array"):
             cycle_residual(sys, gains, not_finite)
 
     def test_zero_gains_reduce_to_lyapunov(self, rng):
@@ -432,7 +436,8 @@ class TestInitGainsForSchedule:
 
     def test_mismatched_sensor_count(self, rng):
         sys = random_stable_system(rng, 2, 2)
-        with pytest.raises(DimensionError, match="sensor"):
+        message = r"^sched\.mask must have shape \(K, 2\), got \(2, 3\)$"
+        with pytest.raises(DimensionError, match=message):
             ps.evaluate_schedule(sys, Schedule(np.ones((2, 3))))
 
 
@@ -662,11 +667,13 @@ class TestEvaluateSchedules:
 
     def test_rejects_bad_masks(self, rng):
         sys = random_stable_system(rng, 2, 2)
-        with pytest.raises(DimensionError, match="masks"):
+        message = r"^masks must have shape \(T, K, 2\), got \(3, 2\)$"
+        with pytest.raises(DimensionError, match=message):
             ps.evaluate_schedules(sys, np.ones((3, 2)))
-        with pytest.raises(DimensionError, match="masks"):
+        message = r"^masks must have shape \(T, K, 2\), got \(1, 2, 3\)$"
+        with pytest.raises(DimensionError, match=message):
             ps.evaluate_schedules(sys, np.ones((1, 2, 3)))
-        with pytest.raises(InputError, match="0 or 1"):
+        with pytest.raises(InputError, match="^masks entries must be 0 or 1$"):
             ps.evaluate_schedules(sys, np.full((1, 2, 2), 2))
 
 
