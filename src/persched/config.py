@@ -35,6 +35,9 @@ _MATRIX_KEYS = ("A", "B", "C", "Q", "R")  # loaded in this order
 _ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
 _SWEEP_KEYS = {"gammas", "etas"}
 _COMPARE_KEYS = {"trials", "oracle", "total_activations", "budget"}
+# libyaml's safe loader where PyYAML was built with it: the same objects as
+# the pure-Python SafeLoader, parsed about ten times faster.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ def load_experiment(path) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     raw = _require_mapping(raw, "config")

@@ -27,7 +27,6 @@ import numpy as np
 from .exceptions import ConvergenceError, DimensionError, InputError
 
 __all__ = [
-    "symmetrize",
     "require_symmetric",
     "psd_sqrt",
     "matrix_exponential",
@@ -144,7 +143,7 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     return (rows @ rows.transpose(0, 2, 1))[:, 0, 0]
 
 
-def symmetrize(x: np.ndarray) -> np.ndarray:
+def _symmetrize(x: np.ndarray) -> np.ndarray:
     """Return the symmetric part (X + X^T) / 2, slice by slice for a stack,
     as a new array. X^T is first copied to C order and the sum made in
     place: adding a strided transposed view costs NumPy almost twice as
@@ -164,7 +163,7 @@ def require_symmetric(x, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
     unit = np.ldexp(arr, _unit_shift(arr))[np.newaxis]
     if _squared_norms(unit - unit.transpose(0, 2, 1))[0] > tol**2 * _squared_norms(unit)[0]:
         raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
-    return symmetrize(arr)
+    return _symmetrize(arr)
 
 
 def psd_sqrt(x, name: str = "matrix") -> np.ndarray:
@@ -247,7 +246,7 @@ def _smith_doubling(fm: np.ndarray, wm: np.ndarray) -> np.ndarray:
     else:
         raise ConvergenceError("doubling iteration failed to settle")
 
-    x = symmetrize(x)
+    x = _symmetrize(x)
     residual = np.sqrt(_squared_norms(x - fm @ x @ fm.transpose(0, 2, 1) - wm))
     # Scaled by the size of the terms, so a large X from a non-normal F is judged fairly.
     scale = np.sqrt(_squared_norms(wm)) + _squared_norms(fm) * np.sqrt(_squared_norms(x))

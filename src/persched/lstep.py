@@ -10,8 +10,9 @@ decreases the objective and every iterate keeps the closed loop stable.
 solve is the one public entry. It checks the start once, then runs on
 private kernels and the read-only arrays it built. Each point it scores,
 the start and every Armijo trial, gets its covariance and value cycles and
-their one stability verdict from periodic._gradient_cycles; the accepted
-trial's cycles serve the next iteration.
+their one stability verdict from periodic._gradient_cycles, and its
+objective once; the accepted trial's cycles and objective serve the next
+iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InstabilityError
-from .linalg import _array, _real, _solve_gain_sylvester, symmetrize
+from .linalg import _array, _real, _solve_gain_sylvester, _symmetrize
 from .model import SystemModel
 from .periodic import _closed_loop, _gradient_cycles, _trace_sum
 
@@ -136,7 +137,7 @@ def _anderson_moore(prob: LStepProblem, cycle: np.ndarray, v_next: np.ndarray) -
     array, is a fixed point exactly when the current gains are stationary.
     """
     sys = prob.sys
-    d = symmetrize(sys.R + sys.C @ cycle @ sys.C.T)
+    d = _symmetrize(sys.R + sys.C @ cycle @ sys.C.T)
     rhs = 2.0 * v_next @ sys.A @ cycle @ sys.C.T + prob.rho * prob.U
     candidate = _solve_gain_sylvester(v_next, d, prob.rho, rhs)
     candidate.setflags(write=False)
@@ -164,7 +165,8 @@ def _armijo(
     phi(L + s D) < phi0 + alpha * s * slope, for alpha = _ARMIJO_ALPHA and
     beta = _ARMIJO_BETA, where destabilizing trial points count as
     infinitely bad. Returns the number of trial points scored and
-    (s, new gains, their cycles), or None in its place when s underflows."""
+    (s, new gains, their cycles, their objective), or None in its place when
+    s underflows."""
     s, trials = 1.0, 0
     while s >= _MIN_STEP:
         trial = gains + s * direction
@@ -172,7 +174,7 @@ def _armijo(
         trial_phi, trial_cycles = _trial_phi(prob, trial)
         trials += 1
         if trial_phi < phi0 + _ARMIJO_ALPHA * s * slope:
-            return trials, (s, trial, trial_cycles)
+            return trials, (s, trial, trial_cycles, trial_phi)
         s *= _ARMIJO_BETA
     return trials, None
 
@@ -180,12 +182,12 @@ def _armijo(
 def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LStepResult:
     """Run the gain solver from a stabilizing start.
 
-    Each iteration takes both cycles of the current gains from the start or
-    the accepted trial point, checks the gradient norm against ``tol``,
-    forms the coordinate-solve direction, and backtracks along it. The
-    objective decreases strictly at every accepted step. On line-search
-    failure the best iterate found so far is returned with the failure flag
-    set instead of raising. The iteration cap (``_MAX_ITERS``) and the line
+    Each iteration takes both cycles of the current gains, and their
+    objective, from the start or the accepted trial point, checks the
+    gradient norm against ``tol``, forms the coordinate-solve direction, and
+    backtracks along it. The objective decreases strictly at every accepted
+    step. On line-search failure the best iterate found so far is returned
+    with the failure flag set instead of raising. The iteration cap (``_MAX_ITERS``) and the line
     search's constants (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``) are fixed.
     A writeable ``init`` is copied, so the result never shares the caller's
     array. ``cycles``, when given, are periodic._gradient_cycles of ``init``,
@@ -203,6 +205,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
         except InstabilityError as exc:
             raise InstabilityError("initial gains do not stabilize the closed loop") from exc
     cycle, v_next = cycles
+    phi = _phi_from_cycle(prob, gains, cycle)
 
     phi_history = []
     step_sizes = []
@@ -213,7 +216,6 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
     armijo_trials = 0
 
     while True:
-        phi = _phi_from_cycle(prob, gains, cycle)
         grad = _gradient(prob, gains, cycle, v_next)
         grad_norm = float(np.linalg.norm(grad))
         phi_history.append(phi)
@@ -236,7 +238,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
         if accepted is None:
             ls_failed = True
             break
-        s, gains, (cycle, v_next) = accepted
+        s, gains, (cycle, v_next), phi = accepted
         step_sizes.append(s)
         iterations += 1
 

@@ -32,7 +32,6 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "validate_assumptions",
-    "pbh_rank_drop",
     "BENCHMARK_SENSOR_SITES",
     "BENCHMARK_SPACING",
 ]
@@ -120,8 +119,7 @@ class FieldGeometry:
         else:
             sites = tuple(map(tuple, _array(sites, "sensor_sites", ("S", 2), dtype=int).tolist()))
         for i, j in sites:
-            if not (0 <= i <= self.ell_h and 0 <= j <= self.ell_v):
-                raise InputError(f"sensor_sites entry {(i, j)} is outside the lattice")
+            self._index(i, j, "sensor_sites entry")
         if len(set(sites)) != len(sites):
             raise InputError("sensor_sites must be distinct")
         object.__setattr__(self, "sensor_sites", sites)
@@ -136,9 +134,14 @@ class FieldGeometry:
 
     def site_index(self, site) -> int:
         """Row-major state index of lattice node (i, j)."""
-        i, j = _array(site, "site", (2,), dtype=int).tolist()
+        return self._index(*_array(site, "site", (2,), dtype=int).tolist())
+
+    def _index(self, i: int, j: int, name: str = "site") -> int:
+        """site_index of the node (i, j) of two ints. It is the one
+        lattice-range test, of sites and of sensor_sites, and its message
+        starts with ``name``."""
         if not (0 <= i <= self.ell_h and 0 <= j <= self.ell_v):
-            raise InputError(f"site {(i, j)} is outside the lattice")
+            raise InputError(f"{name} {(i, j)} is outside the lattice")
         return i * (self.ell_v + 1) + j
 
 
@@ -255,13 +258,14 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def pbh_rank_drop(a: np.ndarray, other: np.ndarray):
+def _pbh_rank_drop(a: np.ndarray, other: np.ndarray):
     """PBH detectability test of (A, other) at every eigenvalue of A on or
     outside the unit circle.
 
     Returns the first eigenvalue at which the pencil [A - lam I; other]
     loses rank, or None. (A, S) is stabilizable exactly when (A^T, S^T) is
-    detectable.
+    detectable. The arrays are not checked: callers pass a SystemModel's,
+    and ``other`` may have 0 rows (the lift of an all-off schedule).
     """
     return _rank_drop_at(a, _unit_circle_eigenvalues(a), other)
 
@@ -273,7 +277,7 @@ def _unit_circle_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def _rank_drop_at(a: np.ndarray, lams, other: np.ndarray):
-    """pbh_rank_drop's test at the given eigenvalues ``lams`` of A, so that
+    """_pbh_rank_drop's test at the given eigenvalues ``lams`` of A, so that
     callers testing many ``other`` against one A compute them once. A computed
     lam is an exact eigenvalue only of some A + E, so at a true rank drop the
     pencil's smallest singular value can reach ||E||: up to 3.8 times
@@ -300,7 +304,7 @@ def validate_assumptions(sys: SystemModel) -> AssumptionReport:
     """
     checks = []
 
-    det_lam = pbh_rank_drop(sys.A, sys.C)
+    det_lam = _pbh_rank_drop(sys.A, sys.C)
     det_ok = det_lam is None
     checks.append(
         AssumptionCheck(
@@ -315,7 +319,7 @@ def validate_assumptions(sys: SystemModel) -> AssumptionReport:
     except InputError as exc:
         checks.append(AssumptionCheck("(A, noise) stabilizable", False, str(exc)))
     else:
-        stab_lam = pbh_rank_drop(sys.A.T, noise_sqrt.T)
+        stab_lam = _pbh_rank_drop(sys.A.T, noise_sqrt.T)
         stab_ok = stab_lam is None
         checks.append(
             AssumptionCheck(

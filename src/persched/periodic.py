@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InitializationError, InputError, InstabilityError
-from .linalg import _UNIT_MARGIN, _array, _smith_doubling, _squared_norms, _unit_shift, symmetrize
+from .linalg import _UNIT_MARGIN, _array, _smith_doubling, _squared_norms, _symmetrize, _unit_shift
 from .model import SystemModel, _rank_drop_at, _unit_circle_eigenvalues
 
 __all__ = [
@@ -138,7 +138,7 @@ def _closed_loop(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
 def _loop(sys: SystemModel, gains: np.ndarray) -> tuple:
     """Closed-loop factor A - L C and injected covariance B Q B^T + L R L^T
     for each gain of a stack such as the (K, N, M) gains of one period."""
-    noise = symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
+    noise = _symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
     return _closed_loop(sys, gains), noise
 
 
@@ -170,7 +170,7 @@ def _limit_cycles(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     radius, exact as no unstable loop clears the norm. Then X_0 = Pi X_0 Pi^T + sum_k Psi_k W_k
     Psi_k^T, Psi_k = F_{K-1} ... F_{k+1}, for every loop in one stacked
     Smith doubling, and one stacked propagation gives the rest. Returns the
-    read-only (T, K, N, N) cycles. Every slice leaves through symmetrize, so
+    read-only (T, K, N, N) cycles. Every slice leaves through _symmetrize, so
     each X_k equals its transpose bit for bit."""
     K, n = len(f), f.shape[-1]
     pi, w_acc = np.eye(n), np.zeros((n, n))
@@ -181,9 +181,9 @@ def _limit_cycles(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     if not stable.size:
         raise InstabilityError(f"monodromy spectral radius {rho[0]:.12g} >= 1 - {_UNIT_MARGIN:g}")
     cycles = np.empty((len(pi), K, n, n))
-    cycles[:, 0] = _smith_doubling(pi, symmetrize(w_acc))
+    cycles[:, 0] = _smith_doubling(pi, _symmetrize(w_acc))
     for k in range(K - 1):
-        cycles[:, k + 1] = symmetrize(f[k] @ cycles[:, k] @ f[k].transpose(0, 2, 1) + w[k])
+        cycles[:, k + 1] = _symmetrize(f[k] @ cycles[:, k] @ f[k].transpose(0, 2, 1) + w[k])
     cycles.setflags(write=False)
     return cycles
 
@@ -292,7 +292,7 @@ def _riccati_step(
     p_next = ap @ sys.a_t
     p_next += sys.q_eff
     p_next -= gain @ _transposed(cross)
-    return gain, symmetrize(p_next), s_inv
+    return gain, _symmetrize(p_next), s_inv
 
 
 def _transposed(x: np.ndarray) -> np.ndarray:
@@ -352,7 +352,7 @@ def _period_map(
         u = e @ ck_t
         gain, h, s_inv = _riccati_step(sys, h, ck, ck_t, rk)
         e = e @ sys.a_t - u @ _transposed(gain)
-        g = symmetrize(g + u @ s_inv @ _transposed(u))
+        g = _symmetrize(g + u @ s_inv @ _transposed(u))
     if last_shared < K:
         return e, g, h
     return tuple(x[np.cumsum(lead < K) - 1] for x in (e, g, h))
@@ -378,7 +378,7 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
     for doubling in range(1, _RICCATI_MAX_DOUBLINGS + 1):
         w = np.linalg.inv(np.eye(h.shape[-1]) + g @ h)
         e_t = _transposed(e)
-        h_next = symmetrize(h + e_t @ h @ w @ e)
+        h_next = _symmetrize(h + e_t @ h @ w @ e)
         # Both norms are taken at H's _unit_shift, an exact power of two, so
         # neither overflows nor underflows while H is finite.
         shift = _unit_shift(h_next)
@@ -394,7 +394,7 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
         if going.size < live.size:
             live, e, e_t, g, w, h_next = (x[going] for x in (live, e, e_t, g, w, h_next))
         ew = e @ w
-        e, g, h = ew @ e, symmetrize(g + ew @ g @ e_t), h_next
+        e, g, h = ew @ e, _symmetrize(g + ew @ g @ e_t), h_next
     idx = np.flatnonzero(settled)
     return idx, settled_h[idx]
 

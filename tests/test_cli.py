@@ -10,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import persched as ps
 import persched.cli as cli
 from persched.cli import main
 from persched.model import BENCHMARK_SENSOR_SITES, BENCHMARK_SPACING
@@ -155,6 +158,81 @@ admm: {period: 2, gamma: 0.0, eta: 1}
         assert report["total_activations"] > 0
         schedule = (out / "schedule.txt").read_text()
         assert "1" in schedule
+
+
+def report_text(report):
+    """The report.json of ``report`` as json itself writes it."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+class TestReportBytes:
+    """report.json and each sweep cell's report are json.dumps(...,
+    indent=2, sort_keys=True) of SolveReport.to_dict(), byte for byte."""
+
+    def test_run_report(self, tmp_path):
+        cfg = write_config(tmp_path, TINY)
+        out = tmp_path / "results"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        exp = ps.load_experiment(cfg)
+        report = ps.run(exp.system, exp.admm)
+        assert (out / "report.json").read_text() == report_text(report)
+
+    def test_sweep_cell_report(self, tmp_path):
+        cfg = write_config(tmp_path, TINY + "sweep:\n  gammas: [0.0, 0.05]\n")
+        out = tmp_path / "results"
+        assert main(["sweep", cfg, "--out", str(out)]) == 0
+        exp = ps.load_experiment(cfg)
+        cells = ps.sweep(exp.system, exp.admm, exp.sweep_gammas, (exp.admm.eta,))
+        assert (out / "cell_001_report.json").read_text() == report_text(cells[1].report)
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+
+
+@st.composite
+def number_arrays(draw):
+    """Nested lists of equal lengths down to numbers, booleans and None,
+    ints and floats mixed: the shape the writer encodes in one call."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    leaves = st.none() | st.booleans() | st.integers() | st.floats()
+    words = draw(st.lists(leaves, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    for length in reversed(shape[1:]):
+        words = [words[i : i + length] for i in range(0, len(words), length)]
+    return words
+
+
+PAYLOADS = st.recursive(
+    SCALARS | number_arrays(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """cli._json_text writes what json.dumps(x, indent=2, sort_keys=True)
+    writes, on any payload with string keys."""
+
+    @example({})
+    @example([[], [[]], {}])
+    @example([[-0.0, 5e-324, 1e308], [float("nan"), float("inf"), -float("inf")]])
+    @example({"b": [[1, 2.5], [True, None]], "a": [[[0.1]], [[-2]]], "é\n\"": "\u2028\x00"})
+    @example([[1, 2], [3]])
+    @example([[1, [2]], [3, 4]])
+    @example([["a, b", "[c]"], ["d", "e"]])
+    @given(payload=PAYLOADS)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_non_string_keys_left_to_json(self):
+        payload = {"x": {2: [1.5], 1: None}}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 class TestSweep:

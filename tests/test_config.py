@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import persched.cli as cli
 from persched import ConfigError, load_experiment
@@ -447,3 +448,12 @@ def test_shipped_configs_load(path):
     # Every config the repo ships loads, and a pinned kind names a command.
     cfg = load_experiment(path)
     assert cfg.kind is None or callable(getattr(cli, f"cmd_{cfg.kind}", None))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_parse_alike_with_and_without_libyaml(path):
+    # load_experiment parses with libyaml's CSafeLoader where it exists; the
+    # pure-Python SafeLoader, used elsewhere, must read the same objects.
+    text = path.read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)

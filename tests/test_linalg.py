@@ -21,9 +21,9 @@ from persched.linalg import (
     _array,
     _smith_doubling,
     _solve_gain_sylvester,
+    _symmetrize,
     psd_sqrt,
     require_symmetric,
-    symmetrize,
 )
 from persched.periodic import _limit_cycles
 from tests.conftest import spectral_radius
@@ -74,7 +74,7 @@ def dlyap(f, w):
     """X = F X F^T + W for one stable F through the Lyapunov kernel, with the
     symmetrized W the limit-cycle kernel hands it."""
     f = np.asarray(f, dtype=float)
-    w = symmetrize(np.asarray(w, dtype=float))
+    w = _symmetrize(np.asarray(w, dtype=float))
     return _smith_doubling(f[None], w[None])[0]
 
 
@@ -226,7 +226,7 @@ class TestSolveDlyap:
             f = rng.normal(size=(n, n))
             fs.append(f * rho / spectral_radius(f))
             w = rng.normal(size=(n, n))
-            ws.append(symmetrize(w @ w.T / n + np.eye(n)))
+            ws.append(_symmetrize(w @ w.T / n + np.eye(n)))
         return np.stack(fs), np.stack(ws)
 
     def test_stacked_slices_match_single_solves(self, rng):
@@ -311,7 +311,7 @@ class TestSolveGainSylvester:
     @staticmethod
     def _spd_stack(rng, K, n):
         half = rng.normal(size=(K, n, n))
-        return symmetrize(half @ half.transpose(0, 2, 1) + 0.2 * np.eye(n))
+        return _symmetrize(half @ half.transpose(0, 2, 1) + 0.2 * np.eye(n))
 
     def test_stacked_matches_per_slice(self, rng):
         K, n, m, rho = 6, 4, 3, 2.5
@@ -336,7 +336,7 @@ class TestSolveGainSylvester:
 class TestHelpers:
     def test_symmetrize(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        np.testing.assert_allclose(symmetrize(a), [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_allclose(_symmetrize(a), [[1.0, 1.0], [1.0, 1.0]])
 
     def test_symmetrize_is_the_plain_expression_bit_for_bit(self, rng):
         # The sum runs on a C-ordered copy of the transpose in place; every
@@ -353,7 +353,7 @@ class TestHelpers:
         for x in (stack, stack[0], stack[0].T, stack.transpose(0, 2, 1), stack[:, ::2, ::2]):
             before = x.copy()
             with np.errstate(invalid="ignore"):
-                out = symmetrize(x)
+                out = _symmetrize(x)
                 expected = 0.5 * (x + x.swapaxes(-1, -2))
             assert out.shape == x.shape and out.dtype == expected.dtype
             np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))

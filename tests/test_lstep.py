@@ -355,6 +355,34 @@ class TestStabilityVerdict:
         assert (counts["_gradient_cycles"], counts["eigvals"]) == (43, 4)
 
 
+class TestOneObjectivePerPoint:
+    """Each point a solve scores, its start and every Armijo trial that
+    stabilizes, takes one objective evaluation; an accepted trial's
+    objective serves the next iteration."""
+
+    def test_unstable_plant_solve(self, monkeypatch):
+        prob, init = unstable_problem(3, 5, 5, 3, 1.1)
+        counts = Counter()
+        for name in ("_phi_from_cycle", "_gradient_cycles"):
+            count_calls(monkeypatch, lstep, name, counts)
+        result = lstep.solve(prob, init, tol=1e-8)
+        assert result.iterations > 1 and counts["_gradient_cycles unstable"] > 0
+        stable_trials = result.armijo_trials - counts["_gradient_cycles unstable"]
+        assert counts["_phi_from_cycle"] == 1 + stable_trials
+        assert result.phi_history[-1] == result.phi
+
+    def test_benchmark_solve(self, monkeypatch):
+        # 6 starts and 40 trials, none destabilizing: 46 evaluations, where
+        # scoring each iteration's gains again took 27 more.
+        exp = ps.load_experiment(BENCHMARK_CONFIG)
+        counts = Counter()
+        for name in ("_phi_from_cycle", "_gradient_cycles"):
+            count_calls(monkeypatch, lstep, name, counts)
+        ps.run(exp.system, exp.admm)
+        assert counts["_gradient_cycles unstable"] == 0
+        assert counts["_phi_from_cycle"] == 46
+
+
 class TestOneEntry:
     """lstep.solve checks its start once, then runs on private kernels that
     trust the arrays it built."""

@@ -20,7 +20,7 @@ from persched import (
     Schedule,
     SystemModel,
 )
-from persched.model import pbh_rank_drop
+from persched.model import _pbh_rank_drop
 from persched.periodic import (
     _gradient_cycles,
     check_schedule_detectability,
@@ -499,7 +499,7 @@ class TestDetectabilityGate:
         # pencil A - lam I at the computed lam keeps a smallest singular value
         # of about 4.7 times matrix_rank's default tolerance on this plant.
         sys = detectable_plant(np.random.default_rng(29), 3, 1, 1.2)
-        lam = pbh_rank_drop(sys.A, np.zeros((0, 3)))
+        lam = _pbh_rank_drop(sys.A, np.zeros((0, 3)))
         assert lam == pytest.approx(1.2, rel=1e-12)
         with pytest.raises(InitializationError, match="undetectable at eigenvalue 1.2"):
             check_schedule_detectability(sys, Schedule(np.zeros((1, 1))))
@@ -515,7 +515,7 @@ class TestDetectabilityGate:
             verdicts = set()
             for bits in itertools.product((0, 1), repeat=K * sys.n_sensors):
                 mask = np.reshape(bits, (K, sys.n_sensors))
-                hidden = pbh_rank_drop(a_lift, c_lift[np.reshape(mask, -1) == 1]) is not None
+                hidden = _pbh_rank_drop(a_lift, c_lift[np.reshape(mask, -1) == 1]) is not None
                 assert gate_rejects(sys, mask) == hidden, mask
                 verdicts.add(hidden)
             assert verdicts == {True, False}
