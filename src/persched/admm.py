@@ -198,7 +198,8 @@ class AdmmDriver:
 
     After ``initialize()``, which the first ``step()`` or ``run()`` calls,
     the split variables are the (K, N, M) arrays ``L`` (read-only), ``G``
-    and ``Lam``, and ``iteration`` counts the steps taken.
+    and ``Lam``, ``trace`` holds one record per step taken since, and
+    ``iteration`` is its length.
     Each step binds new objects to them, so references read earlier keep
     their values. The next gain solve starts from L with the cycles the
     last solve or kept jump computed for it, unless L was rebound since.
@@ -209,19 +210,18 @@ class AdmmDriver:
         self.cfg = cfg
         self.eta = cfg.eta_tuple(sys.n_sensors)
         self._initialized = False
-        self.trace = []
-        self.line_search_failed = False
 
     def initialize(self) -> None:
         """Set L from the starting schedule's exact gains, G and the dual Lam
-        to zero, and the iteration count to 0."""
+        to zero, and start a new, empty trace."""
         sched = default_init_schedule(self.sys, self.cfg.period, self.eta)
         self.L = evaluate_schedule(self.sys, sched).gains
         self._carried = (None, None)  # gains and their _gradient_cycles
         shape = self.L.shape
         self.G = np.zeros(shape)
         self.Lam = np.zeros(shape)
-        self.iteration = 0
+        self.trace = []
+        self.line_search_failed = False
         self._last_primal = np.inf
         self._best_phi = np.inf
         self._best = None
@@ -229,6 +229,10 @@ class AdmmDriver:
         self._fixed = {}  # support -> its ScheduleEvaluation, None if that raised
         self.jump_iteration = None
         self._initialized = True
+
+    @property
+    def iteration(self) -> int:
+        return len(self.trace)
 
     def _inner_tol(self) -> float:
         """Gradient-norm tolerance of the next gain solve (rule in AdmmConfig).
@@ -299,13 +303,12 @@ class AdmmDriver:
 
         self.L, self._carried = new_l, (new_l, result.cycles)
         self.G = new_g
-        self.iteration += 1
         self._last_primal = primal
 
         support = schedule_from_gains(new_g)
         cardinality = support.total_activations
         record = IterationRecord(
-            iteration=self.iteration,
+            iteration=self.iteration + 1,
             primal_residual=primal,
             g_change=g_change,
             phi=result.phi,

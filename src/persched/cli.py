@@ -12,9 +12,9 @@ log level.
 
 report.json, and each sweep cell's report, is
 ``json.dumps(report.to_dict(), indent=2, sort_keys=True)`` of the
-SolveReport plus a newline, byte for byte; _json_text writes that text with
-json's C encoder. Configs parse through libyaml when PyYAML has it
-(config.load_experiment).
+SolveReport plus a newline, byte for byte; _json_text writes that text
+recursively, each list of finite floats in one join of their reprs. Configs
+parse through libyaml when PyYAML has it (config.load_experiment).
 """
 
 from __future__ import annotations
@@ -72,58 +72,27 @@ def _out_dir(cfg: ExperimentConfig, out: Optional[str]) -> Path:
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2, sort_keys=True) byte for byte, for a value
     that starts on a line indented by ``indent``. Given an indent, json.dumps
-    drops its C encoder and writes every element in Python; here each key,
-    each scalar and each array of numbers goes to the C encoder in one call.
-    A dict with a key that is not a string is left to json.dumps."""
+    drops its C encoder and writes every element in Python; here a list of
+    floats is one join of float.__repr__, json's own text for a finite float.
+    Any other list, or one holding a NaN or an infinity (the only reprs with
+    an "n"), goes item by item. A dict with a key that is not a string is
+    left to json.dumps."""
+    inner = indent + "  "
     if isinstance(value, dict) and value:
         if not all(isinstance(key, str) for key in value):
             return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-        inner = indent + "  "
         items = (json.dumps(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        text = _array_text(value, indent)
-        if text is None:
-            inner = indent + "  "
-            items = (_json_text(item, inner) for item in value)
-            text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-        return text
+        sep = ",\n" + inner
+        try:
+            text = sep.join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = ""
+        if not text or "n" in text:
+            text = sep.join(_json_text(item, inner) for item in value)
+        return "[\n" + inner + text + "\n" + indent + "]"
     return json.dumps(value)
-
-
-def _array_text(value, indent: str):
-    """_json_text of ``value`` when it nests lists of equal lengths, none
-    empty, down to numbers, booleans or None; else None. Such a value, a
-    gains stack say, is one json.dumps call whose item separator is the
-    innermost one. Its text holds no string, so each run of k closing
-    brackets, that separator and k opening brackets is where k lists end
-    and k begin, and one replace per k lays those runs out."""
-    shape, item = [], value
-    while isinstance(item, (list, tuple)) and item:
-        shape.append(len(item))
-        item = item[0]
-    if isinstance(item, (str, dict, list, tuple)):
-        return None
-    rows, n_lists = [value], 1
-    for length in shape[1:]:
-        rows = [row for parent in rows for row in parent]
-        if not all(isinstance(row, (list, tuple)) and len(row) == length for row in rows):
-            return None
-        n_lists += len(rows)
-    depth = len(shape)
-    pads = ["\n" + indent + "  " * i for i in range(depth + 1)]
-    text = json.dumps(value, separators=("," + pads[depth], ": "))
-    if '"' in text or "{" in text or text.count("[") != n_lists:
-        return None
-    body = text[depth:-depth]
-    for k in range(depth - 1, 0, -1):
-        closes = "".join(pads[depth - i] + "]" for i in range(1, k + 1))
-        opens = "".join(pads[depth - k + i] + "[" for i in range(k))
-        run = "]" * k + "," + pads[depth] + "[" * k
-        body = body.replace(run, closes + "," + opens + pads[depth])
-    head = "[" + "".join(pads[i] + "[" for i in range(1, depth)) + pads[depth]
-    tail = "".join(pads[depth - i] + "]" for i in range(1, depth + 1))
-    return head + body + tail
 
 
 def _write_json(path: Path, payload: dict) -> None:

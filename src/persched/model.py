@@ -17,6 +17,7 @@ from .linalg import (
     _array,
     _integral,
     _real,
+    _symmetrize,
     matrix_exponential,
     psd_sqrt,
     require_symmetric,
@@ -43,7 +44,8 @@ class SystemModel:
 
     Each row of ``C`` is one sensor. ``Q`` is the covariance of w (p x p,
     PSD) and ``R`` the covariance of v (M x M, positive definite). Matrices
-    are validated and stored symmetrized where symmetry is required.
+    are validated and stored as read-only private copies, symmetrized where
+    symmetry is required.
     """
 
     A: np.ndarray
@@ -62,13 +64,12 @@ class SystemModel:
         psd_sqrt(q, "Q")  # for its semidefinite test, the same at every scale
         if np.linalg.eigvalsh(r).min() <= 0.0:
             raise InputError("R must be positive definite")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "Q", q)
-        object.__setattr__(self, "R", r)
-        object.__setattr__(self, "_q_eff", (b @ q @ b.T + (b @ q @ b.T).T) / 2.0)
-        object.__setattr__(self, "_a_t", np.ascontiguousarray(a.T))
+        # Copies, so that later writes into the caller's arrays miss the model.
+        a, b, c = np.array(a), np.array(b), np.array(c)
+        arrays = (a, b, c, q, r, _symmetrize(b @ q @ b.T), np.array(a.T, order="C"))
+        for name, arr in zip(("A", "B", "C", "Q", "R", "_q_eff", "_a_t"), arrays):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_states(self) -> int:

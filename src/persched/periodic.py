@@ -229,8 +229,9 @@ def schedule_from_gains(gains) -> Schedule:
     """Activation mask of the nonzero columns of (K, N, M) gains.
 
     A sensor counts as active at step k when its gain column 2-norm exceeds
-    _RELATIVE_ZERO_TOL (1e-6) times the largest column norm in the sequence,
-    so uniformly tiny gains yield an empty schedule.
+    _RELATIVE_ZERO_TOL (1e-6) times the largest column norm in the sequence.
+    The rule is relative: uniformly tiny nonzero gains keep every column,
+    and only all-zero gains yield an empty schedule.
     """
     norms = np.linalg.norm(_array(gains, "gains", ("K", "N", "M"), stack=True), axis=1)
     return Schedule((norms > _RELATIVE_ZERO_TOL * float(norms.max())).astype(np.int8))

@@ -189,6 +189,19 @@ class TestDriver:
         assert record.inner_iterations >= 0
         assert len(driver.trace) == 1
 
+    def test_initialize_starts_a_new_trace(self, rng):
+        # After a restart, the iteration count, the trace and the line-search
+        # flag describe the new run only.
+        sys = random_stable_system(rng, 3, 2)
+        driver = AdmmDriver(sys, small_config())
+        driver.step()
+        driver.step()
+        driver.line_search_failed = True
+        driver.initialize()
+        assert driver.iteration == 0 and driver.trace == [] and not driver.line_search_failed
+        report = driver.run()
+        assert [rec.iteration for rec in report.trace] == list(range(1, report.iterations + 1))
+
     def test_gain_solve_takes_carried_cycles_of_its_start_only(self, rng, monkeypatch):
         # Each solve after the first starts from L with the cycles the last
         # solve computed for it; gains bound to L from outside get their own.

@@ -225,6 +225,10 @@ class TestJsonText:
     @example([[1, 2], [3]])
     @example([[1, [2]], [3, 4]])
     @example([["a, b", "[c]"], ["d", "e"]])
+    @example([[0.5, 1e-7, float("nan")], [2.5, -3.0, float("-inf")]])
+    @example([np.float64(0.1), np.float64(-0.0), np.float64(1e300)])
+    @example([[0.5, 1], [0.5, True], [0.5, None], [None, 0.5]])
+    @example([[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]])
     @given(payload=PAYLOADS)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     def test_matches_json_dumps(self, payload):

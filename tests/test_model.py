@@ -8,11 +8,13 @@ from persched import (
     DimensionError,
     FieldGeometry,
     InputError,
+    Schedule,
     SystemModel,
     benchmark_geometry,
     benchmark_system,
     build_diffusion_system,
     build_laplacian,
+    evaluate_schedule,
     validate_assumptions,
 )
 from persched.model import BENCHMARK_SENSOR_SITES
@@ -39,6 +41,23 @@ class TestSystemModel:
             A=np.eye(2) * 0.5, B=b, C=np.eye(2), Q=np.array([[3.0]]), R=np.eye(2)
         )
         np.testing.assert_allclose(sys.q_eff, 3.0 * b @ b.T)
+
+    def test_holds_private_read_only_arrays(self):
+        # Writing into the caller's arrays afterwards reaches neither the
+        # model's matrices, its cached A^T and B Q B^T, nor J.
+        a = np.array([[0.5, 0.1], [0.0, 0.4]])
+        b, c, q, r = np.eye(2), np.eye(2), np.eye(2), np.eye(2)
+        sys = SystemModel(A=a, B=b, C=c, Q=q, R=r)
+        sched = Schedule(np.ones((2, 2)))
+        j = evaluate_schedule(sys, sched).J
+        for arr in (a, b, c, q, r):
+            arr *= 0.5
+        np.testing.assert_array_equal(sys.A, [[0.5, 0.1], [0.0, 0.4]])
+        np.testing.assert_array_equal(sys.a_t, sys.A.T)
+        np.testing.assert_array_equal(sys.q_eff, np.eye(2))
+        assert evaluate_schedule(sys, sched).J == j
+        held = (sys.A, sys.B, sys.C, sys.Q, sys.R, sys.q_eff, sys.a_t)
+        assert not any(arr.flags.writeable for arr in held)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError, match=r"^A must have shape \(N, N\), got \(2, 3\)$"):

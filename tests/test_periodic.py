@@ -392,6 +392,10 @@ class TestScheduleFromGains:
         gains[1, :, 1] = [1e-9, 0.0]
         sched = ps.schedule_from_gains(gains)
         np.testing.assert_array_equal(sched.mask, [[1, 0], [0, 0]])
+        # The threshold is relative: uniformly tiny gains keep every column,
+        # and only all-zero gains give an empty schedule.
+        np.testing.assert_array_equal(ps.schedule_from_gains(np.full((2, 2, 2), 1e-20)).mask, 1)
+        np.testing.assert_array_equal(ps.schedule_from_gains(np.zeros((2, 2, 2))).mask, 0)
 
 
 class TestInitGainsForSchedule:

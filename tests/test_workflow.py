@@ -1,0 +1,18 @@
+"""The CI workflow file parses, and each of its steps is well formed."""
+
+from pathlib import Path
+
+import yaml
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def test_tier1_workflow_steps_are_well_formed():
+    # A plain scalar holding ": " is a YAML error that only the CI runner
+    # would otherwise report, by not running the workflow at all.
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    assert steps
+    for step in steps:
+        assert "uses" in step or isinstance(step.get("run"), str), step
+    names = [step["name"] for step in steps if "name" in step]
+    assert len(names) == len(set(names))
