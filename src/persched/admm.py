@@ -222,7 +222,6 @@ class AdmmDriver:
         self.Lam = np.zeros(shape)
         self.trace = []
         self.line_search_failed = False
-        self._last_primal = np.inf
         self._best_phi = np.inf
         self._best = None
         self._support = None
@@ -240,9 +239,9 @@ class AdmmDriver:
         ADMM needs the gain step only as accurate as the residual it is
         shrinking (Boyd et al., FnT ML 2011, section 3.4.4).
         """
-        if np.isinf(self._last_primal):
+        if not self.trace:
             return lstep.TOL_FLOOR
-        return max(lstep.TOL_FLOOR, 0.1 * self._last_primal)
+        return max(lstep.TOL_FLOOR, 0.1 * self.trace[-1].primal_residual)
 
     def _meets_rule(self, record: IterationRecord) -> bool:
         return record.primal_residual <= self.cfg.eps and record.g_change <= self.cfg.eps
@@ -266,11 +265,11 @@ class AdmmDriver:
         try:
             self._fixed[support] = fixed = evaluate_schedule(self.sys, support)
             gains = fixed.gains
-            trace_only = lstep.LStepProblem(self.sys, np.zeros_like(gains), 0.0)
             cycles = _gradient_cycles(self.sys, gains)
-            lam = -lstep._gradient(trace_only, gains, fixed.cycle, cycles[1])
         except PerschedError:
             return
+        _, b, vld = lstep._first_order(self.sys, gains, fixed.cycle, cycles[1])
+        lam = b - vld
         new_g = g_step(GStepProblem(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
         if schedule_from_gains(new_g) != support:
             return
@@ -303,7 +302,6 @@ class AdmmDriver:
 
         self.L, self._carried = new_l, (new_l, result.cycles)
         self.G = new_g
-        self._last_primal = primal
 
         support = schedule_from_gains(new_g)
         cardinality = support.total_activations

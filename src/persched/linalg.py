@@ -37,6 +37,8 @@ __all__ = [
 # a loop counts as stable, in the periodic limit-cycle kernel, only when its
 # spectral radius is below 1 - _UNIT_MARGIN.
 _UNIT_MARGIN = 1e-9
+# Relative asymmetry that require_symmetric accepts.
+_SYMMETRY_TOL = 1e-8
 
 # Coefficients of the degree-6 diagonal Pade approximant of exp(x).
 _PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
@@ -155,14 +157,15 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def require_symmetric(x, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
-    """Validate symmetry within ``tol`` relative to the norm, judged at the
-    matrix's _unit_shift so that no squared norm overflows, and return the
-    symmetrized copy."""
+def require_symmetric(x, name: str = "matrix") -> np.ndarray:
+    """Validate symmetry within _SYMMETRY_TOL relative to the norm, judged at
+    the matrix's _unit_shift so that no squared norm overflows, and return
+    the symmetrized copy."""
     arr = _array(x, name, ("N", "N"))
     unit = np.ldexp(arr, _unit_shift(arr))[np.newaxis]
-    if _squared_norms(unit - unit.transpose(0, 2, 1))[0] > tol**2 * _squared_norms(unit)[0]:
-        raise InputError(f"{name} is not symmetric within tolerance {tol:g}")
+    skew = _squared_norms(unit - unit.transpose(0, 2, 1))[0]
+    if skew > _SYMMETRY_TOL**2 * _squared_norms(unit)[0]:
+        raise InputError(f"{name} is not symmetric within tolerance {_SYMMETRY_TOL:g}")
     return _symmetrize(arr)
 
 

@@ -12,7 +12,9 @@ private kernels and the read-only arrays it built. Each point it scores,
 the start and every Armijo trial, gets its covariance and value cycles and
 their one stability verdict from periodic._gradient_cycles, and its
 objective once; the accepted trial's cycles and objective serve the next
-iteration.
+iteration. One kernel, _first_order, forms the terms of the first-order
+condition: solve takes the gradient and the Anderson-Moore direction from
+them, and the ADMM driver's jump its dual.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .exceptions import InstabilityError
 from .linalg import _array, _real, _solve_gain_sylvester, _symmetrize
 from .model import SystemModel
-from .periodic import _closed_loop, _gradient_cycles, _trace_sum
+from .periodic import _gradient_cycles, _trace_sum
 
 __all__ = [
     "LStepProblem",
@@ -100,58 +102,20 @@ class LStepResult:
     cycles: tuple
 
 
-def _penalty(prob: LStepProblem, gains: np.ndarray) -> float:
-    return 0.5 * prob.rho * float(np.sum((gains - prob.U) ** 2))
-
-
 def _phi_from_cycle(prob: LStepProblem, gains: np.ndarray, cycle: np.ndarray) -> float:
     """Subproblem objective: un-normalized trace sum over the gains'
     covariance cycle plus (rho/2) times the squared distance to the targets."""
-    return float(_trace_sum(cycle)) + _penalty(prob, gains)
+    return float(_trace_sum(cycle)) + 0.5 * prob.rho * float(np.sum((gains - prob.U) ** 2))
 
 
-def _gradient(
-    prob: LStepProblem, gains: np.ndarray, cycle: np.ndarray, v_next: np.ndarray
-) -> np.ndarray:
-    """Objective gradient with respect to each gain, as a (K, N, M) stack.
-
-    For step k the gradient is
-    2 V_{k+1} L_k R - 2 V_{k+1} (A - L_k C) P_k C^T + rho (L_k - U_k),
-    with the gains' covariance cycle {P_k} and their V_{k+1}, both from
-    periodic._gradient_cycles.
-    """
-    sys = prob.sys
-    return (
-        2.0 * v_next @ gains @ sys.R
-        - 2.0 * v_next @ _closed_loop(sys, gains) @ cycle @ sys.C.T
-        + prob.rho * (gains - prob.U)
-    )
-
-
-def _anderson_moore(prob: LStepProblem, cycle: np.ndarray, v_next: np.ndarray) -> np.ndarray:
-    """Exact coordinate solve with the cycles frozen at the current gains.
-
-    Freezes {P_k} and {V_{k+1}} and solves, independently for each step,
-    2 V_{k+1} L_k (R + C P_k C^T) + rho L_k = 2 V_{k+1} A P_k C^T + rho U_k
-    in one batched solve. The returned candidate, a read-only (K, N, M)
-    array, is a fixed point exactly when the current gains are stationary.
-    """
-    sys = prob.sys
+def _first_order(sys: SystemModel, gains: np.ndarray, cycle: np.ndarray, v_next: np.ndarray):
+    """D, B and 2 V L D as (K, ., .) stacks, for gains with covariance cycle
+    {P_k} and V_{k+1} from periodic._gradient_cycles: D_k = R + C P_k C^T,
+    B_k = 2 V_{k+1} A P_k C^T. The subproblem is stationary where
+    2 V_{k+1} L_k D_k + rho L_k = B_k + rho U_k; its gradient is
+    2 V L D + rho (L - U) - B, and the trace sum's 2 V L D - B."""
     d = _symmetrize(sys.R + sys.C @ cycle @ sys.C.T)
-    rhs = 2.0 * v_next @ sys.A @ cycle @ sys.C.T + prob.rho * prob.U
-    candidate = _solve_gain_sylvester(v_next, d, prob.rho, rhs)
-    candidate.setflags(write=False)
-    return candidate
-
-
-def _trial_phi(prob: LStepProblem, trial: np.ndarray):
-    """Objective and (covariance, value) cycles at a trial point, (inf, None)
-    when it destabilizes."""
-    try:
-        cycles = _gradient_cycles(prob.sys, trial)
-    except InstabilityError:
-        return np.inf, None
-    return _phi_from_cycle(prob, trial, cycles[0]), cycles
+    return d, 2.0 * v_next @ sys.A @ cycle @ sys.C.T, 2.0 * v_next @ gains @ d
 
 
 def _armijo(
@@ -171,10 +135,15 @@ def _armijo(
     while s >= _MIN_STEP:
         trial = gains + s * direction
         trial.setflags(write=False)
-        trial_phi, trial_cycles = _trial_phi(prob, trial)
         trials += 1
-        if trial_phi < phi0 + _ARMIJO_ALPHA * s * slope:
-            return trials, (s, trial, trial_cycles, trial_phi)
+        try:
+            cycles = _gradient_cycles(prob.sys, trial)
+        except InstabilityError:
+            pass  # infinitely bad
+        else:
+            phi = _phi_from_cycle(prob, trial, cycles[0])
+            if phi < phi0 + _ARMIJO_ALPHA * s * slope:
+                return trials, (s, trial, cycles, phi)
         s *= _ARMIJO_BETA
     return trials, None
 
@@ -194,7 +163,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
     such as the ``cycles`` of the result that returned it; they stand for
     the start's own and its stability check.
     """
-    tol = _real(tol, "tol")
+    tol = _real(tol, "tol", least=0)
     gains = _array(init, "gains", prob.U.shape, stack=True)
     if gains.flags.writeable:
         gains = gains.copy()
@@ -216,7 +185,9 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
     armijo_trials = 0
 
     while True:
-        grad = _gradient(prob, gains, cycle, v_next)
+        d, b, vld = _first_order(prob.sys, gains, cycle, v_next)
+        rhs = b + prob.rho * prob.U
+        grad = vld + prob.rho * gains - rhs
         grad_norm = float(np.linalg.norm(grad))
         phi_history.append(phi)
         if grad_norm <= tol:
@@ -224,8 +195,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
             break
         if iterations >= _MAX_ITERS:
             break
-        candidate = _anderson_moore(prob, cycle, v_next)
-        direction = candidate - gains
+        direction = _solve_gain_sylvester(v_next, d, prob.rho, rhs) - gains
         slope = float(np.sum(grad * direction))
         descent_history.append(slope)
         if slope >= 0.0:

@@ -490,13 +490,12 @@ def chunk_length(n_states: int, K: int) -> int:
 
 def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     """evaluate_schedule's J for each schedule of a (T, K, M) 0/1 stack, T and K
-    at least 1, or NaN where evaluate_schedule raises InitializationError or
-    InstabilityError (an unstable mode unobserved, an unsettled Riccati
-    doubling, an unstable closed loop). Chunks of chunk_length(N, K)
-    schedules share one stacked period map, doubling and pass around the
-    period; neighbours that agree on their leading rows share those steps of
-    the period map. A schedule's J does not depend on the other schedules of
-    the stack."""
+    at least 1, or NaN where evaluate_schedule raises InitializationError (an
+    unstable mode unobserved, an unsettled Riccati doubling, an unstable
+    closed loop). Chunks of chunk_length(N, K) schedules share one stacked
+    period map, doubling and pass around the period; neighbours that agree on
+    their leading rows share those steps of the period map. A schedule's J
+    does not depend on the other schedules of the stack."""
     arr = _binary(masks, "masks", ("T", "K", sys.n_sensors))
     J, K = np.full(len(arr), np.nan), arr.shape[1]
     todo = np.arange(len(arr))

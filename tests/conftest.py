@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import persched as ps
-from persched import lstep, periodic
+from persched import linalg, lstep, periodic
 
 _CRITERION_LINES = {}
 
@@ -41,13 +41,18 @@ def phi(prob, gains):
 
 
 def gradient(prob, gains):
-    """The subproblem's gradient at ``gains``, by lstep's own kernel."""
-    return lstep._gradient(prob, gains, *periodic._gradient_cycles(prob.sys, gains))
+    """The subproblem's gradient at ``gains``, from lstep's first-order terms
+    as lstep.solve forms it."""
+    _, b, vld = lstep._first_order(prob.sys, gains, *periodic._gradient_cycles(prob.sys, gains))
+    return vld + prob.rho * gains - (b + prob.rho * prob.U)
 
 
 def anderson_moore(prob, gains):
-    """The coordinate-solve candidate at ``gains``, by lstep's own kernel."""
-    return lstep._anderson_moore(prob, *periodic._gradient_cycles(prob.sys, gains))
+    """The coordinate-solve candidate at ``gains``, from lstep's first-order
+    terms as lstep.solve forms it."""
+    cycle, v_next = periodic._gradient_cycles(prob.sys, gains)
+    d, b, _ = lstep._first_order(prob.sys, gains, cycle, v_next)
+    return linalg._solve_gain_sylvester(v_next, d, prob.rho, b + prob.rho * prob.U)
 
 
 def random_stable_system(rng, n, m, radius=0.85):

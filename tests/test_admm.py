@@ -449,6 +449,20 @@ class TestSupportJump:
         assert report.j_raw == report.j_polished
         assert paper_objective(report) == pytest.approx(103.5566, abs=5e-5)
 
+    def test_jump_builds_no_subproblem(self, benchmark_sys, monkeypatch):
+        # One gain subproblem per outer iteration: the two tried jumps take
+        # the trace gradient from lstep's first-order terms directly.
+        built, post_init = [], lstep.LStepProblem.__post_init__
+
+        def counting(prob):
+            built.append(prob.rho)
+            post_init(prob)
+
+        monkeypatch.setattr(lstep.LStepProblem, "__post_init__", counting)
+        report = ps.run(benchmark_sys, AdmmConfig(period=10, gamma=0.15, eta=5))
+        assert (report.iterations, report.jump_iteration) == (6, 5)
+        assert built == [10.0] * 6
+
     def test_support_check_keeps_the_answer(self, benchmark_sys, monkeypatch):
         # With the check disabled, the jump on the empty support of
         # iterations 1-2 is accepted, and so are later jumps whose G-step

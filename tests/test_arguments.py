@@ -128,7 +128,7 @@ REALS = [
     ("GStepProblem", "gamma", 0.1, gstep("gamma"), ("nonnegative", [BELOW_ZERO], [0.0])),
     ("GStepProblem", "rho", 1.0, gstep("rho"), ("positive", [0.0], [ABOVE_ZERO])),
     ("LStepProblem", "rho", 1.0, lstep_rho, ("nonnegative", [BELOW_ZERO], [0.0])),
-    ("lstep.solve", "tol", 1e-6, lstep_tol, None),
+    ("lstep.solve", "tol", 1e-6, lstep_tol, ("nonnegative", [BELOW_ZERO, -1.0], [0.0])),
 ]
 # None is a setting of its own here, any total, so only the range is tested.
 ORACLE_TOTAL = (

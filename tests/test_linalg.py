@@ -367,6 +367,12 @@ class TestHelpers:
         np.testing.assert_allclose(out, out.T)
         with pytest.raises(InputError, match="not symmetric"):
             require_symmetric(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # The bound is 1e-8 relative to the norm, and not an argument.
+        require_symmetric(np.array([[1.0, 5e-9], [0.0, 1.0]]))
+        with pytest.raises(InputError, match="^matrix is not symmetric within tolerance 1e-08$"):
+            require_symmetric(np.array([[1.0, 5e-8], [0.0, 1.0]]))
+        with pytest.raises(TypeError):
+            require_symmetric(np.array([[1.0, 5.0], [0.0, 1.0]]), tol=float("nan"))
 
     def test_psd_sqrt_squares_back(self, rng):
         half = rng.normal(size=(4, 4))

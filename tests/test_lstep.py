@@ -89,7 +89,9 @@ class TestPhiValue:
 
     def test_unstable_gains_raise(self):
         # A - L C = 2.5: the cycle raises, and the line search scores the
-        # trial point as infinitely bad.
+        # trial point as infinitely bad. Along L = -2 s from 0 the loops
+        # 2.5, 1.5 and 1.0 are rejected, and 0.75, at s = 0.125, is the
+        # first a search with no sufficient-decrease bar can accept.
         sys = ps.SystemModel(
             A=np.array([[0.5]]), B=np.eye(1), C=np.eye(1), Q=np.eye(1), R=np.eye(1)
         )
@@ -97,7 +99,11 @@ class TestPhiValue:
         gains = np.array([[[-2.0]]])
         with pytest.raises(InstabilityError):
             ps.covariance_limit_cycle(sys, gains)
-        assert lstep._trial_phi(prob, gains) == (np.inf, None)
+        start = np.zeros((1, 1, 1))
+        trials, (s, trial, _, trial_phi) = lstep._armijo(prob, start, gains, np.inf, -1.0)
+        assert (trials, s) == (4, 0.125)
+        np.testing.assert_array_equal(trial, [[[-0.25]]])
+        assert trial_phi == pytest.approx(1.0625 / 0.4375 + 0.5 * 0.0625, rel=1e-12)
 
 
 class TestGradientPhi:

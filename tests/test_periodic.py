@@ -29,7 +29,6 @@ from persched.periodic import (
 )
 from tests import reference
 from tests.conftest import (
-    anderson_moore,
     detectable_plant,
     random_schedule,
     random_stable_system,
@@ -88,11 +87,11 @@ GAIN_ENTRY_POINTS = {
 
 # The private kernels lstep.solve runs after its one check, keyed by the
 # computation each makes: the attribute and the modules that bind it.
+# _first_order forms the terms of the Anderson-Moore update and the gradient.
 SOLVE_KERNELS = {
-    "closed_loop_factors": ("_closed_loop", (periodic, lstep)),
+    "closed_loop_factors": ("_closed_loop", (periodic,)),
     "value_cycle": ("_gradient_cycles", (lstep,)),
-    "gradient_phi": ("_gradient", (lstep,)),
-    "anderson_moore_update": ("_anderson_moore", (lstep,)),
+    "anderson_moore_update": ("_first_order", (lstep,)),
 }
 
 GAIN_PATHS = sorted({**GAIN_ENTRY_POINTS, **SOLVE_KERNELS})
@@ -197,7 +196,6 @@ class TestGainContract:
         report = ps.run(sys, ps.AdmmConfig(period=2, gamma=0.01, eta=2, max_iters=3))
         built = {
             "ScheduleEvaluation.gains": evaluation.gains,
-            "anderson_moore_update": anderson_moore(prob, evaluation.gains),
             "LStepResult.gains": lstep.solve(prob, evaluation.gains).gains,
             "AdmmDriver.L": driver.L,
             "SolveReport.gains_raw": report.gains_raw,

@@ -1,4 +1,5 @@
-"""The CI workflow file parses, and each of its steps is well formed."""
+"""The CI workflow file parses, its job has a time limit, and each of its
+steps is well formed."""
 
 from pathlib import Path
 
@@ -16,3 +17,10 @@ def test_tier1_workflow_steps_are_well_formed():
         assert "uses" in step or isinstance(step.get("run"), str), step
     names = [step["name"] for step in steps if "name" in step]
     assert len(names) == len(set(names))
+
+
+def test_tier1_job_has_a_time_limit():
+    # Without one, a hung solve holds the runner for the platform's default
+    # of six hours.
+    minutes = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"].get("timeout-minutes")
+    assert type(minutes) is int and minutes > 0
