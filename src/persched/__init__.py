@@ -36,9 +36,9 @@ from .exceptions import (
     InstabilityError,
     PerschedError,
 )
-from .gstep import GStepProblem, g_step
+from .gstep import g_step
 from .linalg import matrix_exponential
-from .lstep import LStepProblem, LStepResult
+from .lstep import LStepResult
 from .model import (
     AssumptionReport,
     FieldGeometry,
@@ -71,12 +71,10 @@ __all__ = [
     "DimensionError",
     "ExperimentConfig",
     "FieldGeometry",
-    "GStepProblem",
     "InitializationError",
     "InputError",
     "InstabilityError",
     "IterationRecord",
-    "LStepProblem",
     "LStepResult",
     "OracleResult",
     "PerschedError",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lstep
 from .exceptions import InputError, PerschedError
-from .gstep import GStepProblem, g_step, normalize_eta
+from .gstep import g_step, normalize_eta
 from .linalg import _integral, _real
 from .model import SystemModel
 from .periodic import (
@@ -270,7 +270,7 @@ class AdmmDriver:
             return
         _, b, vld = lstep._first_order(self.sys, gains, fixed.cycle, cycles[1])
         lam = b - vld
-        new_g = g_step(GStepProblem(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta))
+        new_g = g_step(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta)
         if schedule_from_gains(new_g) != support:
             return
         self.L, self.G, self.Lam, self._carried = gains, new_g, lam, (gains, cycles)
@@ -286,15 +286,14 @@ class AdmmDriver:
         rho = cfg.rho
 
         u = self.G - self.Lam / rho
-        prob = lstep.LStepProblem(self.sys, u, rho)
         carried = self._carried[1] if self._carried[0] is self.L else None
-        result = lstep.solve(prob, init=self.L, tol=self._inner_tol(), cycles=carried)
+        result = lstep.solve(self.sys, u, rho, self.L, tol=self._inner_tol(), cycles=carried)
         if result.line_search_failed:
             self.line_search_failed = True
         new_l = result.gains
 
         s = new_l + self.Lam / rho
-        new_g = g_step(GStepProblem(s, cfg.gamma, rho, self.eta))
+        new_g = g_step(s, cfg.gamma, rho, self.eta)
 
         g_change = float(sum(np.linalg.norm(new_g[k] - self.G[k]) for k in range(cfg.period)))
         self.Lam = self.Lam + rho * (new_l - new_g)

@@ -154,7 +154,7 @@ def load_experiment(path) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        raw = yaml.load(path.read_bytes(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     raw = _require_mapping(raw, "config")

@@ -10,7 +10,6 @@ column energies. One vectorized pass solves it for all sensors at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +18,6 @@ from .exceptions import InputError
 from .linalg import _array, _integral, _real
 
 __all__ = [
-    "GStepProblem",
     "g_step",
     "normalize_eta",
     "ZERO_COLUMN_TOL",
@@ -47,40 +45,10 @@ def normalize_eta(eta, n_sensors: Optional[int], K: int, lowest: int = 0) -> tup
     return tuple(_integral(e, f"eta[{m}]", least=lowest, most=K) for m, e in enumerate(raw))
 
 
-@dataclass(frozen=True, eq=False)
-class GStepProblem:
-    """One sparsification subproblem: targets S, weight gamma, penalty rho,
-    and per-sensor activation bounds eta."""
-
-    S: np.ndarray
-    gamma: float
-    rho: float
-    eta: tuple
-
-    def __post_init__(self):
-        s = _array(self.S, "targets", ("K", "N", "M"), stack=True)
-        s = np.array(s)  # private copy: the caller's stays writeable
-        s.setflags(write=False)
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "gamma", _real(self.gamma, "gamma", least=0))
-        object.__setattr__(self, "rho", _real(self.rho, "rho", above=0))
-        object.__setattr__(self, "eta", normalize_eta(self.eta, s.shape[2], len(s)))
-
-    @property
-    def K(self) -> int:
-        return self.S.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.S.shape[1]
-
-    @property
-    def n_sensors(self) -> int:
-        return self.S.shape[2]
-
-
-def g_step(prob: GStepProblem) -> np.ndarray:
-    """Solve the sparsification step for every sensor at once.
+def g_step(targets, gamma: float, rho: float, eta) -> np.ndarray:
+    """Solve the sparsification step for every sensor at once: minimize
+    gamma * card(G) + (rho/2) ||G - S||^2 for (K, N, M) targets S, gamma >= 0,
+    rho > 0 and eta one bound or one per sensor, each an integer in 0..K.
 
     Sorts each sensor's K column norms in descending order (ties go to the
     smaller step) and keeps the longest prefix whose proximal saving
@@ -89,17 +57,21 @@ def g_step(prob: GStepProblem) -> np.ndarray:
     are copied verbatim and the rest are zero, so sensor m is active on at
     most eta_m steps.
     """
+    s = _array(targets, "targets", ("K", "N", "M"), stack=True)
+    gamma = _real(gamma, "gamma", least=0)
+    rho = _real(rho, "rho", above=0)
+    eta = normalize_eta(eta, s.shape[2], len(s))
     # Norms over a contiguous (K, M, N) copy: the summation order, hence the
     # rounding at the gamma threshold, is that of one sensor's (K, N) stack.
-    norms = np.linalg.norm(np.ascontiguousarray(prob.S.transpose(0, 2, 1)), axis=2)
+    norms = np.linalg.norm(np.ascontiguousarray(s.transpose(0, 2, 1)), axis=2)
     order = np.argsort(-norms, axis=0, kind="stable")
     ranked = np.take_along_axis(norms, order, axis=0)
     # Each test holds on a prefix of the ranked steps, so their conjunction does.
     keep = (
-        (np.arange(prob.K)[:, np.newaxis] < np.array(prob.eta))
+        (np.arange(len(s))[:, np.newaxis] < np.array(eta))
         & (ranked > ZERO_COLUMN_TOL)
-        & (0.5 * prob.rho * ranked**2 >= prob.gamma)
+        & (0.5 * rho * ranked**2 >= gamma)
     )
     kept = np.empty_like(keep)
     np.put_along_axis(kept, order, keep, axis=0)
-    return np.where(kept[:, np.newaxis, :], prob.S, 0.0)
+    return np.where(kept[:, np.newaxis, :], s, 0.0)

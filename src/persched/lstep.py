@@ -7,14 +7,13 @@ value cycles, solve a small Sylvester equation per step) with a backtracking
 line search on the resulting direction; each accepted step strictly
 decreases the objective and every iterate keeps the closed loop stable.
 
-solve is the one public entry. It checks the start once, then runs on
-private kernels and the read-only arrays it built. Each point it scores,
-the start and every Armijo trial, gets its covariance and value cycles and
-their one stability verdict from periodic._gradient_cycles, and its
-objective once; the accepted trial's cycles and objective serve the next
-iteration. One kernel, _first_order, forms the terms of the first-order
-condition: solve takes the gradient and the Anderson-Moore direction from
-them, and the ADMM driver's jump its dual.
+solve is the one public entry. It checks its arguments once, then runs on
+private kernels. Each point it scores, the start and every Armijo trial,
+gets its covariance and value cycles and their one stability verdict from
+periodic._gradient_cycles, and its objective once; the accepted trial's
+cycles and objective serve the next iteration. One kernel, _first_order,
+forms the terms of the first-order condition: solve takes the gradient and
+the Anderson-Moore direction from them, and the ADMM driver's jump its dual.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .model import SystemModel
 from .periodic import _gradient_cycles, _trace_sum
 
 __all__ = [
-    "LStepProblem",
     "LStepResult",
     "solve",
     "TOL_FLOOR",
@@ -44,30 +42,6 @@ _ARMIJO_BETA = 0.5
 # Default gradient-norm tolerance of solve; the ADMM driver's inexact inner
 # rule never asks for less.
 TOL_FLOOR = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class LStepProblem:
-    """Gain subproblem data: the plant, proximal targets U_0..U_{K-1}, and
-    the proximal weight rho.
-
-    rho = 0 is allowed and reduces the objective to the plain trace sum.
-    """
-
-    sys: SystemModel
-    U: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        u = _array(self.U, "targets", ("K", self.sys.n_states, self.sys.n_sensors), stack=True)
-        u = np.array(u, order="C")  # private copy: the caller's stays writeable
-        u.setflags(write=False)
-        object.__setattr__(self, "U", u)
-        object.__setattr__(self, "rho", _real(self.rho, "rho", least=0))
-
-    @property
-    def K(self) -> int:
-        return self.U.shape[0]
 
 
 @dataclass(frozen=True)
@@ -102,10 +76,12 @@ class LStepResult:
     cycles: tuple
 
 
-def _phi_from_cycle(prob: LStepProblem, gains: np.ndarray, cycle: np.ndarray) -> float:
+def _phi_from_cycle(
+    targets: np.ndarray, rho: float, gains: np.ndarray, cycle: np.ndarray
+) -> float:
     """Subproblem objective: un-normalized trace sum over the gains'
     covariance cycle plus (rho/2) times the squared distance to the targets."""
-    return float(_trace_sum(cycle)) + 0.5 * prob.rho * float(np.sum((gains - prob.U) ** 2))
+    return float(_trace_sum(cycle)) + 0.5 * rho * float(np.sum((gains - targets) ** 2))
 
 
 def _first_order(sys: SystemModel, gains: np.ndarray, cycle: np.ndarray, v_next: np.ndarray):
@@ -119,7 +95,9 @@ def _first_order(sys: SystemModel, gains: np.ndarray, cycle: np.ndarray, v_next:
 
 
 def _armijo(
-    prob: LStepProblem,
+    sys: SystemModel,
+    targets: np.ndarray,
+    rho: float,
     gains: np.ndarray,
     direction: np.ndarray,
     phi0: float,
@@ -137,44 +115,52 @@ def _armijo(
         trial.setflags(write=False)
         trials += 1
         try:
-            cycles = _gradient_cycles(prob.sys, trial)
+            cycles = _gradient_cycles(sys, trial)
         except InstabilityError:
             pass  # infinitely bad
         else:
-            phi = _phi_from_cycle(prob, trial, cycles[0])
+            phi = _phi_from_cycle(targets, rho, trial, cycles[0])
             if phi < phi0 + _ARMIJO_ALPHA * s * slope:
                 return trials, (s, trial, cycles, phi)
         s *= _ARMIJO_BETA
     return trials, None
 
 
-def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LStepResult:
-    """Run the gain solver from a stabilizing start.
+def solve(
+    sys: SystemModel, targets, rho: float, init, tol: float = TOL_FLOOR, cycles=None
+) -> LStepResult:
+    """Minimize the trace sum of ``sys``'s covariance cycle plus (rho/2)
+    times the squared distance to the (K, N, M) ``targets`` over the gains,
+    from the stabilizing start ``init`` of the same shape; rho = 0 leaves
+    the plain trace sum.
 
     Each iteration takes both cycles of the current gains, and their
     objective, from the start or the accepted trial point, checks the
     gradient norm against ``tol``, forms the coordinate-solve direction, and
     backtracks along it. The objective decreases strictly at every accepted
     step. On line-search failure the best iterate found so far is returned
-    with the failure flag set instead of raising. The iteration cap (``_MAX_ITERS``) and the line
-    search's constants (``_ARMIJO_ALPHA``, ``_ARMIJO_BETA``) are fixed.
-    A writeable ``init`` is copied, so the result never shares the caller's
-    array. ``cycles``, when given, are periodic._gradient_cycles of ``init``,
-    such as the ``cycles`` of the result that returned it; they stand for
-    the start's own and its stability check.
+    with the failure flag set instead of raising. The iteration cap
+    (``_MAX_ITERS``) and the line search's constants (``_ARMIJO_ALPHA``,
+    ``_ARMIJO_BETA``) are fixed. A writeable ``init`` is copied, so the
+    result never shares the caller's array; ``targets`` are read, not
+    copied. ``cycles``, when given, are periodic._gradient_cycles of
+    ``init``, such as the ``cycles`` of the result that returned it; they
+    stand for the start's own and its stability check.
     """
+    targets = _array(targets, "targets", ("K", sys.n_states, sys.n_sensors), stack=True)
+    rho = _real(rho, "rho", least=0)
     tol = _real(tol, "tol", least=0)
-    gains = _array(init, "gains", prob.U.shape, stack=True)
+    gains = _array(init, "gains", targets.shape, stack=True)
     if gains.flags.writeable:
         gains = gains.copy()
         gains.setflags(write=False)
     if cycles is None:
         try:
-            cycles = _gradient_cycles(prob.sys, gains)
+            cycles = _gradient_cycles(sys, gains)
         except InstabilityError as exc:
             raise InstabilityError("initial gains do not stabilize the closed loop") from exc
     cycle, v_next = cycles
-    phi = _phi_from_cycle(prob, gains, cycle)
+    phi = _phi_from_cycle(targets, rho, gains, cycle)
 
     phi_history = []
     step_sizes = []
@@ -185,9 +171,9 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
     armijo_trials = 0
 
     while True:
-        d, b, vld = _first_order(prob.sys, gains, cycle, v_next)
-        rhs = b + prob.rho * prob.U
-        grad = vld + prob.rho * gains - rhs
+        d, b, vld = _first_order(sys, gains, cycle, v_next)
+        rhs = b + rho * targets
+        grad = vld + rho * gains - rhs
         grad_norm = float(np.linalg.norm(grad))
         phi_history.append(phi)
         if grad_norm <= tol:
@@ -195,7 +181,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
             break
         if iterations >= _MAX_ITERS:
             break
-        direction = _solve_gain_sylvester(v_next, d, prob.rho, rhs) - gains
+        direction = _solve_gain_sylvester(v_next, d, rho, rhs) - gains
         slope = float(np.sum(grad * direction))
         descent_history.append(slope)
         if slope >= 0.0:
@@ -203,7 +189,7 @@ def solve(prob: LStepProblem, init, tol: float = TOL_FLOOR, cycles=None) -> LSte
             # current point up to roundoff, so no further progress is
             # possible at this tolerance.
             break
-        trials, accepted = _armijo(prob, gains, direction, phi, slope)
+        trials, accepted = _armijo(sys, targets, rho, gains, direction, phi, slope)
         armijo_trials += trials
         if accepted is None:
             ls_failed = True

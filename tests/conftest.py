@@ -34,25 +34,25 @@ def spectral_radius(a):
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def phi(prob, gains):
+def phi(sys, targets, rho, gains):
     """The gain subproblem's objective at ``gains``: lstep's own expression on
     the covariance cycle."""
-    return lstep._phi_from_cycle(prob, gains, ps.covariance_limit_cycle(prob.sys, gains))
+    return lstep._phi_from_cycle(targets, rho, gains, ps.covariance_limit_cycle(sys, gains))
 
 
-def gradient(prob, gains):
+def gradient(sys, targets, rho, gains):
     """The subproblem's gradient at ``gains``, from lstep's first-order terms
     as lstep.solve forms it."""
-    _, b, vld = lstep._first_order(prob.sys, gains, *periodic._gradient_cycles(prob.sys, gains))
-    return vld + prob.rho * gains - (b + prob.rho * prob.U)
+    _, b, vld = lstep._first_order(sys, gains, *periodic._gradient_cycles(sys, gains))
+    return vld + rho * gains - (b + rho * targets)
 
 
-def anderson_moore(prob, gains):
+def anderson_moore(sys, targets, rho, gains):
     """The coordinate-solve candidate at ``gains``, from lstep's first-order
     terms as lstep.solve forms it."""
-    cycle, v_next = periodic._gradient_cycles(prob.sys, gains)
-    d, b, _ = lstep._first_order(prob.sys, gains, cycle, v_next)
-    return linalg._solve_gain_sylvester(v_next, d, prob.rho, b + prob.rho * prob.U)
+    cycle, v_next = periodic._gradient_cycles(sys, gains)
+    d, b, _ = lstep._first_order(sys, gains, cycle, v_next)
+    return linalg._solve_gain_sylvester(v_next, d, rho, b + rho * targets)
 
 
 def random_stable_system(rng, n, m, radius=0.85):

@@ -130,47 +130,50 @@ def lifted_riccati_gains(sys, sched):
     return gains
 
 
-def g_objective(prob, g):
-    """Sparsification objective at a candidate G: gamma times the number of
-    nonzero columns plus the proximal distance (rho/2)||G - S||_F^2."""
+def g_objective(s, gamma, rho, g):
+    """Sparsification objective at a candidate G for targets S: gamma times
+    the number of nonzero columns plus the proximal distance
+    (rho/2)||G - S||_F^2."""
     g = np.asarray(g, dtype=float)
-    if g.shape != prob.S.shape:
-        raise DimensionError(f"candidate shape {g.shape} does not match targets {prob.S.shape}")
+    if g.shape != s.shape:
+        raise DimensionError(f"candidate shape {g.shape} does not match targets {s.shape}")
     card = int(np.sum(np.linalg.norm(g, axis=1) > ZERO_COLUMN_TOL))
-    return prob.gamma * card + 0.5 * prob.rho * float(np.sum((g - prob.S) ** 2))
+    return gamma * card + 0.5 * rho * float(np.sum((g - s) ** 2))
 
 
-def g_step_per_sensor(prob):
+def g_step_per_sensor(s, gamma, rho, eta):
     """The G-step one sensor at a time: rank the sensor's K columns of S by
     2-norm, ties to the smaller step, and keep the longest prefix whose
-    saving (rho/2) norm^2 covers gamma, capped by eta_m and by the columns
+    saving (rho/2) norm^2 covers gamma, capped by eta[m] and by the columns
     above ZERO_COLUMN_TOL."""
-    out = np.zeros_like(prob.S)
-    for m in range(prob.n_sensors):
-        cols = prob.S[:, :, m]
+    out = np.zeros_like(s)
+    K = len(s)
+    for m in range(s.shape[2]):
+        cols = s[:, :, m]
         norms = np.linalg.norm(cols, axis=1)
-        order = np.lexsort((np.arange(prob.K), -norms))
-        limit = min(prob.eta[m], int(np.sum(norms > ZERO_COLUMN_TOL)))
-        q = int(np.sum(0.5 * prob.rho * norms[order[:limit]] ** 2 >= prob.gamma))
+        order = np.lexsort((np.arange(K), -norms))
+        limit = min(eta[m], int(np.sum(norms > ZERO_COLUMN_TOL)))
+        q = int(np.sum(0.5 * rho * norms[order[:limit]] ** 2 >= gamma))
         out[order[:q], :, m] = cols[order[:q]]
     return out
 
 
-def g_optimum_enumerated(prob):
-    """Smallest g_objective over every support that keeps at most eta_m
+def g_optimum_enumerated(s, gamma, rho, eta):
+    """Smallest g_objective over every support that keeps at most eta[m]
     columns of sensor m. The objective separates by sensor, so the subsets
     of steps are enumerated per sensor and the minima added up."""
     total = 0.0
-    for m in range(prob.n_sensors):
-        norms = np.linalg.norm(prob.S[:, :, m], axis=1)
+    K = len(s)
+    for m in range(s.shape[2]):
+        norms = np.linalg.norm(s[:, :, m], axis=1)
         best = np.inf
-        for size in range(prob.eta[m] + 1):
-            for kept in itertools.combinations(range(prob.K), size):
-                mask = np.zeros(prob.K, dtype=bool)
+        for size in range(eta[m] + 1):
+            for kept in itertools.combinations(range(K), size):
+                mask = np.zeros(K, dtype=bool)
                 mask[list(kept)] = True
                 card = int(np.sum(norms[mask] > ZERO_COLUMN_TOL))
                 dist = float(np.sum(norms[~mask] ** 2))
-                best = min(best, prob.gamma * card + 0.5 * prob.rho * dist)
+                best = min(best, gamma * card + 0.5 * rho * dist)
         total += best
     return total
 

@@ -12,7 +12,7 @@ import scipy.linalg
 
 import persched as ps
 from persched import lstep
-from persched.gstep import ZERO_COLUMN_TOL, GStepProblem
+from persched.gstep import ZERO_COLUMN_TOL
 from persched.model import FieldGeometry, build_diffusion_system
 from tests import reference
 from tests.conftest import (
@@ -35,15 +35,15 @@ def perturbed_start(rng, sys, K, scale):
     return init, init + scale * rng.normal(size=init.shape)
 
 
-def central_difference(prob, base, step):
+def central_difference(sys, targets, rho, base, step):
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         high_point = base.copy()
         high_point[idx] += step
         low_point = base.copy()
         low_point[idx] -= step
-        high = phi(prob, high_point)
-        low = phi(prob, low_point)
+        high = phi(sys, targets, rho, high_point)
+        low = phi(sys, targets, rho, low_point)
         grad[idx] = (high - low) / (2.0 * step)
     return grad
 
@@ -57,11 +57,10 @@ def test_criterion_01_gradient_matches_finite_differences():
         K = int(rng.integers(1, 4))
         sys = random_stable_system(rng, n, m)
         _, gains = perturbed_start(rng, sys, K, scale=0.02)
-        prob = ps.LStepProblem(
-            sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.0, 10.0))
-        )
-        analytic = gradient(prob, gains)
-        numeric = central_difference(prob, gains, step=1e-5)
+        u = rng.normal(size=(K, n, m))
+        rho = float(rng.uniform(0.0, 10.0))
+        analytic = gradient(sys, u, rho, gains)
+        numeric = central_difference(sys, u, rho, gains, step=1e-5)
         rel = float(np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(numeric)))
         worst = max(worst, rel)
     passed = worst <= 1e-5
@@ -82,10 +81,9 @@ def test_criterion_02_coordinate_directions_descend():
         K = int(rng.integers(1, 5))
         sys = random_stable_system(rng, n, m)
         init, start = perturbed_start(rng, sys, K, scale=0.05)
-        prob = ps.LStepProblem(
-            sys=sys, U=rng.normal(size=(K, n, m)), rho=float(rng.uniform(0.5, 10.0))
-        )
-        result = lstep.solve(prob, start, tol=1e-8)
+        u = rng.normal(size=(K, n, m))
+        rho = float(rng.uniform(0.5, 10.0))
+        result = lstep.solve(sys, u, rho, start, tol=1e-8)
         slopes_negative &= all(s < 0.0 for s in result.descent_history)
         strictly_decreasing &= bool((np.diff(result.phi_history) < 0.0).all())
         accepted += len(result.step_sizes)
@@ -110,17 +108,14 @@ def test_criterion_03_sparsifier_is_exact():
         s = rng.normal(scale=rng.uniform(0.05, 2.0), size=(K, n, m))
         if rng.uniform() < 0.25:
             s[rng.integers(K), :, rng.integers(m)] = 0.0
-        prob = GStepProblem(
-            S=s,
-            gamma=float(rng.uniform(0.0, 1.0)),
-            rho=float(rng.uniform(0.1, 20.0)),
-            eta=tuple(int(e) for e in rng.integers(0, K + 1, size=m)),
-        )
-        out = ps.g_step(prob)
-        gap = abs(reference.g_objective(prob, out) - reference.g_optimum_enumerated(prob))
-        worst_gap = max(worst_gap, gap)
+        gamma = float(rng.uniform(0.0, 1.0))
+        rho = float(rng.uniform(0.1, 20.0))
+        eta = tuple(int(e) for e in rng.integers(0, K + 1, size=m))
+        out = ps.g_step(s, gamma, rho, eta)
+        optimum = reference.g_optimum_enumerated(s, gamma, rho, eta)
+        worst_gap = max(worst_gap, abs(reference.g_objective(s, gamma, rho, out) - optimum))
         counts = (np.linalg.norm(out, axis=1) > ZERO_COLUMN_TOL).sum(axis=0)
-        feasible &= bool((counts <= np.array(prob.eta)).all())
+        feasible &= bool((counts <= np.array(eta)).all())
     passed = worst_gap <= 1e-12 and feasible
     record_criterion(
         3,

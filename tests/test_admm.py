@@ -207,9 +207,9 @@ class TestDriver:
         # solve computed for it; gains bound to L from outside get their own.
         carried, solve = [], lstep.solve
 
-        def recording(prob, init, tol, cycles):
+        def recording(sys, targets, rho, init, tol, cycles):
             carried.append(cycles)
-            return solve(prob, init, tol, cycles)
+            return solve(sys, targets, rho, init, tol, cycles)
 
         monkeypatch.setattr(lstep, "solve", recording)
         sys = random_stable_system(rng, 3, 2)
@@ -450,18 +450,18 @@ class TestSupportJump:
         assert paper_objective(report) == pytest.approx(103.5566, abs=5e-5)
 
     def test_jump_builds_no_subproblem(self, benchmark_sys, monkeypatch):
-        # One gain subproblem per outer iteration: the two tried jumps take
-        # the trace gradient from lstep's first-order terms directly.
-        built, post_init = [], lstep.LStepProblem.__post_init__
+        # One gain solve per outer iteration: the two tried jumps take the
+        # trace gradient from lstep's first-order terms directly.
+        rhos, solve = [], lstep.solve
 
-        def counting(prob):
-            built.append(prob.rho)
-            post_init(prob)
+        def recording(sys, targets, rho, *args, **kwargs):
+            rhos.append(rho)
+            return solve(sys, targets, rho, *args, **kwargs)
 
-        monkeypatch.setattr(lstep.LStepProblem, "__post_init__", counting)
+        monkeypatch.setattr(lstep, "solve", recording)
         report = ps.run(benchmark_sys, AdmmConfig(period=10, gamma=0.15, eta=5))
         assert (report.iterations, report.jump_iteration) == (6, 5)
-        assert built == [10.0] * 6
+        assert rhos == [10.0] * 6
 
     def test_support_check_keeps_the_answer(self, benchmark_sys, monkeypatch):
         # With the check disabled, the jump on the empty support of

@@ -19,9 +19,7 @@ from persched import (
     BaselineResult,
     DimensionError,
     FieldGeometry,
-    GStepProblem,
     InputError,
-    LStepProblem,
     Schedule,
     SystemModel,
     lstep,
@@ -55,17 +53,13 @@ def noise(name):
 
 
 def gstep(name):
-    base = dict(S=np.zeros((2, 2, 1)), gamma=0.1, rho=1.0, eta=1)
-    return lambda v: getattr(GStepProblem(**{**base, name: v}), name)
+    base = dict(targets=np.ones((2, 2, 1)), gamma=0.1, rho=1.0, eta=1)
+    return lambda v: float(ps.g_step(**{**base, name: v}).sum())
 
 
-def lstep_rho(v):
-    return LStepProblem(LINE, np.zeros((1, 2, 1)), v).rho
-
-
-def lstep_tol(v):
-    prob = LStepProblem(LINE, np.zeros((1, 2, 1)), 1.0)
-    return lstep.solve(prob, np.zeros((1, 2, 1)), tol=v).phi
+def lstep_solve(name):
+    base = dict(targets=np.zeros((1, 2, 1)), rho=1.0, init=np.zeros((1, 2, 1)))
+    return lambda v: lstep.solve(LINE, **{**base, name: v}).phi
 
 
 def budget(v):
@@ -96,7 +90,7 @@ INTEGERS = [
     ("FieldGeometry", "ell_h", 1, geometry("ell_h"), ("nonnegative", [-1], [0])),
     ("FieldGeometry", "ell_v", 1, geometry("ell_v"), ("nonnegative", [-1], [0])),
     ("FieldGeometry", "sensor_sites", 1, site, None),
-    ("GStepProblem", "eta[0]", 1, gstep("eta"), ("in 0..2", [-1, 3], [0, 2])),
+    ("g_step", "eta[0]", 1, gstep("eta"), ("in 0..2", [-1, 3], [0, 2])),
     ("default_init_schedule", "K", 2, init_period, ("at least 1", [0], [1])),
     ("exhaustive_search", "K", 2, oracle("K"), ("at least 1", [0], [1])),
     ("exhaustive_search", "budget", 10, budget, None),
@@ -125,10 +119,10 @@ REALS = [
     ),
     ("build_diffusion_system", "q_scale", 0.25, noise("q_scale"), ("positive", [0], [ABOVE_ZERO])),
     ("build_diffusion_system", "r_scale", 2.0, noise("r_scale"), ("positive", [0], [ABOVE_ZERO])),
-    ("GStepProblem", "gamma", 0.1, gstep("gamma"), ("nonnegative", [BELOW_ZERO], [0.0])),
-    ("GStepProblem", "rho", 1.0, gstep("rho"), ("positive", [0.0], [ABOVE_ZERO])),
-    ("LStepProblem", "rho", 1.0, lstep_rho, ("nonnegative", [BELOW_ZERO], [0.0])),
-    ("lstep.solve", "tol", 1e-6, lstep_tol, ("nonnegative", [BELOW_ZERO, -1.0], [0.0])),
+    ("g_step", "gamma", 0.1, gstep("gamma"), ("nonnegative", [BELOW_ZERO], [0.0])),
+    ("g_step", "rho", 1.0, gstep("rho"), ("positive", [0.0], [ABOVE_ZERO])),
+    ("lstep.solve", "rho", 1.0, lstep_solve("rho"), ("nonnegative", [BELOW_ZERO], [0.0])),
+    ("lstep.solve", "tol", 1e-6, lstep_solve("tol"), ("nonnegative", [BELOW_ZERO, -1.0], [0.0])),
 ]
 # None is a setting of its own here, any total, so only the range is tested.
 ORACLE_TOTAL = (
@@ -259,9 +253,9 @@ ARRAYS = [
     ("check_schedule_detectability", "sched.mask", DimensionError, wide_schedule(1.2)),
     ("check_schedule_detectability", "sched.mask", DimensionError, wide_schedule(0.5)),
     ("schedule_from_gains", "gains", DimensionError, lambda: ps.schedule_from_gains(NO_SENSOR)),
-    ("LStepProblem", "targets", InputError, lambda: LStepProblem(LINE, RAGGED_GAINS, 1.0)),
-    ("LStepProblem", "targets", DimensionError, lambda: LStepProblem(LINE, NO_STEP, 1.0)),
-    ("GStepProblem", "targets", InputError, lambda: GStepProblem("abc", 0.1, 1.0, 1)),
+    ("lstep.solve", "targets", InputError, lambda: lstep_solve("targets")(RAGGED_GAINS)),
+    ("lstep.solve", "targets", DimensionError, lambda: lstep_solve("targets")(NO_STEP)),
+    ("g_step", "targets", InputError, lambda: gstep("targets")("abc")),
     ("BaselineResult", "values", DimensionError, lambda: BaselineResult.from_values([])),
 ]
 

@@ -139,6 +139,12 @@ admm: {period: 2, gamma: 0.0, eta: 1}
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "kind" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(b"\x80\x81")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: could not parse")
+
     def test_byte_for_byte_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -455,5 +455,5 @@ def test_shipped_configs_load(path):
 def test_shipped_configs_parse_alike_with_and_without_libyaml(path):
     # load_experiment parses with libyaml's CSafeLoader where it exists; the
     # pure-Python SafeLoader, used elsewhere, must read the same objects.
-    text = path.read_text()
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    data = path.read_bytes()
+    assert yaml.load(data, Loader=yaml.CSafeLoader) == yaml.load(data, Loader=yaml.SafeLoader)

@@ -7,12 +7,8 @@ import pytest
 
 import persched as ps
 from persched import DimensionError, InputError
-from persched.gstep import ZERO_COLUMN_TOL, GStepProblem
+from persched.gstep import ZERO_COLUMN_TOL
 from tests import reference
-
-
-def sparsify(s, gamma, rho, eta):
-    return ps.g_step(GStepProblem(S=np.asarray(s, dtype=float), gamma=gamma, rho=rho, eta=eta))
 
 
 def single_sensor(cols):
@@ -24,67 +20,65 @@ class TestColumnStack:
     """How g_step reads each sensor's K columns out of the targets."""
 
     def test_single_column_promoted(self):
-        prob = GStepProblem(S=np.array([[3.0], [4.0]]), gamma=0.0, rho=1.0, eta=1)
-        assert prob.S.shape == (1, 2, 1)
-        np.testing.assert_array_equal(ps.g_step(prob), [[[3.0], [4.0]]])
+        out = ps.g_step(np.array([[3.0], [4.0]]), gamma=0.0, rho=1.0, eta=1)
+        np.testing.assert_array_equal(out, [[[3.0], [4.0]]])
 
     def test_bad_rank_rejected(self):
         for s in (np.ones(3), np.ones((1, 2, 2, 1))):
             message = rf"^targets must have shape \(K, N, M\), got {re.escape(str(s.shape))}$"
             with pytest.raises(DimensionError, match=message):
-                GStepProblem(S=s, gamma=0.0, rho=1.0, eta=1)
+                ps.g_step(s, gamma=0.0, rho=1.0, eta=1)
 
     def test_nonzero_count_uses_tolerance(self):
         # At or below ZERO_COLUMN_TOL a column is never kept, even at gamma = 0.
         cols = [[1.0, 0.0], [0.5 * ZERO_COLUMN_TOL, 0.0], [ZERO_COLUMN_TOL, 0.0], [0.0, 0.0]]
-        out = sparsify(single_sensor(cols), gamma=0.0, rho=1.0, eta=4)
+        out = ps.g_step(single_sensor(cols), gamma=0.0, rho=1.0, eta=4)
         np.testing.assert_array_equal(out[1:], 0.0)
         np.testing.assert_array_equal(out[0], [[1.0], [0.0]])
 
     def test_nonfinite_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(InputError, match="finite"):
-                GStepProblem(S=single_sensor([[bad, 0.0]]), gamma=0.0, rho=1.0, eta=1)
+                ps.g_step(single_sensor([[bad, 0.0]]), gamma=0.0, rho=1.0, eta=1)
 
 
-class TestGStepProblem:
+class TestGStepArguments:
     def test_scalar_eta_broadcast(self):
-        prob = GStepProblem(S=np.zeros((3, 2, 4)), gamma=0.1, rho=1.0, eta=2)
-        assert prob.eta == (2, 2, 2, 2)
+        out = ps.g_step(np.ones((3, 2, 4)), gamma=0.1, rho=1.0, eta=2)
+        np.testing.assert_array_equal(np.count_nonzero(out[:, 0, :], axis=0), [2, 2, 2, 2])
 
     def test_eta_length_mismatch(self):
         with pytest.raises(InputError, match="entries"):
-            GStepProblem(S=np.zeros((2, 2, 3)), gamma=0.0, rho=1.0, eta=(1, 2))
+            ps.g_step(np.zeros((2, 2, 3)), gamma=0.0, rho=1.0, eta=(1, 2))
 
     @pytest.mark.parametrize("eta", [1.9, (1, 1.5, 2)])
     def test_non_integral_eta_rejected(self, eta):
         with pytest.raises(InputError, match=r"eta\[\d\] must be an integer"):
-            GStepProblem(S=np.zeros((2, 2, 3)), gamma=0.0, rho=1.0, eta=eta)
+            ps.g_step(np.zeros((2, 2, 3)), gamma=0.0, rho=1.0, eta=eta)
 
     def test_eta_above_period_rejected(self):
         with pytest.raises(InputError, match="eta"):
-            GStepProblem(S=np.zeros((2, 2, 1)), gamma=0.0, rho=1.0, eta=3)
+            ps.g_step(np.zeros((2, 2, 1)), gamma=0.0, rho=1.0, eta=3)
 
     def test_empty_target_stack_rejected(self):
         message = r"^targets must have shape \(K, N, M\), got \(0, 2, 1\)$"
         with pytest.raises(DimensionError, match=message):
-            GStepProblem(S=np.zeros((0, 2, 1)), gamma=0.0, rho=1.0, eta=0)
+            ps.g_step(np.zeros((0, 2, 1)), gamma=0.0, rho=1.0, eta=0)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(InputError, match="gamma"):
-            GStepProblem(S=np.zeros((1, 2, 1)), gamma=-0.1, rho=1.0, eta=1)
+            ps.g_step(np.zeros((1, 2, 1)), gamma=-0.1, rho=1.0, eta=1)
 
     def test_nonpositive_rho_rejected(self):
         with pytest.raises(InputError, match="rho"):
-            GStepProblem(S=np.zeros((1, 2, 1)), gamma=0.0, rho=0.0, eta=1)
+            ps.g_step(np.zeros((1, 2, 1)), gamma=0.0, rho=0.0, eta=1)
 
-    def test_stores_a_frozen_private_copy(self):
+    def test_leaves_the_callers_targets_alone(self):
         s = np.ones((2, 3, 2))
-        prob = GStepProblem(S=s, gamma=0.1, rho=1.0, eta=1)
-        s[0] = 0.0
+        out = ps.g_step(s, gamma=0.1, rho=1.0, eta=1)
         assert s.flags.writeable
-        assert not prob.S.flags.writeable
-        np.testing.assert_array_equal(prob.S, np.ones((2, 3, 2)))
+        np.testing.assert_array_equal(s, np.ones((2, 3, 2)))
+        assert not np.shares_memory(out, s)
 
 
 class TestSolveEqualityConstrained:
@@ -95,7 +89,7 @@ class TestSolveEqualityConstrained:
         s = np.zeros((3, 2, 2))
         s[:, :, 0] = [[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]
         s[:, :, 1] = [[0.0, -5.0], [0.0, 1.0], [0.0, 4.0]]
-        out = sparsify(s, gamma=0.0, rho=1.0, eta=(2, 1))
+        out = ps.g_step(s, gamma=0.0, rho=1.0, eta=(2, 1))
         np.testing.assert_array_equal(out[:, :, 0], [[0.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
         np.testing.assert_array_equal(out[:, :, 1], [[0.0, -5.0], [0.0, 0.0], [0.0, 0.0]])
 
@@ -103,15 +97,15 @@ class TestSolveEqualityConstrained:
         cols = [[0.0, 2.0], [2.0, 0.0], [1.0, 1.0], [0.0, -2.0]]
         # Steps 0, 1 and 3 tie at norm 2; each cap keeps the earliest of them.
         for eta, kept in ((1, [0]), (2, [0, 1]), (3, [0, 1, 3])):
-            out = sparsify(single_sensor(cols), gamma=0.0, rho=1.0, eta=eta)[:, :, 0]
+            out = ps.g_step(single_sensor(cols), gamma=0.0, rho=1.0, eta=eta)[:, :, 0]
             expected = np.zeros((4, 2))
             expected[kept] = np.asarray(cols)[kept]
             np.testing.assert_array_equal(out, expected)
 
     def test_extremes(self):
         s = np.arange(1.0, 13.0).reshape(2, 3, 2)
-        np.testing.assert_array_equal(sparsify(s, 0.0, 1.0, eta=0), np.zeros_like(s))
-        np.testing.assert_array_equal(sparsify(s, 0.0, 1.0, eta=2), s)
+        np.testing.assert_array_equal(ps.g_step(s, 0.0, 1.0, eta=0), np.zeros_like(s))
+        np.testing.assert_array_equal(ps.g_step(s, 0.0, 1.0, eta=2), s)
 
 
 class TestSelectByGamma:
@@ -122,27 +116,27 @@ class TestSelectByGamma:
         # at least sqrt(2 * gamma / rho) = sqrt(0.02).
         edge = np.sqrt(0.02)
         cols = np.array([[edge + 1e-6, 0.0], [edge, 0.0], [edge - 1e-6, 0.0]])
-        out = sparsify(single_sensor(cols), gamma=0.1, rho=10.0, eta=3)[:, :, 0]
+        out = ps.g_step(single_sensor(cols), gamma=0.1, rho=10.0, eta=3)[:, :, 0]
         np.testing.assert_array_equal(out[2], [0.0, 0.0])
         np.testing.assert_array_equal(out[:2], cols[:2])
 
     def test_equality_keeps_the_column(self):
         # ||(3, 4)|| = 5 exactly, so the saving (2/2) * 25 equals gamma = 25.
         s = single_sensor([[3.0, 4.0]])
-        np.testing.assert_array_equal(sparsify(s, gamma=25.0, rho=2.0, eta=1), s)
+        np.testing.assert_array_equal(ps.g_step(s, gamma=25.0, rho=2.0, eta=1), s)
         above = np.nextafter(25.0, np.inf)
-        np.testing.assert_array_equal(sparsify(s, gamma=above, rho=2.0, eta=1), np.zeros_like(s))
+        np.testing.assert_array_equal(ps.g_step(s, gamma=above, rho=2.0, eta=1), np.zeros_like(s))
 
     def test_cap_binds(self):
-        out = sparsify(single_sensor([[3.0], [2.0], [1.0]]), gamma=0.0, rho=1.0, eta=2)
+        out = ps.g_step(single_sensor([[3.0], [2.0], [1.0]]), gamma=0.0, rho=1.0, eta=2)
         np.testing.assert_array_equal(out.ravel(), [3.0, 2.0, 0.0])
 
     def test_zero_columns_never_selected(self):
-        out = sparsify(single_sensor([[1.0], [0.0], [0.0]]), gamma=0.0, rho=1.0, eta=3)
+        out = ps.g_step(single_sensor([[1.0], [0.0], [0.0]]), gamma=0.0, rho=1.0, eta=3)
         np.testing.assert_array_equal(out.ravel(), [1.0, 0.0, 0.0])
 
     def test_huge_gamma_clears_everything(self):
-        out = sparsify(np.ones((4, 2, 3)), gamma=1e6, rho=1.0, eta=4)
+        out = ps.g_step(np.ones((4, 2, 3)), gamma=1e6, rho=1.0, eta=4)
         np.testing.assert_array_equal(out, np.zeros((4, 2, 3)))
 
 
@@ -163,15 +157,15 @@ def random_problem(rng):
         int(rng.integers(4))
     ]
     eta = tuple(int(e) for e in rng.integers(0, K + 1, size=m))
-    return GStepProblem(S=s, gamma=gamma, rho=rho, eta=eta)
+    return s, gamma, rho, eta
 
 
 class TestGStep:
     def test_matches_per_sensor_reference_bitwise(self, rng):
         for _ in range(2000):
-            prob = random_problem(rng)
-            out = ps.g_step(prob)
-            expected = reference.g_step_per_sensor(prob)
+            args = random_problem(rng)
+            out = ps.g_step(*args)
+            expected = reference.g_step_per_sensor(*args)
             assert out.shape == expected.shape and out.dtype == expected.dtype
             assert out.tobytes() == expected.tobytes()
 
@@ -185,10 +179,10 @@ class TestGStep:
         s[0, :, 0] = [1.0] + [5.0 * 2.0**-29] * 15
         norm = np.linalg.norm(s[:, :, 0], axis=1)[0]
         assert np.linalg.norm(s, axis=1)[0, 0] < norm
-        prob = GStepProblem(S=s, gamma=0.5 * 2.0 * norm**2, rho=2.0, eta=1)
-        out = ps.g_step(prob)
+        args = (s, 0.5 * 2.0 * norm**2, 2.0, (1, 1))
+        out = ps.g_step(*args)
         np.testing.assert_array_equal(out, s)
-        assert out.tobytes() == reference.g_step_per_sensor(prob).tobytes()
+        assert out.tobytes() == reference.g_step_per_sensor(*args).tobytes()
 
     def test_matches_brute_force(self, rng):
         for _ in range(200):
@@ -200,39 +194,33 @@ class TestGStep:
             # path gets exercised too.
             if rng.uniform() < 0.3:
                 s[rng.integers(K), :, rng.integers(m)] = 0.0
-            prob = GStepProblem(
-                S=s,
-                gamma=float(rng.uniform(0.0, 1.0)),
-                rho=float(rng.uniform(0.1, 20.0)),
-                eta=tuple(int(e) for e in rng.integers(0, K + 1, size=m)),
-            )
-            out = ps.g_step(prob)
-            achieved = reference.g_objective(prob, out)
-            assert achieved == pytest.approx(reference.g_optimum_enumerated(prob), abs=1e-12)
+            gamma = float(rng.uniform(0.0, 1.0))
+            rho = float(rng.uniform(0.1, 20.0))
+            eta = tuple(int(e) for e in rng.integers(0, K + 1, size=m))
+            achieved = reference.g_objective(s, gamma, rho, ps.g_step(s, gamma, rho, eta))
+            optimum = reference.g_optimum_enumerated(s, gamma, rho, eta)
+            assert achieved == pytest.approx(optimum, abs=1e-12)
 
     def test_output_feasible(self, rng):
         for _ in range(50):
             K, n, m = 5, 3, 4
-            prob = GStepProblem(
-                S=rng.normal(size=(K, n, m)),
-                gamma=float(rng.uniform(0.0, 0.5)),
-                rho=10.0,
-                eta=tuple(int(e) for e in rng.integers(0, K + 1, size=m)),
-            )
-            counts = (np.linalg.norm(ps.g_step(prob), axis=1) > ZERO_COLUMN_TOL).sum(axis=0)
-            assert (counts <= np.array(prob.eta)).all()
+            s = rng.normal(size=(K, n, m))
+            gamma = float(rng.uniform(0.0, 0.5))
+            eta = tuple(int(e) for e in rng.integers(0, K + 1, size=m))
+            out = ps.g_step(s, gamma, 10.0, eta)
+            counts = (np.linalg.norm(out, axis=1) > ZERO_COLUMN_TOL).sum(axis=0)
+            assert (counts <= np.array(eta)).all()
 
     def test_kept_columns_are_verbatim(self, rng):
-        prob = GStepProblem(S=rng.normal(size=(4, 3, 2)), gamma=0.05, rho=10.0, eta=4)
-        out = ps.g_step(prob)
+        s = rng.normal(size=(4, 3, 2))
+        out = ps.g_step(s, gamma=0.05, rho=10.0, eta=4)
         kept = np.linalg.norm(out, axis=1) > ZERO_COLUMN_TOL
         for k, m in zip(*np.nonzero(kept)):
-            np.testing.assert_array_equal(out[k, :, m], prob.S[k, :, m])
+            np.testing.assert_array_equal(out[k, :, m], s[k, :, m])
 
     def test_gamma_zero_keeps_all_within_cap(self, rng):
         s = rng.normal(size=(3, 2, 2))
-        prob = GStepProblem(S=s, gamma=0.0, rho=5.0, eta=3)
-        np.testing.assert_array_equal(ps.g_step(prob), s)
+        np.testing.assert_array_equal(ps.g_step(s, gamma=0.0, rho=5.0, eta=3), s)
 
 
 class TestGObjective:
@@ -241,14 +229,12 @@ class TestGObjective:
     def test_hand_value(self):
         s = np.zeros((2, 2, 1))
         s[0, :, 0] = [3.0, 4.0]
-        prob = GStepProblem(S=s, gamma=0.7, rho=2.0, eta=2)
         g = np.zeros_like(s)
         # One nonzero column kept at half size: card = 1, distance
         # ||g - s||^2 = 2.5^2 + 2^2 = 10.25, objective 0.7 + 10.25.
         g[0, :, 0] = [0.5, 2.0]
-        assert reference.g_objective(prob, g) == pytest.approx(0.7 + 10.25)
+        assert reference.g_objective(s, 0.7, 2.0, g) == pytest.approx(0.7 + 10.25)
 
     def test_shape_mismatch(self):
-        prob = GStepProblem(S=np.zeros((2, 2, 1)), gamma=0.0, rho=1.0, eta=2)
         with pytest.raises(DimensionError, match="shape"):
-            reference.g_objective(prob, np.zeros((2, 2, 2)))
+            reference.g_objective(np.zeros((2, 2, 1)), 0.0, 1.0, np.zeros((2, 2, 2)))

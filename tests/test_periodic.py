@@ -73,16 +73,12 @@ def gain_plant():
     return random_stable_system(np.random.default_rng(11), 3, 2)
 
 
-def gain_problem(sys):
-    return ps.LStepProblem(sys, np.zeros((2, 3, 2)), 1.0)
-
-
 # Every public function that takes gains, as f(sys, gains).
 GAIN_ENTRY_POINTS = {
     "covariance_limit_cycle": ps.covariance_limit_cycle,
     "schedule_from_gains": lambda sys, g: ps.schedule_from_gains(g),
     "cycle_residual": lambda sys, g: cycle_residual(sys, g, np.ones((2, 3, 3))),
-    "lstep.solve": lambda sys, g: lstep.solve(gain_problem(sys), g),
+    "lstep.solve": lambda sys, g: lstep.solve(sys, np.zeros((2, 3, 2)), 1.0, g),
 }
 
 # The private kernels lstep.solve runs after its one check, keyed by the
@@ -118,7 +114,7 @@ def through(monkeypatch, name):
 class TestGainContract:
     """Gains are plain (K, N, M) float arrays. The public functions that take
     them check them once; lstep.solve's private kernels see only the
-    read-only arrays it built from checked gains, never a caller's array or
+    read-only gains it built from checked ones, never a caller's gains or
     gains it rejected; and gains the package builds are read-only."""
 
     @pytest.mark.parametrize("name", GAIN_PATHS)
@@ -148,7 +144,7 @@ class TestGainContract:
     @pytest.mark.parametrize(
         "name, shape",
         [
-            (name, shape)
+            pytest.param(name, shape, id=f"{name}-{'x'.join(map(str, shape))}")
             for name in GAIN_PATHS
             for shape in [(2, 3, 2, 1), (0, 3, 2), (2, 2, 2), (2, 3, 1)]
             # schedule_from_gains has no plant to match N and M against.
@@ -181,7 +177,7 @@ class TestGainContract:
     def test_solve_keeps_no_reference_to_a_writeable_start(self):
         sys = gain_plant()
         init = ps.evaluate_schedule(sys, Schedule(np.ones((2, 2)))).gains.copy()
-        result = lstep.solve(ps.LStepProblem(sys, init.copy(), 1.0), init)
+        result = lstep.solve(sys, init.copy(), 1.0, init)
         assert result.gains is not init
         before = result.gains.copy()
         init[:] = 0.0
@@ -190,13 +186,13 @@ class TestGainContract:
     def test_package_gains_are_read_only_arrays(self):
         sys = gain_plant()
         evaluation = ps.evaluate_schedule(sys, Schedule(np.ones((2, 2))))
-        prob = ps.LStepProblem(sys, evaluation.gains + 0.1, 1.0)
+        solved = lstep.solve(sys, evaluation.gains + 0.1, 1.0, evaluation.gains)
         driver = ps.AdmmDriver(sys, ps.AdmmConfig(period=2, gamma=0.01, eta=2, max_iters=3))
         driver.step()
         report = ps.run(sys, ps.AdmmConfig(period=2, gamma=0.01, eta=2, max_iters=3))
         built = {
             "ScheduleEvaluation.gains": evaluation.gains,
-            "LStepResult.gains": lstep.solve(prob, evaluation.gains).gains,
+            "LStepResult.gains": solved.gains,
             "AdmmDriver.L": driver.L,
             "SolveReport.gains_raw": report.gains_raw,
             "SolveReport.gains_polished": report.gains_polished,
@@ -881,6 +877,11 @@ def random_psd(rng, T, n):
     return half @ half.transpose(0, 2, 1)
 
 
+# The open ROADMAP item on the doubled Riccati cycle's drift, by its title,
+# which re-anchors do not renumber.
+NEAR_CIRCLE_ITEM = "ROADMAP: J near the unit circle from the gains' own cycle"
+
+
 class TestPeriodicDoubling:
     """The fixed-schedule kernel: the period map as one (E, G, H) triple and
     its doubling, on the plants of TestMaskedRiccatiProperties."""
@@ -1025,7 +1026,7 @@ class TestPeriodicDoubling:
         [
             1e-3,
             *(
-                pytest.param(gap, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3"))
+                pytest.param(gap, marks=pytest.mark.xfail(strict=True, reason=NEAR_CIRCLE_ITEM))
                 for gap in (1e-5, 1e-7, 1e-8)
             ),
         ],
@@ -1033,7 +1034,7 @@ class TestPeriodicDoubling:
     def test_J_near_the_unit_circle_is_the_trace_of_its_gains_cycle(self, gap):
         # A mode no sensor sees at 1 - gap: the Lyapunov cycle of fixed gains
         # holds to about eps / gap, while the doubled Riccati cycle drifts by
-        # about eps / gap^2 (ROADMAP item 3). At gaps 1e-5, 1e-7 and 1e-8
+        # about eps / gap^2 (NEAR_CIRCLE_ITEM). At gaps 1e-5, 1e-7 and 1e-8
         # the drift reads about 1.7e-7, 6e-3 and 0.5 of J.
         sys = hidden_mode_plant(np.random.default_rng(9), 3, 1, 1.0 - gap)
         evaluation = ps.evaluate_schedule(sys, Schedule(np.ones((1, 1))))
