@@ -14,7 +14,6 @@ import numpy as np
 
 import persched as ps
 from persched.model import FieldGeometry, build_diffusion_system
-from persched.periodic import cycle_residual
 
 
 def banner(text):
@@ -54,7 +53,6 @@ def main():
     cycle = ps.covariance_limit_cycle(sys, init)
     print(f"gain columns zeroed exactly where the schedule is 0: "
           f"{(ps.schedule_from_gains(init).mask == mask).all()}")
-    print(f"one-step recursion defect of the cycle: {cycle_residual(sys, init, cycle):.2e}")
     traces = np.trace(cycle, axis1=1, axis2=2)
     print(f"per-step covariance traces: {[float(f'{t:.4f}') for t in traces]}")
     print(f"objective J (mean trace over the period): {traces.mean():.6f}")

@@ -6,18 +6,23 @@ six sit near the cold boundary. Walking the sparsity penalty upward
 prunes the cheap tier first, then everything, tracing out the
 price curve between "measure everything" and "measure nothing".
 
-Takes a few seconds: each point is a full solve on the 25-state plant.
-The CLI equivalent writes the same data to CSV:
+Takes a few seconds: each point is a full solve on the 25-state plant of
+configs/tradeoff_sweep.yaml, whose sweep the CLI writes to CSV:
 
     persched sweep configs/tradeoff_sweep.yaml --out out/tradeoff
 
 Run:  python3 demos/03_sparsity_tradeoff.py
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
+import yaml
 
 import persched as ps
-from persched.model import BENCHMARK_SENSOR_SITES
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "tradeoff_sweep.yaml"
 
 
 def banner(text):
@@ -26,14 +31,15 @@ def banner(text):
     print("-" * len(text))
 
 
-def surviving_sites(schedule):
+def surviving_sites(schedule, sites):
     active = np.flatnonzero(schedule.activation_counts > 0)
-    return [BENCHMARK_SENSOR_SITES[m] for m in active]
+    return [tuple(sites[m]) for m in active]
 
 
 def main():
-    sys = ps.benchmark_system()
-    period, eta = 10, 5
+    exp = ps.load_experiment(CONFIG)
+    sites = yaml.safe_load(CONFIG.read_text())["system"]["field"]["sensor_sites"]
+    sys, period, eta = exp.system, exp.admm.period, exp.admm.eta
 
     banner("The plant")
     print(f"{sys.n_states} states on a 5 x 5 lattice, {sys.n_sensors} candidate sensors,")
@@ -43,7 +49,7 @@ def main():
     print(f"{'gamma':>7} {'activations':>12} {'sensors kept':>13} {'J':>9} {'iters':>6}")
     results = []
     for gamma in (0.05, 0.15, 2.0):
-        report = ps.run(sys, ps.AdmmConfig(period=period, gamma=gamma, eta=eta))
+        report = ps.run(sys, replace(exp.admm, gamma=gamma))
         kept = int((report.schedule.activation_counts > 0).sum())
         results.append((gamma, report))
         print(
@@ -54,7 +60,7 @@ def main():
     banner("What survives the middle penalty")
     mid = results[1][1]
     print("activation counts per sensor:", mid.schedule.activation_counts.tolist())
-    print("surviving sensor sites:", surviving_sites(mid.schedule))
+    print("surviving sensor sites:", surviving_sites(mid.schedule, sites))
     print("(the four interior antinodes; the boundary sensors are dropped)")
     print()
     print(mid.schedule.to_text())

@@ -6,7 +6,7 @@ schedule that respects per-sensor frequency bounds, trading average
 estimation error against how often sensors are used. The solver alternates
 a smooth gain subproblem with a closed-form sparsification step through an
 augmented-Lagrangian splitting; exhaustive and random-schedule references
-plus a diffusion-field benchmark are included for validation.
+and a diffusion-field plant builder are included for validation.
 """
 
 from .admm import (
@@ -43,8 +43,6 @@ from .model import (
     AssumptionReport,
     FieldGeometry,
     SystemModel,
-    benchmark_geometry,
-    benchmark_system,
     build_diffusion_system,
     build_laplacian,
     validate_assumptions,
@@ -83,8 +81,6 @@ __all__ = [
     "SolveReport",
     "SweepCell",
     "SystemModel",
-    "benchmark_geometry",
-    "benchmark_system",
     "build_diffusion_system",
     "build_laplacian",
     "covariance_limit_cycle",

@@ -10,6 +10,7 @@ shape and maps it onto the constructor that checks its values.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -92,8 +93,10 @@ def _load_matrix(value, base: Path, where: str):
     if not path.is_file():
         raise ConfigError(f"{where}: referenced file {path} does not exist")
     try:
-        return np.loadtxt(path, ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():  # an empty file warns; it is a parse error
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(path, ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise ConfigError(f"{where}: could not parse {path}: {exc}") from exc
 
 

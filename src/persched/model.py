@@ -1,6 +1,6 @@
-"""Plant definition, standing-assumption checks, and the diffusion benchmark.
+"""Plant definition, standing-assumption checks, and the diffusion plant.
 
-The benchmark instance discretizes a heat equation on a rectangular lattice
+The diffusion plant discretizes a heat equation on a rectangular lattice
 with zero boundary, samples it in time through the matrix exponential, and
 observes single lattice points through a configurable set of sensor sites.
 """
@@ -28,13 +28,9 @@ __all__ = [
     "FieldGeometry",
     "build_laplacian",
     "build_diffusion_system",
-    "benchmark_geometry",
-    "benchmark_system",
     "AssumptionCheck",
     "AssumptionReport",
     "validate_assumptions",
-    "BENCHMARK_SENSOR_SITES",
-    "BENCHMARK_SPACING",
 ]
 
 
@@ -93,7 +89,7 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class FieldGeometry:
-    """Rectangular interior lattice for the diffusion benchmark.
+    """Rectangular interior lattice of a diffusion plant.
 
     ``ell_h`` and ``ell_v`` are the interior lattice extents: node indices
     run over (i, j) with 0 <= i <= ell_h and 0 <= j <= ell_v, giving
@@ -190,47 +186,6 @@ def build_diffusion_system(
         Q=q_scale * np.eye(n),
         R=r_scale * np.eye(geom.n_sensors),
     )
-
-
-# Ten sensor sites on the 5 x 5 interior lattice of the benchmark geometry.
-# The first six sit where the dominant diffusion mode is weak (corners and
-# near-boundary nodes); the last four sit on its interior antinodes, which
-# makes the informative subset unambiguous and separates scheduled from
-# unscheduled sensors cleanly under the cardinality penalty.
-BENCHMARK_SENSOR_SITES = (
-    (0, 0),
-    (0, 4),
-    (4, 0),
-    (4, 4),
-    (0, 1),
-    (1, 0),
-    (1, 1),
-    (1, 3),
-    (3, 1),
-    (3, 3),
-)
-
-# Lattice spacing of the benchmark. Together with the 0.5 sampling interval
-# this sets the per-step diffusion ratio; at 1.75 the antinode sensors carry
-# enough innovation to survive the activation penalties exercised in the
-# regression suite while the near-boundary sensors do not.
-BENCHMARK_SPACING = 1.75
-
-
-def benchmark_geometry() -> FieldGeometry:
-    """Ten-sensor diffusion benchmark geometry (25 states)."""
-    return FieldGeometry(
-        ell_h=4,
-        ell_v=4,
-        spacing=BENCHMARK_SPACING,
-        sample_interval=0.5,
-        sensor_sites=BENCHMARK_SENSOR_SITES,
-    )
-
-
-def benchmark_system(q_scale: float = 0.25, r_scale: float = 1.0) -> SystemModel:
-    """The benchmark diffusion plant (N = 25, M = 10)."""
-    return build_diffusion_system(benchmark_geometry(), q_scale, r_scale)
 
 
 @dataclass(frozen=True)

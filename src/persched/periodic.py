@@ -51,7 +51,6 @@ __all__ = [
     "evaluate_schedule",
     "evaluate_schedules",
     "chunk_length",
-    "cycle_residual",
 ]
 
 _RELATIVE_ZERO_TOL = 1e-6
@@ -507,23 +506,3 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
         _, stable, _, cycles = _periodic_riccati(sys, arr[chunk] == 1)
         J[chunk[stable]] = _trace_sum(cycles) / K
     return J
-
-
-def cycle_residual(sys: SystemModel, gains, cycle: np.ndarray) -> float:
-    """Largest one-step recursion defect of a claimed limit cycle.
-
-    Measures max_k of ||P_{k+1} - (F_k P_k F_k^T + W_k)||_F with wraparound,
-    which is zero exactly when the cycle satisfies the recursion. Raises
-    DimensionError unless the cycle is a (K, N, N) stack matching the gains,
-    and InputError when it has non-finite entries.
-    """
-    gains = _array(gains, "gains", ("K", sys.n_states, sys.n_sensors), stack=True)
-    factors, noise = _loop(sys, gains)
-    k_count = len(factors)
-    cycle = _array(cycle, "cycle", factors.shape, stack=True)
-    worst = 0.0
-    for k in range(k_count):
-        predicted = factors[k] @ cycle[k] @ factors[k].T + noise[k]
-        defect = float(np.linalg.norm(cycle[(k + 1) % k_count] - predicted))
-        worst = max(worst, defect)
-    return worst

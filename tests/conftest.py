@@ -7,11 +7,15 @@ plain pytest output. Benchmark solves are expensive, so the runs shared by
 several criteria are computed once per session.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import persched as ps
 from persched import linalg, lstep, periodic
+
+ROOT = Path(__file__).resolve().parent.parent
 
 _CRITERION_LINES = {}
 
@@ -100,7 +104,9 @@ def rng():
 
 @pytest.fixture(scope="session")
 def benchmark_sys():
-    return ps.benchmark_system()
+    """The 25-state, ten-sensor diffusion plant that the CLI and the bench
+    solve, from configs/benchmark.yaml."""
+    return ps.load_experiment(ROOT / "configs" / "benchmark.yaml").system
 
 
 @pytest.fixture(scope="session")

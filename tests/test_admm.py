@@ -62,9 +62,9 @@ class TestDefaultInitSchedule:
             ps.default_init_schedule(sys, K=3, eta=(1, 1, 1))
 
     @pytest.mark.parametrize("K", [2.5, True, "3"])
-    def test_non_integer_period_rejected(self, K):
+    def test_non_integer_period_rejected(self, K, benchmark_sys):
         with pytest.raises(InputError, match=f"K must be an integer, got {K!r}"):
-            ps.default_init_schedule(ps.benchmark_system(), K, 1)
+            ps.default_init_schedule(benchmark_sys, K, 1)
 
     def test_integral_period_accepted(self, rng):
         sys = random_stable_system(rng, 3, 2)
@@ -325,7 +325,8 @@ class TestRun:
         assert "wall_time" not in d
         # This solve stops at the 150-iteration cap: its support alternates
         # between the two row rotations of one schedule, so it never holds
-        # and no jump is tried (ROADMAP item 4).
+        # and no jump is tried (ROADMAP: "Report the best schedule visited,
+        # and stop when the support wanders").
         assert d["converged"] is False
         assert d["iterations"] == 150
         assert d["config"]["period"] == 2

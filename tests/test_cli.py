@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import persched as ps
 import persched.cli as cli
 from persched.cli import main
-from persched.model import BENCHMARK_SENSOR_SITES, BENCHMARK_SPACING
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,26 +46,6 @@ def write_config(tmp_path, text, name="exp.yaml"):
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
-
-
-def benchmark_yaml(gamma=0.15, eta=5):
-    sites = ", ".join(f"[{i}, {j}]" for i, j in BENCHMARK_SENSOR_SITES)
-    return f"""
-system:
-  field:
-    ell_h: 4
-    ell_v: 4
-    spacing: {BENCHMARK_SPACING}
-    sample_interval: 0.5
-    sensor_sites: [{sites}]
-    q_scale: 0.25
-    r_scale: 1.0
-admm:
-  period: 10
-  gamma: {gamma}
-  eta: {eta}
-seed: 7
-"""
 
 
 class TestRun:
@@ -156,9 +135,8 @@ admm: {period: 2, gamma: 0.0, eta: 1}
     def test_benchmark_regression(self, tmp_path):
         # The shipped diffusion benchmark with a sparsity penalty: the solve
         # must converge and activate only the interior sensors.
-        cfg = write_config(tmp_path, benchmark_yaml(gamma=0.15, eta=5))
         out = tmp_path / "results"
-        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert main(["run", str(ROOT / "configs" / "benchmark.yaml"), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
         assert report["total_activations"] > 0
@@ -388,6 +366,35 @@ system:
         cfg = write_config(tmp_path, text)
         assert main(["validate", cfg]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("content", ["", "  \n\n", "# no rows\n"])
+    def test_empty_matrix_file_is_a_parse_error(self, tmp_path, content):
+        # NumPy warns on a file with no data; the command reports it as the
+        # one error line of an unparsable file, with no warning beside it.
+        (tmp_path / "b.txt").write_text(content)
+        text = """
+system:
+  matrices:
+    A: [[0.5]]
+    B: b.txt
+    C: [[1.0]]
+    Q: [[1.0]]
+    R: [[1.0]]
+"""
+        cfg = write_config(tmp_path, text)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-m", "persched.cli", "validate", cfg],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: system.matrices.B: could not parse")
 
 
 class TestMainEntry:

@@ -253,15 +253,20 @@ def with_value(text, template, old, new):
     return text.replace(line, template.format(new))
 
 
+def by_field(rows):
+    """The rows as pytest params whose id is the field path, not the text."""
+    return [pytest.param(*row, id=row[0]) for row in rows]
+
+
 class TestIntegerFields:
-    @pytest.mark.parametrize("field, text, template, value", INTEGER_FIELDS)
     @pytest.mark.parametrize("bad", ["4.5", "1.0e-1", "'4'", "true"])
+    @pytest.mark.parametrize("field, text, template, value", by_field(INTEGER_FIELDS))
     def test_non_integral_value_rejected(self, tmp_path, field, text, template, value, bad):
         path = write_config(tmp_path, with_value(text, template, value, bad))
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             load_experiment(path)
 
-    @pytest.mark.parametrize("field, text, template, value", INTEGER_FIELDS)
+    @pytest.mark.parametrize("field, text, template, value", by_field(INTEGER_FIELDS))
     def test_integral_float_accepted(self, tmp_path, field, text, template, value):
         as_int = load_experiment(write_config(tmp_path, text))
         floated = with_value(text, template, value, f"{value}.0")
@@ -300,8 +305,8 @@ NUMBER_FIELDS = (
 
 
 class TestNumberFields:
-    @pytest.mark.parametrize("field, text, template, value", NUMBER_FIELDS)
     @pytest.mark.parametrize("bad", ["fast", "'0.5'", "1e-3", "true"])
+    @pytest.mark.parametrize("field, text, template, value", by_field(NUMBER_FIELDS))
     def test_non_numeric_value_rejected(self, tmp_path, field, text, template, value, bad):
         # YAML 1.1 reads 1e-3, without a mantissa point, as a string.
         path = write_config(tmp_path, with_value(text, template, value, bad))
@@ -457,3 +462,13 @@ def test_shipped_configs_parse_alike_with_and_without_libyaml(path):
     # pure-Python SafeLoader, used elsewhere, must read the same objects.
     data = path.read_bytes()
     assert yaml.load(data, Loader=yaml.CSafeLoader) == yaml.load(data, Loader=yaml.SafeLoader)
+
+
+def test_tradeoff_sweep_repeats_the_benchmark_plant():
+    # The sweep and the tests' benchmark plant must be one plant: an edit to
+    # one file's system section alone would split them.
+    benchmark, sweep = (
+        yaml.safe_load((ROOT / "configs" / name).read_bytes())["system"]
+        for name in ("benchmark.yaml", "tradeoff_sweep.yaml")
+    )
+    assert sweep == benchmark

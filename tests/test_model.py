@@ -1,4 +1,4 @@
-"""Plant construction, lattice benchmark, and assumption checks."""
+"""Plant construction, the benchmark plant, and assumption checks."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,11 @@ from persched import (
     InputError,
     Schedule,
     SystemModel,
-    benchmark_geometry,
-    benchmark_system,
     build_diffusion_system,
     build_laplacian,
     evaluate_schedule,
     validate_assumptions,
 )
-from persched.model import BENCHMARK_SENSOR_SITES
 from tests.conftest import spectral_radius
 
 
@@ -212,13 +209,6 @@ class TestBenchmark:
         assert benchmark_sys.n_states == 25
         assert benchmark_sys.n_sensors == 10
 
-    def test_sites_distinct_and_in_lattice(self):
-        geom = benchmark_geometry()
-        assert geom.sensor_sites == BENCHMARK_SENSOR_SITES
-        assert len(set(geom.sensor_sites)) == 10
-        for i, j in geom.sensor_sites:
-            assert 0 <= i <= 4 and 0 <= j <= 4
-
     def test_stable_and_assumptions_pass(self, benchmark_sys):
         assert spectral_radius(benchmark_sys.A) < 1.0
         report = validate_assumptions(benchmark_sys)
@@ -228,11 +218,6 @@ class TestBenchmark:
         np.testing.assert_allclose(benchmark_sys.Q, 0.25 * np.eye(25))
         np.testing.assert_allclose(benchmark_sys.R, np.eye(10))
         np.testing.assert_allclose(benchmark_sys.B, np.eye(25))
-
-    def test_benchmark_system_scales(self):
-        sys = benchmark_system(q_scale=1.0, r_scale=0.5)
-        np.testing.assert_allclose(sys.Q, np.eye(25))
-        np.testing.assert_allclose(sys.R, 0.5 * np.eye(10))
 
 
 class TestValidateAssumptions:
