@@ -114,9 +114,9 @@ def exhaustive_search(
     is raised up front when the candidate count (masks, not classes) exceeds
     ``budget``.
     K (at least 1), ``total_activations`` (in 0 up to the sum of the bounds)
-    and ``budget`` must be integers, not booleans.
+    and ``budget`` (nonnegative) must be integers, not booleans.
     """
-    K, budget = _integral(K, "K", least=1), _integral(budget, "budget")
+    K, budget = _integral(K, "K", least=1), _integral(budget, "budget", least=0)
     bounds = normalize_eta(eta, sys.n_sensors, K)
     counts = _count_table(K, bounds)[0]
     if total_activations is None:

@@ -5,10 +5,13 @@ solve and writes report.json, schedule.txt, and trace.csv; ``sweep`` runs a
 (gamma, eta) grid into tradeoff.csv; ``compare`` scores the solver against
 the random baseline and, when enabled, the exhaustive oracle into
 compare.csv; ``validate`` checks the plant's standing assumptions and
-writes nothing, so only the other three take ``--out``. Outputs
-are plain JSON/CSV for external plotting and are byte-for-byte reproducible
-for a fixed config and seed. The PERSCHED_LOG environment variable sets the
-log level.
+writes nothing, so only the other three take ``--out``. ``main`` loads the
+config once, checks that its ``kind`` names the command and that it has the
+sections the command reads (``admm`` for the three that solve, ``sweep``
+for sweep), and hands the command the loaded ExperimentConfig. Outputs are
+plain JSON/CSV for external plotting and are byte-for-byte reproducible for
+a fixed config, whose ``seed`` seeds the random baseline. The PERSCHED_LOG
+environment variable sets the log level.
 
 report.json, and each sweep cell's report, is
 ``json.dumps(report.to_dict(), indent=2, sort_keys=True)`` of the
@@ -36,7 +39,6 @@ from .admm import sweep as admm_sweep
 from .baselines import exhaustive_search, random_baseline
 from .config import ExperimentConfig, load_experiment
 from .exceptions import BudgetError, ConfigError, PerschedError
-from .linalg import _integral
 from .model import validate_assumptions
 
 __all__ = ["cmd_run", "cmd_sweep", "cmd_compare", "cmd_validate", "main", "console_main"]
@@ -50,17 +52,6 @@ def _setup_logging() -> None:
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
-def _check_kind(cfg: ExperimentConfig, command: str) -> None:
-    if cfg.kind is not None and cfg.kind != command:
-        raise ConfigError(f"config kind {cfg.kind!r} does not match command {command!r}")
-
-
-def _require_admm(cfg: ExperimentConfig, command: str):
-    if cfg.admm is None:
-        raise ConfigError(f"admm section is required for {command}")
-    return cfg.admm
 
 
 def _out_dir(cfg: ExperimentConfig, out: Optional[str]) -> Path:
@@ -112,12 +103,9 @@ def _format_eta(eta) -> str:
     return str(int(eta))
 
 
-def cmd_run(config_path, out: Optional[str] = None) -> int:
+def cmd_run(cfg: ExperimentConfig, out: Optional[str] = None) -> int:
     """Single solve. Exit 0 on convergence, 2 with a result at the cap."""
-    cfg = load_experiment(config_path)
-    _check_kind(cfg, "run")
-    admm_cfg = _require_admm(cfg, "run")
-    report = admm_run(cfg.system, admm_cfg)
+    report = admm_run(cfg.system, cfg.admm)
 
     out_dir = _out_dir(cfg, out)
     _write_json(out_dir / "report.json", report.to_dict())
@@ -137,13 +125,9 @@ def cmd_run(config_path, out: Optional[str] = None) -> int:
     return 0 if report.converged else 2
 
 
-def cmd_sweep(config_path, out: Optional[str] = None) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Optional[str] = None) -> int:
     """Grid of solves into tradeoff.csv plus one report JSON per cell."""
-    cfg = load_experiment(config_path)
-    _check_kind(cfg, "sweep")
-    admm_cfg = _require_admm(cfg, "sweep")
-    if cfg.sweep_gammas is None and cfg.sweep_etas is None:
-        raise ConfigError("sweep section with gammas and/or etas is required for sweep")
+    admm_cfg = cfg.admm
     gammas = cfg.sweep_gammas if cfg.sweep_gammas is not None else (admm_cfg.gamma,)
     etas = cfg.sweep_etas if cfg.sweep_etas is not None else (admm_cfg.eta,)
 
@@ -189,26 +173,17 @@ def cmd_sweep(config_path, out: Optional[str] = None) -> int:
     return 2 if n_ok else 1
 
 
-def cmd_compare(config_path, out: Optional[str] = None, seed: Optional[int] = None) -> int:
+def cmd_compare(cfg: ExperimentConfig, out: Optional[str] = None) -> int:
     """Solver vs random baseline vs oracle, into compare.csv.
 
-    The baseline matches the solver's total activation count (or the
-    configured override). The oracle, when enabled, searches all schedules
-    within the frequency bounds; a budget refusal is recorded as a note
-    rather than failing the command.
+    The baseline, seeded by the config's ``seed``, matches the solver's
+    total activation count. The oracle, when enabled, searches all schedules
+    within the frequency bounds; a refusal at exhaustive_search's default
+    budget is recorded as a note rather than failing the command.
     """
-    cfg = load_experiment(config_path)
-    _check_kind(cfg, "compare")
-    admm_cfg = _require_admm(cfg, "compare")
-    # Checked before the solve, which a bad seed would waste.
-    use_seed = cfg.seed if seed is None else _integral(seed, "seed", least=0)
-
+    admm_cfg = cfg.admm
     report = admm_run(cfg.system, admm_cfg)
-    matched = (
-        cfg.compare_total_activations
-        if cfg.compare_total_activations is not None
-        else report.schedule.total_activations
-    )
+    matched = report.schedule.total_activations
     eta = admm_cfg.eta_tuple(cfg.system.n_sensors)
 
     rows = [
@@ -229,7 +204,7 @@ def cmd_compare(config_path, out: Optional[str] = None, seed: Optional[int] = No
             eta,
             total_activations=matched,
             trials=cfg.compare_trials,
-            seed=use_seed,
+            seed=cfg.seed,
         )
         rows.append(
             ("random_baseline", baseline.mean, baseline.std, cfg.compare_trials, matched, "")
@@ -239,13 +214,7 @@ def cmd_compare(config_path, out: Optional[str] = None, seed: Optional[int] = No
 
     if cfg.compare_oracle:
         try:
-            oracle = exhaustive_search(
-                cfg.system,
-                admm_cfg.period,
-                eta,
-                total_activations=cfg.compare_total_activations,
-                budget=cfg.compare_budget,
-            )
+            oracle = exhaustive_search(cfg.system, admm_cfg.period, eta)
             note = f"skipped {oracle.n_skipped} invalid" if oracle.n_skipped else ""
             rows.append(
                 (
@@ -272,10 +241,8 @@ def cmd_compare(config_path, out: Optional[str] = None, seed: Optional[int] = No
     return 0
 
 
-def cmd_validate(config_path) -> int:
+def cmd_validate(cfg: ExperimentConfig) -> int:
     """Standing-assumption checks. Exit 0 when all pass."""
-    cfg = load_experiment(config_path)
-    _check_kind(cfg, "validate")
     report = validate_assumptions(cfg.system)
     print(report.summary())
     return 0 if report.all_ok else 1
@@ -289,30 +256,29 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "run": "one solve: report.json, schedule.txt, trace.csv",
-        "sweep": "grid of solves: tradeoff.csv",
-        "compare": "solver vs baseline vs oracle: compare.csv",
-        "validate": "check plant assumptions",
+    commands = {
+        "run": (cmd_run, "one solve: report.json, schedule.txt, trace.csv"),
+        "sweep": (cmd_sweep, "grid of solves: tradeoff.csv"),
+        "compare": (cmd_compare, "solver vs baseline vs oracle: compare.csv"),
+        "validate": (cmd_validate, "check plant assumptions"),
     }
-    for name, text in helps.items():
+    for name, (_, text) in commands.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("config", help="experiment YAML file")
         if name != "validate":
             p.add_argument("--out", default=None, help="output directory (default from config)")
-        if name == "compare":
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
     options = vars(parser.parse_args(argv))
 
-    commands = {
-        "run": cmd_run,
-        "sweep": cmd_sweep,
-        "compare": cmd_compare,
-        "validate": cmd_validate,
-    }
-    command = commands[options.pop("command")]
+    name = options.pop("command")
     try:
-        return command(options.pop("config"), **options)
+        cfg = load_experiment(options.pop("config"))
+        if cfg.kind is not None and cfg.kind != name:
+            raise ConfigError(f"config kind {cfg.kind!r} does not match command {name!r}")
+        if cfg.admm is None and name != "validate":
+            raise ConfigError(f"admm section is required for {name}")
+        if name == "sweep" and cfg.sweep_gammas is None and cfg.sweep_etas is None:
+            raise ConfigError("sweep section with gammas and/or etas is required for sweep")
+        return commands[name][0](cfg, **options)
     except (PerschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ import numpy as np
 import yaml
 
 from .admm import AdmmConfig
-from .baselines import DEFAULT_BUDGET
 from .exceptions import ConfigError, DimensionError, InputError
 from .linalg import _integral, _real
 from .model import FieldGeometry, SystemModel, build_diffusion_system
@@ -35,7 +34,7 @@ _FIELD_KEYS = {f.name for f in fields(FieldGeometry)} | {"q_scale", "r_scale"}
 _MATRIX_KEYS = ("A", "B", "C", "Q", "R")  # loaded in this order
 _ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
 _SWEEP_KEYS = {"gammas", "etas"}
-_COMPARE_KEYS = {"trials", "oracle", "total_activations", "budget"}
+_COMPARE_KEYS = {"trials", "oracle"}
 # libyaml's safe loader where PyYAML was built with it: the same objects as
 # the pure-Python SafeLoader, parsed about ten times faster.
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -54,8 +53,6 @@ class ExperimentConfig:
     sweep_etas: Optional[tuple]
     compare_trials: int
     compare_oracle: bool
-    compare_total_activations: Optional[int]
-    compare_budget: int
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -115,8 +112,7 @@ def _build_system(section: dict, base: Path) -> SystemModel:
                 raise ConfigError(f"system.field.{key} is required")
         lattice = {k: f[k] for k in f if k not in ("q_scale", "r_scale")}
         geom = _checked("system.field.", FieldGeometry, **lattice)
-        # The YAML default of q_scale is 1.0, not the function's 0.25.
-        scales = {"q_scale": 1.0, **{k: f[k] for k in ("q_scale", "r_scale") if k in f}}
+        scales = {k: f[k] for k in ("q_scale", "r_scale") if k in f}
         return _checked("system.field.", build_diffusion_system, geom, **scales)
 
     m = _require_mapping(section["matrices"], "system.matrices")
@@ -195,8 +191,6 @@ def load_experiment(path) -> ExperimentConfig:
 
     compare_trials = 500
     compare_oracle = False
-    compare_total = None
-    compare_budget = DEFAULT_BUDGET
     if "compare" in raw:
         c = _require_mapping(raw["compare"], "compare")
         _check_keys(c, _COMPARE_KEYS, "compare")
@@ -205,12 +199,6 @@ def load_experiment(path) -> ExperimentConfig:
         compare_oracle = c.get("oracle", False)
         if not isinstance(compare_oracle, bool):
             raise ConfigError(f"compare.oracle must be true or false, got {compare_oracle!r}")
-        if c.get("total_activations") is not None:
-            # Held to the admm bounds here, not after the solve it would waste.
-            most = None if admm is None else sum(admm.eta_tuple(system.n_sensors))
-            total = c["total_activations"]
-            compare_total = _checked("compare.", _integral, total, "total_activations", 0, most)
-        compare_budget = _checked("compare.", _integral, c.get("budget", compare_budget), "budget")
 
     seed = _checked("", _integral, raw.get("seed", 0), "seed", least=0)
     output = raw.get("output")
@@ -227,6 +215,4 @@ def load_experiment(path) -> ExperimentConfig:
         sweep_etas=sweep_etas,
         compare_trials=compare_trials,
         compare_oracle=compare_oracle,
-        compare_total_activations=compare_total,
-        compare_budget=compare_budget,
     )

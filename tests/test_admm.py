@@ -1,6 +1,8 @@
 """Splitting driver: configuration, initialization, iteration, sweeps."""
 
 import json
+import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -399,6 +401,29 @@ class TestSweep:
         sys = random_stable_system(rng, 2, 1)
         with pytest.raises(InputError, match="non-empty"):
             ps.sweep(sys, small_config(), gamma_list=[], eta_list=[1])
+
+    @pytest.mark.parametrize(
+        "counts, rises",
+        [
+            ((3, 5, 4), ["activation count rose from 3 to 5 at gamma=0.1, eta=2"]),
+            ((5, 4, 4), []),
+        ],
+    )
+    def test_rising_count_logged_not_raised(self, rng, monkeypatch, caplog, counts, rises):
+        # The count should not rise with gamma at fixed eta; the problem is
+        # nonconvex, so a rise is a warning, one per rise, and no error.
+        by_gamma = dict(zip((0.0, 0.1, 0.2), counts))
+
+        def fake_run(sys, cfg):
+            schedule = SimpleNamespace(total_activations=by_gamma[cfg.gamma])
+            return SimpleNamespace(schedule=schedule)
+
+        monkeypatch.setattr(admm, "run", fake_run)
+        sys = random_stable_system(rng, 2, 2)
+        with caplog.at_level(logging.WARNING, logger="persched.admm"):
+            cells = ps.sweep(sys, small_config(), gamma_list=list(by_gamma), eta_list=[2])
+        assert [c.report.schedule.total_activations for c in cells] == list(counts)
+        assert [r.getMessage() for r in caplog.records] == rises
 
 
 class TestSupportStability:

@@ -17,6 +17,7 @@ import persched as ps
 from persched import (
     AdmmConfig,
     BaselineResult,
+    BudgetError,
     DimensionError,
     FieldGeometry,
     InputError,
@@ -63,7 +64,12 @@ def lstep_solve(name):
 
 
 def budget(v):
-    return ps.exhaustive_search(LINE, K=1, eta=1, budget=v).J
+    # A budget below LINE's 2 candidates is refused, and the refusal names
+    # the budget as the search kept it.
+    try:
+        return ps.exhaustive_search(LINE, K=1, eta=1, budget=v).J
+    except BudgetError as exc:
+        return str(exc)
 
 
 def init_period(v):
@@ -93,7 +99,7 @@ INTEGERS = [
     ("g_step", "eta[0]", 1, gstep("eta"), ("in 0..2", [-1, 3], [0, 2])),
     ("default_init_schedule", "K", 2, init_period, ("at least 1", [0], [1])),
     ("exhaustive_search", "K", 2, oracle("K"), ("at least 1", [0], [1])),
-    ("exhaustive_search", "budget", 10, budget, None),
+    ("exhaustive_search", "budget", 10, budget, ("nonnegative", [-1], [0])),
     ("random_baseline", "K", 2, baseline("K"), ("at least 1", [0], [1])),
     (
         "random_baseline",

@@ -302,13 +302,17 @@ class TestCompare:
         assert j_oracle <= j_base + 1e-9
 
     def test_budget_refusal_is_noted_not_fatal(self, tmp_path):
-        text = COMPARE_TINY + "compare:\n  trials: 5\n  oracle: true\n  budget: 3\n"
-        cfg = write_config(tmp_path, text)
+        # K = 12 with two sensors at eta = 6 has 6,300,100 candidate
+        # schedules, more than exhaustive_search's default budget admits.
+        text = TINY.replace("period: 4", "period: 12").replace("eta: 2", "eta: 6")
+        cfg = write_config(tmp_path, text + "compare:\n  trials: 5\n  oracle: true\n")
         out = tmp_path / "results"
         assert main(["compare", cfg, "--out", str(out)]) == 0
         oracle_row = read_csv(out / "compare.csv")[3]
         assert oracle_row[1] == ""
-        assert "skipped" in oracle_row[5]
+        assert oracle_row[5] == (
+            "skipped: 6300100 candidate schedules exceed the enumeration budget of 1000000"
+        )
 
     def test_zero_trials_noted(self, tmp_path):
         text = TINY + "compare:\n  trials: 0\n"
@@ -320,24 +324,16 @@ class TestCompare:
         assert "trials" in baseline_row[5]
 
     def test_seed_reproducible_and_overridable(self, tmp_path):
+        # The config's seed is the baseline's one seed.
         text = COMPARE_TINY + "compare:\n  trials: 20\n"
         cfg = write_config(tmp_path, text)
+        reseeded = write_config(tmp_path, text.replace("seed: 3", "seed: 99"), "reseeded.yaml")
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
         assert main(["compare", cfg, "--out", str(out_a)]) == 0
         assert main(["compare", cfg, "--out", str(out_b)]) == 0
-        assert main(["compare", cfg, "--out", str(out_c), "--seed", "99"]) == 0
+        assert main(["compare", reseeded, "--out", str(out_c)]) == 0
         assert (out_a / "compare.csv").read_bytes() == (out_b / "compare.csv").read_bytes()
         assert (out_a / "compare.csv").read_bytes() != (out_c / "compare.csv").read_bytes()
-
-    def test_negative_seed_flag_rejected(self, tmp_path, capsys, monkeypatch):
-        # The flag is checked before the solve, which a bad seed would waste.
-        solves = []
-        monkeypatch.setattr(cli, "admm_run", lambda *args: solves.append(args))
-        cfg = write_config(tmp_path, COMPARE_TINY + "compare:\n  trials: 5\n")
-        assert main(["compare", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
-        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
-        assert solves == []
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["oracle", "baseline"])
     def test_kind_names_the_command(self, tmp_path, capsys, kind):
@@ -397,6 +393,25 @@ system:
         assert lines[0].startswith("error: system.matrices.B: could not parse")
 
 
+COMMANDS = ("run", "sweep", "compare", "validate")
+
+
+# (command, a config it must refuse, the refusal), each refused before a solve
+BAD_CONFIGS = [
+    pytest.param(
+        c, f"kind: {k}\n" + TINY, f"config kind {k!r} does not match command {c!r}", id=f"{c}-kind"
+    )
+    for c, k in zip(COMMANDS, ("validate", "validate", "validate", "run"))
+] + [
+    pytest.param(c, TINY.split("admm:")[0], f"admm section is required for {c}", id=f"{c}-admm")
+    for c in COMMANDS[:3]
+]
+
+
+def out_flag(command, tmp_path):
+    return [] if command == "validate" else ["--out", str(tmp_path / "o")]
+
+
 class TestMainEntry:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -404,7 +419,7 @@ class TestMainEntry:
         assert excinfo.value.code == 0
         assert "persched" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "3"]])
     def test_unread_flags_rejected(self, tmp_path, capsys, command, flag):
         cfg = write_config(tmp_path, TINY)
@@ -412,6 +427,33 @@ class TestMainEntry:
             main([command, cfg, *flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_loaded_once(self, tmp_path, monkeypatch, command):
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return ps.load_experiment(path)
+
+        monkeypatch.setattr(cli, "load_experiment", counting_load)
+        text = COMPARE_TINY + "sweep:\n  gammas: [0.0]\ncompare:\n  trials: 5\n"
+        cfg = write_config(tmp_path, text)
+        assert main([command, cfg, *out_flag(command, tmp_path)]) == 0
+        assert loads == [cfg]
+
+    @pytest.mark.parametrize("command, text, message", BAD_CONFIGS)
+    def test_config_checked_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, text, message
+    ):
+        solves = []
+        for name in ("admm_run", "admm_sweep", "validate_assumptions"):
+            monkeypatch.setattr(cli, name, lambda *args: solves.append(args))
+        cfg = write_config(tmp_path, text + "sweep:\n  gammas: [0.0]\n")
+        assert main([command, cfg, *out_flag(command, tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert solves == []
+        assert not (tmp_path / "o").exists()
 
     def test_validate_rejects_out(self, tmp_path, capsys):
         # validate writes no file, so an output directory would go unread.

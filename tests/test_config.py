@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import persched.cli as cli
-from persched import ConfigError, load_experiment
+from persched import ConfigError, FieldGeometry, build_diffusion_system, load_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -58,6 +58,15 @@ class TestSystemSection:
         assert cfg.system.n_states == 4
         assert cfg.system.n_sensors == 2
         np.testing.assert_allclose(cfg.system.Q, 0.25 * np.eye(4))
+
+    def test_omitted_q_scale_is_the_diffusion_default(self, tmp_path):
+        # A field without q_scale gets build_diffusion_system's own default.
+        text = FIELD_SYSTEM.replace("    q_scale: 0.25\n", "")
+        cfg = load_experiment(write_config(tmp_path, text))
+        geom = FieldGeometry(ell_h=1, ell_v=1, spacing=1.0, sensor_sites=((0, 0), (1, 1)))
+        expected = build_diffusion_system(geom)
+        np.testing.assert_array_equal(cfg.system.Q, expected.Q)
+        np.testing.assert_array_equal(cfg.system.A, expected.A)
 
     def test_inline_matrices(self, tmp_path):
         cfg = load_experiment(write_config(tmp_path, MATRIX_SYSTEM))
@@ -233,13 +242,6 @@ INTEGER_FIELDS = [
     ("admm.period", FIELD_SYSTEM + ADMM_BLOCK, "period: {}", 4),
     ("admm.max_iters", FIELD_SYSTEM + ADMM_BLOCK + "  max_iters: 30\n", "max_iters: {}", 30),
     ("compare.trials", FIELD_SYSTEM + "compare:\n  trials: 2\n", "trials: {}", 2),
-    ("compare.budget", FIELD_SYSTEM + "compare:\n  budget: 100\n", "budget: {}", 100),
-    (
-        "compare.total_activations",
-        FIELD_SYSTEM + "compare:\n  total_activations: 2\n",
-        "total_activations: {}",
-        2,
-    ),
     ("system.field.ell_h", FIELD_SYSTEM, "ell_h: {}", 1),
     ("system.field.ell_v", FIELD_SYSTEM, "ell_v: {}", 1),
     ("system.field.sensor_sites", FIELD_SYSTEM, "[1, {}]]", 1),
@@ -272,7 +274,7 @@ class TestIntegerFields:
         floated = with_value(text, template, value, f"{value}.0")
         as_float = load_experiment(write_config(tmp_path, floated, "float.yaml"))
         assert as_float.admm == as_int.admm
-        for name in ("compare_trials", "compare_budget", "compare_total_activations", "seed"):
+        for name in ("compare_trials", "seed"):
             assert repr(getattr(as_float, name)) == repr(getattr(as_int, name))
         np.testing.assert_array_equal(as_float.system.A, as_int.system.A)
         np.testing.assert_array_equal(as_float.system.C, as_int.system.C)
@@ -393,26 +395,19 @@ class TestSweepAndCompare:
         cfg = load_experiment(write_config(tmp_path, FIELD_SYSTEM))
         assert cfg.compare_trials == 500
         assert cfg.compare_oracle is False
-        assert cfg.compare_total_activations is None
-        assert cfg.compare_budget == 1_000_000
 
     def test_compare_overrides(self, tmp_path):
-        text = FIELD_SYSTEM + (
-            "compare:\n  trials: 25\n  oracle: true\n  total_activations: 6\n  budget: 1000\n"
-        )
+        text = FIELD_SYSTEM + "compare:\n  trials: 25\n  oracle: true\n"
         cfg = load_experiment(write_config(tmp_path, text))
         assert cfg.compare_trials == 25
         assert cfg.compare_oracle is True
-        assert cfg.compare_total_activations == 6
-        assert cfg.compare_budget == 1000
 
-    @pytest.mark.parametrize("total", [99, 5, -1])
-    def test_total_activations_held_to_the_eta_bounds(self, tmp_path, total):
-        # Two sensors at eta = 2 allow 0..4 activations. The value is checked
-        # at load, with its path, rather than after the ADMM solve.
-        text = FIELD_SYSTEM + ADMM_BLOCK + f"compare:\n  total_activations: {total}\n"
-        message = f"^compare.total_activations must be in 0..4, got {total}$"
-        with pytest.raises(ConfigError, match=message):
+    @pytest.mark.parametrize("key, value", [("total_activations", "2"), ("budget", "100")])
+    def test_compare_reads_only_trials_and_oracle(self, tmp_path, key, value):
+        # The baseline takes the solver's activation count and the oracle
+        # exhaustive_search's default budget; neither is a setting.
+        text = FIELD_SYSTEM + ADMM_BLOCK + f"compare:\n  {key}: {value}\n"
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}' in compare$"):
             load_experiment(write_config(tmp_path, text))
 
     def test_string_oracle_rejected(self, tmp_path):
