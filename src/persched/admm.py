@@ -255,10 +255,10 @@ class AdmmDriver:
         point of one iteration whenever the G-step keeps exactly that
         support. Any other outcome leaves the iterate alone: finite support
         identification (Liang, Fadili & Peyre, JOTA 172, 2017), accepted
-        only when it checks, as in OSQP's polishing. Whatever the outcome,
-        ``_fixed`` keeps the support's evaluation (None when it raised) for
-        the polish, and a kept jump passes the gains' cycles to the next
-        gain solve.
+        only when it checks, as in OSQP's polishing. The dual, the check and,
+        after a kept jump, the next gain solve read one covariance cycle,
+        that of L*'s _gradient_cycles. Whatever the outcome, ``_fixed``
+        keeps the support's evaluation (None when it raised) for the polish.
         """
         cfg = self.cfg
         self._fixed[support] = None
@@ -268,7 +268,7 @@ class AdmmDriver:
             cycles = _gradient_cycles(self.sys, gains)
         except PerschedError:
             return
-        _, b, vld = lstep._first_order(self.sys, gains, fixed.cycle, cycles[1])
+        _, b, vld = lstep._first_order(self.sys, gains, *cycles)
         lam = b - vld
         new_g = g_step(gains + lam / cfg.rho, cfg.gamma, cfg.rho, self.eta)
         if schedule_from_gains(new_g) != support:

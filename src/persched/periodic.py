@@ -20,11 +20,13 @@ map, whose fixed point the structure-preserving doubling algorithm reaches
 by squaring it (Chu, Fan, Lin & Wang, *Int. J. Control* 77(8), 2004; Hench &
 Laub, *IEEE TAC* 39(6), 1994). Schedules of a stack that agree on their
 leading rows with the schedule before them share those steps, and a J still
-does not depend on its stack-mates. The second, from the fixed point, gives
-the gains and their covariance cycle, the Riccati cycle, so scoring a
-schedule takes no Lyapunov solve. Both paths judge stability by one radius test,
+does not depend on its stack-mates. At the fixed point X the undoubled
+(E, G) give the closed-loop monodromy, Pi^T = (I + G X)^-1 E. The second
+pass, from X, gives the stable schedules' gains and their covariance cycle,
+the Riccati cycle, whose mean trace is J, so scoring a schedule takes no
+Lyapunov solve. Both paths judge stability by one radius test,
 _stable_loops, the package's only stability verdict, which takes an
-eigensolve only for a monodromy its Frobenius norm does not clear.
+eigensolve only for a finite monodromy its Frobenius norm does not clear.
 The lifted (block-cyclic) reformulation, which solves the same problems on
 KN x KN operands, and the plain recursions iterated to a fixed point serve
 as cross-checks in tests/reference.py; the detectability gate builds the
@@ -120,25 +122,19 @@ class Schedule:
 
 
 class ScheduleEvaluation(NamedTuple):
-    """Riccati-optimal figure of merit for a fixed schedule: J, the read-only
-    (K, N, M) gains and the read-only (K, N, N) Riccati cycle P_0..P_{K-1},
-    which is the covariance cycle of those gains."""
+    """Riccati-optimal figure of merit for a fixed schedule: J, the mean
+    trace of the gains' covariance cycle, and the read-only (K, N, M)
+    gains."""
 
     J: float
     gains: np.ndarray
-    cycle: np.ndarray
-
-
-def _closed_loop(sys: SystemModel, gains: np.ndarray) -> np.ndarray:
-    """Closed-loop factor A - L C for each gain of a stack."""
-    return sys.A - gains @ sys.C
 
 
 def _loop(sys: SystemModel, gains: np.ndarray) -> tuple:
     """Closed-loop factor A - L C and injected covariance B Q B^T + L R L^T
     for each gain of a stack such as the (K, N, M) gains of one period."""
     noise = _symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
-    return _closed_loop(sys, gains), noise
+    return sys.A - gains @ sys.C, noise
 
 
 def _stable_loops(pi: np.ndarray) -> tuple:
@@ -150,10 +146,12 @@ def _stable_loops(pi: np.ndarray) -> tuple:
     stands for its radius; only the others take the batched eigensolve, so an
     unstable loop's radius is exact. The norm is taken at Pi's _unit_shift s
     and scaled back only for s > 0, so it cannot overflow: no loop with an
-    entry of magnitude 1 or more clears."""
+    entry of magnitude 1 or more clears, and the norm is finite exactly when
+    Pi is. A non-finite Pi, such as an overflowed product, reads radius inf."""
     shift = _unit_shift(pi)
     rho = np.ldexp(np.sqrt(_squared_norms(np.ldexp(pi, shift))), -np.maximum(shift[:, 0, 0], 0))
-    todo = np.flatnonzero(~(rho < 1.0 - _UNIT_MARGIN))  # a NaN norm goes on to eigvals too
+    rho[np.isnan(rho)] = np.inf
+    todo = np.flatnonzero((rho >= 1.0 - _UNIT_MARGIN) & (rho < np.inf))
     if todo.size:
         rho[todo] = np.abs(np.linalg.eigvals(pi[todo])).max(axis=1)
     return rho, np.flatnonzero(rho < 1.0 - _UNIT_MARGIN)
@@ -399,51 +397,50 @@ def _doubled_fixed_point(e: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
     return idx, settled_h[idx]
 
 
-def _periodic_riccati(sys: SystemModel, active: np.ndarray) -> tuple:
-    """Riccati-optimal gains and covariance cycles of the schedules of a
-    (T, K, M) boolean stack. Returns the indices of the schedules whose
-    doubled fixed point settles (_doubled_fixed_point of _period_map), the
-    indices of those among them whose closed loop passes _stable_loops'
-    radius test (by its Frobenius norm alone, for a well-damped loop), and
-    for the latter the (S, K, N, M) gains, whose inactive columns are zero up
-    to the sign of zero (evaluate_schedule, the one caller that returns
-    gains, sets them to +0.0; evaluate_schedules reads only the cycles), and
-    the read-only (S, K, N, N) Riccati cycles.
+def _periodic_riccati(sys: SystemModel, active: np.ndarray, work=None) -> tuple:
+    """Riccati-optimal gains and J of the schedules of a (T, K, M) boolean
+    stack: the indices of the schedules whose doubled fixed point settles
+    (_doubled_fixed_point of _period_map), the indices of those among them
+    whose closed loop passes _stable_loops' radius test, and for the latter
+    the (S, K, N, M) gains, inactive columns zero up to the sign of zero
+    (evaluate_schedule sets them to +0.0), and the (S,) J. The Riccati
+    cycles fill ``work``, a stack of at least T (K, N, N) slices that
+    evaluate_schedules keeps for all its chunks, or a new stack; a new one
+    per chunk let the heap shrink and regrow between chunks (6.4k minor
+    page faults per 500-draw random_baseline on the benchmark, not 0.3k).
 
-    After the period map's K _riccati_steps, K more from the fixed point P_0
-    give the gains, the cycle P_0, ..., P_{K-1} and the closed-loop
-    monodromy. At the gains of the Riccati recursion the covariance recursion
-    of _limit_cycles is the same recursion, so the Riccati cycle is the
-    gains' covariance cycle.
+    The verdict reads the period map: at the fixed point X of
+    X -> H + E^T X (I + G X)^-1 E its derivative is d -> Pi d Pi^T with
+    Pi^T = (I + G X)^-1 E, the closed-loop monodromy transposed, which has
+    Pi's radius and Frobenius norm (Chu, Fan, Lin & Wang, 2004). K
+    _riccati_steps from X = P_0 then give a stable schedule's gains and
+    cycle P_0, ..., P_{K-1}, also the covariance cycle of those gains, so J
+    is its mean trace.
 
     The masked operands, with c^T held contiguous beside c, are built once
-    for the stack, T K M (2N + M) floats, and gathered once more for the gain
-    pass when some schedule does not settle: for a chunk of evaluate_schedules,
-    whose Riccati cycles hold at most _CHUNK_FLOATS floats (640 KB), that is at
-    most _CHUNK_FLOATS M (2N + M) / N^2, about 0.63 MB on the 25-state
-    benchmark plant (M = 10) and 0.82 MB on the four-state line plant (M = 2).
-    The period map steps a run of neighbours with equal leading rows once;
-    the doubling and the gain pass take each schedule from its own triple.
-    Every step keeps the full width M and every product stays stacked slice
-    by slice, so a schedule's gains, and its J, do not depend on the other
-    schedules of the stack."""
+    for the stack, T K M (2N + M) floats (at most 0.82 MB for a chunk of
+    evaluate_schedules on the shipped plants), and gathered again only when
+    some schedule does not settle or is not stable. The period map steps a
+    run of neighbours with equal leading rows once; the doubling and the
+    gain pass take each schedule from its own triple. Every step keeps the
+    full width M and every product stays stacked slice by slice, so a
+    schedule's gains and J do not depend on the other schedules of the stack."""
     (t_count, K, m), n = active.shape, sys.n_states
     ops = _masked_operands(sys, active)
-    settled, p = _doubled_fixed_point(*_period_map(sys, active, *ops))
+    e, g, h = _period_map(sys, active, *ops)
+    settled, p = _doubled_fixed_point(e, g, h)
     if settled.size < t_count:  # views when all settle
-        ops = tuple(x[settled] for x in ops)
+        e, g, *ops = (x[settled] for x in (e, g, *ops))
+    stable = _stable_loops(np.linalg.solve(np.eye(n) + g @ p, e))[1]
+    if stable.size < settled.size:  # views when all are stable
+        p, *ops = (x[stable] for x in (p, *ops))
     c, c_t, r = ops
-    gains, cycles = np.empty((len(settled), K, n, m)), np.empty((len(settled), K, n, n))
-    pi = np.eye(n)
+    gains = np.empty((len(stable), K, n, m))
+    cycles = np.empty((len(stable), K, n, n)) if work is None else work[: len(stable)]
     for k in range(K):
         cycles[:, k] = p
         gains[:, k], p, _ = _riccati_step(sys, p, c[:, k], c_t[:, k], r[:, k])
-        pi = _closed_loop(sys, gains[:, k]) @ pi
-    stable = _stable_loops(pi)[1]
-    keep = stable if stable.size < settled.size else slice(None)  # views when all are stable
-    cycles = cycles[keep]
-    cycles.setflags(write=False)
-    return settled, settled[stable], gains[keep], cycles
+    return settled, settled[stable], gains, _trace_sum(cycles) / K
 
 
 def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
@@ -455,10 +452,11 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     doubling, then one pass around the period for the gains and the
     Riccati cycle, which is the covariance limit cycle the gains induce.
     The gains' inactive columns are set to +0.0 here, for this one schedule;
-    the stacked solve leaves them zero up to the sign of zero. The
-    closed-loop monodromy's radius test is the one stability check, and J is
-    the average trace of the cycle. evaluate_schedules gives the same J
-    for many schedules at once.
+    the stacked solve leaves them zero up to the sign of zero. The radius
+    test of the closed-loop monodromy, read off the period map at its fixed
+    point, is the one stability check, and J is the average trace of the
+    cycle. Returns J and the read-only gains; evaluate_schedules gives the
+    same J for many schedules at once.
 
     Raises DimensionError when the schedule's width is not the system's
     sensor count, and InitializationError when the schedule leaves an
@@ -466,7 +464,7 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     loop is unstable.
     """
     check_schedule_detectability(sys, sched)
-    settled, stable, gains, cycles = _periodic_riccati(sys, sched.mask[np.newaxis] == 1)
+    settled, stable, gains, J = _periodic_riccati(sys, sched.mask[np.newaxis] == 1)
     if not settled.size:
         raise InitializationError(
             f"periodic Riccati doubling did not settle within {_RICCATI_MAX_DOUBLINGS} doublings"
@@ -476,8 +474,7 @@ def evaluate_schedule(sys: SystemModel, sched: Schedule) -> ScheduleEvaluation:
     gains = gains[0]
     gains.swapaxes(-1, -2)[sched.mask == 0] = 0.0
     gains.setflags(write=False)
-    J = float(_trace_sum(cycles[0]) / sched.K)
-    return ScheduleEvaluation(J=J, gains=gains, cycle=cycles[0])
+    return ScheduleEvaluation(J=float(J[0]), gains=gains)
 
 
 def chunk_length(n_states: int, K: int) -> int:
@@ -492,9 +489,10 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     at least 1, or NaN where evaluate_schedule raises InitializationError (an
     unstable mode unobserved, an unsettled Riccati doubling, an unstable
     closed loop). Chunks of chunk_length(N, K) schedules share one stacked
-    period map, doubling and pass around the period; neighbours that agree on
-    their leading rows share those steps of the period map. A schedule's J
-    does not depend on the other schedules of the stack."""
+    period map, doubling and pass around the period, and all chunks one
+    Riccati cycle stack; neighbours that agree on their leading rows share
+    those steps of the period map. A schedule's J does not depend on the
+    other schedules of the stack."""
     arr = _binary(masks, "masks", ("T", "K", sys.n_sensors))
     J, K = np.full(len(arr), np.nan), arr.shape[1]
     todo = np.arange(len(arr))
@@ -502,7 +500,8 @@ def evaluate_schedules(sys: SystemModel, masks) -> np.ndarray:
     if hidden_mode is not None:
         todo = np.array([t for t in todo if hidden_mode(arr[t]) is None], dtype=int)
     step = chunk_length(sys.n_states, K)
+    work = np.empty((min(step, len(todo)), K, sys.n_states, sys.n_states))
     for chunk in (todo[i : i + step] for i in range(0, len(todo), step)):
-        _, stable, _, cycles = _periodic_riccati(sys, arr[chunk] == 1)
-        J[chunk[stable]] = _trace_sum(cycles) / K
+        _, stable, _, values = _periodic_riccati(sys, arr[chunk] == 1, work)
+        J[chunk[stable]] = values
     return J

@@ -489,6 +489,32 @@ class TestSupportJump:
         assert (report.iterations, report.jump_iteration) == (6, 5)
         assert rhos == [10.0] * 6
 
+    def test_kept_jump_reads_the_cycle_it_carries(self, benchmark_sys, monkeypatch):
+        # The dual and the G-step check of a kept jump come from the one
+        # covariance cycle of L*'s _gradient_cycles, which the next gain
+        # solve starts from.
+        jump, first_order, kept = AdmmDriver._jump, lstep._first_order, []
+
+        def recording(self, support):
+            received, before = [], self.jump_iteration
+
+            def spy(sys, gains, cycle, v_next):
+                received.append(cycle)
+                return first_order(sys, gains, cycle, v_next)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lstep, "_first_order", spy)
+                jump(self, support)
+            if self.jump_iteration != before:
+                kept.append((received, self._carried))
+
+        monkeypatch.setattr(AdmmDriver, "_jump", recording)
+        report = ps.run(benchmark_sys, AdmmConfig(period=10, gamma=0.15, eta=5))
+        assert report.jump_iteration == 5
+        [(received, (gains, cycles))] = kept
+        assert len(received) == 1 and received[0] is cycles[0]
+        assert gains is report.gains_polished
+
     def test_support_check_keeps_the_answer(self, benchmark_sys, monkeypatch):
         # With the check disabled, the jump on the empty support of
         # iterations 1-2 is accepted, and so are later jumps whose G-step
@@ -505,8 +531,8 @@ class TestSupportJump:
         tries = record_jumps(monkeypatch)
         report = ps.run(benchmark_sys, AdmmConfig(period=10, gamma=0.15, eta=5))
         assert tries[0][0::2] == (2, True)
-        assert report.schedule.total_activations == 33
-        assert paper_objective(report) == pytest.approx(104.6240, abs=5e-5)
+        assert report.schedule.total_activations == 28
+        assert paper_objective(report) == pytest.approx(104.3229, abs=5e-5)
 
     def test_wandering_support_never_jumps(self, benchmark_gamma0_sweep):
         # eta = 1 at gamma = 0 keeps changing its support. The few supports

@@ -83,7 +83,7 @@ GAIN_ENTRY_POINTS = {
 # computation each makes: the attribute and the modules that bind it.
 # _first_order forms the terms of the Anderson-Moore update and the gradient.
 SOLVE_KERNELS = {
-    "closed_loop_factors": ("_closed_loop", (periodic,)),
+    "closed_loop_factors": ("_loop", (periodic,)),
     "value_cycle": ("_gradient_cycles", (lstep,)),
     "anderson_moore_update": ("_first_order", (lstep,)),
 }
@@ -520,6 +520,7 @@ class TestEvaluateSchedule:
         sys = random_stable_system(rng, 3, 2)
         sched = Schedule(np.array([[1, 0], [1, 1]]))
         result = ps.evaluate_schedule(sys, sched)
+        assert result._fields == ("J", "gains")
         cycle = ps.covariance_limit_cycle(sys, result.gains)
         assert result.J == pytest.approx(np.trace(cycle, axis1=1, axis2=2).mean(), rel=1e-12)
 
@@ -842,6 +843,112 @@ class TestStableLoops:
         rho = self.assert_radius_rule(monkeypatch, pi)
         np.testing.assert_allclose(rho[3:], [0.5, 1 - 5e-10, 1.1, 0.5, 1e200, 1.5e308], rtol=1e-12)
         assert 0.0 <= rho[1] < 1e-300 and rho[2] == pytest.approx(0.3 * np.sqrt(2.0))
+
+    def test_non_finite_loops_read_radius_inf(self, monkeypatch):
+        # An infinite or NaN entry makes a loop unstable at radius inf with
+        # no eigensolve; the finite loops beside it are judged as before.
+        pi = np.stack(
+            [
+                0.3 * np.eye(2),
+                [[np.inf, 0.0], [0.0, 0.5]],
+                [[np.nan, 0.0], [0.0, 0.5]],
+                [[0.5, -np.inf], [np.inf, 0.5]],
+                np.diag([1.1, 0.2]),
+            ]
+        )
+        seen, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
+        rho, stable = periodic._stable_loops(pi)
+        np.testing.assert_array_equal(stable, [0])
+        np.testing.assert_array_equal(rho[1:4], np.inf)
+        assert rho[4] == pytest.approx(1.1, rel=1e-12)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], pi[4:])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ps.covariance_limit_cycle,
+            lambda sys, gains: lstep.solve(sys, np.zeros(gains.shape), 10.0, gains),
+        ],
+        ids=["covariance_limit_cycle", "lstep.solve"],
+    )
+    @pytest.mark.parametrize("size", [1e40, 1e200])
+    def test_overflowed_monodromy_is_unstable(self, size, entry, benchmark_sys, monkeypatch):
+        # Gains of this size overflow the product around the period (and at
+        # 1e200 the noises too): the loop reads radius inf, takes no
+        # eigensolve, and is refused as unstable, like any other.
+        seen, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
+        gains = np.full((10, 25, 10), size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InstabilityError) as info:
+                entry(benchmark_sys, gains)
+        cause = info.value.__cause__ or info.value
+        assert str(cause) == "monodromy spectral radius inf >= 1 - 1e-09"
+        assert not seen
+
+
+def monodromy_case(test):
+    """Draw (seed, n, m, K, top): stable plants (top = 0) and unstable but
+    detectable ones (top 1 to 1.2) under schedules that keep them
+    detectable, with K = 1 and M > N among them."""
+    test = example(seed=4, n=3, m=2, K=4, top=0.0)(test)
+    test = example(seed=5, n=2, m=4, K=1, top=1.2)(test)
+    test = example(seed=6, n=3, m=5, K=3, top=1.0)(test)
+    test = given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        m=st.integers(1, 5),
+        K=st.integers(1, 4),
+        top=st.one_of(st.just(0.0), st.floats(1.0, 1.2)),
+    )(test)
+    return settings(max_examples=24, deadline=None, derandomize=True, database=None)(test)
+
+
+class TestMonodromyFromThePeriodMap:
+    """_periodic_riccati judges a schedule's closed loop by the period map's
+    derivative at its fixed point X: Pi^T = (I + G X)^-1 E of the undoubled
+    (E, G). That is the transposed product of the factors A - L_k C of the
+    gains evaluate_schedule returns, and _stable_loops gives both the same
+    verdict."""
+
+    # Forward error of a product of K factors, and of a solve in I + G X,
+    # is a small multiple of K N eps times the product of the factors'
+    # norms, and of cond(I + G X) times the norms of E and the solution
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # 3.5 and 7.1); 2^10 of it covers the period map's rank-M updates that
+    # built E and G.
+    SLACK = 2.0**10
+
+    @monodromy_case
+    def test_solve_is_the_product_of_the_closed_loop_factors(self, seed, n, m, K, top):
+        rng = np.random.default_rng(seed)
+        sys = random_stable_system(rng, n, m) if top == 0.0 else detectable_plant(rng, n, m, top)
+        mask = (rng.random((K, m)) < 0.5).astype(np.int8)
+        if gate_rejects(sys, mask):
+            mask[:] = 1
+        seen, stable_loops = [], periodic._stable_loops
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(periodic, "_stable_loops", lambda x: seen.append(x) or stable_loops(x))
+            gains = ps.evaluate_schedule(sys, Schedule(mask)).gains
+        (e, g, h), _ = period_triple(sys, mask[np.newaxis])
+        _, x = periodic._doubled_fixed_point(e, g, h)
+        lhs = np.eye(n) + g[0] @ x[0]
+        pi_t = np.linalg.solve(lhs, e[0])
+        # The kernel's verdict reads exactly this solve, and nothing else.
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], pi_t[np.newaxis])
+        factors = reference.closed_loop(sys, gains)
+        product = monodromy(sys, gains)
+        scale = np.prod([np.linalg.norm(f) for f in factors]) + np.linalg.cond(lhs) * (
+            np.linalg.norm(pi_t) + np.linalg.norm(e[0])
+        )
+        tol = self.SLACK * K * n * np.finfo(float).eps * scale
+        np.testing.assert_allclose(pi_t.T, product, rtol=0.0, atol=tol)
+        rho, stable = stable_loops(np.stack([pi_t, product]))
+        np.testing.assert_array_equal(stable, [0, 1])
+        assert abs(rho[0] - rho[1]) <= tol
 
 
 def period_triple(sys, masks):
@@ -1187,9 +1294,9 @@ class TestGradientCycles:
 
 
 class TestScaleEquivariance:
-    """Q and R scaled by 2^s scale the covariance cycles, the Riccati cycle
-    and J by 2^s and keep the gains, bit for bit: every scaling the kernels
-    make is by a power of two and every test they make is relative."""
+    """Q and R scaled by 2^s scale the covariance cycles and J by 2^s and
+    keep the gains, bit for bit: every scaling the kernels make is by a
+    power of two and every test they make is relative."""
 
     @pytest.mark.parametrize("s", [-900, -600, -67, -1, 1, 67, 600, 900])
     def test_benchmark_plant_scales_exactly(self, s, benchmark_sys):
@@ -1203,7 +1310,6 @@ class TestScaleEquivariance:
         )
         evaluation = ps.evaluate_schedule(scaled, sched)
         np.testing.assert_array_equal(evaluation.gains, base.gains)
-        np.testing.assert_array_equal(evaluation.cycle, np.ldexp(base.cycle, s))
         assert evaluation.J == np.ldexp(base.J, s)
         masks = random_masks(np.random.default_rng(5), 16, 10, 10)
         masks[0] = sched.mask
