@@ -162,10 +162,9 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (gamma, eta) cell of a sweep; ``error`` is set when the run failed."""
+    """One gamma cell of a sweep; ``error`` is set when the run failed."""
 
     gamma: float
-    eta: object
     report: Optional[SolveReport] = None
     error: Optional[str] = None
 
@@ -388,42 +387,35 @@ def run(sys: SystemModel, cfg: AdmmConfig) -> SolveReport:
     return AdmmDriver(sys, cfg).run()
 
 
-def _run_cell(sys: SystemModel, cfg: AdmmConfig, gamma: float, eta) -> SweepCell:
+def _run_cell(sys: SystemModel, cfg: AdmmConfig, gamma: float) -> SweepCell:
     try:
-        report = run(sys, replace(cfg, gamma=gamma, eta=eta))
-        return SweepCell(gamma=gamma, eta=eta, report=report)
+        return SweepCell(gamma=gamma, report=run(sys, replace(cfg, gamma=gamma)))
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-        logger.warning("sweep cell (gamma=%s, eta=%s) failed: %s", gamma, eta, exc)
-        return SweepCell(gamma=gamma, eta=eta, error=f"{type(exc).__name__}: {exc}")
+        logger.warning("sweep cell (gamma=%s) failed: %s", gamma, exc)
+        return SweepCell(gamma=gamma, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(sys: SystemModel, base_cfg: AdmmConfig, gamma_list, eta_list) -> list:
-    """Run the solver over the (gamma, eta) grid.
+def sweep(sys: SystemModel, base_cfg: AdmmConfig, gamma_list) -> list:
+    """Run the solver once per gamma at the bounds ``base_cfg.eta``.
 
-    Returns one SweepCell per grid point in row-major (gamma-major) order;
-    failures are captured per cell. Activation counts are expected to shrink
-    as gamma grows at fixed eta; because the underlying problem is nonconvex
-    this is checked softly and violations are logged, not raised.
+    Returns one SweepCell per gamma, in order; failures are captured per
+    cell. Activation counts are expected to shrink as gamma grows; because
+    the underlying problem is nonconvex this is checked softly and
+    violations are logged, not raised.
     """
     gammas = list(gamma_list)
-    etas = list(eta_list)
-    if not gammas or not etas:
-        raise InputError("gamma_list and eta_list must be non-empty")
-    results = [_run_cell(sys, base_cfg, g, e) for g in gammas for e in etas]
+    if not gammas:
+        raise InputError("gamma_list must be non-empty")
+    results = [_run_cell(sys, base_cfg, g) for g in gammas]
 
-    for eta in etas:
-        last = None
-        for cell in results:
-            if cell.eta != eta or cell.report is None:
-                continue
-            count = cell.report.schedule.total_activations
-            if last is not None and count > last:
-                logger.warning(
-                    "activation count rose from %d to %d at gamma=%s, eta=%s",
-                    last,
-                    count,
-                    cell.gamma,
-                    eta,
-                )
-            last = count
+    last = None
+    for cell in results:
+        if cell.report is None:
+            continue
+        count = cell.report.schedule.total_activations
+        if last is not None and count > last:
+            logger.warning(
+                "activation count rose from %d to %d at gamma=%s", last, count, cell.gamma
+            )
+        last = count
     return results

@@ -1,13 +1,13 @@
 """Ground-truth and baseline schedule generators.
 
 The exhaustive oracle enumerates every schedule satisfying the per-sensor
-activation bounds (optionally at a fixed total activation count), scores
-each one exactly, and returns the global minimizer; a budget guard refuses
-instances whose candidate count would be unreasonable. A row rotation of a
-mask is the same periodic schedule started at another step, so the oracle
-generates and scores only the necklaces, one mask per rotation class. The
-random baseline draws schedules uniformly from the same feasible set and
-reports the score statistics, the reference the solver is expected to beat.
+activation bounds, scores each one exactly, and returns the global
+minimizer; it refuses up front an instance of more than 1,000,000
+candidates. A row rotation of a mask is the same periodic schedule started
+at another step, so the oracle generates and scores only the necklaces, one
+mask per rotation class. The random baseline draws schedules uniformly from
+the same feasible set and reports the score statistics, the reference the
+solver is expected to beat.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 import logging
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 import numpy as np
 
@@ -36,7 +35,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_BUDGET = 1_000_000
+# The most candidate masks exhaustive_search enumerates.
+_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -90,48 +90,35 @@ def _count_table(K: int, bounds: tuple) -> list:
     return table
 
 
-def exhaustive_search(
-    sys: SystemModel,
-    K: int,
-    eta,
-    total_activations: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> OracleResult:
+def exhaustive_search(sys: SystemModel, K: int, eta) -> OracleResult:
     """Globally optimal schedule by full enumeration.
 
-    Covers all K x M masks within the per-sensor bounds (and with exactly
-    ``total_activations`` activations when given). A mask's row rotations
-    are the same periodic schedule started at another step, with the same J,
-    so only the necklaces (masks that are their own smallest rotation) are
-    generated, in lexicographic order of the row-major bit string, and scored
-    with evaluate_schedules in chunks of chunk_length(N, K) classes, each
-    stacked once from the bit tuples of the walk. That order puts masks with
-    equal leading rows next to each other, so a chunk's period map steps each
-    distinct prefix once (periodic._period_map). A score counts for each
-    mask of the class, whose size is its number of distinct rotations.
-    Masks whose estimator is invalid (an unstable mode left unobserved) are
-    skipped, ties keep the lexicographically smallest mask, and BudgetError
-    is raised up front when the candidate count (masks, not classes) exceeds
-    ``budget``.
-    K (at least 1), ``total_activations`` (in 0 up to the sum of the bounds)
-    and ``budget`` (nonnegative) must be integers, not booleans.
+    Covers all K x M masks within the per-sensor bounds. A mask's row
+    rotations are the same periodic schedule started at another step, with
+    the same J, so only the necklaces (masks that are their own smallest
+    rotation) are generated, in lexicographic order of the row-major bit
+    string, and scored with evaluate_schedules in chunks of
+    chunk_length(N, K) classes, each stacked once from the bit tuples of the
+    walk. That order puts masks with equal leading rows next to each other,
+    so a chunk's period map steps each distinct prefix once
+    (periodic._period_map). A score counts for each mask of the class, whose
+    size is its number of distinct rotations. Masks whose estimator is
+    invalid (an unstable mode left unobserved) are skipped, ties keep the
+    lexicographically smallest mask, and BudgetError is raised up front when
+    the candidate count (masks, not classes) exceeds 1,000,000. K must be an
+    integer of at least 1, not a boolean.
     """
-    K, budget = _integral(K, "K", least=1), _integral(budget, "budget", least=0)
+    K = _integral(K, "K", least=1)
     bounds = normalize_eta(eta, sys.n_sensors, K)
-    counts = _count_table(K, bounds)[0]
-    if total_activations is None:
-        count = sum(counts)
-    else:
-        total_activations = _integral(total_activations, "total_activations", 0, sum(bounds))
-        count = counts[total_activations]
-    if count > budget:
+    count = sum(_count_table(K, bounds)[0])
+    if count > _BUDGET:
         raise BudgetError(
-            f"{count} candidate schedules exceed the enumeration budget of {budget}"
+            f"{count} candidate schedules exceed the enumeration budget of {_BUDGET}"
         )
 
     best_j, best_mask, n_evaluated, n_skipped = np.inf, None, 0, 0
     step = chunk_length(sys.n_states, K)
-    classes = _necklaces(K, bounds, total_activations)
+    classes = _necklaces(K, bounds)
     while chunk := list(itertools.islice(classes, step)):
         bits, sizes = zip(*chunk)
         masks = np.fromiter(itertools.chain(*bits), np.int8).reshape(-1, K, len(bounds))
@@ -157,7 +144,7 @@ def exhaustive_search(
     )
 
 
-def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
+def _necklaces(K: int, bounds: tuple):
     """(row-major bit tuple, class size) for each feasible K x M mask that is
     its own smallest row rotation (a necklace with rows as symbols), in
     lexicographic order of the bits. The prenecklace recursion of Fredricksen,
@@ -165,19 +152,18 @@ def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
     bit by bit on an explicit stack: p is the row length of the longest Lyndon
     prefix and ``tight`` says row k equals row k - p so far. A mask is a
     necklace exactly when p divides K, and its class then has p masks.
-    Branches that break a bound or cannot meet ``total_activations`` are cut.
-    A tight branch that can take no further 1 has one completion, all zeros,
-    which stays tight while no 1 lies p rows back: it is yielded or cut at
-    once rather than walked bit by bit, so the walk stays linear in K when
-    the bounds are used up early.
+    Branches that break a bound are cut. A tight branch that has used up
+    every bound has one completion, all zeros, which stays tight while no 1
+    lies p rows back: it is yielded or cut at once rather than walked bit by
+    bit, so the walk stays linear in K when the bounds are used up early.
     """
     M, n = len(bounds), K * len(bounds)
     bits, used, full = [0] * n, [0] * M, list(bounds)
     depth = 0  # bits[:depth] hold the last visited path
-    # Nodes (pos, total, p, tight, bit): bits[:pos] decided, the last as ``bit``.
-    stack = [(0, 0, 1, True, 0)]
+    # Nodes (pos, p, tight, bit): bits[:pos] decided, the last as ``bit``.
+    stack = [(0, 1, True, 0)]
     while stack:
-        pos, total, p, tight, bit = stack.pop()
+        pos, p, tight, bit = stack.pop()
         # Clear the abandoned branch (at the root, q = -1 reads a bit still 0).
         for q in range(pos - 1, depth):
             if bits[q]:
@@ -187,16 +173,11 @@ def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
             bits[pos - 1] = 1
             used[(pos - 1) % M] += 1
         depth = pos
-        if total_activations is not None:
-            # Undecided positions for sensor m sit at j*M + m >= pos.
-            room = sum(min(bounds[m] - used[m], K - (pos - m + M - 1) // M) for m in range(M))
-            if total > total_activations or total + room < total_activations:
-                continue
         if pos == n:
             if K % p == 0:
                 yield tuple(bits), p
             continue
-        if tight and (used == full or total == total_activations):
+        if tight and used == full:
             # bits[pos:] are 0, so this reads the zeros ahead as well.
             if K % p == 0 and not any(bits[max(pos - p * M, 0) : n - p * M]):
                 yield tuple(bits), p
@@ -208,9 +189,9 @@ def _necklaces(K: int, bounds: tuple, total_activations: Optional[int]):
         # and the next row starts tight. The 1 is pushed first to walk the 0 first.
         end = m == M - 1
         if used[m] < bounds[m]:
-            stack.append((pos + 1, total + 1, k + 1 if end and not forced else p, forced or end, 1))
+            stack.append((pos + 1, k + 1 if end and not forced else p, forced or end, 1))
         if not forced:
-            stack.append((pos + 1, total, k + 1 if end and not tight else p, tight or end, 0))
+            stack.append((pos + 1, k + 1 if end and not tight else p, tight or end, 0))
 
 
 def _draw_mask(

@@ -1,8 +1,8 @@
 """Batch command-line front-end.
 
 Four subcommands over one YAML experiment file: ``run`` executes a single
-solve and writes report.json, schedule.txt, and trace.csv; ``sweep`` runs a
-(gamma, eta) grid into tradeoff.csv; ``compare`` scores the solver against
+solve and writes report.json, schedule.txt, and trace.csv; ``sweep`` solves
+once per sweep gamma into tradeoff.csv; ``compare`` scores the solver against
 the random baseline and, when enabled, the exhaustive oracle into
 compare.csv; ``validate`` checks the plant's standing assumptions and
 writes nothing, so only the other three take ``--out``. ``main`` loads the
@@ -126,23 +126,20 @@ def cmd_run(cfg: ExperimentConfig, out: Optional[str] = None) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Optional[str] = None) -> int:
-    """Grid of solves into tradeoff.csv plus one report JSON per cell."""
-    admm_cfg = cfg.admm
-    gammas = cfg.sweep_gammas if cfg.sweep_gammas is not None else (admm_cfg.gamma,)
-    etas = cfg.sweep_etas if cfg.sweep_etas is not None else (admm_cfg.eta,)
-
-    cells = admm_sweep(cfg.system, admm_cfg, gammas, etas)
+    """One solve per gamma into tradeoff.csv plus one report JSON per cell."""
+    cells = admm_sweep(cfg.system, cfg.admm, cfg.sweep_gammas)
+    eta = _format_eta(cfg.admm.eta)
     out_dir = _out_dir(cfg, out)
     rows = []
     for i, cell in enumerate(cells):
         if cell.report is None:
-            rows.append((cell.gamma, _format_eta(cell.eta), "", "", "", "", "", cell.error))
+            rows.append((cell.gamma, eta, "", "", "", "", "", cell.error))
             continue
         rep = cell.report
         rows.append(
             (
                 cell.gamma,
-                _format_eta(cell.eta),
+                eta,
                 rep.schedule.total_activations,
                 rep.j_raw,
                 rep.j_polished,
@@ -178,7 +175,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Optional[str] = None) -> int:
 
     The baseline, seeded by the config's ``seed``, matches the solver's
     total activation count. The oracle, when enabled, searches all schedules
-    within the frequency bounds; a refusal at exhaustive_search's default
+    within the frequency bounds; a refusal at exhaustive_search's fixed
     budget is recorded as a note rather than failing the command.
     """
     admm_cfg = cfg.admm
@@ -258,7 +255,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         "run": (cmd_run, "one solve: report.json, schedule.txt, trace.csv"),
-        "sweep": (cmd_sweep, "grid of solves: tradeoff.csv"),
+        "sweep": (cmd_sweep, "one solve per gamma: tradeoff.csv"),
         "compare": (cmd_compare, "solver vs baseline vs oracle: compare.csv"),
         "validate": (cmd_validate, "check plant assumptions"),
     }
@@ -276,8 +273,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"config kind {cfg.kind!r} does not match command {name!r}")
         if cfg.admm is None and name != "validate":
             raise ConfigError(f"admm section is required for {name}")
-        if name == "sweep" and cfg.sweep_gammas is None and cfg.sweep_etas is None:
-            raise ConfigError("sweep section with gammas and/or etas is required for sweep")
+        if name == "sweep" and cfg.sweep_gammas is None:
+            raise ConfigError("sweep section with gammas is required for sweep")
         return commands[name][0](cfg, **options)
     except (PerschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

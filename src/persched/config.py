@@ -33,7 +33,7 @@ _SYSTEM_KEYS = {"field", "matrices"}
 _FIELD_KEYS = {f.name for f in fields(FieldGeometry)} | {"q_scale", "r_scale"}
 _MATRIX_KEYS = ("A", "B", "C", "Q", "R")  # loaded in this order
 _ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
-_SWEEP_KEYS = {"gammas", "etas"}
+_SWEEP_KEYS = {"gammas"}
 _COMPARE_KEYS = {"trials", "oracle"}
 # libyaml's safe loader where PyYAML was built with it: the same objects as
 # the pure-Python SafeLoader, parsed about ten times faster.
@@ -50,7 +50,6 @@ class ExperimentConfig:
     seed: int
     output: Optional[str]
     sweep_gammas: Optional[tuple]
-    sweep_etas: Optional[tuple]
     compare_trials: int
     compare_oracle: bool
 
@@ -133,16 +132,6 @@ def _build_admm(section: dict) -> AdmmConfig:
     return _checked("admm.", AdmmConfig, **section)
 
 
-def _check_sweep_grid(admm: AdmmConfig, n_sensors: int, gammas: tuple, etas: tuple) -> None:
-    """Hold every sweep entry to the rules of admm.gamma and admm.eta, so a
-    bad cell fails at load rather than after the cells before it ran."""
-    cells = [("sweep.gammas", {"gamma": g}) for g in gammas]
-    cells += [("sweep.etas", {"eta": e}) for e in etas]
-    for where, change in cells:
-        cell = _checked(f"{where}: ", replace, admm, **change)
-        _checked(f"{where}: ", cell.eta_tuple, n_sensors)
-
-
 def load_experiment(path) -> ExperimentConfig:
     """Parse and fully resolve one experiment file.
 
@@ -174,7 +163,6 @@ def load_experiment(path) -> ExperimentConfig:
         _checked("admm.", admm.eta_tuple, system.n_sensors)
 
     sweep_gammas = None
-    sweep_etas = None
     if "sweep" in raw:
         s = _require_mapping(raw["sweep"], "sweep")
         _check_keys(s, _SWEEP_KEYS, "sweep")
@@ -182,12 +170,10 @@ def load_experiment(path) -> ExperimentConfig:
             if not isinstance(s["gammas"], list) or not s["gammas"]:
                 raise ConfigError("sweep.gammas must be a non-empty list")
             sweep_gammas = tuple(_checked("sweep.", _real, g, "gammas") for g in s["gammas"])
-        if "etas" in s:
-            if not isinstance(s["etas"], list) or not s["etas"]:
-                raise ConfigError("sweep.etas must be a non-empty list")
-            sweep_etas = tuple(tuple(e) if isinstance(e, list) else e for e in s["etas"])
-        if admm is not None:
-            _check_sweep_grid(admm, system.n_sensors, sweep_gammas or (), sweep_etas or ())
+            if admm is not None:
+                # A bad cell fails at load, not after the cells before it ran.
+                for g in sweep_gammas:
+                    _checked("sweep.gammas: ", replace, admm, gamma=g)
 
     compare_trials = 500
     compare_oracle = False
@@ -212,7 +198,6 @@ def load_experiment(path) -> ExperimentConfig:
         seed=seed,
         output=output,
         sweep_gammas=sweep_gammas,
-        sweep_etas=sweep_etas,
         compare_trials=compare_trials,
         compare_oracle=compare_oracle,
     )

@@ -45,7 +45,7 @@ class InitializationError(PerschedError, RuntimeError):
 
 
 class BudgetError(PerschedError, RuntimeError):
-    """An enumeration would exceed its configured candidate budget."""
+    """An enumeration would exceed its candidate budget."""
 
 
 class ConfigError(PerschedError, ValueError):

@@ -133,7 +133,8 @@ class ScheduleEvaluation(NamedTuple):
 def _loop(sys: SystemModel, gains: np.ndarray) -> tuple:
     """Closed-loop factor A - L C and injected covariance B Q B^T + L R L^T
     for each gain of a stack such as the (K, N, M) gains of one period."""
-    noise = _symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # _limit_cycles refuses an overflow
+        noise = _symmetrize(sys.q_eff + gains @ sys.R @ gains.swapaxes(-1, -2))
     return sys.A - gains @ sys.C, noise
 
 
@@ -171,9 +172,11 @@ def _limit_cycles(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     each X_k equals its transpose bit for bit."""
     K, n = len(f), f.shape[-1]
     pi, w_acc = np.eye(n), np.zeros((n, n))
-    for k in range(K - 1, -1, -1):
-        w_acc = w_acc + pi @ w[k] @ pi.swapaxes(-1, -2)
-        pi = pi @ f[k]
+    # An overflowed product is non-finite, and _stable_loops reads it as radius inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K - 1, -1, -1):
+            w_acc = w_acc + pi @ w[k] @ pi.swapaxes(-1, -2)
+            pi = pi @ f[k]
     rho, stable = _stable_loops(pi[:1])
     if not stable.size:
         raise InstabilityError(f"monodromy spectral radius {rho[0]:.12g} >= 1 - {_UNIT_MARGIN:g}")

@@ -178,17 +178,14 @@ def g_optimum_enumerated(s, gamma, rho, eta):
     return total
 
 
-def necklaces_brute_force(K, bounds, total=None):
+def necklaces_brute_force(K, bounds):
     """(row-major bits, class size) for each K x M mask within the
-    per-sensor bounds (and with ``total`` activations when given) that is
-    its own smallest row rotation, sorted; the class size is the number of
-    distinct rotations."""
+    per-sensor bounds that is its own smallest row rotation, sorted; the
+    class size is the number of distinct rotations."""
     M = len(bounds)
     out = []
     for bits in itertools.product((0, 1), repeat=K * M):
         if any(sum(bits[m::M]) > bounds[m] for m in range(M)):
-            continue
-        if total is not None and sum(bits) != total:
             continue
         rotations = {bits[r * M :] + bits[: r * M] for r in range(K)}
         if bits == min(rotations):

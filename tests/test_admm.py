@@ -386,32 +386,33 @@ class TestOneEvaluationPerSupport:
 class TestSweep:
     def test_grid_order_and_shape(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        cells = ps.sweep(sys, small_config(), gamma_list=[0.0, 0.05], eta_list=[1, 2])
-        assert [(c.gamma, c.eta) for c in cells] == [(0.0, 1), (0.0, 2), (0.05, 1), (0.05, 2)]
-        assert all(c.report is not None for c in cells)
+        cells = ps.sweep(sys, small_config(eta=1), gamma_list=[0.05, 0.0])
+        assert [c.gamma for c in cells] == [0.05, 0.0]
+        assert [c.report.config.gamma for c in cells] == [0.05, 0.0]
+        assert all(c.report.config.eta == 1 for c in cells)
 
     def test_cell_failure_captured(self, rng):
         sys = random_stable_system(rng, 3, 2)
-        cells = ps.sweep(sys, small_config(), gamma_list=[0.0], eta_list=[0, 1])
+        cells = ps.sweep(sys, small_config(), gamma_list=[-1.0, 0.0])
         assert cells[0].report is None
-        assert "InputError" in cells[0].error
+        assert cells[0].error == "InputError: gamma must be nonnegative, got -1.0"
         assert cells[1].report is not None
 
     def test_empty_grid_rejected(self, rng):
         sys = random_stable_system(rng, 2, 1)
-        with pytest.raises(InputError, match="non-empty"):
-            ps.sweep(sys, small_config(), gamma_list=[], eta_list=[1])
+        with pytest.raises(InputError, match="^gamma_list must be non-empty$"):
+            ps.sweep(sys, small_config(), gamma_list=[])
 
     @pytest.mark.parametrize(
         "counts, rises",
         [
-            ((3, 5, 4), ["activation count rose from 3 to 5 at gamma=0.1, eta=2"]),
+            ((3, 5, 4), ["activation count rose from 3 to 5 at gamma=0.1"]),
             ((5, 4, 4), []),
         ],
     )
     def test_rising_count_logged_not_raised(self, rng, monkeypatch, caplog, counts, rises):
-        # The count should not rise with gamma at fixed eta; the problem is
-        # nonconvex, so a rise is a warning, one per rise, and no error.
+        # The count should not rise with gamma; the problem is nonconvex, so
+        # a rise is a warning, one per rise, and no error.
         by_gamma = dict(zip((0.0, 0.1, 0.2), counts))
 
         def fake_run(sys, cfg):
@@ -421,7 +422,7 @@ class TestSweep:
         monkeypatch.setattr(admm, "run", fake_run)
         sys = random_stable_system(rng, 2, 2)
         with caplog.at_level(logging.WARNING, logger="persched.admm"):
-            cells = ps.sweep(sys, small_config(), gamma_list=list(by_gamma), eta_list=[2])
+            cells = ps.sweep(sys, small_config(), gamma_list=list(by_gamma))
         assert [c.report.schedule.total_activations for c in cells] == list(counts)
         assert [r.getMessage() for r in caplog.records] == rises
 

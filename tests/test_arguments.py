@@ -17,7 +17,6 @@ import persched as ps
 from persched import (
     AdmmConfig,
     BaselineResult,
-    BudgetError,
     DimensionError,
     FieldGeometry,
     InputError,
@@ -63,15 +62,6 @@ def lstep_solve(name):
     return lambda v: lstep.solve(LINE, **{**base, name: v}).phi
 
 
-def budget(v):
-    # A budget below LINE's 2 candidates is refused, and the refusal names
-    # the budget as the search kept it.
-    try:
-        return ps.exhaustive_search(LINE, K=1, eta=1, budget=v).J
-    except BudgetError as exc:
-        return str(exc)
-
-
 def init_period(v):
     return ps.default_init_schedule(LINE, v, 1).K
 
@@ -99,7 +89,6 @@ INTEGERS = [
     ("g_step", "eta[0]", 1, gstep("eta"), ("in 0..2", [-1, 3], [0, 2])),
     ("default_init_schedule", "K", 2, init_period, ("at least 1", [0], [1])),
     ("exhaustive_search", "K", 2, oracle("K"), ("at least 1", [0], [1])),
-    ("exhaustive_search", "budget", 10, budget, ("nonnegative", [-1], [0])),
     ("random_baseline", "K", 2, baseline("K"), ("at least 1", [0], [1])),
     (
         "random_baseline",
@@ -130,15 +119,6 @@ REALS = [
     ("lstep.solve", "rho", 1.0, lstep_solve("rho"), ("nonnegative", [BELOW_ZERO], [0.0])),
     ("lstep.solve", "tol", 1e-6, lstep_solve("tol"), ("nonnegative", [BELOW_ZERO, -1.0], [0.0])),
 ]
-# None is a setting of its own here, any total, so only the range is tested.
-ORACLE_TOTAL = (
-    "exhaustive_search",
-    "total_activations",
-    1,
-    oracle("total_activations"),
-    ("in 0..1", [-1, 2], [0, 1]),
-)
-BOUNDED = INTEGERS + REALS + [ORACLE_TOTAL]
 
 
 def cases(table, values):
@@ -210,13 +190,13 @@ def test_fractional_site_is_not_truncated():
         FieldGeometry(ell_h=1, ell_v=1, sensor_sites=((0.5, 0),))
 
 
-@pytest.mark.parametrize("name, use, wording, value", ranges(BOUNDED))
+@pytest.mark.parametrize("name, use, wording, value", ranges(INTEGERS + REALS))
 def test_value_outside_range_names_its_argument(name, use, wording, value):
     with pytest.raises(InputError, match=message(name, wording, value)):
         use(value)
 
 
-@pytest.mark.parametrize("name, use, wording, value", ranges(BOUNDED, ends=True))
+@pytest.mark.parametrize("name, use, wording, value", ranges(INTEGERS + REALS, ends=True))
 def test_range_end_accepted(name, use, wording, value):
     assert use(value) is not None
 

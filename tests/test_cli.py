@@ -166,7 +166,7 @@ class TestReportBytes:
         out = tmp_path / "results"
         assert main(["sweep", cfg, "--out", str(out)]) == 0
         exp = ps.load_experiment(cfg)
-        cells = ps.sweep(exp.system, exp.admm, exp.sweep_gammas, (exp.admm.eta,))
+        cells = ps.sweep(exp.system, exp.admm, exp.sweep_gammas)
         assert (out / "cell_001_report.json").read_text() == report_text(cells[1].report)
 
 
@@ -225,7 +225,7 @@ class TestJsonText:
 
 class TestSweep:
     def test_grid_outputs(self, tmp_path):
-        text = TINY + "sweep:\n  gammas: [0.0, 0.05]\n  etas: [1, 2]\n"
+        text = TINY + "sweep:\n  gammas: [0.0, 0.05, 0.1]\n"
         cfg = write_config(tmp_path, text)
         out = tmp_path / "results"
         assert main(["sweep", cfg, "--out", str(out)]) == 0
@@ -241,16 +241,18 @@ class TestSweep:
             "converged",
             "status",
         ]
-        assert len(rows) == 5
-        assert [r[0] for r in rows[1:]] == ["0.0", "0.0", "0.05", "0.05"]
+        assert len(rows) == 4
+        assert [r[0] for r in rows[1:]] == ["0.0", "0.05", "0.1"]
+        # Every cell solves at the admm section's eta.
+        assert [r[1] for r in rows[1:]] == ["2", "2", "2"]
         assert all(r[-1] == "ok" for r in rows[1:])
         assert (out / "cell_000_report.json").is_file()
-        assert (out / "cell_003_report.json").is_file()
+        assert (out / "cell_002_report.json").is_file()
 
     def test_single_cell_matches_run(self, tmp_path):
         run_cfg = write_config(tmp_path, TINY, name="run.yaml")
         sweep_cfg = write_config(
-            tmp_path, TINY + "sweep:\n  gammas: [0.02]\n  etas: [2]\n", name="sweep.yaml"
+            tmp_path, TINY + "sweep:\n  gammas: [0.02]\n", name="sweep.yaml"
         )
         out_run, out_sweep = tmp_path / "run_out", tmp_path / "sweep_out"
         assert main(["run", run_cfg, "--out", str(out_run)]) == 0
@@ -267,18 +269,31 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "non-empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["gammas: [0.0, -1.0]", "etas: [2, 9]", "etas: [2, x]"])
-    def test_bad_grid_entry_fails_before_any_cell(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            pytest.param(grid, error, id=grid)
+            for grid, error in [
+                ("gammas: [0.0, -1.0]", "sweep.gammas: gamma must be nonnegative, got -1.0"),
+                # A leftover etas key is refused whatever its entries: eta is admm.eta.
+                ("etas: [2, 9]", "unknown key 'etas' in sweep"),
+                ("etas: [2, x]", "unknown key 'etas' in sweep"),
+            ]
+        ],
+    )
+    def test_bad_grid_entry_fails_before_any_cell(self, tmp_path, capsys, grid, error):
         cfg = write_config(tmp_path, TINY + f"sweep:\n  {grid}\n")
         out = tmp_path / "results"
         assert main(["sweep", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: sweep.")
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
     def test_missing_sweep_section_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TINY)
-        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "sweep" in capsys.readouterr().err
+        for section in ("", "sweep: {}\n"):
+            cfg = write_config(tmp_path, TINY + section)
+            assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 1
+            error = capsys.readouterr().err
+            assert error == "error: sweep section with gammas is required for sweep\n"
 
 
 # At gamma = 0 the tiny plant keeps a saturated, non-degenerate schedule, so

@@ -359,13 +359,16 @@ class TestAdmmSection:
 
 class TestSweepAndCompare:
     def test_sweep_lists(self, tmp_path):
-        sweep = "sweep:\n  gammas: [0.0, 0.1]\n  etas: [1, 2.0, [1, 3]]\n"
-        text = FIELD_SYSTEM + ADMM_BLOCK + sweep
+        text = FIELD_SYSTEM + ADMM_BLOCK + "sweep:\n  gammas: [0, 0.1]\n"
         cfg = load_experiment(write_config(tmp_path, text))
         assert cfg.sweep_gammas == (0.0, 0.1)
-        # Checked at load, but stored as written.
-        assert cfg.sweep_etas == (1, 2.0, (1, 3))
-        assert isinstance(cfg.sweep_etas[1], float)
+        assert all(type(g) is float for g in cfg.sweep_gammas)
+
+    def test_sweep_reads_only_gammas(self, tmp_path):
+        # Every cell solves at admm.eta; eta is not a sweep axis.
+        text = FIELD_SYSTEM + ADMM_BLOCK + "sweep:\n  gammas: [0.1]\n  etas: [1, 2]\n"
+        with pytest.raises(ConfigError, match="^unknown key 'etas' in sweep$"):
+            load_experiment(write_config(tmp_path, text))
 
     def test_empty_sweep_list_rejected(self, tmp_path):
         text = FIELD_SYSTEM + ADMM_BLOCK + "sweep:\n  gammas: []\n"
@@ -378,15 +381,10 @@ class TestSweepAndCompare:
             ("gammas: [0.1, -1.0]", "sweep.gammas: gamma must be nonnegative, got -1.0"),
             ("gammas: [0.1, .nan]", "sweep.gammas must be finite, got nan"),
             ("gammas: [.inf]", "sweep.gammas must be finite, got inf"),
-            ("etas: [2, 9]", r"sweep.etas: eta\[0\] must be in 1..4, got 9"),
-            ("etas: [2, x]", r"sweep.etas: eta\[0\] must be an integer, got 'x'"),
-            ("etas: [null]", r"sweep.etas: eta\[0\] must be an integer, got None"),
-            ("etas: [[2, 5]]", r"sweep.etas: eta\[1\] must be in 1..4, got 5"),
         ],
     )
     def test_sweep_entries_checked_at_load(self, tmp_path, grid, message):
-        # Each entry meets the rules of admm.gamma and admm.eta for the
-        # section's period (4) and the plant's two sensors.
+        # Each entry meets the rule of admm.gamma.
         text = FIELD_SYSTEM + ADMM_BLOCK + f"sweep:\n  {grid}\n"
         with pytest.raises(ConfigError, match=message):
             load_experiment(write_config(tmp_path, text))
