@@ -55,8 +55,7 @@ class AdmmConfig:
     ``eta`` is either one bound shared by every sensor or a per-sensor
     sequence; bounds must be integers in 1..period, kept as an int or a
     tuple of ints. The solve starts from default_init_schedule's staggered
-    schedule. Schedules are read off the gains with schedule_from_gains'
-    default relative threshold.
+    schedule.
 
     The gain step is solved inexactly. The first inner solve runs to the
     gradient-norm tolerance ``lstep.TOL_FLOOR``; every later one stops at
@@ -87,14 +86,7 @@ class AdmmConfig:
         return normalize_eta(self.eta, n_sensors, self.period, lowest=1)
 
     def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "gamma": self.gamma,
-            "eta": self.eta if isinstance(self.eta, int) else list(self.eta),
-            "rho": self.rho,
-            "eps": self.eps,
-            "max_iters": self.max_iters,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

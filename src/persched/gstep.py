@@ -57,7 +57,7 @@ def g_step(targets, gamma: float, rho: float, eta) -> np.ndarray:
     are copied verbatim and the rest are zero, so sensor m is active on at
     most eta_m steps.
     """
-    s = _array(targets, "targets", ("K", "N", "M"), stack=True)
+    s = _array(targets, "targets", ("K", "N", "M"))
     gamma = _real(gamma, "gamma", least=0)
     rho = _real(rho, "rho", above=0)
     eta = normalize_eta(eta, s.shape[2], len(s))

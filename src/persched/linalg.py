@@ -44,12 +44,11 @@ _SYMMETRY_TOL = 1e-8
 _PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
 
 
-def _array(value, name: str, shape: tuple, stack: bool = False, dtype=float) -> np.ndarray:
+def _array(value, name: str, shape: tuple, dtype=float) -> np.ndarray:
     """The one shape rule for an array argument: ``value`` read as an array
     with one axis per entry of ``shape``. An int entry is an exact length; a
     letter is a free one, any positive length, which each other entry of the
-    same letter must repeat, so ("N", "N") asks for a square matrix. With
-    ``stack``, a 2-D value where three axes are asked for is a stack of one.
+    same letter must repeat, so ("N", "N") asks for a square matrix.
 
     A wrong shape is the DimensionError "{name} must have shape (...), got
     (...)". A value NumPy cannot read as a finite real array (ragged, text,
@@ -63,8 +62,6 @@ def _array(value, name: str, shape: tuple, stack: bool = False, dtype=float) -> 
         raise InputError(f"{name} must be a finite real array, got a ragged sequence") from None
     if dtype is not int and arr.dtype.kind not in "biuf":
         raise InputError(f"{name} must be a finite real array, got dtype {arr.dtype}")
-    if stack and arr.ndim == 2 and len(shape) == 3:
-        arr = arr[np.newaxis]
     free = {}  # letter -> the length it first met
     fits = arr.ndim == len(shape) and all(
         n > 0 and n == free.setdefault(d, n) if isinstance(d, str) else n == d
@@ -157,16 +154,24 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_symmetrize(x: np.ndarray) -> np.ndarray:
+    """_symmetrize of a matrix taken at its _unit_shift and scaled back, so
+    that X + X^T cannot overflow while X is finite. Both scalings are exact,
+    so every entry in the normal range has the bits _symmetrize gives it."""
+    shift = _unit_shift(x)
+    return np.ldexp(_symmetrize(np.ldexp(x, shift)), -shift)
+
+
 def require_symmetric(x, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry within _SYMMETRY_TOL relative to the norm, judged at
-    the matrix's _unit_shift so that no squared norm overflows, and return
-    the symmetrized copy."""
+    """Validate symmetry within _SYMMETRY_TOL relative to the norm and return
+    the symmetrized copy, both at the matrix's _unit_shift, so that neither
+    a squared norm nor X + X^T overflows."""
     arr = _array(x, name, ("N", "N"))
     unit = np.ldexp(arr, _unit_shift(arr))[np.newaxis]
     skew = _squared_norms(unit - unit.transpose(0, 2, 1))[0]
     if skew > _SYMMETRY_TOL**2 * _squared_norms(unit)[0]:
         raise InputError(f"{name} is not symmetric within tolerance {_SYMMETRY_TOL:g}")
-    return _symmetrize(arr)
+    return _unit_symmetrize(arr)
 
 
 def psd_sqrt(x, name: str = "matrix") -> np.ndarray:

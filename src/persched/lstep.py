@@ -147,10 +147,10 @@ def solve(
     ``init``, such as the ``cycles`` of the result that returned it; they
     stand for the start's own and its stability check.
     """
-    targets = _array(targets, "targets", ("K", sys.n_states, sys.n_sensors), stack=True)
+    targets = _array(targets, "targets", ("K", sys.n_states, sys.n_sensors))
     rho = _real(rho, "rho", least=0)
     tol = _real(tol, "tol", least=0)
-    gains = _array(init, "gains", targets.shape, stack=True)
+    gains = _array(init, "gains", targets.shape)
     if gains.flags.writeable:
         gains = gains.copy()
         gains.setflags(write=False)

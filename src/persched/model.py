@@ -17,7 +17,7 @@ from .linalg import (
     _array,
     _integral,
     _real,
-    _symmetrize,
+    _unit_symmetrize,
     matrix_exponential,
     psd_sqrt,
     require_symmetric,
@@ -62,7 +62,7 @@ class SystemModel:
             raise InputError("R must be positive definite")
         # Copies, so that later writes into the caller's arrays miss the model.
         a, b, c = np.array(a), np.array(b), np.array(c)
-        arrays = (a, b, c, q, r, _symmetrize(b @ q @ b.T), np.array(a.T, order="C"))
+        arrays = (a, b, c, q, r, _unit_symmetrize(b @ q @ b.T), np.array(a.T, order="C"))
         for name, arr in zip(("A", "B", "C", "Q", "R", "_q_eff", "_a_t"), arrays):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -147,20 +147,14 @@ def build_laplacian(geom: FieldGeometry) -> np.ndarray:
 
     Returns the N x N matrix with -4/h^2 on the diagonal and +1/h^2 at each
     in-lattice neighbor; neighbors falling on the boundary contribute
-    nothing. Node ordering is row-major over (i, j).
+    nothing. Node ordering is row-major over (i, j), so the matrix is the
+    Kronecker sum of the 1-D second differences along i and along j.
     """
-    n = geom.n_states
-    h2 = geom.spacing**2
-    lap = np.zeros((n, n))
-    # site_index of every node, without its per-call argument check.
-    index = np.arange(n).reshape(geom.ell_h + 1, geom.ell_v + 1)
-    for (i, j), row in np.ndenumerate(index):
-        lap[row, row] = -4.0 / h2
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni <= geom.ell_h and 0 <= nj <= geom.ell_v:
-                lap[row, index[ni, nj]] = 1.0 / h2
-    return lap
+    t_h, t_v = (
+        (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / geom.spacing**2
+        for n in (geom.ell_h + 1, geom.ell_v + 1)
+    )
+    return np.kron(t_h, np.eye(len(t_v))) + np.kron(np.eye(len(t_h)), t_v)
 
 
 def build_diffusion_system(

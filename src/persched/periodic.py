@@ -55,8 +55,6 @@ __all__ = [
     "chunk_length",
 ]
 
-_RELATIVE_ZERO_TOL = 1e-6
-
 # Fixed-schedule Riccati stopping rule. After 64 doublings H has taken 2^64
 # periods; a loop whose monodromy radius is 1 - 1e-7 settles in about 30.
 _RICCATI_TOL, _RICCATI_MAX_DOUBLINGS = 1e-10, 64
@@ -200,12 +198,12 @@ def covariance_limit_cycle(sys: SystemModel, gains) -> np.ndarray:
 
     Solves P_{k+1} = F_k P_k F_k^T + W_k with wraparound P_K = P_0, where
     F_k = A - L_k C and W_k = B Q B^T + L_k R L_k^T for the (K, N, M) gains
-    L_0..L_{K-1}, L_k applied at every time t = k mod K (a single N x M gain
-    is the K = 1 stack): one Lyapunov solve in the monodromy matrix gives
-    P_0, and the recursion gives the rest. Returns (P_0, ..., P_{K-1}) as a
-    read-only (K, N, N) array of symmetric matrices.
+    L_0..L_{K-1}, L_k applied at every time t = k mod K: one Lyapunov solve
+    in the monodromy matrix gives P_0, and the recursion gives the rest.
+    Returns (P_0, ..., P_{K-1}) as a read-only (K, N, N) array of symmetric
+    matrices.
     """
-    gains = _array(gains, "gains", ("K", sys.n_states, sys.n_sensors), stack=True)
+    gains = _array(gains, "gains", ("K", sys.n_states, sys.n_sensors))
     factors, noise = (x[:, np.newaxis] for x in _loop(sys, gains))
     return _limit_cycles(factors, noise)[0]
 
@@ -226,15 +224,12 @@ def _gradient_cycles(sys: SystemModel, gains: np.ndarray) -> tuple:
 
 
 def schedule_from_gains(gains) -> Schedule:
-    """Activation mask of the nonzero columns of (K, N, M) gains.
-
-    A sensor counts as active at step k when its gain column 2-norm exceeds
-    _RELATIVE_ZERO_TOL (1e-6) times the largest column norm in the sequence.
-    The rule is relative: uniformly tiny nonzero gains keep every column,
-    and only all-zero gains yield an empty schedule.
-    """
-    norms = np.linalg.norm(_array(gains, "gains", ("K", "N", "M"), stack=True), axis=1)
-    return Schedule((norms > _RELATIVE_ZERO_TOL * float(norms.max())).astype(np.int8))
+    """Activation mask of the nonzero columns of (K, N, M) gains: sensor m
+    is active at step k when its gain column has an entry other than zero
+    (-0.0 is zero). g_step writes exact zeros into every column it drops, so
+    this reads its kept set back, and no column is too small to count."""
+    nonzero = _array(gains, "gains", ("K", "N", "M")) != 0
+    return Schedule(nonzero.any(axis=1).astype(np.int8))
 
 
 def check_schedule_detectability(sys: SystemModel, sched: Schedule) -> None:

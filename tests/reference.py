@@ -11,9 +11,9 @@ scipy's direct (Kronecker) route: its default bilinear transform loses
 about as many digits as the monodromy is close to the unit circle. The
 references are slow, they need scipy, and they stay out of the package.
 The sparsification references solve the G-step one sensor at a time and by
-enumerating every support. The schedule references list the rotation
-classes by brute force and draw random masks with one ``Generator.choice``
-call per count.
+enumerating every support. The diffusion plant's Laplacian is built node by
+node. The schedule references list the rotation classes by brute force and
+draw random masks with one ``Generator.choice`` call per count.
 """
 
 import itertools
@@ -176,6 +176,23 @@ def g_optimum_enumerated(s, gamma, rho, eta):
                 best = min(best, gamma * card + 0.5 * rho * dist)
         total += best
     return total
+
+
+def laplacian_node_by_node(geom):
+    """build_laplacian one lattice node at a time: -4/h^2 on the diagonal
+    and +1/h^2 at each of the node's in-lattice neighbours, in row-major
+    order over (i, j)."""
+    n = geom.n_states
+    h2 = geom.spacing**2
+    lap = np.zeros((n, n))
+    index = np.arange(n).reshape(geom.ell_h + 1, geom.ell_v + 1)
+    for (i, j), row in np.ndenumerate(index):
+        lap[row, row] = -4.0 / h2
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ni, nj = i + di, j + dj
+            if 0 <= ni <= geom.ell_h and 0 <= nj <= geom.ell_v:
+                lap[row, index[ni, nj]] = 1.0 / h2
+    return lap
 
 
 def necklaces_brute_force(K, bounds):

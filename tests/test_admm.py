@@ -159,7 +159,9 @@ class TestAdmmConfig:
     def test_to_dict_round_trip_values(self):
         d = small_config(eta=(1, 2, 2)).to_dict()
         assert d["period"] == 4
-        assert d["eta"] == [1, 2, 2]
+        # A per-sensor eta stays a tuple; json writes it as a list.
+        assert d["eta"] == (1, 2, 2)
+        assert json.loads(json.dumps(d))["eta"] == [1, 2, 2]
 
 
 class TestDriver:

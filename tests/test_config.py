@@ -207,8 +207,8 @@ class TestValidation:
         ],
     )
     def test_inner_solver_settings_rejected(self, tmp_path, key, value):
-        # Fixed in the solver (lstep's constants, schedule_from_gains' default
-        # threshold, default_init_schedule's staggered start), not settings.
+        # Fixed in the solver (lstep's constants, schedule_from_gains' nonzero
+        # rule, default_init_schedule's staggered start), not settings.
         text = FIELD_SYSTEM + ADMM_BLOCK + f"  {key}: {value}\n"
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in admm"):
             load_experiment(write_config(tmp_path, text))

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import persched as ps
 from persched import DimensionError, InputError
@@ -19,12 +21,9 @@ def single_sensor(cols):
 class TestColumnStack:
     """How g_step reads each sensor's K columns out of the targets."""
 
-    def test_single_column_promoted(self):
-        out = ps.g_step(np.array([[3.0], [4.0]]), gamma=0.0, rho=1.0, eta=1)
-        np.testing.assert_array_equal(out, [[[3.0], [4.0]]])
-
     def test_bad_rank_rejected(self):
-        for s in (np.ones(3), np.ones((1, 2, 2, 1))):
+        # A single N x M matrix is not a one-step period: targets are stacks only.
+        for s in (np.ones(3), np.ones((2, 1)), np.ones((1, 2, 2, 1))):
             message = rf"^targets must have shape \(K, N, M\), got {re.escape(str(s.shape))}$"
             with pytest.raises(DimensionError, match=message):
                 ps.g_step(s, gamma=0.0, rho=1.0, eta=1)
@@ -221,6 +220,32 @@ class TestGStep:
     def test_gamma_zero_keeps_all_within_cap(self, rng):
         s = rng.normal(size=(3, 2, 2))
         np.testing.assert_array_equal(ps.g_step(s, gamma=0.0, rho=5.0, eta=3), s)
+
+
+class TestKeptSetIsTheSchedule:
+    """schedule_from_gains reads g_step's kept set back, so the package has
+    one activity rule: a column is active exactly when g_step kept it."""
+
+    # gamma = 0 keeps a column of norm about 1e-9, between ZERO_COLUMN_TOL
+    # and 1e-6 times the largest, which a relative rule would drop.
+    @example(seed=0, K=3, n=2, m=2, gamma=0.0, scale=1e-9, eta=5)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 5),
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        gamma=st.sampled_from([0.0, 0.01, 1.0]),
+        scale=st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-9, 1e-7, 1.0]),
+        eta=st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_schedule_of_g_step_is_its_kept_set(self, seed, K, n, m, gamma, scale, eta):
+        rng = np.random.default_rng(seed)
+        s = rng.normal(size=(K, n, m))
+        s[rng.integers(K), :, rng.integers(m)] *= scale
+        out = ps.g_step(s, gamma, float(rng.uniform(0.1, 20.0)), min(eta, K))
+        kept = np.linalg.norm(out, axis=1) > ZERO_COLUMN_TOL
+        np.testing.assert_array_equal(ps.schedule_from_gains(out).mask, kept)
 
 
 class TestGObjective:

@@ -409,8 +409,7 @@ class TestArrayRule:
         with pytest.raises(DimensionError, match=r"^x must have shape \(2,\), got \(3,\)$"):
             _array([1, 2, 3], "x", (2,))
 
-    def test_stack_of_one(self):
-        assert _array(np.ones((2, 3)), "x", ("K", 2, 3), stack=True).shape == (1, 2, 3)
+    def test_a_matrix_is_not_a_stack_of_one(self):
         with pytest.raises(DimensionError, match=r"^x must have shape \(K, 2, 3\), got \(2, 3\)$"):
             _array(np.ones((2, 3)), "x", ("K", 2, 3))
 

@@ -1,8 +1,11 @@
 """Plant construction, the benchmark plant, and assumption checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import yaml
 
 from persched import (
     DimensionError,
@@ -15,7 +18,10 @@ from persched import (
     evaluate_schedule,
     validate_assumptions,
 )
+from tests import reference
 from tests.conftest import spectral_radius
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 class TestSystemModel:
@@ -98,6 +104,15 @@ class TestSystemModel:
         with pytest.raises(InputError, match=message):
             SystemModel(A=np.eye(2) * 0.5, B=np.eye(2), C=np.eye(2), Q=q, R=np.eye(2))
 
+    @pytest.mark.parametrize("q, r", [(1e308, 1.0), (1.0, 1e308)])
+    def test_noise_near_the_float_limit_is_kept(self, q, r):
+        # X + X^T overflows for either matrix, and for B Q B^T; each is
+        # symmetrized at its unit shift, with no warning, and read back unchanged.
+        eye = np.eye(2)
+        sys = SystemModel(A=0.9 * eye, B=eye, C=np.zeros((1, 2)), Q=q * eye, R=r * np.eye(1))
+        assert sys.Q.tobytes() == sys.q_eff.tobytes() == (q * eye).tobytes()
+        assert sys.R.tobytes() == (r * np.eye(1)).tobytes()
+
 
 class TestFieldGeometry:
     def test_counts(self):
@@ -165,6 +180,21 @@ class TestBuildLaplacian:
     def test_symmetric(self):
         lap = build_laplacian(FieldGeometry(ell_h=3, ell_v=2))
         np.testing.assert_allclose(lap, lap.T)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_geometry_matches_node_by_node_bitwise(self, path):
+        field = yaml.safe_load(path.read_text())["system"]["field"]
+        geom = FieldGeometry(field["ell_h"], field["ell_v"], field.get("spacing", 1.0))
+        lap = build_laplacian(geom)
+        assert lap.tobytes() == reference.laplacian_node_by_node(geom).tobytes()
+
+    def test_random_geometries_match_node_by_node_bitwise(self, rng):
+        # Signed zeros included: no entry of the Kronecker sum is -0.0.
+        for _ in range(50):
+            ell_h, ell_v = (int(e) for e in rng.integers(0, 6, size=2))
+            geom = FieldGeometry(ell_h, ell_v, float(rng.uniform(0.1, 3.0)))
+            lap = build_laplacian(geom)
+            assert lap.tobytes() == reference.laplacian_node_by_node(geom).tobytes()
 
 
 class TestBuildDiffusionSystem:

@@ -144,7 +144,8 @@ class TestGainContract:
         [
             pytest.param(name, shape, id=f"{name}-{'x'.join(map(str, shape))}")
             for name in GAIN_PATHS
-            for shape in [(2, 3, 2, 1), (0, 3, 2), (2, 2, 2), (2, 3, 1)]
+            # (3, 2), a single N x M gain, is not a one-step period.
+            for shape in [(2, 3, 2, 1), (0, 3, 2), (2, 2, 2), (2, 3, 1), (3, 2)]
             # schedule_from_gains has no plant to match N and M against.
             if name != "schedule_from_gains" or shape[0] != 2 or len(shape) == 4
         ],
@@ -156,19 +157,13 @@ class TestGainContract:
             entry(gain_plant(), np.zeros(shape))
         assert not calls
 
-    def test_single_matrix_is_a_one_step_period(self):
-        sys = gain_plant()
-        gain = np.full((3, 2), 1e-3)
-        cycle = ps.covariance_limit_cycle(sys, gain)
-        assert cycle.shape == (1, 3, 3)
-        np.testing.assert_array_equal(cycle, ps.covariance_limit_cycle(sys, gain[np.newaxis]))
-
-    def test_schedule_reads_column_norms(self):
-        # Column norms 5 and 1 lead; the threshold is 1e-6 of the largest.
+    def test_schedule_reads_nonzero_columns(self):
+        # A column with any nonzero entry is active, however small beside
+        # the largest; one of zeros and -0.0 is not.
         gains = np.zeros((2, 3, 2))
         gains[0, :, 0] = [3.0, 4.0, 0.0]
-        gains[0, :, 1] = [0.0, 0.0, 6e-6]
-        gains[1, :, 0] = [2e-6, 0.0, 0.0]
+        gains[0, :, 1] = [0.0, 0.0, 6e-300]
+        gains[1, :, 0] = [-0.0, 0.0, -0.0]
         gains[1, :, 1] = [1.0, 0.0, 0.0]
         np.testing.assert_array_equal(ps.schedule_from_gains(gains).mask, [[1, 1], [0, 1]])
 
@@ -372,10 +367,11 @@ class TestScheduleFromGains:
         gains = np.zeros((2, 2, 2))
         gains[0, :, 0] = [1.0, 0.0]
         gains[1, :, 1] = [1e-9, 0.0]
+        gains[1, :, 0] = [-0.0, -0.0]
         sched = ps.schedule_from_gains(gains)
-        np.testing.assert_array_equal(sched.mask, [[1, 0], [0, 0]])
-        # The threshold is relative: uniformly tiny gains keep every column,
-        # and only all-zero gains give an empty schedule.
+        np.testing.assert_array_equal(sched.mask, [[1, 0], [0, 1]])
+        # The threshold is exact zero: uniformly tiny gains keep every
+        # column, and only all-zero gains give an empty schedule.
         np.testing.assert_array_equal(ps.schedule_from_gains(np.full((2, 2, 2), 1e-20)).mask, 1)
         np.testing.assert_array_equal(ps.schedule_from_gains(np.zeros((2, 2, 2))).mask, 0)
 

@@ -24,3 +24,17 @@ def test_tier1_job_has_a_time_limit():
     # of six hours.
     minutes = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"].get("timeout-minutes")
     assert type(minutes) is int and minutes > 0
+
+
+def test_every_shipped_config_is_run_and_diffed():
+    # A config that the console steps do not run, and run again to diff,
+    # could ship outputs that no longer reproduce.
+    steps = {
+        step.get("name"): step.get("run", "")
+        for step in yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    }
+    configs = sorted((WORKFLOW.parents[2] / "configs").glob("*.yaml"))
+    assert configs
+    for name in ("Console script", "Console outputs are byte-for-byte reproducible"):
+        missing = [p.name for p in configs if f"configs/{p.name}" not in steps[name]]
+        assert not missing, f"{name!r} does not run {missing}"
