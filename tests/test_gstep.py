@@ -21,9 +21,13 @@ def single_sensor(cols):
 class TestColumnStack:
     """How g_step reads each sensor's K columns out of the targets."""
 
-    def test_bad_rank_rejected(self):
+    def test_single_column_rejected(self):
         # A single N x M matrix is not a one-step period: targets are stacks only.
-        for s in (np.ones(3), np.ones((2, 1)), np.ones((1, 2, 2, 1))):
+        with pytest.raises(DimensionError, match=r"^targets must have shape \(K, N, M\), got \(2, 1\)$"):
+            ps.g_step(np.array([[3.0], [4.0]]), gamma=0.0, rho=1.0, eta=1)
+
+    def test_bad_rank_rejected(self):
+        for s in (np.ones(3), np.ones((1, 2, 2, 1))):
             message = rf"^targets must have shape \(K, N, M\), got {re.escape(str(s.shape))}$"
             with pytest.raises(DimensionError, match=message):
                 ps.g_step(s, gamma=0.0, rho=1.0, eta=1)
